@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .config import BACKENDS, ModelConfig, validate
+from .config import BACKENDS, GENERIC_INPUT_VARIANTS, QUERY_VARIANTS, ModelConfig, validate
 
 VOCAB = 32000
 
@@ -84,8 +84,8 @@ def mixer_params_per_layer(config: ModelConfig) -> int:
     d, dh, r, m = config.model_dim, config.head_dim, config.feature_dim, config.state_dim
     n_kv, heads = config.n_kv, config.heads
     kv_width = n_kv * dh
-    has_q = config.variant in ("full_interdomain", "single_input_qproj")
-    generic = config.variant in ("single_input_qproj", "s4d_only")
+    has_q = config.variant in QUERY_VARIANTS
+    generic = config.variant in GENERIC_INPUT_VARIANTS
 
     total = 2 * d * kv_width + d * d          # w_k, w_v, w_o
     total += 4 * kv_width                     # conv_k

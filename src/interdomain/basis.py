@@ -16,8 +16,6 @@ from .oracle import ZeroDenominatorError
 
 ORTHO_TOL = 1e-10
 
-BASIS_KINDS = ("indicator", "discrete_legendre", "custom")
-
 
 @dataclass(frozen=True)
 class DiscreteBasis:

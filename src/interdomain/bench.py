@@ -3,10 +3,10 @@
 Contrasts the fixed-state mixer against a growing-KV softmax baseline
 without touching a clock: the unit is one fused multiply-add (a complex
 multiply-add counts 4, complex-by-real counts 2, an elementwise special
-function counts 1), memory is live double-precision values.  The decode
-loop for the fixed-state paths really runs, step by step, with analytic
-per-call counts attached; the softmax path is counting only, its per-step
-KV traffic growing as prefix + step index.
+function counts 1), memory is live double-precision values.  The
+fixed-state paths book the analytic per-step count of ``decode_step_ops``;
+the softmax path books its per-step KV traffic, growing as prefix + step
+index.  Wall-clock decode timings come from ``perfbench/``.
 
 Three paths:
 
@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import GENERIC_INPUT_VARIANTS, QUERY_VARIANTS, ModelConfig, make_rng, validate
 from .features import CONV_TAPS
-from .layer import decode_step, forward, init_decode_state, init_layer_params, prefill
+from .layer import decode_step, forward, init_layer_params, prefill
 
 PATHS = ("interdomain", "interdomain_chunked", "softmax_kv")
 
@@ -154,11 +154,11 @@ def simulate_decode(config: ModelConfig, b: int, l: int, steps: int) -> list[Ben
     """One decode session per path: prefix of ``l`` tokens, then ``steps``
     generated tokens, batch ``b``.
 
-    The fixed-state rows drive the real per-token recurrence (state seeded
-    at position ``l``; op counts per call are analytic, so the prefix
-    length cannot leak into them).  The softmax row books 4d^2 projection
-    work plus 2d*(l+i) cache traffic at step i.  ``per_step_ops`` is total
-    decode work divided by steps, floor; steps=0 books nothing.
+    The fixed-state rows book the analytic per-step count, a function of
+    the config alone, so the prefix length cannot leak into it.  The
+    softmax row books 4d^2 projection work plus 2d*(l+i) cache traffic at
+    step i.  ``per_step_ops`` is total decode work divided by steps, floor;
+    steps=0 books nothing.
     """
     validate(config)
     if b < 1 or l < 0 or steps < 0:
@@ -168,19 +168,7 @@ def simulate_decode(config: ModelConfig, b: int, l: int, steps: int) -> list[Ben
     carried = state_units(config)
     chunk = min(config.prefill_chunk, l) if l else 0
 
-    ops = decode_step_ops(config)
-    counter = OpCounter()
-    if steps:
-        params = init_layer_params(config, make_rng(config.seed))
-        state = init_decode_state(config)
-        state.position = l
-        tokens = make_rng(config.seed + 1).standard_normal((steps, d))
-        for t in range(steps):
-            _, state = decode_step(params, state, tokens[t], config)
-            counter.work(b * ops["multiply_adds"])
-            counter.touch_state(reads=b * ops["state_reads"], writes=b * ops["state_writes"])
-            counter.live(b * ops["live_values"])
-    inter_per_step = counter.multiply_adds // steps if steps else 0
+    inter_per_step = b * decode_step_ops(config)["multiply_adds"] if steps else 0
 
     soft = OpCounter()
     for i in range(steps):

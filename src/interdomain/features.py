@@ -6,8 +6,7 @@ features(k).  Three kinds are supported:
 
 * ``rff``      random Fourier features [cos(w@x), sin(w@x)] / sqrt(S) for a
                shift-invariant kernel; output width 2S.
-* ``silu_l2``  SiLU followed by l2 normalization (optionally preceded by a
-               short causal conv when used standalone); width preserved.
+* ``silu_l2``  SiLU followed by l2 normalization; width preserved.
 * ``identity`` pass-through, useful for exact-path checks.
 """
 from __future__ import annotations
@@ -115,13 +114,6 @@ def short_conv_with_tail(
     return out, ext[-(CONV_TAPS - 1):].copy()
 
 
-def silu_l2_features(
-    x_seq: np.ndarray, conv_kernel: np.ndarray, eps: float = L2_EPS
-) -> np.ndarray:
-    """Short causal conv, SiLU, then l2 normalization per position."""
-    return silu_l2_normalize(short_conv(x_seq, conv_kernel), eps)
-
-
 def rope_frequencies(width: int, base: float = ROPE_BASE) -> np.ndarray:
     if width % 2 != 0:
         raise ValueError(f"rotary width must be even, got {width}")
@@ -194,15 +186,13 @@ def rmsnorm_bias_backward(
 class FeatureMap:
     """A query/key feature map.
 
-    ``omega`` is the (S, d) frequency matrix for ``rff``.  ``conv_kernel``
-    is only meaningful for standalone ``silu_l2`` use; inside the mixer the
-    conv is applied to the full projected stream before the head split, so
-    per-head maps carry ``conv_kernel=None``.
+    ``omega`` is the (S, d) frequency matrix for ``rff``.  Every kind is
+    positionwise; the mixer applies its short conv to the full projected
+    stream before the head split.
     """
 
     kind: str  # "rff" | "silu_l2" | "identity"
     omega: np.ndarray | None = None
-    conv_kernel: np.ndarray | None = None
     eps: float = L2_EPS
 
 
@@ -213,8 +203,8 @@ def make_rff(input_dim: int, n_freqs: int, rng: np.random.Generator,
     return FeatureMap(kind="rff", omega=omega)
 
 
-def make_silu_l2(conv_kernel: np.ndarray | None = None, eps: float = L2_EPS) -> FeatureMap:
-    return FeatureMap(kind="silu_l2", conv_kernel=conv_kernel, eps=eps)
+def make_silu_l2(eps: float = L2_EPS) -> FeatureMap:
+    return FeatureMap(kind="silu_l2", eps=eps)
 
 
 def make_identity() -> FeatureMap:
@@ -228,18 +218,12 @@ def feature_width(fmap: FeatureMap, input_dim: int) -> int:
 
 
 def apply_feature_map(fmap: FeatureMap, x: np.ndarray) -> np.ndarray:
-    """Apply a feature map to a vector or a stack of rows.
-
-    For ``silu_l2`` with a conv kernel the input must be a full sequence
-    (rows ordered by time); without one the map is positionwise.
-    """
+    """Apply a feature map to a vector or a stack of rows."""
     if fmap.kind == "identity":
         return np.asarray(x, dtype=float)
     if fmap.kind == "rff":
         return rff_features(x, fmap.omega)
     if fmap.kind == "silu_l2":
-        if fmap.conv_kernel is not None:
-            return silu_l2_features(x, fmap.conv_kernel, fmap.eps)
         return silu_l2_normalize(x, fmap.eps)
     raise ValueError(f"unknown feature map kind {fmap.kind!r}")
 
@@ -247,11 +231,7 @@ def apply_feature_map(fmap: FeatureMap, x: np.ndarray) -> np.ndarray:
 def feature_map_backward(
     fmap: FeatureMap, x: np.ndarray, grad_out: np.ndarray
 ) -> np.ndarray:
-    """Gradient of ``apply_feature_map`` w.r.t. its input (conv-free maps).
-
-    The mixer applies its conv at the stream level, so only the positionwise
-    portion needs a backward here.
-    """
+    """Gradient of ``apply_feature_map`` w.r.t. its input."""
     if fmap.kind == "identity":
         return np.asarray(grad_out, dtype=float)
     if fmap.kind == "rff":
@@ -263,8 +243,6 @@ def feature_map_backward(
         g_proj = -np.sin(proj) * g_cos + np.cos(proj) * g_sin
         return g_proj @ fmap.omega
     if fmap.kind == "silu_l2":
-        if fmap.conv_kernel is not None:
-            raise ValueError("conv-bearing silu_l2 maps are differentiated at the stream level")
         v = silu(np.asarray(x, dtype=float))
         norm = np.linalg.norm(v, axis=-1, keepdims=True)
         guarded = np.maximum(norm, fmap.eps)

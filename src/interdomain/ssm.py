@@ -1,5 +1,5 @@
 """Diagonal complex SSM: initialization, four forward scans, and a
-segment-checkpointed backward.
+segment-recompute backward.
 
 The recurrence, per input channel c:
 
@@ -10,16 +10,16 @@ The recurrence, per input channel c:
 share the dynamics and differ only through their inputs.  All four scans
 compute the same map and are interchangeable; ``scan_sequential`` is the
 definitional one.
+
+The backward keeps one state per segment of ``interval`` steps, rebuilds each
+segment's states forward from it, and runs the adjoint recurrence back
+across the segment, so its memory is O(N/interval + interval) states.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-
-# below this pole magnitude the inverse recurrence in the backward pass is
-# too ill-conditioned to trust, so those runs store their states densely
-LAM_MIN = 1e-3
 
 DELTA_LOG10_RANGE = (-3.0, -1.0)
 
@@ -128,17 +128,24 @@ def _read_out(ssm: DiagonalSSM, states: np.ndarray) -> np.ndarray:
     return np.einsum("im,nmw->niw", ssm.c_out, states).real
 
 
+def _recur(lam: np.ndarray, drive: np.ndarray, x0: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Step x_t = lam * x_{t-1} + drive[t] from x_{-1} = x0, storing x_t in
+    out[t]; returns the last state.  ``out`` may be ``drive`` itself, and
+    reversed views of both run the same recurrence backwards in time."""
+    state = x0
+    for t in range(drive.shape[0]):
+        state = lam * state + drive[t]
+        out[t] = state
+    return state
+
+
 def scan_sequential(ssm: DiagonalSSM, z: np.ndarray, x0=None) -> ScanResult:
     """The defining stepwise recurrence."""
     z, x0 = _check_scan_input(ssm, z, x0)
     n = z.shape[0]
     states = np.empty((n, ssm.state_dim, ssm.input_width), dtype=complex)
     drive = ssm.b[None, :, None] * z[:, None, :]  # (N, M, W)
-    lam = ssm.lam[:, None]
-    state = x0
-    for t in range(n):
-        state = lam * state + drive[t]
-        states[t] = state
+    _recur(ssm.lam[:, None], drive, x0, states)
     return ScanResult(states=states, outputs=_read_out(ssm, states))
 
 
@@ -247,53 +254,6 @@ def run_scan(ssm: DiagonalSSM, z: np.ndarray, backend: str,
 
 
 @dataclass(frozen=True)
-class ScanCheckpoints:
-    """States retained by the forward pass for the checkpointed backward.
-
-    ``positions[i]`` is the time index of ``states[i]``; the stored arrays
-    are bitwise slices of the forward recurrence.  ``dense`` marks the
-    fallback where every state was kept because some pole magnitude sits
-    below LAM_MIN and the inverse recurrence would amplify noise.
-    """
-
-    interval: int
-    positions: np.ndarray
-    states: np.ndarray
-    dense: bool
-
-
-def scan_with_checkpoints(
-    ssm: DiagonalSSM, z: np.ndarray, interval: int
-) -> ScanCheckpoints:
-    """Run the sequential recurrence keeping states every ``interval`` steps
-    (plus the final state).  Memory is O(N/interval * M * W) unless the
-    dense fallback triggers."""
-    if interval < 1:
-        raise ValueError("checkpoint interval must be positive")
-    z, x0 = _check_scan_input(ssm, z, None)
-    n = z.shape[0]
-    dense = bool(np.min(np.abs(ssm.lam)) < LAM_MIN)
-    drive = ssm.b[None, :, None] * z[:, None, :]
-    lam = ssm.lam[:, None]
-    positions = [t for t in range(n) if (t + 1) % interval == 0 or t == n - 1]
-    keep = np.full(n, dense)
-    keep[positions] = True
-    stored = []
-    state = x0
-    for t in range(n):
-        state = lam * state + drive[t]
-        if keep[t]:
-            stored.append(state.copy())
-    pos = np.flatnonzero(keep)
-    return ScanCheckpoints(
-        interval=interval,
-        positions=pos,
-        states=np.array(stored),
-        dense=dense,
-    )
-
-
-@dataclass(frozen=True)
 class SsmGrads:
     """Gradients of a real loss; complex entries follow the convention
     grad = d/d(Re) + i d/d(Im), so FD on the real and imaginary parts
@@ -312,44 +272,59 @@ def backward_checkpointed(
 ) -> SsmGrads:
     """Reverse-mode gradients of loss = sum(upstream * outputs) from x_0 = 0.
 
-    The forward stores one state per ``interval`` steps; during the backward
-    sweep earlier states inside a segment are recovered by inverting the
-    update, x_{t-1} = (x_t - b z_t) / lam, and each checkpoint load resets
-    the recovery error.  interval == 1 stores everything and never inverts.
+    Only the state entering each ``interval``-step segment is kept.  A cheap
+    forward step per segment gives those entry states in closed form,
+    x_{j+K} = lam^K x_j + b * sum_p lam^(K-1-p) z_{j+p}.  The segments are
+    then walked in reverse: each recomputes its states forward from its
+    entry state, runs the adjoint s_t = C^T g_t + lam s_{t+1} back across
+    the segment, carries s into the segment before, and accumulates the
+    gradients from the recomputed states.  Nothing divides by lam, so the
+    result agrees with interval == 1 to roundoff for any pole magnitude.
     """
-    z = np.asarray(z, dtype=float)
+    if interval < 1:
+        raise ValueError("checkpoint interval must be positive")
+    z, _ = _check_scan_input(ssm, z, None)
     upstream = np.asarray(upstream, dtype=float)
     n, m, w = z.shape[0], ssm.state_dim, ssm.input_width
     if upstream.shape != (n, m, w):
         raise ValueError(f"upstream must be (N, M, W) = ({n}, {m}, {w}), got {upstream.shape}")
+    lam, b = ssm.lam, ssm.b
+    n_seg = -(-n // interval)
 
-    ckpt = scan_with_checkpoints(ssm, z, interval)
-    stored = {int(p): ckpt.states[i] for i, p in enumerate(ckpt.positions)}
-
-    lam = ssm.lam[:, None]
-    drive = ssm.b[None, :, None] * z[:, None, :]
+    # States are held transposed, (W, M), so that every product of a real
+    # operand with a complex one is a real matmul on the complex operand's
+    # float view (the real and imaginary parts interleaved along M).
+    lam_seg = lam ** interval
+    b_powers = (b * lam ** np.arange(interval - 1, -1, -1)[:, None]).view(float)  # (K, 2M)
+    entries = np.zeros((n_seg, w, m), dtype=complex)
+    for j in range(1, n_seg):
+        z_prev = z[(j - 1) * interval:j * interval]
+        entries[j] = lam_seg * entries[j - 1] + (z_prev.T @ b_powers).view(complex)
 
     # holomorphic adjoints; the loss is Re of a holomorphic function of the
     # complex quantities, so real gradients drop out via conjugation at the end
-    s_adj = np.zeros((m, w), dtype=complex)
+    c_float = np.ascontiguousarray(ssm.c_out).view(float)  # (M, 2M)
+    s_adj = np.zeros((w, m), dtype=complex)
     df_dlam = np.zeros(m, dtype=complex)
     df_db = np.zeros(m, dtype=complex)
-    df_dc = np.zeros((m, m), dtype=complex)
+    df_dc_conj = np.zeros((m, 2 * m))
     grad_z = np.zeros_like(z)
-
-    state = stored[n - 1]
-    for t in range(n - 1, -1, -1):
-        g_t = upstream[t]
-        df_dc += g_t @ np.conj(state).T  # conj folded in: grad_c accumulates directly
-        s_adj = ssm.c_out.T @ g_t + lam * s_adj
-        grad_z[t] = (s_adj * ssm.b[:, None]).sum(axis=0).real
-        df_db += (s_adj * z[t][None, :]).sum(axis=1)
-        if t > 0:
-            prev = stored.get(t - 1)
-            if prev is None:
-                prev = (state - drive[t]) / lam
-            df_dlam += (s_adj * prev).sum(axis=1)
-            state = prev
+    for j in range(n_seg - 1, -1, -1):
+        seg = slice(j * interval, (j + 1) * interval)
+        z_seg, g_seg = z[seg], upstream[seg]
+        k = z_seg.shape[0]
+        # each drive is overwritten in place by the states it drives
+        states = z_seg[:, :, None] * b
+        _recur(lam, states, entries[j], states)
+        adj = (g_seg.transpose(0, 2, 1) @ c_float).view(complex)  # (C^T g_t)^T
+        s_adj = _recur(lam, adj[::-1], s_adj, adj[::-1])
+        grad_z[seg] = (adj @ b).real
+        df_db += z_seg.ravel() @ adj.reshape(k * w, m)
+        df_dlam += (np.einsum("wm,wm->m", adj[0], entries[j])
+                    + np.einsum("kwm,kwm->m", adj[1:], states[:-1]))
+        # sum_t g_t x_t^T over the segment as one matmul; conjugated at the end
+        g_rows = g_seg.transpose(1, 0, 2).reshape(m, k * w)
+        df_dc_conj += g_rows @ states.view(float).reshape(k * w, 2 * m)
 
     p = df_dlam * ssm.delta * ssm.lam  # holomorphic dF/da
     return SsmGrads(
@@ -358,5 +333,5 @@ def backward_checkpointed(
         a_log_neg_re=p.real * ssm.a.real,
         a_im=-p.imag,
         b=np.conj(df_db),
-        c_out=df_dc,
+        c_out=np.conj(df_dc_conj.view(complex)),
     )

@@ -25,7 +25,6 @@ from interdomain.features import (
     short_conv_with_tail,
     sigmoid,
     silu,
-    silu_l2_features,
 )
 
 from helpers import central_diff, rel_err
@@ -198,25 +197,14 @@ def test_short_conv_tail_continuation_matches_one_shot():
 
 def test_silu_l2_unit_impulse_two_channel_value():
     x = np.ones((1, 2))
-    got = silu_l2_features(x, impulse_kernel(2))
+    got = apply_feature_map(make_silu_l2(), x)
     want = np.full(2, 1.0 / np.sqrt(2.0))
     assert rel_err(got, want) < 1e-12
     assert abs(got[0, 0] - 0.7071) < 1e-4
 
 
 def test_silu_l2_zero_input_zero_output():
-    assert np.all(silu_l2_features(np.zeros((6, 3)), impulse_kernel(3)) == 0.0)
-
-
-def test_silu_l2_causal():
-    rng = make_rng(11)
-    kernel = rng.standard_normal((CONV_TAPS, 3))
-    x = rng.standard_normal((8, 3))
-    edited = x.copy()
-    edited[5:] = rng.standard_normal((3, 3))
-    assert np.array_equal(
-        silu_l2_features(x, kernel)[:5], silu_l2_features(edited, kernel)[:5]
-    )
+    assert np.all(apply_feature_map(make_silu_l2(), np.zeros((6, 3))) == 0.0)
 
 
 # --- rotary embedding ---
