@@ -32,7 +32,7 @@ from .config import BACKENDS, VARIANTS, ModelConfig, load_config, make_rng, vali
 from .features import make_identity
 from .layer import backward, decode_step, forward, init_layer_params, prefill
 from .oracle import AttentionInputs, feature_attention
-from .ssm import random_ssm, run_scan
+from .ssm import random_ssm, run_scan, ssm_with
 
 
 @dataclass(frozen=True)
@@ -154,17 +154,17 @@ def gradcheck_suite(config: ModelConfig, seed: int) -> SuiteReport:
             fd.flat[i] = (up - down) / (2 * h)
         worst = max(worst, _rel(grads["w_o"], fd))
 
-        ssm = params.ssms[0]
-        fd_b = np.zeros_like(ssm.b)
-        for i in range(ssm.b.size):
+        ssm = params.ssm
+        fd_b = np.zeros_like(ssm.b[0])
+        for i in range(fd_b.size):
             for mul in (1.0, 1j):
-                b2 = ssm.b.copy(); b2.flat[i] += h * mul
-                params.ssms[0] = dataclasses.replace(ssm, b=b2); up = loss()
-                b2 = ssm.b.copy(); b2.flat[i] -= h * mul
-                params.ssms[0] = dataclasses.replace(ssm, b=b2); down = loss()
+                b2 = ssm.b.copy(); b2[0].flat[i] += h * mul
+                params.ssm = ssm_with(ssm, b=b2); up = loss()
+                b2 = ssm.b.copy(); b2[0].flat[i] -= h * mul
+                params.ssm = ssm_with(ssm, b=b2); down = loss()
                 fd_b.flat[i] += (up - down) / (2 * h) * mul
-            params.ssms[0] = ssm
-        an = grads["kv0.ssm.b"]
+            params.ssm = ssm
+        an = grads["ssm.b"][0]
         worst = max(worst, _rel(an.real, fd_b.real), _rel(an.imag, fd_b.imag))
         cases.append(_case(f"gradcheck_{variant}", worst, 1e-4))
     return SuiteReport("gradcheck", seed, tuple(cases))

@@ -45,16 +45,28 @@ def silu_deriv(x: np.ndarray) -> np.ndarray:
     return s * (1.0 + x * (1.0 - s))
 
 
+def _project(x: np.ndarray, omega: np.ndarray) -> np.ndarray:
+    """``x @ omega.T`` for one (S, d) matrix; a (G, S, d) stack maps rows
+    x[n, g] by omega[g] (a single group is shared by every row)."""
+    x = np.asarray(x, dtype=float)
+    if omega.ndim == 2:
+        return x @ omega.T
+    if x.ndim != 3:
+        raise ValueError(f"a stacked omega maps an (N, groups or heads, d) block, got {x.shape}")
+    return (x.swapaxes(0, 1) @ omega.swapaxes(1, 2)).swapaxes(0, 1)
+
+
 def rff_features(x: np.ndarray, omega: np.ndarray) -> np.ndarray:
     """Random Fourier features of ``x`` for frequency matrix ``omega`` (S, d).
 
     The 1/sqrt(S) scaling is folded in, so features(x) @ features(x) == 1
     and features(x) @ features(y) is a Monte-Carlo estimate of the kernel.
-    Accepts a single vector or a stack of rows.
+    Accepts a single vector or a stack of rows; a stacked (G, S, d)
+    ``omega`` takes an (N, G or heads, d) block, as ``_project`` does.
     """
     omega = np.asarray(omega, dtype=float)
-    proj = np.asarray(x, dtype=float) @ omega.T
-    scale = 1.0 / np.sqrt(omega.shape[0])
+    proj = _project(x, omega)
+    scale = 1.0 / np.sqrt(omega.shape[-2])
     return np.concatenate([np.cos(proj), np.sin(proj)], axis=-1) * scale
 
 
@@ -169,14 +181,16 @@ def rmsnorm_bias(x: np.ndarray, params: NormBias) -> np.ndarray:
 def rmsnorm_bias_backward(
     x: np.ndarray, params: NormBias, grad_out: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients of rmsnorm_bias w.r.t. (x, gain, bias); axes before the last
-    are batch axes and get summed for the parameter gradients."""
+    """Gradients of rmsnorm_bias w.r.t. (x, gain, bias); the leading axes
+    the gain broadcasts over are batch axes and get summed for the parameter
+    gradients, so a (G, width) gain on an (N, G, width) block gets (G, width)."""
     x = np.asarray(x, dtype=float)
     width = x.shape[-1]
     rms = np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + params.eps)
     xhat = x / rms
-    grad_gain = np.sum(grad_out * xhat, axis=tuple(range(x.ndim - 1)))
-    grad_bias = np.sum(grad_out, axis=tuple(range(x.ndim - 1)))
+    batch = tuple(range(x.ndim - params.gain.ndim))
+    grad_gain = np.sum(grad_out * xhat, axis=batch)
+    grad_bias = np.sum(grad_out, axis=batch)
     g = params.gain * grad_out
     grad_x = g / rms - x * np.sum(g * x, axis=-1, keepdims=True) / (width * rms ** 3)
     return grad_x, grad_gain, grad_bias
@@ -186,9 +200,10 @@ def rmsnorm_bias_backward(
 class FeatureMap:
     """A query/key feature map.
 
-    ``omega`` is the (S, d) frequency matrix for ``rff``.  Every kind is
-    positionwise; the mixer applies its short conv to the full projected
-    stream before the head split.
+    ``omega`` is the (S, d) frequency matrix for ``rff``, or a (G, S, d)
+    stack of one matrix per KV group.  Every kind is positionwise; the mixer
+    applies its short conv to the full projected stream before the head
+    split.
     """
 
     kind: str  # "rff" | "silu_l2" | "identity"
@@ -213,7 +228,7 @@ def make_identity() -> FeatureMap:
 
 def feature_width(fmap: FeatureMap, input_dim: int) -> int:
     if fmap.kind == "rff":
-        return 2 * fmap.omega.shape[0]
+        return 2 * fmap.omega.shape[-2]
     return input_dim
 
 
@@ -235,13 +250,13 @@ def feature_map_backward(
     if fmap.kind == "identity":
         return np.asarray(grad_out, dtype=float)
     if fmap.kind == "rff":
-        proj = np.asarray(x, dtype=float) @ fmap.omega.T
-        scale = 1.0 / np.sqrt(fmap.omega.shape[0])
+        proj = _project(x, fmap.omega)
+        scale = 1.0 / np.sqrt(fmap.omega.shape[-2])
         half = proj.shape[-1]
         g_cos = grad_out[..., :half] * scale
         g_sin = grad_out[..., half:] * scale
         g_proj = -np.sin(proj) * g_cos + np.cos(proj) * g_sin
-        return g_proj @ fmap.omega
+        return _project(g_proj, fmap.omega.swapaxes(-1, -2))
     if fmap.kind == "silu_l2":
         v = silu(np.asarray(x, dtype=float))
         norm = np.linalg.norm(v, axis=-1, keepdims=True)

@@ -17,6 +17,9 @@ streams exist and how the SSM outputs are contracted:
 
 ``n_kv == 1`` shares one SSM state across heads: the k/v streams collapse
 to a single group and every head applies its own query features to it.
+Every per-group tensor carries a leading group axis of size ``n_kv``; since
+``n_kv`` is 1 or ``heads``, viewing the head axis as (n_kv, heads / n_kv)
+lines each head up with its group, and the readouts are batched matmuls.
 Decode always steps the sequential recurrence; training may pick any scan
 backend, and all of them agree numerically.
 """
@@ -54,6 +57,7 @@ from .ssm import (
     make_ssm,
     random_ssm,
     run_scan,
+    stack_ssms,
 )
 
 
@@ -63,9 +67,11 @@ class LayerParams:
 
     ``w_k``/``w_v`` project the key/value streams (``n_kv * head_dim`` wide);
     in the generic-input variants the same slots hold the a/b projections.
-    ``feature_maps`` has one entry per KV group and is shared between the
-    query and key sides of that group.  ``contraction`` exists only for the
-    variants without a query path: per head, a real matrix taking the
+    The per-group tensors are stacked on a leading ``n_kv`` axis: the input
+    norms' gain and bias (n_kv, width), the SSM fields (``ssm[g]`` is group
+    g) and the rff frequencies (n_kv, S, head_dim) of the feature map, which
+    group g's query and key sides share.  ``contraction`` exists only for
+    the variants without a query path: per head, a real matrix taking the
     flattened (M, R + head_dim) SSM output to a head output.
     """
 
@@ -77,10 +83,10 @@ class LayerParams:
     conv_q: np.ndarray | None
     conv_k: np.ndarray
     conv_v: np.ndarray | None
-    k_norms: list[NormBias]
-    v_norms: list[NormBias]
-    ssms: list[DiagonalSSM]
-    feature_maps: list[FeatureMap]
+    k_norm: NormBias
+    v_norm: NormBias
+    ssm: DiagonalSSM
+    feature_map: FeatureMap
     contraction: np.ndarray | None
 
 
@@ -94,7 +100,7 @@ class LayerState:
     """
 
     position: int
-    ssm_states: list[np.ndarray]            # n_kv arrays (M, R + head_dim) complex
+    ssm_states: np.ndarray                  # (n_kv, M, R + head_dim) complex
     conv_q_tail: np.ndarray | None          # (CONV_TAPS - 1, model_dim)
     conv_k_tail: np.ndarray                 # (CONV_TAPS - 1, n_kv * head_dim)
     conv_v_tail: np.ndarray | None
@@ -141,11 +147,12 @@ def init_layer_params(
         return k
 
     def norm(width):
-        return NormBias(gain=np.ones(width), bias=np.zeros(width))
+        return NormBias(gain=np.ones((n_kv, width)), bias=np.zeros((n_kv, width)))
 
     def fmap():
         if feature_kind == "rff":
-            return make_rff(dh, r // 2, rng)
+            omegas = [make_rff(dh, r // 2, rng).omega for _ in range(n_kv)]
+            return FeatureMap(kind="rff", omega=np.stack(omegas))
         if feature_kind == "identity":
             return make_identity()
         return make_silu_l2()
@@ -159,10 +166,10 @@ def init_layer_params(
         conv_q=conv_kernel(d) if has_q else None,
         conv_k=conv_kernel(kv_width),
         conv_v=conv_kernel(kv_width) if generic else None,
-        k_norms=[norm(r) for _ in range(n_kv)],
-        v_norms=[norm(dh) for _ in range(n_kv)],
-        ssms=[random_ssm(m, r + dh, rng) for _ in range(n_kv)],
-        feature_maps=[fmap() for _ in range(n_kv)],
+        k_norm=norm(r),
+        v_norm=norm(dh),
+        ssm=stack_ssms([random_ssm(m, r + dh, rng) for _ in range(n_kv)]),
+        feature_map=fmap(),
         contraction=None if has_q else
         rng.standard_normal((heads, dh, m * (r + dh))) * contraction_scale,
     )
@@ -176,15 +183,26 @@ def init_decode_state(config: ModelConfig) -> LayerState:
     tail = lambda width: np.zeros((CONV_TAPS - 1, width))
     return LayerState(
         position=0,
-        ssm_states=[np.zeros((m, r + dh), dtype=complex) for _ in range(config.n_kv)],
+        ssm_states=np.zeros((config.n_kv, m, r + dh), dtype=complex),
         conv_q_tail=tail(config.model_dim) if has_q else None,
         conv_k_tail=tail(kv_width),
         conv_v_tail=tail(kv_width) if generic else None,
     )
 
 
-def _group_of(head: int, n_kv: int) -> int:
-    return 0 if n_kv == 1 else head
+def _check_state(state: LayerState, config: ModelConfig) -> None:
+    """Raise ValueError naming the first field of a passed-in decode state
+    that ``init_decode_state(config)`` would not have made."""
+    if not isinstance(state.position, (int, np.integer)) or state.position < 0:
+        raise ValueError(f"state.position must be an integer >= 0, got {state.position!r}")
+    fresh = init_decode_state(config)
+    layout = lambda a: None if a is None else \
+        (getattr(a, "shape", None), str(getattr(a, "dtype", type(a).__name__)))
+    for name in ("ssm_states", "conv_q_tail", "conv_k_tail", "conv_v_tail"):
+        got, want = layout(getattr(state, name)), layout(getattr(fresh, name))
+        if got != want:
+            raise ValueError(f"state.{name} must be (shape, dtype) {want} for this config, "
+                             f"got {got}")
 
 
 def _forward_core(
@@ -222,17 +240,12 @@ def _forward_core(
     trace: dict = {"x": x_seq, "positions": positions}
 
     # --- query stream ---
-    f_q = None
     if has_q:
         q_flat = x_seq @ params.w_q
         q_conv, q_tail = short_conv_with_tail(q_flat, params.conv_q, state.conv_q_tail)
         q_heads = q_conv.reshape(n, heads, dh)
         q_rot = rope_apply(q_heads, positions) if config.rope_enabled else q_heads
-        f_q = np.empty((n, heads, r))
-        for h in range(heads):
-            f_q[:, h] = apply_feature_map(
-                params.feature_maps[_group_of(h, n_kv)], q_rot[:, h]
-            )
+        f_q = apply_feature_map(params.feature_map, q_rot)
         trace.update(q_flat=q_flat, q_rot=q_rot, f_q=f_q)
     else:
         q_tail = None
@@ -242,12 +255,7 @@ def _forward_core(
     k_conv, k_tail = short_conv_with_tail(k_flat, params.conv_k, state.conv_k_tail)
     k_groups = k_conv.reshape(n, n_kv, dh)
     k_rot = rope_apply(k_groups, positions) if config.rope_enabled else k_groups
-    k_feat = np.empty((n, n_kv, r))
-    for g in range(n_kv):
-        k_feat[:, g] = (
-            k_rot[:, g] if generic
-            else apply_feature_map(params.feature_maps[g], k_rot[:, g])
-        )
+    k_feat = k_rot if generic else apply_feature_map(params.feature_map, k_rot)
     trace.update(k_flat=k_flat, k_rot=k_rot, k_feat=k_feat)
 
     # --- value (or generic b) stream ---
@@ -260,40 +268,34 @@ def _forward_core(
     trace.update(v_flat=v_flat, v_groups=v_groups)
 
     # --- normalized SSM input ---
-    z = np.empty((n, n_kv, w))
-    for g in range(n_kv):
-        z[:, g, :r] = rmsnorm_bias(k_feat[:, g], params.k_norms[g])
-        z[:, g, r:] = rmsnorm_bias(v_groups[:, g], params.v_norms[g])
+    z = np.concatenate(
+        [rmsnorm_bias(k_feat, params.k_norm), rmsnorm_bias(v_groups, params.v_norm)],
+        axis=-1,
+    )
     trace["z"] = z
 
     # --- per-group scans ---
     scan_out = np.empty((n, n_kv, m, w))
-    new_ssm_states = []
+    ssm_states = np.empty_like(state.ssm_states)
     for g in range(n_kv):
         result = run_scan(
-            params.ssms[g], z[:, g], backend,
+            params.ssm[g], z[:, g], backend,
             chunk=config.chunk_size, x0=state.ssm_states[g],
         )
         scan_out[:, g] = result.outputs
-        new_ssm_states.append(result.final_state.copy())
+        ssm_states[g] = result.final_state
     trace["scan_out"] = scan_out
 
-    # --- readout ---
-    o_heads = np.empty((n, heads, dh))
+    # --- readout, batched over (N, group) with the group's heads on one axis ---
+    per_group = heads // n_kv
     if has_q:
-        alphas = np.empty((n, heads, m))
-        for h in range(heads):
-            g = _group_of(h, n_kv)
-            u_g = scan_out[:, g, :, :r]
-            gamma_g = scan_out[:, g, :, r:]
-            alphas[:, h] = np.einsum("nr,nmr->nm", f_q[:, h], u_g)
-            o_heads[:, h] = np.einsum("nm,nmv->nv", alphas[:, h], gamma_g)
+        alphas = f_q.reshape(n, n_kv, per_group, r) @ scan_out[..., :r].swapaxes(-1, -2)
+        o_cat = (alphas @ scan_out[..., r:]).reshape(n, config.model_dim)
         trace["alphas"] = alphas
     else:
-        for h in range(heads):
-            g = _group_of(h, n_kv)
-            o_heads[:, h] = scan_out[:, g].reshape(n, m * w) @ params.contraction[h].T
-    o_cat = o_heads.reshape(n, config.model_dim)
+        flat = scan_out.reshape(n, n_kv, m * w).swapaxes(0, 1)   # (G, N, M W)
+        contraction = params.contraction.reshape(n_kv, per_group * dh, m * w)
+        o_cat = (flat @ contraction.swapaxes(1, 2)).swapaxes(0, 1).reshape(n, config.model_dim)
     trace["o_cat"] = o_cat
 
     # --- gate and output projection ---
@@ -308,7 +310,7 @@ def _forward_core(
 
     new_state = LayerState(
         position=state.position + n,
-        ssm_states=new_ssm_states,
+        ssm_states=ssm_states,
         conv_q_tail=q_tail,
         conv_k_tail=k_tail,
         conv_v_tail=v_tail,
@@ -343,6 +345,8 @@ def prefill(
     n = x_seq.shape[0]
     if state is None:
         state = init_decode_state(config)
+    else:
+        _check_state(state, config)
     if chunk is None:
         chunk = max(n, 1)
     if chunk < 1:
@@ -367,6 +371,7 @@ def decode_step(
     token = np.asarray(token, dtype=float)
     if token.shape != (config.model_dim,):
         raise ValueError(f"token must be ({config.model_dim},), got {token.shape}")
+    _check_state(state, config)
     y, new_state, _ = _forward_core(
         params, token[None, :], config, state, backend="sequential"
     )
@@ -427,65 +432,44 @@ def backward(
         grad_x += grad_gate_pre @ params.w_g.T
     else:
         grad_o_cat = grad_gated
-    grad_o_heads = grad_o_cat.reshape(n, heads, dh)
 
-    # readout -> per-group SSM upstream
-    grad_scan = np.zeros((n, n_kv, m, w))
-    grad_f_q = np.zeros((n, heads, r)) if has_q else None
+    # readout -> per-group SSM upstream, batched like the forward
+    per_group = heads // n_kv
+    scan_out = trace["scan_out"]
     if has_q:
-        f_q, alphas, scan_out = trace["f_q"], trace["alphas"], trace["scan_out"]
-        for h in range(heads):
-            g = _group_of(h, n_kv)
-            u_g = scan_out[:, g, :, :r]
-            gamma_g = scan_out[:, g, :, r:]
-            grad_alpha = np.einsum("nv,nmv->nm", grad_o_heads[:, h], gamma_g)
-            grad_scan[:, g, :, r:] += np.einsum("nm,nv->nmv", alphas[:, h], grad_o_heads[:, h])
-            grad_scan[:, g, :, :r] += np.einsum("nm,nr->nmr", grad_alpha, f_q[:, h])
-            grad_f_q[:, h] = np.einsum("nm,nmr->nr", grad_alpha, u_g)
+        f_q = trace["f_q"].reshape(n, n_kv, per_group, r)
+        grad_o = grad_o_cat.reshape(n, n_kv, per_group, dh)
+        grad_alpha = grad_o @ scan_out[..., r:].swapaxes(-1, -2)    # (N, G, heads/G, M)
+        grad_scan = np.empty((n, n_kv, m, w))
+        np.matmul(trace["alphas"].swapaxes(-1, -2), grad_o, out=grad_scan[..., r:])
+        np.matmul(grad_alpha.swapaxes(-1, -2), f_q, out=grad_scan[..., :r])
+        grad_f_q = (grad_alpha @ scan_out[..., :r]).reshape(n, heads, r)
     else:
-        grad_contr = np.zeros_like(params.contraction)
-        flat = trace["scan_out"].reshape(n, n_kv, m * w)
-        for h in range(heads):
-            g = _group_of(h, n_kv)
-            grad_contr[h] = grad_o_heads[:, h].T @ flat[:, g]
-            grad_scan[:, g] += (grad_o_heads[:, h] @ params.contraction[h]).reshape(n, m, w)
-        grads["contraction"] = grad_contr
+        flat = scan_out.reshape(n, n_kv, m * w).swapaxes(0, 1)           # (G, N, M W)
+        grad_o = grad_o_cat.reshape(n, n_kv, per_group * dh).swapaxes(0, 1)
+        contraction = params.contraction.reshape(n_kv, per_group * dh, m * w)
+        grads["contraction"] = (grad_o.swapaxes(1, 2) @ flat).reshape(params.contraction.shape)
+        grad_scan = (grad_o @ contraction).swapaxes(0, 1).reshape(n, n_kv, m, w)
 
     # SSM backward per group, then the normalized-input chain
-    grad_k_feat = np.zeros((n, n_kv, r))
-    grad_v_groups = np.zeros((n, n_kv, dh))
-    z = trace["z"]
-    for g in range(n_kv):
-        ssm_grads = backward_checkpointed(
-            params.ssms[g], z[:, g], grad_scan[:, g], config.chunk_size
-        )
-        grads[f"kv{g}.ssm.delta"] = ssm_grads.delta
-        grads[f"kv{g}.ssm.a_log_neg_re"] = ssm_grads.a_log_neg_re
-        grads[f"kv{g}.ssm.a_im"] = ssm_grads.a_im
-        grads[f"kv{g}.ssm.b"] = ssm_grads.b
-        grads[f"kv{g}.ssm.c_out"] = ssm_grads.c_out
-        gkh, gkg, gkb = rmsnorm_bias_backward(
-            trace["k_feat"][:, g], params.k_norms[g], ssm_grads.z[:, :r]
-        )
-        grad_k_feat[:, g] = gkh
-        grads[f"kv{g}.k_norm.gain"] = gkg
-        grads[f"kv{g}.k_norm.bias"] = gkb
-        gvh, gvg, gvb = rmsnorm_bias_backward(
-            trace["v_groups"][:, g], params.v_norms[g], ssm_grads.z[:, r:]
-        )
-        grad_v_groups[:, g] = gvh
-        grads[f"kv{g}.v_norm.gain"] = gvg
-        grads[f"kv{g}.v_norm.bias"] = gvb
+    ssm_grads = [
+        backward_checkpointed(params.ssm[g], trace["z"][:, g], grad_scan[:, g], config.chunk_size)
+        for g in range(n_kv)
+    ]
+    for field in ("delta", "a_log_neg_re", "a_im", "b", "c_out"):
+        grads[f"ssm.{field}"] = np.stack([getattr(sg, field) for sg in ssm_grads])
+    grad_z = np.stack([sg.z for sg in ssm_grads], axis=1)
+    grad_k_feat, grads["k_norm.gain"], grads["k_norm.bias"] = rmsnorm_bias_backward(
+        trace["k_feat"], params.k_norm, grad_z[..., :r]
+    )
+    grad_v_groups, grads["v_norm.gain"], grads["v_norm.bias"] = rmsnorm_bias_backward(
+        trace["v_groups"], params.v_norm, grad_z[..., r:]
+    )
 
     # key stream: feature map -> rope -> conv -> projection
-    grad_k_rot = np.empty((n, n_kv, dh))
-    for g in range(n_kv):
-        grad_k_rot[:, g] = (
-            grad_k_feat[:, g] if generic
-            else feature_map_backward(
-                params.feature_maps[g], trace["k_rot"][:, g], grad_k_feat[:, g]
-            )
-        )
+    grad_k_rot = grad_k_feat if generic else feature_map_backward(
+        params.feature_map, trace["k_rot"], grad_k_feat
+    )
     grad_k_conv = (
         rope_apply(grad_k_rot, positions, inverse=True)
         if config.rope_enabled else grad_k_rot
@@ -505,13 +489,7 @@ def backward(
 
     # query stream
     if has_q:
-        grad_q_rot = np.empty((n, heads, dh))
-        for h in range(heads):
-            grad_q_rot[:, h] = feature_map_backward(
-                params.feature_maps[_group_of(h, n_kv)],
-                trace["q_rot"][:, h],
-                grad_f_q[:, h],
-            )
+        grad_q_rot = feature_map_backward(params.feature_map, trace["q_rot"], grad_f_q)
         grad_q_conv = (
             rope_apply(grad_q_rot, positions, inverse=True)
             if config.rope_enabled else grad_q_rot
@@ -526,75 +504,54 @@ def backward(
 # --- parameter container serialization -------------------------------------
 #
 # Parameters serialize to a flat .npz archive: one entry per tensor, names
-# matching the gradient keys, plus a few scalar "meta.*" entries (variant
-# layout, group count, feature kinds) so the archive reloads standalone.
+# matching the gradient keys, per-group tensors stacked on their leading
+# group axis (``ssm.b`` is (n_kv, M)), plus the SSM input width and the
+# feature map's kind, floor and frequencies, so the archive reloads
+# standalone.
+
+_DENSE = ("w_q", "w_k", "w_v", "w_o", "w_g", "conv_q", "conv_k", "conv_v", "contraction")
+
+
+def _learnable(params: LayerParams) -> dict[str, np.ndarray]:
+    """Every learnable tensor by its serialized name; absent streams are skipped."""
+    named = {name: getattr(params, name) for name in _DENSE}
+    named.update({
+        "k_norm.gain": params.k_norm.gain, "k_norm.bias": params.k_norm.bias,
+        "v_norm.gain": params.v_norm.gain, "v_norm.bias": params.v_norm.bias,
+        "ssm.delta": params.ssm.delta, "ssm.a": params.ssm.a,
+        "ssm.b": params.ssm.b, "ssm.c_out": params.ssm.c_out,
+    })
+    return {name: value for name, value in named.items() if value is not None}
+
 
 def save_layer_params(params: LayerParams, path) -> None:
-    arrays: dict[str, np.ndarray] = {}
-    for name in ("w_q", "w_k", "w_v", "w_o", "w_g", "conv_q", "conv_k", "conv_v",
-                 "contraction"):
-        value = getattr(params, name)
-        if value is not None:
-            arrays[name] = value
-    n_kv = len(params.ssms)
-    for g in range(n_kv):
-        arrays[f"kv{g}.k_norm.gain"] = params.k_norms[g].gain
-        arrays[f"kv{g}.k_norm.bias"] = params.k_norms[g].bias
-        arrays[f"kv{g}.v_norm.gain"] = params.v_norms[g].gain
-        arrays[f"kv{g}.v_norm.bias"] = params.v_norms[g].bias
-        arrays[f"kv{g}.ssm.delta"] = params.ssms[g].delta
-        arrays[f"kv{g}.ssm.a"] = params.ssms[g].a
-        arrays[f"kv{g}.ssm.b"] = params.ssms[g].b
-        arrays[f"kv{g}.ssm.c_out"] = params.ssms[g].c_out
-        arrays[f"kv{g}.ssm.input_width"] = np.array(params.ssms[g].input_width)
-        fmap = params.feature_maps[g]
-        arrays[f"kv{g}.fmap.kind"] = np.array(fmap.kind)
-        arrays[f"kv{g}.fmap.eps"] = np.array(fmap.eps)
-        if fmap.omega is not None:
-            arrays[f"kv{g}.fmap.omega"] = fmap.omega
-    arrays["meta.n_kv"] = np.array(n_kv)
+    fmap = params.feature_map
+    arrays = {**_learnable(params), "ssm.input_width": np.array(params.ssm.input_width),
+              "fmap.kind": np.array(fmap.kind), "fmap.eps": np.array(fmap.eps)}
+    if fmap.omega is not None:
+        arrays["fmap.omega"] = fmap.omega
     np.savez(path, **arrays)
 
 
 def load_layer_params(path) -> LayerParams:
     with np.load(path, allow_pickle=False) as blob:
         arrays = {k: blob[k] for k in blob.files}
-    opt = lambda k: arrays.get(k)
-    n_kv = int(arrays["meta.n_kv"])
-    k_norms, v_norms, ssms, fmaps = [], [], [], []
-    for g in range(n_kv):
-        k_norms.append(NormBias(gain=arrays[f"kv{g}.k_norm.gain"],
-                                bias=arrays[f"kv{g}.k_norm.bias"]))
-        v_norms.append(NormBias(gain=arrays[f"kv{g}.v_norm.gain"],
-                                bias=arrays[f"kv{g}.v_norm.bias"]))
-        ssms.append(make_ssm(
-            arrays[f"kv{g}.ssm.delta"], arrays[f"kv{g}.ssm.a"],
-            arrays[f"kv{g}.ssm.b"], arrays[f"kv{g}.ssm.c_out"],
-            int(arrays[f"kv{g}.ssm.input_width"]),
-        ))
-        fmaps.append(FeatureMap(
-            kind=str(arrays[f"kv{g}.fmap.kind"]),
-            omega=opt(f"kv{g}.fmap.omega"),
-            eps=float(arrays[f"kv{g}.fmap.eps"]),
-        ))
+    opt = arrays.get
     return LayerParams(
         w_q=opt("w_q"), w_k=arrays["w_k"], w_v=arrays["w_v"], w_o=arrays["w_o"],
         w_g=opt("w_g"), conv_q=opt("conv_q"), conv_k=arrays["conv_k"],
-        conv_v=opt("conv_v"), k_norms=k_norms, v_norms=v_norms, ssms=ssms,
-        feature_maps=fmaps, contraction=opt("contraction"),
+        conv_v=opt("conv_v"),
+        k_norm=NormBias(gain=arrays["k_norm.gain"], bias=arrays["k_norm.bias"]),
+        v_norm=NormBias(gain=arrays["v_norm.gain"], bias=arrays["v_norm.bias"]),
+        ssm=make_ssm(arrays["ssm.delta"], arrays["ssm.a"], arrays["ssm.b"],
+                     arrays["ssm.c_out"], int(arrays["ssm.input_width"])),
+        feature_map=FeatureMap(kind=str(arrays["fmap.kind"]), omega=opt("fmap.omega"),
+                               eps=float(arrays["fmap.eps"])),
+        contraction=opt("contraction"),
     )
 
 
 def count_layer_params(params: LayerParams) -> int:
     """Trainable real scalars in the container (complex entries count twice)."""
-    total = 0
-    for name in ("w_q", "w_k", "w_v", "w_o", "w_g", "conv_q", "conv_k", "conv_v",
-                 "contraction"):
-        value = getattr(params, name)
-        if value is not None:
-            total += value.size
-    for nb in (*params.k_norms, *params.v_norms):
-        total += nb.gain.size + nb.bias.size
-    for s in params.ssms:
-        total += s.delta.size + 2 * s.a.size + 2 * s.b.size + 2 * s.c_out.size
-    return total
+    return sum(value.size * (2 if np.iscomplexobj(value) else 1)
+               for value in _learnable(params).values())

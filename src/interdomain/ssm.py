@@ -27,7 +27,12 @@ DELTA_LOG10_RANGE = (-3.0, -1.0)
 @dataclass(frozen=True)
 class DiagonalSSM:
     """Immutable parameter bundle; ``lam`` is derived, use ``make_ssm`` /
-    ``ssm_with`` so it can never go stale."""
+    ``ssm_with`` so it can never go stale.
+
+    The fields may carry a leading group axis, (G, M) and (G, M, M), for G
+    independent SSMs of one input width; ``ssm[g]`` is group g on its own.
+    The scans and the backward take one group.
+    """
 
     delta: np.ndarray        # (M,) positive step sizes
     a: np.ndarray            # (M,) complex, Re < 0
@@ -38,7 +43,14 @@ class DiagonalSSM:
 
     @property
     def state_dim(self) -> int:
-        return self.delta.shape[0]
+        return self.delta.shape[-1]
+
+    def __getitem__(self, g: int) -> DiagonalSSM:
+        if self.delta.ndim != 2:
+            raise TypeError("only an SSM stacked on a group axis can be indexed")
+        return DiagonalSSM(delta=self.delta[g], a=self.a[g], b=self.b[g],
+                           c_out=self.c_out[g], input_width=self.input_width,
+                           lam=self.lam[g])
 
 
 def discretize(delta: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -51,8 +63,9 @@ def make_ssm(delta, a, b, c_out, input_width: int) -> DiagonalSSM:
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     c_out = np.asarray(c_out, dtype=complex)
-    m = delta.shape[0]
-    if a.shape != (m,) or b.shape != (m,) or c_out.shape != (m, m):
+    m = delta.shape[-1]
+    if (delta.ndim not in (1, 2) or a.shape != delta.shape or b.shape != delta.shape
+            or c_out.shape != delta.shape + (m,)):
         raise ValueError(
             f"inconsistent shapes: delta {delta.shape}, a {a.shape}, "
             f"b {b.shape}, c_out {c_out.shape}"
@@ -100,6 +113,13 @@ def random_ssm(m: int, input_width: int, rng: np.random.Generator) -> DiagonalSS
     return make_ssm(delta, a, b, c_out, input_width)
 
 
+def stack_ssms(ssms: list[DiagonalSSM]) -> DiagonalSSM:
+    """One SSM whose fields stack the given ones on a leading group axis."""
+    fields = ("delta", "a", "b", "c_out")
+    return make_ssm(*(np.stack([getattr(s, f) for s in ssms]) for f in fields),
+                    ssms[0].input_width)
+
+
 @dataclass(frozen=True)
 class ScanResult:
     states: np.ndarray   # (N, M, W) complex
@@ -111,6 +131,8 @@ class ScanResult:
 
 
 def _check_scan_input(ssm: DiagonalSSM, z: np.ndarray, x0) -> tuple[np.ndarray, np.ndarray]:
+    if ssm.delta.ndim != 1:
+        raise ValueError("scan one group at a time: pass ssm[g]")
     z = np.asarray(z, dtype=float)
     if z.ndim != 2 or z.shape[1] != ssm.input_width:
         raise ValueError(f"z must be (N, {ssm.input_width}), got {z.shape}")
@@ -125,7 +147,7 @@ def _check_scan_input(ssm: DiagonalSSM, z: np.ndarray, x0) -> tuple[np.ndarray, 
 
 
 def _read_out(ssm: DiagonalSSM, states: np.ndarray) -> np.ndarray:
-    return np.einsum("im,nmw->niw", ssm.c_out, states).real
+    return (ssm.c_out @ states).real
 
 
 def _recur(lam: np.ndarray, drive: np.ndarray, x0: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -11,6 +11,7 @@ import numpy as np
 
 from interdomain.config import ModelConfig, validate
 from interdomain.features import NormBias
+from interdomain.ssm import ssm_with
 
 
 def rel_err(got: np.ndarray, want: np.ndarray) -> float:
@@ -31,18 +32,61 @@ def tiny_config(**overrides) -> ModelConfig:
 
 def randomize_norms(params, rng):
     """Move the norm parameters off their (1, 0) init so gradient tests
-    exercise the gain/bias paths."""
-    params.k_norms = [
-        NormBias(gain=1 + 0.3 * rng.standard_normal(nb.gain.shape),
-                 bias=0.2 * rng.standard_normal(nb.bias.shape))
-        for nb in params.k_norms
-    ]
-    params.v_norms = [
-        NormBias(gain=1 + 0.3 * rng.standard_normal(nb.gain.shape),
-                 bias=0.2 * rng.standard_normal(nb.bias.shape))
-        for nb in params.v_norms
-    ]
+    exercise the gain/bias paths.  Draws group by group, gain then bias."""
+    def draw(nb):
+        rows = [(1 + 0.3 * rng.standard_normal(gain.shape), 0.2 * rng.standard_normal(bias.shape))
+                for gain, bias in zip(nb.gain, nb.bias)]
+        return NormBias(gain=np.stack([g for g, _ in rows]), bias=np.stack([b for _, b in rows]))
+
+    params.k_norm = draw(params.k_norm)
+    params.v_norm = draw(params.v_norm)
     return params
+
+
+def ssm_group_setter(params, field, g=0):
+    """A put() for central_diff_complex that replaces group ``g`` of one
+    stacked SSM field through ssm_with, so the poles are rebuilt and the
+    constructor's checks run."""
+    def put(value):
+        stacked = getattr(params.ssm, field).copy()
+        stacked[g] = value
+        params.ssm = ssm_with(params.ssm, **{field: stacked})
+    return put
+
+
+def query_readout_loop(f_q, scan_out, n_kv):
+    """The query readout from its definition, one head and position at a
+    time: head h reads group g = (0 if n_kv == 1 else h), and
+    o[t, h] = sum_m (sum_r f_q[t, h, r] U[t, g, m, r]) Gamma[t, g, m, :],
+    where scan_out[t, g, m] = [U | Gamma].  Returns (N, heads * head_dim)."""
+    n, heads, r = f_q.shape
+    _, _, m, w = scan_out.shape
+    out = np.zeros((n, heads, w - r))
+    for t in range(n):
+        for h in range(heads):
+            g = 0 if n_kv == 1 else h
+            for i in range(m):
+                alpha = sum(f_q[t, h, j] * scan_out[t, g, i, j] for j in range(r))
+                out[t, h] += alpha * scan_out[t, g, i, r:]
+    return out.reshape(n, -1)
+
+
+def contraction_readout_loop(scan_out, contraction, n_kv):
+    """The learned-contraction readout from its definition: head h reads
+    group g = (0 if n_kv == 1 else h), and
+    o[t, h, v] = sum_{i, c} contraction[h, v, i * W + c] scan_out[t, g, i, c].
+    Returns (N, heads * head_dim)."""
+    n, _, m, w = scan_out.shape
+    heads, dh, _ = contraction.shape
+    out = np.zeros((n, heads, dh))
+    for t in range(n):
+        for h in range(heads):
+            g = 0 if n_kv == 1 else h
+            for v in range(dh):
+                for i in range(m):
+                    for c in range(w):
+                        out[t, h, v] += contraction[h, v, i * w + c] * scan_out[t, g, i, c]
+    return out.reshape(n, -1)
 
 
 def naive_unroll(ssm, z, x0=None):

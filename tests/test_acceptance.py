@@ -37,9 +37,16 @@ from interdomain.layer import (
     prefill,
 )
 from interdomain.oracle import AttentionInputs, feature_attention
-from interdomain.ssm import random_ssm, run_scan, ssm_with
+from interdomain.ssm import random_ssm, run_scan
 
-from helpers import central_diff, central_diff_complex, randomize_norms, rel_err, tiny_config
+from helpers import (
+    central_diff,
+    central_diff_complex,
+    randomize_norms,
+    rel_err,
+    ssm_group_setter,
+    tiny_config,
+)
 
 
 @contextmanager
@@ -114,8 +121,8 @@ def test_acceptance_3_gradients_match_finite_differences():
                 "w_k": (grads["w_k"], params.w_k),
                 "w_v": (grads["w_v"], params.w_v),
                 "conv_k": (grads["conv_k"], params.conv_k),
-                "kv0.k_norm.gain": (grads["kv0.k_norm.gain"], params.k_norms[0].gain),
-                "kv0.v_norm.bias": (grads["kv0.v_norm.bias"], params.v_norms[0].bias),
+                "k_norm.gain[0]": (grads["k_norm.gain"][0], params.k_norm.gain[0]),
+                "v_norm.bias[0]": (grads["v_norm.bias"][0], params.v_norm.bias[0]),
             }
             if params.w_q is not None:
                 checks["w_q"] = (grads["w_q"], params.w_q)
@@ -128,16 +135,16 @@ def test_acceptance_3_gradients_match_finite_differences():
                 fd = central_diff(loss, arr, h=1e-5)
                 assert rel_err(got, fd) <= 1e-4, f"{variant}/{name}"
 
-            base = params.ssms[0]
+            base = params.ssm
             for field in ("b", "c_out"):
                 fd = central_diff_complex(
                     loss,
-                    lambda: getattr(params.ssms[0], field),
-                    lambda val: params.ssms.__setitem__(0, ssm_with(base, **{field: val})),
+                    lambda: getattr(params.ssm, field)[0],
+                    ssm_group_setter(params, field),
                     h=1e-5,
                 )
-                assert rel_err(grads[f"kv0.ssm.{field}"], fd) <= 1e-4, f"{variant}/{field}"
-            params.ssms[0] = base
+                assert rel_err(grads[f"ssm.{field}"][0], fd) <= 1e-4, f"{variant}/{field}"
+            params.ssm = base
 
             # checkpoint spacing must not change the answer
             g1, gx1 = backward(params, x, up, dataclasses.replace(config, chunk_size=1))
