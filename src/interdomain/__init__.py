@@ -10,7 +10,7 @@ The package is organized bottom-up:
 ``ssm``         diagonal recurrence, four scan backends, checkpointed backward
 ``layer``       the assembled mixer: forward, backward, prefill, decode
 ``accounting``  state budgets, parameter counts, cost model
-``bench``       op-counting decode/prefill simulator
+``bench``       op-counting decode simulator, CSV grid
 ``cli``         verification suites behind one entry point
 """
 
@@ -35,7 +35,7 @@ from .basis import (
     readout_free,
     readout_nw,
 )
-from .bench import BenchRow, OpCounter, emit_csv, parse_csv, run_decode_grid, simulate_decode
+from .bench import BenchRow, emit_csv, parse_csv, run_decode_grid, simulate_decode
 from .config import (
     BACKENDS,
     VARIANTS,
@@ -81,7 +81,6 @@ __all__ = [
     "LayerParams",
     "LayerState",
     "ModelConfig",
-    "OpCounter",
     "StateBudget",
     "ZeroDenominatorError",
     "apply_feature_map",

@@ -1,4 +1,4 @@
-"""Operation-counting decode and prefill simulator.
+"""Operation-counting decode simulator.
 
 Contrasts the fixed-state mixer against a growing-KV softmax baseline
 without touching a clock: the unit is one fused multiply-add (a complex
@@ -30,36 +30,6 @@ from .layer import decode_step, forward, init_layer_params, prefill
 PATHS = ("interdomain", "interdomain_chunked", "softmax_kv")
 
 CSV_HEADER = ("path", "B", "L", "steps", "per_step_ops", "peak_memory_units")
-
-
-@dataclass
-class OpCounter:
-    """Monotone counters for one simulation run; reset only between runs."""
-
-    multiply_adds: int = 0
-    state_reads: int = 0
-    state_writes: int = 0
-    peak_live_values: int = 0
-
-    def work(self, n: int) -> None:
-        if n < 0:
-            raise ValueError("op counts only go up")
-        self.multiply_adds += n
-
-    def touch_state(self, reads: int = 0, writes: int = 0) -> None:
-        if reads < 0 or writes < 0:
-            raise ValueError("op counts only go up")
-        self.state_reads += reads
-        self.state_writes += writes
-
-    def live(self, n: int) -> None:
-        self.peak_live_values = max(self.peak_live_values, n)
-
-    def reset(self) -> None:
-        self.multiply_adds = 0
-        self.state_reads = 0
-        self.state_writes = 0
-        self.peak_live_values = 0
 
 
 @dataclass(frozen=True)
@@ -157,8 +127,8 @@ def simulate_decode(config: ModelConfig, b: int, l: int, steps: int) -> list[Ben
     The fixed-state rows book the analytic per-step count, a function of
     the config alone, so the prefix length cannot leak into it.  The
     softmax row books 4d^2 projection work plus 2d*(l+i) cache traffic at
-    step i.  ``per_step_ops`` is total decode work divided by steps, floor;
-    steps=0 books nothing.
+    step i.  ``per_step_ops`` is total decode work divided by steps, which
+    is an integer; steps=0 books nothing.
     """
     validate(config)
     if b < 1 or l < 0 or steps < 0:
@@ -170,12 +140,8 @@ def simulate_decode(config: ModelConfig, b: int, l: int, steps: int) -> list[Ben
 
     inter_per_step = b * decode_step_ops(config)["multiply_adds"] if steps else 0
 
-    soft = OpCounter()
-    for i in range(steps):
-        soft.work(b * (4 * d * d + 2 * d * (l + i)))
-        soft.touch_state(reads=b * 2 * d * (l + i), writes=b * 2 * d)
-        soft.live(b * (2 * d * (l + i + 1) + 4 * d))
-    soft_per_step = soft.multiply_adds // steps if steps else 0
+    # the mean of 4d^2 + 2d(l+i) over i < steps, exact in integers
+    soft_per_step = b * (4 * d * d + 2 * d * l + d * (steps - 1)) if steps else 0
 
     rows = [
         BenchRow("interdomain", b, l, steps, inter_per_step,
@@ -186,38 +152,6 @@ def simulate_decode(config: ModelConfig, b: int, l: int, steps: int) -> list[Ben
                  b * (2 * d * (l + steps) + 4 * d)),
     ]
     return rows
-
-
-@dataclass(frozen=True)
-class PrefillReport:
-    """Peak-memory model for consuming a prompt, chunked vs one block."""
-
-    activation_units: int
-    chunked_activation_units: int
-    state_units: int
-    peak_units: int
-    chunked_peak_units: int
-
-
-def simulate_prefill(config: ModelConfig, b: int, l: int, c: int) -> PrefillReport:
-    """Counter arithmetic only: the one-block path pins b*l tokens of
-    activations, the chunked path b*c plus the carried state."""
-    validate(config)
-    if not (1 <= c <= l):
-        raise ValueError("need 1 <= c <= l")
-    if b < 1:
-        raise ValueError("need b >= 1")
-    act = activation_units_per_token(config)
-    carried = b * state_units(config)
-    full = b * l * act
-    chunked = b * c * act
-    return PrefillReport(
-        activation_units=full,
-        chunked_activation_units=chunked,
-        state_units=carried,
-        peak_units=full + carried,
-        chunked_peak_units=chunked + carried,
-    )
 
 
 def verify_prefill_equivalence(config: ModelConfig, n: int, chunk: int, seed: int = 0) -> float:

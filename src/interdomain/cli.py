@@ -279,14 +279,29 @@ def _print_budget_table(config: ModelConfig) -> None:
         print(f"  {key:<{width}}  {value:>15,}")
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        values = tuple(int(part) for part in text.split(",") if part)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}") from exc
-    if not values:
-        raise argparse.ArgumentTypeError("empty list")
-    return values
+def _int_at_least(low: int):
+    """argparse type: one integer >= low."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
+
+
+def _int_list(low: int):
+    """argparse type: a nonempty comma-separated list of integers >= low."""
+    one = _int_at_least(low)
+
+    def parse(text: str) -> tuple[int, ...]:
+        values = tuple(one(part) for part in text.split(",") if part)
+        if not values:
+            raise argparse.ArgumentTypeError("empty list")
+        return values
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -311,15 +326,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("budget", parents=[common],
                    help="state DoF and parameter-count anchors")
     p_bench = sub.add_parser("bench", parents=[common],
-                             help="op-counting decode/prefill simulator")
-    p_bench.add_argument("--batch", type=_int_list, default=(1,),
+                             help="op-counting decode simulator and CSV grid")
+    p_bench.add_argument("--batch", type=_int_list(1), default=(1,),
                          help="comma-separated batch sizes (default 1)")
-    p_bench.add_argument("--prefix-lens", type=_int_list,
+    p_bench.add_argument("--prefix-lens", type=_int_list(0),
                          default=(512, 1024, 2048, 4096, 8192, 16384),
                          help="comma-separated prefix lengths")
-    p_bench.add_argument("--steps", type=int, default=64,
+    p_bench.add_argument("--steps", type=_int_at_least(1), default=64,
                          help="decode steps per cell (default 64)")
-    p_bench.add_argument("--chunk", type=int, default=None,
+    p_bench.add_argument("--chunk", type=_int_at_least(1), default=None,
                          help="prefill chunk override for the chunked path")
     sub.add_parser("basis", parents=[common],
                    help="complete-basis equality demo")

@@ -106,7 +106,12 @@ class LayerState:
     conv_v_tail: np.ndarray | None
 
 
+FEATURE_KINDS = ("rff", "silu_l2", "identity")
+
+
 def _feature_kind_ok(kind: str, config: ModelConfig) -> None:
+    if kind not in FEATURE_KINDS:
+        raise ValueError(f"unknown feature kind {kind!r}; expected one of {FEATURE_KINDS}")
     if kind in ("silu_l2", "identity") and config.feature_dim != config.head_dim:
         raise ValueError(
             f"{kind} feature maps preserve width, so feature_dim must equal "

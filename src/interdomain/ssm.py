@@ -11,9 +11,12 @@ share the dynamics and differ only through their inputs.  All four scans
 compute the same map and are interchangeable; ``scan_sequential`` is the
 definitional one.
 
-The backward keeps one state per segment of ``interval`` steps, rebuilds each
-segment's states forward from it, and runs the adjoint recurrence back
-across the segment, so its memory is O(N/interval + interval) states.
+The chunkwise scan and the backward get the state entering each segment
+from one closed-form step per segment (``_segment_entries``).  The scan then
+advances every chunk in lockstep from its entry state; the backward keeps
+only the entry states, rebuilds each segment forward from one and runs the
+adjoint back across it, so its memory is O(N/interval + interval) states.
+Every time-stepping loop is ``_recur``.
 """
 from __future__ import annotations
 
@@ -196,46 +199,47 @@ def scan_fft(ssm: DiagonalSSM, z: np.ndarray, x0=None) -> ScanResult:
     return ScanResult(states=states, outputs=_read_out(ssm, states))
 
 
-def scan_chunkwise(ssm: DiagonalSSM, z: np.ndarray, chunk: int, x0=None) -> ScanResult:
-    """Chunked scan: parallel intra-chunk pass, serial carry propagation
-    across the N/chunk boundaries, then a correction pass.
+def _segment_entries(ssm: DiagonalSSM, z: np.ndarray, k: int, x0: np.ndarray) -> np.ndarray:
+    """States entering each ``k``-step segment of ``z`` from x0, shape
+    (max(ceil(N/k), 1), W, M): entry j is x_{jk-1}, entry 0 is x0 itself.
 
-    chunk == N degenerates to a single chunk, chunk == 1 to the sequential
+    Every segment but the last is full, so each contributes one closed-form
+    step x_{j+k} = lam^k x_j + b * sum_p lam^(k-1-p) z_{j+p}.  The sums are
+    one batched real matmul on the float view of b * lam^(k-1-p); the
+    states are held transposed, (W, M), so that view interleaves the real
+    and imaginary parts along M.
+    """
+    n, w = z.shape
+    n_seg = max(-(-n // k), 1)
+    b_powers = (ssm.b * ssm.lam ** np.arange(k - 1, -1, -1)[:, None]).view(float)  # (k, 2M)
+    z_full = z[:(n_seg - 1) * k].reshape(n_seg - 1, k, w).transpose(0, 2, 1)
+    entries = np.empty((n_seg, w, ssm.state_dim), dtype=complex)
+    entries[0] = x0
+    _recur(ssm.lam ** k, (z_full @ b_powers).view(complex), x0, entries[1:])
+    return entries
+
+
+def scan_chunkwise(ssm: DiagonalSSM, z: np.ndarray, chunk: int, x0=None) -> ScanResult:
+    """Chunked scan: the state entering each chunk in closed form (the
+    backward's ``_segment_entries``), then one pass over chunk positions
+    that advances every chunk in lockstep from its entry state.
+
+    chunk >= N degenerates to a single chunk, chunk == 1 to the sequential
     recurrence.  A ragged final chunk is zero-padded; the padding never
     reaches the reported states.
     """
     if chunk < 1:
         raise ValueError("chunk must be positive")
     z, x0 = _check_scan_input(ssm, z, x0)
-    n = z.shape[0]
-    m, w = ssm.state_dim, ssm.input_width
-    n_chunks = -(-n // chunk)
-    padded = n_chunks * chunk
-    drive = np.zeros((padded, m, w), dtype=complex)
-    drive[:n] = ssm.b[None, :, None] * z[:, None, :]
-    drive = drive.reshape(n_chunks, chunk, m, w)
-
-    # local scans from zero state, advanced in lockstep across chunks
-    local = np.empty_like(drive)
-    lam = ssm.lam[:, None]
-    acc = drive[:, 0].copy()
-    local[:, 0] = acc
-    for p in range(1, chunk):
-        acc = lam * acc + drive[:, p]
-        local[:, p] = acc
-
-    # serial carry: carry[j] is the true state entering chunk j
-    lam_chunk = ssm.lam ** chunk
-    carries = np.empty((n_chunks, m, w), dtype=complex)
-    carry = x0
-    for j in range(n_chunks):
-        carries[j] = carry
-        carry = lam_chunk[:, None] * carry + local[j, -1]
-
-    # correction: true state = local state + lam^(p+1) * carry
-    lam_pow = np.cumprod(np.broadcast_to(ssm.lam, (chunk, m)), axis=0)  # lam^(p+1)
-    states = local + lam_pow[None, :, :, None] * carries[:, None, :, :]
-    states = states.reshape(padded, m, w)[:n]
+    n, m, w = z.shape[0], ssm.state_dim, ssm.input_width
+    chunk = min(chunk, max(n, 1))  # an input shorter than a chunk is one unpadded chunk
+    entries = _segment_entries(ssm, z, chunk, x0.T).transpose(0, 2, 1)  # (chunks, M, W)
+    n_chunks = entries.shape[0]
+    drive = np.zeros((n_chunks, chunk, m, w), dtype=complex)
+    drive.reshape(n_chunks * chunk, m, w)[:n] = ssm.b[None, :, None] * z[:, None, :]
+    by_position = drive.swapaxes(0, 1)
+    _recur(ssm.lam[:, None], by_position, entries, by_position)
+    states = drive.reshape(n_chunks * chunk, m, w)[:n]
     return ScanResult(states=states, outputs=_read_out(ssm, states))
 
 
@@ -294,8 +298,8 @@ def backward_checkpointed(
 ) -> SsmGrads:
     """Reverse-mode gradients of loss = sum(upstream * outputs) from x_0 = 0.
 
-    Only the state entering each ``interval``-step segment is kept.  A cheap
-    forward step per segment gives those entry states in closed form,
+    Only the state entering each ``interval``-step segment is kept, from
+    the closed-form step that ``scan_chunkwise`` uses too,
     x_{j+K} = lam^K x_j + b * sum_p lam^(K-1-p) z_{j+p}.  The segments are
     then walked in reverse: each recomputes its states forward from its
     entry state, runs the adjoint s_t = C^T g_t + lam s_{t+1} back across
@@ -316,12 +320,7 @@ def backward_checkpointed(
     # States are held transposed, (W, M), so that every product of a real
     # operand with a complex one is a real matmul on the complex operand's
     # float view (the real and imaginary parts interleaved along M).
-    lam_seg = lam ** interval
-    b_powers = (b * lam ** np.arange(interval - 1, -1, -1)[:, None]).view(float)  # (K, 2M)
-    entries = np.zeros((n_seg, w, m), dtype=complex)
-    for j in range(1, n_seg):
-        z_prev = z[(j - 1) * interval:j * interval]
-        entries[j] = lam_seg * entries[j - 1] + (z_prev.T @ b_powers).view(complex)
+    entries = _segment_entries(ssm, z, interval, np.zeros((w, m), dtype=complex))
 
     # holomorphic adjoints; the loss is Re of a holomorphic function of the
     # complex quantities, so real gradients drop out via conjugation at the end

@@ -7,42 +7,18 @@ from interdomain.bench import (
     CSV_HEADER,
     PATHS,
     BenchRow,
-    OpCounter,
     activation_units_per_token,
     decode_step_ops,
     emit_csv,
     parse_csv,
     run_decode_grid,
     simulate_decode,
-    simulate_prefill,
     state_units,
     verify_prefill_equivalence,
 )
 from interdomain.features import CONV_TAPS
 
 from helpers import tiny_config
-
-
-# --- counters ---
-
-def test_op_counter_accumulates_and_resets():
-    c = OpCounter()
-    c.work(5)
-    c.work(3)
-    c.touch_state(reads=2, writes=7)
-    c.live(10)
-    c.live(4)
-    assert (c.multiply_adds, c.state_reads, c.state_writes, c.peak_live_values) == (8, 2, 7, 10)
-    c.reset()
-    assert (c.multiply_adds, c.state_reads, c.state_writes, c.peak_live_values) == (0, 0, 0, 0)
-
-
-def test_op_counter_rejects_negative_bookings():
-    c = OpCounter()
-    with pytest.raises(ValueError):
-        c.work(-1)
-    with pytest.raises(ValueError):
-        c.touch_state(reads=-1)
 
 
 # --- static unit counts ---
@@ -148,26 +124,7 @@ def test_simulate_decode_validates_arguments():
         simulate_decode(tiny_config(), 0, 8, 1)
 
 
-# --- prefill model and real-path check ---
-
-def test_prefill_report_arithmetic():
-    config = tiny_config()
-    rep = simulate_prefill(config, b=3, l=40, c=5)
-    act = activation_units_per_token(config)
-    assert rep.activation_units == 3 * 40 * act
-    assert rep.chunked_activation_units == 3 * 5 * act
-    assert rep.state_units == 3 * state_units(config)
-    assert rep.peak_units == rep.activation_units + rep.state_units
-    assert rep.chunked_peak_units == rep.chunked_activation_units + rep.state_units
-    assert rep.activation_units == 8 * rep.chunked_activation_units
-
-
-def test_prefill_report_validates_chunk():
-    with pytest.raises(ValueError, match="1 <= c <= l"):
-        simulate_prefill(tiny_config(), 1, 8, 9)
-    with pytest.raises(ValueError, match="1 <= c <= l"):
-        simulate_prefill(tiny_config(), 1, 8, 0)
-
+# --- real-path prefill check ---
 
 @pytest.mark.parametrize("variant", ["full_interdomain", "s4d_only"])
 def test_real_layer_backs_the_prefill_claim(variant):

@@ -26,10 +26,18 @@ def test_unknown_command_is_a_usage_error():
     assert exc.value.code == 2
 
 
-def test_malformed_batch_list_is_a_usage_error(tmp_path):
+@pytest.mark.parametrize("argv", [
+    ["--batch", "1,zebra"],
+    ["--batch", "0"],
+    ["--prefix-lens", "-5"],
+    ["--chunk", "0"],
+    ["--steps", "0"],
+], ids=["non-int", "batch-0", "prefix-negative", "chunk-0", "steps-0"])
+def test_malformed_batch_list_is_a_usage_error(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
-        run(["bench", "--batch", "1,zebra", "--out", str(tmp_path)])
+        run(["bench", *argv, "--out", str(tmp_path)])
     assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
 
 
 def test_budget_passes_and_writes_report(tmp_path, capsys):

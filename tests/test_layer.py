@@ -294,6 +294,12 @@ def test_feature_width_constraints_enforced():
         init_layer_params(tiny_config(feature_dim=5), make_rng(0), feature_kind="rff")
 
 
+def test_unknown_feature_kind_rejected():
+    # a misspelled kind must not fall through to the silu_l2 map
+    with pytest.raises(ValueError, match=r"'rfff'.*\('rff', 'silu_l2', 'identity'\)"):
+        init_layer_params(tiny_config(), make_rng(0), feature_kind="rfff")
+
+
 # --- gradients ---
 
 def test_zero_upstream_means_zero_grads():

@@ -143,12 +143,20 @@ def test_fft_zero_input():
 
 
 def test_chunkwise_degenerate_chunk_sizes():
-    ssm = small_ssm(seed=7)
-    z = make_rng(8).standard_normal((10, 2))
-    base = scan_sequential(ssm, z)
-    for chunk in (1, 10, 100):
-        res = scan_chunkwise(ssm, z, chunk)
-        assert rel_err(res.states, base.states) < 1e-12
+    # from a nonzero x0 with every pole at one magnitude, each chunk size
+    # from the plain recurrence through a ragged last chunk to one padded
+    # chunk; small poles are where entry states built from lam^k would show
+    base = small_ssm(seed=7)
+    rng = make_rng(8)
+    n = 10
+    z = rng.standard_normal((n, 2))
+    x0 = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+    for mag in (0.9, 0.3, 0.05, 0.01):
+        ssm = ssm_with(base, a=np.log(mag) / 0.1 + 1j * base.a.imag, delta=np.full(4, 0.1))
+        want = scan_sequential(ssm, z, x0).states
+        for chunk in (1, 3, n - 1, n, n + 5):
+            got = scan_chunkwise(ssm, z, chunk, x0).states
+            assert rel_err(got, want) < 1e-12, (mag, chunk)
 
 
 def test_chunkwise_rejects_bad_chunk():
