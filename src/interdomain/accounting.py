@@ -31,7 +31,6 @@ class BackboneSpec:
     model_dim: int
     layers: int
     heads: int
-    vocab: int = VOCAB
     dims_inferred: bool = False
 
 
@@ -121,7 +120,7 @@ def count_params(spec: BackboneSpec, mixer: str = "softmax") -> int:
         mix = mixer_params_per_layer(scale_config(spec, variant))
     hidden = swiglu_hidden(d)
     per_layer = mix + 3 * d * hidden + 2 * d
-    return 2 * spec.vocab * d + layers * per_layer + d
+    return 2 * VOCAB * d + layers * per_layer + d
 
 
 def overhead_fraction(spec: BackboneSpec, mixer: str = "interdomain") -> float:

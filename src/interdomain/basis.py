@@ -22,7 +22,6 @@ class DiscreteBasis:
     """M basis functions tabulated on an N-point grid, orthonormal rows."""
 
     phi: np.ndarray  # (M, N)
-    kind: str = "custom"
 
     @property
     def m(self) -> int:
@@ -44,7 +43,7 @@ def make_indicator_basis(n: int) -> DiscreteBasis:
     """One indicator per grid point; complete by construction (M == N)."""
     if n < 1:
         raise ValueError("grid size must be positive")
-    return DiscreteBasis(phi=np.eye(n), kind="indicator")
+    return DiscreteBasis(phi=np.eye(n))
 
 
 def make_legendre_basis(m: int, n: int) -> DiscreteBasis:
@@ -77,7 +76,7 @@ def make_legendre_basis(m: int, n: int) -> DiscreteBasis:
         for j in range(k):
             rows[k] -= (rows[k] @ rows[j]) * rows[j]
         rows[k] /= np.linalg.norm(rows[k])
-    basis = DiscreteBasis(phi=rows, kind="discrete_legendre")
+    basis = DiscreteBasis(phi=rows)
     _check_orthonormal(basis.phi)
     return basis
 
@@ -87,7 +86,7 @@ def make_custom_basis(phi: np.ndarray) -> DiscreteBasis:
     if phi.ndim != 2 or phi.shape[0] > phi.shape[1]:
         raise ValueError(f"phi must be (M, N) with M <= N, got {phi.shape}")
     _check_orthonormal(phi)
-    return DiscreteBasis(phi=phi, kind="custom")
+    return DiscreteBasis(phi=phi)
 
 
 @dataclass(frozen=True)

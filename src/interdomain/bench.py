@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import GENERIC_INPUT_VARIANTS, QUERY_VARIANTS, ModelConfig, make_rng, validate
-from .features import CONV_TAPS
+from .features import CONV_TAPS, check_feature_kind
 from .layer import decode_step, forward, init_layer_params, prefill
 
 PATHS = ("interdomain", "interdomain_chunked", "softmax_kv")
@@ -64,7 +64,7 @@ def _feature_ops(kind: str, dh: int, r: int) -> int:
         return 0
     if kind == "rff":
         return dh * (r // 2) + 2 * r   # frequency matvec, then cos/sin + scale
-    return 4 * dh                      # silu (2/elem) + square-sum + divide
+    return 4 * dh                      # silu_l2: silu (2/elem) + square-sum + divide
 
 
 def decode_step_ops(config: ModelConfig, feature_kind: str = "silu_l2") -> dict[str, int]:
@@ -75,6 +75,7 @@ def decode_step_ops(config: ModelConfig, feature_kind: str = "silu_l2") -> dict[
     is the full complex readout matrix, 4*M^2*(R+dh) per KV group.
     """
     validate(config)
+    check_feature_kind(feature_kind)
     d, dh, r, m = config.model_dim, config.head_dim, config.feature_dim, config.state_dim
     n_kv, heads = config.n_kv, config.heads
     kv_width = n_kv * dh

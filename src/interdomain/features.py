@@ -24,6 +24,8 @@ ROPE_BASE = 10000.0
 
 CONV_TAPS = 4
 
+FEATURE_KINDS = ("rff", "silu_l2", "identity")
+
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
     # split by sign so neither branch exponentiates a large positive number
@@ -70,18 +72,14 @@ def rff_features(x: np.ndarray, omega: np.ndarray) -> np.ndarray:
     return np.concatenate([np.cos(proj), np.sin(proj)], axis=-1) * scale
 
 
-def l2_normalize(v: np.ndarray, eps: float = L2_EPS) -> np.ndarray:
-    """Normalize rows to unit length; vectors below ``eps`` are scaled by 1/eps.
+def l2_normalize(v: np.ndarray) -> np.ndarray:
+    """Normalize rows to unit length; vectors below L2_EPS are scaled by 1/L2_EPS.
 
     The max() guard keeps the output norm exactly 1 whenever the raw norm
     clears the floor, and maps the zero vector to the zero vector.
     """
     norm = np.linalg.norm(v, axis=-1, keepdims=True)
-    return v / np.maximum(norm, eps)
-
-
-def silu_l2_normalize(x: np.ndarray, eps: float = L2_EPS) -> np.ndarray:
-    return l2_normalize(silu(np.asarray(x, dtype=float)), eps)
+    return v / np.maximum(norm, L2_EPS)
 
 
 def short_conv(x_seq: np.ndarray, kernel: np.ndarray) -> np.ndarray:
@@ -126,28 +124,20 @@ def short_conv_with_tail(
     return out, ext[-(CONV_TAPS - 1):].copy()
 
 
-def rope_frequencies(width: int, base: float = ROPE_BASE) -> np.ndarray:
-    if width % 2 != 0:
-        raise ValueError(f"rotary width must be even, got {width}")
-    return base ** (-2.0 * np.arange(width // 2) / width)
-
-
-def rope_apply(
-    x: np.ndarray,
-    positions: int | np.ndarray,
-    base: float = ROPE_BASE,
-    inverse: bool = False,
-) -> np.ndarray:
+def rope_apply(x: np.ndarray, positions: int | np.ndarray, inverse: bool = False) -> np.ndarray:
     """Rotate consecutive pairs of the last axis by position-dependent angles.
 
-    Pair j of a width-w vector at position i is rotated by i * base^(-2j/w).
+    Pair j of a width-w vector at position i is rotated by i * ROPE_BASE^(-2j/w).
     ``positions`` is a scalar for a single item or an (N,) vector matched to
     the leading axis of ``x``.  ``inverse=True`` applies the transpose
     rotation, which undoes the forward one exactly; the map is orthogonal,
     so norms are preserved.
     """
     x = np.asarray(x, dtype=float)
-    freqs = rope_frequencies(x.shape[-1], base)
+    width = x.shape[-1]
+    if width % 2 != 0:
+        raise ValueError(f"rotary width must be even, got {width}")
+    freqs = ROPE_BASE ** (-2.0 * np.arange(width // 2) / width)
     ang = np.multiply.outer(np.asarray(positions, dtype=float), freqs)
     # broadcast angles over any axes between the position axis and the pairs
     ang = ang.reshape(ang.shape[:1] + (1,) * (x.ndim - ang.ndim) + ang.shape[1:]) \
@@ -168,13 +158,12 @@ class NormBias:
 
     gain: np.ndarray
     bias: np.ndarray
-    eps: float = RMS_EPS
 
 
 def rmsnorm_bias(x: np.ndarray, params: NormBias) -> np.ndarray:
-    """gain * x / sqrt(mean(x^2) + eps) + bias over the channel axis."""
+    """gain * x / sqrt(mean(x^2) + RMS_EPS) + bias over the channel axis."""
     x = np.asarray(x, dtype=float)
-    rms = np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + params.eps)
+    rms = np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + RMS_EPS)
     return params.gain * (x / rms) + params.bias
 
 
@@ -186,7 +175,7 @@ def rmsnorm_bias_backward(
     gradients, so a (G, width) gain on an (N, G, width) block gets (G, width)."""
     x = np.asarray(x, dtype=float)
     width = x.shape[-1]
-    rms = np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + params.eps)
+    rms = np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + RMS_EPS)
     xhat = x / rms
     batch = tuple(range(x.ndim - params.gain.ndim))
     grad_gain = np.sum(grad_out * xhat, axis=batch)
@@ -194,6 +183,11 @@ def rmsnorm_bias_backward(
     g = params.gain * grad_out
     grad_x = g / rms - x * np.sum(g * x, axis=-1, keepdims=True) / (width * rms ** 3)
     return grad_x, grad_gain, grad_bias
+
+
+def check_feature_kind(kind: str) -> None:
+    if kind not in FEATURE_KINDS:
+        raise ValueError(f"unknown feature kind {kind!r}; expected one of {FEATURE_KINDS}")
 
 
 @dataclass(frozen=True)
@@ -206,24 +200,42 @@ class FeatureMap:
     split.
     """
 
-    kind: str  # "rff" | "silu_l2" | "identity"
+    kind: str  # one of FEATURE_KINDS
     omega: np.ndarray | None = None
-    eps: float = L2_EPS
+
+    def __post_init__(self):
+        check_feature_kind(self.kind)
 
 
-def make_rff(input_dim: int, n_freqs: int, rng: np.random.Generator,
-             bandwidth: float = 1.0) -> FeatureMap:
-    """RFF map for the Gaussian kernel exp(-|x-y|^2 / (2 bandwidth^2))."""
-    omega = rng.standard_normal((n_freqs, input_dim)) / bandwidth
-    return FeatureMap(kind="rff", omega=omega)
+def make_rff(input_dim: int, n_freqs: int, rng: np.random.Generator) -> FeatureMap:
+    """RFF map for the unit-bandwidth Gaussian kernel exp(-|x-y|^2 / 2)."""
+    return FeatureMap(kind="rff", omega=rng.standard_normal((n_freqs, input_dim)))
 
 
-def make_silu_l2(eps: float = L2_EPS) -> FeatureMap:
-    return FeatureMap(kind="silu_l2", eps=eps)
+def make_silu_l2() -> FeatureMap:
+    return FeatureMap(kind="silu_l2")
 
 
 def make_identity() -> FeatureMap:
     return FeatureMap(kind="identity")
+
+
+def make_feature_map(kind: str, input_dim: int, width: int, groups: int,
+                     rng: np.random.Generator) -> FeatureMap:
+    """A ``kind`` map from ``input_dim`` to ``width`` features for ``groups``
+    KV groups; rff draws one (width/2, input_dim) frequency matrix per group,
+    stacked on a leading group axis."""
+    if kind == "rff":
+        if width % 2 != 0:
+            raise ValueError("rff feature maps have even width (cos and sin halves)")
+        return FeatureMap(kind="rff", omega=rng.standard_normal((groups, width // 2, input_dim)))
+    fmap = FeatureMap(kind=kind)
+    if width != input_dim:
+        raise ValueError(
+            f"{kind} feature maps preserve width, so the feature width must equal "
+            f"the input width ({width} != {input_dim})"
+        )
+    return fmap
 
 
 def feature_width(fmap: FeatureMap, input_dim: int) -> int:
@@ -238,9 +250,7 @@ def apply_feature_map(fmap: FeatureMap, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=float)
     if fmap.kind == "rff":
         return rff_features(x, fmap.omega)
-    if fmap.kind == "silu_l2":
-        return silu_l2_normalize(x, fmap.eps)
-    raise ValueError(f"unknown feature map kind {fmap.kind!r}")
+    return l2_normalize(silu(np.asarray(x, dtype=float)))  # silu_l2
 
 
 def feature_map_backward(
@@ -257,13 +267,12 @@ def feature_map_backward(
         g_sin = grad_out[..., half:] * scale
         g_proj = -np.sin(proj) * g_cos + np.cos(proj) * g_sin
         return _project(g_proj, fmap.omega.swapaxes(-1, -2))
-    if fmap.kind == "silu_l2":
-        v = silu(np.asarray(x, dtype=float))
-        norm = np.linalg.norm(v, axis=-1, keepdims=True)
-        guarded = np.maximum(norm, fmap.eps)
-        y = v / guarded
-        # below the floor the scale is the constant 1/eps
-        inner = np.sum(y * grad_out, axis=-1, keepdims=True)
-        grad_v = np.where(norm > fmap.eps, (grad_out - y * inner) / guarded, grad_out / guarded)
-        return grad_v * silu_deriv(x)
-    raise ValueError(f"unknown feature map kind {fmap.kind!r}")
+    # silu_l2
+    v = silu(np.asarray(x, dtype=float))
+    norm = np.linalg.norm(v, axis=-1, keepdims=True)
+    guarded = np.maximum(norm, L2_EPS)
+    y = v / guarded
+    # below the floor the scale is the constant 1/L2_EPS
+    inner = np.sum(y * grad_out, axis=-1, keepdims=True)
+    grad_v = np.where(norm > L2_EPS, (grad_out - y * inner) / guarded, grad_out / guarded)
+    return grad_v * silu_deriv(x)

@@ -41,9 +41,7 @@ from .features import (
     NormBias,
     apply_feature_map,
     feature_map_backward,
-    make_identity,
-    make_rff,
-    make_silu_l2,
+    make_feature_map,
     rmsnorm_bias,
     rmsnorm_bias_backward,
     rope_apply,
@@ -106,21 +104,6 @@ class LayerState:
     conv_v_tail: np.ndarray | None
 
 
-FEATURE_KINDS = ("rff", "silu_l2", "identity")
-
-
-def _feature_kind_ok(kind: str, config: ModelConfig) -> None:
-    if kind not in FEATURE_KINDS:
-        raise ValueError(f"unknown feature kind {kind!r}; expected one of {FEATURE_KINDS}")
-    if kind in ("silu_l2", "identity") and config.feature_dim != config.head_dim:
-        raise ValueError(
-            f"{kind} feature maps preserve width, so feature_dim must equal "
-            f"head_dim ({config.feature_dim} != {config.head_dim})"
-        )
-    if kind == "rff" and config.feature_dim % 2 != 0:
-        raise ValueError("rff feature maps have even width (cos and sin halves)")
-
-
 def init_layer_params(
     config: ModelConfig,
     rng: np.random.Generator,
@@ -134,7 +117,6 @@ def init_layer_params(
     equivalence and gradient suites do.
     """
     validate(config)
-    _feature_kind_ok(feature_kind, config)
     d = config.model_dim
     dh, r, m = config.head_dim, config.feature_dim, config.state_dim
     n_kv, heads = config.n_kv, config.heads
@@ -154,14 +136,6 @@ def init_layer_params(
     def norm(width):
         return NormBias(gain=np.ones((n_kv, width)), bias=np.zeros((n_kv, width)))
 
-    def fmap():
-        if feature_kind == "rff":
-            omegas = [make_rff(dh, r // 2, rng).omega for _ in range(n_kv)]
-            return FeatureMap(kind="rff", omega=np.stack(omegas))
-        if feature_kind == "identity":
-            return make_identity()
-        return make_silu_l2()
-
     return LayerParams(
         w_q=proj(d) if has_q else None,
         w_k=proj(kv_width),
@@ -174,7 +148,7 @@ def init_layer_params(
         k_norm=norm(r),
         v_norm=norm(dh),
         ssm=stack_ssms([random_ssm(m, r + dh, rng) for _ in range(n_kv)]),
-        feature_map=fmap(),
+        feature_map=make_feature_map(feature_kind, dh, r, n_kv, rng),
         contraction=None if has_q else
         rng.standard_normal((heads, dh, m * (r + dh))) * contraction_scale,
     )
@@ -224,8 +198,8 @@ def _forward_core(
     backward pass and the diagnostic tests tap.
     """
     x_seq = np.asarray(x_seq, dtype=float)
-    if x_seq.ndim != 2 or x_seq.shape[1] != config.model_dim:
-        raise ValueError(f"x must be (N, {config.model_dim}), got {x_seq.shape}")
+    if x_seq.ndim != 2 or x_seq.shape[1] != config.model_dim or x_seq.shape[0] == 0:
+        raise ValueError(f"x must be (N, {config.model_dim}) with N >= 1, got {x_seq.shape}")
     n = x_seq.shape[0]
     dh, r, m = config.head_dim, config.feature_dim, config.state_dim
     heads, n_kv = config.heads, config.n_kv
@@ -511,8 +485,7 @@ def backward(
 # Parameters serialize to a flat .npz archive: one entry per tensor, names
 # matching the gradient keys, per-group tensors stacked on their leading
 # group axis (``ssm.b`` is (n_kv, M)), plus the SSM input width and the
-# feature map's kind, floor and frequencies, so the archive reloads
-# standalone.
+# feature map's kind and frequencies, so the archive reloads standalone.
 
 _DENSE = ("w_q", "w_k", "w_v", "w_o", "w_g", "conv_q", "conv_k", "conv_v", "contraction")
 
@@ -532,7 +505,7 @@ def _learnable(params: LayerParams) -> dict[str, np.ndarray]:
 def save_layer_params(params: LayerParams, path) -> None:
     fmap = params.feature_map
     arrays = {**_learnable(params), "ssm.input_width": np.array(params.ssm.input_width),
-              "fmap.kind": np.array(fmap.kind), "fmap.eps": np.array(fmap.eps)}
+              "fmap.kind": np.array(fmap.kind)}
     if fmap.omega is not None:
         arrays["fmap.omega"] = fmap.omega
     np.savez(path, **arrays)
@@ -550,8 +523,7 @@ def load_layer_params(path) -> LayerParams:
         v_norm=NormBias(gain=arrays["v_norm.gain"], bias=arrays["v_norm.bias"]),
         ssm=make_ssm(arrays["ssm.delta"], arrays["ssm.a"], arrays["ssm.b"],
                      arrays["ssm.c_out"], int(arrays["ssm.input_width"])),
-        feature_map=FeatureMap(kind=str(arrays["fmap.kind"]), omega=opt("fmap.omega"),
-                               eps=float(arrays["fmap.eps"])),
+        feature_map=FeatureMap(kind=str(arrays["fmap.kind"]), omega=opt("fmap.omega")),
         contraction=opt("contraction"),
     )
 

@@ -185,7 +185,7 @@ def scan_fft(ssm: DiagonalSSM, z: np.ndarray, x0=None) -> ScanResult:
     n = z.shape[0]
     lam = ssm.lam
     powers = np.empty((n, ssm.state_dim), dtype=complex)  # powers[t] = lam^t
-    powers[0] = 1.0
+    powers[:1] = 1.0  # a slice, so N = 0 gives an empty result
     if n > 1:
         np.cumprod(np.broadcast_to(lam, (n - 1, ssm.state_dim)), axis=0, out=powers[1:])
     n_fft = 1 << (2 * n - 1).bit_length()
@@ -256,7 +256,7 @@ def scan_prefix(ssm: DiagonalSSM, z: np.ndarray, x0=None) -> ScanResult:
     b = ssm.b[None, :, None] * z[:, None, :]
     if np.any(x0):
         b = b.copy()
-        b[0] += ssm.lam[:, None] * x0
+        b[:1] += ssm.lam[:, None] * x0  # a slice, so N = 0 gives an empty result
     shift = 1
     while shift < n:
         # order matters: b reads the pre-update a of the right block

@@ -61,6 +61,12 @@ def test_decode_step_ops_orders_variants_sensibly():
     assert gated == full + d * d + 2 * d
 
 
+def test_decode_step_ops_rejects_unknown_feature_kind():
+    # a misspelled kind must not be booked at the silu_l2 count
+    with pytest.raises(ValueError, match=r"'rfff'.*\('rff', 'silu_l2', 'identity'\)"):
+        decode_step_ops(tiny_config(), feature_kind="rfff")
+
+
 # --- decode simulation ---
 
 def test_simulate_decode_row_schema():

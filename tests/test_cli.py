@@ -58,12 +58,15 @@ def test_budget_with_config_file(tmp_path, capsys):
     assert "524,288" in out or "524288" in out
 
 
-def test_equiv_reports_are_byte_identical(tmp_path):
+@pytest.mark.parametrize("suite", ["equiv", "gradcheck", "budget", "basis", "bench"])
+def test_reports_are_byte_identical(tmp_path, suite):
     a, b = tmp_path / "a", tmp_path / "b"
-    assert run(["equiv", "--seed", "7", "--out", str(a)]) == 0
-    assert run(["equiv", "--seed", "7", "--out", str(b)]) == 0
-    assert (a / "equiv.json").read_bytes() == (b / "equiv.json").read_bytes()
-    assert read_report(a, "equiv")["seed"] == 7
+    assert run([suite, "--seed", "7", "--out", str(a)]) == 0
+    assert run([suite, "--seed", "7", "--out", str(b)]) == 0
+    outputs = [f"{suite}.json"] + (["bench.csv"] if suite == "bench" else [])
+    for name in outputs:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    assert read_report(a, suite)["seed"] == 7
 
 
 def test_gradcheck_passes(tmp_path):

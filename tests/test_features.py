@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 from interdomain.config import make_rng
 from interdomain.features import (
     CONV_TAPS,
+    FeatureMap,
     L2_EPS,
     NormBias,
     ROPE_BASE,
@@ -312,6 +313,13 @@ def test_feature_widths():
     assert feature_width(make_rff(3, 5, rng), 3) == 10
     assert feature_width(make_silu_l2(), 7) == 7
     assert feature_width(make_identity(), 4) == 4
+
+
+def test_unknown_feature_kind_rejected_at_construction():
+    # maps loaded from archives are built this way too, so apply_feature_map
+    # and its backward never see a kind outside FEATURE_KINDS
+    with pytest.raises(ValueError, match=r"'rfff'.*\('rff', 'silu_l2', 'identity'\)"):
+        FeatureMap(kind="rfff")
 
 
 def test_identity_map_passes_through():

@@ -248,6 +248,13 @@ def test_input_shape_validation():
     config, params = variant_setup("full_interdomain")
     with pytest.raises(ValueError, match="x must be"):
         forward(params, np.zeros((4, config.model_dim + 1)), config)
+    empty = np.zeros((0, config.model_dim))
+    with pytest.raises(ValueError, match=r"N >= 1, got \(0, 8\)"):
+        forward(params, empty, config)
+    with pytest.raises(ValueError, match=r"N >= 1, got \(0, 8\)"):
+        forward_trace(params, empty, config)
+    with pytest.raises(ValueError, match=r"N >= 1, got \(0, 8\)"):
+        backward(params, empty, empty, config)
     state = init_decode_state(config)
     with pytest.raises(ValueError, match="token must be"):
         decode_step(params, state, np.zeros(config.model_dim + 1), config)
@@ -398,7 +405,7 @@ def test_save_load_round_trip(tmp_path, variant, feature_kind):
     assert np.array_equal(forward(params, x, config), forward(loaded, x, config))
     assert count_layer_params(loaded) == count_layer_params(params)
     a, b = params.feature_map, loaded.feature_map
-    assert a.kind == b.kind and a.eps == b.eps
+    assert a.kind == b.kind
     if feature_kind == "rff":
         assert np.array_equal(a.omega, b.omega)
 

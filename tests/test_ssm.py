@@ -205,6 +205,9 @@ def test_split_scan_equals_one_shot(backend):
     head = run_scan(ssm, z[:5], backend, chunk=4)
     tail = run_scan(ssm, z[5:], backend, chunk=4, x0=head.final_state)
     assert rel_err(np.concatenate([head.states, tail.states]), full.states) < 1e-10
+    # an empty split from a nonzero state is an empty result
+    empty = run_scan(ssm, z[:0], backend, chunk=4, x0=head.final_state)
+    assert empty.states.shape == empty.outputs.shape == (0, 4, 2)
 
 
 def test_unknown_backend_rejected():
