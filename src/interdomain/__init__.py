@@ -9,7 +9,7 @@ The package is organized bottom-up:
 ``basis``       explicit basis projection and readouts
 ``ssm``         diagonal recurrence, four scan backends, checkpointed backward
 ``layer``       the assembled mixer: forward, backward, prefill, decode
-``accounting``  state budgets, parameter counts, cost model
+``accounting``  state budgets, parameter counts
 ``bench``       op-counting decode simulator, CSV grid
 ``cli``         verification suites behind one entry point
 """
@@ -17,10 +17,8 @@ The package is organized bottom-up:
 from .accounting import (
     BACKBONES,
     BackboneSpec,
-    CostReport,
     StateBudget,
     backbone,
-    cost_model,
     count_params,
     state_dof,
     swiglu_hidden,
@@ -73,7 +71,6 @@ __all__ = [
     "BackboneSpec",
     "BenchRow",
     "ConfigError",
-    "CostReport",
     "DiagonalSSM",
     "DiscreteBasis",
     "FeatureMap",
@@ -88,7 +85,6 @@ __all__ = [
     "backward",
     "backward_checkpointed",
     "causal_project",
-    "cost_model",
     "count_layer_params",
     "count_params",
     "decode_step",

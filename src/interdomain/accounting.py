@@ -1,6 +1,5 @@
 """Closed-form accounting: recurrent-state degrees of freedom, backbone
-parameter counts at the four published scales, and an asymptotic work/memory
-model with every constant pinned at 1.
+parameter counts at the four published scales.
 
 Nothing here runs the model; the point is that the numbers are exact
 integers a test can compare against, and that the state budget of the
@@ -11,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .config import BACKENDS, GENERIC_INPUT_VARIANTS, QUERY_VARIANTS, ModelConfig, validate
+from .config import GENERIC_INPUT_VARIANTS, QUERY_VARIANTS, ModelConfig, validate
 
 VOCAB = 32000
 
@@ -158,68 +157,6 @@ def state_dof(config: ModelConfig) -> StateBudget:
         per_cell_dof=per_cell,
         total_dof=config.n_kv * per_cell,
         kv_cache_per_token=2 * config.heads * config.head_dim,
-    )
-
-
-@dataclass(frozen=True)
-class CostReport:
-    """Unit-coefficient instantiation of the per-head complexity table.
-
-    Each field maps a named term to its value at the given shapes.  The
-    numbers are asymptotic shapes with constants pinned at 1, so only
-    ratios and scalings are meaningful, never absolutes.
-    """
-
-    total_work: dict[str, float]
-    state_memory: dict[str, float]
-    backward_memory: dict[str, float]
-    decode_work: dict[str, float]
-
-
-def cost_model(config: ModelConfig, n: int, n_q: int, backend: str | None = None) -> CostReport:
-    """Evaluate the complexity terms per head at prefix length ``n`` and
-    ``n_q`` attending queries.
-
-    ``backend`` picks the fixed-state row: the FFT form multiplies the
-    state-update work by log2(n) and must keep every state for the
-    backward; the scan forms checkpoint every ``chunk_size`` steps.
-    Softmax terms are reported alongside for the same shapes.
-    """
-    validate(config)
-    if n < 0 or n_q < 0:
-        raise ValueError("token counts must be nonnegative")
-    backend = config.backend if backend is None else backend
-    if backend not in BACKENDS:
-        raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
-    dh, r, m = config.head_dim, config.feature_dim, config.state_dim
-    width = r + dh
-
-    if backend == "fft":
-        update_work = n * m * width * math.log2(max(n, 2))
-        stored_states = n * m * width
-    else:
-        update_work = n * m * width
-        stored_states = math.ceil(n / config.chunk_size) * m * width
-    return CostReport(
-        total_work={
-            "softmax_attention": n_q * n * dh,
-            "state_update": update_work,
-            "query_readout": n_q * r * dh,
-        },
-        state_memory={
-            "softmax_kv_cache": n * dh,
-            "interdomain_state": m * width,
-        },
-        backward_memory={
-            "softmax_attention_matrix": n_q * n,
-            "stored_states": stored_states,
-            "query_features": n_q * r,
-        },
-        decode_work={
-            "softmax_step": n * dh,
-            "interdomain_step_full": m * m * width,
-            "interdomain_step_diagonal": m * width,
-        },
     )
 
 

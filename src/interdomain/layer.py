@@ -98,7 +98,7 @@ class LayerState:
     """
 
     position: int
-    ssm_states: np.ndarray                  # (n_kv, M, R + head_dim) complex
+    ssm_states: np.ndarray                  # (n_kv, R + head_dim, M) complex
     conv_q_tail: np.ndarray | None          # (CONV_TAPS - 1, model_dim)
     conv_k_tail: np.ndarray                 # (CONV_TAPS - 1, n_kv * head_dim)
     conv_v_tail: np.ndarray | None
@@ -162,7 +162,7 @@ def init_decode_state(config: ModelConfig) -> LayerState:
     tail = lambda width: np.zeros((CONV_TAPS - 1, width))
     return LayerState(
         position=0,
-        ssm_states=np.zeros((config.n_kv, m, r + dh), dtype=complex),
+        ssm_states=np.zeros((config.n_kv, r + dh, m), dtype=complex),
         conv_q_tail=tail(config.model_dim) if has_q else None,
         conv_k_tail=tail(kv_width),
         conv_v_tail=tail(kv_width) if generic else None,
@@ -321,6 +321,8 @@ def prefill(
     Any chunking reproduces the single-block forward exactly up to roundoff.
     """
     x_seq = np.asarray(x_seq, dtype=float)
+    if x_seq.ndim != 2 or x_seq.shape[1] != config.model_dim:
+        raise ValueError(f"x must be (N, {config.model_dim}) with N >= 0, got {x_seq.shape}")
     n = x_seq.shape[0]
     if state is None:
         state = init_decode_state(config)

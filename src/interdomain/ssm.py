@@ -3,13 +3,18 @@ segment-recompute backward.
 
 The recurrence, per input channel c:
 
-    x_t[:, c] = lam * x_{t-1}[:, c] + b * z_t[c]        lam = exp(delta * a)
-    y_t       = Re(c_out @ x_t)                          c_out is (M, M)
+    x_t[c] = lam * x_{t-1}[c] + b * z_t[c]        lam = exp(delta * a)
+    y_t[:, c] = Re(c_out @ x_t[c])                 c_out is (M, M)
 
 ``b`` is one complex M-vector applied to every input channel; the channels
-share the dynamics and differ only through their inputs.  All four scans
-compute the same map and are interchangeable; ``scan_sequential`` is the
-definitional one.
+share the dynamics and differ only through their inputs.  A state is
+(W, M), one row per channel, so ``lam`` and ``b`` broadcast on the trailing
+axis and every product of a real operand with a state is one real matmul on
+the state's float view (real and imaginary parts interleaved along M).
+
+Every scan returns the readouts and the final state, never the states in
+between.  All four compute the same map and are interchangeable;
+``scan_sequential`` is the definitional one.
 
 The chunkwise scan and the backward get the state entering each segment
 from one closed-form step per segment (``_segment_entries``).  The scan then
@@ -125,12 +130,8 @@ def stack_ssms(ssms: list[DiagonalSSM]) -> DiagonalSSM:
 
 @dataclass(frozen=True)
 class ScanResult:
-    states: np.ndarray   # (N, M, W) complex
-    outputs: np.ndarray  # (N, M, W) float, Re(c_out @ state) per position
-
-    @property
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
+    outputs: np.ndarray      # (N, M, W) float, Re(c_out @ x_t[c]) per position and channel
+    final_state: np.ndarray  # (W, M) complex, x_{N-1}; x0 itself when N = 0
 
 
 def _check_scan_input(ssm: DiagonalSSM, z: np.ndarray, x0) -> tuple[np.ndarray, np.ndarray]:
@@ -139,18 +140,31 @@ def _check_scan_input(ssm: DiagonalSSM, z: np.ndarray, x0) -> tuple[np.ndarray, 
     z = np.asarray(z, dtype=float)
     if z.ndim != 2 or z.shape[1] != ssm.input_width:
         raise ValueError(f"z must be (N, {ssm.input_width}), got {z.shape}")
-    m, w = ssm.state_dim, ssm.input_width
+    w, m = ssm.input_width, ssm.state_dim
     if x0 is None:
-        x0 = np.zeros((m, w), dtype=complex)
+        x0 = np.zeros((w, m), dtype=complex)
     else:
         x0 = np.asarray(x0, dtype=complex)
-        if x0.shape != (m, w):
-            raise ValueError(f"x0 must be ({m}, {w}), got {x0.shape}")
+        if x0.shape != (w, m):
+            raise ValueError(f"x0 must be ({w}, {m}), got {x0.shape}")
     return z, x0
 
 
-def _read_out(ssm: DiagonalSSM, states: np.ndarray) -> np.ndarray:
-    return (ssm.c_out @ states).real
+def _result(ssm: DiagonalSSM, states: np.ndarray, x0: np.ndarray) -> ScanResult:
+    """Read out the (N, W, M) states and keep a copy of the last one, so the
+    result does not hold the state buffer.  Re(C x) is the real matmul
+    [Re C, -Im C] @ [Re x; Im x], interleaved as the float views of conj(C)
+    and x are."""
+    c_float = np.conj(ssm.c_out).view(float)  # (M, 2M)
+    return ScanResult(outputs=c_float @ states.view(float).swapaxes(-1, -2),
+                      final_state=states[-1].copy() if len(states) else x0)
+
+
+def _lam_powers(lam: np.ndarray, n: int) -> np.ndarray:
+    """(n, M) table of lam**t for t < n, by cumulative product."""
+    powers = np.ones((n, lam.shape[0]), dtype=complex)
+    np.cumprod(np.broadcast_to(lam, (n - 1, lam.shape[0])), axis=0, out=powers[1:])
+    return powers
 
 
 def _recur(lam: np.ndarray, drive: np.ndarray, x0: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -167,36 +181,28 @@ def _recur(lam: np.ndarray, drive: np.ndarray, x0: np.ndarray, out: np.ndarray) 
 def scan_sequential(ssm: DiagonalSSM, z: np.ndarray, x0=None) -> ScanResult:
     """The defining stepwise recurrence."""
     z, x0 = _check_scan_input(ssm, z, x0)
-    n = z.shape[0]
-    states = np.empty((n, ssm.state_dim, ssm.input_width), dtype=complex)
-    drive = ssm.b[None, :, None] * z[:, None, :]  # (N, M, W)
-    _recur(ssm.lam[:, None], drive, x0, states)
-    return ScanResult(states=states, outputs=_read_out(ssm, states))
+    states = z[:, :, None] * ssm.b  # each drive is overwritten in place by its state
+    _recur(ssm.lam, states, x0, states)
+    return _result(ssm, states, x0)
 
 
 def scan_fft(ssm: DiagonalSSM, z: np.ndarray, x0=None) -> ScanResult:
     """Convolution form: x_t = sum_{s<=t} lam^(t-s) b z_s, via one padded FFT.
 
-    The kernel lam^tau is materialized with a cumulative product (O(N M)).
+    The kernel lam^tau comes from the cumulative-product table (O(N M)).
     FFT length is the next power of two at or above 2N, which makes the
     circular convolution linear on the first N samples.
     """
     z, x0 = _check_scan_input(ssm, z, x0)
     n = z.shape[0]
-    lam = ssm.lam
-    powers = np.empty((n, ssm.state_dim), dtype=complex)  # powers[t] = lam^t
-    powers[:1] = 1.0  # a slice, so N = 0 gives an empty result
-    if n > 1:
-        np.cumprod(np.broadcast_to(lam, (n - 1, ssm.state_dim)), axis=0, out=powers[1:])
+    powers = _lam_powers(ssm.lam, n + 1)
     n_fft = 1 << (2 * n - 1).bit_length()
-    kernel_hat = np.fft.fft(powers, n=n_fft, axis=0)          # (F, M)
+    kernel_hat = np.fft.fft(powers[:n], n=n_fft, axis=0)     # (F, M)
     z_hat = np.fft.fft(z, n=n_fft, axis=0)                    # (F, W)
-    conv = np.fft.ifft(kernel_hat[:, :, None] * z_hat[:, None, :], axis=0)[:n]
-    states = ssm.b[None, :, None] * conv
+    states = np.fft.ifft(z_hat[:, :, None] * kernel_hat[:, None, :], axis=0)[:n] * ssm.b
     if np.any(x0):
-        # homogeneous part: lam^(t+1) x0
-        states += (powers * lam)[:, :, None] * x0[None, :, :]
-    return ScanResult(states=states, outputs=_read_out(ssm, states))
+        states += powers[1:, None, :] * x0  # homogeneous part: lam^(t+1) x0
+    return _result(ssm, states, x0)
 
 
 def _segment_entries(ssm: DiagonalSSM, z: np.ndarray, k: int, x0: np.ndarray) -> np.ndarray:
@@ -205,17 +211,16 @@ def _segment_entries(ssm: DiagonalSSM, z: np.ndarray, k: int, x0: np.ndarray) ->
 
     Every segment but the last is full, so each contributes one closed-form
     step x_{j+k} = lam^k x_j + b * sum_p lam^(k-1-p) z_{j+p}.  The sums are
-    one batched real matmul on the float view of b * lam^(k-1-p); the
-    states are held transposed, (W, M), so that view interleaves the real
-    and imaginary parts along M.
+    one batched real matmul on the float view of b * lam^(k-1-p).
     """
     n, w = z.shape
     n_seg = max(-(-n // k), 1)
-    b_powers = (ssm.b * ssm.lam ** np.arange(k - 1, -1, -1)[:, None]).view(float)  # (k, 2M)
+    powers = _lam_powers(ssm.lam, k + 1)
+    b_powers = (ssm.b * powers[k - 1::-1]).view(float)  # (k, 2M), row p is b lam^(k-1-p)
     z_full = z[:(n_seg - 1) * k].reshape(n_seg - 1, k, w).transpose(0, 2, 1)
     entries = np.empty((n_seg, w, ssm.state_dim), dtype=complex)
     entries[0] = x0
-    _recur(ssm.lam ** k, (z_full @ b_powers).view(complex), x0, entries[1:])
+    _recur(powers[k], (z_full @ b_powers).view(complex), x0, entries[1:])
     return entries
 
 
@@ -226,21 +231,20 @@ def scan_chunkwise(ssm: DiagonalSSM, z: np.ndarray, chunk: int, x0=None) -> Scan
 
     chunk >= N degenerates to a single chunk, chunk == 1 to the sequential
     recurrence.  A ragged final chunk is zero-padded; the padding never
-    reaches the reported states.
+    reaches the outputs or the final state.
     """
     if chunk < 1:
         raise ValueError("chunk must be positive")
     z, x0 = _check_scan_input(ssm, z, x0)
-    n, m, w = z.shape[0], ssm.state_dim, ssm.input_width
+    n, w, m = z.shape[0], ssm.input_width, ssm.state_dim
     chunk = min(chunk, max(n, 1))  # an input shorter than a chunk is one unpadded chunk
-    entries = _segment_entries(ssm, z, chunk, x0.T).transpose(0, 2, 1)  # (chunks, M, W)
+    entries = _segment_entries(ssm, z, chunk, x0)  # (chunks, W, M)
     n_chunks = entries.shape[0]
-    drive = np.zeros((n_chunks, chunk, m, w), dtype=complex)
-    drive.reshape(n_chunks * chunk, m, w)[:n] = ssm.b[None, :, None] * z[:, None, :]
+    drive = np.zeros((n_chunks, chunk, w, m), dtype=complex)
+    drive.reshape(n_chunks * chunk, w, m)[:n] = z[:, :, None] * ssm.b
     by_position = drive.swapaxes(0, 1)
-    _recur(ssm.lam[:, None], by_position, entries, by_position)
-    states = drive.reshape(n_chunks * chunk, m, w)[:n]
-    return ScanResult(states=states, outputs=_read_out(ssm, states))
+    _recur(ssm.lam, by_position, entries, by_position)
+    return _result(ssm, drive.reshape(n_chunks * chunk, w, m)[:n], x0)
 
 
 def scan_prefix(ssm: DiagonalSSM, z: np.ndarray, x0=None) -> ScanResult:
@@ -251,19 +255,16 @@ def scan_prefix(ssm: DiagonalSSM, z: np.ndarray, x0=None) -> ScanResult:
     """
     z, x0 = _check_scan_input(ssm, z, x0)
     n = z.shape[0]
-    m, w = ssm.state_dim, ssm.input_width
-    a = np.broadcast_to(ssm.lam[None, :, None], (n, m, 1)).copy()
-    b = ssm.b[None, :, None] * z[:, None, :]
-    if np.any(x0):
-        b = b.copy()
-        b[:1] += ssm.lam[:, None] * x0  # a slice, so N = 0 gives an empty result
+    a = np.broadcast_to(ssm.lam, (n, 1, ssm.state_dim)).copy()
+    b = z[:, :, None] * ssm.b
+    b[:1] += ssm.lam * x0  # a slice, so N = 0 gives an empty result
     shift = 1
     while shift < n:
         # order matters: b reads the pre-update a of the right block
         b[shift:] = a[shift:] * b[:-shift] + b[shift:]
         a[shift:] = a[:-shift] * a[shift:]
         shift *= 2
-    return ScanResult(states=b, outputs=_read_out(ssm, b))
+    return _result(ssm, b, x0)
 
 
 def run_scan(ssm: DiagonalSSM, z: np.ndarray, backend: str,
@@ -309,18 +310,14 @@ def backward_checkpointed(
     """
     if interval < 1:
         raise ValueError("checkpoint interval must be positive")
-    z, _ = _check_scan_input(ssm, z, None)
+    z, x0 = _check_scan_input(ssm, z, None)
     upstream = np.asarray(upstream, dtype=float)
     n, m, w = z.shape[0], ssm.state_dim, ssm.input_width
     if upstream.shape != (n, m, w):
         raise ValueError(f"upstream must be (N, M, W) = ({n}, {m}, {w}), got {upstream.shape}")
     lam, b = ssm.lam, ssm.b
     n_seg = -(-n // interval)
-
-    # States are held transposed, (W, M), so that every product of a real
-    # operand with a complex one is a real matmul on the complex operand's
-    # float view (the real and imaginary parts interleaved along M).
-    entries = _segment_entries(ssm, z, interval, np.zeros((w, m), dtype=complex))
+    entries = _segment_entries(ssm, z, interval, x0)
 
     # holomorphic adjoints; the loss is Re of a holomorphic function of the
     # complex quantities, so real gradients drop out via conjugation at the end

@@ -90,16 +90,17 @@ def contraction_readout_loop(scan_out, contraction, n_kv):
 
 
 def naive_unroll(ssm, z, x0=None):
-    """Scalar-by-scalar unroll of x_t = lam*x + b*z_t, y_t = Re(C x_t)."""
+    """Scalar-by-scalar unroll of x_t = lam*x + b*z_t, y_t = Re(C x_t);
+    states are (W, M) and outputs (M, W), as the scans hold them."""
     z = np.asarray(z, dtype=float)
     m, w = ssm.state_dim, ssm.input_width
-    state = np.zeros((m, w), dtype=complex) if x0 is None else np.array(x0, dtype=complex)
+    state = np.zeros((w, m), dtype=complex) if x0 is None else np.array(x0, dtype=complex)
     states, outs = [], []
     for t in range(z.shape[0]):
-        nxt = np.empty((m, w), dtype=complex)
+        nxt = np.empty((w, m), dtype=complex)
         for i in range(m):
             for j in range(w):
-                nxt[i, j] = ssm.lam[i] * state[i, j] + ssm.b[i] * z[t, j]
+                nxt[j, i] = ssm.lam[i] * state[j, i] + ssm.b[i] * z[t, j]
         state = nxt
         states.append(state.copy())
         out = np.empty((m, w))
@@ -107,7 +108,7 @@ def naive_unroll(ssm, z, x0=None):
             for j in range(w):
                 acc = 0j
                 for s in range(m):
-                    acc += ssm.c_out[i, s] * state[s, j]
+                    acc += ssm.c_out[i, s] * state[j, s]
                 out[i, j] = acc.real
         outs.append(out)
     return np.array(states), np.array(outs)

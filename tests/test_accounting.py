@@ -1,5 +1,4 @@
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from interdomain.accounting import (
     StateBudget,
     backbone,
     budget_table,
-    cost_model,
     count_params,
     mixer_params_per_layer,
     overhead_fraction,
@@ -128,61 +126,6 @@ def test_fixed_state_crossover_at_128_tokens():
 def test_state_budget_consistency_enforced():
     with pytest.raises(ValueError, match="total_dof"):
         StateBudget(cells=2, per_cell_dof=3, total_dof=7, kv_cache_per_token=1)
-
-
-# --- cost model ---
-
-def test_cost_model_softmax_terms_quadratic():
-    config = tiny_config()
-    rep = cost_model(config, n=1024, n_q=1024)
-    assert rep.total_work["softmax_attention"] == 1024 * 1024 * config.head_dim
-    assert rep.backward_memory["softmax_attention_matrix"] == 1024 * 1024
-    assert rep.state_memory["softmax_kv_cache"] == 1024 * config.head_dim
-
-
-def test_cost_model_fixed_state_terms_linear():
-    config = tiny_config(chunk_size=16)
-    m, w = config.state_dim, config.feature_dim + config.head_dim
-    rep = cost_model(config, n=1024, n_q=1024)
-    assert rep.total_work["state_update"] == 1024 * m * w
-    assert rep.state_memory["interdomain_state"] == m * w
-    assert rep.backward_memory["stored_states"] == math.ceil(1024 / 16) * m * w
-    assert rep.backward_memory["query_features"] == 1024 * config.feature_dim
-
-
-def test_cost_model_state_is_length_free():
-    config = tiny_config()
-    a = cost_model(config, n=128, n_q=128)
-    b = cost_model(config, n=1 << 20, n_q=1 << 20)
-    assert a.state_memory["interdomain_state"] == b.state_memory["interdomain_state"]
-    assert b.state_memory["softmax_kv_cache"] > a.state_memory["softmax_kv_cache"]
-
-
-def test_cost_model_fft_pays_log_factor_and_stores_everything():
-    config = tiny_config()
-    scan = cost_model(config, n=1024, n_q=1024, backend="sequential")
-    fft = cost_model(config, n=1024, n_q=1024, backend="fft")
-    assert fft.total_work["state_update"] == 10 * scan.total_work["state_update"]
-    m, w = config.state_dim, config.feature_dim + config.head_dim
-    assert fft.backward_memory["stored_states"] == 1024 * m * w
-
-
-def test_cost_model_decode_terms():
-    config = tiny_config()
-    m, w = config.state_dim, config.feature_dim + config.head_dim
-    rep = cost_model(config, n=500, n_q=1)
-    assert rep.decode_work["softmax_step"] == 500 * config.head_dim
-    assert rep.decode_work["interdomain_step_full"] == m * m * w
-    assert rep.decode_work["interdomain_step_diagonal"] == m * w
-    assert rep.decode_work["interdomain_step_full"] == m * rep.decode_work["interdomain_step_diagonal"]
-
-
-def test_cost_model_input_validation():
-    config = tiny_config()
-    with pytest.raises(ValueError, match="nonnegative"):
-        cost_model(config, n=-1, n_q=1)
-    with pytest.raises(ValueError, match="backend"):
-        cost_model(config, n=1, n_q=1, backend="magic")
 
 
 # --- budget table ---

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +21,12 @@ from interdomain.config import (
     validate,
 )
 
+from interdomain.layer import init_decode_state
+
 from helpers import tiny_config
+
+REPO = Path(__file__).resolve().parent.parent
+SHIPPED_CONFIGS = sorted(REPO.glob("configs/*.json")) + [REPO / "perfbench" / "long_small.json"]
 
 
 def test_published_scale_validates():
@@ -119,3 +125,15 @@ def test_validation_is_total(overrides):
         tiny_config(**overrides)
     except ConfigError:
         pass
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS,
+                         ids=[str(p.relative_to(REPO)) for p in SHIPPED_CONFIGS])
+def test_shipped_configs_load(path):
+    # the benchmark reads perfbench/long_small.json, so a config-field change
+    # that breaks it fails here rather than only when the benchmark runs
+    config = load_config(path)
+    state = init_decode_state(config)
+    assert state.position == 0
+    assert state.ssm_states.shape == (config.n_kv, config.feature_dim + config.head_dim,
+                                      config.state_dim)

@@ -260,6 +260,10 @@ def test_input_shape_validation():
         decode_step(params, state, np.zeros(config.model_dim + 1), config)
     with pytest.raises(ValueError, match="chunk"):
         prefill(params, np.zeros((4, config.model_dim)), config, chunk=0)
+    with pytest.raises(ValueError, match=r"N >= 0, got \(0, 13\)"):
+        prefill(params, np.zeros((0, config.model_dim + 5)), config)
+    with pytest.raises(ValueError, match=r"N >= 0, got \(8,\)"):
+        prefill(params, np.zeros(config.model_dim), config)
 
 
 def test_decode_state_from_another_variant_is_rejected():
@@ -274,7 +278,7 @@ def test_decode_state_from_another_variant_is_rejected():
 def test_decode_state_with_an_extra_group_is_rejected():
     config, params = variant_setup("full_interdomain")
     state = init_decode_state(config)
-    extra = np.zeros((1, config.state_dim, config.feature_dim + config.head_dim), dtype=complex)
+    extra = np.zeros((1, config.feature_dim + config.head_dim, config.state_dim), dtype=complex)
     state.ssm_states = np.concatenate([state.ssm_states, extra])
     x = make_rng(42).standard_normal((4, config.model_dim))
     with pytest.raises(ValueError, match="ssm_states"):

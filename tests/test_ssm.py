@@ -30,6 +30,13 @@ def small_ssm(m=4, w=2, seed=0):
     return random_ssm(m, w, make_rng(seed))
 
 
+def states_of(ssm, z, backend="sequential", x0=None, chunk=5):
+    """(N, W, M) states of a scan: state t is the final state of the scan
+    over z[:t+1]."""
+    return np.stack([run_scan(ssm, z[:t + 1], backend, chunk=chunk, x0=x0).final_state
+                     for t in range(z.shape[0])])
+
+
 # --- initialization ---
 
 def test_inverse_law_init_anchors():
@@ -92,54 +99,52 @@ def test_ssm_with_refreshes_poles():
 def test_sequential_zero_input_stays_at_zero():
     ssm = small_ssm()
     res = scan_sequential(ssm, np.zeros((6, 2)))
-    assert np.all(res.states == 0.0) and np.all(res.outputs == 0.0)
+    assert np.all(res.final_state == 0.0) and np.all(res.outputs == 0.0)
 
 
 def test_sequential_single_step_formula():
     ssm = small_ssm()
     rng = make_rng(3)
     z = rng.standard_normal((1, 2))
-    x0 = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+    x0 = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
     res = scan_sequential(ssm, z, x0=x0)
-    want = ssm.lam[:, None] * x0 + ssm.b[:, None] * z[0][None, :]
-    assert rel_err(res.states[0], want) < 1e-15
-    assert rel_err(res.outputs[0], (ssm.c_out @ want).real) < 1e-14
+    want = ssm.lam * x0 + z[0][:, None] * ssm.b
+    assert rel_err(res.final_state, want) < 1e-15
+    assert rel_err(res.outputs[0], (ssm.c_out @ want.T).real) < 1e-14
 
 
 def test_sequential_matches_scalar_unroll():
     ssm = small_ssm(m=3, w=2, seed=4)
     rng = make_rng(5)
     z = rng.standard_normal((9, 2))
-    x0 = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
+    x0 = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
     res = scan_sequential(ssm, z, x0=x0)
     states, outs = naive_unroll(ssm, z, x0=x0)
-    assert rel_err(res.states, states) < 1e-12
+    assert rel_err(states_of(ssm, z, x0=x0), states) < 1e-12
     assert rel_err(res.outputs, outs) < 1e-12
 
 
 def test_zero_input_decay_from_initial_state():
     ssm = small_ssm()
-    x0 = np.ones((4, 2), dtype=complex)
-    res = scan_sequential(ssm, np.zeros((10, 2)), x0=x0)
-    mags = np.abs(res.states[:, :, 0])
+    x0 = np.ones((2, 4), dtype=complex)
+    states = states_of(ssm, np.zeros((10, 2)), x0=x0)
+    mags = np.abs(states[:, 0, :])
     assert np.all(np.diff(mags, axis=0) < 0)
     want = ssm.lam[:, None] ** np.arange(1, 11)[None, :]
-    assert rel_err(res.states[:, :, 0].T, want) < 1e-12
+    assert rel_err(states[:, 0, :].T, want) < 1e-12
 
 
 def test_fft_impulse_response_is_pole_powers():
     ssm = small_ssm(m=3, w=1, seed=6)
     z = np.zeros((8, 1))
     z[0, 0] = 1.0
-    res = scan_fft(ssm, z)
     want = ssm.lam[None, :] ** np.arange(1, 9)[:, None] / ssm.lam[None, :] * ssm.b[None, :]
-    assert rel_err(res.states[:, :, 0], want) < 1e-10
+    assert rel_err(states_of(ssm, z, "fft")[:, 0, :], want) < 1e-10
 
 
 def test_fft_zero_input():
     ssm = small_ssm()
-    res = scan_fft(ssm, np.zeros((5, 2)))
-    assert np.max(np.abs(res.states)) < 1e-14
+    assert np.max(np.abs(states_of(ssm, np.zeros((5, 2)), "fft"))) < 1e-14
 
 
 def test_chunkwise_degenerate_chunk_sizes():
@@ -150,12 +155,12 @@ def test_chunkwise_degenerate_chunk_sizes():
     rng = make_rng(8)
     n = 10
     z = rng.standard_normal((n, 2))
-    x0 = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+    x0 = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
     for mag in (0.9, 0.3, 0.05, 0.01):
         ssm = ssm_with(base, a=np.log(mag) / 0.1 + 1j * base.a.imag, delta=np.full(4, 0.1))
-        want = scan_sequential(ssm, z, x0).states
+        want = states_of(ssm, z, x0=x0)
         for chunk in (1, 3, n - 1, n, n + 5):
-            got = scan_chunkwise(ssm, z, chunk, x0).states
+            got = states_of(ssm, z, "chunkwise", x0=x0, chunk=chunk)
             assert rel_err(got, want) < 1e-12, (mag, chunk)
 
 
@@ -189,10 +194,11 @@ def test_backends_agree_with_sequential(backend):
         ssm = small_ssm(m=m, w=w, seed=seed)
         rng = make_rng(seed + 100)
         z = rng.standard_normal((n, w))
-        x0 = rng.standard_normal((m, w)) + 1j * rng.standard_normal((m, w))
+        x0 = rng.standard_normal((w, m)) + 1j * rng.standard_normal((w, m))
         base = run_scan(ssm, z, "sequential", x0=x0)
         got = run_scan(ssm, z, backend, chunk=5, x0=x0)
-        assert rel_err(got.states, base.states) < 1e-8
+        assert rel_err(states_of(ssm, z, backend, x0=x0),
+                       states_of(ssm, z, x0=x0)) < 1e-8
         assert rel_err(got.outputs, base.outputs) < 1e-8
 
 
@@ -201,13 +207,15 @@ def test_split_scan_equals_one_shot(backend):
     ssm = small_ssm(seed=14)
     rng = make_rng(15)
     z = rng.standard_normal((12, 2))
-    full = run_scan(ssm, z, backend, chunk=4)
     head = run_scan(ssm, z[:5], backend, chunk=4)
-    tail = run_scan(ssm, z[5:], backend, chunk=4, x0=head.final_state)
-    assert rel_err(np.concatenate([head.states, tail.states]), full.states) < 1e-10
-    # an empty split from a nonzero state is an empty result
+    states = np.concatenate([states_of(ssm, z[:5], backend, chunk=4),
+                             states_of(ssm, z[5:], backend, x0=head.final_state, chunk=4)])
+    assert rel_err(states, states_of(ssm, z, backend, chunk=4)) < 1e-10
+    # an empty split from a nonzero state is an empty result that keeps the state
     empty = run_scan(ssm, z[:0], backend, chunk=4, x0=head.final_state)
-    assert empty.states.shape == empty.outputs.shape == (0, 4, 2)
+    assert np.array_equal(empty.final_state, head.final_state)
+    assert empty.outputs.shape == (0, 4, 2)
+    assert [f.name for f in dataclasses.fields(ScanResult)] == ["outputs", "final_state"]
 
 
 def test_unknown_backend_rejected():
@@ -221,13 +229,15 @@ def test_scan_validates_input_shape():
         scan_sequential(ssm, np.zeros((4, 3)))
     with pytest.raises(ValueError, match="x0 must be"):
         scan_sequential(ssm, np.zeros((4, 2)), x0=np.zeros((3, 2)))
+    with pytest.raises(ValueError, match=r"x0 must be \(2, 4\)"):  # (M, W) is not a state
+        scan_sequential(ssm, np.zeros((4, 2)), x0=np.zeros((4, 2)))
 
 
 def test_outputs_are_real_part_of_readout():
     ssm = small_ssm(seed=16)
     z = make_rng(17).standard_normal((6, 2))
     res = scan_sequential(ssm, z)
-    want = np.stack([(ssm.c_out @ res.states[t]).real for t in range(6)])
+    want = np.stack([(ssm.c_out @ state.T).real for state in states_of(ssm, z)])
     assert rel_err(res.outputs, want) < 1e-14
 
 
