@@ -7,7 +7,7 @@ The package is organized bottom-up:
 ``features``    feature maps, short conv, RoPE, norms
 ``oracle``      brute-force attention references
 ``basis``       explicit basis projection and readouts
-``ssm``         diagonal recurrence, four scan backends, checkpointed backward
+``ssm``         diagonal recurrence, four scan backends, dual-form backward
 ``layer``       the assembled mixer: forward, backward, prefill, decode
 ``accounting``  state budgets, parameter counts
 ``bench``       op-counting decode simulator, CSV grid

@@ -37,9 +37,11 @@ class ModelConfig:
 
     ``feature_dim`` is the width of the query/key feature vectors; for the
     norm-based feature map it must equal ``head_dim``.  ``chunk_size`` is the
-    segment length used by the chunkwise scan and the checkpointed backward;
-    ``prefill_chunk`` is the block length used when prefilling a decode
-    session.
+    chunk length asked of the chunkwise scan and the SSM backward; both
+    clamp it to K = min(chunk_size, N, W) for N tokens of SSM input width
+    W = feature_dim + head_dim, so their K^2 M Toeplitz kernel is never
+    larger than the (N, M, W) scan outputs.  ``prefill_chunk`` is the block
+    length used when prefilling a decode session.
     """
 
     heads: int = 2

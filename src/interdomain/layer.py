@@ -169,9 +169,17 @@ def init_decode_state(config: ModelConfig) -> LayerState:
     )
 
 
+def _check_finite(name: str, array: np.ndarray) -> None:
+    """Raise ValueError naming ``array`` if any entry is NaN or infinite, so
+    a bad input fails here instead of turning the outputs silently NaN."""
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name} must be finite, got NaN or inf")
+
+
 def _check_state(state: LayerState, config: ModelConfig) -> None:
     """Raise ValueError naming the first field of a passed-in decode state
-    that ``init_decode_state(config)`` would not have made."""
+    that ``init_decode_state(config)`` would not have made, or that holds a
+    NaN or an inf."""
     if not isinstance(state.position, (int, np.integer)) or state.position < 0:
         raise ValueError(f"state.position must be an integer >= 0, got {state.position!r}")
     fresh = init_decode_state(config)
@@ -182,6 +190,8 @@ def _check_state(state: LayerState, config: ModelConfig) -> None:
         if got != want:
             raise ValueError(f"state.{name} must be (shape, dtype) {want} for this config, "
                              f"got {got}")
+        if got is not None:
+            _check_finite(f"state.{name}", getattr(state, name))
 
 
 def _forward_core(
@@ -200,6 +210,7 @@ def _forward_core(
     x_seq = np.asarray(x_seq, dtype=float)
     if x_seq.ndim != 2 or x_seq.shape[1] != config.model_dim or x_seq.shape[0] == 0:
         raise ValueError(f"x must be (N, {config.model_dim}) with N >= 1, got {x_seq.shape}")
+    _check_finite("x", x_seq)
     n = x_seq.shape[0]
     dh, r, m = config.head_dim, config.feature_dim, config.state_dim
     heads, n_kv = config.heads, config.n_kv
@@ -352,6 +363,7 @@ def decode_step(
     token = np.asarray(token, dtype=float)
     if token.shape != (config.model_dim,):
         raise ValueError(f"token must be ({config.model_dim},), got {token.shape}")
+    _check_finite("token", token)
     _check_state(state, config)
     y, new_state, _ = _forward_core(
         params, token[None, :], config, state, backend="sequential"
@@ -390,6 +402,7 @@ def backward(
     upstream = np.asarray(upstream, dtype=float)
     if upstream.shape != y.shape:
         raise ValueError(f"upstream must match the output shape {y.shape}")
+    _check_finite("upstream", upstream)
 
     n = x_seq.shape[0]
     dh, r, m = config.head_dim, config.feature_dim, config.state_dim

@@ -266,6 +266,35 @@ def test_input_shape_validation():
         prefill(params, np.zeros(config.model_dim), config)
 
 
+def test_non_finite_input_is_rejected():
+    # a NaN or inf fails loudly, naming the argument, instead of turning
+    # the outputs or the gradients NaN
+    config, params = variant_setup("full_interdomain")
+    x = make_rng(44).standard_normal((6, config.model_dim))
+    bad = x.copy()
+    bad[2, 1] = np.nan
+    for call in (forward, forward_trace):
+        with pytest.raises(ValueError, match="x must be finite"):
+            call(params, bad, config)
+    with pytest.raises(ValueError, match="x must be finite"):
+        prefill(params, bad, config, chunk=4)
+    with pytest.raises(ValueError, match="x must be finite"):
+        backward(params, bad, x, config)
+    with pytest.raises(ValueError, match="upstream must be finite"):
+        backward(params, x, bad, config)
+    _, state = prefill(params, x, config)
+    with pytest.raises(ValueError, match="token must be finite"):
+        decode_step(params, state, bad[2], config)
+    for name in ("ssm_states", "conv_q_tail", "conv_k_tail"):
+        value = getattr(state, name).copy()
+        value.flat[1] = np.inf
+        broken = dataclasses.replace(state, **{name: value})
+        with pytest.raises(ValueError, match=f"state.{name} must be finite"):
+            decode_step(params, broken, x[0], config)
+        with pytest.raises(ValueError, match=f"state.{name} must be finite"):
+            prefill(params, x, config, state=broken)
+
+
 def test_decode_state_from_another_variant_is_rejected():
     config, params = variant_setup("full_interdomain")
     s4d_config, s4d_params = variant_setup("s4d_only")

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,19 +150,26 @@ def test_fft_zero_input():
 
 def test_chunkwise_degenerate_chunk_sizes():
     # from a nonzero x0 with every pole at one magnitude, each chunk size
-    # from the plain recurrence through a ragged last chunk to one padded
-    # chunk; small poles are where entry states built from lam^k would show
-    base = small_ssm(seed=7)
+    # from the plain recurrence through a ragged last chunk to one chunk
+    # holding the whole input; small poles are where entry states built
+    # from lam^k would show.  The chunk is clamped to the input width W, so
+    # W = 12 > N lets it reach N.  The outputs come from the Toeplitz and
+    # entry matmuls, the states from the closed-form entry step, so both
+    # are checked
+    base = small_ssm(w=12, seed=7)
     rng = make_rng(8)
     n = 10
-    z = rng.standard_normal((n, 2))
-    x0 = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+    z = rng.standard_normal((n, 12))
+    x0 = rng.standard_normal((12, 4)) + 1j * rng.standard_normal((12, 4))
     for mag in (0.9, 0.3, 0.05, 0.01):
         ssm = ssm_with(base, a=np.log(mag) / 0.1 + 1j * base.a.imag, delta=np.full(4, 0.1))
         want = states_of(ssm, z, x0=x0)
+        want_outputs = scan_sequential(ssm, z, x0).outputs
         for chunk in (1, 3, n - 1, n, n + 5):
             got = states_of(ssm, z, "chunkwise", x0=x0, chunk=chunk)
             assert rel_err(got, want) < 1e-12, (mag, chunk)
+            got_outputs = run_scan(ssm, z, "chunkwise", chunk=chunk, x0=x0).outputs
+            assert rel_err(got_outputs, want_outputs) < 1e-12, (mag, chunk)
 
 
 def test_chunkwise_rejects_bad_chunk():
@@ -213,7 +221,7 @@ def test_split_scan_equals_one_shot(backend):
     assert rel_err(states, states_of(ssm, z, backend, chunk=4)) < 1e-10
     # an empty split from a nonzero state is an empty result that keeps the state
     empty = run_scan(ssm, z[:0], backend, chunk=4, x0=head.final_state)
-    assert np.array_equal(empty.final_state, head.final_state)
+    assert empty.final_state is head.final_state
     assert empty.outputs.shape == (0, 4, 2)
     assert [f.name for f in dataclasses.fields(ScanResult)] == ["outputs", "final_state"]
 
@@ -231,6 +239,54 @@ def test_scan_validates_input_shape():
         scan_sequential(ssm, np.zeros((4, 2)), x0=np.zeros((3, 2)))
     with pytest.raises(ValueError, match=r"x0 must be \(2, 4\)"):  # (M, W) is not a state
         scan_sequential(ssm, np.zeros((4, 2)), x0=np.zeros((4, 2)))
+
+
+def test_complex_drive_rejected():
+    # a complex drive or upstream must not be cut to its real part
+    ssm = small_ssm()
+    z = np.full((4, 2), 1.0 + 0.5j)
+    for backend in BACKENDS:
+        with pytest.raises(ValueError, match="z must be real"):
+            run_scan(ssm, z, backend)
+    with pytest.raises(ValueError, match="z must be real"):
+        backward_checkpointed(ssm, z, np.zeros((4, 4, 2)), 2)
+    with pytest.raises(ValueError, match="upstream must be real"):
+        backward_checkpointed(ssm, z.real, np.full((4, 4, 2), 1j), 2)
+
+
+@pytest.mark.parametrize("chunk", [16, 2048])
+def test_chunkwise_memory_bounded_by_outputs(chunk):
+    # the Toeplitz kernel holds K^2 M floats; K = min(chunk, N, W) keeps it,
+    # and so the whole scan, within a few times the (N, M, W) outputs even
+    # when the chunk is as long as the input
+    ssm = small_ssm(m=16, w=32, seed=31)
+    z = make_rng(32).standard_normal((2048, 32))
+    tracemalloc.start()
+    try:
+        outputs = scan_chunkwise(ssm, z, chunk).outputs
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * outputs.nbytes
+
+
+@pytest.mark.parametrize("interval", [1, 2, 16, 2048])
+def test_backward_memory_bounded_by_upstream(interval):
+    # the upstream is read in place, never copied: besides a few arrays the
+    # size of z, the backward holds one buffer of ceil(N/K) complex (W, M)
+    # states, 2/K of the upstream's size, for the entry states and then
+    # their adjoints; K = min(interval, N, W)
+    ssm = small_ssm(m=16, w=32, seed=33)
+    rng = make_rng(34)
+    z = rng.standard_normal((2048, 32))
+    up = rng.standard_normal((2048, 16, 32))
+    tracemalloc.start()
+    try:
+        backward_checkpointed(ssm, z, up, interval)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * up.nbytes / min(interval, 32) + 4 * z.nbytes
 
 
 def test_outputs_are_real_part_of_readout():
@@ -260,7 +316,8 @@ def test_backward_zero_upstream_zero_grads():
 @pytest.mark.parametrize("mag", [0.9, 0.3, 0.05, 0.01])
 def test_backward_interval_free(mag):
     # every pole at |lam| = mag: small poles are where a segment that
-    # rebuilt its states by dividing by lam would amplify roundoff by mag^-K
+    # rebuilt its states by dividing by lam would amplify roundoff by mag^-K;
+    # 7 and 63 leave a ragged last chunk, 64 and 69 make one chunk of N = 64
     base = small_ssm(m=4, w=64, seed=25)
     ssm = ssm_with(base, a=np.log(mag) / 0.1 + 1j * base.a.imag, delta=np.full(4, 0.1))
     assert np.allclose(np.abs(ssm.lam), mag)
@@ -268,9 +325,10 @@ def test_backward_interval_free(mag):
     z = rng.standard_normal((64, 64))
     up = rng.standard_normal((64, 4, 64))
     whole = backward_checkpointed(ssm, z, up, interval=1)
-    seg = backward_checkpointed(ssm, z, up, interval=16)
-    for field in ("z", "delta", "a_log_neg_re", "a_im", "b", "c_out"):
-        assert rel_err(getattr(seg, field), getattr(whole, field)) < 1e-9, field
+    for interval in (7, 16, 63, 64, 69):
+        seg = backward_checkpointed(ssm, z, up, interval=interval)
+        for field in ("z", "delta", "a_log_neg_re", "a_im", "b", "c_out"):
+            assert rel_err(getattr(seg, field), getattr(whole, field)) < 1e-9, (interval, field)
 
 
 def test_backward_shape_mismatch_rejected():
