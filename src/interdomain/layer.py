@@ -20,8 +20,20 @@ to a single group and every head applies its own query features to it.
 Every per-group tensor carries a leading group axis of size ``n_kv``; since
 ``n_kv`` is 1 or ``heads``, viewing the head axis as (n_kv, heads / n_kv)
 lines each head up with its group, and the readouts are batched matmuls.
-Decode always steps the sequential recurrence; training may pick any scan
-backend, and all of them agree numerically.
+
+Which SSM path runs, per group:
+
+* the query variants under the ``chunkwise`` backend (``forward``,
+  ``forward_trace``, ``prefill``): ``ssm.query_readout``, which returns the
+  heads' outputs without forming the (N, M, W) scan outputs;
+* ``backward`` runs its forward ``chunkwise`` whatever the config names,
+  and takes the query variants' SSM gradients from
+  ``ssm.query_readout_backward``;
+* everything else: ``ssm.run_scan`` on the config's backend, a readout of
+  its outputs, and ``ssm.backward_checkpointed`` for the gradients.
+  ``decode_step`` always steps the sequential recurrence.
+
+All the backends agree numerically.
 """
 from __future__ import annotations
 
@@ -51,8 +63,11 @@ from .features import (
 )
 from .ssm import (
     DiagonalSSM,
+    _real,
     backward_checkpointed,
     make_ssm,
+    query_readout,
+    query_readout_backward,
     random_ssm,
     run_scan,
     stack_ssms,
@@ -207,7 +222,7 @@ def _forward_core(
     Returns (y, new_state, trace); the trace holds every intermediate the
     backward pass and the diagnostic tests tap.
     """
-    x_seq = np.asarray(x_seq, dtype=float)
+    x_seq = _real(x_seq, "x")
     if x_seq.ndim != 2 or x_seq.shape[1] != config.model_dim or x_seq.shape[0] == 0:
         raise ValueError(f"x must be (N, {config.model_dim}) with N >= 1, got {x_seq.shape}")
     _check_finite("x", x_seq)
@@ -264,26 +279,33 @@ def _forward_core(
     )
     trace["z"] = z
 
-    # --- per-group scans ---
-    scan_out = np.empty((n, n_kv, m, w))
+    # --- per-group scans and readout, batched over (N, group) with the
+    # group's heads on one axis; the chunkwise query readout never forms the
+    # scan outputs ---
+    per_group = heads // n_kv
+    fused = has_q and backend == "chunkwise"
+    if has_q:
+        f_groups = f_q.reshape(n, n_kv, per_group, r)
+    outputs = np.empty((n, n_kv, per_group, dh) if fused else (n, n_kv, m, w))
     ssm_states = np.empty_like(state.ssm_states)
     for g in range(n_kv):
-        result = run_scan(
-            params.ssm[g], z[:, g], backend,
-            chunk=config.chunk_size, x0=state.ssm_states[g],
-        )
-        scan_out[:, g] = result.outputs
+        if fused:
+            result = query_readout(params.ssm[g], z[:, g], f_groups[:, g], config.chunk_size,
+                                   x0=state.ssm_states[g])
+        else:
+            result = run_scan(params.ssm[g], z[:, g], backend,
+                              chunk=config.chunk_size, x0=state.ssm_states[g])
+        outputs[:, g] = result.outputs
         ssm_states[g] = result.final_state
-    trace["scan_out"] = scan_out
-
-    # --- readout, batched over (N, group) with the group's heads on one axis ---
-    per_group = heads // n_kv
-    if has_q:
-        alphas = f_q.reshape(n, n_kv, per_group, r) @ scan_out[..., :r].swapaxes(-1, -2)
-        o_cat = (alphas @ scan_out[..., r:]).reshape(n, config.model_dim)
-        trace["alphas"] = alphas
+    if not fused:
+        trace["scan_out"] = outputs
+    if fused:
+        o_cat = outputs.reshape(n, config.model_dim)
+    elif has_q:
+        alphas = f_groups @ outputs[..., :r].swapaxes(-1, -2)
+        o_cat = (alphas @ outputs[..., r:]).reshape(n, config.model_dim)
     else:
-        flat = scan_out.reshape(n, n_kv, m * w).swapaxes(0, 1)   # (G, N, M W)
+        flat = outputs.reshape(n, n_kv, m * w).swapaxes(0, 1)   # (G, N, M W)
         contraction = params.contraction.reshape(n_kv, per_group * dh, m * w)
         o_cat = (flat @ contraction.swapaxes(1, 2)).swapaxes(0, 1).reshape(n, config.model_dim)
     trace["o_cat"] = o_cat
@@ -331,7 +353,7 @@ def prefill(
     returning outputs for every position and the state ready for decoding.
     Any chunking reproduces the single-block forward exactly up to roundoff.
     """
-    x_seq = np.asarray(x_seq, dtype=float)
+    x_seq = _real(x_seq, "x")
     if x_seq.ndim != 2 or x_seq.shape[1] != config.model_dim:
         raise ValueError(f"x must be (N, {config.model_dim}) with N >= 0, got {x_seq.shape}")
     n = x_seq.shape[0]
@@ -360,7 +382,7 @@ def decode_step(
     """Advance one token.  Always steps the sequential recurrence, whatever
     backend the config names for training; state size is independent of how
     many steps have been taken."""
-    token = np.asarray(token, dtype=float)
+    token = _real(token, "token")
     if token.shape != (config.model_dim,):
         raise ValueError(f"token must be ({config.model_dim},), got {token.shape}")
     _check_finite("token", token)
@@ -398,8 +420,9 @@ def backward(
     (delta, log(-Re a), Im a).  Variants without a stream simply have no
     entry for its parameters.
     """
-    y, _, trace = _forward_core(params, x_seq, config, state=None, want_trace=True)
-    upstream = np.asarray(upstream, dtype=float)
+    y, _, trace = _forward_core(params, x_seq, config, state=None, backend="chunkwise",
+                                want_trace=True)
+    upstream = _real(upstream, "upstream")
     if upstream.shape != y.shape:
         raise ValueError(f"upstream must match the output shape {y.shape}")
     _check_finite("upstream", upstream)
@@ -427,29 +450,28 @@ def backward(
     else:
         grad_o_cat = grad_gated
 
-    # readout -> per-group SSM upstream, batched like the forward
+    # readout and SSM backward per group, batched over the group's heads
     per_group = heads // n_kv
-    scan_out = trace["scan_out"]
+    z = trace["z"]
     if has_q:
         f_q = trace["f_q"].reshape(n, n_kv, per_group, r)
         grad_o = grad_o_cat.reshape(n, n_kv, per_group, dh)
-        grad_alpha = grad_o @ scan_out[..., r:].swapaxes(-1, -2)    # (N, G, heads/G, M)
-        grad_scan = np.empty((n, n_kv, m, w))
-        np.matmul(trace["alphas"].swapaxes(-1, -2), grad_o, out=grad_scan[..., r:])
-        np.matmul(grad_alpha.swapaxes(-1, -2), f_q, out=grad_scan[..., :r])
-        grad_f_q = (grad_alpha @ scan_out[..., :r]).reshape(n, heads, r)
+        per_group_grads = [
+            query_readout_backward(params.ssm[g], z[:, g], f_q[:, g], grad_o[:, g],
+                                   config.chunk_size)
+            for g in range(n_kv)
+        ]
+        ssm_grads = [sg for sg, _ in per_group_grads]
+        grad_f_q = np.stack([gf for _, gf in per_group_grads], axis=1).reshape(n, heads, r)
     else:
-        flat = scan_out.reshape(n, n_kv, m * w).swapaxes(0, 1)           # (G, N, M W)
+        flat = trace["scan_out"].reshape(n, n_kv, m * w).swapaxes(0, 1)  # (G, N, M W)
         grad_o = grad_o_cat.reshape(n, n_kv, per_group * dh).swapaxes(0, 1)
         contraction = params.contraction.reshape(n_kv, per_group * dh, m * w)
         grads["contraction"] = (grad_o.swapaxes(1, 2) @ flat).reshape(params.contraction.shape)
         grad_scan = (grad_o @ contraction).swapaxes(0, 1).reshape(n, n_kv, m, w)
-
-    # SSM backward per group, then the normalized-input chain
-    ssm_grads = [
-        backward_checkpointed(params.ssm[g], trace["z"][:, g], grad_scan[:, g], config.chunk_size)
-        for g in range(n_kv)
-    ]
+        ssm_grads = [backward_checkpointed(params.ssm[g], z[:, g], grad_scan[:, g],
+                                           config.chunk_size)
+                     for g in range(n_kv)]
     for field in ("delta", "a_log_neg_re", "a_im", "b", "c_out"):
         grads[f"ssm.{field}"] = np.stack([getattr(sg, field) for sg in ssm_grads])
     grad_z = np.stack([sg.z for sg in ssm_grads], axis=1)

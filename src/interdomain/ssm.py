@@ -1,5 +1,5 @@
-"""Diagonal complex SSM: initialization, four forward scans, and the
-backward of the chunkwise scan.
+"""Diagonal complex SSM: initialization, four forward scans, the query
+readout in the same chunked form, and the backward of both.
 
 The recurrence, per input channel c:
 
@@ -18,19 +18,30 @@ between.  All four compute the same map and are interchangeable;
 
 The chunkwise scan is the dual (Toeplitz) form of Dao and Gu, *Transformers
 are SSMs* (2024).  The state entering each chunk comes from one closed-form
-step per chunk (``_segment_entries``); inside a chunk the outputs are two
-real matmuls, a lower-Toeplitz kernel on the inputs and an entry matrix on
-the entry state, so no state inside a chunk is ever formed.  The backward
-is the adjoint of those matmuls and carries only the adjoints of the entry
-states across chunks.  Every time-stepping loop is ``_recur``: over
-positions in the sequential scan, over chunks everywhere else.
+step per chunk (``_segment_entries``); inside a chunk the outputs are one
+real matmul of a stacked [entry matrix | lower-Toeplitz kernel] operator on
+the chunk's [entry state; inputs], so no state inside a chunk is ever
+formed.  ``backward_checkpointed`` is the adjoint of that matmul and
+carries only the adjoints of the entry states across chunks.
+
+``query_readout`` serves the variants with a query path under the chunkwise
+backend: from the same chunks and entry states it returns each head's
+f_q U^T Gamma directly, where [U | Gamma] are the scan's outputs, as a
+handful of GEMMs the size of the heads' outputs (the intra-/inter-chunk
+split of the same paper), and never forms the (N, M, W) outputs.
+``query_readout_backward`` is its adjoint and shares the entry-state carry
+and the gradient assembly with ``backward_checkpointed``.  The other
+backends, decode and the variants without a query path read out the scan
+outputs.  Every time-stepping loop is ``_recur``: over positions in the
+sequential scan, over chunks everywhere else.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 DELTA_LOG10_RANGE = (-3.0, -1.0)
 
@@ -133,7 +144,8 @@ def stack_ssms(ssms: list[DiagonalSSM]) -> DiagonalSSM:
 
 @dataclass(frozen=True)
 class ScanResult:
-    outputs: np.ndarray      # (N, M, W) float, Re(c_out @ x_t[c]) per position and channel
+    outputs: np.ndarray      # (N, M, W) float, Re(c_out @ x_t[c]) per position and channel;
+                             # (N, P, W - R) head outputs from query_readout
     final_state: np.ndarray  # (W, M) complex, x_{N-1}; x0 itself when N = 0
 
 
@@ -217,10 +229,11 @@ def scan_fft(ssm: DiagonalSSM, z: np.ndarray, x0=None) -> ScanResult:
 
 
 def _segment_entries(ssm: DiagonalSSM, powers: np.ndarray, z: np.ndarray,
-                     x0: np.ndarray) -> np.ndarray:
+                     x0: np.ndarray, out=None) -> np.ndarray:
     """States entering each k-step segment of ``z`` from x0, shape
     (max(ceil(N/k), 1), W, M), where ``powers`` is the (k + 1, M) table of
-    lam**t: entry j is x_{jk-1}, entry 0 is x0 itself.
+    lam**t: entry j is x_{jk-1}, entry 0 is x0 itself.  They are written
+    into ``out`` when given, which may be a strided complex view.
 
     Every segment but the last is full, so each contributes one closed-form
     step x_{j+k} = lam^k x_j + b * sum_p lam^(k-1-p) z_{j+p}.  The sums are
@@ -232,11 +245,23 @@ def _segment_entries(ssm: DiagonalSSM, powers: np.ndarray, z: np.ndarray,
     n_seg = max(-(-n // k), 1)
     b_powers = (ssm.b * powers[k - 1::-1]).view(float)  # (k, 2M), row p is b lam^(k-1-p)
     z_full = z[:(n_seg - 1) * k].reshape(n_seg - 1, k, w).transpose(0, 2, 1)
-    entries = np.empty((n_seg, w, ssm.state_dim), dtype=complex)
+    entries = np.empty((n_seg, w, ssm.state_dim), dtype=complex) if out is None else out
     entries[0] = x0
     np.matmul(z_full, b_powers, out=entries[1:].view(float))
     _recur(powers[k], entries[1:], x0, entries[1:])
     return entries
+
+
+def _final_state(ssm: DiagonalSSM, powers: np.ndarray, z: np.ndarray,
+                 entries: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """The state after the last step: one closed-form step over the last
+    chunk's L <= k steps from its entry state; x0 itself when N = 0."""
+    n, k = z.shape[0], powers.shape[0] - 1
+    if n == 0:
+        return x0
+    last = n - (entries.shape[0] - 1) * k
+    b_powers = (ssm.b * powers[:last][::-1]).view(float)  # row p is b lam^(last-1-p)
+    return powers[last] * entries[-1] + (z[n - last:].T @ b_powers).view(complex)
 
 
 def _block_size(chunk: int, n: int, w: int) -> int:
@@ -252,25 +277,31 @@ def _chunk_blocks(n: int, k: int) -> list[tuple[int, int, int]]:
     return [(lo, hi, ell) for lo, hi, ell in ((0, full, k), (full, n, n % k)) if hi > lo]
 
 
-def _dual_kernels(ssm: DiagonalSSM, powers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The two maps of a k-chunk in the dual form, from the (k + 1, M) table
-    of lam**t:
+def _lag_kernels(ssm: DiagonalSSM, powers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(b lam^tau, h[tau] = Re(C diag(b) lam^tau)), each (K, M), row tau."""
+    b_lags = ssm.b * powers[:-1]
+    return b_lags, (b_lags @ ssm.c_out.T).real
 
-    * the (k M, k) real lower-Toeplitz kernel: row (t, i), column s holds
-      h[t - s, i] = Re(C diag(b) lam^(t-s))[i] for s <= t and 0 above;
-    * the (k M, 2M) float view of the complex entry maps
-      A[t] = C diag(lam^(t+1)), stacked over t.
 
-    A chunk of L < k steps reads the top-left (L M, L) block of the kernel
-    and the first L M rows of the entry matrix.
+def _dual_kernel(ssm: DiagonalSSM, powers: np.ndarray) -> np.ndarray:
+    """The (k M, 2M + k) real operator of a k-chunk in the dual form, from
+    the (k + 1, M) table of lam**t.  Row (t, i) holds
+
+    * in its first 2M columns, row i of the float view of the complex entry
+      map A[t] = C diag(lam^(t+1));
+    * in its last k columns, the lower-Toeplitz kernel: column s holds
+      h[t - s, i] = Re(C diag(b) lam^(t-s))[i] for s <= t and 0 above.
+
+    A chunk of L < k steps reads the top-left (L M, 2M + L) block.
     """
     k, m = powers.shape[0] - 1, ssm.state_dim
     lags = np.zeros((2 * k - 1, m))  # lags[k - 1 + tau] = h[tau]; zeros for tau < 0
-    lags[k - 1:] = ((ssm.b * powers[:k]) @ ssm.c_out.T).real
+    lags[k - 1:] = _lag_kernels(ssm, powers)[1]
+    op = np.empty((k, m, 2 * m + k))
+    np.multiply(powers[1:, None, :], ssm.c_out, out=op[..., :2 * m].view(complex))
     # window t holds lags[t + r] = h[t - s] at column s = k - 1 - r
-    toeplitz = np.ascontiguousarray(sliding_window_view(lags, k, axis=0)[..., ::-1])
-    entry = (powers[1:, None, :] * ssm.c_out).view(float).reshape(k * m, 2 * m)
-    return toeplitz.reshape(k * m, k), entry
+    op[..., 2 * m:] = sliding_window_view(lags, k, axis=0)[..., ::-1]
+    return op.reshape(k * m, 2 * m + k)
 
 
 def _lag_sums(g_z: np.ndarray) -> np.ndarray:
@@ -292,13 +323,15 @@ def scan_chunkwise(ssm: DiagonalSSM, z: np.ndarray, chunk: int, x0=None) -> Scan
     (``_segment_entries``).  Within a chunk that starts from entry state e,
     output t is
 
-        y_t = sum_{s<=t} h[t-s] z_s + Re(C diag(lam^(t+1)) e),
+        y_t = Re(C diag(lam^(t+1)) e) + sum_{s<=t} h[t-s] z_s,
         h[tau] = Re(C diag(b) lam^tau),
 
-    that is, one real matmul by a lower-Toeplitz (K M, K) kernel and one by
-    a (K M, 2M) entry matrix on the float view of e, each over every full
-    chunk at once.  Chunk 0 from x0 = 0 has no entry term; a ragged last
-    chunk of L steps uses the top-left (L M, L) block of the same kernel;
+    that is, one real matmul of the stacked (K M, 2M + K) operator
+    ``_dual_kernel`` on the chunk's operand [float view of conj(e); inputs],
+    over every full chunk at once.  The entry states are written straight
+    into the operands, so besides the outputs the scan holds one buffer of
+    ceil(N/K) (W, 2M + K) operands and no product temporary.  A ragged last
+    chunk of L steps uses the top-left (L M, 2M + L) block of the operator;
     the final state is one more closed-form step from the last entry.  No
     state inside a chunk is ever formed, and K never exceeds N or W, so the
     K^2 M kernel is no larger than the (N, M, W) outputs.
@@ -309,23 +342,27 @@ def scan_chunkwise(ssm: DiagonalSSM, z: np.ndarray, chunk: int, x0=None) -> Scan
     n, w, m = z.shape[0], ssm.input_width, ssm.state_dim
     k = _block_size(chunk, n, w)
     powers = _lam_powers(ssm.lam, k + 1)
-    entries = _segment_entries(ssm, powers, z, x0)  # (chunks, W, M)
-    last = n - (entries.shape[0] - 1) * k  # steps in the last chunk; 0 when N = 0
-    b_powers = (ssm.b * powers[:last][::-1]).view(float)  # row p is b lam^(last-1-p)
-    final = powers[last] * entries[-1] + (z[n - last:].T @ b_powers).view(complex)
-
-    toeplitz, entry = _dual_kernels(ssm, powers)
+    n_chunks = max(-(-n // k), 1)
+    operands = np.empty((n_chunks, w, 2 * m + k))  # chunk j's operand, transposed
+    entries = _segment_entries(ssm, powers, z, x0, out=operands[..., :2 * m].view(complex))
+    final = _final_state(ssm, powers, z, entries, x0)
     # Re(A e) = [Re A, Im A] @ [Re e; -Im e]: the float views of A and of
-    # conj(e), conjugated in place now that the final state is taken
-    conj_entries = np.conj(entries, out=entries).view(float).swapaxes(1, 2)  # (chunks, 2M, W)
-    first = 0 if np.any(x0) else 1  # the first chunk with an entry term
+    # conj(e), conjugated in place now that the final state is taken (an
+    # np.conj into the strided view would copy it first)
+    entries.imag *= -1
+    padded = np.pad(z, ((0, n_chunks * k - n), (0, 0)))
+    operands[..., 2 * m:] = padded.reshape(n_chunks, k, w).swapaxes(1, 2)
+
+    op = _dual_kernel(ssm, powers)
     outputs = np.empty((n, m, w))
     for lo, hi, ell in _chunk_blocks(n, k):
         out = outputs[lo:hi].reshape(-1, ell * m, w)
-        np.matmul(toeplitz[:ell * m, :ell], z[lo:hi].reshape(-1, ell, w), out=out)
-        skip = first if lo == 0 else 0
-        out[skip:] += entry[:ell * m] @ conj_entries[lo // k + skip:lo // k + len(out)]
-    return ScanResult(outputs=outputs, final_state=final if n else x0)
+        block = operands[lo // k:lo // k + len(out), :, :2 * m + ell].swapaxes(1, 2)
+        if lo == 0 and not np.any(x0):  # chunk 0 from x0 = 0: no entry term
+            np.matmul(op[:ell * m, 2 * m:2 * m + ell], block[0, 2 * m:], out=out[0])
+            out, block = out[1:], block[1:]
+        np.matmul(op[:ell * m, :2 * m + ell], block, out=out)
+    return ScanResult(outputs=outputs, final_state=final)
 
 
 def scan_prefix(ssm: DiagonalSSM, z: np.ndarray, x0=None) -> ScanResult:
@@ -375,6 +412,72 @@ class SsmGrads:
     c_out: np.ndarray          # (M, M) complex
 
 
+def _ssm_grads(ssm: DiagonalSSM, powers: np.ndarray, grad_z: np.ndarray, by_lag: np.ndarray,
+               by_power: np.ndarray, entry_sum: np.ndarray, df_dc: np.ndarray) -> SsmGrads:
+    """Assemble the gradients from holomorphic adjoints, for a chunk of K
+    steps and the (K + 1, M) table of lam**t: ``by_lag`` (K, M) of
+    b lam^tau, ``by_power`` (K, M) of lam^(t+1) in the entry maps,
+    ``entry_sum`` (M,) of the lam^K of the entry step, and ``df_dc`` of C.
+
+    Nothing divides by lam: tau lam^(tau-1) is read from the pole-power
+    table shifted by one, so the result agrees across chunk lengths to
+    roundoff for any pole magnitude.
+    """
+    k = powers.shape[0] - 1
+    d_powers = np.zeros_like(powers)  # row tau is tau lam^(tau-1), d(lam^tau)/d(lam)
+    d_powers[1:] = np.arange(1, k + 1)[:, None] * powers[:k]
+    df_db = np.sum(by_lag * powers[:k], axis=0)
+    df_dlam = (ssm.b * np.sum(by_lag * d_powers[:k], axis=0)
+               + np.sum(by_power * d_powers[1:], axis=0) + d_powers[k] * entry_sum)
+    p = df_dlam * ssm.delta * ssm.lam  # holomorphic dF/da
+    return SsmGrads(
+        z=grad_z,
+        delta=(df_dlam * ssm.a * ssm.lam).real,
+        a_log_neg_re=p.real * ssm.a.real,
+        a_im=-p.imag,
+        b=np.conj(df_db),
+        c_out=np.conj(df_dc),
+    )
+
+
+def _carry_entry_adjoints(ssm: DiagonalSSM, powers: np.ndarray, z: np.ndarray,
+                          entries: np.ndarray, drive, grad_z: np.ndarray):
+    """Carry the adjoints of the K-chunks' entry states back to z, b and lam
+    through the closed-form entry step, from x_0 = 0.
+
+    ``entries`` are the states ``_segment_entries`` returned, and are
+    overwritten; ``drive(j)`` is d_j, the (W, M) holomorphic adjoint of
+    entry j >= 1 from its own chunk's outputs.  One reversed ``_recur``
+    with lam^K carries a_j = lam^K a_{j+1} + d_j.  Entry j + 1 is the
+    closed-form step over full chunk j from entry j, so a_{j+1} adds
+    Re(b lam^(K-1-p) a_{j+1}) to ``grad_z[jK + p]`` in place.  Returns
+    (the (K, M) adjoint of b lam^tau, row tau; the (M,) adjoint of lam^K).
+    """
+    k = powers.shape[0] - 1
+    w, m = entries.shape[1:]
+    # The lam^K of the entry step wants sum_j a_j e_{j-1} = sum_j d_j S_j,
+    # S_j = sum_{i<j} lam^(K(j-1-i)) e_i, so one buffer serves all three:
+    # S_{j+1} overwrites e_j, then d_j overwrites S_{j+1} (read at chunk
+    # j + 1 just before), then a_j does.
+    zero = np.zeros((w, m), dtype=complex)
+    _recur(powers[k], entries, zero, entries)
+    entry_sum = np.zeros(m, dtype=complex)  # sum_j d_j S_j, per mode
+    for j in range(len(entries) - 1, 0, -1):
+        entries[j] = drive(j)
+        entry_sum += np.einsum("wm,wm->m", entries[j], entries[j - 1])
+    _recur(powers[k], entries[:0:-1], zero, entries[:0:-1])
+
+    exits = entries[1:]  # the adjoints of entries 1, 2, ...
+    z_exit = z[:len(exits) * k].reshape(len(exits), k, w)
+    b_powers = ssm.b * powers[k - 1::-1]  # row p is b lam^(k-1-p)
+    grad_z_full = grad_z[:len(exits) * k].reshape(-1, k, w)
+    grad_z_full += np.conj(b_powers).view(float) @ exits.view(float).swapaxes(1, 2)
+    # row p: sum over full chunks j and channels c of z[jk + p, c] exits[j, c]
+    z_s = (z_exit.transpose(1, 0, 2).reshape(k, -1)
+           @ exits.view(float).reshape(-1, 2 * m)).view(complex)
+    return z_s[::-1], entry_sum
+
+
 def backward_checkpointed(
     ssm: DiagonalSSM, z: np.ndarray, upstream: np.ndarray, interval: int
 ) -> SsmGrads:
@@ -387,20 +490,14 @@ def backward_checkpointed(
     * C, b and lam through the kernel's h[tau] = Re(C diag(b) lam^tau),
       via the lag correlation R[tau, i] = sum_t sum_c g[t, i, c] z[t-tau, c];
     * the entry term, on chunks >= 1 only: g @ e for C and lam, and
-      g^T @ A for the adjoint of each entry state;
-    * one reversed ``_recur`` with lam^K over the entry states carries that
-      adjoint across chunks, and the closed-form entry step passes it on to
-      z, b and lam; the lam^K of that step takes one forward ``_recur`` over
-      the entry states before they are overwritten.
+      g^T @ A for the adjoint of each entry state, which
+      ``_carry_entry_adjoints`` passes on to z, b and lam.
 
-    Nothing divides by lam: tau lam^(tau-1) is read from the pole-power table
-    shifted by one, so the result agrees with interval == 1 to roundoff for
-    any pole magnitude.  Each chunk's upstream is read in place, never
-    copied.  Besides sums the size of the kernel and the entry matrix, the
-    one large temporary is a single buffer of ceil(N/K) complex (W, M)
-    states that holds the entry states and then their adjoints: 2/K of the
-    size of ``upstream``, so within it for K >= 2 and twice it at K = 1,
-    where every state is an entry state.
+    Each chunk's upstream is read in place, never copied.  Besides sums the
+    size of the kernel, the one large temporary is a single buffer of
+    ceil(N/K) complex (W, M) states that holds the entry states and then
+    their adjoints: 2/K of the size of ``upstream``, so within it for
+    K >= 2 and twice it at K = 1, where every state is an entry state.
     """
     if interval < 1:
         raise ValueError("interval must be positive")
@@ -409,66 +506,214 @@ def backward_checkpointed(
     n, m, w = z.shape[0], ssm.state_dim, ssm.input_width
     if upstream.shape != (n, m, w):
         raise ValueError(f"upstream must be (N, M, W) = ({n}, {m}, {w}), got {upstream.shape}")
-    lam, b, c = ssm.lam, ssm.b, ssm.c_out
     k = _block_size(interval, n, w)
-    powers = _lam_powers(lam, k + 1)
-    d_powers = np.zeros_like(powers)  # row tau is tau lam^(tau-1), d(lam^tau)/d(lam)
-    d_powers[1:] = np.arange(1, k + 1)[:, None] * powers[:k]
+    powers = _lam_powers(ssm.lam, k + 1)
     entries = _segment_entries(ssm, powers, z, x0)
-    toeplitz, entry = _dual_kernels(ssm, powers)
+    op = _dual_kernel(ssm, powers)
+    entry, toeplitz = op[:, :2 * m], op[:, 2 * m:]
 
     # holomorphic adjoints; the loss is Re of a holomorphic function of the
     # complex quantities, so real gradients drop out via conjugation at the end
-    chunks = [(j, j * k, min(k, n - j * k)) for j in range(-(-n // k))]  # (index, start, length)
+    def chunk_upstream(j):
+        lo, ell = j * k, min(k, n - j * k)
+        return lo, ell, upstream[lo:lo + ell].reshape(ell * m, w)
+
     grad_z = np.empty_like(z)
     g_z = np.zeros((k * m, k))      # [(t, i), s]: sum over chunks, c of g[t, i, c] z[s, c]
     g_e = np.zeros((k * m, 2 * m))  # [(t, i), m]: sum over chunks, c of g[t, i, c] e[c, m]
-    for j, lo, ell in chunks:
-        g = upstream[lo:lo + ell].reshape(ell * m, w)
+    for j in range(-(-n // k)):
+        lo, ell, g = chunk_upstream(j)
         np.matmul(toeplitz[:ell * m, :ell].T, g, out=grad_z[lo:lo + ell])
         g_z[:ell * m, :ell] += g @ z[lo:lo + ell].T
         if j:  # chunk 0 enters from x_0 = 0
             g_e[:ell * m] += g @ entries[j].view(float)
 
-    # The adjoint a_j of entry j is driven by d_j = g_j^T @ A and carried back
-    # by a_j = lam^K a_{j+1} + d_j.  The lam^K of the entry step wants
-    # sum_j a_j e_{j-1} = sum_j d_j S_j, S_j = sum_{i<j} lam^(K(j-1-i)) e_i,
-    # so one buffer serves all three: S_{j+1} overwrites e_j, then d_j
-    # overwrites S_{j+1} (read at chunk j + 1 just before), then a_j does.
-    zero = np.zeros((w, m), dtype=complex)
-    _recur(powers[k], entries, zero, entries)
-    entry_sum = np.zeros(m, dtype=complex)  # sum_j d_j S_j, per mode
-    for j, lo, ell in chunks[:0:-1]:
-        g = upstream[lo:lo + ell].reshape(ell * m, w)
-        np.matmul(g.T, entry[:ell * m], out=entries[j].view(float))
-        entry_sum += np.einsum("wm,wm->m", entries[j], entries[j - 1])
-    _recur(powers[k], entries[:0:-1], zero, entries[:0:-1])
+    def drive(j):  # g_j^T @ A over chunk j
+        _, ell, g = chunk_upstream(j)
+        return (g.T @ entry[:ell * m]).view(complex)
 
-    # entry j + 1 is the closed-form step over full chunk j from entry j
-    exits = entries[1:]  # the adjoints of entries 1, 2, ...
-    z_exit = z[:len(exits) * k].reshape(len(exits), k, w)
-    b_powers = b * powers[k - 1::-1]  # row p is b lam^(k-1-p)
-    grad_z_full = grad_z[:len(exits) * k].reshape(-1, k, w)
-    grad_z_full += np.conj(b_powers).view(float) @ exits.view(float).swapaxes(1, 2)
-    # row p: sum over full chunks j and channels c of z[jk + p, c] exits[j, c]
-    z_s = (z_exit.transpose(1, 0, 2).reshape(k, -1)
-           @ exits.view(float).reshape(-1, 2 * m)).view(complex)
-
+    z_lag, entry_sum = _carry_entry_adjoints(ssm, powers, z, entries, drive, grad_z)
     lag = _lag_sums(g_z)  # R[tau, i]
     g_e = g_e.view(complex).reshape(k, m, m)
-    by_lag = lag @ c + z_s[::-1]  # d loss / d (b lam^tau), holomorphic
-    df_db = np.sum(by_lag * powers[:k], axis=0)
-    df_dlam = (b * np.sum(by_lag * d_powers[:k], axis=0)
-               + np.sum(c * np.einsum("tim,tm->im", g_e, d_powers[1:]), axis=0)
-               + d_powers[k] * entry_sum)
-    df_dc = (lag.T @ powers[:k]) * b + np.einsum("tim,tm->im", g_e, powers[1:])
+    return _ssm_grads(ssm, powers, grad_z,
+                      by_lag=lag @ ssm.c_out + z_lag,
+                      by_power=np.einsum("tim,im->tm", g_e, ssm.c_out),
+                      entry_sum=entry_sum,
+                      df_dc=(lag.T @ powers[:k]) * ssm.b + np.einsum("tim,tm->im", g_e, powers[1:]))
 
-    p = df_dlam * ssm.delta * ssm.lam  # holomorphic dF/da
-    return SsmGrads(
-        z=grad_z,
-        delta=(df_dlam * ssm.a * ssm.lam).real,
-        a_log_neg_re=p.real * ssm.a.real,
-        a_im=-p.imag,
-        b=np.conj(df_db),
-        c_out=np.conj(df_dc),
-    )
+
+def _flip_lags(a: np.ndarray) -> np.ndarray:
+    """b[c, t, h, x] = a[c, t, h, t - x] for x <= t and 0 above, over the
+    two length-L axes of a (C, L, P, L) array: the map between a chunk's
+    (t, s) order and its (t, lag) order, either way.  It is its own
+    adjoint, and it drops the acausal entries s > t."""
+    ell = a.shape[-1]
+    padded = np.zeros(a.shape[:-1] + (2 * ell - 1,))
+    padded[..., :ell] = a[..., ::-1]  # padded[..., u] = a[..., L-1-u], 0 for u >= L
+    # b[c, t, h, x] = padded[c, t, h, L-1-t+x]: each step in t moves one
+    # row on and one column back, so the view never leaves the buffer
+    s_c, s_t, s_h, s_u = padded.strides
+    return as_strided(padded[..., ell - 1:], shape=a.shape,
+                      strides=(s_c, s_t - s_u, s_h, s_u), writeable=False).copy()
+
+
+def _check_readout_input(ssm: DiagonalSSM, z: np.ndarray, f_q, chunk: int):
+    if chunk < 1:
+        raise ValueError("chunk must be positive")
+    f_q = _real(f_q, "f_q")
+    if f_q.ndim != 3 or f_q.shape[0] != z.shape[0] or not 1 <= f_q.shape[2] < ssm.input_width:
+        raise ValueError(f"f_q must be (N, P, R) with N = {z.shape[0]} and "
+                         f"1 <= R < W = {ssm.input_width}, got {f_q.shape}")
+    return f_q
+
+
+class _ReadoutBlock(NamedTuple):
+    """``query_readout``'s forward over one block of C chunks of L steps:
+    the block's inputs and every product its adjoint reads."""
+
+    rows: slice
+    f: np.ndarray       # (C, L P, R) query features
+    z: np.ndarray       # (C, L, W) inputs
+    e: np.ndarray       # (C, W, M) complex entry states
+    lam_t: np.ndarray   # (L, 1, M) complex, lam^(t+1)
+    scores: np.ndarray  # (C, L, P, L) F Z_r^T in lag order
+    fe: np.ndarray      # (C, L, P, M) complex, F E_r
+    alpha: np.ndarray   # (C L P, M)
+    beta: np.ndarray    # (C L P, M) complex
+    mix: np.ndarray     # (C, L P, L) P in (t, s) order
+    o: np.ndarray       # (C, L P, V) head outputs
+
+
+def _readout_blocks(ssm: DiagonalSSM, z: np.ndarray, f_q: np.ndarray, powers: np.ndarray,
+                    entries: np.ndarray, b_lags: np.ndarray, h: np.ndarray):
+    """Yield ``query_readout``'s forward block by block (``_chunk_blocks``)
+    for the K-chunks of the (K + 1, M) table ``powers``, given the chunks'
+    entry states and b_lags[tau] = b lam^tau, h[tau] = Re(C diag(b) lam^tau)."""
+    n, p, r = f_q.shape
+    k, m = powers.shape[0] - 1, ssm.state_dim
+    c = ssm.c_out
+    for lo, hi, ell in _chunk_blocks(n, k):
+        nc = (hi - lo) // ell
+        lam_t = powers[1:ell + 1, None, :]
+        f = f_q[lo:hi].reshape(nc, ell * p, r)
+        zb = z[lo:hi].reshape(nc, ell, -1)
+        e = entries[lo // k:lo // k + nc]
+        scores = _flip_lags((f @ zb[..., :r].swapaxes(1, 2)).reshape(nc, ell, p, ell))
+        fe = (f @ e[:, :r].view(float)).view(complex).reshape(nc, ell, p, m)
+        # Re(x C^T) is the float view of x times that of conj(C)^T
+        alpha = (scores.reshape(-1, ell) @ h[:ell]
+                 + (fe * lam_t).view(float).reshape(-1, 2 * m) @ np.conj(c).view(float).T)
+        beta = (alpha @ c.view(float)).view(complex)
+        lagged = beta.view(float) @ np.conj(b_lags[:ell]).view(float).T  # P in lag order
+        mix = _flip_lags(lagged.reshape(nc, ell, p, ell)).reshape(nc, ell * p, ell)
+        entry_out = (beta.reshape(nc, ell, p, m) * lam_t).view(float).reshape(nc, ell * p, 2 * m)
+        o = mix @ zb[..., r:] + entry_out @ np.conj(e[:, r:]).view(float).swapaxes(1, 2)
+        yield _ReadoutBlock(slice(lo, hi), f, zb, e, lam_t, scores, fe, alpha, beta, mix, o)
+
+
+def query_readout(ssm: DiagonalSSM, z: np.ndarray, f_q: np.ndarray, chunk: int,
+                  x0=None) -> ScanResult:
+    """The query readout of one group, o_t[h] = f_q[t, h] U_t^T Gamma_t,
+    where [U_t | Gamma_t] = ``scan_chunkwise(ssm, z, chunk, x0).outputs[t]``
+    splits the W channels at R = f_q.shape[2], without forming U_t or
+    Gamma_t.  Returns ``ScanResult`` with the (N, P, W - R) head outputs
+    and the (W, M) final state.
+
+    The chunks and their entry states e are those of ``scan_chunkwise``.
+    Per block of equal-length chunks, with h[tau] = Re(C diag(b) lam^tau):
+
+    * scores F Z_r^T, gathered into lag order S[t, tau] = (F Z_r^T)[t, t - tau];
+    * alpha = S @ h + Re(C (lam^(t+1) * F E_r)), the query's M mode weights;
+    * beta = alpha @ C;
+    * P[t, s] = Re(beta_t . b lam^(t-s)), made in lag order and gathered back;
+    * o = P @ Z_v + Re((beta * lam^(t+1)) E_v^T).
+
+    Each step is a batched GEMM over the block's chunks, and the largest
+    array is (N, P, K) or (N, P, M), against (N, M, W) for the scan.
+    """
+    z, x0 = _check_scan_input(ssm, z, x0)
+    f_q = _check_readout_input(ssm, z, f_q, chunk)
+    n, p, r = f_q.shape
+    k = _block_size(chunk, n, ssm.input_width)
+    powers = _lam_powers(ssm.lam, k + 1)
+    entries = _segment_entries(ssm, powers, z, x0)
+    outputs = np.empty((n, p, ssm.input_width - r))
+    for block in _readout_blocks(ssm, z, f_q, powers, entries, *_lag_kernels(ssm, powers)):
+        outputs[block.rows] = block.o.reshape(-1, p, outputs.shape[2])
+    return ScanResult(outputs=outputs, final_state=_final_state(ssm, powers, z, entries, x0))
+
+
+def query_readout_backward(ssm: DiagonalSSM, z: np.ndarray, f_q: np.ndarray,
+                           upstream: np.ndarray, chunk: int) -> tuple[SsmGrads, np.ndarray]:
+    """Reverse-mode gradients of loss = sum(upstream * outputs) for
+    ``query_readout`` from x_0 = 0: returns (``SsmGrads``, grad f_q).
+
+    The adjoint is the transposes of the forward's GEMMs, block by block.
+    The entry states' adjoints go through ``_carry_entry_adjoints``, as in
+    ``backward_checkpointed``, and b, C and lam get their gradients from the
+    same sums: the adjoints of b lam^tau by lag, of lam^(t+1) in the entry
+    maps and of lam^K in the entry step.  Nothing divides by lam.  Besides
+    (N, P, K) and (N, P, M) arrays, it holds two buffers of ceil(N/K)
+    complex (W, M) states: the entry states and their adjoints' drives.
+    """
+    z, x0 = _check_scan_input(ssm, z, None)
+    f_q = _check_readout_input(ssm, z, f_q, chunk)
+    upstream = _real(upstream, "upstream")
+    n, p, r = f_q.shape
+    m, w = ssm.state_dim, ssm.input_width
+    if upstream.shape != (n, p, w - r):
+        raise ValueError(f"upstream must be (N, P, W - R) = ({n}, {p}, {w - r}), "
+                         f"got {upstream.shape}")
+    c = ssm.c_out
+    k = _block_size(chunk, n, w)
+    powers = _lam_powers(ssm.lam, k + 1)
+    entries = _segment_entries(ssm, powers, z, x0)
+    b_lags, h = _lag_kernels(ssm, powers)
+
+    # holomorphic adjoints, as in backward_checkpointed; float views where
+    # a real operand meets a complex one
+    grad_z = np.empty_like(z)
+    grad_f = np.empty_like(f_q)
+    drives = np.empty_like(entries)            # row j: adjoint of entry j from chunk j
+    g_h = np.zeros((k, m))                     # of h[tau]
+    g_lags = np.zeros((k, 2 * m))              # of b lam^tau
+    by_power = np.zeros((k, m), dtype=complex)  # of lam^(t+1)
+    g_c = np.zeros((m, 2 * m))                 # of C
+    for fw in _readout_blocks(ssm, z, f_q, powers, entries, b_lags, h):
+        nc, ell = fw.scores.shape[:2]
+        chunks = slice(fw.rows.start // k, fw.rows.start // k + nc)
+        g_o = upstream[fw.rows].reshape(nc, ell * p, w - r)
+        beta = fw.beta.reshape(nc, ell, p, m)
+        # o = mix @ Z_v + Re((beta * lam^(t+1)) E_v^T)
+        g_mix = _flip_lags((g_o @ fw.z[..., r:].swapaxes(1, 2)).reshape(nc, ell, p, ell))
+        grad_z[fw.rows, r:] = (fw.mix.swapaxes(1, 2) @ g_o).reshape(-1, w - r)
+        g_entry = (g_o @ fw.e[:, r:].view(float)).view(complex).reshape(nc, ell, p, m)
+        drives[chunks, r:] = (g_o.swapaxes(1, 2) @ (beta * fw.lam_t).view(float)
+                              .reshape(nc, ell * p, 2 * m)).view(complex)
+        by_power[:ell] += np.einsum("cthm,cthm->tm", g_entry, beta)
+        # mix[t, s] = Re(beta_t . b lam^(t-s)), beta = alpha @ C
+        g_mix = g_mix.reshape(-1, ell)
+        g_beta = ((g_entry * fw.lam_t).reshape(-1, m)
+                  + (g_mix @ b_lags[:ell].view(float)).view(complex))
+        g_lags[:ell] += g_mix.T @ fw.beta.view(float)
+        g_alpha = g_beta.view(float) @ np.conj(c).view(float).T
+        g_c += fw.alpha.T @ g_beta.view(float)
+        # alpha = S @ h + Re(C (lam^(t+1) * F E_r))
+        g_fe = (g_alpha @ c.view(float)).view(complex).reshape(nc, ell, p, m)
+        g_c += g_alpha.T @ (fw.fe * fw.lam_t).view(float).reshape(-1, 2 * m)
+        by_power[:ell] += np.einsum("cthm,cthm->tm", g_fe, fw.fe)
+        g_fe = (g_fe * fw.lam_t).view(float).reshape(nc, ell * p, 2 * m)
+        drives[chunks, :r] = (fw.f.swapaxes(1, 2) @ g_fe).view(complex)
+        g_h[:ell] += fw.scores.reshape(-1, ell).T @ g_alpha
+        g_scores = _flip_lags((g_alpha @ h[:ell].T).reshape(nc, ell, p, ell))
+        g_scores = g_scores.reshape(nc, ell * p, ell)
+        grad_z[fw.rows, :r] = (g_scores.swapaxes(1, 2) @ fw.f).reshape(-1, r)
+        g_f = g_scores @ fw.z[..., :r] + g_fe @ np.conj(fw.e[:, :r]).view(float).swapaxes(1, 2)
+        grad_f[fw.rows] = g_f.reshape(-1, p, r)
+
+    z_lag, entry_sum = _carry_entry_adjoints(ssm, powers, z, entries, drives.__getitem__, grad_z)
+    return _ssm_grads(ssm, powers, grad_z,
+                      by_lag=g_h @ c + g_lags.view(complex) + z_lag,
+                      by_power=by_power,
+                      entry_sum=entry_sum,
+                      df_dc=g_c.view(complex) + g_h.T @ b_lags), grad_f

@@ -11,7 +11,7 @@ import numpy as np
 
 from interdomain.config import ModelConfig, validate
 from interdomain.features import NormBias
-from interdomain.ssm import ssm_with
+from interdomain.ssm import backward_checkpointed, run_scan, ssm_with
 
 
 def rel_err(got: np.ndarray, want: np.ndarray) -> float:
@@ -69,6 +69,22 @@ def query_readout_loop(f_q, scan_out, n_kv):
                 alpha = sum(f_q[t, h, j] * scan_out[t, g, i, j] for j in range(r))
                 out[t, h] += alpha * scan_out[t, g, i, r:]
     return out.reshape(n, -1)
+
+
+def query_readout_reference(ssm, z, f_q, upstream, chunk):
+    """Gradients of loss = sum(upstream * o) for one group's query readout,
+    o[t, h] = f_q[t, h] U_t^T Gamma_t, the way the layer took them before
+    the readout had its own adjoint: form the (N, M, W) scan outputs
+    [U | Gamma], take the readout's gradient with respect to them, and pass
+    that to ``backward_checkpointed``.  Returns (SsmGrads, grad f_q)."""
+    r = f_q.shape[2]
+    scan_out = run_scan(ssm, z, "chunkwise", chunk=chunk).outputs
+    alphas = f_q @ scan_out[..., :r].swapaxes(-1, -2)          # (N, P, M)
+    grad_alpha = upstream @ scan_out[..., r:].swapaxes(-1, -2)
+    grad_scan = np.empty_like(scan_out)
+    grad_scan[..., r:] = alphas.swapaxes(-1, -2) @ upstream
+    grad_scan[..., :r] = grad_alpha.swapaxes(-1, -2) @ f_q
+    return backward_checkpointed(ssm, z, grad_scan, chunk), grad_alpha @ scan_out[..., :r]
 
 
 def contraction_readout_loop(scan_out, contraction, n_kv):

@@ -155,13 +155,22 @@ def test_shared_group_feeds_every_head():
 @pytest.mark.parametrize("n_kv", [1, 2])
 def test_readout_matches_per_head_loop(variant, n_kv):
     config, params = variant_setup(variant, n_kv=n_kv)
-    x = make_rng(40).standard_normal((6, config.model_dim))
+    n = 6
+    x = make_rng(40).standard_normal((n, config.model_dim))
     _, trace = forward_trace(params, x, config)
     if variant in QUERY_VARIANTS:
         want = query_readout_loop(trace["f_q"], trace["scan_out"], n_kv)
     else:
         want = contraction_readout_loop(trace["scan_out"], params.contraction, n_kv)
     assert rel_err(trace["o_cat"], want) < 1e-12
+    # the chunkwise backend, whose query readout never forms the scan
+    # outputs, from one step per chunk through a ragged chunk to one chunk
+    # past N
+    for chunk in (1, 3, n, n + 5):
+        chunked = dataclasses.replace(config, backend="chunkwise", chunk_size=chunk)
+        _, got = forward_trace(params, x, chunked)
+        assert ("scan_out" in got) == (variant not in QUERY_VARIANTS)
+        assert rel_err(got["o_cat"], want) < 1e-12, chunk
 
 
 # --- gating ---
@@ -203,15 +212,20 @@ def test_prefill_plus_decode_matches_forward(variant):
 
 
 def test_prefill_chunking_invariant():
+    # every block after the first continues from a nonzero state; under the
+    # chunkwise backend that state enters the query readout's first chunk
     config, params = variant_setup("full_interdomain", seed=12)
     x = make_rng(13).standard_normal((11, config.model_dim))
     full, st_full = prefill(params, x, config)
-    for chunk in (1, 2, 7, 11, 99):
-        got, st = prefill(params, x, config, chunk=chunk)
-        assert rel_err(got, full) < 1e-12
-        assert st.position == st_full.position
-        for a, b in zip(st.ssm_states, st_full.ssm_states):
-            assert rel_err(a, b) < 1e-12
+    for backend, chunk_size in (("sequential", 3), ("chunkwise", 1), ("chunkwise", 3),
+                                ("chunkwise", 16)):
+        cfg = dataclasses.replace(config, backend=backend, chunk_size=chunk_size)
+        for chunk in (1, 2, 7, 11, 99):
+            got, st = prefill(params, x, cfg, chunk=chunk)
+            assert rel_err(got, full) < 1e-12, (backend, chunk_size, chunk)
+            assert st.position == st_full.position
+            for a, b in zip(st.ssm_states, st_full.ssm_states):
+                assert rel_err(a, b) < 1e-12
 
 
 def test_state_shapes_do_not_grow():
@@ -293,6 +307,28 @@ def test_non_finite_input_is_rejected():
             decode_step(params, broken, x[0], config)
         with pytest.raises(ValueError, match=f"state.{name} must be finite"):
             prefill(params, x, config, state=broken)
+
+
+@pytest.mark.parametrize("entry", ["forward", "prefill", "decode_step", "backward"])
+def test_complex_input_is_rejected(entry):
+    # a complex input must not be cut to its real part
+    config, params = variant_setup("full_interdomain")
+    x = make_rng(45).standard_normal((4, config.model_dim))
+    bad = x + 1j
+    if entry == "forward":
+        with pytest.raises(ValueError, match="x must be real"):
+            forward(params, bad, config)
+    elif entry == "prefill":
+        with pytest.raises(ValueError, match="x must be real"):
+            prefill(params, bad, config, chunk=2)
+    elif entry == "decode_step":
+        with pytest.raises(ValueError, match="token must be real"):
+            decode_step(params, init_decode_state(config), bad[0], config)
+    else:
+        with pytest.raises(ValueError, match="x must be real"):
+            backward(params, bad, x, config)
+        with pytest.raises(ValueError, match="upstream must be real"):
+            backward(params, x, bad, config)
 
 
 def test_decode_state_from_another_variant_is_rejected():
@@ -477,8 +513,9 @@ def test_tracer_rebinds_layer_attributes():
 @pytest.mark.parametrize("n_kv", [1, 2])
 def test_one_scan_and_one_ssm_backward_per_group(monkeypatch, n_kv):
     """The traced benchmark counts ``run_scan`` calls per decode step against
-    ``n_kv``; wrap the names in the layer namespace the way it does."""
-    config, params = variant_setup("full_interdomain", n_kv=n_kv)
+    ``n_kv``; wrap the names in the layer namespace the way it does.  The
+    backward makes one SSM adjoint call per group: the query readout's for
+    the query variants, ``backward_checkpointed`` for the others."""
     counts = Counter()
 
     def counting(name):
@@ -489,12 +526,19 @@ def test_one_scan_and_one_ssm_backward_per_group(monkeypatch, n_kv):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("run_scan", "backward_checkpointed"):
+    for name in ("run_scan", "backward_checkpointed", "query_readout_backward"):
         monkeypatch.setattr(layer_module, name, counting(name))
-    rng = make_rng(44)
-    x = rng.standard_normal((4, config.model_dim))
-    decode_step(params, init_decode_state(config), x[0], config)
-    assert counts == {"run_scan": n_kv}
-    counts.clear()
-    backward(params, x, rng.standard_normal((4, config.model_dim)), config)
-    assert counts["backward_checkpointed"] == n_kv
+    for variant in ("full_interdomain", "s4d_only"):
+        config, params = variant_setup(variant, n_kv=n_kv)
+        rng = make_rng(44)
+        x = rng.standard_normal((4, config.model_dim))
+        counts.clear()
+        decode_step(params, init_decode_state(config), x[0], config)
+        assert counts == {"run_scan": n_kv}
+        counts.clear()
+        backward(params, x, rng.standard_normal((4, config.model_dim)), config)
+        if variant in QUERY_VARIANTS:
+            assert counts["query_readout_backward"] == n_kv
+            assert counts["backward_checkpointed"] == 0
+        else:
+            assert counts["backward_checkpointed"] == n_kv

@@ -12,6 +12,8 @@ from interdomain.ssm import (
     backward_checkpointed,
     discretize,
     make_ssm,
+    query_readout,
+    query_readout_backward,
     random_ssm,
     run_scan,
     s4d_inv_init,
@@ -22,7 +24,13 @@ from interdomain.ssm import (
     ssm_with,
 )
 
-from helpers import central_diff, central_diff_complex, naive_unroll, rel_err
+from helpers import (
+    central_diff,
+    central_diff_complex,
+    naive_unroll,
+    query_readout_reference,
+    rel_err,
+)
 
 BACKENDS = ("sequential", "fft", "chunkwise", "parallel_prefix")
 
@@ -172,6 +180,59 @@ def test_chunkwise_degenerate_chunk_sizes():
             assert rel_err(got_outputs, want_outputs) < 1e-12, (mag, chunk)
 
 
+def readout_cases():
+    """(ssm, z, f_q, upstream, x0) over the query readout's shapes: one to
+    three heads per group, N from 1 to past W, every pole at |lam| = 0.01
+    or the standard init."""
+    rng = make_rng(35)
+    for n, m, r, v, p in [(1, 2, 1, 1, 2), (7, 4, 3, 2, 1), (10, 3, 4, 4, 3), (33, 5, 4, 3, 2)]:
+        base = random_ssm(m, r + v, rng)
+        tiny = ssm_with(base, a=np.log(0.01) / 0.1 + 1j * base.a.imag, delta=np.full(m, 0.1))
+        for ssm in (base, tiny):
+            yield (ssm, rng.standard_normal((n, r + v)), rng.standard_normal((n, p, r)),
+                   rng.standard_normal((n, p, v)),
+                   rng.standard_normal((r + v, m)) + 1j * rng.standard_normal((r + v, m)))
+
+
+def test_query_readout_matches_sequential_scan():
+    # K = min(chunk, N, W): one step per chunk, ragged last chunks, and one
+    # chunk of N when N <= W; from zero and from a nonzero x0
+    for ssm, z, f_q, _, x0 in readout_cases():
+        n, r = z.shape[0], f_q.shape[2]
+        for start in (None, x0):
+            want = scan_sequential(ssm, z, start)
+            want_o = f_q @ want.outputs[..., :r].swapaxes(-1, -2) @ want.outputs[..., r:]
+            for chunk in (1, 3, n, n + 5):
+                got = query_readout(ssm, z, f_q, chunk, start)
+                assert rel_err(got.outputs, want_o) < 1e-12, (n, chunk)
+                assert rel_err(got.final_state, want.final_state) < 1e-12, (n, chunk)
+
+
+def test_query_readout_backward_matches_reference():
+    for ssm, z, f_q, up, _ in readout_cases():
+        for chunk in (1, 3, z.shape[0], z.shape[0] + 5):
+            want, want_f = query_readout_reference(ssm, z, f_q, up, chunk)
+            got, got_f = query_readout_backward(ssm, z, f_q, up, chunk)
+            assert rel_err(got_f, want_f) < 1e-12, chunk
+            for field in ("z", "delta", "a_log_neg_re", "a_im", "b", "c_out"):
+                assert rel_err(getattr(got, field), getattr(want, field)) < 1e-12, (chunk, field)
+
+
+def test_query_readout_validates_input():
+    ssm = small_ssm(w=3)
+    z = np.zeros((4, 3))
+    with pytest.raises(ValueError, match="f_q must be"):
+        query_readout(ssm, z, np.zeros((4, 1, 3)), 2)  # R = W leaves no value channel
+    with pytest.raises(ValueError, match="f_q must be"):
+        query_readout(ssm, z, np.zeros((5, 1, 2)), 2)
+    with pytest.raises(ValueError, match="f_q must be real"):
+        query_readout(ssm, z, np.full((4, 1, 2), 1j), 2)
+    with pytest.raises(ValueError, match="chunk"):
+        query_readout(ssm, z, np.zeros((4, 1, 2)), 0)
+    with pytest.raises(ValueError, match="upstream must be"):
+        query_readout_backward(ssm, z, np.zeros((4, 1, 2)), np.zeros((4, 1, 2)), 2)
+
+
 def test_chunkwise_rejects_bad_chunk():
     ssm = small_ssm()
     with pytest.raises(ValueError):
@@ -254,20 +315,23 @@ def test_complex_drive_rejected():
         backward_checkpointed(ssm, z.real, np.full((4, 4, 2), 1j), 2)
 
 
-@pytest.mark.parametrize("chunk", [16, 2048])
+@pytest.mark.parametrize("chunk", [1, 16, 2048])
 def test_chunkwise_memory_bounded_by_outputs(chunk):
-    # the Toeplitz kernel holds K^2 M floats; K = min(chunk, N, W) keeps it,
-    # and so the whole scan, within a few times the (N, M, W) outputs even
-    # when the chunk is as long as the input
-    ssm = small_ssm(m=16, w=32, seed=31)
-    z = make_rng(32).standard_normal((2048, 32))
+    # besides the (N, M, W) outputs the scan holds one buffer of ceil(N/K)
+    # (W, 2M + K) operands, the entry states written straight into them,
+    # and no full-size product temporary; K = min(chunk, N, W) keeps the
+    # K^2 M kernel small even when the chunk is as long as the input
+    m, w, n = 16, 32, 2048
+    ssm = small_ssm(m=m, w=w, seed=31)
+    z = make_rng(32).standard_normal((n, w))
     tracemalloc.start()
     try:
         outputs = scan_chunkwise(ssm, z, chunk).outputs
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4.5 * outputs.nbytes
+    k = min(chunk, n, w)
+    assert peak <= (1.25 + (2 * m + k) / (k * m)) * outputs.nbytes
 
 
 @pytest.mark.parametrize("interval", [1, 2, 16, 2048])
