@@ -8,7 +8,7 @@ fixed-state mixer is visibly independent of sequence length.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .config import GENERIC_INPUT_VARIANTS, QUERY_VARIANTS, ModelConfig, validate
 

@@ -105,6 +105,11 @@ def validate(config: ModelConfig) -> ModelConfig:
         raise ConfigError(
             f"n_kv must be 1 (shared state) or heads={config.heads}, got {config.n_kv}"
         )
+    if config.rope_enabled and config.head_dim % 2:
+        raise ConfigError(
+            "rope_enabled rotates head_dim in pairs, so head_dim must be even, "
+            f"got {config.head_dim}"
+        )
     if config.variant in GENERIC_INPUT_VARIANTS and config.feature_dim != config.head_dim:
         raise ConfigError(
             "generic-input variants keep the coefficient width equal to the "

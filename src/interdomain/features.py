@@ -28,14 +28,11 @@ FEATURE_KINDS = ("rff", "silu_l2", "identity")
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    # split by sign so neither branch exponentiates a large positive number
+    # exp(-|x|) never exponentiates a large positive number: 1 / (1 + e^-x)
+    # for x >= 0, e^x / (1 + e^x) below
     x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def silu(x: np.ndarray) -> np.ndarray:

@@ -2,16 +2,28 @@
 SSMs over [key-features, values], and a query-conditioned readout.
 
 Four mechanism variants share one code path; they differ only in which
-streams exist and how the SSM outputs are contracted:
+streams exist and how the SSM outputs are contracted.  Every stream runs
+the same pipeline, x W -> short conv -> (N, rows, head_dim) -> RoPE ->
+feature map -> input norm, with some stages switched off (``_streams``):
 
-* ``full_interdomain``    q -> conv -> RoPE -> features; k likewise (then a
-                          norm+bias), v projected and normed; readout
-                          features(q_t) @ U_t^T @ Gamma_t per head.
-* ``dual_kv_linear``      same k/v streams, no query path; the per-position
-                          SSM outputs are flattened and contracted by a
-                          learned per-head matrix.
-* ``single_input_qproj``  generic [a_t, b_t] streams (conv on both, RoPE on
-                          a, norm+bias, no feature map), query path kept.
+    stream  rows     conv      RoPE  feature map       norm    variants
+    k       n_kv     yes       yes   all but generic   k_norm  all
+    v       n_kv     generic   no    no                v_norm  all
+    q       heads    yes       yes   yes               no      query
+
+The SSM input is z = [normed k | normed v]; the q stream's output is the
+query features f_q.  "RoPE" follows ``rope_enabled``; "generic" is
+``GENERIC_INPUT_VARIANTS``, whose k and v are the [a_t, b_t] streams, and
+"query" is ``QUERY_VARIANTS``.  ``backward`` runs the same stages' adjoints
+in reverse.  Per variant:
+
+* ``full_interdomain``    k, v and q; readout features(q_t) @ U_t^T @ Gamma_t
+                          per head.
+* ``dual_kv_linear``      k and v, no query path; the per-position SSM
+                          outputs are flattened and contracted by a learned
+                          per-head matrix.
+* ``single_input_qproj``  generic a, b streams (conv on both, RoPE on a, no
+                          feature map) and the query path.
 * ``s4d_only``            generic streams and the learned contraction; no
                           query path at all.
 
@@ -209,18 +221,33 @@ def _check_state(state: LayerState, config: ModelConfig) -> None:
             _check_finite(f"state.{name}", getattr(state, name))
 
 
+def _streams(params: LayerParams, config: ModelConfig) -> list[tuple]:
+    """The variant's input streams, in the order k, v, q that ``backward``
+    adds up their input gradients in.  Each is (name, rows per token, RoPE
+    on, feature map or None, input norm or None); stream ``name`` projects
+    with ``w_<name>``, convolves with ``conv_<name>`` (None: no conv) and
+    carries that conv's tail in ``LayerState.conv_<name>_tail``."""
+    fmap = params.feature_map
+    key_map = None if config.variant in GENERIC_INPUT_VARIANTS else fmap
+    streams = [("k", config.n_kv, config.rope_enabled, key_map, params.k_norm),
+               ("v", config.n_kv, False, None, params.v_norm)]
+    if config.variant in QUERY_VARIANTS:
+        streams.append(("q", config.heads, config.rope_enabled, fmap, None))
+    return streams
+
+
 def _forward_core(
     params: LayerParams,
     x_seq: np.ndarray,
     config: ModelConfig,
     state: LayerState | None,
     backend: str | None = None,
-    want_trace: bool = False,
 ):
     """Shared forward over a block of tokens, optionally continuing a state.
 
     Returns (y, new_state, trace); the trace holds every intermediate the
-    backward pass and the diagnostic tests tap.
+    backward pass and the diagnostic tests tap, among them one (projected,
+    rotated, features) entry per stream.
     """
     x_seq = _real(x_seq, "x")
     if x_seq.ndim != 2 or x_seq.shape[1] != config.model_dim or x_seq.shape[0] == 0:
@@ -231,7 +258,6 @@ def _forward_core(
     heads, n_kv = config.heads, config.n_kv
     w = r + dh
     has_q = config.variant in QUERY_VARIANTS
-    generic = config.variant in GENERIC_INPUT_VARIANTS
     if state is None:
         # The training path caps at the configured window; a live decode
         # session may run past it (the state does not grow with position).
@@ -244,48 +270,32 @@ def _forward_core(
     positions = state.position + np.arange(n)
     trace: dict = {"x": x_seq, "positions": positions}
 
-    # --- query stream ---
-    if has_q:
-        q_flat = x_seq @ params.w_q
-        q_conv, q_tail = short_conv_with_tail(q_flat, params.conv_q, state.conv_q_tail)
-        q_heads = q_conv.reshape(n, heads, dh)
-        q_rot = rope_apply(q_heads, positions) if config.rope_enabled else q_heads
-        f_q = apply_feature_map(params.feature_map, q_rot)
-        trace.update(q_flat=q_flat, q_rot=q_rot, f_q=f_q)
-    else:
-        q_tail = None
-
-    # --- key (or generic a) stream ---
-    k_flat = x_seq @ params.w_k
-    k_conv, k_tail = short_conv_with_tail(k_flat, params.conv_k, state.conv_k_tail)
-    k_groups = k_conv.reshape(n, n_kv, dh)
-    k_rot = rope_apply(k_groups, positions) if config.rope_enabled else k_groups
-    k_feat = k_rot if generic else apply_feature_map(params.feature_map, k_rot)
-    trace.update(k_flat=k_flat, k_rot=k_rot, k_feat=k_feat)
-
-    # --- value (or generic b) stream ---
-    v_flat = x_seq @ params.w_v
-    if generic:
-        v_conv, v_tail = short_conv_with_tail(v_flat, params.conv_v, state.conv_v_tail)
-    else:
-        v_conv, v_tail = v_flat, None
-    v_groups = v_conv.reshape(n, n_kv, dh)
-    trace.update(v_flat=v_flat, v_groups=v_groups)
-
-    # --- normalized SSM input ---
-    z = np.concatenate(
-        [rmsnorm_bias(k_feat, params.k_norm), rmsnorm_bias(v_groups, params.v_norm)],
-        axis=-1,
-    )
+    # --- streams: projection -> short conv -> heads -> RoPE -> features -> norm ---
+    outs = {}
+    tails = {"conv_q_tail": None, "conv_k_tail": None, "conv_v_tail": None}
+    for name, rows, rope, fmap, norm in _streams(params, config):
+        flat = x_seq @ getattr(params, f"w_{name}")
+        conv = getattr(params, f"conv_{name}")
+        mixed = flat
+        if conv is not None:
+            mixed, tails[f"conv_{name}_tail"] = short_conv_with_tail(
+                flat, conv, getattr(state, f"conv_{name}_tail"))
+        split = mixed.reshape(n, rows, dh)
+        rot = rope_apply(split, positions) if rope else split
+        feat = rot if fmap is None else apply_feature_map(fmap, rot)
+        outs[name] = feat if norm is None else rmsnorm_bias(feat, norm)
+        trace[name] = (flat, rot, feat)
+    z = np.concatenate([outs["k"], outs["v"]], axis=-1)
     trace["z"] = z
+    per_group = heads // n_kv
+    if has_q:
+        trace["f_q"] = outs["q"]
+        f_groups = outs["q"].reshape(n, n_kv, per_group, r)
 
     # --- per-group scans and readout, batched over (N, group) with the
     # group's heads on one axis; the chunkwise query readout never forms the
     # scan outputs ---
-    per_group = heads // n_kv
     fused = has_q and backend == "chunkwise"
-    if has_q:
-        f_groups = f_q.reshape(n, n_kv, per_group, r)
     outputs = np.empty((n, n_kv, per_group, dh) if fused else (n, n_kv, m, w))
     ssm_states = np.empty_like(state.ssm_states)
     for g in range(n_kv):
@@ -320,14 +330,8 @@ def _forward_core(
     trace["gated"] = gated
     y = gated @ params.w_o
 
-    new_state = LayerState(
-        position=state.position + n,
-        ssm_states=ssm_states,
-        conv_q_tail=q_tail,
-        conv_k_tail=k_tail,
-        conv_v_tail=v_tail,
-    )
-    return y, new_state, (trace if want_trace else None)
+    new_state = LayerState(position=state.position + n, ssm_states=ssm_states, **tails)
+    return y, new_state, trace
 
 
 def forward(params: LayerParams, x_seq: np.ndarray, config: ModelConfig) -> np.ndarray:
@@ -338,7 +342,7 @@ def forward(params: LayerParams, x_seq: np.ndarray, config: ModelConfig) -> np.n
 
 def forward_trace(params: LayerParams, x_seq: np.ndarray, config: ModelConfig):
     """Forward plus the intermediate tensors, for tests and diagnostics."""
-    y, _, trace = _forward_core(params, x_seq, config, state=None, want_trace=True)
+    y, _, trace = _forward_core(params, x_seq, config, state=None)
     return y, trace
 
 
@@ -367,7 +371,8 @@ def prefill(
         raise ValueError("prefill chunk must be positive")
     blocks = []
     for start in range(0, n, chunk):
-        y_block, state, _ = _forward_core(params, x_seq[start:start + chunk], config, state)
+        # unpack only (y, state), so no block's trace outlives its block
+        y_block, state = _forward_core(params, x_seq[start:start + chunk], config, state)[:2]
         blocks.append(y_block)
     y = np.concatenate(blocks, axis=0) if blocks else np.zeros((0, config.model_dim))
     return y, state
@@ -387,9 +392,7 @@ def decode_step(
         raise ValueError(f"token must be ({config.model_dim},), got {token.shape}")
     _check_finite("token", token)
     _check_state(state, config)
-    y, new_state, _ = _forward_core(
-        params, token[None, :], config, state, backend="sequential"
-    )
+    y, new_state, _ = _forward_core(params, token[None, :], config, state, backend="sequential")
     return y[0], new_state
 
 
@@ -420,8 +423,7 @@ def backward(
     (delta, log(-Re a), Im a).  Variants without a stream simply have no
     entry for its parameters.
     """
-    y, _, trace = _forward_core(params, x_seq, config, state=None, backend="chunkwise",
-                                want_trace=True)
+    y, _, trace = _forward_core(params, x_seq, config, state=None, backend="chunkwise")
     upstream = _real(upstream, "upstream")
     if upstream.shape != y.shape:
         raise ValueError(f"upstream must match the output shape {y.shape}")
@@ -432,7 +434,6 @@ def backward(
     heads, n_kv = config.heads, config.n_kv
     w = r + dh
     has_q = config.variant in QUERY_VARIANTS
-    generic = config.variant in GENERIC_INPUT_VARIANTS
     positions = trace["positions"]
     grads: dict[str, np.ndarray] = {}
     grad_x = np.zeros_like(trace["x"])
@@ -453,6 +454,7 @@ def backward(
     # readout and SSM backward per group, batched over the group's heads
     per_group = heads // n_kv
     z = trace["z"]
+    grad_outs = {}
     if has_q:
         f_q = trace["f_q"].reshape(n, n_kv, per_group, r)
         grad_o = grad_o_cat.reshape(n, n_kv, per_group, dh)
@@ -462,7 +464,7 @@ def backward(
             for g in range(n_kv)
         ]
         ssm_grads = [sg for sg, _ in per_group_grads]
-        grad_f_q = np.stack([gf for _, gf in per_group_grads], axis=1).reshape(n, heads, r)
+        grad_outs["q"] = np.stack([gf for _, gf in per_group_grads], axis=1).reshape(n, heads, r)
     else:
         flat = trace["scan_out"].reshape(n, n_kv, m * w).swapaxes(0, 1)  # (G, N, M W)
         grad_o = grad_o_cat.reshape(n, n_kv, per_group * dh).swapaxes(0, 1)
@@ -475,44 +477,25 @@ def backward(
     for field in ("delta", "a_log_neg_re", "a_im", "b", "c_out"):
         grads[f"ssm.{field}"] = np.stack([getattr(sg, field) for sg in ssm_grads])
     grad_z = np.stack([sg.z for sg in ssm_grads], axis=1)
-    grad_k_feat, grads["k_norm.gain"], grads["k_norm.bias"] = rmsnorm_bias_backward(
-        trace["k_feat"], params.k_norm, grad_z[..., :r]
-    )
-    grad_v_groups, grads["v_norm.gain"], grads["v_norm.bias"] = rmsnorm_bias_backward(
-        trace["v_groups"], params.v_norm, grad_z[..., r:]
-    )
+    grad_outs.update(k=grad_z[..., :r], v=grad_z[..., r:])
 
-    # key stream: feature map -> rope -> conv -> projection
-    grad_k_rot = grad_k_feat if generic else feature_map_backward(
-        params.feature_map, trace["k_rot"], grad_k_feat
-    )
-    grad_k_conv = (
-        rope_apply(grad_k_rot, positions, inverse=True)
-        if config.rope_enabled else grad_k_rot
-    ).reshape(n, n_kv * dh)
-    grad_k_flat, grads["conv_k"] = _conv_backward(trace["k_flat"], params.conv_k, grad_k_conv)
-    grads["w_k"] = trace["x"].T @ grad_k_flat
-    grad_x += grad_k_flat @ params.w_k.T
-
-    # value stream
-    grad_v_conv = grad_v_groups.reshape(n, n_kv * dh)
-    if generic:
-        grad_v_flat, grads["conv_v"] = _conv_backward(trace["v_flat"], params.conv_v, grad_v_conv)
-    else:
-        grad_v_flat = grad_v_conv
-    grads["w_v"] = trace["x"].T @ grad_v_flat
-    grad_x += grad_v_flat @ params.w_v.T
-
-    # query stream
-    if has_q:
-        grad_q_rot = feature_map_backward(params.feature_map, trace["q_rot"], grad_f_q)
-        grad_q_conv = (
-            rope_apply(grad_q_rot, positions, inverse=True)
-            if config.rope_enabled else grad_q_rot
-        ).reshape(n, config.model_dim)
-        grad_q_flat, grads["conv_q"] = _conv_backward(trace["q_flat"], params.conv_q, grad_q_conv)
-        grads["w_q"] = trace["x"].T @ grad_q_flat
-        grad_x += grad_q_flat @ params.w_q.T
+    # streams, in reverse: norm -> features -> RoPE -> conv -> projection
+    for name, rows, rope, fmap, norm in _streams(params, config):
+        flat, rot, feat = trace[name]
+        grad = grad_outs[name]
+        if norm is not None:
+            grad, grads[f"{name}_norm.gain"], grads[f"{name}_norm.bias"] = \
+                rmsnorm_bias_backward(feat, norm, grad)
+        if fmap is not None:
+            grad = feature_map_backward(fmap, rot, grad)
+        if rope:
+            grad = rope_apply(grad, positions, inverse=True)
+        grad = grad.reshape(n, rows * dh)
+        conv = getattr(params, f"conv_{name}")
+        if conv is not None:
+            grad, grads[f"conv_{name}"] = _conv_backward(flat, conv, grad)
+        grads[f"w_{name}"] = trace["x"].T @ grad
+        grad_x += grad @ getattr(params, f"w_{name}").T
 
     return grads, grad_x
 

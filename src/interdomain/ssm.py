@@ -585,10 +585,10 @@ class _ReadoutBlock(NamedTuple):
 
 
 def _readout_blocks(ssm: DiagonalSSM, z: np.ndarray, f_q: np.ndarray, powers: np.ndarray,
-                    entries: np.ndarray, b_lags: np.ndarray, h: np.ndarray):
+                    entries: np.ndarray, h: np.ndarray):
     """Yield ``query_readout``'s forward block by block (``_chunk_blocks``)
     for the K-chunks of the (K + 1, M) table ``powers``, given the chunks'
-    entry states and b_lags[tau] = b lam^tau, h[tau] = Re(C diag(b) lam^tau)."""
+    entry states and h[tau] = Re(C diag(b) lam^tau)."""
     n, p, r = f_q.shape
     k, m = powers.shape[0] - 1, ssm.state_dim
     c = ssm.c_out
@@ -604,8 +604,8 @@ def _readout_blocks(ssm: DiagonalSSM, z: np.ndarray, f_q: np.ndarray, powers: np
         alpha = (scores.reshape(-1, ell) @ h[:ell]
                  + (fe * lam_t).view(float).reshape(-1, 2 * m) @ np.conj(c).view(float).T)
         beta = (alpha @ c.view(float)).view(complex)
-        lagged = beta.view(float) @ np.conj(b_lags[:ell]).view(float).T  # P in lag order
-        mix = _flip_lags(lagged.reshape(nc, ell, p, ell)).reshape(nc, ell * p, ell)
+        # P in lag order: Re(beta . b lam^tau) = alpha . h[tau], as h is real
+        mix = _flip_lags((alpha @ h[:ell].T).reshape(nc, ell, p, ell)).reshape(nc, ell * p, ell)
         entry_out = (beta.reshape(nc, ell, p, m) * lam_t).view(float).reshape(nc, ell * p, 2 * m)
         o = mix @ zb[..., r:] + entry_out @ np.conj(e[:, r:]).view(float).swapaxes(1, 2)
         yield _ReadoutBlock(slice(lo, hi), f, zb, e, lam_t, scores, fe, alpha, beta, mix, o)
@@ -625,7 +625,8 @@ def query_readout(ssm: DiagonalSSM, z: np.ndarray, f_q: np.ndarray, chunk: int,
     * scores F Z_r^T, gathered into lag order S[t, tau] = (F Z_r^T)[t, t - tau];
     * alpha = S @ h + Re(C (lam^(t+1) * F E_r)), the query's M mode weights;
     * beta = alpha @ C;
-    * P[t, s] = Re(beta_t . b lam^(t-s)), made in lag order and gathered back;
+    * P[t, s] = Re(beta_t . b lam^(t-s)) = alpha_t . h[t-s], made in lag
+      order and gathered back;
     * o = P @ Z_v + Re((beta * lam^(t+1)) E_v^T).
 
     Each step is a batched GEMM over the block's chunks, and the largest
@@ -638,7 +639,7 @@ def query_readout(ssm: DiagonalSSM, z: np.ndarray, f_q: np.ndarray, chunk: int,
     powers = _lam_powers(ssm.lam, k + 1)
     entries = _segment_entries(ssm, powers, z, x0)
     outputs = np.empty((n, p, ssm.input_width - r))
-    for block in _readout_blocks(ssm, z, f_q, powers, entries, *_lag_kernels(ssm, powers)):
+    for block in _readout_blocks(ssm, z, f_q, powers, entries, _lag_kernels(ssm, powers)[1]):
         outputs[block.rows] = block.o.reshape(-1, p, outputs.shape[2])
     return ScanResult(outputs=outputs, final_state=_final_state(ssm, powers, z, entries, x0))
 
@@ -676,10 +677,9 @@ def query_readout_backward(ssm: DiagonalSSM, z: np.ndarray, f_q: np.ndarray,
     grad_f = np.empty_like(f_q)
     drives = np.empty_like(entries)            # row j: adjoint of entry j from chunk j
     g_h = np.zeros((k, m))                     # of h[tau]
-    g_lags = np.zeros((k, 2 * m))              # of b lam^tau
     by_power = np.zeros((k, m), dtype=complex)  # of lam^(t+1)
     g_c = np.zeros((m, 2 * m))                 # of C
-    for fw in _readout_blocks(ssm, z, f_q, powers, entries, b_lags, h):
+    for fw in _readout_blocks(ssm, z, f_q, powers, entries, h):
         nc, ell = fw.scores.shape[:2]
         chunks = slice(fw.rows.start // k, fw.rows.start // k + nc)
         g_o = upstream[fw.rows].reshape(nc, ell * p, w - r)
@@ -691,12 +691,11 @@ def query_readout_backward(ssm: DiagonalSSM, z: np.ndarray, f_q: np.ndarray,
         drives[chunks, r:] = (g_o.swapaxes(1, 2) @ (beta * fw.lam_t).view(float)
                               .reshape(nc, ell * p, 2 * m)).view(complex)
         by_power[:ell] += np.einsum("cthm,cthm->tm", g_entry, beta)
-        # mix[t, s] = Re(beta_t . b lam^(t-s)), beta = alpha @ C
+        # mix[t, s] = alpha_t . h[t - s], beta = alpha @ C
         g_mix = g_mix.reshape(-1, ell)
-        g_beta = ((g_entry * fw.lam_t).reshape(-1, m)
-                  + (g_mix @ b_lags[:ell].view(float)).view(complex))
-        g_lags[:ell] += g_mix.T @ fw.beta.view(float)
-        g_alpha = g_beta.view(float) @ np.conj(c).view(float).T
+        g_beta = (g_entry * fw.lam_t).reshape(-1, m)
+        g_alpha = g_beta.view(float) @ np.conj(c).view(float).T + g_mix @ h[:ell]
+        g_h[:ell] += g_mix.T @ fw.alpha
         g_c += fw.alpha.T @ g_beta.view(float)
         # alpha = S @ h + Re(C (lam^(t+1) * F E_r))
         g_fe = (g_alpha @ c.view(float)).view(complex).reshape(nc, ell, p, m)
@@ -713,7 +712,7 @@ def query_readout_backward(ssm: DiagonalSSM, z: np.ndarray, f_q: np.ndarray,
 
     z_lag, entry_sum = _carry_entry_adjoints(ssm, powers, z, entries, drives.__getitem__, grad_z)
     return _ssm_grads(ssm, powers, grad_z,
-                      by_lag=g_h @ c + g_lags.view(complex) + z_lag,
+                      by_lag=g_h @ c + z_lag,
                       by_power=by_power,
                       entry_sum=entry_sum,
                       df_dc=g_c.view(complex) + g_h.T @ b_lags), grad_f

@@ -82,6 +82,13 @@ def test_generic_variants_need_square_features():
     tiny_config(variant="s4d_only", feature_dim=4)
 
 
+def test_rope_needs_even_head_dim():
+    with pytest.raises(ConfigError, match="head_dim must be even"):
+        tiny_config(heads=2, model_dim=6, head_dim=3, feature_dim=3, state_dim=2, n_kv=2)
+    tiny_config(heads=2, model_dim=6, head_dim=3, feature_dim=3, state_dim=2, n_kv=2,
+                rope_enabled=False)
+
+
 def test_unknown_key_rejected():
     data = config_to_dict(tiny_config())
     data["mystery"] = 1
