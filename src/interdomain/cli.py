@@ -92,17 +92,29 @@ def _tiny(config: ModelConfig, variant: str) -> ModelConfig:
 
 def equiv_suite(config: ModelConfig, seed: int) -> SuiteReport:
     """Backend agreement on raw scans, plus prefill/decode round trips
-    against the one-shot forward for every variant."""
-    rng = make_rng(seed)
+    against the one-shot forward for every variant.
+
+    Each scan runs from x0 = 0 (outputs compared) and, as a continued
+    prefill does, from a random complex x0 (``_x0``: outputs and final
+    state).  The x0 draws come from their own generator, so the other cases
+    see the same data whether or not they run.
+    """
+    rng, x0_rng = make_rng(seed), make_rng(seed + 1)
     cases = []
     for n, m in ((1, 1), (2, 4), (16, 4), (257, 8)):
         ssm = random_ssm(m, 3, rng)
         z = rng.standard_normal((n, 3))
-        ref = run_scan(ssm, z, "sequential")
+        x0 = x0_rng.standard_normal((3, m)) + 1j * x0_rng.standard_normal((3, m))
+        ref, ref_x0 = run_scan(ssm, z, "sequential"), run_scan(ssm, z, "sequential", x0=x0)
         for backend in BACKENDS[1:]:
             got = run_scan(ssm, z, backend, chunk=min(16, n))
             cases.append(_case(f"scan_{backend}_n{n}_m{m}",
                                _rel(got.outputs, ref.outputs), 1e-8))
+        for backend in BACKENDS[1:]:
+            got = run_scan(ssm, z, backend, chunk=min(16, n), x0=x0)
+            cases.append(_case(f"scan_{backend}_n{n}_m{m}_x0",
+                               max(_rel(got.outputs, ref_x0.outputs),
+                                   _rel(got.final_state, ref_x0.final_state)), 1e-8))
     for variant in VARIANTS:
         cfg = _tiny(config, variant)
         params = init_layer_params(cfg, rng, contraction_scale=0.5)

@@ -258,12 +258,14 @@ def feature_map_backward(
         g_sin = grad_out[..., half:] * scale
         g_proj = -np.sin(proj) * g_cos + np.cos(proj) * g_sin
         return _project(g_proj, fmap.omega.swapaxes(-1, -2))
-    # silu_l2
-    v = silu(np.asarray(x, dtype=float))
+    # silu_l2; one sigmoid serves silu(x) = x s and its derivative
+    x = np.asarray(x, dtype=float)
+    s = sigmoid(x)
+    v = x * s
     norm = np.linalg.norm(v, axis=-1, keepdims=True)
     guarded = np.maximum(norm, L2_EPS)
     y = v / guarded
     # below the floor the scale is the constant 1/L2_EPS
     inner = np.sum(y * grad_out, axis=-1, keepdims=True)
     grad_v = np.where(norm > L2_EPS, (grad_out - y * inner) / guarded, grad_out / guarded)
-    return grad_v * silu_deriv(x)
+    return grad_v * (s * (1.0 + x * (1.0 - s)))

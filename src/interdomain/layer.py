@@ -185,12 +185,20 @@ def init_layer_params(
     )
 
 
+def _state_layout(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], np.dtype]]:
+    """(shape, dtype) of every array a decode state for ``config`` holds:
+    the per-group SSM states and the tail of each convolved stream."""
+    dh = config.head_dim
+    layout = {"ssm_states": ((config.n_kv, config.feature_dim + dh, config.state_dim),
+                             np.dtype(complex))}
+    layout.update({f"conv_{s.name}_tail": ((CONV_TAPS - 1, s.rows * dh), np.dtype(float))
+                   for s in streams(config) if s.conv})
+    return layout
+
+
 def init_decode_state(config: ModelConfig) -> LayerState:
-    dh, r, m = config.head_dim, config.feature_dim, config.state_dim
-    tails = {f"conv_{s.name}_tail": np.zeros((CONV_TAPS - 1, s.rows * dh))
-             for s in streams(config) if s.conv}
-    return LayerState(position=0,
-                      ssm_states=np.zeros((config.n_kv, r + dh, m), dtype=complex), **tails)
+    return LayerState(position=0, **{name: np.zeros(shape, dtype)
+                                     for name, (shape, dtype) in _state_layout(config).items()})
 
 
 def _check_finite(name: str, array: np.ndarray) -> None:
@@ -203,20 +211,22 @@ def _check_finite(name: str, array: np.ndarray) -> None:
 def _check_state(state: LayerState, config: ModelConfig) -> None:
     """Raise ValueError naming the first field of a passed-in decode state
     that ``init_decode_state(config)`` would not have made, or that holds a
-    NaN or an inf."""
+    NaN or an inf.  The layouts are compared without building a state."""
     position = state.position
     if isinstance(position, bool) or not isinstance(position, (int, np.integer)) or position < 0:
         raise ValueError(f"state.position must be an integer >= 0, got {position!r}")
-    fresh = init_decode_state(config)
-    layout = lambda a: None if a is None else \
-        (getattr(a, "shape", None), str(getattr(a, "dtype", type(a).__name__)))
+    layout = _state_layout(config)
     for name in ("ssm_states", "conv_q_tail", "conv_k_tail", "conv_v_tail"):
-        got, want = layout(getattr(state, name)), layout(getattr(fresh, name))
-        if got != want:
+        got, want = getattr(state, name), layout.get(name)
+        if got is None and want is None:
+            continue
+        if want is None or (getattr(got, "shape", None), getattr(got, "dtype", None)) != want:
+            got = None if got is None else \
+                (getattr(got, "shape", None), str(getattr(got, "dtype", type(got).__name__)))
+            want = None if want is None else (want[0], str(want[1]))
             raise ValueError(f"state.{name} must be (shape, dtype) {want} for this config, "
                              f"got {got}")
-        if got is not None:
-            _check_finite(f"state.{name}", getattr(state, name))
+        _check_finite(f"state.{name}", got)
 
 
 def _forward_core(

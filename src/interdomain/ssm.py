@@ -14,7 +14,12 @@ the state's float view (real and imaginary parts interleaved along M).
 
 Every scan returns the readouts and the final state, never the states in
 between.  All four compute the same map and are interchangeable;
-``scan_sequential`` is the definitional one.
+``scan_sequential`` is the definitional one.  ``scan_prefix`` is a
+work-efficient up-sweep/down-sweep scan over the states in place, about 2N
+combines.  ``scan_fft`` forms no state: each output is a real convolution
+of the inputs with the lag kernel h[tau] = Re(C diag(b) lam^tau) of the
+dual form below, by real FFT one mode at a time, and its final state is one
+closed-form step.
 
 The chunkwise scan is the dual (Toeplitz) form of Dao and Gu, *Transformers
 are SSMs* (2024).  The state entering each chunk comes from one closed-form
@@ -214,22 +219,31 @@ def scan_sequential(ssm: DiagonalSSM, z: np.ndarray, x0=None) -> ScanResult:
 
 
 def scan_fft(ssm: DiagonalSSM, z: np.ndarray, x0=None) -> ScanResult:
-    """Convolution form: x_t = sum_{s<=t} lam^(t-s) b z_s, via one padded FFT.
+    """Convolution form: each output is a real convolution of the inputs
+    with the lag kernel h[tau] = Re(C diag(b) lam^tau) of ``_lag_kernels``,
 
-    The kernel lam^tau comes from the cumulative-product table (O(N M)).
-    FFT length is the next power of two at or above 2N, which makes the
-    circular convolution linear on the first N samples.
+        y_t[:, c] = sum_{s<=t} h[t-s] z_s[c] + Re(C diag(lam^(t+1)) x0[c]),
+
+    made as irfft(rfft(h[:, i]) rfft(z)) one mode i at a time, with an FFT
+    length of the next power of two at or above 2N - 1, which makes the
+    circular convolution linear on the first N samples.  The entry term is
+    the entry map of ``_dual_kernel``'s first 2M columns, added only when x0
+    is nonzero; the final state is one closed-form step from x0.  Work is
+    O(M W N log N); besides the outputs it holds one mode's (n_fft, W)
+    spectrum and convolution, and no state is ever formed.
     """
     z, x0 = _check_scan_input(ssm, z, x0)
-    n = z.shape[0]
+    n, w, m = z.shape[0], ssm.input_width, ssm.state_dim
     powers = _lam_powers(ssm.lam, n + 1)
     n_fft = 1 << (2 * n - 1).bit_length()
-    kernel_hat = np.fft.fft(powers[:n], n=n_fft, axis=0)     # (F, M)
-    z_hat = np.fft.fft(z, n=n_fft, axis=0)                    # (F, W)
-    states = np.fft.ifft(z_hat[:, :, None] * kernel_hat[:, None, :], axis=0)[:n] * ssm.b
-    if np.any(x0):
-        states += powers[1:, None, :] * x0  # homogeneous part: lam^(t+1) x0
-    return _result(ssm, states, x0)
+    h_hat = np.fft.rfft(_lag_kernels(ssm, powers)[1], n_fft, axis=0)  # (F, M)
+    z_hat = np.fft.rfft(z, n_fft, axis=0)                              # (F, W)
+    outputs = np.empty((n, m, w))
+    for i in range(m):
+        outputs[:, i] = np.fft.irfft(h_hat[:, i, None] * z_hat, n_fft, axis=0)[:n]
+    if np.any(x0):  # Re(A[t] x0[c]), A[t] = C diag(lam^(t+1)), as in the dual form
+        outputs += (powers[1:, None, :] * ssm.c_out).view(float) @ np.conj(x0).view(float).T
+    return ScanResult(outputs=outputs, final_state=_final_state(ssm, powers, z, x0[None], x0))
 
 
 def _segment_entries(ssm: DiagonalSSM, powers: np.ndarray, z: np.ndarray,
@@ -369,24 +383,43 @@ def scan_chunkwise(ssm: DiagonalSSM, z: np.ndarray, chunk: int, x0=None) -> Scan
     return ScanResult(outputs=outputs, final_state=final)
 
 
-def scan_prefix(ssm: DiagonalSSM, z: np.ndarray, x0=None) -> ScanResult:
-    """Inclusive associative scan over (a, b) pairs with
-    (a1, b1) o (a2, b2) = (a1 a2, a2 b1 + b2); identity (1, 0).
+def _combine(states: np.ndarray, first: int, span: int, lam_span: np.ndarray) -> None:
+    """One level of ``scan_prefix``'s sweeps, in place: for every i = first
+    + span, first + 3 span, ..., states[i] = lam_span * states[i - span] +
+    states[i], which combines the run of ``span`` pairs ending at i with
+    the run ending at i - span on its left."""
+    right = states[first + span::2 * span]
+    right += lam_span * states[first::2 * span][:len(right)]
 
-    Doubling sweep: log2(N) vectorized passes.
+
+def scan_prefix(ssm: DiagonalSSM, z: np.ndarray, x0=None) -> ScanResult:
+    """Work-efficient inclusive associative scan (Blelloch, 1990) over the
+    pairs (lam, b z_t), (a1, b1) o (a2, b2) = (a1 a2, a2 b1 + b2), with
+    lam x0 folded into the first.
+
+    Every pair's ``a`` is a power of the one lam, and a run of 2^d pairs has
+    a = lam^(2^d), so each level needs only that (M,) power, made by
+    squaring.  The up-sweep leaves state i holding the run of 2^d pairs
+    ending at i, for the largest 2^d dividing i + 1; the down-sweep then
+    completes, level by level from the top, every state from the completed
+    one 2^d to its left.  Both work in place on the (N, W, M) states, in
+    about 2N combines over 2 log2(N) vectorized levels, and read out
+    through the states' float view.
     """
     z, x0 = _check_scan_input(ssm, z, x0)
     n = z.shape[0]
-    a = np.broadcast_to(ssm.lam, (n, 1, ssm.state_dim)).copy()
-    b = z[:, :, None] * ssm.b
-    b[:1] += ssm.lam * x0  # a slice, so N = 0 gives an empty result
-    shift = 1
-    while shift < n:
-        # order matters: b reads the pre-update a of the right block
-        b[shift:] = a[shift:] * b[:-shift] + b[shift:]
-        a[shift:] = a[:-shift] * a[shift:]
-        shift *= 2
-    return _result(ssm, b, x0)
+    states = z[:, :, None] * ssm.b
+    states[:1] += ssm.lam * x0  # a slice, so N = 0 gives an empty result
+    levels = []  # (2^d, lam^(2^d)) for every d with 2^(d+1) <= N
+    span, lam_span = 1, ssm.lam
+    while 2 * span <= n:
+        levels.append((span, lam_span))
+        span, lam_span = 2 * span, lam_span * lam_span
+    for span, lam_span in levels:        # up-sweep
+        _combine(states, span - 1, span, lam_span)
+    for span, lam_span in levels[::-1]:  # down-sweep
+        _combine(states, 2 * span - 1, span, lam_span)
+    return _result(ssm, states, x0)
 
 
 def run_scan(ssm: DiagonalSSM, z: np.ndarray, backend: str,

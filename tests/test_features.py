@@ -25,6 +25,7 @@ from interdomain.features import (
     short_conv_with_tail,
     sigmoid,
     silu,
+    silu_deriv,
 )
 
 from helpers import central_diff, rel_err
@@ -346,3 +347,21 @@ def test_feature_map_backward_below_the_norm_floor():
 
     grad = feature_map_backward(fmap, v, g)
     assert rel_err(grad, central_diff(loss, v, h=1e-12)) < 1e-3
+
+
+def test_silu_l2_backward_bit_identical_to_separate_silu_and_derivative():
+    # the backward makes one sigmoid for both silu(x) and silu'(x); against
+    # the two separate calls it must change no bit, on both branches of the
+    # sigmoid and on both sides of the norm floor
+    fmap = make_silu_l2()
+    rng = make_rng(24)
+    for scale in (1.0, 30.0, 1e-9):
+        x = rng.standard_normal((96, 4, 8)) * scale
+        g = rng.standard_normal(x.shape)
+        v = silu(x)
+        norm = np.linalg.norm(v, axis=-1, keepdims=True)
+        guarded = np.maximum(norm, L2_EPS)
+        y = v / guarded
+        inner = np.sum(y * g, axis=-1, keepdims=True)
+        grad_v = np.where(norm > L2_EPS, (g - y * inner) / guarded, g / guarded)
+        assert np.array_equal(feature_map_backward(fmap, x, g), grad_v * silu_deriv(x)), scale

@@ -284,6 +284,25 @@ def test_backends_agree_with_sequential(backend):
         assert rel_err(got.outputs, base.outputs) < 1e-8
 
 
+@pytest.mark.parametrize("backend", ["fft", "parallel_prefix"])
+def test_scan_matches_sequential_at_every_length(backend):
+    # N from 0 to 70 passes each power of two up to 64 on both sides, where
+    # the FFT length doubles and the up- and down-sweeps gain a level; the
+    # entry term and the first pair's lam x0 run only from a nonzero x0
+    ssm = small_ssm(m=3, w=2, seed=36)
+    rng = make_rng(37)
+    for n in range(71):
+        z = rng.standard_normal((n, 2))
+        x0 = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+        for start in (None, x0):
+            want = scan_sequential(ssm, z, start)
+            got = run_scan(ssm, z, backend, x0=start)
+            assert got.outputs.shape == want.outputs.shape, n
+            if n:
+                assert rel_err(got.outputs, want.outputs) < 1e-10, n
+            assert rel_err(got.final_state, want.final_state) < 1e-10, n
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_split_scan_equals_one_shot(backend):
     ssm = small_ssm(seed=14)
@@ -345,6 +364,25 @@ def test_chunkwise_memory_bounded_by_outputs(chunk):
         tracemalloc.stop()
     k = min(chunk, n, w)
     assert peak <= (1.25 + (2 * m + k) / (k * m)) * outputs.nbytes
+
+
+@pytest.mark.parametrize("scan, bound", [(scan_fft, 2.0), (scan_prefix, 3.25)])
+def test_fft_and_prefix_memory_bounded_by_outputs(scan, bound):
+    # fft convolves one mode at a time: besides the (N, M, W) outputs it
+    # holds one mode's (n_fft, W) spectrum and convolution and the (N, M)
+    # lag kernel, never an (n_fft, M, W) product or any state.  The prefix
+    # scan sweeps the (N, W, M) complex states, twice the outputs, in place,
+    # with no (N, 1, M) array of pair multipliers
+    m, w, n = 16, 32, 2048
+    ssm = small_ssm(m=m, w=w, seed=31)
+    z = make_rng(32).standard_normal((n, w))
+    tracemalloc.start()
+    try:
+        outputs = scan(ssm, z).outputs
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * outputs.nbytes
 
 
 @pytest.mark.parametrize("interval", [1, 2, 16, 2048])
