@@ -35,17 +35,22 @@ Every per-group tensor carries a leading group axis of size ``n_kv``; since
 ``n_kv`` is 1 or ``heads``, viewing the head axis as (n_kv, heads / n_kv)
 lines each head up with its group, and the readouts are batched matmuls.
 
-Which SSM path runs, per group:
+Which SSM path runs, one group at a time:
 
-* the query variants under the ``chunkwise`` backend (``forward``,
-  ``forward_trace``, ``prefill``): ``ssm.query_readout``, which returns the
-  heads' outputs without forming the (N, M, W) scan outputs;
+* the query variants write each group's head outputs before the next
+  group's SSM runs.  Under the ``chunkwise`` backend that is
+  ``ssm.query_readout``, which never forms the (N, M, W) scan outputs;
+  under every other backend, and in ``decode_step``, it is ``ssm.run_scan``
+  followed at once by f_q U^T Gamma on that group's (N, M, W) outputs,
+  which are dropped before the next group's scan;
+* only the variants without a query path form every group's outputs, one
+  (N, n_kv, M, W) array (the trace's ``scan_out``), for the learned
+  contraction, and take their gradients from ``ssm.backward_checkpointed``;
 * ``backward`` runs its forward ``chunkwise`` whatever the config names,
   and takes the query variants' SSM gradients from
-  ``ssm.query_readout_backward``;
-* everything else: ``ssm.run_scan`` on the config's backend, a readout of
-  its outputs, and ``ssm.backward_checkpointed`` for the gradients.
-  ``decode_step`` always steps the sequential recurrence.
+  ``ssm.query_readout_backward``.
+
+``decode_step`` always steps the sequential recurrence.
 
 All the backends agree numerically.
 """
@@ -73,8 +78,7 @@ from .features import (
     rmsnorm_bias_backward,
     rope_apply,
     short_conv_with_tail,
-    silu,
-    silu_deriv,
+    sigmoid,
 )
 from .ssm import (
     DiagonalSSM,
@@ -229,6 +233,23 @@ def _check_state(state: LayerState, config: ModelConfig) -> None:
         _check_finite(f"state.{name}", got)
 
 
+def _check_params(params: LayerParams, config: ModelConfig) -> None:
+    """Raise ValueError naming the first optional slot of ``params`` whose
+    presence disagrees with ``config``: parameters made for another variant
+    or gate setting would otherwise run and silently drop or ignore a slot.
+    Presence only; shapes are not compared."""
+    has_q = config.variant in QUERY_VARIANTS
+    expected = (("w_q", has_q), ("conv_q", has_q),
+                ("conv_v", config.variant in GENERIC_INPUT_VARIANTS),
+                ("w_g", config.output_gate_enabled), ("contraction", not has_q))
+    for name, want in expected:
+        if (getattr(params, name) is not None) != want:
+            raise ValueError(
+                f"params.{name} is {'missing' if want else 'present'}, but the config "
+                f"(variant {config.variant!r}, output_gate_enabled="
+                f"{config.output_gate_enabled}) {'needs' if want else 'has no use for'} it")
+
+
 def _forward_core(
     params: LayerParams,
     x_seq: np.ndarray,
@@ -285,29 +306,31 @@ def _forward_core(
         trace["f_q"] = outs["q"]
         f_groups = outs["q"].reshape(n, n_kv, per_group, r)
 
-    # --- per-group scans and readout, batched over (N, group) with the
-    # group's heads on one axis; the chunkwise query readout never forms the
-    # scan outputs ---
-    fused = has_q and backend == "chunkwise"
-    outputs = np.empty((n, n_kv, per_group, dh) if fused else (n, n_kv, m, w))
+    # --- per-group SSM.  The query variants write each group's head outputs
+    # inside the loop, so at most one group's (N, M, W) scan outputs live at
+    # a time and the chunkwise readout forms none; only the variants without
+    # a query path keep every group's outputs, for the contraction ---
+    outputs = np.empty((n, n_kv, per_group, dh) if has_q else (n, n_kv, m, w))
     ssm_states = np.empty_like(state.ssm_states)
     for g in range(n_kv):
-        if fused:
+        if has_q and backend == "chunkwise":
             result = query_readout(params.ssm[g], z[:, g], f_groups[:, g], config.chunk_size,
                                    x0=state.ssm_states[g])
+            outputs[:, g] = result.outputs
         else:
             result = run_scan(params.ssm[g], z[:, g], backend,
                               chunk=config.chunk_size, x0=state.ssm_states[g])
-        outputs[:, g] = result.outputs
+            scan = result.outputs
+            # f_q U^T Gamma, with [U | Gamma] the group's scan outputs
+            outputs[:, g] = (f_groups[:, g] @ scan[..., :r].swapaxes(-1, -2)) @ scan[..., r:] \
+                if has_q else scan
+            del scan
         ssm_states[g] = result.final_state
-    if not fused:
-        trace["scan_out"] = outputs
-    if fused:
+        del result  # before the next group's scan allocates its outputs
+    if has_q:
         o_cat = outputs.reshape(n, config.model_dim)
-    elif has_q:
-        alphas = f_groups @ outputs[..., :r].swapaxes(-1, -2)
-        o_cat = (alphas @ outputs[..., r:]).reshape(n, config.model_dim)
     else:
+        trace["scan_out"] = outputs
         flat = outputs.reshape(n, n_kv, m * w).swapaxes(0, 1)   # (G, N, M W)
         contraction = params.contraction.reshape(n_kv, per_group * dh, m * w)
         o_cat = (flat @ contraction.swapaxes(1, 2)).swapaxes(0, 1).reshape(n, config.model_dim)
@@ -316,8 +339,9 @@ def _forward_core(
     # --- gate; the callers apply the output projection ---
     if config.output_gate_enabled:
         gate_pre = x_seq @ params.w_g
-        gated = silu(gate_pre) * o_cat
-        trace["gate_pre"] = gate_pre
+        gate_sig = sigmoid(gate_pre)   # kept: the backward builds silu and silu' from it
+        gated = gate_pre * gate_sig * o_cat
+        trace["gate_pre"], trace["gate_sig"] = gate_pre, gate_sig
     else:
         gated = o_cat
     trace["gated"] = gated
@@ -328,12 +352,14 @@ def _forward_core(
 
 def forward(params: LayerParams, x_seq: np.ndarray, config: ModelConfig) -> np.ndarray:
     """Full-sequence forward; (N, model_dim) in, (N, model_dim) out."""
+    _check_params(params, config)
     gated, _, _ = _forward_core(params, x_seq, config, state=None)
     return gated @ params.w_o
 
 
 def forward_trace(params: LayerParams, x_seq: np.ndarray, config: ModelConfig):
     """Forward plus the intermediate tensors, for tests and diagnostics."""
+    _check_params(params, config)
     gated, _, trace = _forward_core(params, x_seq, config, state=None)
     return gated @ params.w_o, trace
 
@@ -353,6 +379,7 @@ def prefill(
     if x_seq.ndim != 2 or x_seq.shape[1] != config.model_dim:
         raise ValueError(f"x must be (N, {config.model_dim}) with N >= 0, got {x_seq.shape}")
     n = x_seq.shape[0]
+    _check_params(params, config)
     if state is None:
         state = init_decode_state(config)
     else:
@@ -385,6 +412,7 @@ def decode_step(
     if token.shape != (config.model_dim,):
         raise ValueError(f"token must be ({config.model_dim},), got {token.shape}")
     _check_finite("token", token)
+    _check_params(params, config)
     _check_state(state, config)
     gated, new_state, _ = _forward_core(params, token[None, :], config, state,
                                         backend="sequential")
@@ -418,6 +446,7 @@ def backward(
     (delta, log(-Re a), Im a).  Variants without a stream simply have no
     entry for its parameters.
     """
+    _check_params(params, config)
     _, _, trace = _forward_core(params, x_seq, config, state=None, backend="chunkwise")
     n = trace["x"].shape[0]
     upstream = _real(upstream, "upstream")
@@ -437,10 +466,9 @@ def backward(
     grads["w_o"] = trace["gated"].T @ upstream
     grad_gated = upstream @ params.w_o.T
     if config.output_gate_enabled:
-        gate_pre = trace["gate_pre"]
-        s = silu(gate_pre)
-        grad_o_cat = s * grad_gated
-        grad_gate_pre = silu_deriv(gate_pre) * (trace["o_cat"] * grad_gated)
+        gate_pre, s = trace["gate_pre"], trace["gate_sig"]
+        grad_o_cat = gate_pre * s * grad_gated
+        grad_gate_pre = s * (1.0 + gate_pre * (1.0 - s)) * (trace["o_cat"] * grad_gated)
         grads["w_g"] = trace["x"].T @ grad_gate_pre
         grad_x += grad_gate_pre @ params.w_g.T
     else:

@@ -35,9 +35,11 @@ f_q U^T Gamma directly, where [U | Gamma] are the scan's outputs, as a
 handful of GEMMs the size of the heads' outputs (the intra-/inter-chunk
 split of the same paper), and never forms the (N, M, W) outputs.
 ``query_readout_backward`` is its adjoint and shares the entry-state carry
-and the gradient assembly with ``backward_checkpointed``.  The other
-backends, decode and the variants without a query path read out the scan
-outputs.  Every time-stepping loop is ``_recur``: over positions in the
+and the gradient assembly with ``backward_checkpointed``.  Under the other
+backends and in decode the layer reads each group's heads out of that
+group's scan outputs as soon as its scan returns; only the variants
+without a query path keep the outputs of every group.  Every
+time-stepping loop is ``_recur``: over positions in the
 sequential scan, over chunks everywhere else.
 """
 from __future__ import annotations

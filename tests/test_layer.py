@@ -1,6 +1,7 @@
 import dataclasses
 import importlib.util
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -10,11 +11,15 @@ import pytest
 from interdomain import layer as layer_module
 from interdomain.accounting import mixer_params_per_layer
 from interdomain.config import (
+    BACKENDS,
     GENERIC_INPUT_VARIANTS,
     QUERY_VARIANTS,
     VARIANTS,
+    load_config,
     make_rng,
+    validate,
 )
+from interdomain.features import sigmoid
 from interdomain.layer import (
     backward,
     count_layer_params,
@@ -27,7 +32,7 @@ from interdomain.layer import (
     prefill,
     save_layer_params,
 )
-from interdomain.ssm import ssm_with
+from interdomain.ssm import run_scan, ssm_with
 
 from helpers import (
     central_diff,
@@ -159,18 +164,48 @@ def test_readout_matches_per_head_loop(variant, n_kv):
     x = make_rng(40).standard_normal((n, config.model_dim))
     _, trace = forward_trace(params, x, config)
     if variant in QUERY_VARIANTS:
-        want = query_readout_loop(trace["f_q"], trace["scan_out"], n_kv)
+        # the query variants' traces hold no scan outputs: scan each group
+        scan_out = np.stack([run_scan(params.ssm[g], trace["z"][:, g], config.backend).outputs
+                             for g in range(n_kv)], axis=1)
+        want = query_readout_loop(trace["f_q"], scan_out, n_kv)
     else:
         want = contraction_readout_loop(trace["scan_out"], params.contraction, n_kv)
     assert rel_err(trace["o_cat"], want) < 1e-12
-    # the chunkwise backend, whose query readout never forms the scan
-    # outputs, from one step per chunk through a ragged chunk to one chunk
-    # past N
-    for chunk in (1, 3, n, n + 5):
-        chunked = dataclasses.replace(config, backend="chunkwise", chunk_size=chunk)
-        _, got = forward_trace(params, x, chunked)
-        assert ("scan_out" in got) == (variant not in QUERY_VARIANTS)
-        assert rel_err(got["o_cat"], want) < 1e-12, chunk
+    # every backend, and the chunkwise one from one step per chunk through a
+    # ragged chunk to one chunk past N
+    cases = [(backend, config.chunk_size) for backend in BACKENDS]
+    cases += [("chunkwise", chunk) for chunk in (1, 3, n, n + 5)]
+    for backend, chunk in cases:
+        other = dataclasses.replace(config, backend=backend, chunk_size=chunk)
+        _, got = forward_trace(params, x, other)
+        assert ("scan_out" in got) == (variant not in QUERY_VARIANTS), backend
+        assert rel_err(got["o_cat"], want) < 1e-12, (backend, chunk)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("variant", QUERY_VARIANTS)
+def test_query_forward_never_holds_every_groups_scan_outputs(variant, backend):
+    # each group's heads are read out as soon as its scan returns, so the
+    # forward holds at most one group's (N, M, W) outputs, never the
+    # (N, n_kv, M, W) outputs of every group; measured on the second of two
+    # identical calls, after any first-call allocation
+    width = 8
+    config = validate(dataclasses.replace(
+        load_config(Path(__file__).resolve().parents[1] / "configs" / "tiny.json"),
+        variant=variant, backend=backend,
+        heads=width, n_kv=width, head_dim=width, feature_dim=width, state_dim=width,
+        model_dim=width * width, context_len=512))
+    params = init_layer_params(config, make_rng(47))
+    x = make_rng(48).standard_normal((512, config.model_dim))
+    forward(params, x, config)
+    tracemalloc.start()
+    try:
+        forward(params, x, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    every_group = 512 * width * width * 2 * width * 8   # float (N, n_kv, M, W) bytes
+    assert peak < 1.75 * every_group
 
 
 # --- gating ---
@@ -193,6 +228,21 @@ def test_gate_gradient_matches_finite_differences():
 
     grads, _ = backward(params, x, up, config)
     assert rel_err(grads["w_g"], central_diff(loss, params.w_g)) < 1e-6
+
+
+def test_gated_forward_and_backward_make_one_gate_sigmoid(monkeypatch):
+    # the forward keeps sigmoid(gate_pre) in its trace, and the backward
+    # builds silu and its derivative from it
+    config, params = variant_setup("full_interdomain", output_gate_enabled=True)
+    calls = []
+
+    def counting(arg):
+        calls.append(arg.shape)
+        return sigmoid(arg)
+    monkeypatch.setattr(layer_module, "sigmoid", counting)
+    x = make_rng(10).standard_normal((4, config.model_dim))
+    backward(params, x, make_rng(11).standard_normal((4, config.model_dim)), config)
+    assert calls == [(4, config.model_dim)]
 
 
 # --- streaming equivalence ---
@@ -373,6 +423,29 @@ def test_decode_state_with_a_bool_position_is_rejected():
         prefill(params, x, config, state=state)
     with pytest.raises(ValueError, match="position"):
         decode_step(params, state, x[0], config)
+
+
+@pytest.mark.parametrize("made_for, config_overrides, slot", [
+    ({"variant": "single_input_qproj"}, {"variant": "full_interdomain"}, "conv_v"),
+    ({"variant": "s4d_only"}, {"variant": "dual_kv_linear"}, "conv_v"),
+    ({"output_gate_enabled": True}, {"output_gate_enabled": False}, "w_g"),
+])
+def test_params_made_for_another_config_are_rejected(made_for, config_overrides, slot):
+    # without the check each pair runs and silently ignores the extra slot
+    params = init_layer_params(tiny_config(**made_for), make_rng(49), contraction_scale=0.5)
+    config = tiny_config(**config_overrides)
+    x = make_rng(50).standard_normal((4, config.model_dim))
+    match = rf"params\.{slot} is present"
+    with pytest.raises(ValueError, match=match):
+        forward(params, x, config)
+    with pytest.raises(ValueError, match=match):
+        forward_trace(params, x, config)
+    with pytest.raises(ValueError, match=match):
+        prefill(params, x, config)
+    with pytest.raises(ValueError, match=match):
+        decode_step(params, init_decode_state(config), x[0], config)
+    with pytest.raises(ValueError, match=match):
+        backward(params, x, x, config)
 
 
 def test_feature_width_constraints_enforced():
