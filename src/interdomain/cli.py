@@ -203,12 +203,9 @@ def budget_suite(config: ModelConfig, seed: int) -> SuiteReport:
     return SuiteReport("budget", seed, tuple(cases))
 
 
-def bench_suite(config: ModelConfig, seed: int, out_dir: Path,
-                batches: tuple[int, ...], prefix_lens: tuple[int, ...],
-                steps: int, chunk: int | None) -> SuiteReport:
+def bench_suite(config: ModelConfig, seed: int, out_dir: Path, batches: tuple[int, ...],
+                prefix_lens: tuple[int, ...], steps: int) -> SuiteReport:
     """Decode-grid structure checks; also writes the grid CSV."""
-    if chunk is not None:
-        config = validate(dataclasses.replace(config, prefill_chunk=chunk))
     rows = bench.run_decode_grid(config, batches, prefix_lens, steps)
     bench.emit_csv(rows, str(out_dir / "bench.csv"))
 
@@ -339,8 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated prefix lengths")
     p_bench.add_argument("--steps", type=_int_at_least(1), default=64,
                          help="decode steps per cell (default 64)")
-    p_bench.add_argument("--chunk", type=_int_at_least(1), default=None,
-                         help="prefill chunk override for the chunked path")
     sub.add_parser("basis", parents=[common],
                    help="complete-basis equality demo")
     return parser
@@ -369,7 +364,7 @@ def run(argv: list[str] | None = None) -> int:
     elif args.command == "bench":
         out_dir.mkdir(parents=True, exist_ok=True)
         report = bench_suite(config, seed, out_dir, args.batch,
-                             args.prefix_lens, args.steps, args.chunk)
+                             args.prefix_lens, args.steps)
     else:
         report = basis_suite(config, seed)
 

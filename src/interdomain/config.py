@@ -16,7 +16,9 @@ import numpy as np
 
 BACKENDS = ("sequential", "fft", "chunkwise", "parallel_prefix")
 VARIANTS = ("full_interdomain", "dual_kv_linear", "single_input_qproj", "s4d_only")
-READOUTS = ("nw", "denominator_free")
+# The layer runs only the denominator-free readout, so ``validate`` rejects
+# any other value of ``readout`` rather than ignore it.
+READOUTS = ("denominator_free",)
 
 # Variants whose readout contracts query features against the key-side
 # coefficients.  The other two replace the query path with a learned

@@ -46,9 +46,11 @@ Which SSM path runs, one group at a time:
 * only the variants without a query path form every group's outputs, one
   (N, n_kv, M, W) array (the trace's ``scan_out``), for the learned
   contraction, and take their gradients from ``ssm.backward_checkpointed``;
-* ``backward`` runs its forward ``chunkwise`` whatever the config names,
-  and takes the query variants' SSM gradients from
-  ``ssm.query_readout_backward``.
+* ``backward`` shares only the streams (``_run_streams``) with the forward
+  and runs each group's readout once, in the dual form whatever backend
+  the config names: the query variants call ``ssm.query_readout_backward``
+  alone, which returns the head outputs along with the gradients, and the
+  others one ``ssm.run_scan(..., "chunkwise")`` per group.
 
 ``decode_step`` always steps the sequential recurrence.
 
@@ -79,6 +81,7 @@ from .features import (
     rope_apply,
     short_conv_with_tail,
     sigmoid,
+    silu,
 )
 from .ssm import (
     DiagonalSSM,
@@ -250,6 +253,49 @@ def _check_params(params: LayerParams, config: ModelConfig) -> None:
                 f"{config.output_gate_enabled}) {'needs' if want else 'has no use for'} it")
 
 
+def _run_streams(params: LayerParams, x_seq: np.ndarray, config: ModelConfig,
+                 state: LayerState | None):
+    """Check ``x_seq`` and run every stream over it, optionally continuing a
+    state: x W -> short conv -> heads -> RoPE -> features -> norm.
+
+    Returns (trace, state, tails): the trace holds ``x``, ``positions``,
+    one (projected, rotated, features) entry per stream, the SSM input
+    ``z`` and, in the query variants, the query features ``f_q``; ``state``
+    is the one continued (a fresh one for None) and ``tails`` the convolved
+    streams' new tails.
+    """
+    x_seq = _real(x_seq, "x")
+    if x_seq.ndim != 2 or x_seq.shape[1] != config.model_dim or x_seq.shape[0] == 0:
+        raise ValueError(f"x must be (N, {config.model_dim}) with N >= 1, got {x_seq.shape}")
+    _check_finite("x", x_seq)
+    n = x_seq.shape[0]
+    if state is None:
+        # The training path caps at the configured window; a live decode
+        # session may run past it (the state does not grow with position).
+        if n > config.context_len:
+            raise ValueError(f"sequence of {n} tokens exceeds context_len={config.context_len}")
+        state = init_decode_state(config)
+    positions = state.position + np.arange(n)
+    trace: dict = {"x": x_seq, "positions": positions}
+    outs, tails = {}, {}
+    for s in streams(config):
+        flat = x_seq @ getattr(params, f"w_{s.name}")
+        mixed = flat
+        if s.conv:
+            tail = f"conv_{s.name}_tail"
+            mixed, tails[tail] = short_conv_with_tail(
+                flat, getattr(params, f"conv_{s.name}"), getattr(state, tail))
+        split = mixed.reshape(n, s.rows, config.head_dim)
+        rot = rope_apply(split, positions) if s.rope else split
+        feat = apply_feature_map(params.feature_map, rot) if s.features else rot
+        outs[s.name] = feat if s.norm is None else rmsnorm_bias(feat, getattr(params, s.norm))
+        trace[s.name] = (flat, rot, feat)
+    trace["z"] = np.concatenate([outs["k"], outs["v"]], axis=-1)
+    if "q" in outs:
+        trace["f_q"] = outs["q"]
+    return trace, state, tails
+
+
 def _forward_core(
     params: LayerParams,
     x_seq: np.ndarray,
@@ -260,51 +306,22 @@ def _forward_core(
     """Shared forward over a block of tokens, optionally continuing a state.
 
     Returns (gated, new_state, trace), where ``gated`` is the output before
-    the ``w_o`` projection, which the callers apply; the trace holds every
-    intermediate the backward pass and the diagnostic tests tap, among them
-    one (projected, rotated, features) entry per stream.
+    the ``w_o`` projection, which the callers apply.  The trace is
+    ``_run_streams``'s plus the readout ``o_cat`` and, in the variants
+    without a query path, every group's scan outputs ``scan_out``, for the
+    diagnostic tests; ``backward`` does not call this.
     """
-    x_seq = _real(x_seq, "x")
-    if x_seq.ndim != 2 or x_seq.shape[1] != config.model_dim or x_seq.shape[0] == 0:
-        raise ValueError(f"x must be (N, {config.model_dim}) with N >= 1, got {x_seq.shape}")
-    _check_finite("x", x_seq)
+    trace, state, tails = _run_streams(params, x_seq, config, state)
+    x_seq, z = trace["x"], trace["z"]
     n = x_seq.shape[0]
     dh, r, m = config.head_dim, config.feature_dim, config.state_dim
     heads, n_kv = config.heads, config.n_kv
     w = r + dh
     has_q = config.variant in QUERY_VARIANTS
-    if state is None:
-        # The training path caps at the configured window; a live decode
-        # session may run past it (the state does not grow with position).
-        if n > config.context_len:
-            raise ValueError(
-                f"sequence of {n} tokens exceeds context_len={config.context_len}"
-            )
-        state = init_decode_state(config)
     backend = backend or config.backend
-    positions = state.position + np.arange(n)
-    trace: dict = {"x": x_seq, "positions": positions}
-
-    # --- streams: projection -> short conv -> heads -> RoPE -> features -> norm ---
-    outs, tails = {}, {}
-    for s in streams(config):
-        flat = x_seq @ getattr(params, f"w_{s.name}")
-        mixed = flat
-        if s.conv:
-            tail = f"conv_{s.name}_tail"
-            mixed, tails[tail] = short_conv_with_tail(
-                flat, getattr(params, f"conv_{s.name}"), getattr(state, tail))
-        split = mixed.reshape(n, s.rows, dh)
-        rot = rope_apply(split, positions) if s.rope else split
-        feat = apply_feature_map(params.feature_map, rot) if s.features else rot
-        outs[s.name] = feat if s.norm is None else rmsnorm_bias(feat, getattr(params, s.norm))
-        trace[s.name] = (flat, rot, feat)
-    z = np.concatenate([outs["k"], outs["v"]], axis=-1)
-    trace["z"] = z
     per_group = heads // n_kv
     if has_q:
-        trace["f_q"] = outs["q"]
-        f_groups = outs["q"].reshape(n, n_kv, per_group, r)
+        f_groups = trace["f_q"].reshape(n, n_kv, per_group, r)
 
     # --- per-group SSM.  The query variants write each group's head outputs
     # inside the loop, so at most one group's (N, M, W) scan outputs live at
@@ -337,15 +354,7 @@ def _forward_core(
     trace["o_cat"] = o_cat
 
     # --- gate; the callers apply the output projection ---
-    if config.output_gate_enabled:
-        gate_pre = x_seq @ params.w_g
-        gate_sig = sigmoid(gate_pre)   # kept: the backward builds silu and silu' from it
-        gated = gate_pre * gate_sig * o_cat
-        trace["gate_pre"], trace["gate_sig"] = gate_pre, gate_sig
-    else:
-        gated = o_cat
-    trace["gated"] = gated
-
+    gated = silu(x_seq @ params.w_g) * o_cat if config.output_gate_enabled else o_cat
     new_state = LayerState(position=state.position + n, ssm_states=ssm_states, **tails)
     return gated, new_state, trace
 
@@ -421,7 +430,6 @@ def decode_step(
 
 def _conv_backward(x_seq, kernel, grad_out):
     """Backward of short_conv from a zero tail (sequence start)."""
-    n = x_seq.shape[0]
     grad_x = kernel[0] * grad_out
     grad_k = np.zeros_like(kernel)
     grad_k[0] = np.sum(grad_out * x_seq, axis=0)
@@ -447,8 +455,9 @@ def backward(
     entry for its parameters.
     """
     _check_params(params, config)
-    _, _, trace = _forward_core(params, x_seq, config, state=None, backend="chunkwise")
-    n = trace["x"].shape[0]
+    trace = _run_streams(params, x_seq, config, None)[0]
+    x_seq, z = trace["x"], trace["z"]
+    n = x_seq.shape[0]
     upstream = _real(upstream, "upstream")
     if upstream.shape != (n, config.model_dim):
         raise ValueError(f"upstream must match the output shape {(n, config.model_dim)}")
@@ -458,45 +467,54 @@ def backward(
     heads, n_kv = config.heads, config.n_kv
     w = r + dh
     has_q = config.variant in QUERY_VARIANTS
-    positions = trace["positions"]
     grads: dict[str, np.ndarray] = {}
-    grad_x = np.zeros_like(trace["x"])
+    grad_x = np.zeros_like(x_seq)
 
-    # output projection and gate
-    grads["w_o"] = trace["gated"].T @ upstream
-    grad_gated = upstream @ params.w_o.T
+    # the gate's one sigmoid serves silu, silu' and the readout's upstream
+    grad_o_cat = grad_gated = upstream @ params.w_o.T
     if config.output_gate_enabled:
-        gate_pre, s = trace["gate_pre"], trace["gate_sig"]
+        gate_pre = x_seq @ params.w_g
+        s = sigmoid(gate_pre)
         grad_o_cat = gate_pre * s * grad_gated
-        grad_gate_pre = s * (1.0 + gate_pre * (1.0 - s)) * (trace["o_cat"] * grad_gated)
-        grads["w_g"] = trace["x"].T @ grad_gate_pre
-        grad_x += grad_gate_pre @ params.w_g.T
-    else:
-        grad_o_cat = grad_gated
 
-    # readout and SSM backward per group, batched over the group's heads
+    # readout and SSM backward per group, batched over the group's heads.
+    # The query readout's adjoint returns the head outputs it forms, so the
+    # readout runs once per group; the other variants scan each group once
     per_group = heads // n_kv
-    z = trace["z"]
     grad_outs = {}
     if has_q:
         f_q = trace["f_q"].reshape(n, n_kv, per_group, r)
         grad_o = grad_o_cat.reshape(n, n_kv, per_group, dh)
-        per_group_grads = [
-            query_readout_backward(params.ssm[g], z[:, g], f_q[:, g], grad_o[:, g],
-                                   config.chunk_size)
-            for g in range(n_kv)
-        ]
-        ssm_grads = [sg for sg, _ in per_group_grads]
-        grad_outs["q"] = np.stack([gf for _, gf in per_group_grads], axis=1).reshape(n, heads, r)
+        outputs, grad_f = np.empty_like(grad_o), np.empty_like(f_q)
+        ssm_grads = [None] * n_kv
+        for g in range(n_kv):
+            outputs[:, g], ssm_grads[g], grad_f[:, g] = query_readout_backward(
+                params.ssm[g], z[:, g], f_q[:, g], grad_o[:, g], config.chunk_size)
+        o_cat = outputs.reshape(n, config.model_dim)
+        grad_outs["q"] = grad_f.reshape(n, heads, r)
     else:
-        flat = trace["scan_out"].reshape(n, n_kv, m * w).swapaxes(0, 1)  # (G, N, M W)
+        scan_out = np.empty((n, n_kv, m, w))
+        for g in range(n_kv):
+            scan_out[:, g] = run_scan(params.ssm[g], z[:, g], "chunkwise",
+                                      chunk=config.chunk_size).outputs
+        flat = scan_out.reshape(n, n_kv, m * w).swapaxes(0, 1)  # (G, N, M W)
         grad_o = grad_o_cat.reshape(n, n_kv, per_group * dh).swapaxes(0, 1)
         contraction = params.contraction.reshape(n_kv, per_group * dh, m * w)
+        o_cat = (flat @ contraction.swapaxes(1, 2)).swapaxes(0, 1).reshape(n, config.model_dim)
         grads["contraction"] = (grad_o.swapaxes(1, 2) @ flat).reshape(params.contraction.shape)
         grad_scan = (grad_o @ contraction).swapaxes(0, 1).reshape(n, n_kv, m, w)
         ssm_grads = [backward_checkpointed(params.ssm[g], z[:, g], grad_scan[:, g],
                                            config.chunk_size)
                      for g in range(n_kv)]
+
+    # output projection and gate, now that the readout is known
+    gated = o_cat
+    if config.output_gate_enabled:
+        gated = gate_pre * s * o_cat
+        grad_gate_pre = s * (1.0 + gate_pre * (1.0 - s)) * (o_cat * grad_gated)
+        grads["w_g"] = x_seq.T @ grad_gate_pre
+        grad_x += grad_gate_pre @ params.w_g.T
+    grads["w_o"] = gated.T @ upstream
     for field in ("delta", "a_log_neg_re", "a_im", "b", "c_out"):
         grads[f"ssm.{field}"] = np.stack([getattr(sg, field) for sg in ssm_grads])
     grad_z = np.stack([sg.z for sg in ssm_grads], axis=1)
@@ -512,12 +530,12 @@ def backward(
         if s.features:
             grad = feature_map_backward(params.feature_map, rot, grad)
         if s.rope:
-            grad = rope_apply(grad, positions, inverse=True)
+            grad = rope_apply(grad, trace["positions"], inverse=True)
         grad = grad.reshape(n, s.rows * dh)
         if s.conv:
             conv = getattr(params, f"conv_{s.name}")
             grad, grads[f"conv_{s.name}"] = _conv_backward(flat, conv, grad)
-        grads[f"w_{s.name}"] = trace["x"].T @ grad
+        grads[f"w_{s.name}"] = x_seq.T @ grad
         grad_x += grad @ getattr(params, f"w_{s.name}").T
 
     return grads, grad_x

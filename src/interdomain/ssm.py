@@ -35,11 +35,12 @@ f_q U^T Gamma directly, where [U | Gamma] are the scan's outputs, as a
 handful of GEMMs the size of the heads' outputs (the intra-/inter-chunk
 split of the same paper), and never forms the (N, M, W) outputs.
 ``query_readout_backward`` is its adjoint and shares the entry-state carry
-and the gradient assembly with ``backward_checkpointed``.  Under the other
-backends and in decode the layer reads each group's heads out of that
-group's scan outputs as soon as its scan returns; only the variants
-without a query path keep the outputs of every group.  Every
-time-stepping loop is ``_recur``: over positions in the
+and the gradient assembly with ``backward_checkpointed``; it also returns
+the head outputs it forms on the way, so a training step runs the readout
+once per group.  Under the other backends and in decode the layer reads
+each group's heads out of that group's scan outputs as soon as its scan
+returns; only the variants without a query path keep the outputs of every
+group.  Every time-stepping loop is ``_recur``: over positions in the
 sequential scan, over chunks everywhere else.
 """
 from __future__ import annotations
@@ -683,10 +684,12 @@ def query_readout(ssm: DiagonalSSM, z: np.ndarray, f_q: np.ndarray, chunk: int,
     return ScanResult(outputs=outputs, final_state=_final_state(ssm, powers, z, entries, x0))
 
 
-def query_readout_backward(ssm: DiagonalSSM, z: np.ndarray, f_q: np.ndarray,
-                           upstream: np.ndarray, chunk: int) -> tuple[SsmGrads, np.ndarray]:
+def query_readout_backward(ssm: DiagonalSSM, z: np.ndarray, f_q: np.ndarray, upstream: np.ndarray,
+                           chunk: int) -> tuple[np.ndarray, SsmGrads, np.ndarray]:
     """Reverse-mode gradients of loss = sum(upstream * outputs) for
-    ``query_readout`` from x_0 = 0: returns (``SsmGrads``, grad f_q).
+    ``query_readout`` from x_0 = 0: returns (outputs, ``SsmGrads``, grad
+    f_q), where outputs are ``query_readout(ssm, z, f_q, chunk).outputs``,
+    the (N, P, W - R) head outputs the adjoint forms on its way anyway.
 
     The adjoint is the transposes of the forward's GEMMs, block by block.
     The entry states' adjoints go through ``_carry_entry_adjoints``, as in
@@ -712,6 +715,7 @@ def query_readout_backward(ssm: DiagonalSSM, z: np.ndarray, f_q: np.ndarray,
 
     # holomorphic adjoints, as in backward_checkpointed; float views where
     # a real operand meets a complex one
+    outputs = np.empty_like(upstream)
     grad_z = np.empty_like(z)
     grad_f = np.empty_like(f_q)
     drives = np.empty_like(entries)            # row j: adjoint of entry j from chunk j
@@ -721,6 +725,7 @@ def query_readout_backward(ssm: DiagonalSSM, z: np.ndarray, f_q: np.ndarray,
     for fw in _readout_blocks(ssm, z, f_q, powers, entries, h):
         nc, ell = fw.scores.shape[:2]
         chunks = slice(fw.rows.start // k, fw.rows.start // k + nc)
+        outputs[fw.rows] = fw.o.reshape(-1, p, w - r)
         g_o = upstream[fw.rows].reshape(nc, ell * p, w - r)
         beta = fw.beta.reshape(nc, ell, p, m)
         # o = mix @ Z_v + Re((beta * lam^(t+1)) E_v^T)
@@ -750,8 +755,8 @@ def query_readout_backward(ssm: DiagonalSSM, z: np.ndarray, f_q: np.ndarray,
         grad_f[fw.rows] = g_f.reshape(-1, p, r)
 
     z_lag, entry_sum = _carry_entry_adjoints(ssm, powers, z, entries, drives.__getitem__, grad_z)
-    return _ssm_grads(ssm, powers, grad_z,
-                      by_lag=g_h @ c + z_lag,
-                      by_power=by_power,
-                      entry_sum=entry_sum,
-                      df_dc=g_c.view(complex) + g_h.T @ b_lags), grad_f
+    return outputs, _ssm_grads(ssm, powers, grad_z,
+                               by_lag=g_h @ c + z_lag,
+                               by_power=by_power,
+                               entry_sum=entry_sum,
+                               df_dc=g_c.view(complex) + g_h.T @ b_lags), grad_f

@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,8 +18,11 @@ from interdomain.accounting import (
     state_dof,
     swiglu_hidden,
 )
+from interdomain.config import load_config
 
 from helpers import tiny_config
+
+CFG_1P3B = Path(__file__).resolve().parent.parent / "configs" / "cfg1p3b.json"
 
 PUBLISHED_SOFTMAX = {
     "125m": 134_105_856,
@@ -53,6 +57,12 @@ def test_scale_config_shape():
     assert config.model_dim == 2048
     assert config.head_dim == config.feature_dim == config.state_dim == 64
     assert config.context_len == 4096
+
+
+def test_1p3b_config_file_is_the_scale_config():
+    # the benchmark's 1.3b shape and the one behind the budget suite and
+    # acceptance 4-5 are written down twice; they must stay one shape
+    assert load_config(CFG_1P3B) == scale_config(backbone("1.3b"))
 
 
 # --- parameter counts ---

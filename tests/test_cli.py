@@ -30,9 +30,8 @@ def test_unknown_command_is_a_usage_error():
     ["--batch", "1,zebra"],
     ["--batch", "0"],
     ["--prefix-lens", "-5"],
-    ["--chunk", "0"],
     ["--steps", "0"],
-], ids=["non-int", "batch-0", "prefix-negative", "chunk-0", "steps-0"])
+], ids=["non-int", "batch-0", "prefix-negative", "steps-0"])
 def test_malformed_batch_list_is_a_usage_error(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
         run(["bench", *argv, "--out", str(tmp_path)])

@@ -76,6 +76,12 @@ def test_enums_rejected(field, allowed):
         tiny_config(**{field: value})
 
 
+def test_nw_readout_rejected():
+    # the layer has no normalized readout, so asking for one must fail
+    with pytest.raises(ConfigError, match="readout"):
+        tiny_config(readout="nw")
+
+
 def test_generic_variants_need_square_features():
     with pytest.raises(ConfigError, match="feature_dim"):
         tiny_config(variant="s4d_only", feature_dim=6)

@@ -1,5 +1,6 @@
-"""No linter ships with the project, so this is its unused-import check:
-every name a package module imports must be read somewhere in it."""
+"""No linter ships with the project, so this is its unused-import and
+unused-local check: every name a package module imports must be read
+somewhere in it, and every local a function assigns must be read in it."""
 import ast
 from pathlib import Path
 
@@ -23,4 +24,43 @@ def test_no_unused_imports():
     # __init__.py imports to re-export, so it is left out
     found = {path.name: unused_imports(path.read_text())
              for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+    assert {name: names for name, names in found.items() if names} == {}
+
+
+def _own_nodes(func):
+    """The nodes of ``func``'s body outside any function, lambda or class
+    nested in it, which have their own locals."""
+    stack = list(func.body)
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            yield node
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def unused_locals(source: str) -> list[str]:
+    """Locals a function assigns and never reads, itself or in a closure.
+    An augmented assignment reads its target, and names starting with _
+    and names declared global or nonlocal are exempt."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read = {node.id for node in ast.walk(func)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        stored = {}
+        for node in _own_nodes(func):
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                read.update(node.names)
+            elif isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
+                read.add(node.target.id)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                stored.setdefault(node.id, node.lineno)
+        found += [f"{func.name}: {name} (line {line})" for name, line in stored.items()
+                  if name not in read and not name.startswith("_")]
+    return found
+
+
+def test_no_unused_locals():
+    found = {path.name: unused_locals(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}

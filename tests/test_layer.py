@@ -231,8 +231,8 @@ def test_gate_gradient_matches_finite_differences():
 
 
 def test_gated_forward_and_backward_make_one_gate_sigmoid(monkeypatch):
-    # the forward keeps sigmoid(gate_pre) in its trace, and the backward
-    # builds silu and its derivative from it
+    # the backward runs no forward: it makes the one sigmoid(gate_pre)
+    # itself and builds silu and its derivative from it
     config, params = variant_setup("full_interdomain", output_gate_enabled=True)
     calls = []
 
@@ -613,19 +613,24 @@ def test_tracer_rebinds_layer_attributes():
 def test_one_scan_and_one_ssm_backward_per_group(monkeypatch, n_kv):
     """The traced benchmark counts ``run_scan`` calls per decode step against
     ``n_kv``; wrap the names in the layer namespace the way it does.  The
-    backward makes one SSM adjoint call per group: the query readout's for
-    the query variants, ``backward_checkpointed`` for the others."""
+    backward makes one SSM adjoint call per group and runs each group's
+    forward once: the query variants take their head outputs from the
+    query readout's adjoint and never call ``query_readout``, the others
+    scan each group chunkwise once for ``backward_checkpointed``."""
     counts = Counter()
+    backends = []
 
     def counting(name):
         fn = getattr(layer_module, name)
 
         def wrapper(*args, **kwargs):
             counts[name] += 1
+            if name == "run_scan":
+                backends.append(args[2])
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("run_scan", "backward_checkpointed", "query_readout_backward"):
+    for name in ("run_scan", "backward_checkpointed", "query_readout", "query_readout_backward"):
         monkeypatch.setattr(layer_module, name, counting(name))
     for variant in ("full_interdomain", "s4d_only"):
         config, params = variant_setup(variant, n_kv=n_kv)
@@ -635,9 +640,11 @@ def test_one_scan_and_one_ssm_backward_per_group(monkeypatch, n_kv):
         decode_step(params, init_decode_state(config), x[0], config)
         assert counts == {"run_scan": n_kv}
         counts.clear()
+        backends.clear()
         backward(params, x, rng.standard_normal((4, config.model_dim)), config)
         if variant in QUERY_VARIANTS:
-            assert counts["query_readout_backward"] == n_kv
-            assert counts["backward_checkpointed"] == 0
+            want = {"query_readout_backward": n_kv}
         else:
-            assert counts["backward_checkpointed"] == n_kv
+            want = {"run_scan": n_kv, "backward_checkpointed": n_kv}
+            assert backends == ["chunkwise"] * n_kv
+        assert counts == want

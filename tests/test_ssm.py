@@ -225,7 +225,9 @@ def test_query_readout_backward_matches_reference():
     for ssm, z, f_q, up, _ in readout_cases():
         for chunk in (1, 3, z.shape[0], z.shape[0] + 5):
             want, want_f = query_readout_reference(ssm, z, f_q, up, chunk)
-            got, got_f = query_readout_backward(ssm, z, f_q, up, chunk)
+            outputs, got, got_f = query_readout_backward(ssm, z, f_q, up, chunk)
+            # the outputs the adjoint forms are the forward's, bit for bit
+            assert np.array_equal(outputs, query_readout(ssm, z, f_q, chunk).outputs), chunk
             assert rel_err(got_f, want_f) < 1e-12, chunk
             for field in ("z", "delta", "a_log_neg_re", "a_im", "b", "c_out"):
                 assert rel_err(getattr(got, field), getattr(want, field)) < 1e-12, (chunk, field)
@@ -402,6 +404,27 @@ def test_backward_memory_bounded_by_upstream(interval):
     finally:
         tracemalloc.stop()
     assert peak <= 2 * up.nbytes / min(interval, 32) + 4 * z.nbytes
+
+
+@pytest.mark.parametrize("chunk", [16, 64, 2048])
+def test_query_readout_backward_memory_below_scan_outputs(chunk):
+    # the readout's adjoint never forms the (N, M, W) scan outputs: its
+    # arrays are (N, P, K), (N, P, M) or two buffers of ceil(N/K) (W, M)
+    # states, so its peak stays below those outputs' bytes.  At chunk 1
+    # the state buffers are every state, by design, so it is left out
+    n, m, w, r, p = 2048, 16, 128, 64, 1
+    ssm = small_ssm(m=m, w=w, seed=49)
+    rng = make_rng(50)
+    z = rng.standard_normal((n, w))
+    f_q = rng.standard_normal((n, p, r))
+    up = rng.standard_normal((n, p, w - r))
+    tracemalloc.start()
+    try:
+        query_readout_backward(ssm, z, f_q, up, chunk)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * m * w * 8
 
 
 def test_outputs_are_real_part_of_readout():
