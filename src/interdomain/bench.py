@@ -65,8 +65,14 @@ def decode_step_ops(config: ModelConfig, feature_kind: str = "silu_l2") -> dict[
     """Analytic cost of one decode step at batch 1.
 
     Everything is a pure function of the config, which is the claim under
-    test: no term involves how many tokens came before.  The dominant term
-    is the full complex readout matrix, 4*M^2*(R+dh) per KV group.
+    test: no term involves how many tokens came before.  Each KV group's
+    state update is 6*M*(R+dh).  The query variants then read each head
+    straight from the state, query first: a = f_q X_r (2*M*R),
+    alpha = Re(a C^T) and beta = alpha C (4*M^2), Re(beta X_v^T)
+    (2*M*dh), holding a, alpha and beta (5*M values) per head.  The
+    variants without a query path read out every channel, the full complex
+    readout matrix at 4*M^2*(R+dh) per group, and hold those M*(R+dh)
+    outputs for the learned contraction.
     """
     validate(config)
     check_feature_kind(feature_kind)
@@ -85,16 +91,19 @@ def decode_step_ops(config: ModelConfig, feature_kind: str = "silu_l2") -> dict[
         if s.features:
             work += s.rows * _feature_ops(feature_kind, dh, r)
     work += n_kv * 3 * (r + dh)                   # input norms + bias
-    work += n_kv * (6 * m * w + 4 * m * m * w)    # state update + complex readout
+    work += n_kv * 6 * m * w                      # state update
     if config.variant in QUERY_VARIANTS:
-        work += heads * m * w                     # query-conditioned contraction
+        work += heads * (2 * m * r + 4 * m * m + 2 * m * dh)  # query-first readout
+        readout_values = heads * 5 * m
     else:
+        work += n_kv * 4 * m * m * w              # complex readout of every channel
         work += heads * dh * m * w                # learned linear contraction
+        readout_values = n_kv * m * w
     if config.output_gate_enabled:
         work += d * d + 2 * d
 
     carried = state_units(config)
-    transient = 2 * d + 2 * n_kv * dh + n_kv * m * w
+    transient = 2 * d + 2 * n_kv * dh + readout_values
     return {
         "multiply_adds": work,
         "state_reads": carried,

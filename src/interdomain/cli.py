@@ -96,10 +96,13 @@ def equiv_suite(config: ModelConfig, seed: int) -> SuiteReport:
 
     Each scan runs from x0 = 0 (outputs compared) and, as a continued
     prefill does, from a random complex x0 (``_x0``: outputs and final
-    state).  The x0 draws come from their own generator, so the other cases
-    see the same data whether or not they run.
+    state).  The ``query_scan`` cases give every backend's scan the query
+    features of three heads and compare its head outputs and final state
+    with f_q U^T Gamma of the sequential scan's outputs [U | Gamma].  The
+    x0 draws and the query cases come from generators of their own, so the
+    other cases see the same data whether or not they run.
     """
-    rng, x0_rng = make_rng(seed), make_rng(seed + 1)
+    rng, x0_rng, q_rng = make_rng(seed), make_rng(seed + 1), make_rng(seed + 2)
     cases = []
     for n, m in ((1, 1), (2, 4), (16, 4), (257, 8)):
         ssm = random_ssm(m, 3, rng)
@@ -115,6 +118,17 @@ def equiv_suite(config: ModelConfig, seed: int) -> SuiteReport:
             cases.append(_case(f"scan_{backend}_n{n}_m{m}_x0",
                                max(_rel(got.outputs, ref_x0.outputs),
                                    _rel(got.final_state, ref_x0.final_state)), 1e-8))
+    ssm, r = random_ssm(4, 5, q_rng), 2
+    z, f_q = q_rng.standard_normal((37, 5)), q_rng.standard_normal((37, 3, r))
+    x0 = q_rng.standard_normal((5, 4)) + 1j * q_rng.standard_normal((5, 4))
+    for start, suffix in ((None, ""), (x0, "_x0")):
+        ref = run_scan(ssm, z, "sequential", x0=start)
+        want = f_q @ ref.outputs[..., :r].swapaxes(-1, -2) @ ref.outputs[..., r:]
+        for backend in BACKENDS:
+            got = run_scan(ssm, z, backend, chunk=16, x0=start, f_q=f_q)
+            cases.append(_case(f"query_scan_{backend}{suffix}",
+                               max(_rel(got.outputs, want),
+                                   _rel(got.final_state, ref.final_state)), 1e-8))
     for variant in VARIANTS:
         cfg = _tiny(config, variant)
         params = init_layer_params(cfg, rng, contraction_scale=0.5)

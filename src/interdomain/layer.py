@@ -37,12 +37,13 @@ lines each head up with its group, and the readouts are batched matmuls.
 
 Which SSM path runs, one group at a time:
 
-* the query variants write each group's head outputs before the next
-  group's SSM runs.  Under the ``chunkwise`` backend that is
+* the forward and ``decode_step`` make one ``ssm.run_scan`` per group.  In
+  the query variants it is given the group's query features and returns
+  the group's head outputs on every backend: under ``chunkwise`` through
   ``ssm.query_readout``, which never forms the (N, M, W) scan outputs;
-  under every other backend, and in ``decode_step``, it is ``ssm.run_scan``
-  followed at once by f_q U^T Gamma on that group's (N, M, W) outputs,
-  which are dropped before the next group's scan;
+  under ``sequential`` (and so in every decode step) and
+  ``parallel_prefix`` read query first from the states, never reading out
+  all W channels; under ``fft`` from its convolution outputs;
 * only the variants without a query path form every group's outputs, one
   (N, n_kv, M, W) array (the trace's ``scan_out``), for the learned
   contraction, and take their gradients from ``ssm.backward_checkpointed``;
@@ -88,7 +89,6 @@ from .ssm import (
     _real,
     backward_checkpointed,
     make_ssm,
-    query_readout,
     query_readout_backward,
     random_ssm,
     run_scan,
@@ -237,10 +237,12 @@ def _check_state(state: LayerState, config: ModelConfig) -> None:
 
 
 def _check_params(params: LayerParams, config: ModelConfig) -> None:
-    """Raise ValueError naming the first optional slot of ``params`` whose
-    presence disagrees with ``config``: parameters made for another variant
-    or gate setting would otherwise run and silently drop or ignore a slot.
-    Presence only; shapes are not compared."""
+    """Raise ValueError naming the first field of ``params`` that disagrees
+    with ``config``: an optional slot present where the config has no use
+    for it or missing where it needs it, or a stacked SSM whose groups,
+    state size or input width differ from the config's.  Parameters made
+    for another config would otherwise run on a wrong slice, or silently
+    drop or ignore a slot.  The other shapes are not compared."""
     has_q = config.variant in QUERY_VARIANTS
     expected = (("w_q", has_q), ("conv_q", has_q),
                 ("conv_v", config.variant in GENERIC_INPUT_VARIANTS),
@@ -251,6 +253,16 @@ def _check_params(params: LayerParams, config: ModelConfig) -> None:
                 f"params.{name} is {'missing' if want else 'present'}, but the config "
                 f"(variant {config.variant!r}, output_gate_enabled="
                 f"{config.output_gate_enabled}) {'needs' if want else 'has no use for'} it")
+    n_kv, m = config.n_kv, config.state_dim
+    for name, axes, want in (("delta", "(n_kv, state_dim)", (n_kv, m)),
+                             ("c_out", "(n_kv, state_dim, state_dim)", (n_kv, m, m))):
+        got = getattr(params.ssm, name).shape
+        if got != want:
+            raise ValueError(f"params.ssm.{name} must be {axes} = {want} for this config, "
+                             f"got {got}")
+    if params.ssm.input_width != config.feature_dim + config.head_dim:
+        raise ValueError(f"params.ssm.input_width must be feature_dim + head_dim = "
+                         f"{config.feature_dim + config.head_dim}, got {params.ssm.input_width}")
 
 
 def _run_streams(params: LayerParams, x_seq: np.ndarray, config: ModelConfig,
@@ -323,25 +335,15 @@ def _forward_core(
     if has_q:
         f_groups = trace["f_q"].reshape(n, n_kv, per_group, r)
 
-    # --- per-group SSM.  The query variants write each group's head outputs
-    # inside the loop, so at most one group's (N, M, W) scan outputs live at
-    # a time and the chunkwise readout forms none; only the variants without
-    # a query path keep every group's outputs, for the contraction ---
+    # --- per-group SSM, one scan per group.  The query variants' scans
+    # return the group's head outputs; only the variants without a query
+    # path keep every group's (N, M, W) outputs, for the contraction ---
     outputs = np.empty((n, n_kv, per_group, dh) if has_q else (n, n_kv, m, w))
     ssm_states = np.empty_like(state.ssm_states)
     for g in range(n_kv):
-        if has_q and backend == "chunkwise":
-            result = query_readout(params.ssm[g], z[:, g], f_groups[:, g], config.chunk_size,
-                                   x0=state.ssm_states[g])
-            outputs[:, g] = result.outputs
-        else:
-            result = run_scan(params.ssm[g], z[:, g], backend,
-                              chunk=config.chunk_size, x0=state.ssm_states[g])
-            scan = result.outputs
-            # f_q U^T Gamma, with [U | Gamma] the group's scan outputs
-            outputs[:, g] = (f_groups[:, g] @ scan[..., :r].swapaxes(-1, -2)) @ scan[..., r:] \
-                if has_q else scan
-            del scan
+        result = run_scan(params.ssm[g], z[:, g], backend, chunk=config.chunk_size,
+                          x0=state.ssm_states[g], f_q=f_groups[:, g] if has_q else None)
+        outputs[:, g] = result.outputs
         ssm_states[g] = result.final_state
         del result  # before the next group's scan allocates its outputs
     if has_q:

@@ -29,19 +29,22 @@ the chunk's [entry state; inputs], so no state inside a chunk is ever
 formed.  ``backward_checkpointed`` is the adjoint of that matmul and
 carries only the adjoints of the entry states across chunks.
 
-``query_readout`` serves the variants with a query path under the chunkwise
-backend: from the same chunks and entry states it returns each head's
-f_q U^T Gamma directly, where [U | Gamma] are the scan's outputs, as a
-handful of GEMMs the size of the heads' outputs (the intra-/inter-chunk
-split of the same paper), and never forms the (N, M, W) outputs.
-``query_readout_backward`` is its adjoint and shares the entry-state carry
-and the gradient assembly with ``backward_checkpointed``; it also returns
-the head outputs it forms on the way, so a training step runs the readout
-once per group.  Under the other backends and in decode the layer reads
-each group's heads out of that group's scan outputs as soon as its scan
-returns; only the variants without a query path keep the outputs of every
-group.  Every time-stepping loop is ``_recur``: over positions in the
-sequential scan, over chunks everywhere else.
+Given the query features f_q of the group's heads, ``run_scan`` returns
+each head's f_q U^T Gamma, where [U | Gamma] are the scan's outputs, on
+every backend.  Under ``chunkwise`` that is ``query_readout``: from the same
+chunks and entry states, a handful of GEMMs the size of the heads' outputs
+(the intra-/inter-chunk split of the same paper), never forming the
+(N, M, W) outputs.  ``sequential`` and ``parallel_prefix`` read each head
+query first from the states they form, a = f_q X_r, alpha = Re(a C^T),
+beta = alpha C and Re(beta X_v^T), so no readout of all W channels is
+made; a decode step is that readout of one state.  ``fft`` contracts its
+convolution outputs with f_q.  ``query_readout_backward`` is the adjoint of
+``query_readout`` and shares the entry-state carry and the gradient
+assembly with ``backward_checkpointed``; it also returns the head outputs
+it forms on the way, so a training step runs the readout once per group.
+Only the variants without a query path read out every channel.  Every
+time-stepping loop is ``_recur``: over positions in the sequential scan,
+over chunks everywhere else.
 """
 from __future__ import annotations
 
@@ -157,7 +160,8 @@ def stack_ssms(ssms: list[DiagonalSSM]) -> DiagonalSSM:
 @dataclass(frozen=True)
 class ScanResult:
     outputs: np.ndarray      # (N, M, W) float, Re(c_out @ x_t[c]) per position and channel;
-                             # (N, P, W - R) head outputs from query_readout
+                             # given query features f_q (run_scan on any backend, or
+                             # query_readout), the (N, P, W - R) head outputs f_q U^T Gamma
     final_state: np.ndarray  # (W, M) complex, x_{N-1}; x0 itself when N = 0
 
 
@@ -185,14 +189,42 @@ def _check_scan_input(ssm: DiagonalSSM, z: np.ndarray, x0) -> tuple[np.ndarray, 
     return z, x0
 
 
-def _result(ssm: DiagonalSSM, states: np.ndarray, x0: np.ndarray) -> ScanResult:
-    """Read out the (N, W, M) states and keep a copy of the last one, so the
-    result does not hold the state buffer.  Re(C x) is the real matmul
+def _check_query(ssm: DiagonalSSM, z: np.ndarray, f_q):
+    """``f_q`` as real (N, P, R) query features with 1 <= R < W, for the
+    checked inputs ``z``; None stays None."""
+    if f_q is None:
+        return None
+    f_q = _real(f_q, "f_q")
+    if f_q.ndim != 3 or f_q.shape[0] != z.shape[0] or not 1 <= f_q.shape[2] < ssm.input_width:
+        raise ValueError(f"f_q must be (N, P, R) with N = {z.shape[0]} and "
+                         f"1 <= R < W = {ssm.input_width}, got {f_q.shape}")
+    return f_q
+
+
+def _result(ssm: DiagonalSSM, states: np.ndarray, x0: np.ndarray, f_q=None) -> ScanResult:
+    """Read out the (N, W, M) states and keep the last one, copied unless it
+    is the buffer's only state, so the result never holds more than one.
+
+    Without ``f_q`` the outputs are Re(C x) on every channel, the real matmul
     [Re C, -Im C] @ [Re x; Im x], interleaved as the float views of conj(C)
-    and x are."""
-    c_float = np.conj(ssm.c_out).view(float)  # (M, 2M)
-    return ScanResult(outputs=c_float @ states.view(float).swapaxes(-1, -2),
-                      final_state=states[-1].copy() if len(states) else x0)
+    and x are.  With it they are each head's f_q U^T Gamma, read from the
+    states and never from the (N, M, W) outputs: a = f_q X_r on the float
+    view, alpha = Re(a C^T), beta = alpha C and o = Re(beta X_v^T).  Each
+    Re(u v^T) is the float view of conj(u) times that of v, and only the
+    small a and beta are conjugated, never C or a state.
+    """
+    if f_q is None:
+        outputs = np.conj(ssm.c_out).view(float) @ states.view(float).swapaxes(-1, -2)
+    else:
+        n, p, r = f_q.shape
+        m = ssm.state_dim
+        a = (f_q @ states[:, :r].view(float)).reshape(n * p, 2 * m)
+        a[:, 1::2] *= -1
+        beta = (a @ ssm.c_out.view(float).T) @ ssm.c_out.view(float)  # alpha C, (N P, 2M)
+        beta[:, 1::2] *= -1
+        outputs = beta.reshape(n, p, 2 * m) @ states[:, r:].view(float).swapaxes(1, 2)
+    final = states[-1] if len(states) == 1 else states[-1].copy() if len(states) else x0
+    return ScanResult(outputs=outputs, final_state=final)
 
 
 def _lam_powers(lam: np.ndarray, n: int) -> np.ndarray:
@@ -213,15 +245,18 @@ def _recur(lam: np.ndarray, drive: np.ndarray, x0: np.ndarray, out: np.ndarray) 
     return state
 
 
-def scan_sequential(ssm: DiagonalSSM, z: np.ndarray, x0=None) -> ScanResult:
-    """The defining stepwise recurrence."""
+def scan_sequential(ssm: DiagonalSSM, z: np.ndarray, x0=None, f_q=None) -> ScanResult:
+    """The defining stepwise recurrence; with ``f_q``, the heads' outputs
+    (``_result``)."""
     z, x0 = _check_scan_input(ssm, z, x0)
+    f_q = _check_query(ssm, z, f_q)
     states = z[:, :, None] * ssm.b  # each drive is overwritten in place by its state
-    _recur(ssm.lam, states, x0, states)
-    return _result(ssm, states, x0)
+    states[:1] += ssm.lam * x0      # a slice, so N = 0 gives an empty result
+    _recur(ssm.lam, states[1:], states[0] if len(states) else x0, states[1:])
+    return _result(ssm, states, x0, f_q)
 
 
-def scan_fft(ssm: DiagonalSSM, z: np.ndarray, x0=None) -> ScanResult:
+def scan_fft(ssm: DiagonalSSM, z: np.ndarray, x0=None, f_q=None) -> ScanResult:
     """Convolution form: each output is a real convolution of the inputs
     with the lag kernel h[tau] = Re(C diag(b) lam^tau) of ``_lag_kernels``,
 
@@ -233,9 +268,11 @@ def scan_fft(ssm: DiagonalSSM, z: np.ndarray, x0=None) -> ScanResult:
     the entry map of ``_dual_kernel``'s first 2M columns, added only when x0
     is nonzero; the final state is one closed-form step from x0.  Work is
     O(M W N log N); besides the outputs it holds one mode's (n_fft, W)
-    spectrum and convolution, and no state is ever formed.
+    spectrum and convolution, and no state is ever formed.  With ``f_q``
+    the outputs [U | Gamma] become the heads' f_q U^T Gamma.
     """
     z, x0 = _check_scan_input(ssm, z, x0)
+    f_q = _check_query(ssm, z, f_q)
     n, w, m = z.shape[0], ssm.input_width, ssm.state_dim
     powers = _lam_powers(ssm.lam, n + 1)
     n_fft = 1 << (2 * n - 1).bit_length()
@@ -246,6 +283,9 @@ def scan_fft(ssm: DiagonalSSM, z: np.ndarray, x0=None) -> ScanResult:
         outputs[:, i] = np.fft.irfft(h_hat[:, i, None] * z_hat, n_fft, axis=0)[:n]
     if np.any(x0):  # Re(A[t] x0[c]), A[t] = C diag(lam^(t+1)), as in the dual form
         outputs += (powers[1:, None, :] * ssm.c_out).view(float) @ np.conj(x0).view(float).T
+    if f_q is not None:
+        r = f_q.shape[2]
+        outputs = (f_q @ outputs[..., :r].swapaxes(-1, -2)) @ outputs[..., r:]
     return ScanResult(outputs=outputs, final_state=_final_state(ssm, powers, z, x0[None], x0))
 
 
@@ -395,7 +435,7 @@ def _combine(states: np.ndarray, first: int, span: int, lam_span: np.ndarray) ->
     right += lam_span * states[first::2 * span][:len(right)]
 
 
-def scan_prefix(ssm: DiagonalSSM, z: np.ndarray, x0=None) -> ScanResult:
+def scan_prefix(ssm: DiagonalSSM, z: np.ndarray, x0=None, f_q=None) -> ScanResult:
     """Work-efficient inclusive associative scan (Blelloch, 1990) over the
     pairs (lam, b z_t), (a1, b1) o (a2, b2) = (a1 a2, a2 b1 + b2), with
     lam x0 folded into the first.
@@ -407,9 +447,11 @@ def scan_prefix(ssm: DiagonalSSM, z: np.ndarray, x0=None) -> ScanResult:
     completes, level by level from the top, every state from the completed
     one 2^d to its left.  Both work in place on the (N, W, M) states, in
     about 2N combines over 2 log2(N) vectorized levels, and read out
-    through the states' float view.
+    through the states' float view, as the heads' outputs with ``f_q``
+    (``_result``).
     """
     z, x0 = _check_scan_input(ssm, z, x0)
+    f_q = _check_query(ssm, z, f_q)
     n = z.shape[0]
     states = z[:, :, None] * ssm.b
     states[:1] += ssm.lam * x0  # a slice, so N = 0 gives an empty result
@@ -422,19 +464,24 @@ def scan_prefix(ssm: DiagonalSSM, z: np.ndarray, x0=None) -> ScanResult:
         _combine(states, span - 1, span, lam_span)
     for span, lam_span in levels[::-1]:  # down-sweep
         _combine(states, 2 * span - 1, span, lam_span)
-    return _result(ssm, states, x0)
+    return _result(ssm, states, x0, f_q)
 
 
 def run_scan(ssm: DiagonalSSM, z: np.ndarray, backend: str,
-             chunk: int = 16, x0=None) -> ScanResult:
+             chunk: int = 16, x0=None, f_q=None) -> ScanResult:
+    """One group's scan of ``z`` from ``x0`` on ``backend``.  Given the
+    (N, P, R) query features ``f_q`` of the group's P heads, the outputs
+    are the heads' (N, P, W - R) f_q U^T Gamma on every backend, where
+    [U | Gamma] would be the (N, M, W) scan outputs split at R."""
     if backend == "sequential":
-        return scan_sequential(ssm, z, x0)
+        return scan_sequential(ssm, z, x0, f_q)
     if backend == "fft":
-        return scan_fft(ssm, z, x0)
+        return scan_fft(ssm, z, x0, f_q)
     if backend == "chunkwise":
-        return scan_chunkwise(ssm, z, chunk, x0)
+        return scan_chunkwise(ssm, z, chunk, x0) if f_q is None else \
+            query_readout(ssm, z, f_q, chunk, x0)
     if backend == "parallel_prefix":
-        return scan_prefix(ssm, z, x0)
+        return scan_prefix(ssm, z, x0, f_q)
     raise ValueError(f"unknown backend {backend!r}")
 
 
@@ -597,16 +644,6 @@ def _flip_lags(a: np.ndarray) -> np.ndarray:
                       strides=(s_c, s_t - s_u, s_h, s_u), writeable=False).copy()
 
 
-def _check_readout_input(ssm: DiagonalSSM, z: np.ndarray, f_q, chunk: int):
-    if chunk < 1:
-        raise ValueError("chunk must be positive")
-    f_q = _real(f_q, "f_q")
-    if f_q.ndim != 3 or f_q.shape[0] != z.shape[0] or not 1 <= f_q.shape[2] < ssm.input_width:
-        raise ValueError(f"f_q must be (N, P, R) with N = {z.shape[0]} and "
-                         f"1 <= R < W = {ssm.input_width}, got {f_q.shape}")
-    return f_q
-
-
 class _ReadoutBlock(NamedTuple):
     """``query_readout``'s forward over one block of C chunks of L steps:
     the block's inputs and every product its adjoint reads."""
@@ -673,7 +710,9 @@ def query_readout(ssm: DiagonalSSM, z: np.ndarray, f_q: np.ndarray, chunk: int,
     array is (N, P, K) or (N, P, M), against (N, M, W) for the scan.
     """
     z, x0 = _check_scan_input(ssm, z, x0)
-    f_q = _check_readout_input(ssm, z, f_q, chunk)
+    f_q = _check_query(ssm, z, f_q)
+    if chunk < 1:
+        raise ValueError("chunk must be positive")
     n, p, r = f_q.shape
     k = _block_size(chunk, n, ssm.input_width)
     powers = _lam_powers(ssm.lam, k + 1)
@@ -700,7 +739,9 @@ def query_readout_backward(ssm: DiagonalSSM, z: np.ndarray, f_q: np.ndarray, ups
     complex (W, M) states: the entry states and their adjoints' drives.
     """
     z, x0 = _check_scan_input(ssm, z, None)
-    f_q = _check_readout_input(ssm, z, f_q, chunk)
+    f_q = _check_query(ssm, z, f_q)
+    if chunk < 1:
+        raise ValueError("chunk must be positive")
     upstream = _real(upstream, "upstream")
     n, p, r = f_q.shape
     m, w = ssm.state_dim, ssm.input_width

@@ -5,6 +5,7 @@ import pytest
 
 import interdomain.cli as cli
 from interdomain.bench import CSV_HEADER
+from interdomain.config import BACKENDS
 from interdomain.cli import CaseResult, SuiteReport, run
 
 
@@ -84,6 +85,14 @@ def test_reports_are_byte_identical(tmp_path, suite):
     for name in outputs:
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
     assert read_report(a, suite)["seed"] == 7
+
+
+def test_equiv_checks_query_scans_on_every_backend(tmp_path):
+    assert run(["equiv", "--out", str(tmp_path)]) == 0
+    cases = {c["name"]: c for c in read_report(tmp_path, "equiv")["cases"]}
+    for backend in BACKENDS:
+        for name in (f"query_scan_{backend}", f"query_scan_{backend}_x0"):
+            assert cases[name]["passed"] and cases[name]["tolerance"] == 1e-8, name
 
 
 def test_gradcheck_passes(tmp_path):

@@ -32,7 +32,7 @@ from interdomain.layer import (
     prefill,
     save_layer_params,
 )
-from interdomain.ssm import run_scan, ssm_with
+from interdomain.ssm import random_ssm, run_scan, ssm_with, stack_ssms
 
 from helpers import (
     central_diff,
@@ -448,6 +448,44 @@ def test_params_made_for_another_config_are_rejected(made_for, config_overrides,
         backward(params, x, x, config)
 
 
+def _ssm_for_another_config(ssm, field):
+    """The tiny config's stacked SSM with one field made for another config:
+    a third group (runs on two of them without the check), a c_out with a
+    third group under a delta with two, or a wider input."""
+    if field == "delta":
+        return stack_ssms([ssm[0], ssm[1], ssm[0]])
+    if field == "c_out":
+        return dataclasses.replace(ssm, c_out=np.concatenate([ssm.c_out, ssm.c_out[:1]]))
+    return dataclasses.replace(ssm, input_width=ssm.input_width + 1)
+
+
+@pytest.mark.parametrize("field", ["delta", "c_out", "input_width"])
+def test_ssm_made_for_another_config_is_rejected(field):
+    config, params = variant_setup("full_interdomain", seed=51)
+    params.ssm = _ssm_for_another_config(params.ssm, field)
+    x = make_rng(52).standard_normal((4, config.model_dim))
+    match = rf"params\.ssm\.{field} must be"
+    with pytest.raises(ValueError, match=match):
+        forward(params, x, config)
+    with pytest.raises(ValueError, match=match):
+        forward_trace(params, x, config)
+    with pytest.raises(ValueError, match=match):
+        prefill(params, x, config)
+    with pytest.raises(ValueError, match=match):
+        decode_step(params, init_decode_state(config), x[0], config)
+    with pytest.raises(ValueError, match=match):
+        backward(params, x, x, config)
+
+
+def test_ssm_state_size_checked_against_config():
+    # an SSM of another state size names the field, not the decode state
+    config, params = variant_setup("full_interdomain", seed=53)
+    params.ssm = stack_ssms([random_ssm(config.state_dim + 1, params.ssm.input_width,
+                                        make_rng(54)) for _ in range(config.n_kv)])
+    with pytest.raises(ValueError, match=r"params\.ssm\.delta must be .* = \(2, 4\)"):
+        forward(params, make_rng(55).standard_normal((4, config.model_dim)), config)
+
+
 def test_feature_width_constraints_enforced():
     with pytest.raises(ValueError, match="preserve width"):
         init_layer_params(tiny_config(feature_dim=6), make_rng(0))
@@ -612,13 +650,15 @@ def test_tracer_rebinds_layer_attributes():
 @pytest.mark.parametrize("n_kv", [1, 2])
 def test_one_scan_and_one_ssm_backward_per_group(monkeypatch, n_kv):
     """The traced benchmark counts ``run_scan`` calls per decode step against
-    ``n_kv``; wrap the names in the layer namespace the way it does.  The
-    backward makes one SSM adjoint call per group and runs each group's
-    forward once: the query variants take their head outputs from the
-    query readout's adjoint and never call ``query_readout``, the others
-    scan each group chunkwise once for ``backward_checkpointed``."""
+    ``n_kv``; wrap the names in the layer namespace the way it does.  A
+    forward, on every backend, and a decode step make one ``run_scan`` per
+    group and nothing else, the query variants passing their query features
+    so the scan returns the heads' outputs.  The backward makes one SSM
+    adjoint call per group and runs each group's forward once: the query
+    variants take their head outputs from the query readout's adjoint, the
+    others scan each group chunkwise once for ``backward_checkpointed``."""
     counts = Counter()
-    backends = []
+    scans = []  # (backend, whether f_q was passed) per run_scan call
 
     def counting(name):
         fn = getattr(layer_module, name)
@@ -626,25 +666,34 @@ def test_one_scan_and_one_ssm_backward_per_group(monkeypatch, n_kv):
         def wrapper(*args, **kwargs):
             counts[name] += 1
             if name == "run_scan":
-                backends.append(args[2])
+                scans.append((args[2], kwargs.get("f_q") is not None))
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("run_scan", "backward_checkpointed", "query_readout", "query_readout_backward"):
+    for name in ("run_scan", "backward_checkpointed", "query_readout_backward"):
         monkeypatch.setattr(layer_module, name, counting(name))
     for variant in ("full_interdomain", "s4d_only"):
         config, params = variant_setup(variant, n_kv=n_kv)
+        has_q = variant in QUERY_VARIANTS
         rng = make_rng(44)
         x = rng.standard_normal((4, config.model_dim))
+        for backend in BACKENDS:
+            counts.clear()
+            scans.clear()
+            forward(params, x, dataclasses.replace(config, backend=backend))
+            assert counts == {"run_scan": n_kv}, backend
+            assert scans == [(backend, has_q)] * n_kv
         counts.clear()
+        scans.clear()
         decode_step(params, init_decode_state(config), x[0], config)
         assert counts == {"run_scan": n_kv}
+        assert scans == [("sequential", has_q)] * n_kv
         counts.clear()
-        backends.clear()
+        scans.clear()
         backward(params, x, rng.standard_normal((4, config.model_dim)), config)
-        if variant in QUERY_VARIANTS:
+        if has_q:
             want = {"query_readout_backward": n_kv}
         else:
             want = {"run_scan": n_kv, "backward_checkpointed": n_kv}
-            assert backends == ["chunkwise"] * n_kv
+            assert scans == [("chunkwise", False)] * n_kv
         assert counts == want

@@ -10,14 +10,23 @@ import pytest
 SEED = 0
 
 
-@pytest.fixture(scope="module")
-def workloads():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+def load_perfbench(name):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # its dataclasses resolve through sys.modules
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return load_perfbench("workloads")
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    return load_perfbench("tracing")
 
 
 def test_long_small_cycle_passes_its_checks(workloads):
@@ -33,3 +42,22 @@ def test_1p3b_workload_check_passes(workloads, name):
     # decode against forward to 1e-10; backward against a directional
     # central difference to 1e-4
     assert workloads.WORKLOADS[name](SEED).check()
+
+
+@pytest.mark.parametrize("name", ["decode_1p3b", "long_small"])
+def test_traced_decode_probe_makes_one_scan_per_group(workloads, tracing, name):
+    # the decode probe of a traced run: it matches the forward, every
+    # decode_step root holds one sequential run_scan span per group, and
+    # the state does not grow
+    wl = workloads.WORKLOADS[name](SEED)
+    tracer = tracing.Tracer()
+    with tracing.traced(tracer):
+        ok, _, sizes = workloads.decode_check(wl.params, wl.config, wl.probe_tokens)
+    assert ok
+    assert sizes == [sizes[0]] * len(sizes)
+    roots = [i for i, s in enumerate(tracer.spans)
+             if s.parent is None and s.name == "layer.decode_step"]
+    assert len(roots) == len(wl.probe_tokens)
+    for i in roots:
+        scans = [s for s in tracer.spans if s.op == tracer.spans[i].op and s.name == "ssm.run_scan"]
+        assert [(s.parent, s.backend) for s in scans] == [(i, "sequential")] * wl.config.n_kv

@@ -248,6 +248,44 @@ def test_query_readout_validates_input():
         query_readout_backward(ssm, z, np.zeros((4, 1, 2)), np.zeros((4, 1, 2)), 2)
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_run_scan_with_query_features_returns_head_outputs(backend):
+    # every backend returns f_q U^T Gamma of scan_sequential's outputs; N = 0
+    # gives an empty result that keeps x0, and chunkwise is query_readout
+    ssm = small_ssm(m=4, w=5, seed=38)
+    rng = make_rng(39)
+    r = 2
+    for n in (0, 1, 2, 17, 70):
+        for p in (1, 3):
+            z = rng.standard_normal((n, 5))
+            f_q = rng.standard_normal((n, p, r))
+            x0 = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
+            for start in (None, x0):
+                want = scan_sequential(ssm, z, start)
+                want_o = f_q @ want.outputs[..., :r].swapaxes(-1, -2) @ want.outputs[..., r:]
+                got = run_scan(ssm, z, backend, chunk=4, x0=start, f_q=f_q)
+                assert got.outputs.shape == (n, p, 5 - r)
+                if n:
+                    assert rel_err(got.outputs, want_o) < 1e-10, (n, p)
+                assert rel_err(got.final_state, want.final_state) < 1e-10, (n, p)
+                if backend == "chunkwise":
+                    ref = query_readout(ssm, z, f_q, 4, start)
+                    assert np.array_equal(got.outputs, ref.outputs)
+                    assert np.array_equal(got.final_state, ref.final_state)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_run_scan_validates_query_features(backend):
+    ssm = small_ssm(w=3)
+    z = np.zeros((4, 3))
+    with pytest.raises(ValueError, match="f_q must be real"):
+        run_scan(ssm, z, backend, f_q=np.full((4, 1, 2), 1j))
+    with pytest.raises(ValueError, match="f_q must be"):
+        run_scan(ssm, z, backend, f_q=np.zeros((5, 1, 2)))  # wrong N
+    with pytest.raises(ValueError, match="f_q must be"):
+        run_scan(ssm, z, backend, f_q=np.zeros((4, 1, 3)))  # R = W leaves no value channel
+
+
 def test_chunkwise_rejects_bad_chunk():
     ssm = small_ssm()
     with pytest.raises(ValueError):
