@@ -10,6 +10,7 @@ run, so CI can diff them.
 from __future__ import annotations
 
 import argparse
+import copy
 import dataclasses
 import json
 import sys
@@ -80,6 +81,12 @@ def _rel(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b))) / scale
 
 
+def _changed_fields(state, kept) -> int:
+    """How many fields of a decode state differ, bit for bit, from ``kept``."""
+    return sum(not np.array_equal(getattr(state, f.name), getattr(kept, f.name))
+               for f in dataclasses.fields(state))
+
+
 def _tiny(config: ModelConfig, variant: str) -> ModelConfig:
     base = dataclasses.replace(
         config, heads=2, model_dim=8, head_dim=4, feature_dim=4, state_dim=4,
@@ -100,7 +107,9 @@ def equiv_suite(config: ModelConfig, seed: int) -> SuiteReport:
     features of three heads and compare its head outputs and final state
     with f_q U^T Gamma of the sequential scan's outputs [U | Gamma].  The
     x0 draws and the query cases come from generators of their own, so the
-    other cases see the same data whether or not they run.
+    other cases see the same data whether or not they run.  Each round
+    trip's ``_input_state`` case counts, exactly, the fields of a state
+    passed to ``decode_step`` that the step changed; it must be 0.
     """
     rng, x0_rng, q_rng = make_rng(seed), make_rng(seed + 1), make_rng(seed + 2)
     cases = []
@@ -135,12 +144,16 @@ def equiv_suite(config: ModelConfig, seed: int) -> SuiteReport:
         x = rng.standard_normal((24, cfg.model_dim))
         y_ref = forward(params, x, cfg)
         y_pre, state = prefill(params, x[:16], cfg, chunk=8)
-        outs = [y_pre]
+        outs, changed = [y_pre], 0
         for t in range(16, 24):
-            y_t, state = decode_step(params, state, x[t], cfg)
+            kept = copy.deepcopy(state)
+            y_t, new_state = decode_step(params, state, x[t], cfg)
+            changed += _changed_fields(state, kept)
+            state = new_state
             outs.append(y_t[None])
         cases.append(_case(f"prefill_decode_{variant}",
                            float(np.max(np.abs(np.concatenate(outs) - y_ref))), 1e-10))
+        cases.append(_exact(f"prefill_decode_{variant}_input_state", changed, 0))
     return SuiteReport("equiv", seed, tuple(cases))
 
 

@@ -8,6 +8,7 @@ typo in a config file cannot silently fall back to a default.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -139,11 +140,14 @@ class Stream:
     norm: str | None
 
 
+@functools.lru_cache(maxsize=32)
 def streams(config: ModelConfig) -> tuple[Stream, ...]:
     """The variant's input streams, in the order k, v, q.
 
     The generic-input variants' k and v are the [a_t, b_t] streams: no
     feature map on k, a conv on v.  Only the query variants have a q.
+    The table is immutable and made once per config (a decode step reads
+    it three times).
     """
     generic = config.variant in GENERIC_INPUT_VARIANTS
     rope = config.rope_enabled

@@ -37,9 +37,12 @@ lines each head up with its group, and the readouts are batched matmuls.
 
 Which SSM path runs, one group at a time:
 
-* the forward and ``decode_step`` make one ``ssm.run_scan`` per group.  In
-  the query variants it is given the group's query features and returns
-  the group's head outputs on every backend: under ``chunkwise`` through
+* the forward and ``decode_step`` make one ``ssm.run_scan`` per group,
+  which writes the group's final state straight into its row of the new
+  state's one (n_kv, W, M) array (``run_scan``'s ``out``, honoured on every
+  backend); the passed-in state is never written.  In the query variants
+  the scan is given the group's query features and returns the group's
+  head outputs on every backend: under ``chunkwise`` through
   ``ssm.query_readout``, which never forms the (N, M, W) scan outputs;
   under ``sequential`` (and so in every decode step) and
   ``parallel_prefix`` read query first from the states, never reading out
@@ -53,7 +56,13 @@ Which SSM path runs, one group at a time:
   alone, which returns the head outputs along with the gradients, and the
   others one ``ssm.run_scan(..., "chunkwise")`` per group.
 
-``decode_step`` always steps the sequential recurrence.
+``decode_step`` always steps the sequential recurrence: per group, lam x0
+is written into the new state's row and the drive added in place, with no
+buffer of states, temporary or copy.  It checks the position, the layouts
+and the conv tails up front but does not scan the SSM states for a NaN or
+an inf; a non-finite entry there reaches every output, so a non-finite
+output is what sends it back to ``_check_state`` (see ``decode_step``).
+``prefill`` checks the whole state before it runs anything.
 
 All the backends agree numerically.
 """
@@ -215,10 +224,15 @@ def _check_finite(name: str, array: np.ndarray) -> None:
         raise ValueError(f"{name} must be finite, got NaN or inf")
 
 
-def _check_state(state: LayerState, config: ModelConfig) -> None:
+def _check_state(state: LayerState, config: ModelConfig, ssm_finite: bool = True) -> None:
     """Raise ValueError naming the first field of a passed-in decode state
     that ``init_decode_state(config)`` would not have made, or that holds a
-    NaN or an inf.  The layouts are compared without building a state."""
+    NaN or an inf.  The layouts are compared without building a state.
+
+    With ``ssm_finite=False`` the SSM states' entries are not scanned, only
+    their layout is checked: ``decode_step`` finds a NaN or an inf there
+    from its output instead, and then calls this again in full.
+    """
     position = state.position
     if isinstance(position, bool) or not isinstance(position, (int, np.integer)) or position < 0:
         raise ValueError(f"state.position must be an integer >= 0, got {position!r}")
@@ -233,16 +247,39 @@ def _check_state(state: LayerState, config: ModelConfig) -> None:
             want = None if want is None else (want[0], str(want[1]))
             raise ValueError(f"state.{name} must be (shape, dtype) {want} for this config, "
                              f"got {got}")
-        _check_finite(f"state.{name}", got)
+        if ssm_finite or name != "ssm_states":
+            _check_finite(f"state.{name}", got)
+
+
+def _param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """The shape of every dense tensor a ``LayerParams`` for ``config``
+    holds, by its serialized name, read from ``config.streams``: each
+    stream's projection and conv, the output projection and gate, the input
+    norms and the no-query variants' contraction.  Slots the config has no
+    use for are listed too; ``_check_params`` skips the absent ones."""
+    d, dh, r = config.model_dim, config.head_dim, config.feature_dim
+    shapes = {}
+    for s in streams(config):
+        shapes[f"w_{s.name}"] = (d, s.rows * dh)
+        shapes[f"conv_{s.name}"] = (CONV_TAPS, s.rows * dh)
+    shapes.update({"w_o": (d, d), "w_g": (d, d),
+                   "contraction": (config.heads, dh, config.state_dim * (r + dh))})
+    for norm, width in (("k_norm", r), ("v_norm", dh)):
+        shapes[f"{norm}.gain"] = shapes[f"{norm}.bias"] = (config.n_kv, width)
+    return shapes
 
 
 def _check_params(params: LayerParams, config: ModelConfig) -> None:
     """Raise ValueError naming the first field of ``params`` that disagrees
     with ``config``: an optional slot present where the config has no use
-    for it or missing where it needs it, or a stacked SSM whose groups,
-    state size or input width differ from the config's.  Parameters made
-    for another config would otherwise run on a wrong slice, or silently
-    drop or ignore a slot.  The other shapes are not compared."""
+    for it or missing where it needs it, a stacked SSM whose groups, state
+    size or input width differ from the config's, a dense tensor of another
+    shape than ``_param_shapes`` gives, or an rff feature map whose
+    frequencies are not (n_kv, feature_dim / 2, head_dim).  Parameters made
+    for another config would otherwise run on a wrong slice, return an
+    output of the wrong width, fail deep inside with a bare IndexError, or
+    silently drop or ignore a slot.  Only shapes are compared, so the check
+    costs microseconds."""
     has_q = config.variant in QUERY_VARIANTS
     expected = (("w_q", has_q), ("conv_q", has_q),
                 ("conv_v", config.variant in GENERIC_INPUT_VARIANTS),
@@ -254,15 +291,32 @@ def _check_params(params: LayerParams, config: ModelConfig) -> None:
                 f"(variant {config.variant!r}, output_gate_enabled="
                 f"{config.output_gate_enabled}) {'needs' if want else 'has no use for'} it")
     n_kv, m = config.n_kv, config.state_dim
+    dh, r = config.head_dim, config.feature_dim
     for name, axes, want in (("delta", "(n_kv, state_dim)", (n_kv, m)),
                              ("c_out", "(n_kv, state_dim, state_dim)", (n_kv, m, m))):
         got = getattr(params.ssm, name).shape
         if got != want:
             raise ValueError(f"params.ssm.{name} must be {axes} = {want} for this config, "
                              f"got {got}")
-    if params.ssm.input_width != config.feature_dim + config.head_dim:
+    if params.ssm.input_width != r + dh:
         raise ValueError(f"params.ssm.input_width must be feature_dim + head_dim = "
-                         f"{config.feature_dim + config.head_dim}, got {params.ssm.input_width}")
+                         f"{r + dh}, got {params.ssm.input_width}")
+    tensors = _learnable(params)
+    for name, want in _param_shapes(config).items():
+        if name in tensors:  # an absent slot was checked above
+            got = getattr(tensors[name], "shape", None)
+            if got != want:
+                raise ValueError(f"params.{name} must be {want} for this config, got {got}")
+    fmap = params.feature_map
+    if fmap.kind == "rff":
+        got = getattr(fmap.omega, "shape", None)
+        if r % 2 or got != (n_kv, r // 2, dh):
+            raise ValueError(f"params.feature_map.omega must be (n_kv, feature_dim / 2, "
+                             f"head_dim) with n_kv={n_kv}, feature_dim={r}, head_dim={dh}, "
+                             f"got {got}")
+    elif r != dh:
+        raise ValueError(f"params.feature_map.kind {fmap.kind!r} preserves width, so it needs "
+                         f"feature_dim == head_dim, got {r} != {dh}")
 
 
 def _run_streams(params: LayerParams, x_seq: np.ndarray, config: ModelConfig,
@@ -339,13 +393,11 @@ def _forward_core(
     # return the group's head outputs; only the variants without a query
     # path keep every group's (N, M, W) outputs, for the contraction ---
     outputs = np.empty((n, n_kv, per_group, dh) if has_q else (n, n_kv, m, w))
-    ssm_states = np.empty_like(state.ssm_states)
+    ssm_states = np.empty_like(state.ssm_states)  # each group's scan writes its row
     for g in range(n_kv):
-        result = run_scan(params.ssm[g], z[:, g], backend, chunk=config.chunk_size,
-                          x0=state.ssm_states[g], f_q=f_groups[:, g] if has_q else None)
-        outputs[:, g] = result.outputs
-        ssm_states[g] = result.final_state
-        del result  # before the next group's scan allocates its outputs
+        outputs[:, g] = run_scan(params.ssm[g], z[:, g], backend, chunk=config.chunk_size,
+                                 x0=state.ssm_states[g], f_q=f_groups[:, g] if has_q else None,
+                                 out=ssm_states[g]).outputs
     if has_q:
         o_cat = outputs.reshape(n, config.model_dim)
     else:
@@ -418,16 +470,34 @@ def decode_step(
 ) -> tuple[np.ndarray, LayerState]:
     """Advance one token.  Always steps the sequential recurrence, whatever
     backend the config names for training; state size is independent of how
-    many steps have been taken."""
+    many steps have been taken.  Returns the output and a new state; the
+    passed-in state is never written.
+
+    The position, the layouts and the conv tails are checked up front, the
+    SSM states' entries from the output: a NaN or an inf anywhere in them
+    reaches every output, through every head's readout a = f_q X_r, Re(a
+    C^T) C and Re(beta X_v^T) (or Re(C x) and the contraction), since NaN
+    times 0 is NaN.  So the step runs with invalid and overflow warnings
+    off, and a non-finite output scans the states: a NaN or an inf there
+    raises ValueError naming ``state.ssm_states``; otherwise the step
+    overflowed from a finite state (or a parameter is not finite), which
+    raises ValueError naming the decode output.
+    """
     token = _real(token, "token")
     if token.shape != (config.model_dim,):
         raise ValueError(f"token must be ({config.model_dim},), got {token.shape}")
     _check_finite("token", token)
     _check_params(params, config)
-    _check_state(state, config)
-    gated, new_state, _ = _forward_core(params, token[None, :], config, state,
-                                        backend="sequential")
-    return (gated @ params.w_o)[0], new_state
+    _check_state(state, config, ssm_finite=False)
+    with np.errstate(invalid="ignore", over="ignore"):
+        gated, new_state, _ = _forward_core(params, token[None, :], config, state,
+                                            backend="sequential")
+        y = (gated @ params.w_o)[0]
+    if not np.isfinite(y).all():
+        _check_state(state, config)
+        raise ValueError("decode output must be finite, got NaN or inf from a finite "
+                         "state: the step overflowed, or a parameter is not finite")
+    return y, new_state
 
 
 def _conv_backward(x_seq, kernel, grad_out):

@@ -13,7 +13,10 @@ axis and every product of a real operand with a state is one real matmul on
 the state's float view (real and imaginary parts interleaved along M).
 
 Every scan returns the readouts and the final state, never the states in
-between.  All four compute the same map and are interchangeable;
+between; given an ``out`` array, every backend writes the final state into
+it instead of a fresh array, and a one-step sequential scan (a decode step)
+forms its one state there.  All four compute the same map and are
+interchangeable;
 ``scan_sequential`` is the definitional one.  ``scan_prefix`` is a
 work-efficient up-sweep/down-sweep scan over the states in place, about 2N
 combines.  ``scan_fft`` forms no state: each output is a real convolution
@@ -94,8 +97,9 @@ def discretize(delta: np.ndarray, a: np.ndarray) -> np.ndarray:
 def make_ssm(delta, a, b, c_out, input_width: int) -> DiagonalSSM:
     delta = np.asarray(delta, dtype=float)
     a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    c_out = np.asarray(c_out, dtype=complex)
+    # the scans and readouts take float views of b and C
+    b = np.ascontiguousarray(b, dtype=complex)
+    c_out = np.ascontiguousarray(c_out, dtype=complex)
     m = delta.shape[-1]
     if (delta.ndim not in (1, 2) or a.shape != delta.shape or b.shape != delta.shape
             or c_out.shape != delta.shape + (m,)):
@@ -162,7 +166,9 @@ class ScanResult:
     outputs: np.ndarray      # (N, M, W) float, Re(c_out @ x_t[c]) per position and channel;
                              # given query features f_q (run_scan on any backend, or
                              # query_readout), the (N, P, W - R) head outputs f_q U^T Gamma
-    final_state: np.ndarray  # (W, M) complex, x_{N-1}; x0 itself when N = 0
+    final_state: np.ndarray  # (W, M) complex, x_{N-1}; x0 itself when N = 0.  Given
+                             # an ``out`` array (run_scan on any backend), ``out``
+                             # itself, holding x_{N-1}, or a copy of x0 when N = 0
 
 
 def _real(array, name: str) -> np.ndarray:
@@ -173,7 +179,11 @@ def _real(array, name: str) -> np.ndarray:
     return np.asarray(array, dtype=float)
 
 
-def _check_scan_input(ssm: DiagonalSSM, z: np.ndarray, x0) -> tuple[np.ndarray, np.ndarray]:
+def _check_scan_input(ssm: DiagonalSSM, z: np.ndarray, x0,
+                      out=None) -> tuple[np.ndarray, np.ndarray]:
+    """``z`` as real (N, W) inputs and ``x0`` as a complex (W, M) state
+    (zeros for None); ``out``, the final state's array, must be None or a
+    writeable C-contiguous complex (W, M) array."""
     if ssm.delta.ndim != 1:
         raise ValueError("scan one group at a time: pass ssm[g]")
     z = _real(z, "z")
@@ -186,6 +196,12 @@ def _check_scan_input(ssm: DiagonalSSM, z: np.ndarray, x0) -> tuple[np.ndarray, 
         x0 = np.asarray(x0, dtype=complex)
         if x0.shape != (w, m):
             raise ValueError(f"x0 must be ({w}, {m}), got {x0.shape}")
+    if out is not None and not (isinstance(out, np.ndarray) and out.shape == (w, m)
+                                and out.dtype == complex and out.flags.c_contiguous
+                                and out.flags.writeable):
+        got = (getattr(out, "shape", None), str(getattr(out, "dtype", type(out).__name__)))
+        raise ValueError(f"out must be a writeable C-contiguous complex ({w}, {m}) array, "
+                         f"got (shape, dtype) {got}")
     return z, x0
 
 
@@ -201,9 +217,8 @@ def _check_query(ssm: DiagonalSSM, z: np.ndarray, f_q):
     return f_q
 
 
-def _result(ssm: DiagonalSSM, states: np.ndarray, x0: np.ndarray, f_q=None) -> ScanResult:
-    """Read out the (N, W, M) states and keep the last one, copied unless it
-    is the buffer's only state, so the result never holds more than one.
+def _result(ssm: DiagonalSSM, states: np.ndarray, final: np.ndarray, f_q=None) -> ScanResult:
+    """Read out the (N, W, M) states; ``final`` is the result's final state.
 
     Without ``f_q`` the outputs are Re(C x) on every channel, the real matmul
     [Re C, -Im C] @ [Re x; Im x], interleaved as the float views of conj(C)
@@ -211,20 +226,39 @@ def _result(ssm: DiagonalSSM, states: np.ndarray, x0: np.ndarray, f_q=None) -> S
     states and never from the (N, M, W) outputs: a = f_q X_r on the float
     view, alpha = Re(a C^T), beta = alpha C and o = Re(beta X_v^T).  Each
     Re(u v^T) is the float view of conj(u) times that of v, and only the
-    small a and beta are conjugated, never C or a state.
+    small a and beta are conjugated, each in place through its complex
+    view, never C or a state.
     """
     if f_q is None:
         outputs = np.conj(ssm.c_out).view(float) @ states.view(float).swapaxes(-1, -2)
     else:
         n, p, r = f_q.shape
-        m = ssm.state_dim
-        a = (f_q @ states[:, :r].view(float)).reshape(n * p, 2 * m)
-        a[:, 1::2] *= -1
-        beta = (a @ ssm.c_out.view(float).T) @ ssm.c_out.view(float)  # alpha C, (N P, 2M)
-        beta[:, 1::2] *= -1
-        outputs = beta.reshape(n, p, 2 * m) @ states[:, r:].view(float).swapaxes(1, 2)
-    final = states[-1] if len(states) == 1 else states[-1].copy() if len(states) else x0
+        c = ssm.c_out.view(float)
+        a = (f_q @ states[:, :r].view(float)).reshape(n * p, c.shape[1])
+        np.conjugate(a.view(complex), out=a.view(complex))
+        beta = (a @ c.T) @ c  # alpha C, (N P, 2M)
+        np.conjugate(beta.view(complex), out=beta.view(complex))
+        outputs = beta.reshape(n, p, c.shape[1]) @ states[:, r:].view(float).swapaxes(1, 2)
     return ScanResult(outputs=outputs, final_state=final)
+
+
+def _last_state(states: np.ndarray, x0: np.ndarray, out=None) -> np.ndarray:
+    """The final state of a scan that formed the (N, W, M) ``states`` from
+    x0: written into ``out`` when given; otherwise the last state, copied
+    unless it is the buffer's only one, so a result never holds more than
+    one, and x0 itself when N = 0."""
+    last = states[-1] if len(states) else x0
+    if out is not None:
+        out[...] = last
+        return out
+    return last.copy() if len(states) > 1 else last
+
+
+def _drive(ssm: DiagonalSSM, z: np.ndarray) -> np.ndarray:
+    """The (N, W, M) drives b z_t[c]: one contiguous product on the float
+    view of b, bit-identical to ``z[:, :, None] * b``, which pays numpy's
+    broadcast loop row by row."""
+    return np.einsum("nw,m->nwm", z, ssm.b.view(float), order="C").view(complex)
 
 
 def _lam_powers(lam: np.ndarray, n: int) -> np.ndarray:
@@ -245,18 +279,28 @@ def _recur(lam: np.ndarray, drive: np.ndarray, x0: np.ndarray, out: np.ndarray) 
     return state
 
 
-def scan_sequential(ssm: DiagonalSSM, z: np.ndarray, x0=None, f_q=None) -> ScanResult:
+def scan_sequential(ssm: DiagonalSSM, z: np.ndarray, x0=None, f_q=None,
+                    out=None) -> ScanResult:
     """The defining stepwise recurrence; with ``f_q``, the heads' outputs
-    (``_result``)."""
-    z, x0 = _check_scan_input(ssm, z, x0)
+    (``_result``), and the final state in ``out`` when given.
+
+    A single step, as in decode, forms its one state where it is returned:
+    lam x0 is written into ``out`` (or a fresh array) and the drive added in
+    place, with no buffer of states, no lam x0 temporary and no copy.
+    """
+    z, x0 = _check_scan_input(ssm, z, x0, out)
     f_q = _check_query(ssm, z, f_q)
-    states = z[:, :, None] * ssm.b  # each drive is overwritten in place by its state
-    states[:1] += ssm.lam * x0      # a slice, so N = 0 gives an empty result
+    if len(z) == 1:
+        final = np.multiply(ssm.lam, x0, out=out)
+        final += _drive(ssm, z)[0]
+        return _result(ssm, final[None], final, f_q)
+    states = _drive(ssm, z)      # each drive is overwritten in place by its state
+    states[:1] += ssm.lam * x0   # a slice, so N = 0 gives an empty result
     _recur(ssm.lam, states[1:], states[0] if len(states) else x0, states[1:])
-    return _result(ssm, states, x0, f_q)
+    return _result(ssm, states, _last_state(states, x0, out), f_q)
 
 
-def scan_fft(ssm: DiagonalSSM, z: np.ndarray, x0=None, f_q=None) -> ScanResult:
+def scan_fft(ssm: DiagonalSSM, z: np.ndarray, x0=None, f_q=None, out=None) -> ScanResult:
     """Convolution form: each output is a real convolution of the inputs
     with the lag kernel h[tau] = Re(C diag(b) lam^tau) of ``_lag_kernels``,
 
@@ -269,9 +313,10 @@ def scan_fft(ssm: DiagonalSSM, z: np.ndarray, x0=None, f_q=None) -> ScanResult:
     is nonzero; the final state is one closed-form step from x0.  Work is
     O(M W N log N); besides the outputs it holds one mode's (n_fft, W)
     spectrum and convolution, and no state is ever formed.  With ``f_q``
-    the outputs [U | Gamma] become the heads' f_q U^T Gamma.
+    the outputs [U | Gamma] become the heads' f_q U^T Gamma; the final
+    state goes into ``out`` when given.
     """
-    z, x0 = _check_scan_input(ssm, z, x0)
+    z, x0 = _check_scan_input(ssm, z, x0, out)
     f_q = _check_query(ssm, z, f_q)
     n, w, m = z.shape[0], ssm.input_width, ssm.state_dim
     powers = _lam_powers(ssm.lam, n + 1)
@@ -286,7 +331,8 @@ def scan_fft(ssm: DiagonalSSM, z: np.ndarray, x0=None, f_q=None) -> ScanResult:
     if f_q is not None:
         r = f_q.shape[2]
         outputs = (f_q @ outputs[..., :r].swapaxes(-1, -2)) @ outputs[..., r:]
-    return ScanResult(outputs=outputs, final_state=_final_state(ssm, powers, z, x0[None], x0))
+    return ScanResult(outputs=outputs,
+                      final_state=_final_state(ssm, powers, z, x0[None], x0, out))
 
 
 def _segment_entries(ssm: DiagonalSSM, powers: np.ndarray, z: np.ndarray,
@@ -314,15 +360,18 @@ def _segment_entries(ssm: DiagonalSSM, powers: np.ndarray, z: np.ndarray,
 
 
 def _final_state(ssm: DiagonalSSM, powers: np.ndarray, z: np.ndarray,
-                 entries: np.ndarray, x0: np.ndarray) -> np.ndarray:
-    """The state after the last step: one closed-form step over the last
-    chunk's L <= k steps from its entry state; x0 itself when N = 0."""
+                 entries: np.ndarray, x0: np.ndarray, out=None) -> np.ndarray:
+    """The state after the last step, written into ``out`` when given: one
+    closed-form step over the last chunk's L <= k steps from its entry
+    state; x0 itself (or copied into ``out``) when N = 0."""
     n, k = z.shape[0], powers.shape[0] - 1
     if n == 0:
-        return x0
+        return _last_state(entries[:0], x0, out)
     last = n - (entries.shape[0] - 1) * k
     b_powers = (ssm.b * powers[:last][::-1]).view(float)  # row p is b lam^(last-1-p)
-    return powers[last] * entries[-1] + (z[n - last:].T @ b_powers).view(complex)
+    final = np.multiply(powers[last], entries[-1], out=out)
+    final += (z[n - last:].T @ b_powers).view(complex)
+    return final
 
 
 def _block_size(chunk: int, n: int, w: int) -> int:
@@ -376,7 +425,8 @@ def _lag_sums(g_z: np.ndarray) -> np.ndarray:
     return np.diagonal(windows, axis1=2, axis2=3).sum(axis=-1)
 
 
-def scan_chunkwise(ssm: DiagonalSSM, z: np.ndarray, chunk: int, x0=None) -> ScanResult:
+def scan_chunkwise(ssm: DiagonalSSM, z: np.ndarray, chunk: int, x0=None,
+                   out=None) -> ScanResult:
     """Chunked scan in the dual (Toeplitz) form of Dao and Gu (2024).
 
     The input is cut into chunks of K = min(chunk, N, W) steps, and the
@@ -393,20 +443,21 @@ def scan_chunkwise(ssm: DiagonalSSM, z: np.ndarray, chunk: int, x0=None) -> Scan
     into the operands, so besides the outputs the scan holds one buffer of
     ceil(N/K) (W, 2M + K) operands and no product temporary.  A ragged last
     chunk of L steps uses the top-left (L M, 2M + L) block of the operator;
-    the final state is one more closed-form step from the last entry.  No
-    state inside a chunk is ever formed, and K never exceeds N or W, so the
-    K^2 M kernel is no larger than the (N, M, W) outputs.
+    the final state is one more closed-form step from the last entry, into
+    ``out`` when given.  No state inside a chunk is ever formed, and K
+    never exceeds N or W, so the K^2 M kernel is no larger than the
+    (N, M, W) outputs.
     """
     if chunk < 1:
         raise ValueError("chunk must be positive")
-    z, x0 = _check_scan_input(ssm, z, x0)
+    z, x0 = _check_scan_input(ssm, z, x0, out)
     n, w, m = z.shape[0], ssm.input_width, ssm.state_dim
     k = _block_size(chunk, n, w)
     powers = _lam_powers(ssm.lam, k + 1)
     n_chunks = max(-(-n // k), 1)
     operands = np.empty((n_chunks, w, 2 * m + k))  # chunk j's operand, transposed
     entries = _segment_entries(ssm, powers, z, x0, out=operands[..., :2 * m].view(complex))
-    final = _final_state(ssm, powers, z, entries, x0)
+    final = _final_state(ssm, powers, z, entries, x0, out)
     # Re(A e) = [Re A, Im A] @ [Re e; -Im e]: the float views of A and of
     # conj(e), conjugated in place now that the final state is taken (an
     # np.conj into the strided view would copy it first)
@@ -435,7 +486,7 @@ def _combine(states: np.ndarray, first: int, span: int, lam_span: np.ndarray) ->
     right += lam_span * states[first::2 * span][:len(right)]
 
 
-def scan_prefix(ssm: DiagonalSSM, z: np.ndarray, x0=None, f_q=None) -> ScanResult:
+def scan_prefix(ssm: DiagonalSSM, z: np.ndarray, x0=None, f_q=None, out=None) -> ScanResult:
     """Work-efficient inclusive associative scan (Blelloch, 1990) over the
     pairs (lam, b z_t), (a1, b1) o (a2, b2) = (a1 a2, a2 b1 + b2), with
     lam x0 folded into the first.
@@ -448,12 +499,12 @@ def scan_prefix(ssm: DiagonalSSM, z: np.ndarray, x0=None, f_q=None) -> ScanResul
     one 2^d to its left.  Both work in place on the (N, W, M) states, in
     about 2N combines over 2 log2(N) vectorized levels, and read out
     through the states' float view, as the heads' outputs with ``f_q``
-    (``_result``).
+    (``_result``); the final state goes into ``out`` when given.
     """
-    z, x0 = _check_scan_input(ssm, z, x0)
+    z, x0 = _check_scan_input(ssm, z, x0, out)
     f_q = _check_query(ssm, z, f_q)
     n = z.shape[0]
-    states = z[:, :, None] * ssm.b
+    states = _drive(ssm, z)
     states[:1] += ssm.lam * x0  # a slice, so N = 0 gives an empty result
     levels = []  # (2^d, lam^(2^d)) for every d with 2^(d+1) <= N
     span, lam_span = 1, ssm.lam
@@ -464,24 +515,30 @@ def scan_prefix(ssm: DiagonalSSM, z: np.ndarray, x0=None, f_q=None) -> ScanResul
         _combine(states, span - 1, span, lam_span)
     for span, lam_span in levels[::-1]:  # down-sweep
         _combine(states, 2 * span - 1, span, lam_span)
-    return _result(ssm, states, x0, f_q)
+    return _result(ssm, states, _last_state(states, x0, out), f_q)
 
 
 def run_scan(ssm: DiagonalSSM, z: np.ndarray, backend: str,
-             chunk: int = 16, x0=None, f_q=None) -> ScanResult:
+             chunk: int = 16, x0=None, f_q=None, out=None) -> ScanResult:
     """One group's scan of ``z`` from ``x0`` on ``backend``.  Given the
     (N, P, R) query features ``f_q`` of the group's P heads, the outputs
     are the heads' (N, P, W - R) f_q U^T Gamma on every backend, where
-    [U | Gamma] would be the (N, M, W) scan outputs split at R."""
+    [U | Gamma] would be the (N, M, W) scan outputs split at R.
+
+    Given ``out``, a writeable C-contiguous complex (W, M) array, every
+    backend writes the final state into it and returns it as
+    ``final_state`` (x0 copied in when N = 0); ``x0`` is never written.
+    A one-step ``sequential`` scan, as in decode, forms its state in
+    ``out`` directly.  Any other ``out`` raises ValueError."""
     if backend == "sequential":
-        return scan_sequential(ssm, z, x0, f_q)
+        return scan_sequential(ssm, z, x0, f_q, out)
     if backend == "fft":
-        return scan_fft(ssm, z, x0, f_q)
+        return scan_fft(ssm, z, x0, f_q, out)
     if backend == "chunkwise":
-        return scan_chunkwise(ssm, z, chunk, x0) if f_q is None else \
-            query_readout(ssm, z, f_q, chunk, x0)
+        return scan_chunkwise(ssm, z, chunk, x0, out) if f_q is None else \
+            query_readout(ssm, z, f_q, chunk, x0, out)
     if backend == "parallel_prefix":
-        return scan_prefix(ssm, z, x0, f_q)
+        return scan_prefix(ssm, z, x0, f_q, out)
     raise ValueError(f"unknown backend {backend!r}")
 
 
@@ -689,12 +746,12 @@ def _readout_blocks(ssm: DiagonalSSM, z: np.ndarray, f_q: np.ndarray, powers: np
 
 
 def query_readout(ssm: DiagonalSSM, z: np.ndarray, f_q: np.ndarray, chunk: int,
-                  x0=None) -> ScanResult:
+                  x0=None, out=None) -> ScanResult:
     """The query readout of one group, o_t[h] = f_q[t, h] U_t^T Gamma_t,
     where [U_t | Gamma_t] = ``scan_chunkwise(ssm, z, chunk, x0).outputs[t]``
     splits the W channels at R = f_q.shape[2], without forming U_t or
     Gamma_t.  Returns ``ScanResult`` with the (N, P, W - R) head outputs
-    and the (W, M) final state.
+    and the (W, M) final state, in ``out`` when given.
 
     The chunks and their entry states e are those of ``scan_chunkwise``.
     Per block of equal-length chunks, with h[tau] = Re(C diag(b) lam^tau):
@@ -709,7 +766,7 @@ def query_readout(ssm: DiagonalSSM, z: np.ndarray, f_q: np.ndarray, chunk: int,
     Each step is a batched GEMM over the block's chunks, and the largest
     array is (N, P, K) or (N, P, M), against (N, M, W) for the scan.
     """
-    z, x0 = _check_scan_input(ssm, z, x0)
+    z, x0 = _check_scan_input(ssm, z, x0, out)
     f_q = _check_query(ssm, z, f_q)
     if chunk < 1:
         raise ValueError("chunk must be positive")
@@ -720,7 +777,8 @@ def query_readout(ssm: DiagonalSSM, z: np.ndarray, f_q: np.ndarray, chunk: int,
     outputs = np.empty((n, p, ssm.input_width - r))
     for block in _readout_blocks(ssm, z, f_q, powers, entries, _lag_kernels(ssm, powers)[1]):
         outputs[block.rows] = block.o.reshape(-1, p, outputs.shape[2])
-    return ScanResult(outputs=outputs, final_state=_final_state(ssm, powers, z, entries, x0))
+    return ScanResult(outputs=outputs,
+                      final_state=_final_state(ssm, powers, z, entries, x0, out))
 
 
 def query_readout_backward(ssm: DiagonalSSM, z: np.ndarray, f_q: np.ndarray, upstream: np.ndarray,

@@ -5,7 +5,7 @@ import pytest
 
 import interdomain.cli as cli
 from interdomain.bench import CSV_HEADER
-from interdomain.config import BACKENDS
+from interdomain.config import BACKENDS, VARIANTS
 from interdomain.cli import CaseResult, SuiteReport, run
 
 
@@ -93,6 +93,14 @@ def test_equiv_checks_query_scans_on_every_backend(tmp_path):
     for backend in BACKENDS:
         for name in (f"query_scan_{backend}", f"query_scan_{backend}_x0"):
             assert cases[name]["passed"] and cases[name]["tolerance"] == 1e-8, name
+
+
+def test_equiv_checks_decode_leaves_its_input_state(tmp_path):
+    assert run(["equiv", "--out", str(tmp_path)]) == 0
+    cases = {c["name"]: c for c in read_report(tmp_path, "equiv")["cases"]}
+    for variant in VARIANTS:
+        case = cases[f"prefill_decode_{variant}_input_state"]
+        assert case["passed"] and case["error"] == case["tolerance"] == 0.0, variant
 
 
 def test_gradcheck_passes(tmp_path):

@@ -2,6 +2,7 @@ import dataclasses
 import importlib.util
 import sys
 import tracemalloc
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -357,6 +358,133 @@ def test_non_finite_input_is_rejected():
             decode_step(params, broken, x[0], config)
         with pytest.raises(ValueError, match=f"state.{name} must be finite"):
             prefill(params, x, config, state=broken)
+
+
+@pytest.mark.parametrize("gate", [False, True])
+@pytest.mark.parametrize("n_kv", [1, 2])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_non_finite_ssm_state_is_found_from_the_decode_output(variant, n_kv, gate, monkeypatch):
+    # decode_step does not scan the SSM states up front: a NaN or an inf in
+    # either part of any entry reaches every output, and the step then names
+    # the field, with no RuntimeWarning on the way.  prefill still checks the
+    # state before it runs a stream
+    config, params = variant_setup(variant, seed=70, n_kv=n_kv, output_gate_enabled=gate)
+    x = make_rng(71).standard_normal((5, config.model_dim))
+    _, state = prefill(params, x[:4], config)
+    streams_run = Counter()
+    real_run_streams = layer_module._run_streams
+
+    def counting_run_streams(*args):
+        streams_run["calls"] += 1
+        return real_run_streams(*args)
+
+    monkeypatch.setattr(layer_module, "_run_streams", counting_run_streams)
+    for index in np.ndindex(state.ssm_states.shape):
+        for part in ("real", "imag"):
+            for bad in (np.nan, np.inf, -np.inf):
+                broken = state.ssm_states.copy()
+                getattr(broken, part)[index] = bad
+                broken_state = dataclasses.replace(state, ssm_states=broken)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(ValueError, match="state.ssm_states must be finite"):
+                        decode_step(params, broken_state, x[4], config)
+                    before = streams_run["calls"]
+                    with pytest.raises(ValueError, match="state.ssm_states must be finite"):
+                        prefill(params, x[4:], config, state=broken_state)
+                    assert streams_run["calls"] == before, (index, part, bad)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_decode_overflow_from_a_finite_state_is_named(variant):
+    # a finite state whose readout overflows fails with a named error, not
+    # with a RuntimeWarning and an infinite output
+    config, params = variant_setup(variant, seed=72)
+    state = init_decode_state(config)
+    state.ssm_states[...] = 1e308 + 1e308j
+    token = make_rng(73).standard_normal(config.model_dim)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="decode output must be finite"):
+            decode_step(params, state, token, config)
+
+
+@pytest.mark.parametrize("gate", [False, True])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_decode_step_leaves_the_passed_in_state_unchanged(variant, gate):
+    config, params = variant_setup(variant, seed=74, output_gate_enabled=gate)
+    x = make_rng(75).standard_normal((6, config.model_dim))
+    _, state = prefill(params, x[:3], config)
+    for token in x[3:]:
+        kept = {name: value.copy() for name, value in vars(state).items()
+                if isinstance(value, np.ndarray)}
+        position = state.position
+        _, new_state = decode_step(params, state, token, config)
+        assert state.position == position and new_state.position == position + 1
+        for name, value in kept.items():
+            assert np.array_equal(getattr(state, name), value), name
+            assert not np.shares_memory(getattr(new_state, name), getattr(state, name)), name
+        state = new_state
+
+
+def _one_column_short(params, field):
+    """``params`` with ``field``, a dense tensor, the norms' gain or bias or
+    the rff frequencies, one entry short on its last axis (on the frequency
+    axis for the rff map)."""
+    if field == "feature_map.omega":
+        omega = params.feature_map.omega[:, :-1]
+        return dataclasses.replace(params, feature_map=dataclasses.replace(params.feature_map,
+                                                                           omega=omega))
+    if "." in field:
+        norm, part = field.split(".")
+        short = {part: getattr(getattr(params, norm), part)[..., :-1]}
+        return dataclasses.replace(params, **{norm: dataclasses.replace(getattr(params, norm),
+                                                                        **short)})
+    return dataclasses.replace(params, **{field: getattr(params, field)[..., :-1]})
+
+
+_SHORT_FIELDS = {  # field: (config overrides, feature kind) of a layer that has it
+    "w_q": ({}, "silu_l2"), "w_k": ({}, "silu_l2"), "w_v": ({}, "silu_l2"),
+    "w_o": ({}, "silu_l2"), "w_g": ({"output_gate_enabled": True}, "silu_l2"),
+    "conv_q": ({}, "silu_l2"), "conv_k": ({}, "silu_l2"),
+    "conv_v": ({"variant": "single_input_qproj"}, "silu_l2"),
+    "k_norm.gain": ({}, "silu_l2"), "k_norm.bias": ({}, "silu_l2"),
+    "v_norm.gain": ({}, "silu_l2"), "v_norm.bias": ({}, "silu_l2"),
+    "feature_map.omega": ({}, "rff"),
+    "contraction": ({"variant": "dual_kv_linear"}, "silu_l2"),
+}
+
+
+@pytest.mark.parametrize("field", list(_SHORT_FIELDS))
+def test_param_of_another_shape_is_rejected(field):
+    # without the check a w_o one column short returns an (N, 7) output, a
+    # short conv_k raises a bare IndexError, and the others fail deep inside
+    # with numpy's broadcast or reshape errors
+    overrides, feature_kind = _SHORT_FIELDS[field]
+    config = tiny_config(**overrides)
+    params = _one_column_short(
+        init_layer_params(config, make_rng(76), feature_kind=feature_kind,
+                          contraction_scale=0.5), field)
+    x = make_rng(77).standard_normal((4, config.model_dim))
+    match = rf"params\.{field} must be"
+    with pytest.raises(ValueError, match=match):
+        forward(params, x, config)
+    with pytest.raises(ValueError, match=match):
+        prefill(params, x, config)
+    with pytest.raises(ValueError, match=match):
+        decode_step(params, init_decode_state(config), x[0], config)
+    with pytest.raises(ValueError, match=match):
+        backward(params, x, x, config)
+
+
+def test_width_preserving_feature_map_needs_equal_widths():
+    # an rff layer's parameters under a silu_l2 map would feed head_dim-wide
+    # features into a feature_dim-wide norm
+    config = tiny_config(feature_dim=6)
+    params = init_layer_params(config, make_rng(78), feature_kind="rff")
+    params.feature_map = dataclasses.replace(params.feature_map, kind="silu_l2", omega=None)
+    with pytest.raises(ValueError, match=r"params\.feature_map\.kind 'silu_l2' preserves width"):
+        forward(params, make_rng(79).standard_normal((4, config.model_dim)), config)
 
 
 @pytest.mark.parametrize("entry", ["forward", "prefill", "decode_step", "backward"])

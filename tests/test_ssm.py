@@ -9,6 +9,7 @@ from interdomain.ssm import (
     DELTA_LOG10_RANGE,
     DiagonalSSM,
     ScanResult,
+    _drive,
     backward_checkpointed,
     discretize,
     make_ssm,
@@ -357,6 +358,55 @@ def test_split_scan_equals_one_shot(backend):
     assert empty.final_state is head.final_state
     assert empty.outputs.shape == (0, 4, 2)
     assert [f.name for f in dataclasses.fields(ScanResult)] == ["outputs", "final_state"]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 17, 70])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_run_scan_writes_final_state_into_out(backend, n):
+    # every backend writes the final state into ``out`` and returns it,
+    # bit for bit what it returns without ``out``, and never writes x0
+    ssm = small_ssm(m=3, w=5, seed=60)
+    rng = make_rng(61)
+    z = rng.standard_normal((n, 5))
+    f_q = rng.standard_normal((n, 3, 2))
+    x0 = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+    for start in (np.zeros((5, 3), dtype=complex), x0):
+        kept = start.copy()
+        for query in (None, f_q):
+            want = run_scan(ssm, z, backend, chunk=16, x0=start, f_q=query)
+            out = np.full((5, 3), np.nan + 1j * np.nan)
+            got = run_scan(ssm, z, backend, chunk=16, x0=start, f_q=query, out=out)
+            assert got.final_state is out
+            assert np.array_equal(got.final_state, want.final_state)
+            assert np.array_equal(got.outputs, want.outputs)
+            assert np.array_equal(start, kept)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_run_scan_rejects_a_bad_out(backend):
+    ssm = small_ssm(m=3, w=5)
+    z = np.zeros((4, 5))
+    for bad in (np.zeros((3, 5), dtype=complex), np.zeros((5, 3)),
+                np.zeros((5, 3), dtype=np.complex64), np.zeros((5, 6), dtype=complex)[:, ::2],
+                np.zeros((2, 5, 3), dtype=complex), [[0j] * 3] * 5):
+        with pytest.raises(ValueError, match=r"out must be a writeable C-contiguous complex "
+                                             r"\(5, 3\) array"):
+            run_scan(ssm, z, backend, out=bad)
+    frozen = np.zeros((5, 3), dtype=complex)
+    frozen.flags.writeable = False
+    with pytest.raises(ValueError, match="out must be"):
+        run_scan(ssm, z, backend, out=frozen)
+
+
+def test_drive_is_the_broadcast_product():
+    # the contiguous drive of the sequential and prefix scans equals the
+    # broadcast z[:, :, None] * b bit for bit
+    rng = make_rng(62)
+    ssm = ssm_with(small_ssm(m=16, w=32, seed=62),
+                   b=rng.standard_normal(16) + 1j * rng.standard_normal(16))
+    z = rng.standard_normal((70, 32))
+    for rows in (z, z[:1], z[:0], z[::3]):
+        assert np.array_equal(_drive(ssm, rows), rows[:, :, None] * ssm.b)
 
 
 def test_unknown_backend_rejected():
