@@ -47,14 +47,17 @@ Which SSM path runs, one group at a time:
   under ``sequential`` (and so in every decode step) and
   ``parallel_prefix`` read query first from the states, never reading out
   all W channels; under ``fft`` from its convolution outputs;
-* only the variants without a query path form every group's outputs, one
-  (N, n_kv, M, W) array (the trace's ``scan_out``), for the learned
-  contraction, and take their gradients from ``ssm.backward_checkpointed``;
+* only the forward of the variants without a query path forms every
+  group's outputs, one (N, n_kv, M, W) array (the trace's ``scan_out``),
+  for the learned contraction;
 * ``backward`` shares only the streams (``_run_streams``) with the forward
-  and runs each group's readout once, in the dual form whatever backend
-  the config names: the query variants call ``ssm.query_readout_backward``
-  alone, which returns the head outputs along with the gradients, and the
-  others one ``ssm.run_scan(..., "chunkwise")`` per group.
+  and calls no scan: per group it makes one SSM adjoint call in the dual
+  form, whatever backend the config names, and that call returns the
+  outputs it forms along with the gradients.  The query variants call
+  ``ssm.query_readout_backward``, which returns the head outputs; the
+  others call ``ssm.backward_checkpointed`` on the group's upstream into
+  one reused (N, M, W) buffer, and contract it, so they hold one group's
+  scan outputs and upstream at a time.
 
 ``decode_step`` always steps the sequential recurrence: per group, lam x0
 is written into the new state's row and the drive added in place, with no
@@ -449,8 +452,8 @@ def prefill(
         _check_state(state, config)
     if chunk is None:
         chunk = max(n, 1)
-    if chunk < 1:
-        raise ValueError("prefill chunk must be positive")
+    if isinstance(chunk, bool) or not isinstance(chunk, (int, np.integer)) or chunk < 1:
+        raise ValueError(f"prefill chunk must be an integer >= 1, got {chunk!r}")
     blocks = []
     for start in range(0, n, chunk):
         # unpack only (gated, state) and drop gated once projected, so no
@@ -549,35 +552,35 @@ def backward(
         s = sigmoid(gate_pre)
         grad_o_cat = gate_pre * s * grad_gated
 
-    # readout and SSM backward per group, batched over the group's heads.
-    # The query readout's adjoint returns the head outputs it forms, so the
-    # readout runs once per group; the other variants scan each group once
+    # readout and SSM backward one group at a time, batched over the
+    # group's heads: one SSM adjoint per group, which returns the outputs
+    # it forms, so no group's forward runs twice.  The variants without a
+    # query path hold one group's (N, M W) outputs and upstream at a time
     per_group = heads // n_kv
     grad_outs = {}
+    ssm_grads = [None] * n_kv
     if has_q:
         f_q = trace["f_q"].reshape(n, n_kv, per_group, r)
         grad_o = grad_o_cat.reshape(n, n_kv, per_group, dh)
         outputs, grad_f = np.empty_like(grad_o), np.empty_like(f_q)
-        ssm_grads = [None] * n_kv
         for g in range(n_kv):
             outputs[:, g], ssm_grads[g], grad_f[:, g] = query_readout_backward(
                 params.ssm[g], z[:, g], f_q[:, g], grad_o[:, g], config.chunk_size)
-        o_cat = outputs.reshape(n, config.model_dim)
         grad_outs["q"] = grad_f.reshape(n, heads, r)
     else:
-        scan_out = np.empty((n, n_kv, m, w))
-        for g in range(n_kv):
-            scan_out[:, g] = run_scan(params.ssm[g], z[:, g], "chunkwise",
-                                      chunk=config.chunk_size).outputs
-        flat = scan_out.reshape(n, n_kv, m * w).swapaxes(0, 1)  # (G, N, M W)
-        grad_o = grad_o_cat.reshape(n, n_kv, per_group * dh).swapaxes(0, 1)
+        grad_o = grad_o_cat.reshape(n, n_kv, per_group * dh)
         contraction = params.contraction.reshape(n_kv, per_group * dh, m * w)
-        o_cat = (flat @ contraction.swapaxes(1, 2)).swapaxes(0, 1).reshape(n, config.model_dim)
-        grads["contraction"] = (grad_o.swapaxes(1, 2) @ flat).reshape(params.contraction.shape)
-        grad_scan = (grad_o @ contraction).swapaxes(0, 1).reshape(n, n_kv, m, w)
-        ssm_grads = [backward_checkpointed(params.ssm[g], z[:, g], grad_scan[:, g],
-                                           config.chunk_size)
-                     for g in range(n_kv)]
+        outputs, grad_contraction = np.empty_like(grad_o), np.empty_like(contraction)
+        scan_out = np.empty((n, m, w))  # the group's outputs, reused
+        flat = scan_out.reshape(n, m * w)
+        for g in range(n_kv):
+            grad_scan = (grad_o[:, g] @ contraction[g]).reshape(n, m, w)
+            ssm_grads[g] = backward_checkpointed(params.ssm[g], z[:, g], grad_scan,
+                                                 config.chunk_size, out=scan_out)[1]
+            outputs[:, g] = flat @ contraction[g].T
+            grad_contraction[g] = grad_o[:, g].T @ flat
+        grads["contraction"] = grad_contraction.reshape(params.contraction.shape)
+    o_cat = outputs.reshape(n, config.model_dim)
 
     # output projection and gate, now that the readout is known
     gated = o_cat

@@ -28,9 +28,13 @@ The chunkwise scan is the dual (Toeplitz) form of Dao and Gu, *Transformers
 are SSMs* (2024).  The state entering each chunk comes from one closed-form
 step per chunk (``_segment_entries``); inside a chunk the outputs are one
 real matmul of a stacked [entry matrix | lower-Toeplitz kernel] operator on
-the chunk's [entry state; inputs], so no state inside a chunk is ever
-formed.  ``backward_checkpointed`` is the adjoint of that matmul and
-carries only the adjoints of the entry states across chunks.
+the chunk's [entry state; inputs] (``_chunk_outputs``), so no state inside
+a chunk is ever formed.  ``backward_checkpointed`` is the adjoint of that
+matmul and carries only the adjoints of the entry states across chunks;
+it also returns the outputs, made by the same per-chunk product from the
+entry states and operator it builds anyway.  Every pass in the dual form
+starts from the same setup (``_dual_setup``): the chunk length, the table
+of pole powers and the entry states.
 
 Given the query features f_q of the group's heads, ``run_scan`` returns
 each head's f_q U^T Gamma, where [U | Gamma] are the scan's outputs, on
@@ -196,13 +200,19 @@ def _check_scan_input(ssm: DiagonalSSM, z: np.ndarray, x0,
         x0 = np.asarray(x0, dtype=complex)
         if x0.shape != (w, m):
             raise ValueError(f"x0 must be ({w}, {m}), got {x0.shape}")
-    if out is not None and not (isinstance(out, np.ndarray) and out.shape == (w, m)
-                                and out.dtype == complex and out.flags.c_contiguous
+    _check_out(out, (w, m), complex)
+    return z, x0
+
+
+def _check_out(out, shape: tuple[int, ...], dtype: type) -> None:
+    """Raise ValueError unless ``out`` is None or a writeable C-contiguous
+    ``dtype`` array of ``shape``."""
+    if out is not None and not (isinstance(out, np.ndarray) and out.shape == shape
+                                and out.dtype == dtype and out.flags.c_contiguous
                                 and out.flags.writeable):
         got = (getattr(out, "shape", None), str(getattr(out, "dtype", type(out).__name__)))
-        raise ValueError(f"out must be a writeable C-contiguous complex ({w}, {m}) array, "
-                         f"got (shape, dtype) {got}")
-    return z, x0
+        raise ValueError(f"out must be a writeable C-contiguous {dtype.__name__} {shape} "
+                         f"array, got (shape, dtype) {got}")
 
 
 def _check_query(ssm: DiagonalSSM, z: np.ndarray, f_q):
@@ -336,11 +346,10 @@ def scan_fft(ssm: DiagonalSSM, z: np.ndarray, x0=None, f_q=None, out=None) -> Sc
 
 
 def _segment_entries(ssm: DiagonalSSM, powers: np.ndarray, z: np.ndarray,
-                     x0: np.ndarray, out=None) -> np.ndarray:
+                     x0: np.ndarray) -> np.ndarray:
     """States entering each k-step segment of ``z`` from x0, shape
     (max(ceil(N/k), 1), W, M), where ``powers`` is the (k + 1, M) table of
-    lam**t: entry j is x_{jk-1}, entry 0 is x0 itself.  They are written
-    into ``out`` when given, which may be a strided complex view.
+    lam**t: entry j is x_{jk-1}, entry 0 is x0 itself.
 
     Every segment but the last is full, so each contributes one closed-form
     step x_{j+k} = lam^k x_j + b * sum_p lam^(k-1-p) z_{j+p}.  The sums are
@@ -352,7 +361,7 @@ def _segment_entries(ssm: DiagonalSSM, powers: np.ndarray, z: np.ndarray,
     n_seg = max(-(-n // k), 1)
     b_powers = (ssm.b * powers[k - 1::-1]).view(float)  # (k, 2M), row p is b lam^(k-1-p)
     z_full = z[:(n_seg - 1) * k].reshape(n_seg - 1, k, w).transpose(0, 2, 1)
-    entries = np.empty((n_seg, w, ssm.state_dim), dtype=complex) if out is None else out
+    entries = np.empty((n_seg, w, ssm.state_dim), dtype=complex)
     entries[0] = x0
     np.matmul(z_full, b_powers, out=entries[1:].view(float))
     _recur(powers[k], entries[1:], x0, entries[1:])
@@ -378,6 +387,20 @@ def _block_size(chunk: int, n: int, w: int) -> int:
     """The chunk length K = min(chunk, N, W) of the dual form, so that the
     K^2 M Toeplitz kernel never outgrows the (N, M, W) outputs."""
     return min(chunk, max(n, 1), w)
+
+
+def _dual_setup(ssm: DiagonalSSM, z: np.ndarray, chunk: int, x0=None, out=None,
+                name: str = "chunk"):
+    """The steps every dual-form pass starts with: check ``chunk`` (called
+    ``name`` in the error) and the scan input (``_check_scan_input``), then
+    take K = ``_block_size``, the (K + 1, M) table of lam**t and the K-chunks'
+    entry states (``_segment_entries``).  Returns (z, x0, K, powers, entries)."""
+    if chunk < 1:
+        raise ValueError(f"{name} must be positive")
+    z, x0 = _check_scan_input(ssm, z, x0, out)
+    k = _block_size(chunk, z.shape[0], ssm.input_width)
+    powers = _lam_powers(ssm.lam, k + 1)
+    return z, x0, k, powers, _segment_entries(ssm, powers, z, x0)
 
 
 def _chunk_blocks(n: int, k: int) -> list[tuple[int, int, int]]:
@@ -414,6 +437,26 @@ def _dual_kernel(ssm: DiagonalSSM, powers: np.ndarray) -> np.ndarray:
     return op.reshape(k * m, 2 * m + k)
 
 
+def _chunk_outputs(op: np.ndarray, entry, z: np.ndarray, out: np.ndarray) -> None:
+    """Write one chunk's (L, M, W) outputs into ``out``: the top-left
+    (L M, 2M + L) block of the ``_dual_kernel`` operator ``op`` times the
+    chunk's operand [float view of conj(e); inputs], built transposed in one
+    (W, 2M + L) buffer.  ``entry`` is the chunk's entry state e, or None for
+    a chunk entered from zero, which reads only the Toeplitz block.
+
+    Re(A e) = [Re A, Im A] @ [Re e; -Im e], the float views of A and conj(e).
+    """
+    ell, m, w = out.shape
+    operand = np.empty((w, 2 * m + ell))
+    operand[:, 2 * m:] = z.T
+    flat = out.reshape(ell * m, w)
+    if entry is None:
+        np.matmul(op[:ell * m, 2 * m:2 * m + ell], operand[:, 2 * m:].T, out=flat)
+    else:
+        np.conjugate(entry, out=operand[:, :2 * m].view(complex))
+        np.matmul(op[:ell * m, :2 * m + ell], operand.T, out=flat)
+
+
 def _lag_sums(g_z: np.ndarray) -> np.ndarray:
     """The adjoint of the Toeplitz kernel's construction: R[tau, i], the sum
     over s of row (tau + s, i), column s of a (k M, k) array, which is
@@ -438,43 +481,24 @@ def scan_chunkwise(ssm: DiagonalSSM, z: np.ndarray, chunk: int, x0=None,
         h[tau] = Re(C diag(b) lam^tau),
 
     that is, one real matmul of the stacked (K M, 2M + K) operator
-    ``_dual_kernel`` on the chunk's operand [float view of conj(e); inputs],
-    over every full chunk at once.  The entry states are written straight
-    into the operands, so besides the outputs the scan holds one buffer of
-    ceil(N/K) (W, 2M + K) operands and no product temporary.  A ragged last
-    chunk of L steps uses the top-left (L M, 2M + L) block of the operator;
-    the final state is one more closed-form step from the last entry, into
-    ``out`` when given.  No state inside a chunk is ever formed, and K
-    never exceeds N or W, so the K^2 M kernel is no larger than the
-    (N, M, W) outputs.
+    ``_dual_kernel`` on the chunk's operand [float view of conj(e); inputs]
+    (``_chunk_outputs``), written straight into the outputs.  Besides the
+    outputs the scan holds the ceil(N/K) entry states and one chunk's
+    operand.  A ragged last chunk of L steps uses the top-left
+    (L M, 2M + L) block of the operator; the final state is one more
+    closed-form step from the last entry, into ``out`` when given.  No
+    state inside a chunk is ever formed, and K never exceeds N or W, so the
+    K^2 M kernel is no larger than the (N, M, W) outputs.
     """
-    if chunk < 1:
-        raise ValueError("chunk must be positive")
-    z, x0 = _check_scan_input(ssm, z, x0, out)
-    n, w, m = z.shape[0], ssm.input_width, ssm.state_dim
-    k = _block_size(chunk, n, w)
-    powers = _lam_powers(ssm.lam, k + 1)
-    n_chunks = max(-(-n // k), 1)
-    operands = np.empty((n_chunks, w, 2 * m + k))  # chunk j's operand, transposed
-    entries = _segment_entries(ssm, powers, z, x0, out=operands[..., :2 * m].view(complex))
-    final = _final_state(ssm, powers, z, entries, x0, out)
-    # Re(A e) = [Re A, Im A] @ [Re e; -Im e]: the float views of A and of
-    # conj(e), conjugated in place now that the final state is taken (an
-    # np.conj into the strided view would copy it first)
-    entries.imag *= -1
-    padded = np.pad(z, ((0, n_chunks * k - n), (0, 0)))
-    operands[..., 2 * m:] = padded.reshape(n_chunks, k, w).swapaxes(1, 2)
-
+    z, x0, k, powers, entries = _dual_setup(ssm, z, chunk, x0, out)
+    n, from_zero = z.shape[0], not np.any(x0)
     op = _dual_kernel(ssm, powers)
-    outputs = np.empty((n, m, w))
-    for lo, hi, ell in _chunk_blocks(n, k):
-        out = outputs[lo:hi].reshape(-1, ell * m, w)
-        block = operands[lo // k:lo // k + len(out), :, :2 * m + ell].swapaxes(1, 2)
-        if lo == 0 and not np.any(x0):  # chunk 0 from x0 = 0: no entry term
-            np.matmul(op[:ell * m, 2 * m:2 * m + ell], block[0, 2 * m:], out=out[0])
-            out, block = out[1:], block[1:]
-        np.matmul(op[:ell * m, :2 * m + ell], block, out=out)
-    return ScanResult(outputs=outputs, final_state=final)
+    outputs = np.empty((n, ssm.state_dim, ssm.input_width))
+    for lo in range(0, n, k):
+        entry = None if lo == 0 and from_zero else entries[lo // k]
+        _chunk_outputs(op, entry, z[lo:lo + k], outputs[lo:lo + k])
+    return ScanResult(outputs=outputs,
+                      final_state=_final_state(ssm, powers, z, entries, x0, out))
 
 
 def _combine(states: np.ndarray, first: int, span: int, lam_span: np.ndarray) -> None:
@@ -623,12 +647,17 @@ def _carry_entry_adjoints(ssm: DiagonalSSM, powers: np.ndarray, z: np.ndarray,
 
 
 def backward_checkpointed(
-    ssm: DiagonalSSM, z: np.ndarray, upstream: np.ndarray, interval: int
-) -> SsmGrads:
+    ssm: DiagonalSSM, z: np.ndarray, upstream: np.ndarray, interval: int, out=None
+) -> tuple[np.ndarray, SsmGrads]:
     """Reverse-mode gradients of loss = sum(upstream * outputs) from x_0 = 0:
     the adjoint of ``scan_chunkwise``'s dual form with chunks of
-    K = min(interval, N, W) steps.  No state is checkpointed or rebuilt any
-    more; the name is kept because perfbench traces it.
+    K = min(interval, N, W) steps.  Returns (outputs, ``SsmGrads``), where
+    outputs are ``scan_chunkwise(ssm, z, interval).outputs`` bit for bit,
+    formed chunk by chunk from the entry states and operator the adjoint
+    builds anyway (``_chunk_outputs``), so a training step scans each group
+    once.  They are written into ``out`` when given, which must be a
+    writeable C-contiguous float (N, M, W) array.  No state is checkpointed
+    or rebuilt any more; the name is kept because perfbench traces it.
 
     * grad z: the transposed Toeplitz kernel on each chunk's upstream;
     * C, b and lam through the kernel's h[tau] = Re(C diag(b) lam^tau),
@@ -637,22 +666,20 @@ def backward_checkpointed(
       g^T @ A for the adjoint of each entry state, which
       ``_carry_entry_adjoints`` passes on to z, b and lam.
 
-    Each chunk's upstream is read in place, never copied.  Besides sums the
-    size of the kernel, the one large temporary is a single buffer of
-    ceil(N/K) complex (W, M) states that holds the entry states and then
-    their adjoints: 2/K of the size of ``upstream``, so within it for
-    K >= 2 and twice it at K = 1, where every state is an entry state.
+    Each chunk's upstream is read in place, never copied.  Besides the
+    outputs (none with ``out``) and sums the size of the kernel, the one
+    large temporary is a single buffer of ceil(N/K) complex (W, M) states
+    that holds the entry states and then their adjoints: 2/K of the size of
+    ``upstream``, so within it for K >= 2 and twice it at K = 1, where
+    every state is an entry state.
     """
-    if interval < 1:
-        raise ValueError("interval must be positive")
-    z, x0 = _check_scan_input(ssm, z, None)
+    z, _, k, powers, entries = _dual_setup(ssm, z, interval, name="interval")
     upstream = _real(upstream, "upstream")
     n, m, w = z.shape[0], ssm.state_dim, ssm.input_width
     if upstream.shape != (n, m, w):
         raise ValueError(f"upstream must be (N, M, W) = ({n}, {m}, {w}), got {upstream.shape}")
-    k = _block_size(interval, n, w)
-    powers = _lam_powers(ssm.lam, k + 1)
-    entries = _segment_entries(ssm, powers, z, x0)
+    _check_out(out, (n, m, w), float)
+    outputs = np.empty((n, m, w)) if out is None else out
     op = _dual_kernel(ssm, powers)
     entry, toeplitz = op[:, :2 * m], op[:, 2 * m:]
 
@@ -667,6 +694,7 @@ def backward_checkpointed(
     g_e = np.zeros((k * m, 2 * m))  # [(t, i), m]: sum over chunks, c of g[t, i, c] e[c, m]
     for j in range(-(-n // k)):
         lo, ell, g = chunk_upstream(j)
+        _chunk_outputs(op, entries[j] if j else None, z[lo:lo + ell], outputs[lo:lo + ell])
         np.matmul(toeplitz[:ell * m, :ell].T, g, out=grad_z[lo:lo + ell])
         g_z[:ell * m, :ell] += g @ z[lo:lo + ell].T
         if j:  # chunk 0 enters from x_0 = 0
@@ -679,11 +707,12 @@ def backward_checkpointed(
     z_lag, entry_sum = _carry_entry_adjoints(ssm, powers, z, entries, drive, grad_z)
     lag = _lag_sums(g_z)  # R[tau, i]
     g_e = g_e.view(complex).reshape(k, m, m)
-    return _ssm_grads(ssm, powers, grad_z,
-                      by_lag=lag @ ssm.c_out + z_lag,
-                      by_power=np.einsum("tim,im->tm", g_e, ssm.c_out),
-                      entry_sum=entry_sum,
-                      df_dc=(lag.T @ powers[:k]) * ssm.b + np.einsum("tim,tm->im", g_e, powers[1:]))
+    return outputs, _ssm_grads(
+        ssm, powers, grad_z,
+        by_lag=lag @ ssm.c_out + z_lag,
+        by_power=np.einsum("tim,im->tm", g_e, ssm.c_out),
+        entry_sum=entry_sum,
+        df_dc=(lag.T @ powers[:k]) * ssm.b + np.einsum("tim,tm->im", g_e, powers[1:]))
 
 
 def _flip_lags(a: np.ndarray) -> np.ndarray:
@@ -766,14 +795,9 @@ def query_readout(ssm: DiagonalSSM, z: np.ndarray, f_q: np.ndarray, chunk: int,
     Each step is a batched GEMM over the block's chunks, and the largest
     array is (N, P, K) or (N, P, M), against (N, M, W) for the scan.
     """
-    z, x0 = _check_scan_input(ssm, z, x0, out)
+    z, x0, _, powers, entries = _dual_setup(ssm, z, chunk, x0, out)
     f_q = _check_query(ssm, z, f_q)
-    if chunk < 1:
-        raise ValueError("chunk must be positive")
     n, p, r = f_q.shape
-    k = _block_size(chunk, n, ssm.input_width)
-    powers = _lam_powers(ssm.lam, k + 1)
-    entries = _segment_entries(ssm, powers, z, x0)
     outputs = np.empty((n, p, ssm.input_width - r))
     for block in _readout_blocks(ssm, z, f_q, powers, entries, _lag_kernels(ssm, powers)[1]):
         outputs[block.rows] = block.o.reshape(-1, p, outputs.shape[2])
@@ -796,10 +820,8 @@ def query_readout_backward(ssm: DiagonalSSM, z: np.ndarray, f_q: np.ndarray, ups
     (N, P, K) and (N, P, M) arrays, it holds two buffers of ceil(N/K)
     complex (W, M) states: the entry states and their adjoints' drives.
     """
-    z, x0 = _check_scan_input(ssm, z, None)
+    z, _, k, powers, entries = _dual_setup(ssm, z, chunk)
     f_q = _check_query(ssm, z, f_q)
-    if chunk < 1:
-        raise ValueError("chunk must be positive")
     upstream = _real(upstream, "upstream")
     n, p, r = f_q.shape
     m, w = ssm.state_dim, ssm.input_width
@@ -807,9 +829,6 @@ def query_readout_backward(ssm: DiagonalSSM, z: np.ndarray, f_q: np.ndarray, ups
         raise ValueError(f"upstream must be (N, P, W - R) = ({n}, {p}, {w - r}), "
                          f"got {upstream.shape}")
     c = ssm.c_out
-    k = _block_size(chunk, n, w)
-    powers = _lam_powers(ssm.lam, k + 1)
-    entries = _segment_entries(ssm, powers, z, x0)
     b_lags, h = _lag_kernels(ssm, powers)
 
     # holomorphic adjoints, as in backward_checkpointed; float views where

@@ -84,7 +84,7 @@ def query_readout_reference(ssm, z, f_q, upstream, chunk):
     grad_scan = np.empty_like(scan_out)
     grad_scan[..., r:] = alphas.swapaxes(-1, -2) @ upstream
     grad_scan[..., :r] = grad_alpha.swapaxes(-1, -2) @ f_q
-    return backward_checkpointed(ssm, z, grad_scan, chunk), grad_alpha @ scan_out[..., :r]
+    return backward_checkpointed(ssm, z, grad_scan, chunk)[1], grad_alpha @ scan_out[..., :r]
 
 
 def contraction_readout_loop(scan_out, contraction, n_kv):

@@ -209,6 +209,32 @@ def test_query_forward_never_holds_every_groups_scan_outputs(variant, backend):
     assert peak < 1.75 * every_group
 
 
+@pytest.mark.parametrize("variant", [v for v in VARIANTS if v not in QUERY_VARIANTS])
+def test_no_query_backward_never_holds_every_groups_scan_outputs(variant):
+    # each group's upstream, scan outputs and contraction slices are made
+    # and used one group at a time, the outputs in one reused buffer, so
+    # the backward never holds the (N, n_kv, M, W) outputs or upstream of
+    # every group; measured on the second of two identical calls
+    width = 8
+    config = validate(dataclasses.replace(
+        load_config(Path(__file__).resolve().parents[1] / "configs" / "tiny.json"),
+        variant=variant, heads=width, n_kv=width, head_dim=width, feature_dim=width,
+        state_dim=width, model_dim=width * width, context_len=512))
+    params = init_layer_params(config, make_rng(47), contraction_scale=0.1)
+    rng = make_rng(48)
+    x = rng.standard_normal((512, config.model_dim))
+    up = rng.standard_normal((512, config.model_dim))
+    backward(params, x, up, config)
+    tracemalloc.start()
+    try:
+        backward(params, x, up, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    every_group = 512 * width * width * 2 * width * 8   # float (N, n_kv, M, W) bytes
+    assert peak < 2 * every_group
+
+
 # --- gating ---
 
 def test_zero_gate_silences_everything():
@@ -553,6 +579,19 @@ def test_decode_state_with_a_bool_position_is_rejected():
         decode_step(params, state, x[0], config)
 
 
+def test_prefill_chunk_must_be_an_integer():
+    # True would run one-token blocks and 2.5 fail inside range; a numpy
+    # integer is a chunk like any other
+    config, params = variant_setup("full_interdomain")
+    x = make_rng(46).standard_normal((6, config.model_dim))
+    for bad in (True, False, 2.5, 2.0, "2", [2]):
+        with pytest.raises(ValueError, match="chunk must be an integer"):
+            prefill(params, x, config, chunk=bad)
+    want, _ = prefill(params, x, config, chunk=4)
+    got, _ = prefill(params, x, config, chunk=np.int64(4))
+    assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("made_for, config_overrides, slot", [
     ({"variant": "single_input_qproj"}, {"variant": "full_interdomain"}, "conv_v"),
     ({"variant": "s4d_only"}, {"variant": "dual_kv_linear"}, "conv_v"),
@@ -782,9 +821,9 @@ def test_one_scan_and_one_ssm_backward_per_group(monkeypatch, n_kv):
     forward, on every backend, and a decode step make one ``run_scan`` per
     group and nothing else, the query variants passing their query features
     so the scan returns the heads' outputs.  The backward makes one SSM
-    adjoint call per group and runs each group's forward once: the query
-    variants take their head outputs from the query readout's adjoint, the
-    others scan each group chunkwise once for ``backward_checkpointed``."""
+    adjoint call per group and no scan: each adjoint returns the outputs it
+    forms, the query readout's the head outputs and
+    ``backward_checkpointed`` the group's scan outputs."""
     counts = Counter()
     scans = []  # (backend, whether f_q was passed) per run_scan call
 
@@ -817,11 +856,6 @@ def test_one_scan_and_one_ssm_backward_per_group(monkeypatch, n_kv):
         assert counts == {"run_scan": n_kv}
         assert scans == [("sequential", has_q)] * n_kv
         counts.clear()
-        scans.clear()
-        backward(params, x, rng.standard_normal((4, config.model_dim)), config)
-        if has_q:
-            want = {"query_readout_backward": n_kv}
-        else:
-            want = {"run_scan": n_kv, "backward_checkpointed": n_kv}
-            assert scans == [("chunkwise", False)] * n_kv
-        assert counts == want
+        backward(params, x,rng.standard_normal((4, config.model_dim)), config)
+        want = "query_readout_backward" if has_q else "backward_checkpointed"
+        assert counts == {want: n_kv}

@@ -61,3 +61,24 @@ def test_traced_decode_probe_makes_one_scan_per_group(workloads, tracing, name):
     for i in roots:
         scans = [s for s in tracer.spans if s.op == tracer.spans[i].op and s.name == "ssm.run_scan"]
         assert [(s.parent, s.backend) for s in scans] == [(i, "sequential")] * wl.config.n_kv
+
+
+@pytest.mark.parametrize("name", ["train_1p3b", "long_small"])
+def test_traced_cycle_has_one_root_span_per_timed_call(workloads, tracing, name):
+    # a traced run rebinds every entry point and callee in the layer
+    # namespace, so each must resolve there; each timed call of a cycle is
+    # then one root span of its entry point, and every span is one the
+    # totals know.  Structure only: no timing bound
+    from interdomain import layer
+
+    for attr in (*tracing.ENTRY_POINTS, *tracing.CALLEES):
+        assert callable(getattr(layer, attr, None)), attr
+    wl = workloads.WORKLOADS[name](SEED)
+    calls = workloads.Calls()
+    tracer = tracing.Tracer()
+    with tracing.traced(tracer):
+        assert wl.cycle(calls)
+    assert calls.attempted > 0 and calls.failed == 0
+    roots = [s.name for s in tracer.spans if s.parent is None]
+    assert roots == [f"layer.{kind.split('.')[0]}" for kind, _ in calls.log]
+    assert {s.name for s in tracer.spans} <= set(tracer.totals())

@@ -480,14 +480,15 @@ def test_backward_memory_bounded_by_upstream(interval):
     # the upstream is read in place, never copied: besides a few arrays the
     # size of z, the backward holds one buffer of ceil(N/K) complex (W, M)
     # states, 2/K of the upstream's size, for the entry states and then
-    # their adjoints; K = min(interval, N, W)
+    # their adjoints; K = min(interval, N, W).  The outputs go into ``out``
     ssm = small_ssm(m=16, w=32, seed=33)
     rng = make_rng(34)
     z = rng.standard_normal((2048, 32))
     up = rng.standard_normal((2048, 16, 32))
+    out = np.empty_like(up)
     tracemalloc.start()
     try:
-        backward_checkpointed(ssm, z, up, interval)
+        backward_checkpointed(ssm, z, up, interval, out=out)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -534,7 +535,7 @@ def test_checkpoint_interval_validated():
 def test_backward_zero_upstream_zero_grads():
     ssm = small_ssm(seed=23)
     z = make_rng(24).standard_normal((8, 2))
-    g = backward_checkpointed(ssm, z, np.zeros((8, 4, 2)), interval=3)
+    _, g = backward_checkpointed(ssm, z, np.zeros((8, 4, 2)), interval=3)
     for field in (g.z, g.delta, g.a_log_neg_re, g.a_im, g.b, g.c_out):
         assert np.all(field == 0.0)
 
@@ -550,9 +551,9 @@ def test_backward_interval_free(mag):
     rng = make_rng(26)
     z = rng.standard_normal((64, 64))
     up = rng.standard_normal((64, 4, 64))
-    whole = backward_checkpointed(ssm, z, up, interval=1)
+    _, whole = backward_checkpointed(ssm, z, up, interval=1)
     for interval in (7, 16, 63, 64, 69):
-        seg = backward_checkpointed(ssm, z, up, interval=interval)
+        _, seg = backward_checkpointed(ssm, z, up, interval=interval)
         for field in ("z", "delta", "a_log_neg_re", "a_im", "b", "c_out"):
             assert rel_err(getattr(seg, field), getattr(whole, field)) < 1e-9, (interval, field)
 
@@ -561,6 +562,40 @@ def test_backward_shape_mismatch_rejected():
     ssm = small_ssm()
     with pytest.raises(ValueError, match="upstream"):
         backward_checkpointed(ssm, np.zeros((4, 2)), np.zeros((4, 3, 2)), 2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 17, 64, 70, 96])
+@pytest.mark.parametrize("interval", [1, 3, 16, 64])
+def test_backward_returns_the_chunkwise_outputs(n, interval):
+    # the adjoint forms the scan outputs from the entry states and operator
+    # it builds anyway: bit for bit scan_chunkwise's, into ``out`` when
+    # given, with the same gradients either way
+    ssm = small_ssm(m=5, w=12, seed=62)
+    rng = make_rng(63)
+    z = rng.standard_normal((n, 12))
+    up = rng.standard_normal((n, 5, 12))
+    want = scan_chunkwise(ssm, z, interval).outputs
+    outputs, grads = backward_checkpointed(ssm, z, up, interval)
+    assert np.array_equal(outputs, want)
+    out = np.full((n, 5, 12), np.nan)
+    got, got_grads = backward_checkpointed(ssm, z, up, interval, out=out)
+    assert got is out
+    assert np.array_equal(got, want)
+    for field in dataclasses.fields(grads):
+        assert np.array_equal(getattr(got_grads, field.name), getattr(grads, field.name))
+
+
+def test_backward_rejects_a_bad_out():
+    ssm = small_ssm(m=3, w=5)
+    z, up = np.zeros((4, 5)), np.zeros((4, 3, 5))
+    frozen = np.zeros((4, 3, 5))
+    frozen.flags.writeable = False
+    for bad in (np.zeros((4, 5, 3)), np.zeros((4, 3, 5), dtype=np.float32),
+                np.zeros((4, 3, 5), dtype=complex), np.zeros((4, 3, 10))[..., ::2],
+                frozen, np.zeros((4, 3, 5)).tolist()):
+        with pytest.raises(ValueError, match=r"out must be a writeable C-contiguous float "
+                                             r"\(4, 3, 5\) array"):
+            backward_checkpointed(ssm, z, up, 2, out=bad)
 
 
 def finite_difference_case(ssm, n, seed, interval):
@@ -574,7 +609,7 @@ def finite_difference_case(ssm, n, seed, interval):
     def loss():
         return float(np.sum(up * scan_sequential(box["ssm"], z).outputs))
 
-    got = backward_checkpointed(ssm, z, up, interval=interval)
+    _, got = backward_checkpointed(ssm, z, up, interval=interval)
 
     assert rel_err(got.z, central_diff(loss, z)) < 1e-6
 
