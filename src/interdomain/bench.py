@@ -71,8 +71,8 @@ def decode_step_ops(config: ModelConfig, feature_kind: str = "silu_l2") -> dict[
     alpha = Re(a C^T) and beta = alpha C (4*M^2), Re(beta X_v^T)
     (2*M*dh), holding a, alpha and beta (5*M values) per head.  The
     variants without a query path read out every channel, the full complex
-    readout matrix at 4*M^2*(R+dh) per group, and hold those M*(R+dh)
-    outputs for the learned contraction.
+    readout matrix at 4*M^2*(R+dh) per group, and contract each group's
+    M*(R+dh) outputs as soon as they are formed, holding one group's.
     """
     validate(config)
     check_feature_kind(feature_kind)
@@ -98,7 +98,7 @@ def decode_step_ops(config: ModelConfig, feature_kind: str = "silu_l2") -> dict[
     else:
         work += n_kv * 4 * m * m * w              # complex readout of every channel
         work += heads * dh * m * w                # learned linear contraction
-        readout_values = n_kv * m * w
+        readout_values = m * w
     if config.output_gate_enabled:
         work += d * d + 2 * d
 

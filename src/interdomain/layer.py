@@ -40,16 +40,17 @@ Which SSM path runs, one group at a time:
 * the forward and ``decode_step`` make one ``ssm.run_scan`` per group,
   which writes the group's final state straight into its row of the new
   state's one (n_kv, W, M) array (``run_scan``'s ``out``, honoured on every
-  backend); the passed-in state is never written.  In the query variants
-  the scan is given the group's query features and returns the group's
-  head outputs on every backend: under ``chunkwise`` through
-  ``ssm.query_readout``, which never forms the (N, M, W) scan outputs;
-  under ``sequential`` (and so in every decode step) and
-  ``parallel_prefix`` read query first from the states, never reading out
-  all W channels; under ``fft`` from its convolution outputs;
-* only the forward of the variants without a query path forms every
-  group's outputs, one (N, n_kv, M, W) array (the trace's ``scan_out``),
-  for the learned contraction;
+  backend); the passed-in state is never written.  Each group is read out
+  as soon as its scan returns, into the one (N, n_kv, heads / n_kv *
+  head_dim) readout.  In the query variants the scan is given the group's
+  query features and returns the group's head outputs on every backend:
+  under ``chunkwise`` through ``ssm.query_readout``, which never forms the
+  (N, M, W) scan outputs; under ``sequential`` (and so in every decode
+  step) and ``parallel_prefix`` read query first from the states, never
+  reading out all W channels; under ``fft`` from its convolution outputs.
+  The variants without a query path contract the group's (N, M, W)
+  outputs with its heads' learned matrices, so the forward holds one
+  group's scan outputs at a time;
 * ``backward`` shares only the streams (``_run_streams``) with the forward
   and calls no scan: per group it makes one SSM adjoint call in the dual
   form, whatever backend the config names, and that call returns the
@@ -75,13 +76,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import (
-    GENERIC_INPUT_VARIANTS,
-    QUERY_VARIANTS,
-    ModelConfig,
-    streams,
-    validate,
-)
+from .config import QUERY_VARIANTS, ModelConfig, streams, validate
 from .features import (
     CONV_TAPS,
     FeatureMap,
@@ -160,47 +155,42 @@ def init_layer_params(
     feature_kind: str = "silu_l2",
     contraction_scale: float = 0.0,
 ) -> LayerParams:
-    """Random parameters for a validated config.
+    """Random parameters for a validated config: every dense slot that
+    ``_param_shapes`` lists, drawn in ``_DENSE`` order, the others None.
 
     The contraction matrices default to zero (the training init); pass a
     scale to make the no-query variants produce nonzero outputs, as the
     equivalence and gradient suites do.
     """
     validate(config)
-    d = config.model_dim
-    dh, r, m = config.head_dim, config.feature_dim, config.state_dim
-    n_kv, heads = config.n_kv, config.heads
-    kv_width = n_kv * dh
-    has_q = config.variant in QUERY_VARIANTS
-    generic = config.variant in GENERIC_INPUT_VARIANTS
-    scale = 1.0 / np.sqrt(d)
+    shapes = _param_shapes(config)
+    n_kv, dh, r = config.n_kv, config.head_dim, config.feature_dim
+    scale = 1.0 / np.sqrt(config.model_dim)
 
-    def proj(cols):
-        return rng.standard_normal((d, cols)) * scale
+    def draw(name):
+        if name not in shapes:
+            return None
+        tensor = rng.standard_normal(shapes[name])  # scaled in place: no second copy
+        if name.startswith("conv_"):
+            tensor *= 0.5
+            tensor[0] += 1.0  # start near a pass-through
+        else:
+            tensor *= contraction_scale if name == "contraction" else scale
+        return tensor
 
-    def conv_kernel(width):
-        k = rng.standard_normal((CONV_TAPS, width)) * 0.5
-        k[0] += 1.0  # start near a pass-through
-        return k
+    def norm(name):
+        return NormBias(gain=np.ones(shapes[f"{name}.gain"]),
+                        bias=np.zeros(shapes[f"{name}.bias"]))
 
-    def norm(width):
-        return NormBias(gain=np.ones((n_kv, width)), bias=np.zeros((n_kv, width)))
-
+    # the contraction is drawn after the SSMs and the feature map: drawing it
+    # before them would change every seed's SSM and feature-map tensors
     return LayerParams(
-        w_q=proj(d) if has_q else None,
-        w_k=proj(kv_width),
-        w_v=proj(kv_width),
-        w_o=proj(d),
-        w_g=proj(d) if config.output_gate_enabled else None,
-        conv_q=conv_kernel(d) if has_q else None,
-        conv_k=conv_kernel(kv_width),
-        conv_v=conv_kernel(kv_width) if generic else None,
-        k_norm=norm(r),
-        v_norm=norm(dh),
-        ssm=stack_ssms([random_ssm(m, r + dh, rng) for _ in range(n_kv)]),
+        **{name: draw(name) for name in _DENSE if name != "contraction"},
+        k_norm=norm("k_norm"),
+        v_norm=norm("v_norm"),
+        ssm=stack_ssms([random_ssm(config.state_dim, r + dh, rng) for _ in range(n_kv)]),
         feature_map=make_feature_map(feature_kind, dh, r, n_kv, rng),
-        contraction=None if has_q else
-        rng.standard_normal((heads, dh, m * (r + dh))) * contraction_scale,
+        contraction=draw("contraction"),
     )
 
 
@@ -254,19 +244,30 @@ def _check_state(state: LayerState, config: ModelConfig, ssm_finite: bool = True
             _check_finite(f"state.{name}", got)
 
 
+# The dense slots of ``LayerParams`` by their serialized names, in the order
+# ``init_layer_params`` draws them.
+_DENSE = ("w_q", "w_k", "w_v", "w_o", "w_g", "conv_q", "conv_k", "conv_v", "contraction")
+
+
 def _param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     """The shape of every dense tensor a ``LayerParams`` for ``config``
-    holds, by its serialized name, read from ``config.streams``: each
-    stream's projection and conv, the output projection and gate, the input
-    norms and the no-query variants' contraction.  Slots the config has no
-    use for are listed too; ``_check_params`` skips the absent ones."""
+    holds, by its serialized name: exactly the slots the config uses, read
+    from ``config.streams``.  Each stream has a projection, and a conv where
+    it is convolved; then the output projection, the gate where the output
+    gate is on, the contraction where there is no q stream, and the input
+    norms.  The one table of which slots a config uses: ``_check_params``
+    and ``init_layer_params`` read presence from it."""
     d, dh, r = config.model_dim, config.head_dim, config.feature_dim
     shapes = {}
     for s in streams(config):
         shapes[f"w_{s.name}"] = (d, s.rows * dh)
-        shapes[f"conv_{s.name}"] = (CONV_TAPS, s.rows * dh)
-    shapes.update({"w_o": (d, d), "w_g": (d, d),
-                   "contraction": (config.heads, dh, config.state_dim * (r + dh))})
+        if s.conv:
+            shapes[f"conv_{s.name}"] = (CONV_TAPS, s.rows * dh)
+    shapes["w_o"] = (d, d)
+    if config.output_gate_enabled:
+        shapes["w_g"] = (d, d)
+    if "w_q" not in shapes:
+        shapes["contraction"] = (config.heads, dh, config.state_dim * (r + dh))
     for norm, width in (("k_norm", r), ("v_norm", dh)):
         shapes[f"{norm}.gain"] = shapes[f"{norm}.bias"] = (config.n_kv, width)
     return shapes
@@ -274,20 +275,18 @@ def _param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
 
 def _check_params(params: LayerParams, config: ModelConfig) -> None:
     """Raise ValueError naming the first field of ``params`` that disagrees
-    with ``config``: an optional slot present where the config has no use
-    for it or missing where it needs it, a stacked SSM whose groups, state
-    size or input width differ from the config's, a dense tensor of another
+    with ``config``: a dense slot present where ``_param_shapes`` does not
+    list it or missing where it does, a stacked SSM whose groups, state
+    size or input width differ from the config's, a tensor of another
     shape than ``_param_shapes`` gives, or an rff feature map whose
     frequencies are not (n_kv, feature_dim / 2, head_dim).  Parameters made
     for another config would otherwise run on a wrong slice, return an
     output of the wrong width, fail deep inside with a bare IndexError, or
     silently drop or ignore a slot.  Only shapes are compared, so the check
     costs microseconds."""
-    has_q = config.variant in QUERY_VARIANTS
-    expected = (("w_q", has_q), ("conv_q", has_q),
-                ("conv_v", config.variant in GENERIC_INPUT_VARIANTS),
-                ("w_g", config.output_gate_enabled), ("contraction", not has_q))
-    for name, want in expected:
+    shapes = _param_shapes(config)
+    for name in _DENSE:
+        want = name in shapes
         if (getattr(params, name) is not None) != want:
             raise ValueError(
                 f"params.{name} is {'missing' if want else 'present'}, but the config "
@@ -305,11 +304,10 @@ def _check_params(params: LayerParams, config: ModelConfig) -> None:
         raise ValueError(f"params.ssm.input_width must be feature_dim + head_dim = "
                          f"{r + dh}, got {params.ssm.input_width}")
     tensors = _learnable(params)
-    for name, want in _param_shapes(config).items():
-        if name in tensors:  # an absent slot was checked above
-            got = getattr(tensors[name], "shape", None)
-            if got != want:
-                raise ValueError(f"params.{name} must be {want} for this config, got {got}")
+    for name, want in shapes.items():
+        got = getattr(tensors.get(name), "shape", None)
+        if got != want:
+            raise ValueError(f"params.{name} must be {want} for this config, got {got}")
     fmap = params.feature_map
     if fmap.kind == "rff":
         got = getattr(fmap.omega, "shape", None)
@@ -376,39 +374,33 @@ def _forward_core(
 
     Returns (gated, new_state, trace), where ``gated`` is the output before
     the ``w_o`` projection, which the callers apply.  The trace is
-    ``_run_streams``'s plus the readout ``o_cat`` and, in the variants
-    without a query path, every group's scan outputs ``scan_out``, for the
-    diagnostic tests; ``backward`` does not call this.
+    ``_run_streams``'s plus the readout ``o_cat``, for the diagnostic tests;
+    ``backward`` does not call this.
     """
     trace, state, tails = _run_streams(params, x_seq, config, state)
     x_seq, z = trace["x"], trace["z"]
     n = x_seq.shape[0]
     dh, r, m = config.head_dim, config.feature_dim, config.state_dim
-    heads, n_kv = config.heads, config.n_kv
-    w = r + dh
+    n_kv = config.n_kv
+    per_group = config.heads // n_kv
     has_q = config.variant in QUERY_VARIANTS
     backend = backend or config.backend
-    per_group = heads // n_kv
     if has_q:
         f_groups = trace["f_q"].reshape(n, n_kv, per_group, r)
-
-    # --- per-group SSM, one scan per group.  The query variants' scans
-    # return the group's head outputs; only the variants without a query
-    # path keep every group's (N, M, W) outputs, for the contraction ---
-    outputs = np.empty((n, n_kv, per_group, dh) if has_q else (n, n_kv, m, w))
-    ssm_states = np.empty_like(state.ssm_states)  # each group's scan writes its row
-    for g in range(n_kv):
-        outputs[:, g] = run_scan(params.ssm[g], z[:, g], backend, chunk=config.chunk_size,
-                                 x0=state.ssm_states[g], f_q=f_groups[:, g] if has_q else None,
-                                 out=ssm_states[g]).outputs
-    if has_q:
-        o_cat = outputs.reshape(n, config.model_dim)
     else:
-        trace["scan_out"] = outputs
-        flat = outputs.reshape(n, n_kv, m * w).swapaxes(0, 1)   # (G, N, M W)
-        contraction = params.contraction.reshape(n_kv, per_group * dh, m * w)
-        o_cat = (flat @ contraction.swapaxes(1, 2)).swapaxes(0, 1).reshape(n, config.model_dim)
-    trace["o_cat"] = o_cat
+        contraction = params.contraction.reshape(n_kv, per_group * dh, m * (r + dh))
+
+    # --- per-group SSM, one scan per group, read out as soon as it returns:
+    # the query variants' scans return the group's head outputs, the others'
+    # (N, M, W) outputs are contracted with the group's heads' matrices ---
+    outputs = np.empty((n, n_kv, per_group * dh))
+    ssm_states = np.empty_like(state.ssm_states, order="C")  # each group's scan writes its row
+    for g in range(n_kv):
+        res = run_scan(params.ssm[g], z[:, g], backend, chunk=config.chunk_size,
+                       x0=state.ssm_states[g], f_q=f_groups[:, g] if has_q else None,
+                       out=ssm_states[g]).outputs.reshape(n, -1)
+        outputs[:, g] = res if has_q else res @ contraction[g].T
+    o_cat = trace["o_cat"] = outputs.reshape(n, config.model_dim)
 
     # --- gate; the callers apply the output projection ---
     gated = silu(x_seq @ params.w_g) * o_cat if config.output_gate_enabled else o_cat
@@ -622,8 +614,6 @@ def backward(
 # matching the gradient keys, per-group tensors stacked on their leading
 # group axis (``ssm.b`` is (n_kv, M)), plus the SSM input width and the
 # feature map's kind and frequencies, so the archive reloads standalone.
-
-_DENSE = ("w_q", "w_k", "w_v", "w_o", "w_g", "conv_q", "conv_k", "conv_v", "contraction")
 
 
 def _learnable(params: LayerParams) -> dict[str, np.ndarray]:

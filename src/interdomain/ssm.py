@@ -392,11 +392,12 @@ def _block_size(chunk: int, n: int, w: int) -> int:
 def _dual_setup(ssm: DiagonalSSM, z: np.ndarray, chunk: int, x0=None, out=None,
                 name: str = "chunk"):
     """The steps every dual-form pass starts with: check ``chunk`` (called
-    ``name`` in the error) and the scan input (``_check_scan_input``), then
-    take K = ``_block_size``, the (K + 1, M) table of lam**t and the K-chunks'
-    entry states (``_segment_entries``).  Returns (z, x0, K, powers, entries)."""
-    if chunk < 1:
-        raise ValueError(f"{name} must be positive")
+    ``name`` in the error), an integer >= 1 that is not a bool, and the scan
+    input (``_check_scan_input``), then take K = ``_block_size``, the (K + 1,
+    M) table of lam**t and the K-chunks' entry states (``_segment_entries``).
+    Returns (z, x0, K, powers, entries)."""
+    if isinstance(chunk, bool) or not isinstance(chunk, (int, np.integer)) or chunk < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {chunk!r}")
     z, x0 = _check_scan_input(ssm, z, x0, out)
     k = _block_size(chunk, z.shape[0], ssm.input_width)
     powers = _lam_powers(ssm.lam, k + 1)

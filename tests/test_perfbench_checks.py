@@ -1,6 +1,7 @@
 """The benchmark's own correctness checks, run as tests, so a change that
 breaks them fails here and not only when the benchmark runs.  Each
 workload's inputs come from one seed, as a benchmark run makes them."""
+import dataclasses
 import importlib.util
 import sys
 from pathlib import Path
@@ -44,23 +45,46 @@ def test_1p3b_workload_check_passes(workloads, name):
     assert workloads.WORKLOADS[name](SEED).check()
 
 
-@pytest.mark.parametrize("name", ["decode_1p3b", "long_small"])
-def test_traced_decode_probe_makes_one_scan_per_group(workloads, tracing, name):
-    # the decode probe of a traced run: it matches the forward, every
-    # decode_step root holds one sequential run_scan span per group, and
-    # the state does not grow
-    wl = workloads.WORKLOADS[name](SEED)
+def assert_decode_probe_makes_one_scan_per_group(workloads, tracing, params, config, tokens):
+    """The decode probe of a traced run: it matches the forward, every
+    decode_step root holds one sequential run_scan span per group, and the
+    state does not grow."""
     tracer = tracing.Tracer()
     with tracing.traced(tracer):
-        ok, _, sizes = workloads.decode_check(wl.params, wl.config, wl.probe_tokens)
+        ok, _, sizes = workloads.decode_check(params, config, tokens)
     assert ok
     assert sizes == [sizes[0]] * len(sizes)
     roots = [i for i, s in enumerate(tracer.spans)
              if s.parent is None and s.name == "layer.decode_step"]
-    assert len(roots) == len(wl.probe_tokens)
+    assert len(roots) == len(tokens)
     for i in roots:
         scans = [s for s in tracer.spans if s.op == tracer.spans[i].op and s.name == "ssm.run_scan"]
-        assert [(s.parent, s.backend) for s in scans] == [(i, "sequential")] * wl.config.n_kv
+        assert [(s.parent, s.backend) for s in scans] == [(i, "sequential")] * config.n_kv
+
+
+@pytest.mark.parametrize("name", ["decode_1p3b", "long_small"])
+def test_traced_decode_probe_makes_one_scan_per_group(workloads, tracing, name):
+    wl = workloads.WORKLOADS[name](SEED)
+    assert_decode_probe_makes_one_scan_per_group(workloads, tracing, wl.params, wl.config,
+                                                 wl.probe_tokens)
+
+
+@pytest.mark.parametrize("variant", ["dual_kv_linear", "s4d_only"])
+def test_traced_no_query_decode_probe_makes_one_scan_per_group(workloads, tracing, variant):
+    # no workload runs the variants without a query path; their probe at
+    # long_small's width, n_kv = heads, with a nonzero contraction so the
+    # outputs it compares are not all zero
+    from interdomain.config import load_config, make_rng, validate
+    from interdomain.layer import init_layer_params
+
+    config = validate(dataclasses.replace(
+        load_config(workloads.ROOT / "perfbench" / "long_small.json", seed_override=SEED),
+        variant=variant))
+    assert config.n_kv == config.heads
+    rng = make_rng(SEED)
+    params = init_layer_params(config, rng, contraction_scale=0.1)
+    tokens = rng.standard_normal((workloads.Workload.decode_probe_tokens, config.model_dim))
+    assert_decode_probe_makes_one_scan_per_group(workloads, tracing, params, config, tokens)
 
 
 @pytest.mark.parametrize("name", ["train_1p3b", "long_small"])

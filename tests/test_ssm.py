@@ -532,6 +532,29 @@ def test_checkpoint_interval_validated():
         backward_checkpointed(ssm, np.zeros((4, 2)), np.zeros((4, 4, 2)), 0)
 
 
+def test_dual_form_chunk_must_be_an_integer():
+    # the four dual-form entry points share one check: True would run
+    # one-step chunks and 2.5 or "3" fail with a bare TypeError; a numpy
+    # integer is a chunk like any other
+    ssm = small_ssm(w=3, seed=25)
+    rng = make_rng(26)
+    z = rng.standard_normal((5, 3))
+    f_q = rng.standard_normal((5, 1, 2))
+    up = rng.standard_normal((5, 4, 3))
+    grad_o = rng.standard_normal((5, 1, 1))
+    entries = [
+        ("chunk", lambda c: run_scan(ssm, z, "chunkwise", chunk=c).outputs),
+        ("chunk", lambda c: query_readout(ssm, z, f_q, c).outputs),
+        ("chunk", lambda c: query_readout_backward(ssm, z, f_q, grad_o, c)[0]),
+        ("interval", lambda c: backward_checkpointed(ssm, z, up, c)[0]),
+    ]
+    for name, entry in entries:
+        for bad in (True, False, 2.5, 2.0, "3", None, 0, -1):
+            with pytest.raises(ValueError, match=rf"{name} must be an integer >= 1"):
+                entry(bad)
+        assert np.array_equal(entry(np.int64(2)), entry(2)), name
+
+
 def test_backward_zero_upstream_zero_grads():
     ssm = small_ssm(seed=23)
     z = make_rng(24).standard_normal((8, 2))
