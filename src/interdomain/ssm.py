@@ -13,16 +13,19 @@ axis and every product of a real operand with a state is one real matmul on
 the state's float view (real and imaginary parts interleaved along M).
 
 Every scan returns the readouts and the final state, never the states in
-between; given an ``out`` array, every backend writes the final state into
-it instead of a fresh array, and a one-step sequential scan (a decode step)
-forms its one state there.  All four compute the same map and are
-interchangeable;
-``scan_sequential`` is the definitional one.  ``scan_prefix`` is a
-work-efficient up-sweep/down-sweep scan over the states in place, about 2N
-combines.  ``scan_fft`` forms no state: each output is a real convolution
-of the inputs with the lag kernel h[tau] = Re(C diag(b) lam^tau) of the
-dual form below, by real FFT one mode at a time, and its final state is one
-closed-form step.
+between, and none holds the N-long history of states; given an ``out``
+array, every backend writes the final state into it instead of a fresh
+array, and a one-step scan (a decode step) forms its one state there.  All
+four compute the same map and are interchangeable; ``scan_sequential`` is
+the definitional one.  It and ``scan_prefix`` share one block loop
+(``_scan_blocks``): positions go in blocks of about ``_BLOCK_BYTES`` of
+states, each block is swept in place from lam times the state carried in,
+read out into its rows of the outputs, and its last state carried on.  They
+differ only in the sweep: ``_recur`` step by step, or a work-efficient
+up-sweep/down-sweep scan, about 2L combines for L positions.  ``scan_fft``
+forms no state: each output is a real convolution of the inputs with the
+lag kernel h[tau] = Re(C diag(b) lam^tau) of the dual form below, by real
+FFT one mode at a time, and its final state is one closed-form step.
 
 The chunkwise scan is the dual (Toeplitz) form of Dao and Gu, *Transformers
 are SSMs* (2024).  The state entering each chunk comes from one closed-form
@@ -42,16 +45,19 @@ every backend.  Under ``chunkwise`` that is ``query_readout``: from the same
 chunks and entry states, a handful of GEMMs the size of the heads' outputs
 (the intra-/inter-chunk split of the same paper), never forming the
 (N, M, W) outputs.  ``sequential`` and ``parallel_prefix`` read each head
-query first from the states they form, a = f_q X_r, alpha = Re(a C^T),
-beta = alpha C and Re(beta X_v^T), so no readout of all W channels is
-made; a decode step is that readout of one state.  ``fft`` contracts its
-convolution outputs with f_q.  ``query_readout_backward`` is the adjoint of
-``query_readout`` and shares the entry-state carry and the gradient
-assembly with ``backward_checkpointed``; it also returns the head outputs
-it forms on the way, so a training step runs the readout once per group.
+query first from each block of states they form (``_read_out``), a = f_q
+X_r, alpha = Re(a C^T), beta = alpha C and Re(beta X_v^T), position by
+position, so no readout of all W channels is made; a decode step is that
+readout of one state.  ``fft`` reads each mode's convolution outputs out
+as soon as they are made, adding (f_q U_i^T) Gamma_i to the heads'
+outputs, so it never holds the (N, M, W) outputs either.
+``query_readout_backward`` is the adjoint of ``query_readout`` and shares
+the entry-state carry and the gradient assembly with
+``backward_checkpointed``; it also returns the head outputs it forms on the
+way, so a training step runs the readout once per group.
 Only the variants without a query path read out every channel.  Every
-time-stepping loop is ``_recur``: over positions in the sequential scan,
-over chunks everywhere else.
+time-stepping loop is ``_recur``: over positions within a block in the
+sequential scan, over chunks everywhere else.
 """
 from __future__ import annotations
 
@@ -170,9 +176,10 @@ class ScanResult:
     outputs: np.ndarray      # (N, M, W) float, Re(c_out @ x_t[c]) per position and channel;
                              # given query features f_q (run_scan on any backend, or
                              # query_readout), the (N, P, W - R) head outputs f_q U^T Gamma
-    final_state: np.ndarray  # (W, M) complex, x_{N-1}; x0 itself when N = 0.  Given
-                             # an ``out`` array (run_scan on any backend), ``out``
-                             # itself, holding x_{N-1}, or a copy of x0 when N = 0
+    final_state: np.ndarray  # (W, M) complex, x_{N-1}, an array of its own that is no
+                             # view of a scan buffer; x0 itself when N = 0.  Given an
+                             # ``out`` array (run_scan on any backend), ``out`` itself,
+                             # holding x_{N-1}, or a copy of x0 when N = 0
 
 
 def _real(array, name: str) -> np.ndarray:
@@ -197,7 +204,8 @@ def _check_scan_input(ssm: DiagonalSSM, z: np.ndarray, x0,
     if x0 is None:
         x0 = np.zeros((w, m), dtype=complex)
     else:
-        x0 = np.asarray(x0, dtype=complex)
+        # the scans take float views of x0; a copy only for another layout
+        x0 = np.ascontiguousarray(x0, dtype=complex)
         if x0.shape != (w, m):
             raise ValueError(f"x0 must be ({w}, {m}), got {x0.shape}")
     _check_out(out, (w, m), complex)
@@ -227,41 +235,93 @@ def _check_query(ssm: DiagonalSSM, z: np.ndarray, f_q):
     return f_q
 
 
-def _result(ssm: DiagonalSSM, states: np.ndarray, final: np.ndarray, f_q=None) -> ScanResult:
-    """Read out the (N, W, M) states; ``final`` is the result's final state.
+def _new_outputs(ssm: DiagonalSSM, n: int, f_q=None) -> np.ndarray:
+    """The scan outputs' zeros: (N, M, W), or (N, P, W - R) given ``f_q``."""
+    if f_q is None:
+        return np.zeros((n, ssm.state_dim, ssm.input_width))
+    return np.zeros(f_q.shape[:2] + (ssm.input_width - f_q.shape[2],))
+
+
+def _read_out(ssm: DiagonalSSM, states: np.ndarray, f_q, outputs: np.ndarray) -> None:
+    """Write the readouts of the (L, W, M) states into ``outputs``, an
+    L-row slice of ``_new_outputs``.
 
     Without ``f_q`` the outputs are Re(C x) on every channel, the real matmul
     [Re C, -Im C] @ [Re x; Im x], interleaved as the float views of conj(C)
     and x are.  With it they are each head's f_q U^T Gamma, read from the
-    states and never from the (N, M, W) outputs: a = f_q X_r on the float
+    states and never from the (L, M, W) outputs: a = f_q X_r on the float
     view, alpha = Re(a C^T), beta = alpha C and o = Re(beta X_v^T).  Each
     Re(u v^T) is the float view of conj(u) times that of v, and only the
     small a and beta are conjugated, each in place through its complex
-    view, never C or a state.
+    view, never C or a state.  Every product is batched over positions,
+    one matmul of the same shape per position, so a position's outputs are
+    those of a one-step scan from its state, bit for bit, however the
+    positions are blocked.  (One GEMM over all L P rows of a would not be:
+    BLAS picks its kernel, and with it the rounding, by the row count.)
     """
     if f_q is None:
-        outputs = np.conj(ssm.c_out).view(float) @ states.view(float).swapaxes(-1, -2)
-    else:
-        n, p, r = f_q.shape
-        c = ssm.c_out.view(float)
-        a = (f_q @ states[:, :r].view(float)).reshape(n * p, c.shape[1])
-        np.conjugate(a.view(complex), out=a.view(complex))
-        beta = (a @ c.T) @ c  # alpha C, (N P, 2M)
-        np.conjugate(beta.view(complex), out=beta.view(complex))
-        outputs = beta.reshape(n, p, c.shape[1]) @ states[:, r:].view(float).swapaxes(1, 2)
-    return ScanResult(outputs=outputs, final_state=final)
+        np.matmul(np.conj(ssm.c_out).view(float), states.view(float).swapaxes(-1, -2),
+                  out=outputs)
+        return
+    r = f_q.shape[2]
+    c = ssm.c_out.view(float)
+    a = f_q @ states[:, :r].view(float)  # (L, P, 2M)
+    np.conjugate(a.view(complex), out=a.view(complex))
+    beta = (a @ c.T) @ c  # alpha C
+    np.conjugate(beta.view(complex), out=beta.view(complex))
+    np.matmul(beta, states[:, r:].view(float).swapaxes(1, 2), out=outputs)
 
 
-def _last_state(states: np.ndarray, x0: np.ndarray, out=None) -> np.ndarray:
-    """The final state of a scan that formed the (N, W, M) ``states`` from
-    x0: written into ``out`` when given; otherwise the last state, copied
-    unless it is the buffer's only one, so a result never holds more than
-    one, and x0 itself when N = 0."""
-    last = states[-1] if len(states) else x0
-    if out is not None:
-        out[...] = last
-        return out
-    return last.copy() if len(states) > 1 else last
+def _kept(state: np.ndarray, out=None) -> np.ndarray:
+    """``state`` written into ``out`` and ``out`` returned, or ``state``
+    itself when ``out`` is None."""
+    if out is None:
+        return state
+    out[...] = state
+    return out
+
+
+# The sequential and prefix scans sweep blocks of about this many bytes of
+# complex (W, M) states: small enough to stay in cache, long enough that
+# each block's numpy calls are few per position.
+_BLOCK_BYTES = 1 << 20
+
+
+def _scan_blocks(ssm: DiagonalSSM, z: np.ndarray, x0: np.ndarray, f_q, out,
+                 sweep) -> ScanResult:
+    """The block loop of ``scan_sequential`` and ``scan_prefix``, on checked
+    inputs.  Positions go in blocks of L = max(1, ``_BLOCK_BYTES`` // (16 W
+    M)) rows; each block's buffer starts as its drives b z_t (``_drive``),
+    lam times the carried state is folded into its first row, and
+    ``sweep(lam, block)`` turns it into the block's states in place.  The
+    block is then read out into its rows of the outputs (``_read_out``) and
+    a copy of its last state carried on, so the scan holds one block of
+    states at a time, never the (N, W, M) history, and no block buffer
+    outlives the scan.
+
+    The final state is that carried copy, written into ``out`` when given;
+    x0 itself (or copied into ``out``) when N = 0.  A one-step scan,
+    as in decode, forms its one state where it is returned: lam x0 is
+    written into ``out`` (or a fresh array) and the drive added in place,
+    with no block buffer, no lam x0 temporary and no copy.
+    """
+    n = z.shape[0]
+    outputs = _new_outputs(ssm, n, f_q)
+    if n == 1:
+        final = np.multiply(ssm.lam, x0, out=out)
+        final += _drive(ssm, z)[0]
+        _read_out(ssm, final[None], f_q, outputs)
+        return ScanResult(outputs=outputs, final_state=final)
+    rows = max(1, _BLOCK_BYTES // (16 * ssm.input_width * ssm.state_dim))
+    state = x0
+    for lo in range(0, n, rows):
+        block = _drive(ssm, z[lo:lo + rows])
+        block[0] += ssm.lam * state
+        sweep(ssm.lam, block)
+        _read_out(ssm, block, None if f_q is None else f_q[lo:lo + rows], outputs[lo:lo + rows])
+        state = block[-1].copy()
+        del block  # freed before the next block's buffer is made
+    return ScanResult(outputs=outputs, final_state=_kept(state, out))
 
 
 def _drive(ssm: DiagonalSSM, z: np.ndarray) -> np.ndarray:
@@ -291,23 +351,15 @@ def _recur(lam: np.ndarray, drive: np.ndarray, x0: np.ndarray, out: np.ndarray) 
 
 def scan_sequential(ssm: DiagonalSSM, z: np.ndarray, x0=None, f_q=None,
                     out=None) -> ScanResult:
-    """The defining stepwise recurrence; with ``f_q``, the heads' outputs
-    (``_result``), and the final state in ``out`` when given.
-
-    A single step, as in decode, forms its one state where it is returned:
-    lam x0 is written into ``out`` (or a fresh array) and the drive added in
-    place, with no buffer of states, no lam x0 temporary and no copy.
+    """The defining stepwise recurrence, one block of positions at a time
+    (``_scan_blocks``): ``_recur`` steps each block's states from its first
+    row.  With ``f_q``, the heads' outputs; the final state in ``out`` when
+    given, and a one-step scan, as in decode, forms its state there.
     """
     z, x0 = _check_scan_input(ssm, z, x0, out)
     f_q = _check_query(ssm, z, f_q)
-    if len(z) == 1:
-        final = np.multiply(ssm.lam, x0, out=out)
-        final += _drive(ssm, z)[0]
-        return _result(ssm, final[None], final, f_q)
-    states = _drive(ssm, z)      # each drive is overwritten in place by its state
-    states[:1] += ssm.lam * x0   # a slice, so N = 0 gives an empty result
-    _recur(ssm.lam, states[1:], states[0] if len(states) else x0, states[1:])
-    return _result(ssm, states, _last_state(states, x0, out), f_q)
+    return _scan_blocks(ssm, z, x0, f_q, out,
+                        lambda lam, block: _recur(lam, block[1:], block[0], block[1:]))
 
 
 def scan_fft(ssm: DiagonalSSM, z: np.ndarray, x0=None, f_q=None, out=None) -> ScanResult:
@@ -318,29 +370,37 @@ def scan_fft(ssm: DiagonalSSM, z: np.ndarray, x0=None, f_q=None, out=None) -> Sc
 
     made as irfft(rfft(h[:, i]) rfft(z)) one mode i at a time, with an FFT
     length of the next power of two at or above 2N - 1, which makes the
-    circular convolution linear on the first N samples.  The entry term is
-    the entry map of ``_dual_kernel``'s first 2M columns, added only when x0
-    is nonzero; the final state is one closed-form step from x0.  Work is
-    O(M W N log N); besides the outputs it holds one mode's (n_fft, W)
-    spectrum and convolution, and no state is ever formed.  With ``f_q``
-    the outputs [U | Gamma] become the heads' f_q U^T Gamma; the final
-    state goes into ``out`` when given.
+    circular convolution linear on the first N samples.  The entry term,
+    row i of the entry map of ``_dual_kernel``'s first 2M columns, is added
+    to each mode's (N, W) outputs only when x0 is nonzero; the final state
+    is one closed-form step from x0.  Work is O(M W N log N), and no state
+    is ever formed.
+
+    Without ``f_q`` each mode's outputs fill their column of the (N, M, W)
+    outputs.  With it, mode i's [U_i | Gamma_i] is read out as soon as it
+    is made: the heads' outputs gain (f_q U_i^T) Gamma_i, so besides them
+    the scan holds one mode's (n_fft, W) spectrum and convolution, never
+    the (N, M, W) outputs.  The final state goes into ``out`` when given.
     """
     z, x0 = _check_scan_input(ssm, z, x0, out)
     f_q = _check_query(ssm, z, f_q)
-    n, w, m = z.shape[0], ssm.input_width, ssm.state_dim
+    n, m = z.shape[0], ssm.state_dim
     powers = _lam_powers(ssm.lam, n + 1)
     n_fft = 1 << (2 * n - 1).bit_length()
     h_hat = np.fft.rfft(_lag_kernels(ssm, powers)[1], n_fft, axis=0)  # (F, M)
     z_hat = np.fft.rfft(z, n_fft, axis=0)                              # (F, W)
-    outputs = np.empty((n, m, w))
+    entry = np.conj(x0).view(float).T if np.any(x0) else None
+    outputs = _new_outputs(ssm, n, f_q)
     for i in range(m):
-        outputs[:, i] = np.fft.irfft(h_hat[:, i, None] * z_hat, n_fft, axis=0)[:n]
-    if np.any(x0):  # Re(A[t] x0[c]), A[t] = C diag(lam^(t+1)), as in the dual form
-        outputs += (powers[1:, None, :] * ssm.c_out).view(float) @ np.conj(x0).view(float).T
-    if f_q is not None:
-        r = f_q.shape[2]
-        outputs = (f_q @ outputs[..., :r].swapaxes(-1, -2)) @ outputs[..., r:]
+        y = np.fft.irfft(h_hat[:, i, None] * z_hat, n_fft, axis=0)[:n]
+        if entry is not None:  # Re(A_i[t] x0[c]), A_i[t] = C[i] diag(lam^(t+1))
+            y += (powers[1:] * ssm.c_out[i]).view(float) @ entry
+        if f_q is None:
+            outputs[:, i] = y
+        else:  # the heads' share of mode i, (f_q U_i^T) Gamma_i
+            r = f_q.shape[2]
+            outputs += np.einsum("tp,tv->tpv", np.einsum("tpr,tr->tp", f_q, y[:, :r]), y[:, r:])
+        del y  # freed before the next mode's convolution is made
     return ScanResult(outputs=outputs,
                       final_state=_final_state(ssm, powers, z, x0[None], x0, out))
 
@@ -375,7 +435,7 @@ def _final_state(ssm: DiagonalSSM, powers: np.ndarray, z: np.ndarray,
     state; x0 itself (or copied into ``out``) when N = 0."""
     n, k = z.shape[0], powers.shape[0] - 1
     if n == 0:
-        return _last_state(entries[:0], x0, out)
+        return _kept(x0, out)
     last = n - (entries.shape[0] - 1) * k
     b_powers = (ssm.b * powers[:last][::-1]).view(float)  # row p is b lam^(last-1-p)
     final = np.multiply(powers[last], entries[-1], out=out)
@@ -511,36 +571,40 @@ def _combine(states: np.ndarray, first: int, span: int, lam_span: np.ndarray) ->
     right += lam_span * states[first::2 * span][:len(right)]
 
 
-def scan_prefix(ssm: DiagonalSSM, z: np.ndarray, x0=None, f_q=None, out=None) -> ScanResult:
-    """Work-efficient inclusive associative scan (Blelloch, 1990) over the
-    pairs (lam, b z_t), (a1, b1) o (a2, b2) = (a1 a2, a2 b1 + b2), with
-    lam x0 folded into the first.
-
-    Every pair's ``a`` is a power of the one lam, and a run of 2^d pairs has
-    a = lam^(2^d), so each level needs only that (M,) power, made by
-    squaring.  The up-sweep leaves state i holding the run of 2^d pairs
-    ending at i, for the largest 2^d dividing i + 1; the down-sweep then
-    completes, level by level from the top, every state from the completed
-    one 2^d to its left.  Both work in place on the (N, W, M) states, in
-    about 2N combines over 2 log2(N) vectorized levels, and read out
-    through the states' float view, as the heads' outputs with ``f_q``
-    (``_result``); the final state goes into ``out`` when given.
-    """
-    z, x0 = _check_scan_input(ssm, z, x0, out)
-    f_q = _check_query(ssm, z, f_q)
-    n = z.shape[0]
-    states = _drive(ssm, z)
-    states[:1] += ssm.lam * x0  # a slice, so N = 0 gives an empty result
-    levels = []  # (2^d, lam^(2^d)) for every d with 2^(d+1) <= N
-    span, lam_span = 1, ssm.lam
-    while 2 * span <= n:
+def _prefix_sweep(lam: np.ndarray, states: np.ndarray) -> None:
+    """The up- and down-sweeps of ``scan_prefix``, in place on the (L, W, M)
+    pairs' second halves, the first of which already holds lam x_{-1}: each
+    becomes its state."""
+    levels = []  # (2^d, lam^(2^d)) for every d with 2^(d+1) <= L
+    span, lam_span = 1, lam
+    while 2 * span <= len(states):
         levels.append((span, lam_span))
         span, lam_span = 2 * span, lam_span * lam_span
     for span, lam_span in levels:        # up-sweep
         _combine(states, span - 1, span, lam_span)
     for span, lam_span in levels[::-1]:  # down-sweep
         _combine(states, 2 * span - 1, span, lam_span)
-    return _result(ssm, states, _last_state(states, x0, out), f_q)
+
+
+def scan_prefix(ssm: DiagonalSSM, z: np.ndarray, x0=None, f_q=None, out=None) -> ScanResult:
+    """Work-efficient inclusive associative scan (Blelloch, 1990) over the
+    pairs (lam, b z_t), (a1, b1) o (a2, b2) = (a1 a2, a2 b1 + b2), one
+    block of positions at a time (``_scan_blocks``), with lam times the
+    carried state folded into each block's first pair.
+
+    Every pair's ``a`` is a power of the one lam, and a run of 2^d pairs has
+    a = lam^(2^d), so each level needs only that (M,) power, made by
+    squaring.  The up-sweep leaves state i holding the run of 2^d pairs
+    ending at i, for the largest 2^d dividing i + 1; the down-sweep then
+    completes, level by level from the top, every state from the completed
+    one 2^d to its left (``_prefix_sweep``).  Both work in place on the
+    block's (L, W, M) states, in about 2L combines over 2 log2(L)
+    vectorized levels; with ``f_q`` the block is read out as the heads'
+    outputs, and the final state goes into ``out`` when given.
+    """
+    z, x0 = _check_scan_input(ssm, z, x0, out)
+    f_q = _check_query(ssm, z, f_q)
+    return _scan_blocks(ssm, z, x0, f_q, out, _prefix_sweep)
 
 
 def run_scan(ssm: DiagonalSSM, z: np.ndarray, backend: str,
@@ -552,9 +616,10 @@ def run_scan(ssm: DiagonalSSM, z: np.ndarray, backend: str,
 
     Given ``out``, a writeable C-contiguous complex (W, M) array, every
     backend writes the final state into it and returns it as
-    ``final_state`` (x0 copied in when N = 0); ``x0`` is never written.
-    A one-step ``sequential`` scan, as in decode, forms its state in
-    ``out`` directly.  Any other ``out`` raises ValueError."""
+    ``final_state`` (x0 copied in when N = 0); ``x0``, in any memory
+    layout, is never written.  A one-step ``sequential`` or
+    ``parallel_prefix`` scan, as in decode, forms its state in ``out``
+    directly.  Any other ``out`` raises ValueError."""
     if backend == "sequential":
         return scan_sequential(ssm, z, x0, f_q, out)
     if backend == "fft":

@@ -6,6 +6,8 @@ The oracles here are deliberately written against the defining formulas
 production paths they check.
 """
 import dataclasses
+import tracemalloc
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -17,6 +19,23 @@ from interdomain.ssm import backward_checkpointed, run_scan, ssm_with
 def rel_err(got: np.ndarray, want: np.ndarray) -> float:
     scale = max(float(np.max(np.abs(want))), 1e-300)
     return float(np.max(np.abs(np.asarray(got) - np.asarray(want)))) / scale
+
+
+class Traced(NamedTuple):
+    result: Any  # what the traced call returned
+    peak: int    # tracemalloc's peak, in bytes, over the call
+    held: int    # bytes still allocated when the call returned
+
+
+def traced_peak(fn) -> Traced:
+    """Call ``fn()`` under tracemalloc; only its own allocations count."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return Traced(result, peak, held)
 
 
 def tiny_config(**overrides) -> ModelConfig:

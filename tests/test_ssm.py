@@ -1,9 +1,9 @@
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
 
+from interdomain import ssm as ssm_module
 from interdomain.config import make_rng
 from interdomain.ssm import (
     DELTA_LOG10_RANGE,
@@ -31,6 +31,7 @@ from helpers import (
     naive_unroll,
     query_readout_reference,
     rel_err,
+    traced_peak,
 )
 
 BACKENDS = ("sequential", "fft", "chunkwise", "parallel_prefix")
@@ -383,6 +384,84 @@ def test_run_scan_writes_final_state_into_out(backend, n):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
+def test_fortran_ordered_x0_scans_like_a_c_ordered_one(backend):
+    # the scans take float views of x0, so a Fortran-ordered one is copied
+    # into C order first; it used to fail with numpy's float-view error
+    ssm = small_ssm(m=3, w=5, seed=72)
+    rng = make_rng(73)
+    x0 = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+    fortran = np.asfortranarray(x0)
+    assert not fortran.flags.c_contiguous
+    for n in (0, 1, 3):
+        z = rng.standard_normal((n, 5))
+        for f_q in (None, rng.standard_normal((n, 2, 2))):
+            want = run_scan(ssm, z, backend, chunk=2, x0=x0, f_q=f_q)
+            got = run_scan(ssm, z, backend, chunk=2, x0=fortran, f_q=f_q)
+            assert np.array_equal(got.outputs, want.outputs), n
+            assert np.array_equal(got.final_state, want.final_state), n
+            assert np.array_equal(fortran, x0)
+
+
+def _stepwise(ssm, z, x0, f_q):
+    """(outputs, final state) of an explicit loop of steps x = lam x + b z_t,
+    each state read out on its own."""
+    state, outputs = x0, []
+    for t in range(len(z)):
+        state = ssm.lam * state + z[t][:, None] * ssm.b
+        out = np.empty((1, ssm.state_dim, ssm.input_width) if f_q is None
+                       else (1, f_q.shape[1], ssm.input_width - f_q.shape[2]))
+        ssm_module._read_out(ssm, state[None], None if f_q is None else f_q[t:t + 1], out)
+        outputs.append(out)
+    return outputs, state
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_block_boundaries(monkeypatch, rows):
+    # with blocks of 1 to 3 positions, every N around one and two blocks:
+    # sequential is the explicit recurrence bit for bit, prefix and fft
+    # agree with it, x0 is never written, and the final state is no view
+    # of a block buffer (each block's buffer is the drive it starts from)
+    m, w = 3, 5
+    ssm = small_ssm(m=m, w=w, seed=74)
+    monkeypatch.setattr(ssm_module, "_BLOCK_BYTES", rows * 16 * w * m)
+    buffers = []
+
+    def recorded_drive(*args):
+        buffers.append(_drive(*args))
+        return buffers[-1]
+
+    monkeypatch.setattr(ssm_module, "_drive", recorded_drive)
+    rng = make_rng(75)
+    x0 = rng.standard_normal((w, m)) + 1j * rng.standard_normal((w, m))
+    for n in sorted({0, 1, rows - 1, rows, rows + 1, 2 * rows + 3}):
+        z = rng.standard_normal((n, w))
+        for start in (np.zeros((w, m), dtype=complex), x0):
+            kept = start.copy()
+            for f_q in (None, rng.standard_normal((n, 2, 2))):
+                outputs, final = _stepwise(ssm, z, start, f_q)
+                for backend in ("sequential", "parallel_prefix", "fft"):
+                    for out in (None, np.empty((w, m), dtype=complex)):
+                        buffers.clear()
+                        got = run_scan(ssm, z, backend, x0=start, f_q=f_q, out=out)
+                        case = (backend, n, f_q is None, out is None)
+                        assert got.outputs.shape[0] == n, case
+                        if backend != "fft":
+                            assert len(buffers) == -(-n // rows), case
+                        if backend == "sequential":
+                            assert np.array_equal(got.outputs, np.concatenate(
+                                outputs or [got.outputs[:0]])), case
+                            assert np.array_equal(got.final_state, final), case
+                        else:
+                            if n:
+                                assert rel_err(got.outputs, np.concatenate(outputs)) < 1e-10, case
+                            assert rel_err(got.final_state, final) < 1e-10, case
+                        assert out is None or got.final_state is out, case
+                        assert not any(np.shares_memory(got.final_state, buffer)
+                                       for buffer in buffers), case
+                        assert np.array_equal(start, kept), case
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_run_scan_rejects_a_bad_out(backend):
     ssm = small_ssm(m=3, w=5)
     z = np.zeros((4, 5))
@@ -446,33 +525,40 @@ def test_chunkwise_memory_bounded_by_outputs(chunk):
     m, w, n = 16, 32, 2048
     ssm = small_ssm(m=m, w=w, seed=31)
     z = make_rng(32).standard_normal((n, w))
-    tracemalloc.start()
-    try:
-        outputs = scan_chunkwise(ssm, z, chunk).outputs
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    run = traced_peak(lambda: scan_chunkwise(ssm, z, chunk))
     k = min(chunk, n, w)
-    assert peak <= (1.25 + (2 * m + k) / (k * m)) * outputs.nbytes
+    assert run.peak <= (1.25 + (2 * m + k) / (k * m)) * run.result.outputs.nbytes
 
 
-@pytest.mark.parametrize("scan, bound", [(scan_fft, 2.0), (scan_prefix, 3.25)])
+@pytest.mark.parametrize("scan, bound", [(scan_fft, 2.0), (scan_prefix, 1.5)])
 def test_fft_and_prefix_memory_bounded_by_outputs(scan, bound):
     # fft convolves one mode at a time: besides the (N, M, W) outputs it
     # holds one mode's (n_fft, W) spectrum and convolution and the (N, M)
     # lag kernel, never an (n_fft, M, W) product or any state.  The prefix
-    # scan sweeps the (N, W, M) complex states, twice the outputs, in place,
-    # with no (N, 1, M) array of pair multipliers
+    # scan sweeps one block of about 1 MiB of complex states at a time, in
+    # place, never the (N, W, M) states, twice the outputs
     m, w, n = 16, 32, 2048
     ssm = small_ssm(m=m, w=w, seed=31)
     z = make_rng(32).standard_normal((n, w))
-    tracemalloc.start()
-    try:
-        outputs = scan(ssm, z).outputs
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= bound * outputs.nbytes
+    run = traced_peak(lambda: scan(ssm, z))
+    assert run.peak <= bound * run.result.outputs.nbytes
+
+
+@pytest.mark.parametrize("w, m, n, bounds_mib", [
+    (32, 16, 8192, {"sequential": 8, "parallel_prefix": 8, "fft": 32}),
+    (128, 64, 1024, {"sequential": 24, "parallel_prefix": 24, "fft": 16}),  # a 1.3b group
+])
+def test_query_scans_never_hold_the_state_history(w, m, n, bounds_mib):
+    # with query features no backend holds the (N, W, M) states or the
+    # (N, M, W) outputs, 64 MiB and 32 MiB at the first shape: sequential
+    # and prefix hold one block of states, fft one mode's convolution
+    ssm = small_ssm(m=m, w=w, seed=70)
+    rng = make_rng(71)
+    z = rng.standard_normal((n, w))
+    f_q = rng.standard_normal((n, 1, w // 2))
+    for backend, bound in bounds_mib.items():
+        peak = traced_peak(lambda: run_scan(ssm, z, backend, f_q=f_q)).peak
+        assert peak < bound * 2 ** 20, backend
 
 
 @pytest.mark.parametrize("interval", [1, 2, 16, 2048])
@@ -486,12 +572,7 @@ def test_backward_memory_bounded_by_upstream(interval):
     z = rng.standard_normal((2048, 32))
     up = rng.standard_normal((2048, 16, 32))
     out = np.empty_like(up)
-    tracemalloc.start()
-    try:
-        backward_checkpointed(ssm, z, up, interval, out=out)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: backward_checkpointed(ssm, z, up, interval, out=out)).peak
     assert peak <= 2 * up.nbytes / min(interval, 32) + 4 * z.nbytes
 
 
@@ -507,13 +588,7 @@ def test_query_readout_backward_memory_below_scan_outputs(chunk):
     z = rng.standard_normal((n, w))
     f_q = rng.standard_normal((n, p, r))
     up = rng.standard_normal((n, p, w - r))
-    tracemalloc.start()
-    try:
-        query_readout_backward(ssm, z, f_q, up, chunk)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < n * m * w * 8
+    assert traced_peak(lambda: query_readout_backward(ssm, z, f_q, up, chunk)).peak < n * m * w * 8
 
 
 def test_outputs_are_real_part_of_readout():
