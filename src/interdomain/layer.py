@@ -58,7 +58,13 @@ Which SSM path runs, one group at a time:
   ``ssm.query_readout_backward``, which returns the head outputs; the
   others call ``ssm.backward_checkpointed`` on the group's upstream into
   one reused (N, M, W) buffer, and contract it, so they hold one group's
-  scan outputs and upstream at a time.
+  scan outputs and upstream at a time.  Then ``backward`` lets go of what
+  it has read: the SSM input z, f_q and the readout's upstream and
+  outputs before the gate's and streams' adjoints, and each stream's
+  saved (projected, rotated) values and upstream once that stream's
+  adjoint has run, its features (saved only where a norm follows) once
+  the norm's adjoint has; ``w_o``'s gradient is formed last, so it is not
+  held through the streams' adjoints.
 
 ``decode_step`` always steps the sequential recurrence: per group, lam x0
 is written into the new state's row and the drive added in place, with no
@@ -327,7 +333,9 @@ def _run_streams(params: LayerParams, x_seq: np.ndarray, config: ModelConfig,
 
     Returns (trace, state, tails): the trace holds ``x``, ``positions``,
     one (projected, rotated, features) entry per stream, the SSM input
-    ``z`` and, in the query variants, the query features ``f_q``; ``state``
+    ``z`` and, in the query variants, the query features ``f_q``; the
+    features are saved only where a norm follows, since only the norm's
+    adjoint reads them (the q stream's are ``f_q`` itself); ``state``
     is the one continued (a fresh one for None) and ``tails`` the convolved
     streams' new tails.
     """
@@ -356,7 +364,7 @@ def _run_streams(params: LayerParams, x_seq: np.ndarray, config: ModelConfig,
         rot = rope_apply(split, positions) if s.rope else split
         feat = apply_feature_map(params.feature_map, rot) if s.features else rot
         outs[s.name] = feat if s.norm is None else rmsnorm_bias(feat, getattr(params, s.norm))
-        trace[s.name] = (flat, rot, feat)
+        trace[s.name] = (flat, rot, None if s.norm is None else feat)
     trace["z"] = np.concatenate([outs["k"], outs["v"]], axis=-1)
     if "q" in outs:
         trace["f_q"] = outs["q"]
@@ -523,7 +531,7 @@ def backward(
     """
     _check_params(params, config)
     trace = _run_streams(params, x_seq, config, None)[0]
-    x_seq, z = trace["x"], trace["z"]
+    x_seq, z = trace["x"], trace.pop("z")
     n = x_seq.shape[0]
     upstream = _real(upstream, "upstream")
     if upstream.shape != (n, config.model_dim):
@@ -541,8 +549,8 @@ def backward(
     grad_o_cat = grad_gated = upstream @ params.w_o.T
     if config.output_gate_enabled:
         gate_pre = x_seq @ params.w_g
-        s = sigmoid(gate_pre)
-        grad_o_cat = gate_pre * s * grad_gated
+        sig = sigmoid(gate_pre)
+        grad_o_cat = gate_pre * sig * grad_gated
 
     # readout and SSM backward one group at a time, batched over the
     # group's heads: one SSM adjoint per group, which returns the outputs
@@ -552,13 +560,14 @@ def backward(
     grad_outs = {}
     ssm_grads = [None] * n_kv
     if has_q:
-        f_q = trace["f_q"].reshape(n, n_kv, per_group, r)
+        f_q = trace.pop("f_q").reshape(n, n_kv, per_group, r)
         grad_o = grad_o_cat.reshape(n, n_kv, per_group, dh)
         outputs, grad_f = np.empty_like(grad_o), np.empty_like(f_q)
         for g in range(n_kv):
             outputs[:, g], ssm_grads[g], grad_f[:, g] = query_readout_backward(
                 params.ssm[g], z[:, g], f_q[:, g], grad_o[:, g], config.chunk_size)
         grad_outs["q"] = grad_f.reshape(n, heads, r)
+        del f_q
     else:
         grad_o = grad_o_cat.reshape(n, n_kv, per_group * dh)
         contraction = params.contraction.reshape(n_kv, per_group * dh, m * w)
@@ -572,28 +581,37 @@ def backward(
             outputs[:, g] = flat @ contraction[g].T
             grad_contraction[g] = grad_o[:, g].T @ flat
         grads["contraction"] = grad_contraction.reshape(params.contraction.shape)
+        del scan_out, flat, grad_scan
+    del z, grad_o, grad_o_cat
     o_cat = outputs.reshape(n, config.model_dim)
+    del outputs
 
-    # output projection and gate, now that the readout is known
+    # the gate, now that the readout is known; w_o's gradient waits for
+    # the streams, so that it is not held through their adjoints
     gated = o_cat
     if config.output_gate_enabled:
-        gated = gate_pre * s * o_cat
-        grad_gate_pre = s * (1.0 + gate_pre * (1.0 - s)) * (o_cat * grad_gated)
+        gated = gate_pre * sig * o_cat
+        grad_gate_pre = sig * (1.0 + gate_pre * (1.0 - sig)) * (o_cat * grad_gated)
         grads["w_g"] = x_seq.T @ grad_gate_pre
         grad_x += grad_gate_pre @ params.w_g.T
-    grads["w_o"] = gated.T @ upstream
+        del gate_pre, sig, grad_gate_pre
+    del o_cat, grad_gated
     for field in ("delta", "a_log_neg_re", "a_im", "b", "c_out"):
         grads[f"ssm.{field}"] = np.stack([getattr(sg, field) for sg in ssm_grads])
     grad_z = np.stack([sg.z for sg in ssm_grads], axis=1)
+    del ssm_grads
     grad_outs.update(k=grad_z[..., :r], v=grad_z[..., r:])
+    del grad_z
 
-    # streams, in reverse: norm -> features -> RoPE -> conv -> projection
+    # streams, in reverse: norm -> features -> RoPE -> conv -> projection;
+    # each stream's saved values and upstream go as soon as it is done
     for s in streams(config):
-        flat, rot, feat = trace[s.name]
-        grad = grad_outs[s.name]
+        flat, rot, feat = trace.pop(s.name)
+        grad = grad_outs.pop(s.name)
         if s.norm is not None:
             grad, grads[f"{s.norm}.gain"], grads[f"{s.norm}.bias"] = \
                 rmsnorm_bias_backward(feat, getattr(params, s.norm), grad)
+        del feat  # read by the norm's adjoint only
         if s.features:
             grad = feature_map_backward(params.feature_map, rot, grad)
         if s.rope:
@@ -602,8 +620,11 @@ def backward(
         if s.conv:
             conv = getattr(params, f"conv_{s.name}")
             grad, grads[f"conv_{s.name}"] = _conv_backward(flat, conv, grad)
+        del flat, rot
         grads[f"w_{s.name}"] = x_seq.T @ grad
         grad_x += grad @ getattr(params, f"w_{s.name}").T
+        del grad
+    grads["w_o"] = gated.T @ upstream
 
     return grads, grad_x
 

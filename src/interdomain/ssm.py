@@ -44,11 +44,16 @@ each head's f_q U^T Gamma, where [U | Gamma] are the scan's outputs, on
 every backend.  Under ``chunkwise`` that is ``query_readout``: from the same
 chunks and entry states, a handful of GEMMs the size of the heads' outputs
 (the intra-/inter-chunk split of the same paper), never forming the
-(N, M, W) outputs.  ``sequential`` and ``parallel_prefix`` read each head
-query first from each block of states they form (``_read_out``), a = f_q
-X_r, alpha = Re(a C^T), beta = alpha C and Re(beta X_v^T), position by
-position, so no readout of all W channels is made; a decode step is that
-readout of one state.  ``fft`` reads each mode's convolution outputs out
+(N, M, W) outputs.  It takes the full chunks in blocks whose products stay
+within about the same ``_BLOCK_BYTES`` as the scans' blocks
+(``_chunk_blocks``), and its adjoint sweeps the same blocks, so only the
+ceil(N/K) entry states (and, in the adjoint, their adjoints' drives) and
+arrays the size of the inputs or the returned ones grow with N.
+``sequential`` and ``parallel_prefix`` read each head query first from
+each block of states they form (``_read_out``), a = f_q X_r, alpha =
+Re(a C^T), beta = alpha C and Re(beta X_v^T), position by position, so no
+readout of all W channels is made; a decode step is that readout of one
+state.  ``fft`` reads each mode's convolution outputs out
 as soon as they are made, adding (f_q U_i^T) Gamma_i to the heads'
 outputs, so it never holds the (N, M, W) outputs either.
 ``query_readout_backward`` is the adjoint of ``query_readout`` and shares
@@ -282,8 +287,9 @@ def _kept(state: np.ndarray, out=None) -> np.ndarray:
 
 
 # The sequential and prefix scans sweep blocks of about this many bytes of
-# complex (W, M) states: small enough to stay in cache, long enough that
-# each block's numpy calls are few per position.
+# complex (W, M) states, and the dual-form query readout blocks of chunks
+# whose products take about as many: small enough to stay in cache, long
+# enough that each block's numpy calls are few per position.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -464,11 +470,27 @@ def _dual_setup(ssm: DiagonalSSM, z: np.ndarray, chunk: int, x0=None, out=None,
     return z, x0, k, powers, _segment_entries(ssm, powers, z, x0)
 
 
-def _chunk_blocks(n: int, k: int) -> list[tuple[int, int, int]]:
-    """(start, stop, chunk length) of the full k-chunks of n steps, taken
-    together, then of the ragged last chunk if there is one."""
+def _chunk_blocks(n: int, k: int, p: int, w: int, m: int) -> list[tuple[int, int, int]]:
+    """(start, stop, chunk length) of the blocks of the dual-form query
+    readout over n steps in k-chunks, for P heads on a group of width W
+    with M modes: the full k-chunks in blocks of as many chunks as keep
+    the block's products within about ``_BLOCK_BYTES``, then the ragged
+    last chunk, if there is one, as a block of its own.  A block holds at
+    least one chunk, however large.
+
+    A chunk of L steps counts 16 L (P (W + 2L + 6M) + W) bytes, its
+    forward's products and their adjoints: 8 L (P (W + 2L + 5M) + W) for
+    the (L, P, L) scores and mix, the (L, P, M) alpha and complex fe and
+    beta, the (L, P, R) features, (L, P, W - R) outputs and (L, W) inputs
+    that ``_ReadoutBlock`` holds, and the adjoint's arrays of the same
+    shapes, with 2 L P M floats more.
+    """
     full = n - n % k
-    return [(lo, hi, ell) for lo, hi, ell in ((0, full, k), (full, n, n % k)) if hi > lo]
+    step = k * max(1, _BLOCK_BYTES // (16 * k * (p * (w + 2 * k + 6 * m) + w)))
+    blocks = [(lo, min(lo + step, full), k) for lo in range(0, full, step)]
+    if n > full:
+        blocks.append((full, n, n % k))
+    return blocks
 
 
 def _lag_kernels(ssm: DiagonalSSM, powers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -821,7 +843,7 @@ def _readout_blocks(ssm: DiagonalSSM, z: np.ndarray, f_q: np.ndarray, powers: np
     n, p, r = f_q.shape
     k, m = powers.shape[0] - 1, ssm.state_dim
     c = ssm.c_out
-    for lo, hi, ell in _chunk_blocks(n, k):
+    for lo, hi, ell in _chunk_blocks(n, k, p, ssm.input_width, m):
         nc = (hi - lo) // ell
         lam_t = powers[1:ell + 1, None, :]
         f = f_q[lo:hi].reshape(nc, ell * p, r)
@@ -849,7 +871,8 @@ def query_readout(ssm: DiagonalSSM, z: np.ndarray, f_q: np.ndarray, chunk: int,
     and the (W, M) final state, in ``out`` when given.
 
     The chunks and their entry states e are those of ``scan_chunkwise``.
-    Per block of equal-length chunks, with h[tau] = Re(C diag(b) lam^tau):
+    Per block of equal-length chunks (``_chunk_blocks``), with h[tau] =
+    Re(C diag(b) lam^tau):
 
     * scores F Z_r^T, gathered into lag order S[t, tau] = (F Z_r^T)[t, t - tau];
     * alpha = S @ h + Re(C (lam^(t+1) * F E_r)), the query's M mode weights;
@@ -858,8 +881,10 @@ def query_readout(ssm: DiagonalSSM, z: np.ndarray, f_q: np.ndarray, chunk: int,
       order and gathered back;
     * o = P @ Z_v + Re((beta * lam^(t+1)) E_v^T).
 
-    Each step is a batched GEMM over the block's chunks, and the largest
-    array is (N, P, K) or (N, P, M), against (N, M, W) for the scan.
+    Each step is a batched GEMM over the block's chunks.  Besides the
+    ceil(N/K) entry states and the (N, P, W - R) outputs it holds one
+    block's products, about ``_BLOCK_BYTES``, however long the input:
+    never an (N, P, K) or (N, P, M) array, nor the (N, M, W) of the scan.
     """
     z, x0, _, powers, entries = _dual_setup(ssm, z, chunk, x0, out)
     f_q = _check_query(ssm, z, f_q)
@@ -882,9 +907,13 @@ def query_readout_backward(ssm: DiagonalSSM, z: np.ndarray, f_q: np.ndarray, ups
     The entry states' adjoints go through ``_carry_entry_adjoints``, as in
     ``backward_checkpointed``, and b, C and lam get their gradients from the
     same sums: the adjoints of b lam^tau by lag, of lam^(t+1) in the entry
-    maps and of lam^K in the entry step.  Nothing divides by lam.  Besides
-    (N, P, K) and (N, P, M) arrays, it holds two buffers of ceil(N/K)
-    complex (W, M) states: the entry states and their adjoints' drives.
+    maps and of lam^K in the entry step.  Nothing divides by lam.
+
+    It sweeps the forward's blocks, each block's adjoint run as soon as
+    its forward is made, so besides the returned arrays and two buffers of
+    ceil(N/K) complex (W, M) states, the entry states and their adjoints'
+    drives, it holds one block's products and their adjoints, about
+    ``_BLOCK_BYTES``, and the entry carry's temporaries the size of grad z.
     """
     z, _, k, powers, entries = _dual_setup(ssm, z, chunk)
     f_q = _check_query(ssm, z, f_q)

@@ -218,25 +218,45 @@ def test_no_query_forward_never_holds_every_groups_scan_outputs(variant, backend
     assert _forward_peak_over_every_groups_scan_outputs(variant, backend) < 1.25
 
 
-@pytest.mark.parametrize("variant", [v for v in VARIANTS if v not in QUERY_VARIANTS])
-def test_no_query_backward_never_holds_every_groups_scan_outputs(variant):
-    # each group's upstream, scan outputs and contraction slices are made
-    # and used one group at a time, the outputs in one reused buffer, so
-    # the backward never holds the (N, n_kv, M, W) outputs or upstream of
-    # every group; measured on the second of two identical calls
+def _backward_peak(variant, gate=False):
+    """(tracemalloc peak of a backward at width 8 and N = 512, bytes of one
+    (N, model_dim) float array); measured on the second of two identical
+    calls, after any first-call allocation."""
     width = 8
     config = validate(dataclasses.replace(
         load_config(Path(__file__).resolve().parents[1] / "configs" / "tiny.json"),
-        variant=variant, heads=width, n_kv=width, head_dim=width, feature_dim=width,
-        state_dim=width, model_dim=width * width, context_len=512))
+        variant=variant, output_gate_enabled=gate, heads=width, n_kv=width, head_dim=width,
+        feature_dim=width, state_dim=width, model_dim=width * width, context_len=512))
     params = init_layer_params(config, make_rng(47), contraction_scale=0.1)
     rng = make_rng(48)
     x = rng.standard_normal((512, config.model_dim))
     up = rng.standard_normal((512, config.model_dim))
     backward(params, x, up, config)
-    peak = traced_peak(lambda: backward(params, x, up, config)).peak
+    return traced_peak(lambda: backward(params, x, up, config)).peak, x.nbytes
+
+
+@pytest.mark.parametrize("variant", [v for v in VARIANTS if v not in QUERY_VARIANTS])
+def test_no_query_backward_never_holds_every_groups_scan_outputs(variant):
+    # each group's upstream, scan outputs and contraction slices are made
+    # and used one group at a time, the outputs in one reused buffer, so
+    # the backward never holds the (N, n_kv, M, W) outputs or upstream of
+    # every group
+    width = 8
     every_group = 512 * width * width * 2 * width * 8   # float (N, n_kv, M, W) bytes
-    assert peak < 2 * every_group
+    assert _backward_peak(variant)[0] < 2 * every_group
+
+
+@pytest.mark.parametrize("gate", [False, True])
+@pytest.mark.parametrize("variant", QUERY_VARIANTS)
+def test_query_backward_releases_what_it_has_read(variant, gate):
+    # the readout's inputs, upstream and outputs go before the stream
+    # adjoints, each stream's saved values and upstream once its adjoint
+    # has run (its features once its norm's adjoint has), and the readout's
+    # adjoint takes its chunks in blocks of about _BLOCK_BYTES, so the peak
+    # stays below 22 (N, model_dim) float arrays, and 25.5 with the gate's
+    # pre-activation, sigmoid and separate upstream
+    peak, unit = _backward_peak(variant, gate)
+    assert peak < (25.5 if gate else 22) * unit
 
 
 # --- gating ---

@@ -460,6 +460,52 @@ def test_block_boundaries(monkeypatch, rows):
                                        for buffer in buffers), case
                         assert np.array_equal(start, kept), case
 
+    # chunkwise's query readout and its adjoint, with blocks of 1 to 3 full
+    # K-chunks and N around one and two blocks, ragged tails included,
+    # against one block of every full chunk.  The final state never reads a
+    # block, so it is equal bit for bit; the rest passes through 2-D GEMMs
+    # over all of a block's rows (alpha, beta, the mix and their adjoints),
+    # which BLAS may round by the row count, and the SSM gradients are sums
+    # over blocks, so those agree to roundoff
+    chunk, p, r = 2, 2, 2
+    blocks = []
+
+    def recorded_chunk_blocks(*args):
+        blocks.append(chunk_blocks(*args))
+        return blocks[-1]
+
+    chunk_blocks = ssm_module._chunk_blocks
+    monkeypatch.setattr(ssm_module, "_chunk_blocks", recorded_chunk_blocks)
+    for n in sorted({1, rows * chunk - 1, rows * chunk, rows * chunk + 1,
+                     2 * rows * chunk, 2 * rows * chunk + 1}):
+        z = rng.standard_normal((n, w))
+        f_q = rng.standard_normal((n, p, r))
+        up = rng.standard_normal((n, p, w - r))
+        k = min(chunk, n, w)
+        runs = []
+        for per_block in (n // k, rows):  # one block of every full chunk, then rows
+            monkeypatch.setattr(ssm_module, "_BLOCK_BYTES",
+                                per_block * 16 * k * (p * (w + 2 * k + 6 * m) + w))
+            blocks.clear()
+            runs.append([run_scan(ssm, z, "chunkwise", chunk, x0=start, f_q=f_q)
+                         for start in (None, x0)])
+            runs[-1].append(query_readout_backward(ssm, z, f_q, up, chunk))
+            # contiguous blocks of at most per_block chunks, the ragged one alone
+            n_blocks = -(-(n // k) // per_block) + (n % k > 0)
+            for made in blocks:
+                assert len(made) == n_blocks, (n, per_block)
+                assert [lo for lo, _, _ in made] == [0] + [hi for _, hi, _ in made[:-1]]
+                assert made[-1][1] == n and all(
+                    (hi - lo) % ell == 0 and (hi - lo) // ell <= per_block
+                    for lo, hi, ell in made), (n, per_block)
+        (*one, (one_o, one_g, one_f)), (*got, (got_o, got_g, got_f)) = runs
+        for want, res in zip(one, got):
+            assert rel_err(res.outputs, want.outputs) < 1e-13, n
+            assert np.array_equal(res.final_state, want.final_state), n
+        assert rel_err(got_o, one_o) < 1e-13 and rel_err(got_f, one_f) < 1e-13, n
+        for field in ("z", "delta", "a_log_neg_re", "a_im", "b", "c_out"):
+            assert rel_err(getattr(got_g, field), getattr(one_g, field)) < 1e-12, (n, field)
+
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_run_scan_rejects_a_bad_out(backend):
@@ -576,19 +622,31 @@ def test_backward_memory_bounded_by_upstream(interval):
     assert peak <= 2 * up.nbytes / min(interval, 32) + 4 * z.nbytes
 
 
-@pytest.mark.parametrize("chunk", [16, 64, 2048])
-def test_query_readout_backward_memory_below_scan_outputs(chunk):
-    # the readout's adjoint never forms the (N, M, W) scan outputs: its
-    # arrays are (N, P, K), (N, P, M) or two buffers of ceil(N/K) (W, M)
-    # states, so its peak stays below those outputs' bytes.  At chunk 1
-    # the state buffers are every state, by design, so it is left out
-    n, m, w, r, p = 2048, 16, 128, 64, 1
+@pytest.mark.parametrize("n, w, r, chunk", [
+    (2048, 128, 64, 16), (2048, 128, 64, 64), (2048, 128, 64, 2048),
+    (2048, 32, 16, 16), (8192, 32, 16, 16),  # a long_small group
+])
+def test_query_readout_backward_memory_below_scan_outputs(n, w, r, chunk):
+    # the readout and its adjoint never form the (N, M, W) scan outputs,
+    # and they take the chunks in blocks of about _BLOCK_BYTES: besides
+    # the returned arrays and the ceil(N/K) complex (W, M) entry states
+    # (and, in the adjoint, their drives, and the entry carry's temporary
+    # the size of z) they hold under 2 MiB, however long the input.  At
+    # chunk 1 the state buffers are every state, by design, so it is left
+    # out
+    m, p = 16, 1
     ssm = small_ssm(m=m, w=w, seed=49)
     rng = make_rng(50)
     z = rng.standard_normal((n, w))
     f_q = rng.standard_normal((n, p, r))
     up = rng.standard_normal((n, p, w - r))
-    assert traced_peak(lambda: query_readout_backward(ssm, z, f_q, up, chunk)).peak < n * m * w * 8
+    states = -(-n // min(chunk, n, w)) * w * m * 16
+    forward = traced_peak(lambda: query_readout(ssm, z, f_q, chunk))
+    backward = traced_peak(lambda: query_readout_backward(ssm, z, f_q, up, chunk))
+    assert backward.peak < n * m * w * 8
+    assert forward.peak - states - forward.result.outputs.nbytes < 2 * 2 ** 20
+    assert backward.peak - 2 * states - z.nbytes - sum(a.nbytes for a in (
+        backward.result[0], backward.result[1].z, backward.result[2])) < 2 * 2 ** 20
 
 
 def test_outputs_are_real_part_of_readout():
