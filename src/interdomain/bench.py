@@ -156,13 +156,15 @@ def simulate_decode(config: ModelConfig, b: int, l: int, steps: int) -> list[Ben
 
 
 def verify_prefill_equivalence(config: ModelConfig, n: int, chunk: int, seed: int = 0) -> float:
-    """Run the real layer both ways and return the worst deviation across
-    outputs, final SSM states, and a decode continuation."""
+    """Run the real layer both ways, one block and ``chunk``-token blocks,
+    and return the worst deviation from the forward (itself in
+    ``config.prefill_chunk`` blocks) across outputs, final SSM states, and
+    a decode continuation."""
     rng = make_rng(seed)
     params = init_layer_params(config, rng, contraction_scale=0.5)
     x = rng.standard_normal((n, config.model_dim))
     y_full = forward(params, x, config)
-    y_one, st_one = prefill(params, x, config)
+    y_one, st_one = prefill(params, x, config, chunk=max(n, 1))
     y_chunk, st_chunk = prefill(params, x, config, chunk=chunk)
     worst = max(
         float(np.max(np.abs(y_one - y_full))),

@@ -43,8 +43,12 @@ class ModelConfig:
     chunk length asked of the chunkwise scan and the SSM backward; both
     clamp it to K = min(chunk_size, N, W) for N tokens of SSM input width
     W = feature_dim + head_dim, so their K^2 M Toeplitz kernel is never
-    larger than the (N, M, W) scan outputs.  ``prefill_chunk`` is the block
-    length used when prefilling a decode session.
+    larger than the (N, M, W) scan outputs.  ``prefill_chunk`` is the
+    position block length L of every multi-token call of the layer:
+    ``forward``, ``prefill`` (its default chunk) and ``backward`` walk the
+    sequence L tokens at a time, each block continuing the state the last
+    one left, so no call's working set grows with N; a sequence of N <= L
+    tokens is one block.  ``bench.simulate_decode`` books activations by it.
     """
 
     heads: int = 2

@@ -35,7 +35,17 @@ Every per-group tensor carries a leading group axis of size ``n_kv``; since
 ``n_kv`` is 1 or ``heads``, viewing the head axis as (n_kv, heads / n_kv)
 lines each head up with its group, and the readouts are batched matmuls.
 
-Which SSM path runs, one group at a time:
+Every multi-token call walks the sequence in blocks of L =
+``config.prefill_chunk`` positions, each block continuing the decode state
+the block before it left, so besides its input and output no call holds
+more than one block's working set (and ``backward`` each block's entry
+state), however long the sequence; a sequence of N <= L tokens is one block
+from a fresh state.  ``forward`` is ``prefill``'s block loop from a fresh
+state, capped at ``context_len``, and each block's ``gated @ w_o`` is
+written into its rows of one preallocated output; ``forward_trace`` is one
+block, so its trace covers every position.
+
+Which SSM path runs, one group at a time, within a block:
 
 * the forward and ``decode_step`` make one ``ssm.run_scan`` per group,
   which writes the group's final state straight into its row of the new
@@ -52,9 +62,16 @@ Which SSM path runs, one group at a time:
   outputs with its heads' learned matrices, so the forward holds one
   group's scan outputs at a time;
 * ``backward`` shares only the streams (``_run_streams``) with the forward
-  and calls no scan: per group it makes one SSM adjoint call in the dual
-  form, whatever backend the config names, and that call returns the
-  outputs it forms along with the gradients.  The query variants call
+  and calls no scan.  With more than one block, a first pass walks the
+  blocks forward and saves each one's entry state from the streams and
+  each group's closed-form final state (``ssm.final_state``), with no
+  readout; the second walks them in reverse, recomputing each block's
+  streams from its entry state, and carries the gradient of that state
+  (SSM states and conv tails) into the block before it.  Per block and
+  group it makes one SSM adjoint call in the dual form from the group's
+  entry state, with the gradient of its final state carried in, whatever
+  backend the config names, and that call returns the outputs it forms
+  along with the gradients and the entry state's.  The query variants call
   ``ssm.query_readout_backward``, which returns the head outputs; the
   others call ``ssm.backward_checkpointed`` on the group's upstream into
   one reused (N, M, W) buffer, and contract it, so they hold one group's
@@ -72,7 +89,8 @@ buffer of states, temporary or copy.  It checks the position, the layouts
 and the conv tails up front but does not scan the SSM states for a NaN or
 an inf; a non-finite entry there reaches every output, so a non-finite
 output is what sends it back to ``_check_state`` (see ``decode_step``).
-``prefill`` checks the whole state before it runs anything.
+``prefill`` checks its input and the whole state before it runs anything.
+A state that is not a ``LayerState`` raises ``ValueError`` naming it.
 
 All the backends agree numerically.
 """
@@ -101,6 +119,7 @@ from .ssm import (
     DiagonalSSM,
     _real,
     backward_checkpointed,
+    final_state,
     make_ssm,
     query_readout_backward,
     random_ssm,
@@ -232,6 +251,8 @@ def _check_state(state: LayerState, config: ModelConfig, ssm_finite: bool = True
     their layout is checked: ``decode_step`` finds a NaN or an inf there
     from its output instead, and then calls this again in full.
     """
+    if not isinstance(state, LayerState):
+        raise ValueError(f"state must be a LayerState, got {type(state).__name__}")
     position = state.position
     if isinstance(position, bool) or not isinstance(position, (int, np.integer)) or position < 0:
         raise ValueError(f"state.position must be an integer >= 0, got {position!r}")
@@ -326,9 +347,27 @@ def _check_params(params: LayerParams, config: ModelConfig) -> None:
                          f"feature_dim == head_dim, got {r} != {dh}")
 
 
+def _check_x(x_seq, config: ModelConfig, fresh: bool) -> np.ndarray:
+    """``x_seq`` as a finite float (N, model_dim) array.  A fresh sequence
+    (``forward``, ``forward_trace``, ``backward``) needs 1 <= N <=
+    ``context_len``: the training path caps at the configured window, while
+    a decode session (``prefill``, N >= 0) may run past it, since the state
+    does not grow with position."""
+    x_seq = _real(x_seq, "x")
+    least = 1 if fresh else 0
+    if x_seq.ndim != 2 or x_seq.shape[1] != config.model_dim or x_seq.shape[0] < least:
+        raise ValueError(f"x must be (N, {config.model_dim}) with N >= {least}, "
+                         f"got {x_seq.shape}")
+    _check_finite("x", x_seq)
+    if fresh and x_seq.shape[0] > config.context_len:
+        raise ValueError(f"sequence of {x_seq.shape[0]} tokens exceeds "
+                         f"context_len={config.context_len}")
+    return x_seq
+
+
 def _run_streams(params: LayerParams, x_seq: np.ndarray, config: ModelConfig,
                  state: LayerState | None):
-    """Check ``x_seq`` and run every stream over it, optionally continuing a
+    """Run every stream over the checked ``x_seq``, optionally continuing a
     state: x W -> short conv -> heads -> RoPE -> features -> norm.
 
     Returns (trace, state, tails): the trace holds ``x``, ``positions``,
@@ -339,16 +378,8 @@ def _run_streams(params: LayerParams, x_seq: np.ndarray, config: ModelConfig,
     is the one continued (a fresh one for None) and ``tails`` the convolved
     streams' new tails.
     """
-    x_seq = _real(x_seq, "x")
-    if x_seq.ndim != 2 or x_seq.shape[1] != config.model_dim or x_seq.shape[0] == 0:
-        raise ValueError(f"x must be (N, {config.model_dim}) with N >= 1, got {x_seq.shape}")
-    _check_finite("x", x_seq)
     n = x_seq.shape[0]
     if state is None:
-        # The training path caps at the configured window; a live decode
-        # session may run past it (the state does not grow with position).
-        if n > config.context_len:
-            raise ValueError(f"sequence of {n} tokens exceeds context_len={config.context_len}")
         state = init_decode_state(config)
     positions = state.position + np.arange(n)
     trace: dict = {"x": x_seq, "positions": positions}
@@ -416,16 +447,36 @@ def _forward_core(
     return gated, new_state, trace
 
 
+def _forward_blocks(params: LayerParams, x_seq: np.ndarray, config: ModelConfig,
+                    state: LayerState | None, chunk: int) -> tuple[np.ndarray, LayerState]:
+    """Run the checked ``x_seq`` through ``_forward_core`` in blocks of
+    ``chunk`` tokens, each continuing the last one's state (a fresh one for
+    None), and write each block's ``gated @ w_o`` into its rows of one
+    (N, model_dim) output.  No block's trace or gated output outlives its
+    block.  Returns (outputs, the state after the last block)."""
+    y = np.empty((x_seq.shape[0], config.model_dim))
+    for lo in range(0, x_seq.shape[0], chunk):
+        gated, state = _forward_core(params, x_seq[lo:lo + chunk], config, state)[:2]
+        np.matmul(gated, params.w_o, out=y[lo:lo + chunk])
+        del gated
+    return y, init_decode_state(config) if state is None else state
+
+
 def forward(params: LayerParams, x_seq: np.ndarray, config: ModelConfig) -> np.ndarray:
-    """Full-sequence forward; (N, model_dim) in, (N, model_dim) out."""
+    """Full-sequence forward from a fresh state; (N, model_dim) in,
+    (N, model_dim) out, N <= ``context_len``.  It runs in blocks of
+    ``config.prefill_chunk`` tokens, as ``prefill`` does, so it holds one
+    block's working set however long the input."""
     _check_params(params, config)
-    gated, _, _ = _forward_core(params, x_seq, config, state=None)
-    return gated @ params.w_o
+    x_seq = _check_x(x_seq, config, fresh=True)
+    return _forward_blocks(params, x_seq, config, None, config.prefill_chunk)[0]
 
 
 def forward_trace(params: LayerParams, x_seq: np.ndarray, config: ModelConfig):
-    """Forward plus the intermediate tensors, for tests and diagnostics."""
+    """Forward plus the intermediate tensors, for tests and diagnostics; one
+    block however long the input, so the trace covers every position."""
     _check_params(params, config)
+    x_seq = _check_x(x_seq, config, fresh=True)
     gated, _, trace = _forward_core(params, x_seq, config, state=None)
     return gated @ params.w_o, trace
 
@@ -437,32 +488,20 @@ def prefill(
     state: LayerState | None = None,
     chunk: int | None = None,
 ) -> tuple[np.ndarray, LayerState]:
-    """Consume a prompt in blocks of ``chunk`` tokens (default: all at once),
-    returning outputs for every position and the state ready for decoding.
-    Any chunking reproduces the single-block forward exactly up to roundoff.
+    """Consume a prompt in blocks of ``chunk`` tokens (default
+    ``config.prefill_chunk``), returning outputs for every position and the
+    state ready for decoding.  Any chunking reproduces the single-block
+    forward exactly up to roundoff.
     """
-    x_seq = _real(x_seq, "x")
-    if x_seq.ndim != 2 or x_seq.shape[1] != config.model_dim:
-        raise ValueError(f"x must be (N, {config.model_dim}) with N >= 0, got {x_seq.shape}")
-    n = x_seq.shape[0]
+    x_seq = _check_x(x_seq, config, fresh=False)
     _check_params(params, config)
-    if state is None:
-        state = init_decode_state(config)
-    else:
+    if state is not None:
         _check_state(state, config)
     if chunk is None:
-        chunk = max(n, 1)
+        chunk = config.prefill_chunk
     if isinstance(chunk, bool) or not isinstance(chunk, (int, np.integer)) or chunk < 1:
         raise ValueError(f"prefill chunk must be an integer >= 1, got {chunk!r}")
-    blocks = []
-    for start in range(0, n, chunk):
-        # unpack only (gated, state) and drop gated once projected, so no
-        # block's trace or gated output outlives its block
-        gated, state = _forward_core(params, x_seq[start:start + chunk], config, state)[:2]
-        blocks.append(gated @ params.w_o)
-        del gated
-    y = np.concatenate(blocks, axis=0) if blocks else np.zeros((0, config.model_dim))
-    return y, state
+    return _forward_blocks(params, x_seq, config, state, chunk)
 
 
 def decode_step(
@@ -503,15 +542,47 @@ def decode_step(
     return y, new_state
 
 
-def _conv_backward(x_seq, kernel, grad_out):
-    """Backward of short_conv from a zero tail (sequence start)."""
-    grad_x = kernel[0] * grad_out
-    grad_k = np.zeros_like(kernel)
-    grad_k[0] = np.sum(grad_out * x_seq, axis=0)
-    for tau in range(1, CONV_TAPS):
-        grad_x[:-tau] += kernel[tau] * grad_out[tau:]
-        grad_k[tau] = np.sum(grad_out[tau:] * x_seq[:-tau], axis=0)
-    return grad_x, grad_k
+def _conv_backward(flat, tail, kernel, grad_out, grad_tail):
+    """Backward of ``short_conv_with_tail(flat, kernel, tail)``: returns
+    (grad flat, grad kernel, grad tail).  ``tail`` None is a stream's start,
+    which has no tail gradient (None); ``grad_tail`` is the upstream on the
+    new tail, the last CONV_TAPS - 1 rows of [tail; flat], or None."""
+    taps, n = CONV_TAPS - 1, flat.shape[0]
+    # the gradient of [tail; flat], whose last CONV_TAPS - 1 rows are the new tail
+    grad_ext = np.zeros((taps + n, flat.shape[1]))
+    if grad_tail is not None:
+        grad_ext[n:] += grad_tail
+    grad_k = np.empty_like(kernel)
+    for tau in range(CONV_TAPS):
+        # out[t] reads row t - tau of flat, or of the tail for t < tau
+        grad_ext[taps - tau:taps - tau + n] += kernel[tau] * grad_out
+        grad_k[tau] = np.sum(grad_out[tau:] * flat[:max(n - tau, 0)], axis=0)
+        if tail is not None and tau:
+            seen = min(tau, n)
+            grad_k[tau] += np.sum(grad_out[:seen] * tail[taps - tau:taps - tau + seen], axis=0)
+    return grad_ext[taps:], grad_k, None if tail is None else grad_ext[:taps]
+
+
+def _exit_state(params: LayerParams, x_seq: np.ndarray, config: ModelConfig,
+                state: LayerState | None) -> LayerState:
+    """The state after the checked block ``x_seq`` from ``state`` (a fresh
+    one for None), from the streams and each group's closed-form final
+    state (``ssm.final_state``): no readout and no ``run_scan``."""
+    trace, state, tails = _run_streams(params, x_seq, config, state)
+    ssm_states = np.empty_like(state.ssm_states, order="C")
+    for g in range(config.n_kv):
+        final_state(params.ssm[g], trace["z"][:, g], config.chunk_size,
+                    x0=state.ssm_states[g], out=ssm_states[g])
+    return LayerState(position=state.position + x_seq.shape[0], ssm_states=ssm_states, **tails)
+
+
+def _accumulate(grads: dict[str, np.ndarray], name: str, value: np.ndarray) -> None:
+    """Add one block's gradient of ``name`` into ``grads``; the first one
+    added is kept as it is, so a single block's gradients are unchanged."""
+    if name in grads:
+        grads[name] += value
+    else:
+        grads[name] = value
 
 
 def backward(
@@ -528,22 +599,56 @@ def backward(
     transition gradients are reported in its training parameterization
     (delta, log(-Re a), Im a).  Variants without a stream simply have no
     entry for its parameters.
+
+    It walks the blocks of ``config.prefill_chunk`` tokens that ``forward``
+    runs.  With more than one, a first pass saves each block's entry state
+    (``_exit_state``), and the second walks the blocks in reverse, each
+    recomputing its streams from its entry state and carrying the gradient
+    of that state back into the block before it (``_backward_block``).
     """
     _check_params(params, config)
-    trace = _run_streams(params, x_seq, config, None)[0]
-    x_seq, z = trace["x"], trace.pop("z")
+    x_seq = _check_x(x_seq, config, fresh=True)
     n = x_seq.shape[0]
     upstream = _real(upstream, "upstream")
     if upstream.shape != (n, config.model_dim):
         raise ValueError(f"upstream must match the output shape {(n, config.model_dim)}")
     _check_finite("upstream", upstream)
+    chunk = config.prefill_chunk
+    entries = [None]  # each block's entry state; the first block's is fresh
+    for lo in range(chunk, n, chunk):
+        entries.append(_exit_state(params, x_seq[lo - chunk:lo], config, entries[-1]))
+    grads: dict[str, np.ndarray] = {}
+    grad_x = np.zeros_like(x_seq)
+    grad_state = None  # of the state the block after this one enters with
+    for lo in range(chunk * (len(entries) - 1), -1, -chunk):
+        rows = slice(lo, lo + chunk)
+        grad_state = _backward_block(params, x_seq[rows], upstream[rows], config,
+                                     entries.pop(), grad_state, grads, grad_x[rows])
+    return grads, grad_x
 
+
+def _backward_block(params: LayerParams, x_seq: np.ndarray, upstream: np.ndarray,
+                    config: ModelConfig, state: LayerState | None, grad_state: dict | None,
+                    grads: dict[str, np.ndarray], grad_x: np.ndarray) -> dict | None:
+    """One block's adjoint, from its entry ``state`` (None for the
+    sequence's start) with ``grad_state``, the gradient of the state it
+    leaves (None for the last block), carried in.  Adds the block's
+    parameter gradients into ``grads`` and its input gradient into
+    ``grad_x``, the block's rows.  Returns the gradient of the entry state
+    by ``LayerState`` field name (SSM states and conv tails), None for the
+    sequence's start."""
+    trace = _run_streams(params, x_seq, config, state)[0]
+    z = trace.pop("z")
+    n = x_seq.shape[0]
     dh, r, m = config.head_dim, config.feature_dim, config.state_dim
     heads, n_kv = config.heads, config.n_kv
     w = r + dh
     has_q = config.variant in QUERY_VARIANTS
-    grads: dict[str, np.ndarray] = {}
-    grad_x = np.zeros_like(x_seq)
+
+    def group(array, g):  # the group's row of an optional per-group array
+        return None if array is None else array[g]
+    x0 = None if state is None else state.ssm_states
+    final_up = None if grad_state is None else grad_state["ssm_states"]
 
     # the gate's one sigmoid serves silu, silu' and the readout's upstream
     grad_o_cat = grad_gated = upstream @ params.w_o.T
@@ -565,7 +670,8 @@ def backward(
         outputs, grad_f = np.empty_like(grad_o), np.empty_like(f_q)
         for g in range(n_kv):
             outputs[:, g], ssm_grads[g], grad_f[:, g] = query_readout_backward(
-                params.ssm[g], z[:, g], f_q[:, g], grad_o[:, g], config.chunk_size)
+                params.ssm[g], z[:, g], f_q[:, g], grad_o[:, g], config.chunk_size,
+                x0=group(x0, g), final_upstream=group(final_up, g))
         grad_outs["q"] = grad_f.reshape(n, heads, r)
         del f_q
     else:
@@ -576,11 +682,12 @@ def backward(
         flat = scan_out.reshape(n, m * w)
         for g in range(n_kv):
             grad_scan = (grad_o[:, g] @ contraction[g]).reshape(n, m, w)
-            ssm_grads[g] = backward_checkpointed(params.ssm[g], z[:, g], grad_scan,
-                                                 config.chunk_size, out=scan_out)[1]
+            ssm_grads[g] = backward_checkpointed(
+                params.ssm[g], z[:, g], grad_scan, config.chunk_size, out=scan_out,
+                x0=group(x0, g), final_upstream=group(final_up, g))[1]
             outputs[:, g] = flat @ contraction[g].T
             grad_contraction[g] = grad_o[:, g].T @ flat
-        grads["contraction"] = grad_contraction.reshape(params.contraction.shape)
+        _accumulate(grads, "contraction", grad_contraction.reshape(params.contraction.shape))
         del scan_out, flat, grad_scan
     del z, grad_o, grad_o_cat
     o_cat = outputs.reshape(n, config.model_dim)
@@ -592,12 +699,14 @@ def backward(
     if config.output_gate_enabled:
         gated = gate_pre * sig * o_cat
         grad_gate_pre = sig * (1.0 + gate_pre * (1.0 - sig)) * (o_cat * grad_gated)
-        grads["w_g"] = x_seq.T @ grad_gate_pre
+        _accumulate(grads, "w_g", x_seq.T @ grad_gate_pre)
         grad_x += grad_gate_pre @ params.w_g.T
         del gate_pre, sig, grad_gate_pre
     del o_cat, grad_gated
     for field in ("delta", "a_log_neg_re", "a_im", "b", "c_out"):
-        grads[f"ssm.{field}"] = np.stack([getattr(sg, field) for sg in ssm_grads])
+        _accumulate(grads, f"ssm.{field}", np.stack([getattr(sg, field) for sg in ssm_grads]))
+    grad_entry = None if state is None else \
+        {"ssm_states": np.stack([sg.x0 for sg in ssm_grads])}
     grad_z = np.stack([sg.z for sg in ssm_grads], axis=1)
     del ssm_grads
     grad_outs.update(k=grad_z[..., :r], v=grad_z[..., r:])
@@ -609,8 +718,9 @@ def backward(
         flat, rot, feat = trace.pop(s.name)
         grad = grad_outs.pop(s.name)
         if s.norm is not None:
-            grad, grads[f"{s.norm}.gain"], grads[f"{s.norm}.bias"] = \
-                rmsnorm_bias_backward(feat, getattr(params, s.norm), grad)
+            grad, grad_gain, grad_bias = rmsnorm_bias_backward(feat, getattr(params, s.norm), grad)
+            _accumulate(grads, f"{s.norm}.gain", grad_gain)
+            _accumulate(grads, f"{s.norm}.bias", grad_bias)
         del feat  # read by the norm's adjoint only
         if s.features:
             grad = feature_map_backward(params.feature_map, rot, grad)
@@ -618,15 +728,19 @@ def backward(
             grad = rope_apply(grad, trace["positions"], inverse=True)
         grad = grad.reshape(n, s.rows * dh)
         if s.conv:
-            conv = getattr(params, f"conv_{s.name}")
-            grad, grads[f"conv_{s.name}"] = _conv_backward(flat, conv, grad)
+            tail = f"conv_{s.name}_tail"
+            grad, grad_conv, grad_tail = _conv_backward(
+                flat, getattr(state, tail, None), getattr(params, f"conv_{s.name}"), grad,
+                None if grad_state is None else grad_state[tail])
+            _accumulate(grads, f"conv_{s.name}", grad_conv)
+            if grad_entry is not None:
+                grad_entry[tail] = grad_tail
         del flat, rot
-        grads[f"w_{s.name}"] = x_seq.T @ grad
+        _accumulate(grads, f"w_{s.name}", x_seq.T @ grad)
         grad_x += grad @ getattr(params, f"w_{s.name}").T
         del grad
-    grads["w_o"] = gated.T @ upstream
-
-    return grads, grad_x
+    _accumulate(grads, "w_o", gated.T @ upstream)
+    return grad_entry
 
 
 # --- parameter container serialization -------------------------------------

@@ -37,7 +37,12 @@ matmul and carries only the adjoints of the entry states across chunks;
 it also returns the outputs, made by the same per-chunk product from the
 entry states and operator it builds anyway.  Every pass in the dual form
 starts from the same setup (``_dual_setup``): the chunk length, the table
-of pole powers and the entry states.
+of pole powers and the entry states; ``final_state`` is that setup and
+the closed-form last step alone, a scan's final state with no outputs.
+Both adjoints run from any entry state x0, take an upstream on the final
+state, and return the gradient of x0, all through one entry-state carry
+(``_carry_entry_adjoints``), so a sequence can be differentiated block by
+block, each block's state gradient carried into the block before it.
 
 Given the query features f_q of the group's heads, ``run_scan`` returns
 each head's f_q U^T Gamma, where [U | Gamma] are the scan's outputs, on
@@ -226,6 +231,18 @@ def _check_out(out, shape: tuple[int, ...], dtype: type) -> None:
         got = (getattr(out, "shape", None), str(getattr(out, "dtype", type(out).__name__)))
         raise ValueError(f"out must be a writeable C-contiguous {dtype.__name__} {shape} "
                          f"array, got (shape, dtype) {got}")
+
+
+def _check_final_upstream(ssm: DiagonalSSM, final_upstream):
+    """``final_upstream`` as a C-contiguous complex (W, M) array; None stays
+    None."""
+    if final_upstream is None:
+        return None
+    final_upstream = np.ascontiguousarray(final_upstream, dtype=complex)
+    shape = (ssm.input_width, ssm.state_dim)
+    if final_upstream.shape != shape:
+        raise ValueError(f"final_upstream must be (W, M) = {shape}, got {final_upstream.shape}")
+    return final_upstream
 
 
 def _check_query(ssm: DiagonalSSM, z: np.ndarray, f_q):
@@ -584,6 +601,16 @@ def scan_chunkwise(ssm: DiagonalSSM, z: np.ndarray, chunk: int, x0=None,
                       final_state=_final_state(ssm, powers, z, entries, x0, out))
 
 
+def final_state(ssm: DiagonalSSM, z: np.ndarray, chunk: int, x0=None, out=None) -> np.ndarray:
+    """The state after scanning ``z`` from ``x0``, by the dual form's
+    closed-form steps alone: one per K-chunk (``_segment_entries``) and one
+    over the last chunk (``_final_state``), with no outputs.  It is
+    ``scan_chunkwise(ssm, z, chunk, x0, out).final_state`` bit for bit, in
+    ``out`` when given."""
+    z, x0, _, powers, entries = _dual_setup(ssm, z, chunk, x0, out)
+    return _final_state(ssm, powers, z, entries, x0, out)
+
+
 def _combine(states: np.ndarray, first: int, span: int, lam_span: np.ndarray) -> None:
     """One level of ``scan_prefix``'s sweeps, in place: for every i = first
     + span, first + 3 span, ..., states[i] = lam_span * states[i - span] +
@@ -666,14 +693,17 @@ class SsmGrads:
     a_im: np.ndarray           # (M,) real, w.r.t. Im a
     b: np.ndarray              # (M,) complex
     c_out: np.ndarray          # (M, M) complex
+    x0: np.ndarray | None = None  # (W, M) complex, of the entry state; None from x_0 = 0
 
 
 def _ssm_grads(ssm: DiagonalSSM, powers: np.ndarray, grad_z: np.ndarray, by_lag: np.ndarray,
-               by_power: np.ndarray, entry_sum: np.ndarray, df_dc: np.ndarray) -> SsmGrads:
+               by_power: np.ndarray, entry_sum: np.ndarray, df_dc: np.ndarray,
+               grad_x0: np.ndarray | None) -> SsmGrads:
     """Assemble the gradients from holomorphic adjoints, for a chunk of K
     steps and the (K + 1, M) table of lam**t: ``by_lag`` (K, M) of
     b lam^tau, ``by_power`` (K, M) of lam^(t+1) in the entry maps,
-    ``entry_sum`` (M,) of the lam^K of the entry step, and ``df_dc`` of C.
+    ``entry_sum`` (M,) of the lam^K of the entry step, and ``df_dc`` of C;
+    ``grad_x0`` is the entry state's gradient, already in the real convention.
 
     Nothing divides by lam: tau lam^(tau-1) is read from the pole-power
     table shifted by one, so the result agrees across chunk lengths to
@@ -693,24 +723,45 @@ def _ssm_grads(ssm: DiagonalSSM, powers: np.ndarray, grad_z: np.ndarray, by_lag:
         a_im=-p.imag,
         b=np.conj(df_db),
         c_out=np.conj(df_dc),
+        x0=grad_x0,
     )
 
 
 def _carry_entry_adjoints(ssm: DiagonalSSM, powers: np.ndarray, z: np.ndarray,
-                          entries: np.ndarray, drive, grad_z: np.ndarray):
+                          entries: np.ndarray, drive, grad_z: np.ndarray, by_power: np.ndarray,
+                          from_x0: bool = False, final_upstream=None):
     """Carry the adjoints of the K-chunks' entry states back to z, b and lam
-    through the closed-form entry step, from x_0 = 0.
+    through the closed-form entry step, and on to x_0 when ``from_x0``.
 
     ``entries`` are the states ``_segment_entries`` returned, and are
     overwritten; ``drive(j)`` is d_j, the (W, M) holomorphic adjoint of
-    entry j >= 1 from its own chunk's outputs.  One reversed ``_recur``
-    with lam^K carries a_j = lam^K a_{j+1} + d_j.  Entry j + 1 is the
-    closed-form step over full chunk j from entry j, so a_{j+1} adds
-    Re(b lam^(K-1-p) a_{j+1}) to ``grad_z[jK + p]`` in place.  Returns
-    (the (K, M) adjoint of b lam^tau, row tau; the (M,) adjoint of lam^K).
+    entry j from its own chunk's outputs (entry 0, x_0, only when
+    ``from_x0``).  One reversed ``_recur`` with lam^K carries a_j = lam^K
+    a_{j+1} + d_j.  Entry j + 1 is the closed-form step over full chunk j
+    from entry j, so a_{j+1} adds Re(b lam^(K-1-p) a_{j+1}) to
+    ``grad_z[jK + p]`` in place, one block of chunks at a time.
+
+    ``final_upstream``, the (W, M) gradient of the final state in the
+    ``SsmGrads`` convention, or None, enters through ``_final_state``'s
+    step over the last chunk's L steps from the last entry: into grad z
+    and the adjoints of b lam^tau and of lam^L (``by_power`` row L - 1,
+    added in place), and as lam^L times it into the last entry's adjoint.
+    Returns (the (K, M) adjoint of b lam^tau, row tau; the (M,) adjoint of
+    lam^K; the gradient of x_0 in the ``SsmGrads`` convention, None unless
+    ``from_x0``).
     """
     k = powers.shape[0] - 1
+    n = z.shape[0]
     w, m = entries.shape[1:]
+    last = n - (len(entries) - 1) * k  # steps in the last chunk
+    if final_upstream is not None:
+        g_final = np.conj(final_upstream)  # holomorphic
+        b_powers = ssm.b * powers[:last][::-1]  # row p is b lam^(last-1-p)
+        grad_z[n - last:] += np.conj(b_powers).view(float) @ g_final.view(float).T
+        final_lag = (z[n - last:] @ g_final.view(float)).view(complex)[::-1]  # row tau
+        if last:
+            by_power[last - 1] += np.einsum("wm,wm->m", g_final, entries[-1])
+        g_final *= powers[last]  # the last entry's share
     # The lam^K of the entry step wants sum_j a_j e_{j-1} = sum_j d_j S_j,
     # S_j = sum_{i<j} lam^(K(j-1-i)) e_i, so one buffer serves all three:
     # S_{j+1} overwrites e_j, then d_j overwrites S_{j+1} (read at chunk
@@ -720,6 +771,8 @@ def _carry_entry_adjoints(ssm: DiagonalSSM, powers: np.ndarray, z: np.ndarray,
     entry_sum = np.zeros(m, dtype=complex)  # sum_j d_j S_j, per mode
     for j in range(len(entries) - 1, 0, -1):
         entries[j] = drive(j)
+        if final_upstream is not None and j == len(entries) - 1:
+            entries[j] += g_final
         entry_sum += np.einsum("wm,wm->m", entries[j], entries[j - 1])
     _recur(powers[k], entries[:0:-1], zero, entries[:0:-1])
 
@@ -727,20 +780,36 @@ def _carry_entry_adjoints(ssm: DiagonalSSM, powers: np.ndarray, z: np.ndarray,
     z_exit = z[:len(exits) * k].reshape(len(exits), k, w)
     b_powers = ssm.b * powers[k - 1::-1]  # row p is b lam^(k-1-p)
     grad_z_full = grad_z[:len(exits) * k].reshape(-1, k, w)
-    grad_z_full += np.conj(b_powers).view(float) @ exits.view(float).swapaxes(1, 2)
+    # one GEMM per chunk, a block of chunks at a time: no (N, W) product
+    step = max(1, _BLOCK_BYTES // (8 * k * w))
+    for lo in range(0, len(exits), step):
+        grad_z_full[lo:lo + step] += (np.conj(b_powers).view(float)
+                                      @ exits[lo:lo + step].view(float).swapaxes(1, 2))
     # row p: sum over full chunks j and channels c of z[jk + p, c] exits[j, c]
     z_s = (z_exit.transpose(1, 0, 2).reshape(k, -1)
            @ exits.view(float).reshape(-1, 2 * m)).view(complex)
-    return z_s[::-1], entry_sum
+    z_lag = z_s[::-1]
+    if final_upstream is not None:
+        z_lag[:last] += final_lag
+    grad_x0 = None
+    if from_x0:  # a_0 = d_0 + lam^K a_1, or d_0 plus the final state's share
+        if len(entries) > 1:
+            a_0 = drive(0) + powers[k] * entries[1]
+        else:
+            a_0 = drive(0) if final_upstream is None else drive(0) + g_final
+        grad_x0 = np.conj(a_0)
+    return z_lag, entry_sum, grad_x0
 
 
 def backward_checkpointed(
-    ssm: DiagonalSSM, z: np.ndarray, upstream: np.ndarray, interval: int, out=None
+    ssm: DiagonalSSM, z: np.ndarray, upstream: np.ndarray, interval: int, out=None,
+    x0=None, final_upstream=None,
 ) -> tuple[np.ndarray, SsmGrads]:
-    """Reverse-mode gradients of loss = sum(upstream * outputs) from x_0 = 0:
-    the adjoint of ``scan_chunkwise``'s dual form with chunks of
-    K = min(interval, N, W) steps.  Returns (outputs, ``SsmGrads``), where
-    outputs are ``scan_chunkwise(ssm, z, interval).outputs`` bit for bit,
+    """Reverse-mode gradients of loss = sum(upstream * outputs) +
+    <final_upstream, final state> from ``x0`` (x_0 = 0 for None): the
+    adjoint of ``scan_chunkwise``'s dual form with chunks of K = min(interval,
+    N, W) steps.  Returns (outputs, ``SsmGrads``), where outputs are
+    ``scan_chunkwise(ssm, z, interval, x0).outputs`` bit for bit,
     formed chunk by chunk from the entry states and operator the adjoint
     builds anyway (``_chunk_outputs``), so a training step scans each group
     once.  They are written into ``out`` when given, which must be a
@@ -750,9 +819,13 @@ def backward_checkpointed(
     * grad z: the transposed Toeplitz kernel on each chunk's upstream;
     * C, b and lam through the kernel's h[tau] = Re(C diag(b) lam^tau),
       via the lag correlation R[tau, i] = sum_t sum_c g[t, i, c] z[t-tau, c];
-    * the entry term, on chunks >= 1 only: g @ e for C and lam, and
-      g^T @ A for the adjoint of each entry state, which
-      ``_carry_entry_adjoints`` passes on to z, b and lam.
+    * the entry term, on chunks >= 1 (and chunk 0 from a given ``x0``):
+      g @ e for C and lam, and g^T @ A for the adjoint of each entry state,
+      which ``_carry_entry_adjoints`` passes on to z, b and lam, and to
+      ``SsmGrads.x0`` from a given ``x0``;
+    * ``final_upstream``, the (W, M) complex gradient of the final state in
+      the ``SsmGrads`` convention, through the closed-form last step into
+      the same sums (``_carry_entry_adjoints``).  None adds nothing.
 
     Each chunk's upstream is read in place, never copied.  Besides the
     outputs (none with ``out``) and sums the size of the kernel, the one
@@ -761,12 +834,14 @@ def backward_checkpointed(
     ``upstream``, so within it for K >= 2 and twice it at K = 1, where
     every state is an entry state.
     """
-    z, _, k, powers, entries = _dual_setup(ssm, z, interval, name="interval")
+    from_x0 = x0 is not None
+    z, _, k, powers, entries = _dual_setup(ssm, z, interval, x0, name="interval")
     upstream = _real(upstream, "upstream")
     n, m, w = z.shape[0], ssm.state_dim, ssm.input_width
     if upstream.shape != (n, m, w):
         raise ValueError(f"upstream must be (N, M, W) = ({n}, {m}, {w}), got {upstream.shape}")
     _check_out(out, (n, m, w), float)
+    final_upstream = _check_final_upstream(ssm, final_upstream)
     outputs = np.empty((n, m, w)) if out is None else out
     op = _dual_kernel(ssm, powers)
     entry, toeplitz = op[:, :2 * m], op[:, 2 * m:]
@@ -782,25 +857,30 @@ def backward_checkpointed(
     g_e = np.zeros((k * m, 2 * m))  # [(t, i), m]: sum over chunks, c of g[t, i, c] e[c, m]
     for j in range(-(-n // k)):
         lo, ell, g = chunk_upstream(j)
-        _chunk_outputs(op, entries[j] if j else None, z[lo:lo + ell], outputs[lo:lo + ell])
+        entered = j or from_x0  # chunk 0 enters from x_0 = 0 unless given
+        _chunk_outputs(op, entries[j] if entered else None, z[lo:lo + ell],
+                       outputs[lo:lo + ell])
         np.matmul(toeplitz[:ell * m, :ell].T, g, out=grad_z[lo:lo + ell])
         g_z[:ell * m, :ell] += g @ z[lo:lo + ell].T
-        if j:  # chunk 0 enters from x_0 = 0
+        if entered:
             g_e[:ell * m] += g @ entries[j].view(float)
 
     def drive(j):  # g_j^T @ A over chunk j
         _, ell, g = chunk_upstream(j)
         return (g.T @ entry[:ell * m]).view(complex)
 
-    z_lag, entry_sum = _carry_entry_adjoints(ssm, powers, z, entries, drive, grad_z)
-    lag = _lag_sums(g_z)  # R[tau, i]
     g_e = g_e.view(complex).reshape(k, m, m)
+    by_power = np.einsum("tim,im->tm", g_e, ssm.c_out)
+    z_lag, entry_sum, grad_x0 = _carry_entry_adjoints(
+        ssm, powers, z, entries, drive, grad_z, by_power, from_x0, final_upstream)
+    lag = _lag_sums(g_z)  # R[tau, i]
     return outputs, _ssm_grads(
         ssm, powers, grad_z,
         by_lag=lag @ ssm.c_out + z_lag,
-        by_power=np.einsum("tim,im->tm", g_e, ssm.c_out),
+        by_power=by_power,
         entry_sum=entry_sum,
-        df_dc=(lag.T @ powers[:k]) * ssm.b + np.einsum("tim,tm->im", g_e, powers[1:]))
+        df_dc=(lag.T @ powers[:k]) * ssm.b + np.einsum("tim,tm->im", g_e, powers[1:]),
+        grad_x0=grad_x0)
 
 
 def _flip_lags(a: np.ndarray) -> np.ndarray:
@@ -897,11 +977,15 @@ def query_readout(ssm: DiagonalSSM, z: np.ndarray, f_q: np.ndarray, chunk: int,
 
 
 def query_readout_backward(ssm: DiagonalSSM, z: np.ndarray, f_q: np.ndarray, upstream: np.ndarray,
-                           chunk: int) -> tuple[np.ndarray, SsmGrads, np.ndarray]:
-    """Reverse-mode gradients of loss = sum(upstream * outputs) for
-    ``query_readout`` from x_0 = 0: returns (outputs, ``SsmGrads``, grad
-    f_q), where outputs are ``query_readout(ssm, z, f_q, chunk).outputs``,
-    the (N, P, W - R) head outputs the adjoint forms on its way anyway.
+                           chunk: int, x0=None,
+                           final_upstream=None) -> tuple[np.ndarray, SsmGrads, np.ndarray]:
+    """Reverse-mode gradients of loss = sum(upstream * outputs) +
+    <final_upstream, final state> for ``query_readout`` from ``x0`` (x_0 =
+    0 for None): returns (outputs, ``SsmGrads``, grad f_q), where outputs
+    are ``query_readout(ssm, z, f_q, chunk, x0).outputs``, the (N, P, W - R)
+    head outputs the adjoint forms on its way anyway.  From a given ``x0``
+    ``SsmGrads.x0`` is its gradient; ``final_upstream`` is as in
+    ``backward_checkpointed``.
 
     The adjoint is the transposes of the forward's GEMMs, block by block.
     The entry states' adjoints go through ``_carry_entry_adjoints``, as in
@@ -915,7 +999,7 @@ def query_readout_backward(ssm: DiagonalSSM, z: np.ndarray, f_q: np.ndarray, ups
     drives, it holds one block's products and their adjoints, about
     ``_BLOCK_BYTES``, and the entry carry's temporaries the size of grad z.
     """
-    z, _, k, powers, entries = _dual_setup(ssm, z, chunk)
+    z, _, k, powers, entries = _dual_setup(ssm, z, chunk, x0)
     f_q = _check_query(ssm, z, f_q)
     upstream = _real(upstream, "upstream")
     n, p, r = f_q.shape
@@ -923,6 +1007,7 @@ def query_readout_backward(ssm: DiagonalSSM, z: np.ndarray, f_q: np.ndarray, ups
     if upstream.shape != (n, p, w - r):
         raise ValueError(f"upstream must be (N, P, W - R) = ({n}, {p}, {w - r}), "
                          f"got {upstream.shape}")
+    final_upstream = _check_final_upstream(ssm, final_upstream)
     c = ssm.c_out
     b_lags, h = _lag_kernels(ssm, powers)
 
@@ -967,9 +1052,12 @@ def query_readout_backward(ssm: DiagonalSSM, z: np.ndarray, f_q: np.ndarray, ups
         g_f = g_scores @ fw.z[..., :r] + g_fe @ np.conj(fw.e[:, :r]).view(float).swapaxes(1, 2)
         grad_f[fw.rows] = g_f.reshape(-1, p, r)
 
-    z_lag, entry_sum = _carry_entry_adjoints(ssm, powers, z, entries, drives.__getitem__, grad_z)
+    z_lag, entry_sum, grad_x0 = _carry_entry_adjoints(
+        ssm, powers, z, entries, drives.__getitem__, grad_z, by_power, x0 is not None,
+        final_upstream)
     return outputs, _ssm_grads(ssm, powers, grad_z,
                                by_lag=g_h @ c + z_lag,
                                by_power=by_power,
                                entry_sum=entry_sum,
-                               df_dc=g_c.view(complex) + g_h.T @ b_lags), grad_f
+                               df_dc=g_c.view(complex) + g_h.T @ b_lags,
+                               grad_x0=grad_x0), grad_f

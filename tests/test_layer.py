@@ -184,15 +184,16 @@ def test_readout_matches_per_head_loop(variant, n_kv):
 
 
 def _forward_peak_over_every_groups_scan_outputs(variant, backend):
-    """tracemalloc peak of a forward at width 8 and N = 512, over the bytes
-    of the float (N, n_kv, M, W) outputs of every group; measured on the
-    second of two identical calls, after any first-call allocation."""
+    """tracemalloc peak of a forward at width 8 and N = 512, one block,
+    over the bytes of the float (N, n_kv, M, W) outputs of every group;
+    measured on the second of two identical calls, after any first-call
+    allocation."""
     width = 8
     config = validate(dataclasses.replace(
         load_config(Path(__file__).resolve().parents[1] / "configs" / "tiny.json"),
         variant=variant, backend=backend,
         heads=width, n_kv=width, head_dim=width, feature_dim=width, state_dim=width,
-        model_dim=width * width, context_len=512))
+        model_dim=width * width, context_len=512, prefill_chunk=512))
     params = init_layer_params(config, make_rng(47), contraction_scale=0.1)
     x = make_rng(48).standard_normal((512, config.model_dim))
     forward(params, x, config)
@@ -219,14 +220,15 @@ def test_no_query_forward_never_holds_every_groups_scan_outputs(variant, backend
 
 
 def _backward_peak(variant, gate=False):
-    """(tracemalloc peak of a backward at width 8 and N = 512, bytes of one
-    (N, model_dim) float array); measured on the second of two identical
-    calls, after any first-call allocation."""
+    """(tracemalloc peak of a backward at width 8 and N = 512, one block,
+    bytes of one (N, model_dim) float array); measured on the second of two
+    identical calls, after any first-call allocation."""
     width = 8
     config = validate(dataclasses.replace(
         load_config(Path(__file__).resolve().parents[1] / "configs" / "tiny.json"),
         variant=variant, output_gate_enabled=gate, heads=width, n_kv=width, head_dim=width,
-        feature_dim=width, state_dim=width, model_dim=width * width, context_len=512))
+        feature_dim=width, state_dim=width, model_dim=width * width, context_len=512,
+        prefill_chunk=512))
     params = init_layer_params(config, make_rng(47), contraction_scale=0.1)
     rng = make_rng(48)
     x = rng.standard_normal((512, config.model_dim))
@@ -327,6 +329,66 @@ def test_prefill_chunking_invariant():
             assert st.position == st_full.position
             for a, b in zip(st.ssm_states, st_full.ssm_states):
                 assert rel_err(a, b) < 1e-12
+
+
+@pytest.mark.parametrize("gate", [False, True])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_blocked_calls_match_one_block(variant, gate):
+    # forward, prefill and backward walk the sequence in prefill_chunk
+    # blocks; one block of L >= N is the unblocked call.  L = 1 and 2 are
+    # shorter than the conv's tail, 5 leaves a ragged last block and N - 1
+    # a one-token one
+    n = 12
+    config, params = variant_setup(variant, seed=80, output_gate_enabled=gate, prefill_chunk=n)
+    randomize_norms(params, make_rng(81))
+    rng = make_rng(82)
+    x = rng.standard_normal((n, config.model_dim))
+    up = rng.standard_normal((n, config.model_dim))
+    want_y = forward(params, x, config)
+    want_pre, want_state = prefill(params, x, config)
+    want_grads, want_gx = backward(params, x, up, config)
+    for chunk in (1, 2, 5, n - 1):
+        blocked = dataclasses.replace(config, prefill_chunk=chunk)
+        assert rel_err(forward(params, x, blocked), want_y) <= 1e-13, chunk
+        got_pre, got_state = prefill(params, x, blocked)
+        assert rel_err(got_pre, want_pre) <= 1e-13, chunk
+        assert rel_err(got_state.ssm_states, want_state.ssm_states) <= 1e-13, chunk
+        grads, grad_x = backward(params, x, up, blocked)
+        assert rel_err(grad_x, want_gx) <= 1e-12, chunk
+        assert grads.keys() == want_grads.keys()
+        for key, value in grads.items():
+            assert rel_err(value, want_grads[key]) <= 1e-12, (chunk, key)
+
+
+def _long_small_peak(call, n):
+    """tracemalloc peak of ``call`` (a backend's forward, or "backward")
+    at ``long_small``'s width over N tokens, minus what the call returns;
+    measured after a warm-up call at N = 256."""
+    config = dataclasses.replace(
+        load_config(Path(__file__).resolve().parents[1] / "perfbench" / "long_small.json"),
+        context_len=n)
+    params = init_layer_params(config, make_rng(83))
+    rng = make_rng(84)
+    x = rng.standard_normal((n, config.model_dim))
+    up = rng.standard_normal((n, config.model_dim))
+    if call == "backward":
+        backward(params, x[:256], up[:256], config)
+        traced = traced_peak(lambda: backward(params, x, up, config))
+    else:
+        config = dataclasses.replace(config, backend=call)
+        forward(params, x[:256], config)
+        traced = traced_peak(lambda: forward(params, x, config))
+    return traced.peak - traced.held
+
+
+@pytest.mark.parametrize("call", [*BACKENDS, "backward"])
+def test_working_set_does_not_grow_with_the_sequence(call):
+    # every call walks the sequence in prefill_chunk (256) blocks, so
+    # besides its output a forward holds one block's working set, on
+    # every backend, and a backward that and each block's entry state
+    # (about 37 KiB here): at N = 8192 within 1 MiB of N = 2048
+    short, long = _long_small_peak(call, 2048), _long_small_peak(call, 8192)
+    assert long - short < 2 ** 20, (short, long)
 
 
 def test_state_shapes_do_not_grow():
@@ -624,6 +686,18 @@ def test_decode_state_with_a_bool_position_is_rejected():
         decode_step(params, state, x[0], config)
 
 
+@pytest.mark.parametrize("bad", [None, "s", {"position": 0}])
+def test_a_state_that_is_not_a_layer_state_is_rejected(bad):
+    # named, not an AttributeError from deep inside
+    config, params = variant_setup("full_interdomain")
+    x = make_rng(47).standard_normal((4, config.model_dim))
+    with pytest.raises(ValueError, match="state must be a LayerState"):
+        decode_step(params, bad, x[0], config)
+    if bad is not None:  # None asks prefill for a fresh state
+        with pytest.raises(ValueError, match="state must be a LayerState"):
+            prefill(params, x, config, state=bad)
+
+
 def test_prefill_chunk_must_be_an_integer():
     # True would run one-token blocks and 2.5 fail inside range; a numpy
     # integer is a chunk like any other
@@ -906,9 +980,14 @@ def test_one_scan_and_one_ssm_backward_per_group(monkeypatch, n_kv):
     so the scan returns the heads' outputs.  The backward makes one SSM
     adjoint call per group and no scan: each adjoint returns the outputs it
     forms, the query readout's the head outputs and
-    ``backward_checkpointed`` the group's scan outputs."""
+    ``backward_checkpointed`` the group's scan outputs.
+
+    Over several ``prefill_chunk`` blocks the calls are per block: each
+    group's scans, and each group's adjoints, cover every position exactly
+    once, and the backward still makes no ``run_scan``."""
     counts = Counter()
     scans = []  # (backend, whether f_q was passed) per run_scan call
+    inputs = []  # (name, ssm, z, x0) per call
 
     def counting(name):
         fn = getattr(layer_module, name)
@@ -917,6 +996,7 @@ def test_one_scan_and_one_ssm_backward_per_group(monkeypatch, n_kv):
             counts[name] += 1
             if name == "run_scan":
                 scans.append((args[2], kwargs.get("f_q") is not None))
+            inputs.append((name, args[0], args[1].copy(), kwargs.get("x0")))
             return fn(*args, **kwargs)
         return wrapper
 
@@ -942,3 +1022,31 @@ def test_one_scan_and_one_ssm_backward_per_group(monkeypatch, n_kv):
         backward(params, x,rng.standard_normal((4, config.model_dim)), config)
         want = "query_readout_backward" if has_q else "backward_checkpointed"
         assert counts == {want: n_kv}
+
+        # blocks of 4, 4 and 3 tokens
+        x = rng.standard_normal((11, config.model_dim))
+        z = forward_trace(params, x, config)[1]["z"]
+        blocked = dataclasses.replace(config, prefill_chunk=4)
+
+        def per_group(calls):
+            """Each group's inputs in call order, by matching its SSM."""
+            return [[(zz, x0) for _, ssm, zz, x0 in calls
+                     if np.array_equal(ssm.delta, params.ssm.delta[g])] for g in range(n_kv)]
+
+        for backend in BACKENDS:
+            counts.clear()
+            inputs.clear()
+            forward(params, x, dataclasses.replace(blocked, backend=backend))
+            assert counts == {"run_scan": 3 * n_kv}, backend
+            for g, calls in enumerate(per_group(inputs)):
+                assert [len(zz) for zz, _ in calls] == [4, 4, 3], backend
+                assert rel_err(np.concatenate([zz for zz, _ in calls]), z[:, g]) < 1e-12
+        counts.clear()
+        inputs.clear()
+        backward(params, x, rng.standard_normal((11, config.model_dim)), blocked)
+        assert counts == {want: 3 * n_kv}  # and no run_scan
+        for g, calls in enumerate(per_group(inputs)):
+            calls = calls[::-1]  # the adjoint walks the blocks in reverse
+            assert [len(zz) for zz, _ in calls] == [4, 4, 3]
+            assert [x0 is None for _, x0 in calls] == [True, False, False]
+            assert rel_err(np.concatenate([zz for zz, _ in calls]), z[:, g]) < 1e-12

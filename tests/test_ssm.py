@@ -12,6 +12,7 @@ from interdomain.ssm import (
     _drive,
     backward_checkpointed,
     discretize,
+    final_state,
     make_ssm,
     query_readout,
     query_readout_backward,
@@ -712,6 +713,123 @@ def test_backward_interval_free(mag):
         _, seg = backward_checkpointed(ssm, z, up, interval=interval)
         for field in ("z", "delta", "a_log_neg_re", "a_im", "b", "c_out"):
             assert rel_err(getattr(seg, field), getattr(whole, field)) < 1e-9, (interval, field)
+
+
+def _entry_state_cases():
+    """(ssm, z, x0, final upstream, chunk) for the dual-form adjoints from
+    an entry state: several chunks with a ragged last one, one chunk of
+    N < chunk, and one step; each at the standard init and with every pole
+    at |lam| = 0.3 and 0.01."""
+    rng = make_rng(64)
+    for n, chunk in ((7, 3), (4, 9), (1, 2)):
+        base = random_ssm(3, 5, rng)
+        for mag in (None, 0.3, 0.01):
+            ssm = base if mag is None else ssm_with(
+                base, a=np.log(mag) / 0.1 + 1j * base.a.imag, delta=np.full(3, 0.1))
+            yield (ssm, rng.standard_normal((n, 5)),
+                   rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3)),
+                   rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3)), chunk)
+
+
+@pytest.mark.parametrize("adjoint", ["query_readout_backward", "backward_checkpointed"])
+def test_adjoints_from_an_entry_state_match_finite_differences(adjoint):
+    # loss = sum(upstream * outputs) + <G, final state> from a nonzero x0:
+    # the gradient of x0 and, through the final state's closed-form step,
+    # of z, b, C and the poles, against central differences on the real
+    # and imaginary parts; each term on its own (x0 alone, G alone) too
+    rng = make_rng(65)
+    for ssm, z, x0, g_final, chunk in _entry_state_cases():
+        n, w, m = z.shape[0], ssm.input_width, ssm.state_dim
+        if adjoint == "query_readout_backward":
+            f_q = rng.standard_normal((n, 2, 2))
+            up = rng.standard_normal((n, 2, w - 2))
+
+            def scan(s, start):
+                return query_readout(s, z, f_q, chunk, start)
+
+            def grads(start, final):
+                return query_readout_backward(ssm, z, f_q, up, chunk, x0=start,
+                                              final_upstream=final)[1]
+        else:
+            up = rng.standard_normal((n, m, w))
+
+            def scan(s, start):
+                return scan_chunkwise(s, z, chunk, start)
+
+            def grads(start, final):
+                return backward_checkpointed(ssm, z, up, chunk, x0=start,
+                                             final_upstream=final)[1]
+        for start, final in ((x0, g_final), (x0, None), (None, g_final)):
+            box = {"ssm": ssm, "x0": None if start is None else start.copy()}
+            weight = np.zeros((w, m), dtype=complex) if final is None else final
+
+            def loss():
+                res = scan(box["ssm"], box["x0"])
+                return float(np.sum(up * res.outputs)
+                             + np.sum(weight.view(float) * res.final_state.view(float)))
+
+            got = grads(start, final)
+            case = (n, chunk, np.abs(ssm.lam).max(), start is None, final is None)
+            if start is None:
+                assert got.x0 is None
+            else:
+                fd = central_diff_complex(loss, lambda: box["x0"], lambda v: box.update(x0=v))
+                assert rel_err(got.x0, fd) < 1e-6, case
+            assert rel_err(got.z, central_diff(loss, z)) < 1e-6, case
+            for field in ("b", "c_out"):
+                fd = central_diff_complex(loss, lambda: getattr(box["ssm"], field),
+                                          lambda v: box.update(ssm=ssm_with(ssm, **{field: v})))
+                assert rel_err(getattr(got, field), fd) < 1e-6, (case, field)
+            p, q = np.log(-ssm.a.real), ssm.a.imag.copy()
+
+            def loss_a():
+                box["ssm"] = ssm_with(ssm, a=-np.exp(p) + 1j * q)
+                return loss()
+            assert rel_err(got.a_log_neg_re, central_diff(loss_a, p)) < 1e-5, case
+            assert rel_err(got.a_im, central_diff(loss_a, q)) < 1e-5, case
+            box["ssm"] = ssm
+
+
+def test_final_state_is_the_chunkwise_scans():
+    # the closed-form steps alone give scan_chunkwise's final state bit
+    # for bit, from zero and from x0, into ``out`` when given
+    ssm = small_ssm(m=4, w=6, seed=66)
+    rng = make_rng(67)
+    x0 = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
+    for n in (0, 1, 5, 16, 17):
+        z = rng.standard_normal((n, 6))
+        for start in (None, x0):
+            for chunk in (1, 3, 16):
+                want = scan_chunkwise(ssm, z, chunk, start).final_state
+                assert np.array_equal(final_state(ssm, z, chunk, start), want)
+                out = np.empty((6, 4), dtype=complex)
+                assert final_state(ssm, z, chunk, start, out=out) is out
+                assert np.array_equal(out, want)
+
+
+def test_entry_carry_blocks_are_bit_exact(monkeypatch):
+    # the entry carry adds each chunk's product into grad z as its own
+    # GEMM, so blocks of one chunk give the same bits as the default
+    ssm = small_ssm(m=4, w=6, seed=68)
+    rng = make_rng(69)
+    z = rng.standard_normal((41, 6))
+    up = rng.standard_normal((41, 4, 6))
+    x0 = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
+    want = backward_checkpointed(ssm, z, up, 3, x0=x0, final_upstream=x0)[1]
+    monkeypatch.setattr(ssm_module, "_BLOCK_BYTES", 1)
+    got = backward_checkpointed(ssm, z, up, 3, x0=x0, final_upstream=x0)[1]
+    for field in dataclasses.fields(want):
+        assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), field.name
+
+
+def test_final_upstream_is_checked():
+    ssm = small_ssm(m=3, w=5)
+    z, up = np.zeros((4, 5)), np.zeros((4, 3, 5))
+    with pytest.raises(ValueError, match=r"final_upstream must be \(W, M\) = \(5, 3\)"):
+        backward_checkpointed(ssm, z, up, 2, final_upstream=np.zeros((3, 5)))
+    with pytest.raises(ValueError, match="final_upstream"):
+        query_readout_backward(ssm, z, np.zeros((4, 1, 2)), np.zeros((4, 1, 3)), 2,
+                               final_upstream=np.zeros(3))
 
 
 def test_backward_shape_mismatch_rejected():
