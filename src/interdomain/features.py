@@ -69,13 +69,39 @@ def rff_features(x: np.ndarray, omega: np.ndarray) -> np.ndarray:
     return np.concatenate([np.cos(proj), np.sin(proj)], axis=-1) * scale
 
 
+def _scaled_rows(x: np.ndarray, norm, largest=None):
+    """Per-row norms of ``x`` that do not overflow: returns (x, n, top).
+
+    ``norm(x, scale)`` is a norm of each row over the last axis (keepdims)
+    of rows already divided by ``scale``.  Where n, or ``largest(n)`` when
+    given (the largest value the caller forms from n), overflows on a
+    finite row, that row of x is divided by top, its max |entry|, and its n
+    is the norm of the divided row.  Every other row has top 1 and keeps
+    its unscaled x and n, bit for bit; top is None when no row overflows."""
+    with np.errstate(over="ignore"):
+        n = norm(x, 1.0)
+        over = ~np.isfinite(n if largest is None else largest(n))
+        if not over.any():
+            return x, n, None
+        top = np.where(over, np.max(np.abs(x), axis=-1, keepdims=True), 1.0)
+        x = x / top
+        return x, np.where(over, norm(x, top), n), top
+
+
+def _l2(v: np.ndarray, scale) -> np.ndarray:
+    """The l2 norm of each row; the same for the rows divided by ``scale``."""
+    return np.linalg.norm(v, axis=-1, keepdims=True)
+
+
 def l2_normalize(v: np.ndarray) -> np.ndarray:
     """Normalize rows to unit length; vectors below L2_EPS are scaled by 1/L2_EPS.
 
     The max() guard keeps the output norm exactly 1 whenever the raw norm
-    clears the floor, and maps the zero vector to the zero vector.
+    clears the floor, and maps the zero vector to the zero vector.  A row
+    whose squared norm overflows is normalized from its scaled copy
+    (``_scaled_rows``), so any finite row gets its unit vector.
     """
-    norm = np.linalg.norm(v, axis=-1, keepdims=True)
+    v, norm, _ = _scaled_rows(np.asarray(v, dtype=float), _l2)
     return v / np.maximum(norm, L2_EPS)
 
 
@@ -157,10 +183,17 @@ class NormBias:
     bias: np.ndarray
 
 
+def _rms(x: np.ndarray, scale) -> np.ndarray:
+    """sqrt(mean(x^2) + RMS_EPS) of each row; for the rows divided by
+    ``scale``, the same with RMS_EPS divided by scale^2."""
+    return np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + RMS_EPS / scale ** 2)
+
+
 def rmsnorm_bias(x: np.ndarray, params: NormBias) -> np.ndarray:
-    """gain * x / sqrt(mean(x^2) + RMS_EPS) + bias over the channel axis."""
-    x = np.asarray(x, dtype=float)
-    rms = np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + RMS_EPS)
+    """gain * x / sqrt(mean(x^2) + RMS_EPS) + bias over the channel axis; a
+    row whose mean square overflows is normalized from its scaled copy
+    (``_scaled_rows``), so any finite row is normalized."""
+    x, rms, _ = _scaled_rows(np.asarray(x, dtype=float), _rms)
     return params.gain * (x / rms) + params.bias
 
 
@@ -169,16 +202,23 @@ def rmsnorm_bias_backward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients of rmsnorm_bias w.r.t. (x, gain, bias); the leading axes
     the gain broadcasts over are batch axes and get summed for the parameter
-    gradients, so a (G, width) gain on an (N, G, width) block gets (G, width)."""
+    gradients, so a (G, width) gain on an (N, G, width) block gets (G, width).
+
+    Rows whose width * rms^3 overflows (from rms about 5.6e102 / width^(1/3))
+    take the same formulas on their scaled copy (``_scaled_rows``), and
+    their grad x is divided by the scale, so any finite row gets its
+    exact gradient."""
     x = np.asarray(x, dtype=float)
     width = x.shape[-1]
-    rms = np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + RMS_EPS)
+    x, rms, top = _scaled_rows(x, _rms, lambda rms: width * rms ** 3)
     xhat = x / rms
     batch = tuple(range(x.ndim - params.gain.ndim))
     grad_gain = np.sum(grad_out * xhat, axis=batch)
     grad_bias = np.sum(grad_out, axis=batch)
     g = params.gain * grad_out
     grad_x = g / rms - x * np.sum(g * x, axis=-1, keepdims=True) / (width * rms ** 3)
+    if top is not None:
+        grad_x /= top
     return grad_x, grad_gain, grad_bias
 
 
@@ -258,14 +298,17 @@ def feature_map_backward(
         g_sin = grad_out[..., half:] * scale
         g_proj = -np.sin(proj) * g_cos + np.cos(proj) * g_sin
         return _project(g_proj, fmap.omega.swapaxes(-1, -2))
-    # silu_l2; one sigmoid serves silu(x) = x s and its derivative
+    # silu_l2; one sigmoid serves silu(x) = x s and its derivative, and a
+    # row whose squared norm overflows runs on its scaled copy, its
+    # gradient divided by the scale
     x = np.asarray(x, dtype=float)
     s = sigmoid(x)
-    v = x * s
-    norm = np.linalg.norm(v, axis=-1, keepdims=True)
+    v, norm, top = _scaled_rows(x * s, _l2)
     guarded = np.maximum(norm, L2_EPS)
     y = v / guarded
     # below the floor the scale is the constant 1/L2_EPS
     inner = np.sum(y * grad_out, axis=-1, keepdims=True)
     grad_v = np.where(norm > L2_EPS, (grad_out - y * inner) / guarded, grad_out / guarded)
+    if top is not None:
+        grad_v /= top
     return grad_v * (s * (1.0 + x * (1.0 - s)))

@@ -40,9 +40,11 @@ starts from the same setup (``_dual_setup``): the chunk length, the table
 of pole powers and the entry states; ``final_state`` is that setup and
 the closed-form last step alone, a scan's final state with no outputs.
 Both adjoints run from any entry state x0, take an upstream on the final
-state, and return the gradient of x0, all through one entry-state carry
-(``_carry_entry_adjoints``), so a sequence can be differentiated block by
-block, each block's state gradient carried into the block before it.
+state, and return the gradient of x0.  Both end in one shared tail
+(``_adjoint_tail``), which carries the entry states' adjoints back across
+the chunks and assembles the gradients, so a sequence can be differentiated
+block by block, each block's state gradient carried into the block before
+it.
 
 Given the query features f_q of the group's heads, ``run_scan`` returns
 each head's f_q U^T Gamma, where [U | Gamma] are the scan's outputs, on
@@ -61,10 +63,10 @@ readout of all W channels is made; a decode step is that readout of one
 state.  ``fft`` reads each mode's convolution outputs out
 as soon as they are made, adding (f_q U_i^T) Gamma_i to the heads'
 outputs, so it never holds the (N, M, W) outputs either.
-``query_readout_backward`` is the adjoint of ``query_readout`` and shares
-the entry-state carry and the gradient assembly with
-``backward_checkpointed``; it also returns the head outputs it forms on the
-way, so a training step runs the readout once per group.
+``query_readout_backward`` is the adjoint of ``query_readout`` and ends in
+the same tail as ``backward_checkpointed``; it also returns the head
+outputs it forms on the way, so a training step runs the readout once per
+group.
 Only the variants without a query path read out every channel.  Every
 time-stepping loop is ``_recur``: over positions within a block in the
 sequential scan, over chunks everywhere else.
@@ -410,7 +412,7 @@ def scan_fft(ssm: DiagonalSSM, z: np.ndarray, x0=None, f_q=None, out=None) -> Sc
     n, m = z.shape[0], ssm.state_dim
     powers = _lam_powers(ssm.lam, n + 1)
     n_fft = 1 << (2 * n - 1).bit_length()
-    h_hat = np.fft.rfft(_lag_kernels(ssm, powers)[1], n_fft, axis=0)  # (F, M)
+    h_hat = np.fft.rfft(_lag_kernels(ssm, powers), n_fft, axis=0)  # (F, M)
     z_hat = np.fft.rfft(z, n_fft, axis=0)                              # (F, W)
     entry = np.conj(x0).view(float).T if np.any(x0) else None
     outputs = _new_outputs(ssm, n, f_q)
@@ -472,15 +474,14 @@ def _block_size(chunk: int, n: int, w: int) -> int:
     return min(chunk, max(n, 1), w)
 
 
-def _dual_setup(ssm: DiagonalSSM, z: np.ndarray, chunk: int, x0=None, out=None,
-                name: str = "chunk"):
-    """The steps every dual-form pass starts with: check ``chunk`` (called
-    ``name`` in the error), an integer >= 1 that is not a bool, and the scan
-    input (``_check_scan_input``), then take K = ``_block_size``, the (K + 1,
-    M) table of lam**t and the K-chunks' entry states (``_segment_entries``).
+def _dual_setup(ssm: DiagonalSSM, z: np.ndarray, chunk: int, x0=None, out=None):
+    """The steps every dual-form pass starts with: check ``chunk``, an
+    integer >= 1 that is not a bool, and the scan input
+    (``_check_scan_input``), then take K = ``_block_size``, the (K + 1, M)
+    table of lam**t and the K-chunks' entry states (``_segment_entries``).
     Returns (z, x0, K, powers, entries)."""
     if isinstance(chunk, bool) or not isinstance(chunk, (int, np.integer)) or chunk < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {chunk!r}")
+        raise ValueError(f"chunk must be an integer >= 1, got {chunk!r}")
     z, x0 = _check_scan_input(ssm, z, x0, out)
     k = _block_size(chunk, z.shape[0], ssm.input_width)
     powers = _lam_powers(ssm.lam, k + 1)
@@ -510,10 +511,9 @@ def _chunk_blocks(n: int, k: int, p: int, w: int, m: int) -> list[tuple[int, int
     return blocks
 
 
-def _lag_kernels(ssm: DiagonalSSM, powers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(b lam^tau, h[tau] = Re(C diag(b) lam^tau)), each (K, M), row tau."""
-    b_lags = ssm.b * powers[:-1]
-    return b_lags, (b_lags @ ssm.c_out.T).real
+def _lag_kernels(ssm: DiagonalSSM, powers: np.ndarray) -> np.ndarray:
+    """The (K, M) lag kernel h[tau] = Re(C diag(b) lam^tau), row tau."""
+    return ((ssm.b * powers[:-1]) @ ssm.c_out.T).real
 
 
 def _dual_kernel(ssm: DiagonalSSM, powers: np.ndarray) -> np.ndarray:
@@ -529,7 +529,7 @@ def _dual_kernel(ssm: DiagonalSSM, powers: np.ndarray) -> np.ndarray:
     """
     k, m = powers.shape[0] - 1, ssm.state_dim
     lags = np.zeros((2 * k - 1, m))  # lags[k - 1 + tau] = h[tau]; zeros for tau < 0
-    lags[k - 1:] = _lag_kernels(ssm, powers)[1]
+    lags[k - 1:] = _lag_kernels(ssm, powers)
     op = np.empty((k, m, 2 * m + k))
     np.multiply(powers[1:, None, :], ssm.c_out, out=op[..., :2 * m].view(complex))
     # window t holds lags[t + r] = h[t - s] at column s = k - 1 - r
@@ -696,59 +696,37 @@ class SsmGrads:
     x0: np.ndarray | None = None  # (W, M) complex, of the entry state; None from x_0 = 0
 
 
-def _ssm_grads(ssm: DiagonalSSM, powers: np.ndarray, grad_z: np.ndarray, by_lag: np.ndarray,
-               by_power: np.ndarray, entry_sum: np.ndarray, df_dc: np.ndarray,
-               grad_x0: np.ndarray | None) -> SsmGrads:
-    """Assemble the gradients from holomorphic adjoints, for a chunk of K
-    steps and the (K + 1, M) table of lam**t: ``by_lag`` (K, M) of
-    b lam^tau, ``by_power`` (K, M) of lam^(t+1) in the entry maps,
-    ``entry_sum`` (M,) of the lam^K of the entry step, and ``df_dc`` of C;
-    ``grad_x0`` is the entry state's gradient, already in the real convention.
+def _adjoint_tail(ssm: DiagonalSSM, powers: np.ndarray, z: np.ndarray, entries: np.ndarray,
+                  drive, grad_z: np.ndarray, g_h: np.ndarray, g_c: np.ndarray,
+                  by_power: np.ndarray, from_x0: bool, final_upstream) -> SsmGrads:
+    """The end both dual-form adjoints share, for K-chunks and the (K + 1,
+    M) table of lam**t: carry the adjoints of the chunks' entry states back
+    to z, b and lam through the closed-form entry step (and on to x_0 when
+    ``from_x0``), then assemble the ``SsmGrads``.
 
-    Nothing divides by lam: tau lam^(tau-1) is read from the pole-power
-    table shifted by one, so the result agrees across chunk lengths to
-    roundoff for any pole magnitude.
-    """
-    k = powers.shape[0] - 1
-    d_powers = np.zeros_like(powers)  # row tau is tau lam^(tau-1), d(lam^tau)/d(lam)
-    d_powers[1:] = np.arange(1, k + 1)[:, None] * powers[:k]
-    df_db = np.sum(by_lag * powers[:k], axis=0)
-    df_dlam = (ssm.b * np.sum(by_lag * d_powers[:k], axis=0)
-               + np.sum(by_power * d_powers[1:], axis=0) + d_powers[k] * entry_sum)
-    p = df_dlam * ssm.delta * ssm.lam  # holomorphic dF/da
-    return SsmGrads(
-        z=grad_z,
-        delta=(df_dlam * ssm.a * ssm.lam).real,
-        a_log_neg_re=p.real * ssm.a.real,
-        a_im=-p.imag,
-        b=np.conj(df_db),
-        c_out=np.conj(df_dc),
-        x0=grad_x0,
-    )
+    It takes what the caller's chunk loop accumulated, as holomorphic
+    adjoints: ``g_h``, the (K, M) real adjoint of the lag kernel h[tau] =
+    Re(C diag(b) lam^tau); ``g_c``, the rest of C's; ``by_power``, the
+    (K, M) adjoint of lam^(t+1) in the entry maps; ``drive(j)``, d_j, the
+    (W, M) adjoint of entry j from its own chunk's outputs (entry 0, x_0,
+    only when ``from_x0``); and ``grad_z`` so far.  ``grad_z``, ``by_power``
+    and ``entries``, the states ``_segment_entries`` returned, are
+    overwritten.
 
+    One reversed ``_recur`` with lam^K carries a_j = lam^K a_{j+1} + d_j.
+    Entry j + 1 is the closed-form step over full chunk j from entry j, so
+    a_{j+1} adds Re(b lam^(K-1-p) a_{j+1}) to ``grad_z[jK + p]``, one GEMM
+    per chunk in one batched matmul, and the lag sums of z against the a_j
+    to the adjoint of b lam^tau.  ``final_upstream``, the (W, M) gradient
+    of the final state in the ``SsmGrads`` convention, or None, enters
+    through ``_final_state``'s step over the last chunk's L steps from the
+    last entry: into grad z and the adjoints of b lam^tau and of lam^L, and
+    as lam^L times it into the last entry's adjoint.
 
-def _carry_entry_adjoints(ssm: DiagonalSSM, powers: np.ndarray, z: np.ndarray,
-                          entries: np.ndarray, drive, grad_z: np.ndarray, by_power: np.ndarray,
-                          from_x0: bool = False, final_upstream=None):
-    """Carry the adjoints of the K-chunks' entry states back to z, b and lam
-    through the closed-form entry step, and on to x_0 when ``from_x0``.
-
-    ``entries`` are the states ``_segment_entries`` returned, and are
-    overwritten; ``drive(j)`` is d_j, the (W, M) holomorphic adjoint of
-    entry j from its own chunk's outputs (entry 0, x_0, only when
-    ``from_x0``).  One reversed ``_recur`` with lam^K carries a_j = lam^K
-    a_{j+1} + d_j.  Entry j + 1 is the closed-form step over full chunk j
-    from entry j, so a_{j+1} adds Re(b lam^(K-1-p) a_{j+1}) to
-    ``grad_z[jK + p]`` in place, one block of chunks at a time.
-
-    ``final_upstream``, the (W, M) gradient of the final state in the
-    ``SsmGrads`` convention, or None, enters through ``_final_state``'s
-    step over the last chunk's L steps from the last entry: into grad z
-    and the adjoints of b lam^tau and of lam^L (``by_power`` row L - 1,
-    added in place), and as lam^L times it into the last entry's adjoint.
-    Returns (the (K, M) adjoint of b lam^tau, row tau; the (M,) adjoint of
-    lam^K; the gradient of x_0 in the ``SsmGrads`` convention, None unless
-    ``from_x0``).
+    b lam^tau then gets by_lag = g_h C plus those lag sums, and C gets
+    g_c + g_h^T (b lam^tau).  Nothing divides by lam: tau lam^(tau-1) is
+    read from the pole-power table shifted by one, so the result agrees
+    across chunk lengths to roundoff for any pole magnitude.
     """
     k = powers.shape[0] - 1
     n = z.shape[0]
@@ -777,18 +755,13 @@ def _carry_entry_adjoints(ssm: DiagonalSSM, powers: np.ndarray, z: np.ndarray,
     _recur(powers[k], entries[:0:-1], zero, entries[:0:-1])
 
     exits = entries[1:]  # the adjoints of entries 1, 2, ...
-    z_exit = z[:len(exits) * k].reshape(len(exits), k, w)
+    full = len(exits) * k
     b_powers = ssm.b * powers[k - 1::-1]  # row p is b lam^(k-1-p)
-    grad_z_full = grad_z[:len(exits) * k].reshape(-1, k, w)
-    # one GEMM per chunk, a block of chunks at a time: no (N, W) product
-    step = max(1, _BLOCK_BYTES // (8 * k * w))
-    for lo in range(0, len(exits), step):
-        grad_z_full[lo:lo + step] += (np.conj(b_powers).view(float)
-                                      @ exits[lo:lo + step].view(float).swapaxes(1, 2))
+    grad_z[:full] += (np.conj(b_powers).view(float)
+                      @ exits.view(float).swapaxes(1, 2)).reshape(full, w)
     # row p: sum over full chunks j and channels c of z[jk + p, c] exits[j, c]
-    z_s = (z_exit.transpose(1, 0, 2).reshape(k, -1)
-           @ exits.view(float).reshape(-1, 2 * m)).view(complex)
-    z_lag = z_s[::-1]
+    z_lag = (z[:full].reshape(-1, k, w).transpose(1, 0, 2).reshape(k, -1)
+             @ exits.view(float).reshape(-1, 2 * m)).view(complex)[::-1]
     if final_upstream is not None:
         z_lag[:last] += final_lag
     grad_x0 = None
@@ -798,18 +771,33 @@ def _carry_entry_adjoints(ssm: DiagonalSSM, powers: np.ndarray, z: np.ndarray,
         else:
             a_0 = drive(0) if final_upstream is None else drive(0) + g_final
         grad_x0 = np.conj(a_0)
-    return z_lag, entry_sum, grad_x0
+
+    d_powers = np.zeros_like(powers)  # row tau is tau lam^(tau-1), d(lam^tau)/d(lam)
+    d_powers[1:] = np.arange(1, k + 1)[:, None] * powers[:k]
+    by_lag = g_h @ ssm.c_out + z_lag  # of b lam^tau
+    df_dlam = (ssm.b * np.sum(by_lag * d_powers[:k], axis=0)
+               + np.sum(by_power * d_powers[1:], axis=0) + d_powers[k] * entry_sum)
+    p = df_dlam * ssm.delta * ssm.lam  # holomorphic dF/da
+    return SsmGrads(
+        z=grad_z,
+        delta=(df_dlam * ssm.a * ssm.lam).real,
+        a_log_neg_re=p.real * ssm.a.real,
+        a_im=-p.imag,
+        b=np.conj(np.sum(by_lag * powers[:k], axis=0)),
+        c_out=np.conj(g_c + g_h.T @ (ssm.b * powers[:k])),
+        x0=grad_x0,
+    )
 
 
 def backward_checkpointed(
-    ssm: DiagonalSSM, z: np.ndarray, upstream: np.ndarray, interval: int, out=None,
+    ssm: DiagonalSSM, z: np.ndarray, upstream: np.ndarray, chunk: int, out=None,
     x0=None, final_upstream=None,
 ) -> tuple[np.ndarray, SsmGrads]:
     """Reverse-mode gradients of loss = sum(upstream * outputs) +
     <final_upstream, final state> from ``x0`` (x_0 = 0 for None): the
-    adjoint of ``scan_chunkwise``'s dual form with chunks of K = min(interval,
+    adjoint of ``scan_chunkwise``'s dual form with chunks of K = min(chunk,
     N, W) steps.  Returns (outputs, ``SsmGrads``), where outputs are
-    ``scan_chunkwise(ssm, z, interval, x0).outputs`` bit for bit,
+    ``scan_chunkwise(ssm, z, chunk, x0).outputs`` bit for bit,
     formed chunk by chunk from the entry states and operator the adjoint
     builds anyway (``_chunk_outputs``), so a training step scans each group
     once.  They are written into ``out`` when given, which must be a
@@ -817,15 +805,15 @@ def backward_checkpointed(
     or rebuilt any more; the name is kept because perfbench traces it.
 
     * grad z: the transposed Toeplitz kernel on each chunk's upstream;
-    * C, b and lam through the kernel's h[tau] = Re(C diag(b) lam^tau),
-      via the lag correlation R[tau, i] = sum_t sum_c g[t, i, c] z[t-tau, c];
+    * the adjoint of the kernel's h[tau] = Re(C diag(b) lam^tau): the lag
+      correlation R[tau, i] = sum_t sum_c g[t, i, c] z[t-tau, c];
     * the entry term, on chunks >= 1 (and chunk 0 from a given ``x0``):
-      g @ e for C and lam, and g^T @ A for the adjoint of each entry state,
-      which ``_carry_entry_adjoints`` passes on to z, b and lam, and to
-      ``SsmGrads.x0`` from a given ``x0``;
-    * ``final_upstream``, the (W, M) complex gradient of the final state in
-      the ``SsmGrads`` convention, through the closed-form last step into
-      the same sums (``_carry_entry_adjoints``).  None adds nothing.
+      g @ e for C and lam, and g^T @ A for the adjoint of each entry state.
+
+    ``_adjoint_tail`` carries the entry states' adjoints on to z, b and lam
+    (and to ``SsmGrads.x0`` from a given ``x0``), adds ``final_upstream``,
+    the (W, M) complex gradient of the final state in the ``SsmGrads``
+    convention (None adds nothing), and assembles the gradients.
 
     Each chunk's upstream is read in place, never copied.  Besides the
     outputs (none with ``out``) and sums the size of the kernel, the one
@@ -835,7 +823,7 @@ def backward_checkpointed(
     every state is an entry state.
     """
     from_x0 = x0 is not None
-    z, _, k, powers, entries = _dual_setup(ssm, z, interval, x0, name="interval")
+    z, _, k, powers, entries = _dual_setup(ssm, z, chunk, x0)
     upstream = _real(upstream, "upstream")
     n, m, w = z.shape[0], ssm.state_dim, ssm.input_width
     if upstream.shape != (n, m, w):
@@ -870,17 +858,11 @@ def backward_checkpointed(
         return (g.T @ entry[:ell * m]).view(complex)
 
     g_e = g_e.view(complex).reshape(k, m, m)
-    by_power = np.einsum("tim,im->tm", g_e, ssm.c_out)
-    z_lag, entry_sum, grad_x0 = _carry_entry_adjoints(
-        ssm, powers, z, entries, drive, grad_z, by_power, from_x0, final_upstream)
-    lag = _lag_sums(g_z)  # R[tau, i]
-    return outputs, _ssm_grads(
-        ssm, powers, grad_z,
-        by_lag=lag @ ssm.c_out + z_lag,
-        by_power=by_power,
-        entry_sum=entry_sum,
-        df_dc=(lag.T @ powers[:k]) * ssm.b + np.einsum("tim,tm->im", g_e, powers[1:]),
-        grad_x0=grad_x0)
+    return outputs, _adjoint_tail(
+        ssm, powers, z, entries, drive, grad_z, g_h=_lag_sums(g_z),
+        g_c=np.einsum("tim,tm->im", g_e, powers[1:]),
+        by_power=np.einsum("tim,im->tm", g_e, ssm.c_out), from_x0=from_x0,
+        final_upstream=final_upstream)
 
 
 def _flip_lags(a: np.ndarray) -> np.ndarray:
@@ -970,7 +952,7 @@ def query_readout(ssm: DiagonalSSM, z: np.ndarray, f_q: np.ndarray, chunk: int,
     f_q = _check_query(ssm, z, f_q)
     n, p, r = f_q.shape
     outputs = np.empty((n, p, ssm.input_width - r))
-    for block in _readout_blocks(ssm, z, f_q, powers, entries, _lag_kernels(ssm, powers)[1]):
+    for block in _readout_blocks(ssm, z, f_q, powers, entries, _lag_kernels(ssm, powers)):
         outputs[block.rows] = block.o.reshape(-1, p, outputs.shape[2])
     return ScanResult(outputs=outputs,
                       final_state=_final_state(ssm, powers, z, entries, x0, out))
@@ -987,11 +969,11 @@ def query_readout_backward(ssm: DiagonalSSM, z: np.ndarray, f_q: np.ndarray, ups
     ``SsmGrads.x0`` is its gradient; ``final_upstream`` is as in
     ``backward_checkpointed``.
 
-    The adjoint is the transposes of the forward's GEMMs, block by block.
-    The entry states' adjoints go through ``_carry_entry_adjoints``, as in
-    ``backward_checkpointed``, and b, C and lam get their gradients from the
-    same sums: the adjoints of b lam^tau by lag, of lam^(t+1) in the entry
-    maps and of lam^K in the entry step.  Nothing divides by lam.
+    The adjoint is the transposes of the forward's GEMMs, block by block,
+    accumulating the adjoints of h[tau], of the rest of C and of lam^(t+1)
+    in the entry maps; ``_adjoint_tail``, which ``backward_checkpointed``
+    ends with too, carries the entry states' adjoints and assembles b's, C's
+    and lam's gradients from those sums.  Nothing divides by lam.
 
     It sweeps the forward's blocks, each block's adjoint run as soon as
     its forward is made, so besides the returned arrays and two buffers of
@@ -1009,7 +991,7 @@ def query_readout_backward(ssm: DiagonalSSM, z: np.ndarray, f_q: np.ndarray, ups
                          f"got {upstream.shape}")
     final_upstream = _check_final_upstream(ssm, final_upstream)
     c = ssm.c_out
-    b_lags, h = _lag_kernels(ssm, powers)
+    h = _lag_kernels(ssm, powers)
 
     # holomorphic adjoints, as in backward_checkpointed; float views where
     # a real operand meets a complex one
@@ -1052,12 +1034,6 @@ def query_readout_backward(ssm: DiagonalSSM, z: np.ndarray, f_q: np.ndarray, ups
         g_f = g_scores @ fw.z[..., :r] + g_fe @ np.conj(fw.e[:, :r]).view(float).swapaxes(1, 2)
         grad_f[fw.rows] = g_f.reshape(-1, p, r)
 
-    z_lag, entry_sum, grad_x0 = _carry_entry_adjoints(
-        ssm, powers, z, entries, drives.__getitem__, grad_z, by_power, x0 is not None,
-        final_upstream)
-    return outputs, _ssm_grads(ssm, powers, grad_z,
-                               by_lag=g_h @ c + z_lag,
-                               by_power=by_power,
-                               entry_sum=entry_sum,
-                               df_dc=g_c.view(complex) + g_h.T @ b_lags,
-                               grad_x0=grad_x0), grad_f
+    return outputs, _adjoint_tail(ssm, powers, z, entries, drives.__getitem__, grad_z, g_h,
+                                  g_c.view(complex), by_power, x0 is not None,
+                                  final_upstream), grad_f

@@ -90,20 +90,24 @@ def query_readout_loop(f_q, scan_out, n_kv):
     return out.reshape(n, -1)
 
 
-def query_readout_reference(ssm, z, f_q, upstream, chunk):
-    """Gradients of loss = sum(upstream * o) for one group's query readout,
-    o[t, h] = f_q[t, h] U_t^T Gamma_t, the way the layer took them before
-    the readout had its own adjoint: form the (N, M, W) scan outputs
-    [U | Gamma], take the readout's gradient with respect to them, and pass
-    that to ``backward_checkpointed``.  Returns (SsmGrads, grad f_q)."""
+def query_readout_reference(ssm, z, f_q, upstream, chunk, x0=None, final_upstream=None):
+    """Gradients of loss = sum(upstream * o) + <final_upstream, final state>
+    for one group's query readout from ``x0``, o[t, h] = f_q[t, h] U_t^T
+    Gamma_t, the way the layer took them before the readout had its own
+    adjoint: form the (N, M, W) scan outputs [U | Gamma], pull the query
+    upstream back onto them, and pass that, with ``x0`` and
+    ``final_upstream``, to ``backward_checkpointed``.  Returns (SsmGrads,
+    grad f_q)."""
     r = f_q.shape[2]
-    scan_out = run_scan(ssm, z, "chunkwise", chunk=chunk).outputs
+    scan_out = run_scan(ssm, z, "chunkwise", chunk=chunk, x0=x0).outputs
     alphas = f_q @ scan_out[..., :r].swapaxes(-1, -2)          # (N, P, M)
     grad_alpha = upstream @ scan_out[..., r:].swapaxes(-1, -2)
     grad_scan = np.empty_like(scan_out)
     grad_scan[..., r:] = alphas.swapaxes(-1, -2) @ upstream
     grad_scan[..., :r] = grad_alpha.swapaxes(-1, -2) @ f_q
-    return backward_checkpointed(ssm, z, grad_scan, chunk)[1], grad_alpha @ scan_out[..., :r]
+    grads = backward_checkpointed(ssm, z, grad_scan, chunk, x0=x0,
+                                  final_upstream=final_upstream)[1]
+    return grads, grad_alpha @ scan_out[..., :r]
 
 
 def contraction_readout_loop(scan_out, contraction, n_kv):

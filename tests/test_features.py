@@ -306,6 +306,30 @@ def test_rmsnorm_backward_matches_finite_differences():
     assert rel_err(grad_bias, central_diff(loss, bias)) < 1e-8
 
 
+@pytest.mark.parametrize("scale", [1e103, 1e160, 1e300])
+def test_norms_rescale_only_the_rows_that_overflow(scale):
+    # row 1 is scaled up until its squares (or the RMS backward's width *
+    # rms^3) overflow: it matches the same row at 1e100, where nothing
+    # overflows, with its gradients times the scale, and rows 0 and 2 are
+    # the unscaled formulas' bit for bit
+    rng = make_rng(20)
+    x = rng.standard_normal((3, 5))
+    g = rng.standard_normal((3, 5))
+    nb = NormBias(gain=1 + 0.2 * rng.standard_normal(5), bias=0.3 * rng.standard_normal(5))
+    fmap = make_silu_l2()
+
+    def norms(v, s):
+        v = v.copy()
+        v[1] *= s
+        return [rmsnorm_bias(v, nb), rmsnorm_bias_backward(v, nb, g)[0] * [[1], [s], [1]],
+                l2_normalize(v), apply_feature_map(fmap, v),
+                feature_map_backward(fmap, v, g) * [[1], [s], [1]]]
+
+    for got, want, plain in zip(norms(x, scale), norms(x, 1e100), norms(x, 1.0)):
+        assert rel_err(got[1], want[1]) < 1e-12
+        assert np.array_equal(got[[0, 2]], plain[[0, 2]])
+
+
 # --- feature map dispatch ---
 
 def test_unknown_feature_kind_rejected_at_construction():

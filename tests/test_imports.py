@@ -1,6 +1,8 @@
-"""No linter ships with the project, so this is its unused-import and
-unused-local check: every name a package module imports must be read
-somewhere in it, and every local a function assigns must be read in it."""
+"""No linter ships with the project, so this is its unused-import,
+unused-local and dead-helper check: every name a package module imports
+must be read somewhere in it, every local a function assigns must be read
+in it, and every private module-level function or class must be read
+somewhere in the package outside its own definition."""
 import ast
 from pathlib import Path
 
@@ -64,3 +66,31 @@ def unused_locals(source: str) -> list[str]:
 def test_no_unused_locals():
     found = {path.name: unused_locals(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def unreferenced_helpers(sources: dict[str, str]) -> list[str]:
+    """Module-level functions and classes named with one leading underscore
+    that no module of ``sources`` (file name -> source) reads, as a name or
+    an attribute, outside their own definition."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    reads = [node for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute))]
+    found = []
+    for file, tree in trees.items():
+        for helper in tree.body:
+            if not (isinstance(helper, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and helper.name.startswith("_") and not helper.name.startswith("__")):
+                continue
+            own = {id(node) for node in ast.walk(helper)}
+            if not any(getattr(node, "id", getattr(node, "attr", None)) == helper.name
+                       and id(node) not in own for node in reads):
+                found.append(f"{file}: {helper.name} (line {helper.lineno})")
+    return found
+
+
+def test_no_dead_private_helpers():
+    assert unreferenced_helpers({"m.py": "def _dead():\n    return _dead()\n"
+                                         "class _Used:\n    pass\n"
+                                         "x = _Used()\n"}) == ["m.py: _dead (line 1)"]
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_helpers(sources) == []

@@ -521,6 +521,42 @@ def test_decode_overflow_from_a_finite_state_is_named(variant):
             decode_step(params, state, token, config)
 
 
+@pytest.mark.parametrize("scale", [1e103, 1e160, 1e300])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_huge_finite_inputs_give_the_scale_invariant_result(variant, scale):
+    # with no gate every variant is invariant to the scale of its input, as
+    # its streams end in norms: huge finite inputs match s = 1e100, where
+    # no norm overflows.  Each stage's squared norms overflow from about
+    # 1.3e154 and the RMS norm's backward from about 1e102, so these take
+    # the rescaled rows; the pyproject turns any RuntimeWarning into an error
+    config = validate(dataclasses.replace(
+        load_config(Path(__file__).resolve().parents[1] / "configs" / "tiny.json"),
+        variant=variant))
+    assert not config.output_gate_enabled
+    rng = make_rng(76)
+    params = randomize_norms(init_layer_params(config, rng, contraction_scale=0.5), rng)
+    x = rng.standard_normal((20, config.model_dim))
+    up = rng.standard_normal((20, config.model_dim))
+
+    def run(s):
+        prefix, state = prefill(params, x[:13] * s, config)
+        decoded = [prefix]
+        for token in x[13:] * s:
+            y, state = decode_step(params, state, token, config)
+            decoded.append(y[None])
+        grads, grad_x = backward(params, x * s, up, config)
+        return forward(params, x * s, config), np.concatenate(decoded), grads, grad_x * s
+
+    want_y, want_decoded, want_grads, want_grad_x = run(1e100)
+    y, decoded, grads, grad_x = run(scale)
+    assert rel_err(y, want_y) < 1e-12
+    assert rel_err(decoded, want_decoded) < 1e-12
+    assert rel_err(grad_x, want_grad_x) < 1e-12
+    assert grads.keys() == want_grads.keys()
+    for name, grad in grads.items():
+        assert rel_err(grad, want_grads[name]) < 1e-12, name
+
+
 @pytest.mark.parametrize("gate", [False, True])
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_decode_step_leaves_the_passed_in_state_unchanged(variant, gate):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -225,15 +226,24 @@ def test_query_readout_matches_sequential_scan():
 
 
 def test_query_readout_backward_matches_reference():
-    for ssm, z, f_q, up, _ in readout_cases():
-        for chunk in (1, 3, z.shape[0], z.shape[0] + 5):
-            want, want_f = query_readout_reference(ssm, z, f_q, up, chunk)
-            outputs, got, got_f = query_readout_backward(ssm, z, f_q, up, chunk)
+    # the two dual-form adjoints share one tail; from zero and from a given
+    # x0, with and without a final-state upstream, they agree on every field
+    rng = make_rng(36)
+    for ssm, z, f_q, up, x0 in readout_cases():
+        final_up = rng.standard_normal(x0.shape) + 1j * rng.standard_normal(x0.shape)
+        for chunk, start, final in itertools.product(
+                (1, 3, z.shape[0], z.shape[0] + 5), (None, x0), (None, final_up)):
+            case = (chunk, start is None, final is None)
+            want, want_f = query_readout_reference(ssm, z, f_q, up, chunk, start, final)
+            outputs, got, got_f = query_readout_backward(ssm, z, f_q, up, chunk, start, final)
             # the outputs the adjoint forms are the forward's, bit for bit
-            assert np.array_equal(outputs, query_readout(ssm, z, f_q, chunk).outputs), chunk
-            assert rel_err(got_f, want_f) < 1e-12, chunk
-            for field in ("z", "delta", "a_log_neg_re", "a_im", "b", "c_out"):
-                assert rel_err(getattr(got, field), getattr(want, field)) < 1e-12, (chunk, field)
+            assert np.array_equal(outputs, query_readout(ssm, z, f_q, chunk, start).outputs), case
+            assert rel_err(got_f, want_f) < 1e-12, case
+            for field in dataclasses.fields(want):
+                got_v, want_v = getattr(got, field.name), getattr(want, field.name)
+                assert (got_v is None) == (want_v is None) == (field.name == "x0" and start is None)
+                if want_v is not None:
+                    assert rel_err(got_v, want_v) < 1e-12, (case, field.name)
 
 
 def test_query_readout_validates_input():
@@ -608,19 +618,19 @@ def test_query_scans_never_hold_the_state_history(w, m, n, bounds_mib):
         assert peak < bound * 2 ** 20, backend
 
 
-@pytest.mark.parametrize("interval", [1, 2, 16, 2048])
-def test_backward_memory_bounded_by_upstream(interval):
+@pytest.mark.parametrize("chunk", [1, 2, 16, 2048])
+def test_backward_memory_bounded_by_upstream(chunk):
     # the upstream is read in place, never copied: besides a few arrays the
     # size of z, the backward holds one buffer of ceil(N/K) complex (W, M)
     # states, 2/K of the upstream's size, for the entry states and then
-    # their adjoints; K = min(interval, N, W).  The outputs go into ``out``
+    # their adjoints; K = min(chunk, N, W).  The outputs go into ``out``
     ssm = small_ssm(m=16, w=32, seed=33)
     rng = make_rng(34)
     z = rng.standard_normal((2048, 32))
     up = rng.standard_normal((2048, 16, 32))
     out = np.empty_like(up)
-    peak = traced_peak(lambda: backward_checkpointed(ssm, z, up, interval, out=out)).peak
-    assert peak <= 2 * up.nbytes / min(interval, 32) + 4 * z.nbytes
+    peak = traced_peak(lambda: backward_checkpointed(ssm, z, up, chunk, out=out)).peak
+    assert peak <= 2 * up.nbytes / min(chunk, 32) + 4 * z.nbytes
 
 
 @pytest.mark.parametrize("n, w, r, chunk", [
@@ -662,7 +672,7 @@ def test_outputs_are_real_part_of_readout():
 
 def test_checkpoint_interval_validated():
     ssm = small_ssm()
-    with pytest.raises(ValueError, match="interval"):
+    with pytest.raises(ValueError, match="chunk"):
         backward_checkpointed(ssm, np.zeros((4, 2)), np.zeros((4, 4, 2)), 0)
 
 
@@ -677,14 +687,14 @@ def test_dual_form_chunk_must_be_an_integer():
     up = rng.standard_normal((5, 4, 3))
     grad_o = rng.standard_normal((5, 1, 1))
     entries = [
-        ("chunk", lambda c: run_scan(ssm, z, "chunkwise", chunk=c).outputs),
-        ("chunk", lambda c: query_readout(ssm, z, f_q, c).outputs),
-        ("chunk", lambda c: query_readout_backward(ssm, z, f_q, grad_o, c)[0]),
-        ("interval", lambda c: backward_checkpointed(ssm, z, up, c)[0]),
+        ("run_scan", lambda c: run_scan(ssm, z, "chunkwise", chunk=c).outputs),
+        ("query_readout", lambda c: query_readout(ssm, z, f_q, c).outputs),
+        ("query_readout_backward", lambda c: query_readout_backward(ssm, z, f_q, grad_o, c)[0]),
+        ("backward_checkpointed", lambda c: backward_checkpointed(ssm, z, up, chunk=c)[0]),
     ]
     for name, entry in entries:
         for bad in (True, False, 2.5, 2.0, "3", None, 0, -1):
-            with pytest.raises(ValueError, match=rf"{name} must be an integer >= 1"):
+            with pytest.raises(ValueError, match=r"chunk must be an integer >= 1"):
                 entry(bad)
         assert np.array_equal(entry(np.int64(2)), entry(2)), name
 
@@ -692,7 +702,7 @@ def test_dual_form_chunk_must_be_an_integer():
 def test_backward_zero_upstream_zero_grads():
     ssm = small_ssm(seed=23)
     z = make_rng(24).standard_normal((8, 2))
-    _, g = backward_checkpointed(ssm, z, np.zeros((8, 4, 2)), interval=3)
+    _, g = backward_checkpointed(ssm, z, np.zeros((8, 4, 2)), chunk=3)
     for field in (g.z, g.delta, g.a_log_neg_re, g.a_im, g.b, g.c_out):
         assert np.all(field == 0.0)
 
@@ -708,11 +718,11 @@ def test_backward_interval_free(mag):
     rng = make_rng(26)
     z = rng.standard_normal((64, 64))
     up = rng.standard_normal((64, 4, 64))
-    _, whole = backward_checkpointed(ssm, z, up, interval=1)
-    for interval in (7, 16, 63, 64, 69):
-        _, seg = backward_checkpointed(ssm, z, up, interval=interval)
+    _, whole = backward_checkpointed(ssm, z, up, chunk=1)
+    for chunk in (7, 16, 63, 64, 69):
+        _, seg = backward_checkpointed(ssm, z, up, chunk=chunk)
         for field in ("z", "delta", "a_log_neg_re", "a_im", "b", "c_out"):
-            assert rel_err(getattr(seg, field), getattr(whole, field)) < 1e-9, (interval, field)
+            assert rel_err(getattr(seg, field), getattr(whole, field)) < 1e-9, (chunk, field)
 
 
 def _entry_state_cases():
@@ -839,8 +849,8 @@ def test_backward_shape_mismatch_rejected():
 
 
 @pytest.mark.parametrize("n", [1, 2, 17, 64, 70, 96])
-@pytest.mark.parametrize("interval", [1, 3, 16, 64])
-def test_backward_returns_the_chunkwise_outputs(n, interval):
+@pytest.mark.parametrize("chunk", [1, 3, 16, 64])
+def test_backward_returns_the_chunkwise_outputs(n, chunk):
     # the adjoint forms the scan outputs from the entry states and operator
     # it builds anyway: bit for bit scan_chunkwise's, into ``out`` when
     # given, with the same gradients either way
@@ -848,11 +858,11 @@ def test_backward_returns_the_chunkwise_outputs(n, interval):
     rng = make_rng(63)
     z = rng.standard_normal((n, 12))
     up = rng.standard_normal((n, 5, 12))
-    want = scan_chunkwise(ssm, z, interval).outputs
-    outputs, grads = backward_checkpointed(ssm, z, up, interval)
+    want = scan_chunkwise(ssm, z, chunk).outputs
+    outputs, grads = backward_checkpointed(ssm, z, up, chunk)
     assert np.array_equal(outputs, want)
     out = np.full((n, 5, 12), np.nan)
-    got, got_grads = backward_checkpointed(ssm, z, up, interval, out=out)
+    got, got_grads = backward_checkpointed(ssm, z, up, chunk, out=out)
     assert got is out
     assert np.array_equal(got, want)
     for field in dataclasses.fields(grads):
@@ -872,7 +882,7 @@ def test_backward_rejects_a_bad_out():
             backward_checkpointed(ssm, z, up, 2, out=bad)
 
 
-def finite_difference_case(ssm, n, seed, interval):
+def finite_difference_case(ssm, n, seed, chunk):
     rng = make_rng(seed)
     w = ssm.input_width
     z = rng.standard_normal((n, w))
@@ -883,7 +893,7 @@ def finite_difference_case(ssm, n, seed, interval):
     def loss():
         return float(np.sum(up * scan_sequential(box["ssm"], z).outputs))
 
-    _, got = backward_checkpointed(ssm, z, up, interval=interval)
+    _, got = backward_checkpointed(ssm, z, up, chunk=chunk)
 
     assert rel_err(got.z, central_diff(loss, z)) < 1e-6
 
@@ -922,11 +932,11 @@ def finite_difference_case(ssm, n, seed, interval):
 
 
 def test_backward_matches_finite_differences():
-    finite_difference_case(small_ssm(m=4, w=2, seed=27), n=8, seed=28, interval=3)
+    finite_difference_case(small_ssm(m=4, w=2, seed=27), n=8, seed=28, chunk=3)
 
 
 def test_backward_matches_finite_differences_tiny_poles():
     base = small_ssm(m=3, w=2, seed=29)
     fast = ssm_with(base, a=base.a.imag * 1j - 100.0, delta=np.full(3, 0.1))
     assert np.abs(fast.lam).min() < 1e-3
-    finite_difference_case(fast, n=6, seed=30, interval=2)
+    finite_difference_case(fast, n=6, seed=30, chunk=2)
