@@ -3,15 +3,18 @@ parameter counts at the four published scales.
 
 Nothing here runs the model; the point is that the numbers are exact
 integers a test can compare against, and that the state budget of the
-fixed-state mixer is visibly independent of sequence length.
+fixed-state mixer is visibly independent of sequence length.  Both counts
+read the layer's own tables, ``layer.param_layout`` and
+``layer.state_layout``, so they cannot drift from the tensors the layer
+makes and checks.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from .config import QUERY_VARIANTS, ModelConfig, streams, validate
-from .features import CONV_TAPS
+from .config import ModelConfig, validate
+from .layer import param_layout, real_scalars, state_layout
 
 VOCAB = 32000
 
@@ -78,23 +81,9 @@ def scale_config(spec: BackboneSpec, variant: str = "full_interdomain") -> Model
 
 def mixer_params_per_layer(config: ModelConfig) -> int:
     """Trainable real scalars in one mixer layer; complex entries count
-    twice.  Mirrors the parameter container exactly, term by term."""
-    validate(config)
-    d, dh, r, m = config.model_dim, config.head_dim, config.feature_dim, config.state_dim
-    n_kv, heads = config.n_kv, config.heads
-
-    total = d * d                             # w_o
-    for s in streams(config):
-        total += d * s.rows * dh              # w_<name>
-        if s.conv:
-            total += CONV_TAPS * s.rows * dh  # conv_<name>
-    if config.output_gate_enabled:
-        total += d * d
-    total += n_kv * (2 * r + 2 * dh)          # input norms, gain + bias each
-    total += n_kv * (5 * m + 2 * m * m)       # delta, Re/Im(A), complex B, complex C
-    if config.variant not in QUERY_VARIANTS:
-        total += heads * dh * m * (r + dh)    # learned contraction
-    return total
+    twice.  The count over ``layer.param_layout``, the table the parameter
+    container is made from and checked against."""
+    return real_scalars(param_layout(validate(config)).values())
 
 
 def softmax_mixer_params(model_dim: int) -> int:
@@ -144,15 +133,16 @@ class StateBudget:
 
 
 def state_dof(config: ModelConfig) -> StateBudget:
-    """Per-layer recurrent-state budget.  Complex state entries count as two
-    real degrees of freedom; grouped KV divides the cell count, not the cell.
+    """Per-layer recurrent-state budget: one cell per group's SSM state in
+    ``layer.state_layout``.  Complex state entries count as two real degrees
+    of freedom; grouped KV divides the cell count, not the cell.
     """
-    validate(config)
-    per_cell = 2 * (config.feature_dim + config.head_dim) * config.state_dim
+    (cells, *cell), dtype = state_layout(validate(config))["ssm_states"]
+    per_cell = real_scalars([(cell, dtype)])
     return StateBudget(
-        cells=config.n_kv,
+        cells=cells,
         per_cell_dof=per_cell,
-        total_dof=config.n_kv * per_cell,
+        total_dof=cells * per_cell,
         kv_cache_per_token=2 * config.heads * config.head_dim,
     )
 
@@ -160,13 +150,7 @@ def state_dof(config: ModelConfig) -> StateBudget:
 def budget_table(config: ModelConfig) -> dict[str, int]:
     """Flat dict view of state_dof plus the published-scale param counts,
     for the CLI's budget report."""
-    budget = state_dof(config)
-    out = {
-        "cells": budget.cells,
-        "per_cell_dof": budget.per_cell_dof,
-        "total_dof": budget.total_dof,
-        "kv_cache_per_token": budget.kv_cache_per_token,
-    }
+    out = asdict(state_dof(config))
     for spec in BACKBONES:
         out[f"params_softmax_{spec.name}"] = count_params(spec, "softmax")
         out[f"params_interdomain_{spec.name}"] = count_params(spec, "interdomain")

@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import QUERY_VARIANTS, ModelConfig, make_rng, streams, validate
 from .features import CONV_TAPS, check_feature_kind
-from .layer import decode_step, forward, init_decode_state, init_layer_params, prefill
+from .layer import decode_step, forward, init_layer_params, prefill, real_scalars, state_layout
 
 PATHS = ("interdomain", "interdomain_chunked", "softmax_kv")
 
@@ -46,10 +46,9 @@ class BenchRow:
 
 def state_units(config: ModelConfig) -> int:
     """Real scalars carried between decode steps: the arrays of
-    ``init_decode_state`` (complex SSM states count 2 per entry, plus the
+    ``layer.state_layout`` (complex SSM states count 2 per entry, plus the
     convolution tails) and the position counter."""
-    arrays = [a for a in vars(init_decode_state(config)).values() if isinstance(a, np.ndarray)]
-    return sum(a.size * (2 if np.iscomplexobj(a) else 1) for a in arrays) + 1
+    return real_scalars(state_layout(config).values()) + 1
 
 
 def _feature_ops(kind: str, dh: int, r: int) -> int:

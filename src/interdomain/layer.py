@@ -91,12 +91,27 @@ an inf; a non-finite entry there reaches every output, so a non-finite
 output is what sends it back to ``_check_state`` (see ``decode_step``).
 ``prefill`` checks its input and the whole state before it runs anything.
 A state that is not a ``LayerState`` raises ``ValueError`` naming it.
+``forward`` and ``prefill`` check their output, and ``backward`` its input
+gradient, once at the end: a stage that overflowed from a finite input
+raises ``ValueError`` naming it instead of returning NaN or inf.
+
+Two tables, each made once per config, give every tensor of the layer
+as (shape, dtype) by name: ``param_layout`` every learnable tensor (dense
+slots, input norms and the stacked SSM's fields) and ``state_layout``
+every array of the decode state.  The containers are made from them, the
+checks compare against them, and ``real_scalars`` counts them for
+``count_layer_params``, ``accounting`` and ``bench``.
 
 All the backends agree numerically.
 """
 from __future__ import annotations
 
+import functools
+import math
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from operator import attrgetter
+from types import MappingProxyType
 
 import numpy as np
 
@@ -181,21 +196,21 @@ def init_layer_params(
     contraction_scale: float = 0.0,
 ) -> LayerParams:
     """Random parameters for a validated config: every dense slot that
-    ``_param_shapes`` lists, drawn in ``_DENSE`` order, the others None.
+    ``param_layout`` lists, drawn in ``_DENSE`` order, the others None.
 
     The contraction matrices default to zero (the training init); pass a
     scale to make the no-query variants produce nonzero outputs, as the
     equivalence and gradient suites do.
     """
     validate(config)
-    shapes = _param_shapes(config)
+    layout = param_layout(config)
     n_kv, dh, r = config.n_kv, config.head_dim, config.feature_dim
     scale = 1.0 / np.sqrt(config.model_dim)
 
     def draw(name):
-        if name not in shapes:
+        if name not in layout:
             return None
-        tensor = rng.standard_normal(shapes[name])  # scaled in place: no second copy
+        tensor = rng.standard_normal(layout[name][0])  # scaled in place: no second copy
         if name.startswith("conv_"):
             tensor *= 0.5
             tensor[0] += 1.0  # start near a pass-through
@@ -204,8 +219,8 @@ def init_layer_params(
         return tensor
 
     def norm(name):
-        return NormBias(gain=np.ones(shapes[f"{name}.gain"]),
-                        bias=np.zeros(shapes[f"{name}.bias"]))
+        return NormBias(gain=np.ones(layout[f"{name}.gain"][0]),
+                        bias=np.zeros(layout[f"{name}.bias"][0]))
 
     # the contraction is drawn after the SSMs and the feature map: drawing it
     # before them would change every seed's SSM and feature-map tensors
@@ -219,25 +234,36 @@ def init_layer_params(
     )
 
 
-def _state_layout(config: ModelConfig) -> dict[str, tuple[tuple[int, ...], np.dtype]]:
+@functools.lru_cache(maxsize=32)
+def state_layout(config: ModelConfig) -> Mapping[str, tuple[tuple[int, ...], np.dtype]]:
     """(shape, dtype) of every array a decode state for ``config`` holds:
-    the per-group SSM states and the tail of each convolved stream."""
+    the per-group SSM states and the tail of each convolved stream.  The
+    table is immutable and made once per config, as ``config.streams`` is;
+    ``bench.state_units`` and ``accounting.state_dof`` count it."""
     dh = config.head_dim
     layout = {"ssm_states": ((config.n_kv, config.feature_dim + dh, config.state_dim),
                              np.dtype(complex))}
     layout.update({f"conv_{s.name}_tail": ((CONV_TAPS - 1, s.rows * dh), np.dtype(float))
                    for s in streams(config) if s.conv})
-    return layout
+    return MappingProxyType(layout)
+
+
+def real_scalars(pairs: Iterable[tuple[tuple[int, ...], np.dtype]]) -> int:
+    """Real scalars in arrays of the given (shape, dtype) pairs, such as a
+    ``state_layout`` or ``param_layout`` table's values; complex entries
+    count twice."""
+    return sum(math.prod(shape) * (2 if dtype.kind == "c" else 1) for shape, dtype in pairs)
 
 
 def init_decode_state(config: ModelConfig) -> LayerState:
     return LayerState(position=0, **{name: np.zeros(shape, dtype)
-                                     for name, (shape, dtype) in _state_layout(config).items()})
+                                     for name, (shape, dtype) in state_layout(config).items()})
 
 
 def _check_finite(name: str, array: np.ndarray) -> None:
     """Raise ValueError naming ``array`` if any entry is NaN or infinite, so
-    a bad input fails here instead of turning the outputs silently NaN."""
+    a bad input fails here instead of turning the outputs silently NaN, and
+    an output that overflowed is named instead of returned."""
     if not np.isfinite(array).all():
         raise ValueError(f"{name} must be finite, got NaN or inf")
 
@@ -256,7 +282,7 @@ def _check_state(state: LayerState, config: ModelConfig, ssm_finite: bool = True
     position = state.position
     if isinstance(position, bool) or not isinstance(position, (int, np.integer)) or position < 0:
         raise ValueError(f"state.position must be an integer >= 0, got {position!r}")
-    layout = _state_layout(config)
+    layout = state_layout(config)
     for name in ("ssm_states", "conv_q_tail", "conv_k_tail", "conv_v_tail"):
         got, want = getattr(state, name), layout.get(name)
         if got is None and want is None:
@@ -272,67 +298,71 @@ def _check_state(state: LayerState, config: ModelConfig, ssm_finite: bool = True
 
 
 # The dense slots of ``LayerParams`` by their serialized names, in the order
-# ``init_layer_params`` draws them.
+# ``init_layer_params`` draws them, then every other learnable tensor.
 _DENSE = ("w_q", "w_k", "w_v", "w_o", "w_g", "conv_q", "conv_k", "conv_v", "contraction")
+_LEARNABLE = _DENSE + ("k_norm.gain", "k_norm.bias", "v_norm.gain", "v_norm.bias",
+                       "ssm.delta", "ssm.a", "ssm.b", "ssm.c_out")
+_get_learnable = attrgetter(*_LEARNABLE)
 
 
-def _param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """The shape of every dense tensor a ``LayerParams`` for ``config``
-    holds, by its serialized name: exactly the slots the config uses, read
-    from ``config.streams``.  Each stream has a projection, and a conv where
-    it is convolved; then the output projection, the gate where the output
-    gate is on, the contraction where there is no q stream, and the input
-    norms.  The one table of which slots a config uses: ``_check_params``
-    and ``init_layer_params`` read presence from it."""
-    d, dh, r = config.model_dim, config.head_dim, config.feature_dim
-    shapes = {}
+@functools.lru_cache(maxsize=32)
+def param_layout(config: ModelConfig) -> Mapping[str, tuple[tuple[int, ...], np.dtype]]:
+    """(shape, dtype) of every learnable tensor a ``LayerParams`` for
+    ``config`` holds, by its serialized name: exactly the slots the config
+    uses, read from ``config.streams``.  Each stream has a projection, and
+    a conv where it is convolved; then the output projection, the gate
+    where the output gate is on, the contraction where there is no q
+    stream, the input norms and the stacked SSM's fields.  The one table of
+    the parameters, as ``state_layout`` is of the decode state:
+    ``_check_params`` checks presence and shapes against it,
+    ``init_layer_params`` draws from it and ``accounting`` counts it.
+    Immutable and made once per config."""
+    d, dh, r, m, n_kv = (config.model_dim, config.head_dim, config.feature_dim,
+                         config.state_dim, config.n_kv)
+    real, cplx = np.dtype(float), np.dtype(complex)
+    layout = {}
     for s in streams(config):
-        shapes[f"w_{s.name}"] = (d, s.rows * dh)
+        layout[f"w_{s.name}"] = ((d, s.rows * dh), real)
         if s.conv:
-            shapes[f"conv_{s.name}"] = (CONV_TAPS, s.rows * dh)
-    shapes["w_o"] = (d, d)
+            layout[f"conv_{s.name}"] = ((CONV_TAPS, s.rows * dh), real)
+    layout["w_o"] = ((d, d), real)
     if config.output_gate_enabled:
-        shapes["w_g"] = (d, d)
-    if "w_q" not in shapes:
-        shapes["contraction"] = (config.heads, dh, config.state_dim * (r + dh))
+        layout["w_g"] = ((d, d), real)
+    if "w_q" not in layout:
+        layout["contraction"] = ((config.heads, dh, m * (r + dh)), real)
     for norm, width in (("k_norm", r), ("v_norm", dh)):
-        shapes[f"{norm}.gain"] = shapes[f"{norm}.bias"] = (config.n_kv, width)
-    return shapes
+        layout[f"{norm}.gain"] = layout[f"{norm}.bias"] = ((n_kv, width), real)
+    layout.update({"ssm.delta": ((n_kv, m), real), "ssm.a": ((n_kv, m), cplx),
+                   "ssm.b": ((n_kv, m), cplx), "ssm.c_out": ((n_kv, m, m), cplx)})
+    return MappingProxyType(layout)
 
 
 def _check_params(params: LayerParams, config: ModelConfig) -> None:
     """Raise ValueError naming the first field of ``params`` that disagrees
-    with ``config``: a dense slot present where ``_param_shapes`` does not
-    list it or missing where it does, a stacked SSM whose groups, state
-    size or input width differ from the config's, a tensor of another
-    shape than ``_param_shapes`` gives, or an rff feature map whose
+    with ``config``: a tensor present where ``param_layout`` does not list
+    it or missing where it does, a tensor of another shape than the table
+    gives (an SSM field of another group count or state size included), a
+    stacked SSM of another input width, or an rff feature map whose
     frequencies are not (n_kv, feature_dim / 2, head_dim).  Parameters made
     for another config would otherwise run on a wrong slice, return an
     output of the wrong width, fail deep inside with a bare IndexError, or
     silently drop or ignore a slot.  Only shapes are compared, so the check
     costs microseconds."""
-    shapes = _param_shapes(config)
-    for name in _DENSE:
-        want = name in shapes
-        if (getattr(params, name) is not None) != want:
+    layout = param_layout(config)
+    tensors = _learnable(params)
+    for name in _LEARNABLE:
+        want = name in layout
+        if (name in tensors) != want:
             raise ValueError(
                 f"params.{name} is {'missing' if want else 'present'}, but the config "
                 f"(variant {config.variant!r}, output_gate_enabled="
                 f"{config.output_gate_enabled}) {'needs' if want else 'has no use for'} it")
-    n_kv, m = config.n_kv, config.state_dim
-    dh, r = config.head_dim, config.feature_dim
-    for name, axes, want in (("delta", "(n_kv, state_dim)", (n_kv, m)),
-                             ("c_out", "(n_kv, state_dim, state_dim)", (n_kv, m, m))):
-        got = getattr(params.ssm, name).shape
-        if got != want:
-            raise ValueError(f"params.ssm.{name} must be {axes} = {want} for this config, "
-                             f"got {got}")
+    n_kv, dh, r = config.n_kv, config.head_dim, config.feature_dim
     if params.ssm.input_width != r + dh:
         raise ValueError(f"params.ssm.input_width must be feature_dim + head_dim = "
                          f"{r + dh}, got {params.ssm.input_width}")
-    tensors = _learnable(params)
-    for name, want in shapes.items():
-        got = getattr(tensors.get(name), "shape", None)
+    for name, (want, _) in layout.items():
+        got = getattr(tensors[name], "shape", None)
         if got != want:
             raise ValueError(f"params.{name} must be {want} for this config, got {got}")
     fmap = params.feature_map
@@ -453,12 +483,16 @@ def _forward_blocks(params: LayerParams, x_seq: np.ndarray, config: ModelConfig,
     ``chunk`` tokens, each continuing the last one's state (a fresh one for
     None), and write each block's ``gated @ w_o`` into its rows of one
     (N, model_dim) output.  No block's trace or gated output outlives its
-    block.  Returns (outputs, the state after the last block)."""
+    block.  Returns (outputs, the state after the last block); outputs
+    holding a NaN or an inf, from a stage that overflowed on a finite input,
+    raise ValueError instead; a NaN or an inf in an SSM state reaches every
+    later output (see ``decode_step``), so the states are not scanned."""
     y = np.empty((x_seq.shape[0], config.model_dim))
     for lo in range(0, x_seq.shape[0], chunk):
         gated, state = _forward_core(params, x_seq[lo:lo + chunk], config, state)[:2]
         np.matmul(gated, params.w_o, out=y[lo:lo + chunk])
         del gated
+    _check_finite("output", y)
     return y, init_decode_state(config) if state is None else state
 
 
@@ -624,6 +658,7 @@ def backward(
         rows = slice(lo, lo + chunk)
         grad_state = _backward_block(params, x_seq[rows], upstream[rows], config,
                                      entries.pop(), grad_state, grads, grad_x[rows])
+    _check_finite("grad_x", grad_x)
     return grads, grad_x
 
 
@@ -753,14 +788,8 @@ def _backward_block(params: LayerParams, x_seq: np.ndarray, upstream: np.ndarray
 
 def _learnable(params: LayerParams) -> dict[str, np.ndarray]:
     """Every learnable tensor by its serialized name; absent streams are skipped."""
-    named = {name: getattr(params, name) for name in _DENSE}
-    named.update({
-        "k_norm.gain": params.k_norm.gain, "k_norm.bias": params.k_norm.bias,
-        "v_norm.gain": params.v_norm.gain, "v_norm.bias": params.v_norm.bias,
-        "ssm.delta": params.ssm.delta, "ssm.a": params.ssm.a,
-        "ssm.b": params.ssm.b, "ssm.c_out": params.ssm.c_out,
-    })
-    return {name: value for name, value in named.items() if value is not None}
+    return {name: value for name, value in zip(_LEARNABLE, _get_learnable(params))
+            if value is not None}
 
 
 def save_layer_params(params: LayerParams, path) -> None:
@@ -796,5 +825,4 @@ def load_layer_params(path) -> LayerParams:
 
 def count_layer_params(params: LayerParams) -> int:
     """Trainable real scalars in the container (complex entries count twice)."""
-    return sum(value.size * (2 if np.iscomplexobj(value) else 1)
-               for value in _learnable(params).values())
+    return real_scalars((value.shape, value.dtype) for value in _learnable(params).values())

@@ -1,8 +1,8 @@
 """No linter ships with the project, so this is its unused-import,
 unused-local and dead-helper check: every name a package module imports
 must be read somewhere in it, every local a function assigns must be read
-in it, and every private module-level function or class must be read
-somewhere in the package outside its own definition."""
+in it, and every private module-level function, class or constant must be
+read somewhere in the package outside its own definition or assignment."""
 import ast
 from pathlib import Path
 
@@ -68,23 +68,38 @@ def test_no_unused_locals():
     assert {name: names for name, names in found.items() if names} == {}
 
 
+def _defined_names(statement) -> list[str]:
+    """The names a module-level statement defines: a function's or class's
+    name, or the plain names an assignment binds."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [statement.name]
+    if isinstance(statement, ast.Assign):
+        targets = statement.targets
+    elif isinstance(statement, ast.AnnAssign):
+        targets = [statement.target]
+    else:
+        return []
+    return [target.id for target in targets if isinstance(target, ast.Name)]
+
+
 def unreferenced_helpers(sources: dict[str, str]) -> list[str]:
-    """Module-level functions and classes named with one leading underscore
-    that no module of ``sources`` (file name -> source) reads, as a name or
-    an attribute, outside their own definition."""
+    """Module-level functions, classes and constants named with one leading
+    underscore that no module of ``sources`` (file name -> source) reads,
+    as a name or an attribute, outside their own definition or
+    assignment."""
     trees = {name: ast.parse(source) for name, source in sources.items()}
     reads = [node for tree in trees.values() for node in ast.walk(tree)
              if isinstance(node, (ast.Name, ast.Attribute))]
     found = []
     for file, tree in trees.items():
-        for helper in tree.body:
-            if not (isinstance(helper, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and helper.name.startswith("_") and not helper.name.startswith("__")):
-                continue
-            own = {id(node) for node in ast.walk(helper)}
-            if not any(getattr(node, "id", getattr(node, "attr", None)) == helper.name
-                       and id(node) not in own for node in reads):
-                found.append(f"{file}: {helper.name} (line {helper.lineno})")
+        for statement in tree.body:
+            own = {id(node) for node in ast.walk(statement)}
+            for name in _defined_names(statement):
+                if not name.startswith("_") or name.startswith("__"):
+                    continue
+                if not any(getattr(node, "id", getattr(node, "attr", None)) == name
+                           and id(node) not in own for node in reads):
+                    found.append(f"{file}: {name} (line {statement.lineno})")
     return found
 
 
@@ -92,5 +107,11 @@ def test_no_dead_private_helpers():
     assert unreferenced_helpers({"m.py": "def _dead():\n    return _dead()\n"
                                          "class _Used:\n    pass\n"
                                          "x = _Used()\n"}) == ["m.py: _dead (line 1)"]
+    # a name tuple left behind when its readers moved to another table
+    assert unreferenced_helpers({"m.py": "_STALE = ('a', 'b')\n"
+                                         "_READ: tuple = ('c',)\n"
+                                         "_ALSO = _READ + ('d',)\n",
+                                 "n.py": "from m import _ALSO\nprint(_ALSO)\n"}) == \
+        ["m.py: _STALE (line 1)"]
     sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert unreferenced_helpers(sources) == []

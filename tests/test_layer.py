@@ -559,6 +559,30 @@ def test_huge_finite_inputs_give_the_scale_invariant_result(variant, scale):
 
 @pytest.mark.parametrize("gate", [False, True])
 @pytest.mark.parametrize("variant", VARIANTS)
+def test_outputs_that_overflow_from_a_finite_input_are_named(variant, gate):
+    # entries of +-1.7e308 pass the input check, then overflow the input
+    # projections: forward and prefill name their output and backward its
+    # input gradient, instead of returning NaN or inf.  The overflow's
+    # RuntimeWarnings, errors under the pyproject, are ignored here
+    config = validate(dataclasses.replace(
+        load_config(Path(__file__).resolve().parents[1] / "configs" / "tiny.json"),
+        variant=variant, output_gate_enabled=gate))
+    rng = make_rng(77)
+    params = init_layer_params(config, rng, contraction_scale=0.5)
+    x = 1.7e308 * np.sign(rng.standard_normal((12, config.model_dim)))
+    up = rng.standard_normal((12, config.model_dim))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(ValueError, match="^output must be finite"):
+            forward(params, x, config)
+        with pytest.raises(ValueError, match="^output must be finite"):
+            prefill(params, x, config)
+        with pytest.raises(ValueError, match="^grad_x must be finite"):
+            backward(params, x, up, config)
+
+
+@pytest.mark.parametrize("gate", [False, True])
+@pytest.mark.parametrize("variant", VARIANTS)
 def test_decode_step_leaves_the_passed_in_state_unchanged(variant, gate):
     config, params = variant_setup(variant, seed=74, output_gate_enabled=gate)
     x = make_rng(75).standard_normal((6, config.model_dim))
@@ -799,16 +823,17 @@ def test_params_missing_a_slot_the_config_needs_are_rejected(overrides, slot):
 
 def _ssm_for_another_config(ssm, field):
     """The tiny config's stacked SSM with one field made for another config:
-    a third group (runs on two of them without the check), a c_out with a
-    third group under a delta with two, or a wider input."""
+    a third group (runs on two of them without the check), an a, b or c_out
+    with a third group under a delta with two, or a wider input."""
     if field == "delta":
         return stack_ssms([ssm[0], ssm[1], ssm[0]])
-    if field == "c_out":
-        return dataclasses.replace(ssm, c_out=np.concatenate([ssm.c_out, ssm.c_out[:1]]))
-    return dataclasses.replace(ssm, input_width=ssm.input_width + 1)
+    if field == "input_width":
+        return dataclasses.replace(ssm, input_width=ssm.input_width + 1)
+    value = getattr(ssm, field)
+    return dataclasses.replace(ssm, **{field: np.concatenate([value, value[:1]])})
 
 
-@pytest.mark.parametrize("field", ["delta", "c_out", "input_width"])
+@pytest.mark.parametrize("field", ["delta", "a", "b", "c_out", "input_width"])
 def test_ssm_made_for_another_config_is_rejected(field):
     config, params = variant_setup("full_interdomain", seed=51)
     params.ssm = _ssm_for_another_config(params.ssm, field)
@@ -831,7 +856,7 @@ def test_ssm_state_size_checked_against_config():
     config, params = variant_setup("full_interdomain", seed=53)
     params.ssm = stack_ssms([random_ssm(config.state_dim + 1, params.ssm.input_width,
                                         make_rng(54)) for _ in range(config.n_kv)])
-    with pytest.raises(ValueError, match=r"params\.ssm\.delta must be .* = \(2, 4\)"):
+    with pytest.raises(ValueError, match=r"params\.ssm\.delta must be \(2, 4\)"):
         forward(params, make_rng(55).standard_normal((4, config.model_dim)), config)
 
 

@@ -3,7 +3,8 @@
 The closed-form counts are pinned to ``data/closed_form_counts.json``, which
 was recorded from the hand-written per-variant formulas the table replaced;
 the layer's parameters, decode state and gradients are checked against the
-table one slot at a time.
+table one slot at a time, and the layer's own tables of parameters and
+decode state against the containers it makes.
 """
 import dataclasses
 import json
@@ -16,7 +17,15 @@ from interdomain.accounting import backbone, mixer_params_per_layer, scale_confi
 from interdomain.bench import decode_step_ops, state_units
 from interdomain.config import VARIANTS, make_rng, streams, validate
 from interdomain.features import CONV_TAPS
-from interdomain.layer import backward, init_decode_state, init_layer_params
+from interdomain.layer import (
+    _learnable,
+    backward,
+    init_decode_state,
+    init_layer_params,
+    load_layer_params,
+    param_layout,
+    save_layer_params,
+)
 
 from helpers import tiny_config
 
@@ -87,3 +96,24 @@ def test_layer_layout_follows_the_stream_table(variant, n_kv, gate):
     want_grads.update(f"{s.norm}.{part}" for s in table if s.norm for part in ("gain", "bias"))
     assert stream_grads == want_grads
     assert all(np.all(np.isfinite(grads[key])) for key in stream_grads)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("n_kv", [1, 2])
+@pytest.mark.parametrize("gate", [False, True])
+@pytest.mark.parametrize("feature_kind", ["silu_l2", "rff", "identity"])
+def test_layer_tables_match_the_containers(tmp_path, variant, n_kv, gate, feature_kind):
+    # the parameter table names every learnable tensor with its shape and
+    # dtype, before and after a save/load round trip; the state count is
+    # the one over the arrays of a state actually made, plus the position
+    config = tiny_config(variant=variant, n_kv=n_kv, output_gate_enabled=gate)
+    params = init_layer_params(config, make_rng(2), feature_kind, contraction_scale=0.5)
+    save_layer_params(params, tmp_path / "layer.npz")
+    for container in (params, load_layer_params(tmp_path / "layer.npz")):
+        assert {name: (value.shape, value.dtype)
+                for name, value in _learnable(container).items()} == dict(param_layout(config))
+
+    arrays = [value for value in vars(init_decode_state(config)).values()
+              if isinstance(value, np.ndarray)]
+    assert state_units(config) == \
+        sum(a.size * (2 if np.iscomplexobj(a) else 1) for a in arrays) + 1
