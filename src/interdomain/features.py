@@ -8,9 +8,27 @@ features(k).  Three kinds are supported:
                shift-invariant kernel; output width 2S.
 * ``silu_l2``  SiLU followed by l2 normalization; width preserved.
 * ``identity`` pass-through, useful for exact-path checks.
+
+Every stage here runs in every forward, prefill, backward and decode step,
+and at a small width these stages, not the SSM, set a token's cost.  So
+each stage, and each adjoint, writes into its own output in place, with no
+temporary per elementwise step: the sigmoid is exp(min(x, 0)) / (1 +
+exp(-|x|)) in two arrays; RoPE is one complex multiply on the pairs'
+complex view, by rotations made from a frequency table cached per width;
+the conv adds each tap's product from one reused buffer and reads the tail
+only for the first CONV_TAPS - 1 rows; the norms divide, scale and shift
+their output in place.
+
+The l2 and RMS norms take each row's sum of squares with one ``einsum``,
+which gives inf, with no warning, where the sum overflows.  Only then does
+``_scaled_rows`` take its slow path, under ``np.errstate``: those rows are
+divided by their largest entry and normalized from that copy, so every
+finite row gets its exact result, and every other row is computed
+unscaled, bit for bit.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,20 +46,39 @@ FEATURE_KINDS = ("rff", "silu_l2", "identity")
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp(-|x|) never exponentiates a large positive number: 1 / (1 + e^-x)
-    # for x >= 0, e^x / (1 + e^x) below
+    # exp(min(x, 0)) / (1 + exp(-|x|)): no exp sees a positive argument, so
+    # it is 1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below
     x = np.asarray(x, dtype=float)
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    out = np.minimum(x, 0.0, out=np.empty_like(x))
+    np.exp(out, out=out)
+    den = np.abs(x)
+    np.negative(den, out=den)
+    np.exp(den, out=den)
+    den += 1.0
+    out /= den
+    return out
 
 
 def silu(x: np.ndarray) -> np.ndarray:
-    return x * sigmoid(x)
+    out = sigmoid(x)
+    out *= x
+    return out
+
+
+def _silu_slope(x: np.ndarray, s: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """silu'(x) = s (1 + x (1 - s)) for s = sigmoid(x), written into
+    ``out``, which must not be ``s``."""
+    np.subtract(1.0, s, out=out)
+    out *= x
+    out += 1.0
+    out *= s
+    return out
 
 
 def silu_deriv(x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
     s = sigmoid(x)
-    return s * (1.0 + x * (1.0 - s))
+    return _silu_slope(x, s, np.empty_like(s))
 
 
 def _project(x: np.ndarray, omega: np.ndarray) -> np.ndarray:
@@ -65,8 +102,12 @@ def rff_features(x: np.ndarray, omega: np.ndarray) -> np.ndarray:
     """
     omega = np.asarray(omega, dtype=float)
     proj = _project(x, omega)
-    scale = 1.0 / np.sqrt(omega.shape[-2])
-    return np.concatenate([np.cos(proj), np.sin(proj)], axis=-1) * scale
+    half = proj.shape[-1]
+    out = np.empty(proj.shape[:-1] + (2 * half,))
+    np.cos(proj, out=out[..., :half])
+    np.sin(proj, out=out[..., half:])
+    out *= 1.0 / np.sqrt(omega.shape[-2])
+    return out
 
 
 def _scaled_rows(x: np.ndarray, norm, largest=None):
@@ -77,9 +118,14 @@ def _scaled_rows(x: np.ndarray, norm, largest=None):
     given (the largest value the caller forms from n), overflows on a
     finite row, that row of x is divided by top, its max |entry|, and its n
     is the norm of the divided row.  Every other row has top 1 and keeps
-    its unscaled x and n, bit for bit; top is None when no row overflows."""
+    its unscaled x and n, bit for bit; top is None when no row overflows.
+    ``norm`` sums the squares with ``einsum``, which overflows to inf with
+    no warning, so only ``largest`` or an overflowed row needs
+    ``np.errstate``."""
+    n = norm(x, 1.0)
+    if largest is None and np.isfinite(n).all():
+        return x, n, None
     with np.errstate(over="ignore"):
-        n = norm(x, 1.0)
         over = ~np.isfinite(n if largest is None else largest(n))
         if not over.any():
             return x, n, None
@@ -88,9 +134,25 @@ def _scaled_rows(x: np.ndarray, norm, largest=None):
         return x, np.where(over, norm(x, top), n), top
 
 
+def _sum_squares(x: np.ndarray) -> np.ndarray:
+    """Each row's sum of squares over the last axis (keepdims), in one
+    ``einsum``: inf, with no warning, where it overflows."""
+    return np.einsum("...i,...i->...", x, x)[..., None]
+
+
 def _l2(v: np.ndarray, scale) -> np.ndarray:
     """The l2 norm of each row; the same for the rows divided by ``scale``."""
-    return np.linalg.norm(v, axis=-1, keepdims=True)
+    out = _sum_squares(v)
+    return np.sqrt(out, out=out)
+
+
+def _l2_normalize(v: np.ndarray, in_place: bool) -> np.ndarray:
+    """``l2_normalize`` of the float array ``v``, written into ``v`` itself
+    when ``in_place``."""
+    scaled, norm, top = _scaled_rows(v, _l2)
+    # a scaled copy is the function's own, so it can take the result
+    out = scaled if in_place or top is not None else None
+    return np.divide(scaled, np.maximum(norm, L2_EPS), out=out)
 
 
 def l2_normalize(v: np.ndarray) -> np.ndarray:
@@ -101,8 +163,7 @@ def l2_normalize(v: np.ndarray) -> np.ndarray:
     whose squared norm overflows is normalized from its scaled copy
     (``_scaled_rows``), so any finite row gets its unit vector.
     """
-    v, norm, _ = _scaled_rows(np.asarray(v, dtype=float), _l2)
-    return v / np.maximum(norm, L2_EPS)
+    return _l2_normalize(np.asarray(v, dtype=float), in_place=False)
 
 
 def short_conv(x_seq: np.ndarray, kernel: np.ndarray) -> np.ndarray:
@@ -134,17 +195,32 @@ def short_conv_with_tail(
     on the concatenation exactly.
     """
     x_seq = np.asarray(x_seq, dtype=float)
-    if tail is None:
-        tail = np.zeros((CONV_TAPS - 1, x_seq.shape[-1]))
-    ext = np.concatenate([tail, x_seq], axis=0)
     kernel = np.asarray(kernel, dtype=float)
-    n = x_seq.shape[0]
-    out = np.zeros_like(x_seq)
-    for tau in range(CONV_TAPS):
-        # ext index of x[t - tau] is t + (CONV_TAPS - 1) - tau
-        start = CONV_TAPS - 1 - tau
-        out += kernel[tau] * ext[start:start + n]
-    return out, ext[-(CONV_TAPS - 1):].copy()
+    taps, n = CONV_TAPS - 1, x_seq.shape[0]
+    # only the first `taps` rows read the tail: they take their inputs from
+    # the small [tail; first rows], the others straight from x
+    head = min(n, taps)
+    ext = np.concatenate([np.zeros((taps, x_seq.shape[-1])) if tail is None else tail,
+                          x_seq[:head]])
+    out = kernel[0] * x_seq
+    prod = np.empty_like(x_seq[taps:])  # each tap's product, reused
+    for tau in range(1, CONV_TAPS):
+        # out[t] reads x[t - tau], row taps + t - tau of ext
+        out[:head] += kernel[tau] * ext[taps - tau:taps - tau + head]
+        if n > taps:
+            out[taps:] += np.multiply(kernel[tau], x_seq[taps - tau:n - tau], out=prod)
+    return out, _conv_tail(x_seq, tail)
+
+
+def _conv_tail(x_seq: np.ndarray, tail: np.ndarray | None) -> np.ndarray:
+    """The last CONV_TAPS - 1 rows of [tail; x_seq] (a None tail is zeros):
+    the tail the block after ``x_seq`` continues from."""
+    taps, n = CONV_TAPS - 1, x_seq.shape[0]
+    if n >= taps:
+        return x_seq[n - taps:].copy()
+    if tail is None:
+        tail = np.zeros((taps, x_seq.shape[-1]))
+    return np.concatenate([tail[n:], x_seq], axis=0)
 
 
 def rope_apply(x: np.ndarray, positions: int | np.ndarray, inverse: bool = False) -> np.ndarray:
@@ -156,23 +232,32 @@ def rope_apply(x: np.ndarray, positions: int | np.ndarray, inverse: bool = False
     rotation, which undoes the forward one exactly; the map is orthogonal,
     so norms are preserved.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.ascontiguousarray(x, dtype=float)  # its pairs are viewed as complex
     width = x.shape[-1]
     if width % 2 != 0:
         raise ValueError(f"rotary width must be even, got {width}")
-    freqs = ROPE_BASE ** (-2.0 * np.arange(width // 2) / width)
-    ang = np.multiply.outer(np.asarray(positions, dtype=float), freqs)
-    # broadcast angles over any axes between the position axis and the pairs
-    ang = ang.reshape(ang.shape[:1] + (1,) * (x.ndim - ang.ndim) + ang.shape[1:]) \
-        if np.ndim(positions) else ang
+    ang = np.multiply.outer(np.asarray(positions, dtype=float), _rope_freqs(width))
+    # pair (even, odd) is even + i odd, rotated by one complex multiply
+    rot = np.empty(ang.shape, dtype=complex)
+    np.cos(ang, out=rot.real)
+    np.sin(ang, out=rot.imag)
     if inverse:
-        ang = -ang
-    cos, sin = np.cos(ang), np.sin(ang)
-    even, odd = x[..., 0::2], x[..., 1::2]
+        np.conjugate(rot, out=rot)
+    # broadcast the rotations over any axes between the position axis and the pairs
+    if np.ndim(positions):
+        rot = rot.reshape(rot.shape[:1] + (1,) * (x.ndim - rot.ndim) + rot.shape[1:])
     out = np.empty_like(x)
-    out[..., 0::2] = even * cos - odd * sin
-    out[..., 1::2] = even * sin + odd * cos
+    np.multiply(x.view(complex), rot, out=out.view(complex))
     return out
+
+
+@functools.lru_cache(maxsize=32)
+def _rope_freqs(width: int) -> np.ndarray:
+    """ROPE_BASE^(-2j/width) for each pair j, made once per width and
+    read-only, since every caller shares it."""
+    freqs = ROPE_BASE ** (-2.0 * np.arange(width // 2) / width)
+    freqs.flags.writeable = False
+    return freqs
 
 
 @dataclass(frozen=True)
@@ -186,7 +271,10 @@ class NormBias:
 def _rms(x: np.ndarray, scale) -> np.ndarray:
     """sqrt(mean(x^2) + RMS_EPS) of each row; for the rows divided by
     ``scale``, the same with RMS_EPS divided by scale^2."""
-    return np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + RMS_EPS / scale ** 2)
+    out = _sum_squares(x)
+    out /= x.shape[-1]
+    out += RMS_EPS / scale ** 2
+    return np.sqrt(out, out=out)
 
 
 def rmsnorm_bias(x: np.ndarray, params: NormBias) -> np.ndarray:
@@ -194,7 +282,10 @@ def rmsnorm_bias(x: np.ndarray, params: NormBias) -> np.ndarray:
     row whose mean square overflows is normalized from its scaled copy
     (``_scaled_rows``), so any finite row is normalized."""
     x, rms, _ = _scaled_rows(np.asarray(x, dtype=float), _rms)
-    return params.gain * (x / rms) + params.bias
+    out = np.divide(x, rms)
+    out *= params.gain
+    out += params.bias
+    return out
 
 
 def rmsnorm_bias_backward(
@@ -211,12 +302,19 @@ def rmsnorm_bias_backward(
     x = np.asarray(x, dtype=float)
     width = x.shape[-1]
     x, rms, top = _scaled_rows(x, _rms, lambda rms: width * rms ** 3)
-    xhat = x / rms
     batch = tuple(range(x.ndim - params.gain.ndim))
-    grad_gain = np.sum(grad_out * xhat, axis=batch)
     grad_bias = np.sum(grad_out, axis=batch)
-    g = params.gain * grad_out
-    grad_x = g / rms - x * np.sum(g * x, axis=-1, keepdims=True) / (width * rms ** 3)
+    # two buffers: grad x, and each product summed over an axis
+    prod = np.divide(x, rms)  # xhat
+    prod *= grad_out
+    grad_gain = np.sum(prod, axis=batch)
+    grad_x = np.multiply(params.gain, grad_out)  # g
+    inner = np.sum(np.multiply(grad_x, x, out=prod), axis=-1, keepdims=True)
+    grad_x /= rms
+    # g / rms - x * sum(g x) / (width rms^3)
+    np.multiply(x, inner, out=prod)
+    prod /= width * rms ** 3
+    grad_x -= prod
     if top is not None:
         grad_x /= top
     return grad_x, grad_gain, grad_bias
@@ -281,7 +379,7 @@ def apply_feature_map(fmap: FeatureMap, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=float)
     if fmap.kind == "rff":
         return rff_features(x, fmap.omega)
-    return l2_normalize(silu(np.asarray(x, dtype=float)))  # silu_l2
+    return _l2_normalize(silu(x), in_place=True)  # silu_l2
 
 
 def feature_map_backward(
@@ -294,21 +392,27 @@ def feature_map_backward(
         proj = _project(x, fmap.omega)
         scale = 1.0 / np.sqrt(fmap.omega.shape[-2])
         half = proj.shape[-1]
-        g_cos = grad_out[..., :half] * scale
-        g_sin = grad_out[..., half:] * scale
-        g_proj = -np.sin(proj) * g_cos + np.cos(proj) * g_sin
+        g_cos = np.multiply(grad_out[..., :half], scale)
+        g_proj = np.multiply(grad_out[..., half:], scale)  # g_sin
+        g_proj *= np.cos(proj)
+        g_cos *= np.sin(proj, out=proj)
+        g_proj -= g_cos  # cos(proj) g_sin - sin(proj) g_cos
         return _project(g_proj, fmap.omega.swapaxes(-1, -2))
     # silu_l2; one sigmoid serves silu(x) = x s and its derivative, and a
     # row whose squared norm overflows runs on its scaled copy, its
     # gradient divided by the scale
     x = np.asarray(x, dtype=float)
     s = sigmoid(x)
-    v, norm, top = _scaled_rows(x * s, _l2)
+    y, norm, top = _scaled_rows(x * s, _l2)
     guarded = np.maximum(norm, L2_EPS)
-    y = v / guarded
-    # below the floor the scale is the constant 1/L2_EPS
-    inner = np.sum(y * grad_out, axis=-1, keepdims=True)
-    grad_v = np.where(norm > L2_EPS, (grad_out - y * inner) / guarded, grad_out / guarded)
+    y /= guarded  # x s is this function's own, and so is its scaled copy
+    prod = np.multiply(y, grad_out)
+    # below the floor the scale is the constant 1/L2_EPS: no inner term
+    inner = np.where(norm > L2_EPS, np.sum(prod, axis=-1, keepdims=True), 0.0)
+    grad_v = np.multiply(y, inner, out=y)
+    np.subtract(grad_out, grad_v, out=grad_v)  # g - y inner
+    grad_v /= guarded
     if top is not None:
         grad_v /= top
-    return grad_v * (s * (1.0 + x * (1.0 - s)))
+    grad_v *= _silu_slope(x, s, prod)
+    return grad_v

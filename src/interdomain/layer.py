@@ -65,9 +65,11 @@ Which SSM path runs, one group at a time, within a block:
   and calls no scan.  With more than one block, a first pass walks the
   blocks forward and saves each one's entry state from the streams and
   each group's closed-form final state (``ssm.final_state``), with no
-  readout; the second walks them in reverse, recomputing each block's
-  streams from its entry state, and carries the gradient of that state
-  (SSM states and conv tails) into the block before it.  Per block and
+  readout: it reads only z and the conv tails, so the q stream runs no
+  stage past its projection, whose last rows are its tail.  The second
+  walks the blocks in reverse, recomputing each block's streams from its
+  entry state, and carries the gradient of that state (SSM states and
+  conv tails) into the block before it.  Per block and
   group it makes one SSM adjoint call in the dual form from the group's
   entry state, with the gradient of its final state carried in, whatever
   backend the config names, and that call returns the outputs it forms
@@ -120,6 +122,7 @@ from .features import (
     CONV_TAPS,
     FeatureMap,
     NormBias,
+    _conv_tail,
     apply_feature_map,
     feature_map_backward,
     make_feature_map,
@@ -314,7 +317,7 @@ def param_layout(config: ModelConfig) -> Mapping[str, tuple[tuple[int, ...], np.
     where the output gate is on, the contraction where there is no q
     stream, the input norms and the stacked SSM's fields.  The one table of
     the parameters, as ``state_layout`` is of the decode state:
-    ``_check_params`` checks presence and shapes against it,
+    ``_check_params`` checks presence, shapes and dtype kinds against it,
     ``init_layer_params`` draws from it and ``accounting`` counts it.
     Immutable and made once per config."""
     d, dh, r, m, n_kv = (config.model_dim, config.head_dim, config.feature_dim,
@@ -342,12 +345,14 @@ def _check_params(params: LayerParams, config: ModelConfig) -> None:
     with ``config``: a tensor present where ``param_layout`` does not list
     it or missing where it does, a tensor of another shape than the table
     gives (an SSM field of another group count or state size included), a
-    stacked SSM of another input width, or an rff feature map whose
-    frequencies are not (n_kv, feature_dim / 2, head_dim).  Parameters made
-    for another config would otherwise run on a wrong slice, return an
-    output of the wrong width, fail deep inside with a bare IndexError, or
-    silently drop or ignore a slot.  Only shapes are compared, so the check
-    costs microseconds."""
+    complex tensor where the table says real or a real one where it says
+    complex, a stacked SSM of another input width, or an rff feature map
+    whose frequencies are not (n_kv, feature_dim / 2, head_dim).  Parameters
+    made for another config would otherwise run on a wrong slice, return an
+    output of the wrong width, fail deep inside with a bare IndexError or
+    UFuncTypeError, or silently drop a slot or an imaginary part.  Only
+    shapes and whether a dtype is complex are compared, so float32 or
+    integer tensors still run and the check costs microseconds."""
     layout = param_layout(config)
     tensors = _learnable(params)
     for name in _LEARNABLE:
@@ -361,10 +366,15 @@ def _check_params(params: LayerParams, config: ModelConfig) -> None:
     if params.ssm.input_width != r + dh:
         raise ValueError(f"params.ssm.input_width must be feature_dim + head_dim = "
                          f"{r + dh}, got {params.ssm.input_width}")
-    for name, (want, _) in layout.items():
-        got = getattr(tensors[name], "shape", None)
+    for name, (want, dtype) in layout.items():
+        tensor = tensors[name]
+        got = getattr(tensor, "shape", None)
         if got != want:
             raise ValueError(f"params.{name} must be {want} for this config, got {got}")
+        # the builtin dtypes are singletons, so the usual tensor costs one `is`
+        if tensor.dtype is not dtype and (tensor.dtype.kind == "c") != (dtype.kind == "c"):
+            raise ValueError(f"params.{name} must be {'complex' if dtype.kind == 'c' else 'real'}"
+                             f" for this config, got dtype {tensor.dtype}")
     fmap = params.feature_map
     if fmap.kind == "rff":
         got = getattr(fmap.omega, "shape", None)
@@ -396,7 +406,7 @@ def _check_x(x_seq, config: ModelConfig, fresh: bool) -> np.ndarray:
 
 
 def _run_streams(params: LayerParams, x_seq: np.ndarray, config: ModelConfig,
-                 state: LayerState | None):
+                 state: LayerState | None, _z_only: bool = False):
     """Run every stream over the checked ``x_seq``, optionally continuing a
     state: x W -> short conv -> heads -> RoPE -> features -> norm.
 
@@ -407,6 +417,10 @@ def _run_streams(params: LayerParams, x_seq: np.ndarray, config: ModelConfig,
     adjoint reads them (the q stream's are ``f_q`` itself); ``state``
     is the one continued (a fresh one for None) and ``tails`` the convolved
     streams' new tails.
+
+    With ``_z_only``, for ``_exit_state``, the q stream stops at its
+    projection, from which its new conv tail is taken bit for bit: the
+    trace has no q entry and no ``f_q``.
     """
     n = x_seq.shape[0]
     if state is None:
@@ -417,6 +431,9 @@ def _run_streams(params: LayerParams, x_seq: np.ndarray, config: ModelConfig,
     for s in streams(config):
         flat = x_seq @ getattr(params, f"w_{s.name}")
         mixed = flat
+        if _z_only and s.name == "q":
+            tails["conv_q_tail"] = _conv_tail(flat, state.conv_q_tail)
+            continue
         if s.conv:
             tail = f"conv_{s.name}_tail"
             mixed, tails[tail] = short_conv_with_tail(
@@ -580,29 +597,39 @@ def _conv_backward(flat, tail, kernel, grad_out, grad_tail):
     """Backward of ``short_conv_with_tail(flat, kernel, tail)``: returns
     (grad flat, grad kernel, grad tail).  ``tail`` None is a stream's start,
     which has no tail gradient (None); ``grad_tail`` is the upstream on the
-    new tail, the last CONV_TAPS - 1 rows of [tail; flat], or None."""
+    new tail, the last CONV_TAPS - 1 rows of [tail; flat], or None.  Only
+    the first CONV_TAPS - 1 rows of the output read the tail, so the tail's
+    gradient is formed apart, and one product buffer serves every tap."""
     taps, n = CONV_TAPS - 1, flat.shape[0]
-    # the gradient of [tail; flat], whose last CONV_TAPS - 1 rows are the new tail
-    grad_ext = np.zeros((taps + n, flat.shape[1]))
-    if grad_tail is not None:
-        grad_ext[n:] += grad_tail
+    grad_flat = kernel[0] * grad_out
+    grad_prev = None if tail is None else np.zeros_like(tail)
+    if grad_tail is not None:  # rows of [tail; flat] from n on are the new tail
+        grad_flat[max(n - taps, 0):] += grad_tail[max(taps - n, 0):]
+        if grad_prev is not None and n < taps:
+            grad_prev[n:] += grad_tail[:taps - n]
+    prod = np.empty_like(grad_out)
     grad_k = np.empty_like(kernel)
-    for tau in range(CONV_TAPS):
+    np.sum(np.multiply(grad_out, flat, out=prod), axis=0, out=grad_k[0])
+    for tau in range(1, CONV_TAPS):
         # out[t] reads row t - tau of flat, or of the tail for t < tau
-        grad_ext[taps - tau:taps - tau + n] += kernel[tau] * grad_out
-        grad_k[tau] = np.sum(grad_out[tau:] * flat[:max(n - tau, 0)], axis=0)
-        if tail is not None and tau:
+        rows = max(n - tau, 0)
+        grad_flat[:rows] += np.multiply(kernel[tau], grad_out[tau:], out=prod[:rows])
+        np.sum(np.multiply(grad_out[tau:], flat[:rows], out=prod[:rows]), axis=0, out=grad_k[tau])
+        if tail is not None:
             seen = min(tau, n)
+            grad_prev[taps - tau:taps - tau + seen] += kernel[tau] * grad_out[:seen]
             grad_k[tau] += np.sum(grad_out[:seen] * tail[taps - tau:taps - tau + seen], axis=0)
-    return grad_ext[taps:], grad_k, None if tail is None else grad_ext[:taps]
+    return grad_flat, grad_k, grad_prev
 
 
 def _exit_state(params: LayerParams, x_seq: np.ndarray, config: ModelConfig,
                 state: LayerState | None) -> LayerState:
     """The state after the checked block ``x_seq`` from ``state`` (a fresh
     one for None), from the streams and each group's closed-form final
-    state (``ssm.final_state``): no readout and no ``run_scan``."""
-    trace, state, tails = _run_streams(params, x_seq, config, state)
+    state (``ssm.final_state``): no readout and no ``run_scan``.  Only z
+    and the conv tails are read, so the q stream runs only its projection,
+    for its tail (``_run_streams``' ``_z_only``)."""
+    trace, state, tails = _run_streams(params, x_seq, config, state, _z_only=True)
     ssm_states = np.empty_like(state.ssm_states, order="C")
     for g in range(config.n_kv):
         final_state(params.ssm[g], trace["z"][:, g], config.chunk_size,

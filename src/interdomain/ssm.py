@@ -259,11 +259,12 @@ def _check_query(ssm: DiagonalSSM, z: np.ndarray, f_q):
     return f_q
 
 
-def _new_outputs(ssm: DiagonalSSM, n: int, f_q=None) -> np.ndarray:
-    """The scan outputs' zeros: (N, M, W), or (N, P, W - R) given ``f_q``."""
+def _new_outputs(ssm: DiagonalSSM, n: int, f_q=None, fill=np.empty) -> np.ndarray:
+    """The scan outputs' array, made by ``fill`` (uninitialised by default):
+    (N, M, W), or (N, P, W - R) given ``f_q``."""
     if f_q is None:
-        return np.zeros((n, ssm.state_dim, ssm.input_width))
-    return np.zeros(f_q.shape[:2] + (ssm.input_width - f_q.shape[2],))
+        return fill((n, ssm.state_dim, ssm.input_width))
+    return fill(f_q.shape[:2] + (ssm.input_width - f_q.shape[2],))
 
 
 def _read_out(ssm: DiagonalSSM, states: np.ndarray, f_q, outputs: np.ndarray) -> None:
@@ -331,7 +332,7 @@ def _scan_blocks(ssm: DiagonalSSM, z: np.ndarray, x0: np.ndarray, f_q, out,
     with no block buffer, no lam x0 temporary and no copy.
     """
     n = z.shape[0]
-    outputs = _new_outputs(ssm, n, f_q)
+    outputs = _new_outputs(ssm, n, f_q)  # _read_out writes every row
     if n == 1:
         final = np.multiply(ssm.lam, x0, out=out)
         final += _drive(ssm, z)[0]
@@ -363,15 +364,19 @@ def _lam_powers(lam: np.ndarray, n: int) -> np.ndarray:
     return powers
 
 
-def _recur(lam: np.ndarray, drive: np.ndarray, x0: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _recur(lam: np.ndarray, drive: np.ndarray, x0: np.ndarray, out: np.ndarray) -> None:
     """Step x_t = lam * x_{t-1} + drive[t] from x_{-1} = x0, storing x_t in
-    out[t]; returns the last state.  ``out`` may be ``drive`` itself, and
-    reversed views of both run the same recurrence backwards in time."""
+    out[t].  ``out`` may be ``drive`` itself, and reversed views of both run
+    the same recurrence backwards in time.  The (M,) lam is broadcast once
+    to the (W, M) state, so each step is one contiguous multiply into a
+    reused buffer and one add, never a broadcast over the W rows."""
+    lam = np.broadcast_to(lam, x0.shape).copy()
+    step = np.empty_like(lam)
     state = x0
-    for t in range(drive.shape[0]):
-        state = lam * state + drive[t]
-        out[t] = state
-    return state
+    for row, into in zip(drive, out):
+        # positional out: a keyword costs about as much as the arithmetic here
+        np.multiply(lam, state, step)
+        state = np.add(step, row, into)
 
 
 def scan_sequential(ssm: DiagonalSSM, z: np.ndarray, x0=None, f_q=None,
@@ -415,7 +420,8 @@ def scan_fft(ssm: DiagonalSSM, z: np.ndarray, x0=None, f_q=None, out=None) -> Sc
     h_hat = np.fft.rfft(_lag_kernels(ssm, powers), n_fft, axis=0)  # (F, M)
     z_hat = np.fft.rfft(z, n_fft, axis=0)                              # (F, W)
     entry = np.conj(x0).view(float).T if np.any(x0) else None
-    outputs = _new_outputs(ssm, n, f_q)
+    # the modes fill the outputs' columns, or add up in the heads' outputs
+    outputs = _new_outputs(ssm, n, f_q, np.empty if f_q is None else np.zeros)
     for i in range(m):
         y = np.fft.irfft(h_hat[:, i, None] * z_hat, n_fft, axis=0)[:n]
         if entry is not None:  # Re(A_i[t] x0[c]), A_i[t] = C[i] diag(lam^(t+1))
@@ -611,28 +617,32 @@ def final_state(ssm: DiagonalSSM, z: np.ndarray, chunk: int, x0=None, out=None) 
     return _final_state(ssm, powers, z, entries, x0, out)
 
 
-def _combine(states: np.ndarray, first: int, span: int, lam_span: np.ndarray) -> None:
+def _combine(states: np.ndarray, first: int, span: int, lam_span: np.ndarray,
+             buf: np.ndarray) -> None:
     """One level of ``scan_prefix``'s sweeps, in place: for every i = first
     + span, first + 3 span, ..., states[i] = lam_span * states[i - span] +
     states[i], which combines the run of ``span`` pairs ending at i with
-    the run ending at i - span on its left."""
+    the run ending at i - span on its left.  ``lam_span`` has the states'
+    (W, M) shape, and the products go into ``buf``, reused across levels."""
     right = states[first + span::2 * span]
-    right += lam_span * states[first::2 * span][:len(right)]
+    right += np.multiply(lam_span, states[first::2 * span][:len(right)], out=buf[:len(right)])
 
 
 def _prefix_sweep(lam: np.ndarray, states: np.ndarray) -> None:
     """The up- and down-sweeps of ``scan_prefix``, in place on the (L, W, M)
     pairs' second halves, the first of which already holds lam x_{-1}: each
-    becomes its state."""
+    becomes its state.  Each level's power of lam is broadcast once to the
+    (W, M) state, so a level is one contiguous multiply and one add."""
     levels = []  # (2^d, lam^(2^d)) for every d with 2^(d+1) <= L
-    span, lam_span = 1, lam
+    span, lam_span = 1, np.broadcast_to(lam, states.shape[1:]).copy()
     while 2 * span <= len(states):
         levels.append((span, lam_span))
         span, lam_span = 2 * span, lam_span * lam_span
+    buf = np.empty_like(states[:len(states) // 2])
     for span, lam_span in levels:        # up-sweep
-        _combine(states, span - 1, span, lam_span)
+        _combine(states, span - 1, span, lam_span, buf)
     for span, lam_span in levels[::-1]:  # down-sweep
-        _combine(states, 2 * span - 1, span, lam_span)
+        _combine(states, 2 * span - 1, span, lam_span, buf)
 
 
 def scan_prefix(ssm: DiagonalSSM, z: np.ndarray, x0=None, f_q=None, out=None) -> ScanResult:

@@ -12,7 +12,7 @@ from typing import Any, NamedTuple
 import numpy as np
 
 from interdomain.config import ModelConfig, validate
-from interdomain.features import NormBias
+from interdomain.features import CONV_TAPS, L2_EPS, RMS_EPS, ROPE_BASE, NormBias
 from interdomain.ssm import backward_checkpointed, run_scan, ssm_with
 
 
@@ -185,3 +185,154 @@ def central_diff_complex(loss, get, put, h=1e-5):
             fd.flat[i] += (up - down) / (2 * h) * mul
     put(base)
     return fd
+
+
+# --- reference copies of the token pipeline's elementwise math ---------------
+#
+# The stages and recurrences as they were written before they were made to
+# run in place: one fresh temporary per elementwise step, the norms by
+# np.linalg.norm and np.mean, the conv over a zero-filled [tail; x] copy,
+# and lam broadcast over the state's rows at every step.  The tests pin the
+# in-place code to these: bit for bit where the arithmetic is unchanged, to
+# 2e-15 per row where a sum runs in another order.
+
+def sigmoid_reference(x):
+    x = np.asarray(x, dtype=float)
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+def silu_reference(x):
+    return x * sigmoid_reference(x)
+
+
+def silu_deriv_reference(x):
+    s = sigmoid_reference(x)
+    return s * (1.0 + x * (1.0 - s))
+
+
+def _scaled_rows_reference(x, norm, largest=None):
+    with np.errstate(over="ignore"):
+        n = norm(x, 1.0)
+        over = ~np.isfinite(n if largest is None else largest(n))
+        if not over.any():
+            return x, n, None
+        top = np.where(over, np.max(np.abs(x), axis=-1, keepdims=True), 1.0)
+        x = x / top
+        return x, np.where(over, norm(x, top), n), top
+
+
+def _l2_reference(v, scale):
+    return np.linalg.norm(v, axis=-1, keepdims=True)
+
+
+def _rms_reference(x, scale):
+    return np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + RMS_EPS / scale ** 2)
+
+
+def l2_normalize_reference(v):
+    v, norm, _ = _scaled_rows_reference(np.asarray(v, dtype=float), _l2_reference)
+    return v / np.maximum(norm, L2_EPS)
+
+
+def silu_l2_backward_reference(x, grad_out):
+    x = np.asarray(x, dtype=float)
+    s = sigmoid_reference(x)
+    v, norm, top = _scaled_rows_reference(x * s, _l2_reference)
+    guarded = np.maximum(norm, L2_EPS)
+    y = v / guarded
+    inner = np.sum(y * grad_out, axis=-1, keepdims=True)
+    grad_v = np.where(norm > L2_EPS, (grad_out - y * inner) / guarded, grad_out / guarded)
+    if top is not None:
+        grad_v /= top
+    return grad_v * (s * (1.0 + x * (1.0 - s)))
+
+
+def rmsnorm_bias_reference(x, params):
+    x, rms, _ = _scaled_rows_reference(np.asarray(x, dtype=float), _rms_reference)
+    return params.gain * (x / rms) + params.bias
+
+
+def rmsnorm_bias_backward_reference(x, params, grad_out):
+    x = np.asarray(x, dtype=float)
+    width = x.shape[-1]
+    x, rms, top = _scaled_rows_reference(x, _rms_reference, lambda rms: width * rms ** 3)
+    xhat = x / rms
+    batch = tuple(range(x.ndim - params.gain.ndim))
+    grad_gain = np.sum(grad_out * xhat, axis=batch)
+    grad_bias = np.sum(grad_out, axis=batch)
+    g = params.gain * grad_out
+    grad_x = g / rms - x * np.sum(g * x, axis=-1, keepdims=True) / (width * rms ** 3)
+    if top is not None:
+        grad_x /= top
+    return grad_x, grad_gain, grad_bias
+
+
+def rope_apply_reference(x, positions, inverse=False):
+    x = np.asarray(x, dtype=float)
+    width = x.shape[-1]
+    freqs = ROPE_BASE ** (-2.0 * np.arange(width // 2) / width)
+    ang = np.multiply.outer(np.asarray(positions, dtype=float), freqs)
+    ang = ang.reshape(ang.shape[:1] + (1,) * (x.ndim - ang.ndim) + ang.shape[1:]) \
+        if np.ndim(positions) else ang
+    if inverse:
+        ang = -ang
+    cos, sin = np.cos(ang), np.sin(ang)
+    even, odd = x[..., 0::2], x[..., 1::2]
+    out = np.empty_like(x)
+    out[..., 0::2] = even * cos - odd * sin
+    out[..., 1::2] = even * sin + odd * cos
+    return out
+
+
+def short_conv_with_tail_reference(x_seq, kernel, tail):
+    x_seq = np.asarray(x_seq, dtype=float)
+    if tail is None:
+        tail = np.zeros((CONV_TAPS - 1, x_seq.shape[-1]))
+    ext = np.concatenate([tail, x_seq], axis=0)
+    n = x_seq.shape[0]
+    out = np.zeros_like(x_seq)
+    for tau in range(CONV_TAPS):
+        start = CONV_TAPS - 1 - tau
+        out += kernel[tau] * ext[start:start + n]
+    return out, ext[-(CONV_TAPS - 1):].copy()
+
+
+def conv_backward_reference(flat, tail, kernel, grad_out, grad_tail):
+    taps, n = CONV_TAPS - 1, flat.shape[0]
+    grad_ext = np.zeros((taps + n, flat.shape[1]))
+    if grad_tail is not None:
+        grad_ext[n:] += grad_tail
+    grad_k = np.empty_like(kernel)
+    for tau in range(CONV_TAPS):
+        grad_ext[taps - tau:taps - tau + n] += kernel[tau] * grad_out
+        grad_k[tau] = np.sum(grad_out[tau:] * flat[:max(n - tau, 0)], axis=0)
+        if tail is not None and tau:
+            seen = min(tau, n)
+            grad_k[tau] += np.sum(grad_out[:seen] * tail[taps - tau:taps - tau + seen], axis=0)
+    return grad_ext[taps:], grad_k, None if tail is None else grad_ext[:taps]
+
+
+def recur_reference(lam, drive, x0, out):
+    state = x0
+    for t in range(drive.shape[0]):
+        state = lam * state + drive[t]
+        out[t] = state
+    return state
+
+
+def prefix_sweep_reference(lam, states):
+    levels = []
+    span, lam_span = 1, lam
+    while 2 * span <= len(states):
+        levels.append((span, lam_span))
+        span, lam_span = 2 * span, lam_span * lam_span
+
+    def combine(first, span, lam_span):
+        right = states[first + span::2 * span]
+        right += lam_span * states[first::2 * span][:len(right)]
+
+    for span, lam_span in levels:
+        combine(span - 1, span, lam_span)
+    for span, lam_span in levels[::-1]:
+        combine(2 * span - 1, span, lam_span)

@@ -28,7 +28,21 @@ from interdomain.features import (
     silu_deriv,
 )
 
-from helpers import central_diff, rel_err
+from helpers import (
+    central_diff,
+    conv_backward_reference,
+    l2_normalize_reference,
+    rel_err,
+    rmsnorm_bias_backward_reference,
+    rmsnorm_bias_reference,
+    rope_apply_reference,
+    short_conv_with_tail_reference,
+    sigmoid_reference,
+    silu_deriv_reference,
+    silu_l2_backward_reference,
+    silu_reference,
+    traced_peak,
+)
 
 
 def impulse_kernel(channels, lag=0):
@@ -383,9 +397,141 @@ def test_silu_l2_backward_bit_identical_to_separate_silu_and_derivative():
         x = rng.standard_normal((96, 4, 8)) * scale
         g = rng.standard_normal(x.shape)
         v = silu(x)
-        norm = np.linalg.norm(v, axis=-1, keepdims=True)
+        norm = np.sqrt(np.einsum("...i,...i->...", v, v))[..., None]  # the norms' einsum
         guarded = np.maximum(norm, L2_EPS)
         y = v / guarded
         inner = np.sum(y * g, axis=-1, keepdims=True)
         grad_v = np.where(norm > L2_EPS, (g - y * inner) / guarded, g / guarded)
         assert np.array_equal(feature_map_backward(fmap, x, g), grad_v * silu_deriv(x)), scale
+
+
+# --- pinned to the reference math, and no temporary per elementwise step ---
+
+# the sigmoid's branch point, exp's underflow edge and the float64 limits
+_SIGMOID_EDGES = np.array([0.0, -0.0, 745.0, -745.0, 709.8, -709.8, 1e308, -1e308,
+                           1e-300, -1e-300, 36.0, -36.0])
+
+
+def test_sigmoid_family_bit_identical_to_the_reference():
+    rng = make_rng(30)
+    for scale in (1.0, 30.0, 1e3, 1e6):
+        x = np.concatenate([rng.standard_normal((64, 16)).ravel() * scale, _SIGMOID_EDGES])
+        assert np.array_equal(sigmoid(x), sigmoid_reference(x)), scale
+        assert np.array_equal(silu(x), silu_reference(x)), scale
+        assert np.array_equal(silu_deriv(x), silu_deriv_reference(x)), scale
+
+
+def _max_row_rel_err(got, want):
+    """The largest, over rows of the last axis, of the row's max abs error
+    over its max abs reference entry."""
+    err = np.max(np.abs(got - want), axis=-1)
+    return float(np.max(err / np.maximum(np.max(np.abs(want), axis=-1), 1e-300)))
+
+
+def _pipeline_block(shape, seed):
+    """A unit-scale block with some rows at 1e160 and 1e300, whose squares
+    overflow (so ``_scaled_rows``' slow path runs), and an upstream."""
+    rng = make_rng(seed)
+    x = rng.standard_normal(shape)
+    rows = x.reshape(-1, shape[-1])
+    rows[1::7] *= 1e160
+    rows[3::7] *= 1e300
+    return x, rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("shape", [(1, 4, 16), (256, 4, 16), (96, 32, 64)])
+def test_stages_and_adjoints_match_the_reference_per_row(shape):
+    # RoPE is one complex multiply and the norms sum their squares with
+    # einsum, so each may move by roundoff, never by more than 2e-15 of a row
+    x, g = _pipeline_block(shape, 31)
+    rng = make_rng(32)
+    nb = NormBias(gain=1 + 0.2 * rng.standard_normal(shape[1:]),
+                  bias=0.3 * rng.standard_normal(shape[1:]))
+    pos = 5 + np.arange(shape[0])
+    fmap = make_silu_l2()
+    grad_x, grad_gain, grad_bias = rmsnorm_bias_backward(x, nb, g)
+    want_x, want_gain, want_bias = rmsnorm_bias_backward_reference(x, nb, g)
+    pairs = {
+        "rope": (rope_apply(x, pos), rope_apply_reference(x, pos)),
+        "rope inverse": (rope_apply(g, pos, inverse=True),
+                         rope_apply_reference(g, pos, inverse=True)),
+        "l2": (l2_normalize(x), l2_normalize_reference(x)),
+        "silu_l2": (apply_feature_map(fmap, x), l2_normalize_reference(silu_reference(x))),
+        "silu_l2 adjoint": (feature_map_backward(fmap, x, g), silu_l2_backward_reference(x, g)),
+        "rmsnorm": (rmsnorm_bias(x, nb), rmsnorm_bias_reference(x, nb)),
+        "rmsnorm adjoint x": (grad_x, want_x),
+        "rmsnorm adjoint gain": (grad_gain, want_gain),
+        "rmsnorm adjoint bias": (grad_bias, want_bias),
+    }
+    for name, (got, want) in pairs.items():
+        assert got.shape == want.shape, name
+        assert np.all(np.isfinite(got)), name
+        assert _max_row_rel_err(got, want) <= 2e-15, name
+
+
+@pytest.mark.parametrize("n, channels", [(1, 64), (2, 64), (3, 64), (256, 64), (96, 2048)])
+@pytest.mark.parametrize("with_tail", [False, True])
+def test_conv_and_its_adjoint_bit_identical_to_the_reference(n, channels, with_tail):
+    # each output row adds its taps in the same order as over [tail; x]
+    from interdomain.layer import _conv_backward
+
+    rng = make_rng(33)
+    x, g = rng.standard_normal((2, n, channels))
+    x[::5] *= 1e300
+    kernel = rng.standard_normal((CONV_TAPS, channels))
+    tail = rng.standard_normal((CONV_TAPS - 1, channels)) if with_tail else None
+    grad_tail = rng.standard_normal((CONV_TAPS - 1, channels)) if with_tail else None
+    for got, want in zip(short_conv_with_tail(x, kernel, tail),
+                         short_conv_with_tail_reference(x, kernel, tail)):
+        assert np.array_equal(got, want)
+    for got, want in zip(_conv_backward(x, tail, kernel, g, grad_tail),
+                         conv_backward_reference(x, tail, kernel, g, grad_tail)):
+        assert (got is None and want is None) or np.array_equal(got, want)
+
+
+def test_rff_and_its_adjoint_bit_identical_to_the_concatenated_halves():
+    rng = make_rng(34)
+    fmap = make_rff(16, 8, rng)
+    x = rng.standard_normal((40, 16))
+    g = rng.standard_normal((40, 16))
+    proj = x @ fmap.omega.T
+    scale = 1.0 / np.sqrt(8)
+    assert np.array_equal(rff_features(x, fmap.omega),
+                          np.concatenate([np.cos(proj), np.sin(proj)], axis=-1) * scale)
+    g_proj = -np.sin(proj) * (g[:, :8] * scale) + np.cos(proj) * (g[:, 8:] * scale)
+    assert np.array_equal(feature_map_backward(fmap, x, g), g_proj @ fmap.omega)
+
+
+def _peak_above_output(fn, size: int) -> float:
+    """tracemalloc's peak over ``fn()`` above the array it returns (the
+    first, for a tuple), in arrays of ``size`` bytes."""
+    fn()  # the frequency table and other caches fill before the measured call
+    traced = traced_peak(fn)
+    out = traced.result[0] if isinstance(traced.result, tuple) else traced.result
+    return (traced.peak - out.nbytes) / size
+
+
+def test_stages_make_no_temporary_per_elementwise_step():
+    # each stage writes into its own output: the bounds sit just above what
+    # the in-place code holds (0.50, 1.00, 0.13, 1.07, 2.26 and 1.25 input-
+    # sized arrays); a temporary per step held 1.44, 2.00, 1.13, 2.07, 5.21
+    # and 4.19
+    rng = make_rng(35)
+    x, g = rng.standard_normal((2, 2048, 4, 16))
+    x_conv = rng.standard_normal((2048, 64))
+    kernel = rng.standard_normal((CONV_TAPS, 64))
+    tail = rng.standard_normal((CONV_TAPS - 1, 64))
+    nb = NormBias(gain=np.ones((4, 16)), bias=np.zeros((4, 16)))
+    fmap = make_silu_l2()
+    pos = np.arange(2048)
+    cases = {
+        "rope_apply": (lambda: rope_apply(x, pos), x.nbytes, 0.6),
+        "apply_feature_map": (lambda: apply_feature_map(fmap, x), x.nbytes, 1.1),
+        "rmsnorm_bias": (lambda: rmsnorm_bias(x, nb), x.nbytes, 0.25),
+        "short_conv_with_tail": (lambda: short_conv_with_tail(x_conv, kernel, tail),
+                                 x_conv.nbytes, 1.2),
+        "feature_map_backward": (lambda: feature_map_backward(fmap, x, g), x.nbytes, 2.4),
+        "rmsnorm_bias_backward": (lambda: rmsnorm_bias_backward(x, nb, g), x.nbytes, 1.4),
+    }
+    peaks = {name: _peak_above_output(fn, size) for name, (fn, size, _) in cases.items()}
+    assert {name: peak for name, peak in peaks.items() if peak > cases[name][2]} == {}

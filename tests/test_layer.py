@@ -680,6 +680,49 @@ def test_width_preserving_feature_map_needs_equal_widths():
         forward(params, make_rng(79).standard_normal((4, config.model_dim)), config)
 
 
+@pytest.mark.parametrize("field", ["w_k", "w_o", "k_norm.gain"])
+def test_complex_param_where_the_layout_says_real_is_rejected(field):
+    # a complex w_k ran on its real part with only a ComplexWarning, and a
+    # complex w_o failed with a bare UFuncTypeError
+    config = load_config(Path(__file__).resolve().parents[1] / "configs" / "tiny.json")
+    params = init_layer_params(config, make_rng(90))
+    if "." in field:
+        norm, part = field.split(".")
+        bad = dataclasses.replace(getattr(params, norm),
+                                  **{part: getattr(getattr(params, norm), part) + 0.5j})
+    else:
+        bad = getattr(params, field) + 0.5j
+    params = dataclasses.replace(params, **{field.split(".")[0]: bad})
+    x = make_rng(91).standard_normal((4, config.model_dim))
+    match = rf"params\.{field} must be real for this config, got dtype complex128"
+    with pytest.raises(ValueError, match=match):
+        forward(params, x, config)
+    with pytest.raises(ValueError, match=match):
+        decode_step(params, init_decode_state(config), x[0], config)
+    with pytest.raises(ValueError, match=match):
+        backward(params, x, x, config)
+
+
+def test_real_ssm_field_where_the_layout_says_complex_is_rejected():
+    # DiagonalSSM built directly, bypassing make_ssm, which casts to complex
+    config, params = variant_setup("full_interdomain")
+    params.ssm = dataclasses.replace(params.ssm, c_out=params.ssm.c_out.real.copy())
+    with pytest.raises(ValueError, match=r"params\.ssm\.c_out must be complex"):
+        forward(params, make_rng(92).standard_normal((4, config.model_dim)), config)
+
+
+def test_float32_and_integer_params_still_run():
+    config = load_config(Path(__file__).resolve().parents[1] / "configs" / "tiny.json")
+    params = init_layer_params(config, make_rng(93))
+    x = make_rng(94).standard_normal((4, config.model_dim))
+    want = forward(params, x, config)
+    params.w_q = params.w_q.astype(np.float32)
+    params.k_norm = dataclasses.replace(params.k_norm, bias=params.k_norm.bias.astype(int))
+    got = forward(params, x, config)
+    assert got.dtype == np.float64
+    assert rel_err(got, want) < 1e-6
+
+
 @pytest.mark.parametrize("entry", ["forward", "prefill", "decode_step", "backward"])
 def test_complex_input_is_rejected(entry):
     # a complex input must not be cut to its real part
@@ -1111,3 +1154,65 @@ def test_one_scan_and_one_ssm_backward_per_group(monkeypatch, n_kv):
             assert [len(zz) for zz, _ in calls] == [4, 4, 3]
             assert [x0 is None for _, x0 in calls] == [True, False, False]
             assert rel_err(np.concatenate([zz for zz, _ in calls]), z[:, g]) < 1e-12
+
+
+def test_first_backward_pass_runs_no_query_stages(monkeypatch):
+    """With N = 3 L the first pass saves two blocks' exit states from z and
+    the conv tails alone: the q stream's RoPE and feature map run only in
+    the reverse pass, once per block, and the gradients are those of a
+    first pass that runs every stream, bit for bit."""
+    from interdomain.ssm import final_state
+
+    def exit_state_all_streams(params, x_seq, config, state):
+        trace, state, tails = layer_module._run_streams(params, x_seq, config, state)
+        ssm_states = np.empty_like(state.ssm_states, order="C")
+        for g in range(config.n_kv):
+            final_state(params.ssm[g], trace["z"][:, g], config.chunk_size,
+                        x0=state.ssm_states[g], out=ssm_states[g])
+        return layer_module.LayerState(position=state.position + x_seq.shape[0],
+                                       ssm_states=ssm_states, **tails)
+
+    for variant in QUERY_VARIANTS:
+        config, params = variant_setup(variant, n_kv=1)  # k rows 1, q rows 2
+        rng = make_rng(95)
+        x = rng.standard_normal((3 * config.prefill_chunk, config.model_dim))
+        up = rng.standard_normal(x.shape)
+        calls = []  # (phase, stage, rows) per call
+
+        def recording(name):
+            fn = getattr(layer_module, name)
+
+            def wrapper(*args, **kwargs):
+                arr = args[0] if name == "rope_apply" else args[1]
+                calls.append((phase[0], name, arr.shape[1]))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        phase = ["first"]
+        backward_block = layer_module._backward_block
+
+        def reverse(*args, **kwargs):
+            phase[0] = "reverse"
+            return backward_block(*args, **kwargs)
+
+        with monkeypatch.context() as m:
+            for name in ("rope_apply", "apply_feature_map"):
+                m.setattr(layer_module, name, recording(name))
+            m.setattr(layer_module, "_backward_block", reverse)
+            grads, grad_x = backward(params, x, up, config)
+        first = [c for c in calls if c[0] == "first"]
+        query = [c for c in calls if c[2] == config.heads]
+        assert first and all(rows == config.n_kv for _, _, rows in first), variant
+        assert {(p, name) for p, name, _ in query} == \
+            {("reverse", "rope_apply"), ("reverse", "apply_feature_map")}, variant
+        # per block, q's features once and RoPE forward and inverse
+        assert Counter(name for _, name, _ in query) == \
+            {"apply_feature_map": 3, "rope_apply": 3 * 2}, variant
+
+        with monkeypatch.context() as m:
+            m.setattr(layer_module, "_exit_state", exit_state_all_streams)
+            want_grads, want_x = backward(params, x, up, config)
+        assert np.array_equal(grad_x, want_x), variant
+        assert grads.keys() == want_grads.keys()
+        for key in grads:
+            assert np.array_equal(grads[key], want_grads[key]), (variant, key)

@@ -31,7 +31,9 @@ from helpers import (
     central_diff,
     central_diff_complex,
     naive_unroll,
+    prefix_sweep_reference,
     query_readout_reference,
+    recur_reference,
     rel_err,
     traced_peak,
 )
@@ -940,3 +942,32 @@ def test_backward_matches_finite_differences_tiny_poles():
     fast = ssm_with(base, a=base.a.imag * 1j - 100.0, delta=np.full(3, 0.1))
     assert np.abs(fast.lam).min() < 1e-3
     finite_difference_case(fast, n=6, seed=30, chunk=2)
+
+
+@pytest.mark.parametrize("w, m, n", [(1, 1, 5), (4, 2, 1), (32, 16, 128), (128, 64, 9),
+                                     (9, 5, 33)])
+def test_recurrences_bit_identical_to_the_reference(w, m, n):
+    # lam is broadcast to the (W, M) state once instead of at every step,
+    # which changes no product or sum
+    rng = make_rng(120)
+    lam = random_ssm(m, w, rng).lam
+    drive = rng.standard_normal((n, w, m)) + 1j * rng.standard_normal((n, w, m))
+    x0 = rng.standard_normal((w, m)) + 1j * rng.standard_normal((w, m))
+    # into a separate array, in place, and backwards in time through reversed views
+    got, want = np.empty_like(drive), np.empty_like(drive)
+    ssm_module._recur(lam, drive, x0, got)
+    recur_reference(lam, drive, x0, want)
+    assert np.array_equal(got, want)
+    got, want = drive.copy(), drive.copy()
+    ssm_module._recur(lam, got, x0, got)
+    recur_reference(lam, want, x0, want)
+    assert np.array_equal(got, want)
+    got, want = drive.copy(), drive.copy()
+    ssm_module._recur(lam ** 3, got[::-1], x0, got[::-1])
+    recur_reference(lam ** 3, want[::-1], x0, want[::-1])
+    assert np.array_equal(got, want)
+    for length in {1, 2, 3, n}:
+        got, want = drive[:length].copy(), drive[:length].copy()
+        ssm_module._prefix_sweep(lam, got)
+        prefix_sweep_reference(lam, want)
+        assert np.array_equal(got, want), length
