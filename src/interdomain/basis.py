@@ -81,14 +81,6 @@ def make_legendre_basis(m: int, n: int) -> DiscreteBasis:
     return basis
 
 
-def make_custom_basis(phi: np.ndarray) -> DiscreteBasis:
-    phi = np.asarray(phi, dtype=float)
-    if phi.ndim != 2 or phi.shape[0] > phi.shape[1]:
-        raise ValueError(f"phi must be (M, N) with M <= N, got {phi.shape}")
-    _check_orthonormal(phi)
-    return DiscreteBasis(phi=phi)
-
-
 @dataclass(frozen=True)
 class InterdomainState:
     """Basis-space summary of a key/value sequence.

@@ -15,9 +15,8 @@ each stage, and each adjoint, writes into its own output in place, with no
 temporary per elementwise step: the sigmoid is exp(min(x, 0)) / (1 +
 exp(-|x|)) in two arrays; RoPE is one complex multiply on the pairs'
 complex view, by rotations made from a frequency table cached per width;
-the conv adds each tap's product from one reused buffer and reads the tail
-only for the first CONV_TAPS - 1 rows; the norms divide, scale and shift
-their output in place.
+the conv is one contraction over a read-only window of [tail; x]; the
+norms divide, scale and shift their output in place.
 
 The l2 and RMS norms take each row's sum of squares with one ``einsum``,
 which gives inf, with no warning, where the sum overflows.  Only then does
@@ -73,12 +72,6 @@ def _silu_slope(x: np.ndarray, s: np.ndarray, out: np.ndarray) -> np.ndarray:
     out += 1.0
     out *= s
     return out
-
-
-def silu_deriv(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    s = sigmoid(x)
-    return _silu_slope(x, s, np.empty_like(s))
 
 
 def _project(x: np.ndarray, omega: np.ndarray) -> np.ndarray:
@@ -166,50 +159,60 @@ def l2_normalize(v: np.ndarray) -> np.ndarray:
     return _l2_normalize(np.asarray(v, dtype=float), in_place=False)
 
 
-def short_conv(x_seq: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Causal depthwise conv: y[t, c] = sum_tau kernel[tau, c] * x[t - tau, c].
-
-    ``kernel`` has one column per channel and exactly CONV_TAPS rows; the
-    left edge is zero-padded so the output has the input's length.
-    """
-    x_seq = np.asarray(x_seq, dtype=float)
-    kernel = np.asarray(kernel, dtype=float)
-    if kernel.shape != (CONV_TAPS, x_seq.shape[-1]):
-        raise ValueError(
-            f"conv kernel must have shape ({CONV_TAPS}, {x_seq.shape[-1]}), got {kernel.shape}"
-        )
-    out = kernel[0] * x_seq
-    for tau in range(1, CONV_TAPS):
-        out[tau:] += kernel[tau] * x_seq[:-tau]
-    return out
-
-
 def short_conv_with_tail(
     x_seq: np.ndarray, kernel: np.ndarray, tail: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Conv a block that continues an earlier stream.
+    """Causal depthwise conv of a block that continues an earlier stream:
+    y[t, c] = sum_tau kernel[tau, c] * x[t - tau, c].
 
-    ``tail`` holds the CONV_TAPS - 1 raw inputs preceding the block (zeros at
-    a stream's start).  Returns the conv output for the block and the new
-    tail.  Splitting a stream into blocks this way reproduces ``short_conv``
-    on the concatenation exactly.
+    ``kernel`` has one column per channel and exactly CONV_TAPS rows;
+    ``tail`` holds the CONV_TAPS - 1 raw inputs preceding the block (None
+    is zeros, a stream's start).  Returns the block's output and the new
+    tail, so splitting a stream into blocks changes no bit.
     """
     x_seq = np.asarray(x_seq, dtype=float)
     kernel = np.asarray(kernel, dtype=float)
-    taps, n = CONV_TAPS - 1, x_seq.shape[0]
-    # only the first `taps` rows read the tail: they take their inputs from
-    # the small [tail; first rows], the others straight from x
-    head = min(n, taps)
-    ext = np.concatenate([np.zeros((taps, x_seq.shape[-1])) if tail is None else tail,
-                          x_seq[:head]])
-    out = kernel[0] * x_seq
-    prod = np.empty_like(x_seq[taps:])  # each tap's product, reused
+    n, width = x_seq.shape
+    taps = CONV_TAPS - 1
+    for name, arr, rows in (("kernel", kernel, CONV_TAPS), ("tail", tail, taps)):
+        if arr is not None and np.shape(arr) != (rows, width):
+            raise ValueError(f"conv {name} must have shape ({rows}, {width}), got {np.shape(arr)}")
+    ext = np.concatenate([np.zeros((taps, width)) if tail is None else tail, x_seq])
+    # window[t, c, j] is ext[taps + t - j, c], x[t - j, c]: the tap axis runs
+    # backwards over the rows, so each output row adds its taps in order
+    step, col = ext.strides
+    window = np.lib.stride_tricks.as_strided(
+        ext[taps:], (n, width, CONV_TAPS), (step, col, -step), writeable=False)
+    return np.einsum("tcj,jc->tc", window, kernel), ext[n:].copy()
+
+
+def short_conv_backward(flat, tail, kernel, grad_out, grad_tail):
+    """Backward of ``short_conv_with_tail(flat, kernel, tail)``: returns
+    (grad flat, grad kernel, grad tail).  ``tail`` None is a stream's start,
+    which has no tail gradient (None); ``grad_tail`` is the upstream on the
+    new tail, the last CONV_TAPS - 1 rows of [tail; flat], or None.  Only
+    the first CONV_TAPS - 1 rows of the output read the tail, so the tail's
+    gradient is formed apart, and one product buffer serves every tap."""
+    taps, n = CONV_TAPS - 1, flat.shape[0]
+    grad_flat = kernel[0] * grad_out
+    grad_prev = None if tail is None else np.zeros_like(tail)
+    if grad_tail is not None:  # rows of [tail; flat] from n on are the new tail
+        grad_flat[max(n - taps, 0):] += grad_tail[max(taps - n, 0):]
+        if grad_prev is not None and n < taps:
+            grad_prev[n:] += grad_tail[:taps - n]
+    prod = np.empty_like(grad_out)
+    grad_k = np.empty_like(kernel)
+    np.sum(np.multiply(grad_out, flat, out=prod), axis=0, out=grad_k[0])
     for tau in range(1, CONV_TAPS):
-        # out[t] reads x[t - tau], row taps + t - tau of ext
-        out[:head] += kernel[tau] * ext[taps - tau:taps - tau + head]
-        if n > taps:
-            out[taps:] += np.multiply(kernel[tau], x_seq[taps - tau:n - tau], out=prod)
-    return out, _conv_tail(x_seq, tail)
+        # out[t] reads row t - tau of flat, or of the tail for t < tau
+        rows = max(n - tau, 0)
+        grad_flat[:rows] += np.multiply(kernel[tau], grad_out[tau:], out=prod[:rows])
+        np.sum(np.multiply(grad_out[tau:], flat[:rows], out=prod[:rows]), axis=0, out=grad_k[tau])
+        if tail is not None:
+            seen = min(tau, n)
+            grad_prev[taps - tau:taps - tau + seen] += kernel[tau] * grad_out[:seen]
+            grad_k[tau] += np.sum(grad_out[:seen] * tail[taps - tau:taps - tau + seen], axis=0)
+    return grad_flat, grad_k, grad_prev
 
 
 def _conv_tail(x_seq: np.ndarray, tail: np.ndarray | None) -> np.ndarray:

@@ -129,6 +129,7 @@ from .features import (
     rmsnorm_bias,
     rmsnorm_bias_backward,
     rope_apply,
+    short_conv_backward,
     short_conv_with_tail,
     sigmoid,
     silu,
@@ -593,35 +594,6 @@ def decode_step(
     return y, new_state
 
 
-def _conv_backward(flat, tail, kernel, grad_out, grad_tail):
-    """Backward of ``short_conv_with_tail(flat, kernel, tail)``: returns
-    (grad flat, grad kernel, grad tail).  ``tail`` None is a stream's start,
-    which has no tail gradient (None); ``grad_tail`` is the upstream on the
-    new tail, the last CONV_TAPS - 1 rows of [tail; flat], or None.  Only
-    the first CONV_TAPS - 1 rows of the output read the tail, so the tail's
-    gradient is formed apart, and one product buffer serves every tap."""
-    taps, n = CONV_TAPS - 1, flat.shape[0]
-    grad_flat = kernel[0] * grad_out
-    grad_prev = None if tail is None else np.zeros_like(tail)
-    if grad_tail is not None:  # rows of [tail; flat] from n on are the new tail
-        grad_flat[max(n - taps, 0):] += grad_tail[max(taps - n, 0):]
-        if grad_prev is not None and n < taps:
-            grad_prev[n:] += grad_tail[:taps - n]
-    prod = np.empty_like(grad_out)
-    grad_k = np.empty_like(kernel)
-    np.sum(np.multiply(grad_out, flat, out=prod), axis=0, out=grad_k[0])
-    for tau in range(1, CONV_TAPS):
-        # out[t] reads row t - tau of flat, or of the tail for t < tau
-        rows = max(n - tau, 0)
-        grad_flat[:rows] += np.multiply(kernel[tau], grad_out[tau:], out=prod[:rows])
-        np.sum(np.multiply(grad_out[tau:], flat[:rows], out=prod[:rows]), axis=0, out=grad_k[tau])
-        if tail is not None:
-            seen = min(tau, n)
-            grad_prev[taps - tau:taps - tau + seen] += kernel[tau] * grad_out[:seen]
-            grad_k[tau] += np.sum(grad_out[:seen] * tail[taps - tau:taps - tau + seen], axis=0)
-    return grad_flat, grad_k, grad_prev
-
-
 def _exit_state(params: LayerParams, x_seq: np.ndarray, config: ModelConfig,
                 state: LayerState | None) -> LayerState:
     """The state after the checked block ``x_seq`` from ``state`` (a fresh
@@ -791,7 +763,7 @@ def _backward_block(params: LayerParams, x_seq: np.ndarray, upstream: np.ndarray
         grad = grad.reshape(n, s.rows * dh)
         if s.conv:
             tail = f"conv_{s.name}_tail"
-            grad, grad_conv, grad_tail = _conv_backward(
+            grad, grad_conv, grad_tail = short_conv_backward(
                 flat, getattr(state, tail, None), getattr(params, f"conv_{s.name}"), grad,
                 None if grad_state is None else grad_state[tail])
             _accumulate(grads, f"conv_{s.name}", grad_conv)

@@ -5,7 +5,6 @@ from interdomain.basis import (
     DiscreteBasis,
     InterdomainState,
     causal_project,
-    make_custom_basis,
     make_indicator_basis,
     make_legendre_basis,
     make_legendre_family,
@@ -68,15 +67,6 @@ def test_legendre_bad_sizes_rejected():
         make_legendre_basis(5, 4)
     with pytest.raises(ValueError, match="1 <= M <= N"):
         make_legendre_basis(0, 4)
-
-
-def test_custom_basis_validates_orthonormality():
-    with pytest.raises(ValueError, match="orthonormal"):
-        make_custom_basis(np.ones((2, 4)))
-    with pytest.raises(ValueError, match="M <= N"):
-        make_custom_basis(np.eye(4)[:, :2])  # (4, 2): more rows than grid points
-    ok = make_custom_basis(np.eye(3)[:2])
-    assert ok.m == 2 and ok.n == 3
 
 
 # --- projection ---

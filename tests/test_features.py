@@ -21,11 +21,10 @@ from interdomain.features import (
     rmsnorm_bias,
     rmsnorm_bias_backward,
     rope_apply,
-    short_conv,
+    short_conv_backward,
     short_conv_with_tail,
     sigmoid,
     silu,
-    silu_deriv,
 )
 
 from helpers import (
@@ -151,20 +150,25 @@ def test_silu_l2_norm_bounded_and_tight(v):
 
 # --- short conv ---
 
+def conv(x, kernel):
+    """The conv of a whole stream, from a zero tail."""
+    return short_conv_with_tail(x, kernel, None)[0]
+
+
 def test_short_conv_impulse_is_identity():
     x = make_rng(6).standard_normal((9, 3))
-    assert np.array_equal(short_conv(x, impulse_kernel(3)), x)
+    assert np.array_equal(conv(x, impulse_kernel(3)), x)
 
 
 def test_short_conv_lag_one_shifts():
     x = np.array([[1.0], [2.0], [3.0], [4.0]])
-    got = short_conv(x, impulse_kernel(1, lag=1))
+    got = conv(x, impulse_kernel(1, lag=1))
     assert np.array_equal(got, np.array([[0.0], [1.0], [2.0], [3.0]]))
 
 
 def test_short_conv_zero_kernel():
     x = make_rng(7).standard_normal((5, 2))
-    assert np.all(short_conv(x, np.zeros((CONV_TAPS, 2))) == 0.0)
+    assert np.all(conv(x, np.zeros((CONV_TAPS, 2))) == 0.0)
 
 
 def test_short_conv_matches_brute_force():
@@ -177,12 +181,23 @@ def test_short_conv_matches_brute_force():
             for tau in range(CONV_TAPS):
                 if t - tau >= 0:
                     want[t, c] += kernel[tau, c] * x[t - tau, c]
-    assert rel_err(short_conv(x, kernel), want) < 1e-14
+    assert rel_err(conv(x, kernel), want) < 1e-14
 
 
 def test_short_conv_wrong_kernel_shape_rejected():
     with pytest.raises(ValueError, match="kernel"):
-        short_conv(np.zeros((4, 2)), np.zeros((3, 2)))
+        conv(np.zeros((4, 2)), np.zeros((3, 2)))
+
+
+def test_short_conv_wrong_tail_shape_rejected():
+    # a (2, C) tail would shift the first rows onto the wrong inputs, and a
+    # 1-token block would hand back a (2, C) tail
+    x, ones = np.arange(12.0).reshape(6, 2), np.ones((CONV_TAPS, 2))
+    assert short_conv_with_tail(x, ones, np.ones((CONV_TAPS - 1, 2)))[0][0, 0] == 3.0
+    for tail in (np.ones((CONV_TAPS - 2, 2)), np.ones((CONV_TAPS - 1, 3))):
+        for block in (x, x[:1]):
+            with pytest.raises(ValueError, match="tail"):
+                short_conv_with_tail(block, ones, tail)
 
 
 def test_short_conv_causal_under_suffix_edits():
@@ -191,14 +206,14 @@ def test_short_conv_causal_under_suffix_edits():
     kernel = rng.standard_normal((CONV_TAPS, 2))
     edited = x.copy()
     edited[6:] += rng.standard_normal((4, 2))
-    assert np.array_equal(short_conv(x, kernel)[:6], short_conv(edited, kernel)[:6])
+    assert np.array_equal(conv(x, kernel)[:6], conv(edited, kernel)[:6])
 
 
 def test_short_conv_tail_continuation_matches_one_shot():
     rng = make_rng(10)
     x = rng.standard_normal((13, 2))
     kernel = rng.standard_normal((CONV_TAPS, 2))
-    want = short_conv(x, kernel)
+    want = short_conv_with_tail_reference(x, kernel, None)[0]
     tail = None
     outs = []
     for start in (0, 4, 5, 11):
@@ -206,6 +221,30 @@ def test_short_conv_tail_continuation_matches_one_shot():
         block, tail = short_conv_with_tail(x[start:end], kernel, tail)
         outs.append(block)
     assert np.array_equal(np.concatenate(outs), want)
+
+
+def test_short_conv_decode_blocks_bit_identical_and_leave_their_inputs():
+    # decode convs one row at a time, and a prefill may end on an empty
+    # block: both give the reference's rows and tail, in fresh arrays
+    rng = make_rng(11)
+    x = rng.standard_normal((37, 64))
+    x[::5] *= 1e300
+    kernel = rng.standard_normal((CONV_TAPS, 64))
+    x.flags.writeable = False  # neither input may be written
+    want, want_tail = short_conv_with_tail_reference(x, kernel, None)
+    tail, outs = np.zeros((CONV_TAPS - 1, 64)), []
+    for t in range(37):
+        tail.flags.writeable = False
+        block, new_tail = short_conv_with_tail(x[t:t + 1], kernel, tail)
+        for arr in (block, new_tail):
+            assert not np.shares_memory(arr, x) and not np.shares_memory(arr, tail)
+        outs.append(block)
+        tail = new_tail
+    assert np.array_equal(np.concatenate(outs), want)
+    assert np.array_equal(tail, want_tail)
+    block, new_tail = short_conv_with_tail(x[:0], kernel, tail)
+    assert block.shape == (0, 64) and np.array_equal(new_tail, want_tail)
+    assert not np.shares_memory(new_tail, tail)
 
 
 # --- silu_l2 pipeline ---
@@ -402,7 +441,8 @@ def test_silu_l2_backward_bit_identical_to_separate_silu_and_derivative():
         y = v / guarded
         inner = np.sum(y * g, axis=-1, keepdims=True)
         grad_v = np.where(norm > L2_EPS, (g - y * inner) / guarded, g / guarded)
-        assert np.array_equal(feature_map_backward(fmap, x, g), grad_v * silu_deriv(x)), scale
+        assert np.array_equal(feature_map_backward(fmap, x, g),
+                              grad_v * silu_deriv_reference(x)), scale
 
 
 # --- pinned to the reference math, and no temporary per elementwise step ---
@@ -418,7 +458,6 @@ def test_sigmoid_family_bit_identical_to_the_reference():
         x = np.concatenate([rng.standard_normal((64, 16)).ravel() * scale, _SIGMOID_EDGES])
         assert np.array_equal(sigmoid(x), sigmoid_reference(x)), scale
         assert np.array_equal(silu(x), silu_reference(x)), scale
-        assert np.array_equal(silu_deriv(x), silu_deriv_reference(x)), scale
 
 
 def _max_row_rel_err(got, want):
@@ -473,8 +512,6 @@ def test_stages_and_adjoints_match_the_reference_per_row(shape):
 @pytest.mark.parametrize("with_tail", [False, True])
 def test_conv_and_its_adjoint_bit_identical_to_the_reference(n, channels, with_tail):
     # each output row adds its taps in the same order as over [tail; x]
-    from interdomain.layer import _conv_backward
-
     rng = make_rng(33)
     x, g = rng.standard_normal((2, n, channels))
     x[::5] *= 1e300
@@ -484,7 +521,7 @@ def test_conv_and_its_adjoint_bit_identical_to_the_reference(n, channels, with_t
     for got, want in zip(short_conv_with_tail(x, kernel, tail),
                          short_conv_with_tail_reference(x, kernel, tail)):
         assert np.array_equal(got, want)
-    for got, want in zip(_conv_backward(x, tail, kernel, g, grad_tail),
+    for got, want in zip(short_conv_backward(x, tail, kernel, g, grad_tail),
                          conv_backward_reference(x, tail, kernel, g, grad_tail)):
         assert (got is None and want is None) or np.array_equal(got, want)
 
@@ -515,12 +552,13 @@ def test_stages_make_no_temporary_per_elementwise_step():
     # each stage writes into its own output: the bounds sit just above what
     # the in-place code holds (0.50, 1.00, 0.13, 1.07, 2.26 and 1.25 input-
     # sized arrays); a temporary per step held 1.44, 2.00, 1.13, 2.07, 5.21
-    # and 4.19
+    # and 4.19.  The conv adjoint, with its one product buffer, holds 1.07
     rng = make_rng(35)
     x, g = rng.standard_normal((2, 2048, 4, 16))
     x_conv = rng.standard_normal((2048, 64))
     kernel = rng.standard_normal((CONV_TAPS, 64))
     tail = rng.standard_normal((CONV_TAPS - 1, 64))
+    g_conv, grad_tail = g.reshape(2048, 64), rng.standard_normal((CONV_TAPS - 1, 64))
     nb = NormBias(gain=np.ones((4, 16)), bias=np.zeros((4, 16)))
     fmap = make_silu_l2()
     pos = np.arange(2048)
@@ -530,6 +568,9 @@ def test_stages_make_no_temporary_per_elementwise_step():
         "rmsnorm_bias": (lambda: rmsnorm_bias(x, nb), x.nbytes, 0.25),
         "short_conv_with_tail": (lambda: short_conv_with_tail(x_conv, kernel, tail),
                                  x_conv.nbytes, 1.2),
+        "short_conv_backward": (
+            lambda: short_conv_backward(x_conv, tail, kernel, g_conv, grad_tail),
+            x_conv.nbytes, 1.1),
         "feature_map_backward": (lambda: feature_map_backward(fmap, x, g), x.nbytes, 2.4),
         "rmsnorm_bias_backward": (lambda: rmsnorm_bias_backward(x, nb, g), x.nbytes, 1.4),
     }
