@@ -14,7 +14,8 @@ and at a small width these stages, not the SSM, set a token's cost.  So
 each stage, and each adjoint, writes into its own output in place, with no
 temporary per elementwise step: the sigmoid is exp(min(x, 0)) / (1 +
 exp(-|x|)) in two arrays; RoPE is one complex multiply on the pairs'
-complex view, by rotations made from a frequency table cached per width;
+complex view, by a table of rotations (``rope_rotations``, from a
+frequency table cached per width) that the caller makes once and shares;
 the conv is one contraction over a read-only window of [tail; x]; the
 norms divide, scale and shift their output in place.
 
@@ -226,29 +227,34 @@ def _conv_tail(x_seq: np.ndarray, tail: np.ndarray | None) -> np.ndarray:
     return np.concatenate([tail[n:], x_seq], axis=0)
 
 
-def rope_apply(x: np.ndarray, positions: int | np.ndarray, inverse: bool = False) -> np.ndarray:
-    """Rotate consecutive pairs of the last axis by position-dependent angles.
-
-    Pair j of a width-w vector at position i is rotated by i * ROPE_BASE^(-2j/w).
-    ``positions`` is a scalar for a single item or an (N,) vector matched to
-    the leading axis of ``x``.  ``inverse=True`` applies the transpose
-    rotation, which undoes the forward one exactly; the map is orthogonal,
-    so norms are preserved.
-    """
-    x = np.ascontiguousarray(x, dtype=float)  # its pairs are viewed as complex
-    width = x.shape[-1]
+def rope_rotations(positions: int | np.ndarray, width: int) -> np.ndarray:
+    """The rotations ``rope_apply`` multiplies by: pair j of a width-w vector
+    at position i is turned by the angle i * ROPE_BASE^(-2j/w), the unit
+    complex number cos + i sin of it.  ``positions`` is a scalar for a single
+    item, giving a (w/2,) table, or an (N,) vector, giving (N, w/2).  The
+    conjugate table is the inverse rotation, the adjoint."""
     if width % 2 != 0:
         raise ValueError(f"rotary width must be even, got {width}")
     ang = np.multiply.outer(np.asarray(positions, dtype=float), _rope_freqs(width))
-    # pair (even, odd) is even + i odd, rotated by one complex multiply
     rot = np.empty(ang.shape, dtype=complex)
     np.cos(ang, out=rot.real)
     np.sin(ang, out=rot.imag)
-    if inverse:
-        np.conjugate(rot, out=rot)
+    return rot
+
+
+def rope_apply(x: np.ndarray, rot: np.ndarray) -> np.ndarray:
+    """Rotate consecutive pairs of the last axis of ``x`` by the table
+    ``rot`` of ``rope_rotations``: a (w/2,) table rotates every row alike,
+    an (N, w/2) one row n of the leading axis by rot[n], over any axes in
+    between.  The map is orthogonal, so norms are preserved, and
+    ``rope_apply(x, rot.conj())`` undoes it exactly."""
+    x = np.ascontiguousarray(x, dtype=float)  # its pairs are viewed as complex
+    if x.shape[-1] != 2 * rot.shape[-1] or rot.shape[:-1] != x.shape[:rot.ndim - 1]:
+        raise ValueError(f"rotations {rot.shape} do not match rows of shape {x.shape}")
     # broadcast the rotations over any axes between the position axis and the pairs
-    if np.ndim(positions):
+    if rot.ndim > 1:
         rot = rot.reshape(rot.shape[:1] + (1,) * (x.ndim - rot.ndim) + rot.shape[1:])
+    # pair (even, odd) is even + i odd, rotated by one complex multiply
     out = np.empty_like(x)
     np.multiply(x.view(complex), rot, out=out.view(complex))
     return out

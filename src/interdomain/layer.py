@@ -85,17 +85,22 @@ Which SSM path runs, one group at a time, within a block:
   the norm's adjoint has; ``w_o``'s gradient is formed last, so it is not
   held through the streams' adjoints.
 
-``decode_step`` always steps the sequential recurrence: per group, lam x0
-is written into the new state's row and the drive added in place, with no
-buffer of states, temporary or copy.  It checks the position, the layouts
-and the conv tails up front but does not scan the SSM states for a NaN or
-an inf; a non-finite entry there reaches every output, so a non-finite
-output is what sends it back to ``_check_state`` (see ``decode_step``).
+``decode_step`` is that block loop over a one-token block.  A one-token
+block scans ``sequential`` on every backend, since a one-step scan is the
+recurrence: per group, lam x0 is written into the new state's row and the
+drive added in place, with no buffer of states, temporary or copy.  Each
+block makes its RoPE rotations once (``features.rope_rotations``); the k
+and q streams share the table, and ``backward``'s adjoints rotate by its
+conjugate.  ``decode_step`` checks the position, the layouts and the conv
+tails up front but does not scan the SSM states for a NaN or an inf;
 ``prefill`` checks its input and the whole state before it runs anything.
-A state that is not a ``LayerState`` raises ``ValueError`` naming it.
-``forward`` and ``prefill`` check their output, and ``backward`` its input
-gradient, once at the end: a stage that overflowed from a finite input
-raises ``ValueError`` naming it instead of returning NaN or inf.
+A state that is not a ``LayerState`` raises ``ValueError`` naming it.  The
+block loop runs with invalid and overflow warnings off and checks the
+output once at the end: a non-finite output scans the state the call was
+given, since a NaN or an inf there reaches every output, and names
+``state.ssm_states`` if it holds one; otherwise a stage overflowed from a
+finite input, which raises ``ValueError`` naming the output.  ``backward``
+checks its input gradient the same way, naming ``grad_x``.
 
 Two tables, each made once per config, give every tensor of the layer
 as (shape, dtype) by name: ``param_layout`` every learnable tensor (dense
@@ -123,12 +128,14 @@ from .features import (
     FeatureMap,
     NormBias,
     _conv_tail,
+    _silu_slope,
     apply_feature_map,
     feature_map_backward,
     make_feature_map,
     rmsnorm_bias,
     rmsnorm_bias_backward,
     rope_apply,
+    rope_rotations,
     short_conv_backward,
     short_conv_with_tail,
     sigmoid,
@@ -279,7 +286,8 @@ def _check_state(state: LayerState, config: ModelConfig, ssm_finite: bool = True
 
     With ``ssm_finite=False`` the SSM states' entries are not scanned, only
     their layout is checked: ``decode_step`` finds a NaN or an inf there
-    from its output instead, and then calls this again in full.
+    from its output instead, and ``_forward_blocks`` then calls this again
+    in full.
     """
     if not isinstance(state, LayerState):
         raise ValueError(f"state must be a LayerState, got {type(state).__name__}")
@@ -411,8 +419,10 @@ def _run_streams(params: LayerParams, x_seq: np.ndarray, config: ModelConfig,
     """Run every stream over the checked ``x_seq``, optionally continuing a
     state: x W -> short conv -> heads -> RoPE -> features -> norm.
 
-    Returns (trace, state, tails): the trace holds ``x``, ``positions``,
-    one (projected, rotated, features) entry per stream, the SSM input
+    Returns (trace, state, tails): the trace holds ``x``, the block's RoPE
+    table ``rope`` (None with RoPE off), made once and shared by the k and
+    q streams and by ``_backward_block``'s adjoints, one (projected,
+    rotated, features) entry per stream, the SSM input
     ``z`` and, in the query variants, the query features ``f_q``; the
     features are saved only where a norm follows, since only the norm's
     adjoint reads them (the q stream's are ``f_q`` itself); ``state``
@@ -426,8 +436,9 @@ def _run_streams(params: LayerParams, x_seq: np.ndarray, config: ModelConfig,
     n = x_seq.shape[0]
     if state is None:
         state = init_decode_state(config)
-    positions = state.position + np.arange(n)
-    trace: dict = {"x": x_seq, "positions": positions}
+    rope = rope_rotations(state.position + np.arange(n), config.head_dim) \
+        if config.rope_enabled else None
+    trace: dict = {"x": x_seq, "rope": rope}
     outs, tails = {}, {}
     for s in streams(config):
         flat = x_seq @ getattr(params, f"w_{s.name}")
@@ -440,7 +451,7 @@ def _run_streams(params: LayerParams, x_seq: np.ndarray, config: ModelConfig,
             mixed, tails[tail] = short_conv_with_tail(
                 flat, getattr(params, f"conv_{s.name}"), getattr(state, tail))
         split = mixed.reshape(n, s.rows, config.head_dim)
-        rot = rope_apply(split, positions) if s.rope else split
+        rot = rope_apply(split, rope) if s.rope else split
         feat = apply_feature_map(params.feature_map, rot) if s.features else rot
         outs[s.name] = feat if s.norm is None else rmsnorm_bias(feat, getattr(params, s.norm))
         trace[s.name] = (flat, rot, None if s.norm is None else feat)
@@ -455,9 +466,10 @@ def _forward_core(
     x_seq: np.ndarray,
     config: ModelConfig,
     state: LayerState | None,
-    backend: str | None = None,
 ):
     """Shared forward over a block of tokens, optionally continuing a state.
+    A one-token block, every decode step among them, scans ``sequential``:
+    a one-step scan is the recurrence itself on every backend.
 
     Returns (gated, new_state, trace), where ``gated`` is the output before
     the ``w_o`` projection, which the callers apply.  The trace is
@@ -471,7 +483,7 @@ def _forward_core(
     n_kv = config.n_kv
     per_group = config.heads // n_kv
     has_q = config.variant in QUERY_VARIANTS
-    backend = backend or config.backend
+    backend = "sequential" if n == 1 else config.backend
     if has_q:
         f_groups = trace["f_q"].reshape(n, n_kv, per_group, r)
     else:
@@ -501,16 +513,28 @@ def _forward_blocks(params: LayerParams, x_seq: np.ndarray, config: ModelConfig,
     ``chunk`` tokens, each continuing the last one's state (a fresh one for
     None), and write each block's ``gated @ w_o`` into its rows of one
     (N, model_dim) output.  No block's trace or gated output outlives its
-    block.  Returns (outputs, the state after the last block); outputs
-    holding a NaN or an inf, from a stage that overflowed on a finite input,
-    raise ValueError instead; a NaN or an inf in an SSM state reaches every
-    later output (see ``decode_step``), so the states are not scanned."""
+    block.  Returns (outputs, the state after the last block).
+
+    The blocks run with invalid and overflow warnings off, and the outputs
+    are checked once at the end.  A NaN or an inf in an SSM state reaches
+    every later output, through every head's readout a = f_q X_r, Re(a
+    C^T) C and Re(beta X_v^T) (or Re(C x) and the contraction), since NaN
+    times 0 is NaN; so the SSM states need no scan up front (``decode_step``
+    skips it), and a non-finite output scans the state it was given: a NaN
+    or an inf there raises ValueError naming ``state.ssm_states``.
+    Otherwise a stage overflowed from a finite input and state, or a
+    parameter is not finite, which raises ValueError naming the output."""
     y = np.empty((x_seq.shape[0], config.model_dim))
-    for lo in range(0, x_seq.shape[0], chunk):
-        gated, state = _forward_core(params, x_seq[lo:lo + chunk], config, state)[:2]
-        np.matmul(gated, params.w_o, out=y[lo:lo + chunk])
-        del gated
-    _check_finite("output", y)
+    entry = state
+    with np.errstate(invalid="ignore", over="ignore"):
+        for lo in range(0, x_seq.shape[0], chunk):
+            gated, state = _forward_core(params, x_seq[lo:lo + chunk], config, state)[:2]
+            np.matmul(gated, params.w_o, out=y[lo:lo + chunk])
+            del gated
+    if not np.isfinite(y).all():
+        if entry is not None:
+            _check_state(entry, config)
+        _check_finite("output", y)
     return y, init_decode_state(config) if state is None else state
 
 
@@ -562,20 +586,14 @@ def decode_step(
     token: np.ndarray,
     config: ModelConfig,
 ) -> tuple[np.ndarray, LayerState]:
-    """Advance one token.  Always steps the sequential recurrence, whatever
-    backend the config names for training; state size is independent of how
-    many steps have been taken.  Returns the output and a new state; the
-    passed-in state is never written.
+    """Advance one token: ``prefill``'s block loop over a one-token block,
+    which steps the sequential recurrence whatever backend the config names
+    for training; state size is independent of how many steps have been
+    taken.  Returns the output and a new state; the passed-in state is
+    never written.
 
     The position, the layouts and the conv tails are checked up front, the
-    SSM states' entries from the output: a NaN or an inf anywhere in them
-    reaches every output, through every head's readout a = f_q X_r, Re(a
-    C^T) C and Re(beta X_v^T) (or Re(C x) and the contraction), since NaN
-    times 0 is NaN.  So the step runs with invalid and overflow warnings
-    off, and a non-finite output scans the states: a NaN or an inf there
-    raises ValueError naming ``state.ssm_states``; otherwise the step
-    overflowed from a finite state (or a parameter is not finite), which
-    raises ValueError naming the decode output.
+    SSM states' entries only from a non-finite output (``_forward_blocks``).
     """
     token = _real(token, "token")
     if token.shape != (config.model_dim,):
@@ -583,15 +601,8 @@ def decode_step(
     _check_finite("token", token)
     _check_params(params, config)
     _check_state(state, config, ssm_finite=False)
-    with np.errstate(invalid="ignore", over="ignore"):
-        gated, new_state, _ = _forward_core(params, token[None, :], config, state,
-                                            backend="sequential")
-        y = (gated @ params.w_o)[0]
-    if not np.isfinite(y).all():
-        _check_state(state, config)
-        raise ValueError("decode output must be finite, got NaN or inf from a finite "
-                         "state: the step overflowed, or a parameter is not finite")
-    return y, new_state
+    y, new_state = _forward_blocks(params, token[None, :], config, state, 1)
+    return y[0], new_state
 
 
 def _exit_state(params: LayerParams, x_seq: np.ndarray, config: ModelConfig,
@@ -687,9 +698,12 @@ def _backward_block(params: LayerParams, x_seq: np.ndarray, upstream: np.ndarray
     # the gate's one sigmoid serves silu, silu' and the readout's upstream
     grad_o_cat = grad_gated = upstream @ params.w_o.T
     if config.output_gate_enabled:
-        gate_pre = x_seq @ params.w_g
-        sig = sigmoid(gate_pre)
-        grad_o_cat = gate_pre * sig * grad_gated
+        gate = x_seq @ params.w_g  # the pre-activation, until silu is formed over it
+        sig = sigmoid(gate)
+        slope = _silu_slope(gate, sig, np.empty_like(sig))
+        gate *= sig
+        del sig
+        grad_o_cat = gate * grad_gated
 
     # readout and SSM backward one group at a time, batched over the
     # group's heads: one SSM adjoint per group, which returns the outputs
@@ -731,11 +745,11 @@ def _backward_block(params: LayerParams, x_seq: np.ndarray, upstream: np.ndarray
     # the streams, so that it is not held through their adjoints
     gated = o_cat
     if config.output_gate_enabled:
-        gated = gate_pre * sig * o_cat
-        grad_gate_pre = sig * (1.0 + gate_pre * (1.0 - sig)) * (o_cat * grad_gated)
-        _accumulate(grads, "w_g", x_seq.T @ grad_gate_pre)
-        grad_x += grad_gate_pre @ params.w_g.T
-        del gate_pre, sig, grad_gate_pre
+        gated = gate * o_cat
+        slope *= o_cat * grad_gated  # now the pre-activation's gradient
+        _accumulate(grads, "w_g", x_seq.T @ slope)
+        grad_x += slope @ params.w_g.T
+        del gate, slope
     del o_cat, grad_gated
     for field in ("delta", "a_log_neg_re", "a_im", "b", "c_out"):
         _accumulate(grads, f"ssm.{field}", np.stack([getattr(sg, field) for sg in ssm_grads]))
@@ -759,7 +773,7 @@ def _backward_block(params: LayerParams, x_seq: np.ndarray, upstream: np.ndarray
         if s.features:
             grad = feature_map_backward(params.feature_map, rot, grad)
         if s.rope:
-            grad = rope_apply(grad, trace["positions"], inverse=True)
+            grad = rope_apply(grad, trace["rope"].conj())
         grad = grad.reshape(n, s.rows * dh)
         if s.conv:
             tail = f"conv_{s.name}_tail"

@@ -212,16 +212,9 @@ def _check_scan_input(ssm: DiagonalSSM, z: np.ndarray, x0,
     z = _real(z, "z")
     if z.ndim != 2 or z.shape[1] != ssm.input_width:
         raise ValueError(f"z must be (N, {ssm.input_width}), got {z.shape}")
-    w, m = ssm.input_width, ssm.state_dim
-    if x0 is None:
-        x0 = np.zeros((w, m), dtype=complex)
-    else:
-        # the scans take float views of x0; a copy only for another layout
-        x0 = np.ascontiguousarray(x0, dtype=complex)
-        if x0.shape != (w, m):
-            raise ValueError(f"x0 must be ({w}, {m}), got {x0.shape}")
-    _check_out(out, (w, m), complex)
-    return z, x0
+    shape = (ssm.input_width, ssm.state_dim)
+    _check_out(out, shape, complex)
+    return z, np.zeros(shape, dtype=complex) if x0 is None else _check_state_arg(ssm, "x0", x0)
 
 
 def _check_out(out, shape: tuple[int, ...], dtype: type) -> None:
@@ -235,16 +228,18 @@ def _check_out(out, shape: tuple[int, ...], dtype: type) -> None:
                          f"array, got (shape, dtype) {got}")
 
 
-def _check_final_upstream(ssm: DiagonalSSM, final_upstream):
-    """``final_upstream`` as a C-contiguous complex (W, M) array; None stays
+def _check_state_arg(ssm: DiagonalSSM, name: str, value):
+    """The state argument ``name`` (``x0``, or an adjoint's
+    ``final_upstream``) as a C-contiguous complex (W, M) array, copied only
+    from another layout, since the scans take float views of it; None stays
     None."""
-    if final_upstream is None:
+    if value is None:
         return None
-    final_upstream = np.ascontiguousarray(final_upstream, dtype=complex)
+    value = np.ascontiguousarray(value, dtype=complex)
     shape = (ssm.input_width, ssm.state_dim)
-    if final_upstream.shape != shape:
-        raise ValueError(f"final_upstream must be (W, M) = {shape}, got {final_upstream.shape}")
-    return final_upstream
+    if value.shape != shape:
+        raise ValueError(f"{name} must be (W, M) = {shape}, got {value.shape}")
+    return value
 
 
 def _check_query(ssm: DiagonalSSM, z: np.ndarray, f_q):
@@ -839,7 +834,7 @@ def backward_checkpointed(
     if upstream.shape != (n, m, w):
         raise ValueError(f"upstream must be (N, M, W) = ({n}, {m}, {w}), got {upstream.shape}")
     _check_out(out, (n, m, w), float)
-    final_upstream = _check_final_upstream(ssm, final_upstream)
+    final_upstream = _check_state_arg(ssm, "final_upstream", final_upstream)
     outputs = np.empty((n, m, w)) if out is None else out
     op = _dual_kernel(ssm, powers)
     entry, toeplitz = op[:, :2 * m], op[:, 2 * m:]
@@ -999,7 +994,7 @@ def query_readout_backward(ssm: DiagonalSSM, z: np.ndarray, f_q: np.ndarray, ups
     if upstream.shape != (n, p, w - r):
         raise ValueError(f"upstream must be (N, P, W - R) = ({n}, {p}, {w - r}), "
                          f"got {upstream.shape}")
-    final_upstream = _check_final_upstream(ssm, final_upstream)
+    final_upstream = _check_state_arg(ssm, "final_upstream", final_upstream)
     c = ssm.c_out
     h = _lag_kernels(ssm, powers)
 

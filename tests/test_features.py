@@ -21,6 +21,7 @@ from interdomain.features import (
     rmsnorm_bias,
     rmsnorm_bias_backward,
     rope_apply,
+    rope_rotations,
     short_conv_backward,
     short_conv_with_tail,
     sigmoid,
@@ -265,14 +266,14 @@ def test_silu_l2_zero_input_zero_output():
 
 def test_rope_position_zero_is_identity():
     x = make_rng(12).standard_normal(8)
-    assert np.array_equal(rope_apply(x, 0), x)
+    assert np.array_equal(rope_apply(x, rope_rotations(0, 8)), x)
 
 
 def test_rope_angles_match_closed_form():
     x = np.zeros(4)
     x[0] = 1.0
     x[2] = 1.0
-    got = rope_apply(x, 3)
+    got = rope_apply(x, rope_rotations(3, 4))
     a0, a1 = 3.0, 3.0 * ROPE_BASE ** (-2.0 / 4.0)
     want = np.array([np.cos(a0), np.sin(a0), np.cos(a1), np.sin(a1)])
     assert rel_err(got, want) < 1e-14
@@ -282,7 +283,7 @@ def test_rope_preserves_norms():
     rng = make_rng(13)
     for i in (1, 17, 4096):
         x = rng.standard_normal((5, 6))
-        got = rope_apply(x, np.full(5, i))
+        got = rope_apply(x, rope_rotations(np.full(5, i), 6))
         assert np.allclose(np.linalg.norm(got, axis=-1),
                            np.linalg.norm(x, axis=-1), atol=1e-12)
 
@@ -292,28 +293,40 @@ def test_rope_relative_shift_invariance():
     for _ in range(20):
         q, k = rng.standard_normal(6), rng.standard_normal(6)
         i, j, s = rng.integers(0, 500, size=3)
-        a = rope_apply(q, int(i)) @ rope_apply(k, int(j))
-        b = rope_apply(q, int(i + s)) @ rope_apply(k, int(j + s))
+        a = rope_apply(q, rope_rotations(int(i), 6)) @ rope_apply(k, rope_rotations(int(j), 6))
+        b = rope_apply(q, rope_rotations(int(i + s), 6)) @ \
+            rope_apply(k, rope_rotations(int(j + s), 6))
         assert abs(a - b) < 1e-10
 
 
 def test_rope_inverse_undoes():
     x = make_rng(15).standard_normal(10)
-    assert rel_err(rope_apply(rope_apply(x, 41), 41, inverse=True), x) < 1e-13
+    rot = rope_rotations(41, 10)
+    assert rel_err(rope_apply(rope_apply(x, rot), rot.conj()), x) < 1e-13
 
 
 def test_rope_odd_width_rejected():
     with pytest.raises(ValueError, match="even"):
-        rope_apply(np.zeros(5), 1)
+        rope_rotations(1, 5)
 
 
 def test_rope_vector_positions_match_scalar_calls():
     rng = make_rng(16)
     x = rng.standard_normal((4, 3, 6))
     pos = np.array([0, 7, 19, 2])
-    got = rope_apply(x, pos)
+    got = rope_apply(x, rope_rotations(pos, 6))
     for n in range(4):
-        assert np.array_equal(got[n], rope_apply(x[n], int(pos[n])))
+        assert np.array_equal(got[n], rope_apply(x[n], rope_rotations(int(pos[n]), 6)))
+
+
+def test_rope_table_that_does_not_fit_the_rows_rejected():
+    # a table of another width, or of one position for a block of three,
+    # would broadcast into a wrong rotation instead of failing
+    x = np.zeros((3, 2, 6))
+    for rot in (rope_rotations(np.arange(3), 4), rope_rotations(np.arange(1), 6),
+                rope_rotations(np.arange(2), 6)):
+        with pytest.raises(ValueError, match="rotations"):
+            rope_apply(x, rot)
 
 
 # --- rmsnorm with bias ---
@@ -487,13 +500,13 @@ def test_stages_and_adjoints_match_the_reference_per_row(shape):
     nb = NormBias(gain=1 + 0.2 * rng.standard_normal(shape[1:]),
                   bias=0.3 * rng.standard_normal(shape[1:]))
     pos = 5 + np.arange(shape[0])
+    rot = rope_rotations(pos, shape[-1])
     fmap = make_silu_l2()
     grad_x, grad_gain, grad_bias = rmsnorm_bias_backward(x, nb, g)
     want_x, want_gain, want_bias = rmsnorm_bias_backward_reference(x, nb, g)
     pairs = {
-        "rope": (rope_apply(x, pos), rope_apply_reference(x, pos)),
-        "rope inverse": (rope_apply(g, pos, inverse=True),
-                         rope_apply_reference(g, pos, inverse=True)),
+        "rope": (rope_apply(x, rot), rope_apply_reference(x, pos)),
+        "rope inverse": (rope_apply(g, rot.conj()), rope_apply_reference(g, pos, inverse=True)),
         "l2": (l2_normalize(x), l2_normalize_reference(x)),
         "silu_l2": (apply_feature_map(fmap, x), l2_normalize_reference(silu_reference(x))),
         "silu_l2 adjoint": (feature_map_backward(fmap, x, g), silu_l2_backward_reference(x, g)),
@@ -563,7 +576,7 @@ def test_stages_make_no_temporary_per_elementwise_step():
     fmap = make_silu_l2()
     pos = np.arange(2048)
     cases = {
-        "rope_apply": (lambda: rope_apply(x, pos), x.nbytes, 0.6),
+        "rope_apply": (lambda: rope_apply(x, rope_rotations(pos, 16)), x.nbytes, 0.6),
         "apply_feature_map": (lambda: apply_feature_map(fmap, x), x.nbytes, 1.1),
         "rmsnorm_bias": (lambda: rmsnorm_bias(x, nb), x.nbytes, 0.25),
         "short_conv_with_tail": (lambda: short_conv_with_tail(x_conv, kernel, tail),

@@ -517,7 +517,7 @@ def test_decode_overflow_from_a_finite_state_is_named(variant):
     token = make_rng(73).standard_normal(config.model_dim)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="decode output must be finite"):
+        with pytest.raises(ValueError, match="^output must be finite"):
             decode_step(params, state, token, config)
 
 
@@ -1154,6 +1154,57 @@ def test_one_scan_and_one_ssm_backward_per_group(monkeypatch, n_kv):
             assert [len(zz) for zz, _ in calls] == [4, 4, 3]
             assert [x0 is None for _, x0 in calls] == [True, False, False]
             assert rel_err(np.concatenate([zz for zz, _ in calls]), z[:, g]) < 1e-12
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_one_token_blocks_scan_sequential_and_each_block_rotates_once(monkeypatch, backend):
+    """A one-token block, a prefill's last or a decode step, is one step of
+    the recurrence, so it scans ``sequential`` whatever the config names,
+    and still matches the forward; every longer block scans on the config's
+    backend.  Each block makes its RoPE table once, for the k and q streams
+    and the adjoints alike: one per forward or prefill block, per decode
+    step and per block of either backward pass, none with RoPE off."""
+    config, params = variant_setup("full_interdomain", backend=backend)
+    scans, tables = [], []  # (backend, tokens) per run_scan; positions per table
+    run_scan_, rope_rotations_ = layer_module.run_scan, layer_module.rope_rotations
+
+    def scan(*args, **kwargs):
+        scans.append((args[2], len(args[1])))
+        return run_scan_(*args, **kwargs)
+
+    def rotations(positions, width):
+        tables.append(list(positions))
+        return rope_rotations_(positions, width)
+
+    monkeypatch.setattr(layer_module, "run_scan", scan)
+    monkeypatch.setattr(layer_module, "rope_rotations", rotations)
+    n_kv, rng = config.n_kv, make_rng(96)
+    x = rng.standard_normal((11, config.model_dim))
+    want = forward(params, x, config)  # blocks of 8 and 3
+    assert scans == [(backend, 8)] * n_kv + [(backend, 3)] * n_kv
+    assert tables == [list(range(8)), list(range(8, 11))]
+    scans.clear()
+    tables.clear()
+
+    y, state = prefill(params, x[:9], config, chunk=4)  # blocks of 4, 4 and 1
+    assert scans == [(backend, 4)] * 2 * n_kv + [("sequential", 1)] * n_kv
+    assert rel_err(y, want[:9]) <= 1e-10
+    for t in (9, 10):
+        y_t, state = decode_step(params, state, x[t], config)
+        assert rel_err(y_t, want[t]) <= 1e-10
+    assert scans[-2 * n_kv:] == [("sequential", 1)] * 2 * n_kv
+    assert tables == [[0, 1, 2, 3], [4, 5, 6, 7], [8], [9], [10]]
+    tables.clear()
+
+    backward(params, x, rng.standard_normal(x.shape), config)
+    # the first pass's one exit state, then the blocks in reverse
+    assert tables == [list(range(8)), list(range(8, 11)), list(range(8))]
+    tables.clear()
+    off = dataclasses.replace(config, rope_enabled=False)
+    forward(params, x, off)
+    backward(params, x, rng.standard_normal(x.shape), off)
+    decode_step(params, state, x[0], off)
+    assert tables == []
 
 
 def test_first_backward_pass_runs_no_query_stages(monkeypatch):

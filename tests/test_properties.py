@@ -3,10 +3,11 @@
 One property sweep draws a config (variant, feature kind, n_kv, gate, RoPE,
 state size, the SSM chunk and the ``prefill_chunk`` block length), a
 sequence length and a prefill chunk, and checks the three contracts every
-config must meet: the scan backends agree, chunked prefill plus decode
-reproduces the forward, and ``grad_x`` matches a directional finite
-difference.  The seed and example count are fixed, so the sweep is the
-same on every run.
+config must meet: the scan backends agree, and each matches the layer's
+definition stepped one token at a time (``reference_layer``), chunked
+prefill plus decode reproduces the forward, and ``grad_x`` matches a
+directional finite difference.  The seed and example count are fixed, so
+the sweep is the same on every run.
 """
 import dataclasses
 
@@ -25,6 +26,7 @@ from interdomain.config import (
 from interdomain.layer import backward, decode_step, forward, init_layer_params, prefill
 
 from helpers import randomize_norms, rel_err
+from reference_layer import reference_run
 
 
 @st.composite
@@ -59,11 +61,13 @@ def test_layer_contracts_hold_for_any_valid_config(case):
     x = rng.standard_normal((n, config.model_dim))
     up = rng.standard_normal((n, config.model_dim))
 
-    # the four backends agree (acceptance 2's bound)
+    # the four backends agree (acceptance 2's bound), and match the reference
     ys = {b: forward(params, x, dataclasses.replace(config, backend=b)) for b in BACKENDS}
     want = ys[config.backend]
+    ref = reference_run(params, x, config)[0]
     for b, y in ys.items():
         assert rel_err(y, want) <= 1e-8, b
+        assert rel_err(y, ref) <= 1e-12, b
 
     # chunked prefill of a prefix, then decode, reproduces the forward
     cut = (n + 1) // 2

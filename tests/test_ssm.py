@@ -558,7 +558,7 @@ def test_scan_validates_input_shape():
         scan_sequential(ssm, np.zeros((4, 3)))
     with pytest.raises(ValueError, match="x0 must be"):
         scan_sequential(ssm, np.zeros((4, 2)), x0=np.zeros((3, 2)))
-    with pytest.raises(ValueError, match=r"x0 must be \(2, 4\)"):  # (M, W) is not a state
+    with pytest.raises(ValueError, match=r"x0 must be \(W, M\) = \(2, 4\)"):  # (M, W) is not one
         scan_sequential(ssm, np.zeros((4, 2)), x0=np.zeros((4, 2)))
 
 
