@@ -798,6 +798,11 @@ def _backward_block(params: LayerParams, x_seq: np.ndarray, upstream: np.ndarray
 # group axis (``ssm.b`` is (n_kv, M)), plus the SSM input width and the
 # feature map's kind and frequencies, so the archive reloads standalone.
 
+# Every entry an archive may hold, and those a variant or feature map that
+# does not use them leaves out.
+_ARCHIVE_KEYS = _LEARNABLE + ("ssm.input_width", "fmap.kind", "fmap.omega")
+_ARCHIVE_OPTIONAL = ("w_q", "w_g", "conv_q", "conv_v", "contraction", "fmap.omega")
+
 
 def _learnable(params: LayerParams) -> dict[str, np.ndarray]:
     """Every learnable tensor by its serialized name; absent streams are skipped."""
@@ -815,10 +820,17 @@ def save_layer_params(params: LayerParams, path) -> None:
 
 
 def load_layer_params(path) -> LayerParams:
-    """Rebuild a saved container; raises ValueError naming the archive key of
-    any float or complex tensor that holds a NaN or an inf."""
+    """Rebuild a saved container; raises ValueError naming the archive and
+    every required entry it lacks and every entry the loader does not read
+    (a misspelt ``w_G`` would otherwise be dropped silently), or naming the
+    archive key of any float or complex tensor that holds a NaN or an inf."""
     with np.load(path, allow_pickle=False) as blob:
         arrays = {k: blob[k] for k in blob.files}
+    missing = [k for k in _ARCHIVE_KEYS if k not in _ARCHIVE_OPTIONAL and k not in arrays]
+    unknown = sorted(arrays.keys() - set(_ARCHIVE_KEYS))
+    if missing or unknown:
+        raise ValueError(f"parameter archive {path}: missing entries {missing}, "
+                         f"unknown entries {unknown}")
     for key, value in arrays.items():
         if np.issubdtype(value.dtype, np.inexact):
             _check_finite(f"archive entry {key!r}", value)

@@ -2,8 +2,12 @@
 unused-local and dead-helper check: every name a package module imports
 must be read somewhere in it, every local a function assigns must be read
 in it, and every private module-level function, class or constant must be
-read somewhere in the package outside its own definition or assignment."""
+read somewhere in the package outside its own definition or assignment.
+It also pins the import graph: the package root loads no submodule, and
+the layer loads none of the modules it does not run on."""
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "interdomain"
@@ -23,10 +27,29 @@ def unused_imports(source: str) -> list[str]:
 
 
 def test_no_unused_imports():
-    # __init__.py imports to re-export, so it is left out
-    found = {path.name: unused_imports(path.read_text())
-             for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+    found = {path.name: unused_imports(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def loaded_after(statement: str) -> set[str]:
+    """The ``interdomain`` modules a fresh interpreter holds after running
+    ``statement`` with ``src/`` on its path."""
+    code = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); {statement}; "
+            "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'interdomain'))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True)
+    return set(done.stdout.split())
+
+
+def test_package_root_loads_no_submodule():
+    assert loaded_after("import interdomain") == {"interdomain"}
+
+
+def test_layer_loads_only_what_it_runs_on():
+    loaded = loaded_after("import interdomain.layer")
+    assert "interdomain.layer" in loaded
+    assert not loaded & {f"interdomain.{name}"
+                         for name in ("accounting", "basis", "bench", "cli", "oracle")}
 
 
 def _own_nodes(func):

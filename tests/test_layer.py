@@ -1,5 +1,6 @@
 import dataclasses
 import importlib.util
+import re
 import sys
 import warnings
 from collections import Counter
@@ -1041,6 +1042,25 @@ def test_load_rejects_a_non_finite_tensor(tmp_path, key):
     arrays[key].flat[0] = np.nan
     np.savez(path, **arrays)
     with pytest.raises(ValueError, match=f"'{key}' must be finite"):
+        load_layer_params(path)
+
+
+_REQUIRED_ARCHIVE_KEYS = ["w_k", "w_v", "w_o", "conv_k", "k_norm.gain", "k_norm.bias",
+                          "v_norm.gain", "v_norm.bias", "ssm.delta", "ssm.a", "ssm.b",
+                          "ssm.c_out", "ssm.input_width", "fmap.kind"]
+
+
+@pytest.mark.parametrize("key", _REQUIRED_ARCHIVE_KEYS)
+def test_load_names_missing_and_unknown_archive_entries(tmp_path, key):
+    _, params = variant_setup("full_interdomain", seed=29)
+    path = tmp_path / "layer.npz"
+    save_layer_params(params, path)
+    with np.load(path) as blob:
+        arrays = {k: blob[k] for k in blob.files if k != key}
+    arrays["w_G"] = np.zeros(2)
+    np.savez(path, **arrays)
+    want = f"parameter archive {path}: missing entries ['{key}'], unknown entries ['w_G']"
+    with pytest.raises(ValueError, match=re.escape(want)):
         load_layer_params(path)
 
 
