@@ -198,14 +198,3 @@ def emit_csv(rows: list[BenchRow], dest: str) -> None:
         for r in rows:
             writer.writerow([r.path, r.b, r.l, r.steps, r.per_step_ops, r.peak_memory_units])
 
-
-def parse_csv(src: str) -> list[BenchRow]:
-    with open(src, newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader))
-        if header != CSV_HEADER:
-            raise ValueError(f"unexpected header {header!r}")
-        return [
-            BenchRow(row[0], int(row[1]), int(row[2]), int(row[3]), int(row[4]), int(row[5]))
-            for row in reader
-        ]

@@ -30,7 +30,7 @@ from .basis import (
     readout_nw,
 )
 from .config import BACKENDS, VARIANTS, ModelConfig, load_config, make_rng, validate
-from .features import make_identity
+from .features import FeatureMap
 from .layer import backward, decode_step, forward, init_layer_params, prefill
 from .oracle import AttentionInputs, feature_attention
 from .ssm import random_ssm, run_scan, ssm_with
@@ -258,7 +258,7 @@ def basis_suite(config: ModelConfig, seed: int) -> SuiteReport:
     """Complete-basis equality demo: with as many basis functions as tokens,
     projecting and reading out reproduces exact feature attention."""
     rng = make_rng(seed)
-    fmap = make_identity()
+    fmap = FeatureMap("identity")
     cases = []
     for n in (16, 32):
         d, d_v = 6, 5

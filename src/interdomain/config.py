@@ -162,10 +162,6 @@ def streams(config: ModelConfig) -> tuple[Stream, ...]:
     return table
 
 
-def config_to_dict(config: ModelConfig) -> dict:
-    return dataclasses.asdict(config)
-
-
 def config_from_dict(data: dict) -> ModelConfig:
     """Build and validate a config from a flat dict, rejecting unknown keys."""
     known = {f.name for f in dataclasses.fields(ModelConfig)}
@@ -184,12 +180,6 @@ def load_config(path: str | Path, seed_override: int | None = None) -> ModelConf
     if seed_override is not None:
         data["seed"] = seed_override
     return config_from_dict(data)
-
-
-def save_config(config: ModelConfig, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config_to_dict(config), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def make_rng(seed: int) -> np.random.Generator:

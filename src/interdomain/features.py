@@ -351,19 +351,6 @@ class FeatureMap:
         check_feature_kind(self.kind)
 
 
-def make_rff(input_dim: int, n_freqs: int, rng: np.random.Generator) -> FeatureMap:
-    """RFF map for the unit-bandwidth Gaussian kernel exp(-|x-y|^2 / 2)."""
-    return FeatureMap(kind="rff", omega=rng.standard_normal((n_freqs, input_dim)))
-
-
-def make_silu_l2() -> FeatureMap:
-    return FeatureMap(kind="silu_l2")
-
-
-def make_identity() -> FeatureMap:
-    return FeatureMap(kind="identity")
-
-
 def make_feature_map(kind: str, input_dim: int, width: int, groups: int,
                      rng: np.random.Generator) -> FeatureMap:
     """A ``kind`` map from ``input_dim`` to ``width`` features for ``groups``

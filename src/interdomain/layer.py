@@ -356,7 +356,8 @@ def _check_params(params: LayerParams, config: ModelConfig) -> None:
     gives (an SSM field of another group count or state size included), a
     complex tensor where the table says real or a real one where it says
     complex, a stacked SSM of another input width, or an rff feature map
-    whose frequencies are not (n_kv, feature_dim / 2, head_dim).  Parameters
+    whose frequencies are not (n_kv, feature_dim / 2, head_dim) or are
+    complex (cos and sin would write only their real parts).  Parameters
     made for another config would otherwise run on a wrong slice, return an
     output of the wrong width, fail deep inside with a bare IndexError or
     UFuncTypeError, or silently drop a slot or an imaginary part.  Only
@@ -391,6 +392,9 @@ def _check_params(params: LayerParams, config: ModelConfig) -> None:
             raise ValueError(f"params.feature_map.omega must be (n_kv, feature_dim / 2, "
                              f"head_dim) with n_kv={n_kv}, feature_dim={r}, head_dim={dh}, "
                              f"got {got}")
+        if fmap.omega.dtype.kind == "c":
+            raise ValueError(f"params.feature_map.omega must be real, got dtype "
+                             f"{fmap.omega.dtype}")
     elif r != dh:
         raise ValueError(f"params.feature_map.kind {fmap.kind!r} preserves width, so it needs "
                          f"feature_dim == head_dim, got {r} != {dh}")
@@ -822,8 +826,9 @@ def save_layer_params(params: LayerParams, path) -> None:
 def load_layer_params(path) -> LayerParams:
     """Rebuild a saved container; raises ValueError naming the archive and
     every required entry it lacks and every entry the loader does not read
-    (a misspelt ``w_G`` would otherwise be dropped silently), or naming the
-    archive key of any float or complex tensor that holds a NaN or an inf."""
+    (a misspelt ``w_G`` would otherwise be dropped silently), naming the
+    archive key of any float or complex tensor that holds a NaN or an inf,
+    or naming ``ssm.input_width`` unless it is one integer-valued number."""
     with np.load(path, allow_pickle=False) as blob:
         arrays = {k: blob[k] for k in blob.files}
     missing = [k for k in _ARCHIVE_KEYS if k not in _ARCHIVE_OPTIONAL and k not in arrays]
@@ -834,17 +839,17 @@ def load_layer_params(path) -> LayerParams:
     for key, value in arrays.items():
         if np.issubdtype(value.dtype, np.inexact):
             _check_finite(f"archive entry {key!r}", value)
-    opt = arrays.get
+    width = arrays["ssm.input_width"]
+    if width.shape != () or width.dtype.kind not in "iuf" or width != int(width):
+        raise ValueError(f"parameter archive {path}: entry 'ssm.input_width' must be one "
+                         f"integer, got {width!r}")
     return LayerParams(
-        w_q=opt("w_q"), w_k=arrays["w_k"], w_v=arrays["w_v"], w_o=arrays["w_o"],
-        w_g=opt("w_g"), conv_q=opt("conv_q"), conv_k=arrays["conv_k"],
-        conv_v=opt("conv_v"),
+        **{name: arrays.get(name) for name in _DENSE},
         k_norm=NormBias(gain=arrays["k_norm.gain"], bias=arrays["k_norm.bias"]),
         v_norm=NormBias(gain=arrays["v_norm.gain"], bias=arrays["v_norm.bias"]),
         ssm=make_ssm(arrays["ssm.delta"], arrays["ssm.a"], arrays["ssm.b"],
-                     arrays["ssm.c_out"], int(arrays["ssm.input_width"])),
-        feature_map=FeatureMap(kind=str(arrays["fmap.kind"]), omega=opt("fmap.omega")),
-        contraction=opt("contraction"),
+                     arrays["ssm.c_out"], int(width)),
+        feature_map=FeatureMap(kind=str(arrays["fmap.kind"]), omega=arrays.get("fmap.omega")),
     )
 
 

@@ -27,7 +27,7 @@ from interdomain.basis import (
 )
 from interdomain.bench import simulate_decode
 from interdomain.config import VARIANTS, make_rng
-from interdomain.features import make_identity, rff_features
+from interdomain.features import FeatureMap, rff_features
 from interdomain.layer import (
     backward,
     count_layer_params,
@@ -71,7 +71,7 @@ def test_acceptance_1_complete_basis_equality():
             q = rng.uniform(0.05, 1.0, size=(int(rng.integers(1, 9)), r))
             k = rng.uniform(0.05, 1.0, size=(n, r))
             v = rng.standard_normal((n, d_v))
-            want = feature_attention(AttentionInputs(q=q, k=k, v=v), make_identity())
+            want = feature_attention(AttentionInputs(q=q, k=k, v=v), FeatureMap("identity"))
             for basis in (make_indicator_basis(n), make_legendre_basis(n, n)):
                 got = readout_nw(q, project(k, v, basis))
                 worst = max(worst, rel_err(got, want))

@@ -13,7 +13,7 @@ from interdomain.basis import (
     readout_nw,
 )
 from interdomain.config import make_rng
-from interdomain.features import make_identity
+from interdomain.features import FeatureMap
 from interdomain.oracle import AttentionInputs, ZeroDenominatorError, feature_attention
 
 from helpers import rel_err
@@ -172,7 +172,7 @@ def test_complete_basis_reproduces_feature_attention(make):
     keys, values = positive_inputs(rng, n, 4, 3)
     qf = rng.uniform(0.05, 1.0, size=(6, 4))
     st = project(keys, values, make(n))
-    want = feature_attention(AttentionInputs(q=qf, k=keys, v=values), make_identity())
+    want = feature_attention(AttentionInputs(q=qf, k=keys, v=values), FeatureMap("identity"))
     assert rel_err(readout_nw(qf, st), want) < 1e-10
     assert rel_err(readout_free(qf, st), (qf @ keys.T) @ values) < 1e-10
 
@@ -200,7 +200,7 @@ def test_smooth_inputs_need_few_basis_functions():
     keys = np.stack([1.5 + np.sin(2 * np.pi * t), np.exp(-2 * t) + 0.2], axis=1)
     values = np.stack([np.cos(np.pi * t), t], axis=1)
     qf = rng.uniform(0.05, 1.0, size=(4, 2))
-    want = feature_attention(AttentionInputs(q=qf, k=keys, v=values), make_identity())
+    want = feature_attention(AttentionInputs(q=qf, k=keys, v=values), FeatureMap("identity"))
     errs = {}
     for m in (2, 8, n):
         st = project(keys, values, make_legendre_basis(m, n))

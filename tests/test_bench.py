@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 
 import numpy as np
@@ -10,7 +11,6 @@ from interdomain.bench import (
     activation_units_per_token,
     decode_step_ops,
     emit_csv,
-    parse_csv,
     run_decode_grid,
     simulate_decode,
     state_units,
@@ -147,26 +147,24 @@ def test_grid_is_sorted_and_complete():
     assert keys == sorted(keys)
 
 
+def read_csv(path) -> list[tuple[str, ...]]:
+    with open(path, newline="") as fh:
+        return [tuple(row) for row in csv.reader(fh)]
+
+
 def test_csv_round_trip(tmp_path):
     rows = run_decode_grid(tiny_config(), batches=(1,), prefix_lens=(8, 16), steps=2)
     dest = tmp_path / "grid.csv"
     emit_csv(rows, str(dest))
-    assert parse_csv(str(dest)) == rows
-    header = dest.read_text().splitlines()[0]
-    assert tuple(header.split(",")) == CSV_HEADER
-
-
-def test_csv_rejects_foreign_header(tmp_path):
-    dest = tmp_path / "bad.csv"
-    dest.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(ValueError, match="header"):
-        parse_csv(str(dest))
+    header, *body = read_csv(dest)
+    assert header == CSV_HEADER
+    assert body == [tuple(str(value) for value in dataclasses.astuple(row)) for row in rows]
 
 
 def test_empty_grid_round_trips(tmp_path):
     dest = tmp_path / "empty.csv"
     emit_csv([], str(dest))
-    assert parse_csv(str(dest)) == []
+    assert read_csv(dest) == [CSV_HEADER]
 
 
 def test_rows_are_immutable():

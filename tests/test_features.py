@@ -14,9 +14,6 @@ from interdomain.features import (
     apply_feature_map,
     feature_map_backward,
     l2_normalize,
-    make_identity,
-    make_rff,
-    make_silu_l2,
     rff_features,
     rmsnorm_bias,
     rmsnorm_bias_backward,
@@ -252,14 +249,14 @@ def test_short_conv_decode_blocks_bit_identical_and_leave_their_inputs():
 
 def test_silu_l2_unit_impulse_two_channel_value():
     x = np.ones((1, 2))
-    got = apply_feature_map(make_silu_l2(), x)
+    got = apply_feature_map(FeatureMap("silu_l2"), x)
     want = np.full(2, 1.0 / np.sqrt(2.0))
     assert rel_err(got, want) < 1e-12
     assert abs(got[0, 0] - 0.7071) < 1e-4
 
 
 def test_silu_l2_zero_input_zero_output():
-    assert np.all(apply_feature_map(make_silu_l2(), np.zeros((6, 3))) == 0.0)
+    assert np.all(apply_feature_map(FeatureMap("silu_l2"), np.zeros((6, 3))) == 0.0)
 
 
 # --- rotary embedding ---
@@ -382,7 +379,7 @@ def test_norms_rescale_only_the_rows_that_overflow(scale):
     x = rng.standard_normal((3, 5))
     g = rng.standard_normal((3, 5))
     nb = NormBias(gain=1 + 0.2 * rng.standard_normal(5), bias=0.3 * rng.standard_normal(5))
-    fmap = make_silu_l2()
+    fmap = FeatureMap("silu_l2")
 
     def norms(v, s):
         v = v.copy()
@@ -407,15 +404,15 @@ def test_unknown_feature_kind_rejected_at_construction():
 
 def test_identity_map_passes_through():
     x = make_rng(21).standard_normal((4, 3))
-    assert np.array_equal(apply_feature_map(make_identity(), x), x)
+    assert np.array_equal(apply_feature_map(FeatureMap("identity"), x), x)
 
 
 @pytest.mark.parametrize("kind", ["identity", "silu_l2", "rff"])
 def test_feature_map_backward_matches_finite_differences(kind):
     rng = make_rng(22)
-    fmap = {"identity": make_identity(),
-            "silu_l2": make_silu_l2(),
-            "rff": make_rff(4, 3, rng)}[kind]
+    fmap = {"identity": FeatureMap("identity"),
+            "silu_l2": FeatureMap("silu_l2"),
+            "rff": FeatureMap("rff", omega=rng.standard_normal((3, 4)))}[kind]
     v = rng.standard_normal((5, 4))
     g = rng.standard_normal((5, apply_feature_map(fmap, v).shape[-1]))
 
@@ -427,7 +424,7 @@ def test_feature_map_backward_matches_finite_differences(kind):
 
 
 def test_feature_map_backward_below_the_norm_floor():
-    fmap = make_silu_l2()
+    fmap = FeatureMap("silu_l2")
     rng = make_rng(23)
     v = rng.standard_normal((3, 4)) * 1e-9   # silu output lands under eps
     g = rng.standard_normal((3, 4))
@@ -443,7 +440,7 @@ def test_silu_l2_backward_bit_identical_to_separate_silu_and_derivative():
     # the backward makes one sigmoid for both silu(x) and silu'(x); against
     # the two separate calls it must change no bit, on both branches of the
     # sigmoid and on both sides of the norm floor
-    fmap = make_silu_l2()
+    fmap = FeatureMap("silu_l2")
     rng = make_rng(24)
     for scale in (1.0, 30.0, 1e-9):
         x = rng.standard_normal((96, 4, 8)) * scale
@@ -501,7 +498,7 @@ def test_stages_and_adjoints_match_the_reference_per_row(shape):
                   bias=0.3 * rng.standard_normal(shape[1:]))
     pos = 5 + np.arange(shape[0])
     rot = rope_rotations(pos, shape[-1])
-    fmap = make_silu_l2()
+    fmap = FeatureMap("silu_l2")
     grad_x, grad_gain, grad_bias = rmsnorm_bias_backward(x, nb, g)
     want_x, want_gain, want_bias = rmsnorm_bias_backward_reference(x, nb, g)
     pairs = {
@@ -541,7 +538,7 @@ def test_conv_and_its_adjoint_bit_identical_to_the_reference(n, channels, with_t
 
 def test_rff_and_its_adjoint_bit_identical_to_the_concatenated_halves():
     rng = make_rng(34)
-    fmap = make_rff(16, 8, rng)
+    fmap = FeatureMap("rff", omega=rng.standard_normal((8, 16)))
     x = rng.standard_normal((40, 16))
     g = rng.standard_normal((40, 16))
     proj = x @ fmap.omega.T
@@ -573,7 +570,7 @@ def test_stages_make_no_temporary_per_elementwise_step():
     tail = rng.standard_normal((CONV_TAPS - 1, 64))
     g_conv, grad_tail = g.reshape(2048, 64), rng.standard_normal((CONV_TAPS - 1, 64))
     nb = NormBias(gain=np.ones((4, 16)), bias=np.zeros((4, 16)))
-    fmap = make_silu_l2()
+    fmap = FeatureMap("silu_l2")
     pos = np.arange(2048)
     cases = {
         "rope_apply": (lambda: rope_apply(x, rope_rotations(pos, 16)), x.nbytes, 0.6),

@@ -2,9 +2,11 @@
 unused-local and dead-helper check: every name a package module imports
 must be read somewhere in it, every local a function assigns must be read
 in it, and every private module-level function, class or constant must be
-read somewhere in the package outside its own definition or assignment.
-It also pins the import graph: the package root loads no submodule, and
-the layer loads none of the modules it does not run on."""
+read somewhere in the package outside its own definition or assignment,
+and so must every public module-level function that
+``CALLED_FROM_OUTSIDE`` does not name with its reason.  It also pins the
+import graph: the package root loads no submodule, and the layer loads
+none of the modules it does not run on."""
 import ast
 import subprocess
 import sys
@@ -105,11 +107,10 @@ def _defined_names(statement) -> list[str]:
     return [target.id for target in targets if isinstance(target, ast.Name)]
 
 
-def unreferenced_helpers(sources: dict[str, str]) -> list[str]:
-    """Module-level functions, classes and constants named with one leading
-    underscore that no module of ``sources`` (file name -> source) reads,
-    as a name or an attribute, outside their own definition or
-    assignment."""
+def unreferenced(sources: dict[str, str], defines) -> list[str]:
+    """The names ``defines`` gives for each module-level statement of
+    ``sources`` (file name -> source) that no module reads, as a name or an
+    attribute, outside that statement."""
     trees = {name: ast.parse(source) for name, source in sources.items()}
     reads = [node for tree in trees.values() for node in ast.walk(tree)
              if isinstance(node, (ast.Name, ast.Attribute))]
@@ -117,24 +118,64 @@ def unreferenced_helpers(sources: dict[str, str]) -> list[str]:
     for file, tree in trees.items():
         for statement in tree.body:
             own = {id(node) for node in ast.walk(statement)}
-            for name in _defined_names(statement):
-                if not name.startswith("_") or name.startswith("__"):
-                    continue
+            for name in defines(statement):
                 if not any(getattr(node, "id", getattr(node, "attr", None)) == name
                            and id(node) not in own for node in reads):
                     found.append(f"{file}: {name} (line {statement.lineno})")
     return found
 
 
+def private_names(statement) -> list[str]:
+    """Module-level functions, classes and constants named with one leading
+    underscore."""
+    return [name for name in _defined_names(statement)
+            if name.startswith("_") and not name.startswith("__")]
+
+
+def public_functions(statement) -> list[str]:
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+            and not statement.name.startswith("_"):
+        return [statement.name]
+    return []
+
+
 def test_no_dead_private_helpers():
-    assert unreferenced_helpers({"m.py": "def _dead():\n    return _dead()\n"
-                                         "class _Used:\n    pass\n"
-                                         "x = _Used()\n"}) == ["m.py: _dead (line 1)"]
+    assert unreferenced({"m.py": "def _dead():\n    return _dead()\n"
+                                 "class _Used:\n    pass\n"
+                                 "x = _Used()\n"}, private_names) == ["m.py: _dead (line 1)"]
     # a name tuple left behind when its readers moved to another table
-    assert unreferenced_helpers({"m.py": "_STALE = ('a', 'b')\n"
-                                         "_READ: tuple = ('c',)\n"
-                                         "_ALSO = _READ + ('d',)\n",
-                                 "n.py": "from m import _ALSO\nprint(_ALSO)\n"}) == \
+    assert unreferenced({"m.py": "_STALE = ('a', 'b')\n"
+                                 "_READ: tuple = ('c',)\n"
+                                 "_ALSO = _READ + ('d',)\n",
+                         "n.py": "from m import _ALSO\nprint(_ALSO)\n"}, private_names) == \
         ["m.py: _STALE (line 1)"]
     sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
-    assert unreferenced_helpers(sources) == []
+    assert unreferenced(sources, private_names) == []
+
+
+# Public functions that no package module calls, each kept for its reason.
+CALLED_FROM_OUTSIDE = {
+    "forward_trace": "the forward with every block's intermediates; the layer tests read "
+                     "them, and ROADMAP's diagnostics record is to become its caller",
+    "save_layer_params": "the parameter archive's writer, for callers of the package",
+    "load_layer_params": "the parameter archive's reader, for callers of the package",
+    "count_layer_params": "the acceptance gate checks it against accounting's closed form",
+    "softmax_attention": "the token-level oracle the feature-attention oracles are tested "
+                         "against",
+    "l2_normalize": "the l2 stage of silu_l2 on a fresh array; the feature tests pin the "
+                    "map's in-place form against it",
+}
+
+
+def test_no_public_function_without_a_caller():
+    assert unreferenced({"m.py": "def dead():\n    return dead()\n"
+                                 "def used():\n    pass\n"
+                                 "def _private():\n    pass\n"
+                                 "class Record:\n    pass\n",
+                         "n.py": "import m\nm.used()\n"}, public_functions) == \
+        ["m.py: dead (line 1)"]
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    unread = unreferenced(sources, public_functions)
+    assert [line for line in unread if line.split()[1] not in CALLED_FROM_OUTSIDE] == []
+    # an allowlisted function that gained a caller leaves the list
+    assert sorted(CALLED_FROM_OUTSIDE.keys() - {line.split()[1] for line in unread}) == []

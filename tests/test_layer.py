@@ -712,6 +712,27 @@ def test_real_ssm_field_where_the_layout_says_complex_is_rejected():
         forward(params, make_rng(92).standard_normal((4, config.model_dim)), config)
 
 
+def test_complex_rff_frequencies_are_rejected(tmp_path):
+    # an archive with a complex fmap.omega loaded, and forward ran on its
+    # real part bit for bit with only a ComplexWarning
+    config, params = variant_setup("full_interdomain", seed=95, feature_kind="rff")
+    path = tmp_path / "layer.npz"
+    save_layer_params(params, path)
+    with np.load(path) as blob:
+        arrays = {k: blob[k] for k in blob.files}
+    arrays["fmap.omega"] = arrays["fmap.omega"] + 0.5j
+    np.savez(path, **arrays)
+    loaded = load_layer_params(path)
+    x = make_rng(96).standard_normal((4, config.model_dim))
+    match = r"params\.feature_map\.omega must be real, got dtype complex128"
+    with pytest.raises(ValueError, match=match):
+        forward(loaded, x, config)
+    with pytest.raises(ValueError, match=match):
+        decode_step(loaded, init_decode_state(config), x[0], config)
+    with pytest.raises(ValueError, match=match):
+        backward(loaded, x, x, config)
+
+
 def test_float32_and_integer_params_still_run():
     config = load_config(Path(__file__).resolve().parents[1] / "configs" / "tiny.json")
     params = init_layer_params(config, make_rng(93))
@@ -1060,6 +1081,21 @@ def test_load_names_missing_and_unknown_archive_entries(tmp_path, key):
     arrays["w_G"] = np.zeros(2)
     np.savez(path, **arrays)
     want = f"parameter archive {path}: missing entries ['{key}'], unknown entries ['w_G']"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        load_layer_params(path)
+
+
+@pytest.mark.parametrize("width", [np.array(8.7), np.array([8, 8])])
+def test_load_rejects_an_input_width_that_is_not_one_integer(tmp_path, width):
+    # int() truncated 8.7 to 8, and a (2,) entry raised a bare TypeError
+    _, params = variant_setup("full_interdomain", seed=30)
+    path = tmp_path / "layer.npz"
+    save_layer_params(params, path)
+    with np.load(path) as blob:
+        arrays = {k: blob[k] for k in blob.files}
+    arrays["ssm.input_width"] = width
+    np.savez(path, **arrays)
+    want = f"parameter archive {path}: entry 'ssm.input_width' must be one integer"
     with pytest.raises(ValueError, match=re.escape(want)):
         load_layer_params(path)
 

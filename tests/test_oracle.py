@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from interdomain.config import make_rng
-from interdomain.features import make_identity, make_rff
+from interdomain.features import FeatureMap
 from interdomain.oracle import (
     AttentionInputs,
     ZeroDenominatorError,
@@ -117,7 +117,7 @@ def test_feature_single_key_returns_that_value():
         k=np.abs(rng.standard_normal((1, 4))) + 0.1,
         v=rng.standard_normal((1, 2)),
     )
-    out = feature_attention(inp, make_identity())
+    out = feature_attention(inp, FeatureMap("identity"))
     assert rel_err(out, np.broadcast_to(inp.v[0], (3, 2))) < 1e-12
 
 
@@ -126,7 +126,7 @@ def test_feature_causal_rows_match_prefix_calls():
     q = np.abs(rng.standard_normal((6, 3))) + 0.1
     k = np.abs(rng.standard_normal((6, 3))) + 0.1
     v = rng.standard_normal((6, 2))
-    fmap = make_identity()
+    fmap = FeatureMap("identity")
     out = feature_attention(AttentionInputs(q=q, k=k, v=v, causal=True), fmap)
     for t in range(6):
         prefix = AttentionInputs(q=q[t : t + 1], k=k[: t + 1], v=v[: t + 1])
@@ -138,7 +138,7 @@ def test_feature_zero_denominator_reports_query_index():
     k = np.zeros((4, 2))
     v = np.ones((4, 2))
     with pytest.raises(ZeroDenominatorError) as exc:
-        feature_attention(AttentionInputs(q=q, k=k, v=v), make_identity())
+        feature_attention(AttentionInputs(q=q, k=k, v=v), FeatureMap("identity"))
     assert exc.value.index == 0
     assert "query index 0" in str(exc.value)
 
@@ -151,7 +151,7 @@ def test_feature_rff_matches_closed_form_gaussian_smoother():
     q = 0.3 * rng.standard_normal((4, d))
     k = 0.3 * rng.standard_normal((n, d))
     v = rng.standard_normal((n, 3))
-    fmap = make_rff(d, 200_000, make_rng(100))
+    fmap = FeatureMap("rff", omega=make_rng(100).standard_normal((200_000, d)))
     got = feature_attention(AttentionInputs(q=q, k=k, v=v), fmap)
     w = np.exp(-0.5 * np.sum((q[:, None, :] - k[None, :, :]) ** 2, axis=-1))
     want = (w / w.sum(1, keepdims=True)) @ v
