@@ -286,12 +286,13 @@ def _rms(x: np.ndarray, scale) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
-def rmsnorm_bias(x: np.ndarray, params: NormBias) -> np.ndarray:
-    """gain * x / sqrt(mean(x^2) + RMS_EPS) + bias over the channel axis; a
-    row whose mean square overflows is normalized from its scaled copy
+def rmsnorm_bias(x: np.ndarray, params: NormBias, out=None) -> np.ndarray:
+    """gain * x / sqrt(mean(x^2) + RMS_EPS) + bias over the channel axis,
+    written into ``out`` when given (any float array of x's shape); a row
+    whose mean square overflows is normalized from its scaled copy
     (``_scaled_rows``), so any finite row is normalized."""
     x, rms, _ = _scaled_rows(np.asarray(x, dtype=float), _rms)
-    out = np.divide(x, rms)
+    out = np.divide(x, rms, out=out)
     out *= params.gain
     out += params.bias
     return out

@@ -48,9 +48,13 @@ block, so its trace covers every position.
 Which SSM path runs, one group at a time, within a block:
 
 * the forward and ``decode_step`` make one ``ssm.run_scan`` per group,
-  which writes the group's final state straight into its row of the new
-  state's one (n_kv, W, M) array (``run_scan``'s ``out``, honoured on every
-  backend); the passed-in state is never written.  Each group is read out
+  which writes the group's final state straight into its row of one
+  (n_kv, W, M) array (``run_scan``'s ``out``, honoured on every backend).
+  The call updates the states it makes in place, the fresh one and each
+  block's new one, giving a group's row as both ``x0`` and ``out``; only a
+  first block from a passed-in state writes a new array, and the passed-in
+  state is never written.  The streams keep only z and f_q for the
+  readout, each stage let go once the next is made.  Each group is read out
   as soon as its scan returns, into the one (N, n_kv, heads / n_kv *
   head_dim) readout.  In the query variants the scan is given the group's
   query features and returns the group's head outputs on every backend:
@@ -355,9 +359,10 @@ def _check_params(params: LayerParams, config: ModelConfig) -> None:
     it or missing where it does, a tensor of another shape than the table
     gives (an SSM field of another group count or state size included), a
     complex tensor where the table says real or a real one where it says
-    complex, a stacked SSM of another input width, or an rff feature map
+    complex, a stacked SSM of another input width, an rff feature map
     whose frequencies are not (n_kv, feature_dim / 2, head_dim) or are
-    complex (cos and sin would write only their real parts).  Parameters
+    complex (cos and sin would write only their real parts), or another
+    kind of map that carries frequencies it would ignore.  Parameters
     made for another config would otherwise run on a wrong slice, return an
     output of the wrong width, fail deep inside with a bare IndexError or
     UFuncTypeError, or silently drop a slot or an imaginary part.  Only
@@ -395,6 +400,10 @@ def _check_params(params: LayerParams, config: ModelConfig) -> None:
         if fmap.omega.dtype.kind == "c":
             raise ValueError(f"params.feature_map.omega must be real, got dtype "
                              f"{fmap.omega.dtype}")
+    elif fmap.omega is not None:
+        raise ValueError(f"params.feature_map.omega must be None for a {fmap.kind!r} feature "
+                         f"map, which has no frequencies, got shape "
+                         f"{getattr(fmap.omega, 'shape', None)}")
     elif r != dh:
         raise ValueError(f"params.feature_map.kind {fmap.kind!r} preserves width, so it needs "
                          f"feature_dim == head_dim, got {r} != {dh}")
@@ -419,23 +428,30 @@ def _check_x(x_seq, config: ModelConfig, fresh: bool) -> np.ndarray:
 
 
 def _run_streams(params: LayerParams, x_seq: np.ndarray, config: ModelConfig,
-                 state: LayerState | None, _z_only: bool = False):
+                 state: LayerState | None, _keep: str = "all"):
     """Run every stream over the checked ``x_seq``, optionally continuing a
     state: x W -> short conv -> heads -> RoPE -> features -> norm.
 
     Returns (trace, state, tails): the trace holds ``x``, the block's RoPE
     table ``rope`` (None with RoPE off), made once and shared by the k and
-    q streams and by ``_backward_block``'s adjoints, one (projected,
-    rotated, features) entry per stream, the SSM input
-    ``z`` and, in the query variants, the query features ``f_q``; the
-    features are saved only where a norm follows, since only the norm's
-    adjoint reads them (the q stream's are ``f_q`` itself); ``state``
-    is the one continued (a fresh one for None) and ``tails`` the convolved
+    q streams and by ``_backward_block``'s adjoints, the SSM input ``z``
+    and, in the query variants, the query features ``f_q``; ``state`` is
+    the one continued (a fresh one for None) and ``tails`` the convolved
     streams' new tails.
 
-    With ``_z_only``, for ``_exit_state``, the q stream stops at its
-    projection, from which its new conv tail is taken bit for bit: the
-    trace has no q entry and no ``f_q``.
+    ``_keep`` names what the caller reads besides the tails:
+
+    * ``"all"`` (``_backward_block``, ``forward_trace``): the trace also
+      holds one (projected, rotated, features) entry per stream, the
+      features saved only where a norm follows, since only the norm's
+      adjoint reads them (the q stream's are ``f_q`` itself);
+    * ``"readout"`` (``_forward_blocks``): z and f_q only, and each stage's
+      array is let go as soon as the next stage is made;
+    * ``"z"`` (``_exit_state``): z only, and the q stream stops at its
+      projection, from which its new conv tail is taken bit for bit.
+
+    The q stream runs first, so that its stages never meet z, which is made
+    at the k stream's norm; the k and v norms write into its columns.
     """
     n = x_seq.shape[0]
     if state is None:
@@ -443,25 +459,36 @@ def _run_streams(params: LayerParams, x_seq: np.ndarray, config: ModelConfig,
     rope = rope_rotations(state.position + np.arange(n), config.head_dim) \
         if config.rope_enabled else None
     trace: dict = {"x": x_seq, "rope": rope}
-    outs, tails = {}, {}
-    for s in streams(config):
-        flat = x_seq @ getattr(params, f"w_{s.name}")
-        mixed = flat
-        if _z_only and s.name == "q":
-            tails["conv_q_tail"] = _conv_tail(flat, state.conv_q_tail)
+    keep_all = _keep == "all"
+    r = config.feature_dim
+    columns = {"k": np.s_[..., :r], "v": np.s_[..., r:]}
+    tails = {}
+    table = streams(config)
+    for s in table[2:] + table[:2]:  # q, k, v
+        stage = x_seq @ getattr(params, f"w_{s.name}")
+        if _keep == "z" and s.name == "q":
+            tails["conv_q_tail"] = _conv_tail(stage, state.conv_q_tail)
             continue
+        flat = stage if keep_all else None
         if s.conv:
             tail = f"conv_{s.name}_tail"
-            mixed, tails[tail] = short_conv_with_tail(
-                flat, getattr(params, f"conv_{s.name}"), getattr(state, tail))
-        split = mixed.reshape(n, s.rows, config.head_dim)
-        rot = rope_apply(split, rope) if s.rope else split
-        feat = apply_feature_map(params.feature_map, rot) if s.features else rot
-        outs[s.name] = feat if s.norm is None else rmsnorm_bias(feat, getattr(params, s.norm))
-        trace[s.name] = (flat, rot, None if s.norm is None else feat)
-    trace["z"] = np.concatenate([outs["k"], outs["v"]], axis=-1)
-    if "q" in outs:
-        trace["f_q"] = outs["q"]
+            stage, tails[tail] = short_conv_with_tail(
+                stage, getattr(params, f"conv_{s.name}"), getattr(state, tail))
+        stage = stage.reshape(n, s.rows, config.head_dim)
+        if s.rope:
+            stage = rope_apply(stage, rope)
+        rot = stage if keep_all else None
+        if s.features:
+            stage = apply_feature_map(params.feature_map, stage)
+        if keep_all:
+            trace[s.name] = (flat, rot, None if s.norm is None else stage)
+        if s.norm is None:
+            trace["f_q"] = stage
+        else:
+            if "z" not in trace:
+                trace["z"] = np.empty((n, config.n_kv, r + config.head_dim))
+            rmsnorm_bias(stage, getattr(params, s.norm), out=trace["z"][columns[s.name]])
+        del stage  # before the next stream's projection is made
     return trace, state, tails
 
 
@@ -470,18 +497,31 @@ def _forward_core(
     x_seq: np.ndarray,
     config: ModelConfig,
     state: LayerState | None,
+    owned: bool = False,
+    _keep: str = "readout",
 ):
     """Shared forward over a block of tokens, optionally continuing a state.
     A one-token block, every decode step among them, scans ``sequential``:
     a one-step scan is the recurrence itself on every backend.
 
+    Each group's scan writes its final state into its row of one (n_kv, W,
+    M) array: the entry state's own for a fresh state (None) or an
+    ``owned`` one, since each row is read only by the scan that overwrites
+    it (``run_scan``'s ``out`` may be its ``x0``), and a new array for a
+    state the caller still holds, which is never written.
+
     Returns (gated, new_state, trace), where ``gated`` is the output before
-    the ``w_o`` projection, which the callers apply.  The trace is
-    ``_run_streams``'s plus the readout ``o_cat``, for the diagnostic tests;
-    ``backward`` does not call this.
+    the ``w_o`` projection, which the callers apply.  With ``_keep="all"``
+    (``forward_trace``) the trace is ``_run_streams``'s plus the readout
+    ``o_cat``, for the diagnostic tests; with ``"readout"`` it is None, and
+    z and f_q are let go once every group is read out.  ``backward`` does
+    not call this.
     """
-    trace, state, tails = _run_streams(params, x_seq, config, state)
-    x_seq, z = trace["x"], trace["z"]
+    owned = owned or state is None  # a fresh state is made for this block alone
+    trace, state, tails = _run_streams(params, x_seq, config, state, _keep)
+    z, f_q = trace["z"], trace.get("f_q")
+    if _keep != "all":
+        trace = None
     n = x_seq.shape[0]
     dh, r, m = config.head_dim, config.feature_dim, config.state_dim
     n_kv = config.n_kv
@@ -489,7 +529,7 @@ def _forward_core(
     has_q = config.variant in QUERY_VARIANTS
     backend = "sequential" if n == 1 else config.backend
     if has_q:
-        f_groups = trace["f_q"].reshape(n, n_kv, per_group, r)
+        f_q = f_q.reshape(n, n_kv, per_group, r)
     else:
         contraction = params.contraction.reshape(n_kv, per_group * dh, m * (r + dh))
 
@@ -497,13 +537,16 @@ def _forward_core(
     # the query variants' scans return the group's head outputs, the others'
     # (N, M, W) outputs are contracted with the group's heads' matrices ---
     outputs = np.empty((n, n_kv, per_group * dh))
-    ssm_states = np.empty_like(state.ssm_states, order="C")  # each group's scan writes its row
+    ssm_states = state.ssm_states if owned else np.empty_like(state.ssm_states, order="C")
     for g in range(n_kv):
         res = run_scan(params.ssm[g], z[:, g], backend, chunk=config.chunk_size,
-                       x0=state.ssm_states[g], f_q=f_groups[:, g] if has_q else None,
+                       x0=state.ssm_states[g], f_q=f_q[:, g] if has_q else None,
                        out=ssm_states[g]).outputs.reshape(n, -1)
         outputs[:, g] = res if has_q else res @ contraction[g].T
-    o_cat = trace["o_cat"] = outputs.reshape(n, config.model_dim)
+    del z, f_q, res
+    o_cat = outputs.reshape(n, config.model_dim)
+    if trace is not None:
+        trace["o_cat"] = o_cat
 
     # --- gate; the callers apply the output projection ---
     gated = silu(x_seq @ params.w_g) * o_cat if config.output_gate_enabled else o_cat
@@ -516,8 +559,14 @@ def _forward_blocks(params: LayerParams, x_seq: np.ndarray, config: ModelConfig,
     """Run the checked ``x_seq`` through ``_forward_core`` in blocks of
     ``chunk`` tokens, each continuing the last one's state (a fresh one for
     None), and write each block's ``gated @ w_o`` into its rows of one
-    (N, model_dim) output.  No block's trace or gated output outlives its
-    block.  Returns (outputs, the state after the last block).
+    (N, model_dim) output.  No block's gated output outlives its block.
+    Returns (outputs, the state after the last block).
+
+    The call owns every state it makes: the fresh one and each block's new
+    one, whose SSM states the next block's scans update in place.  Only the
+    first block from a passed-in state writes a new (n_kv, W, M) array, so
+    the call holds at most the caller's SSM states and one array more, and
+    never writes the caller's.
 
     The blocks run with invalid and overflow warnings off, and the outputs
     are checked once at the end.  A NaN or an inf in an SSM state reaches
@@ -532,7 +581,8 @@ def _forward_blocks(params: LayerParams, x_seq: np.ndarray, config: ModelConfig,
     entry = state
     with np.errstate(invalid="ignore", over="ignore"):
         for lo in range(0, x_seq.shape[0], chunk):
-            gated, state = _forward_core(params, x_seq[lo:lo + chunk], config, state)[:2]
+            gated, state = _forward_core(params, x_seq[lo:lo + chunk], config, state,
+                                         owned=state is not entry)[:2]
             np.matmul(gated, params.w_o, out=y[lo:lo + chunk])
             del gated
     if not np.isfinite(y).all():
@@ -557,7 +607,7 @@ def forward_trace(params: LayerParams, x_seq: np.ndarray, config: ModelConfig):
     block however long the input, so the trace covers every position."""
     _check_params(params, config)
     x_seq = _check_x(x_seq, config, fresh=True)
-    gated, _, trace = _forward_core(params, x_seq, config, state=None)
+    gated, _, trace = _forward_core(params, x_seq, config, None, _keep="all")
     return gated @ params.w_o, trace
 
 
@@ -615,8 +665,8 @@ def _exit_state(params: LayerParams, x_seq: np.ndarray, config: ModelConfig,
     one for None), from the streams and each group's closed-form final
     state (``ssm.final_state``): no readout and no ``run_scan``.  Only z
     and the conv tails are read, so the q stream runs only its projection,
-    for its tail (``_run_streams``' ``_z_only``)."""
-    trace, state, tails = _run_streams(params, x_seq, config, state, _z_only=True)
+    for its tail (``_run_streams``' ``_keep="z"``)."""
+    trace, state, tails = _run_streams(params, x_seq, config, state, _keep="z")
     ssm_states = np.empty_like(state.ssm_states, order="C")
     for g in range(config.n_kv):
         final_state(params.ssm[g], trace["z"][:, g], config.chunk_size,
@@ -828,7 +878,8 @@ def load_layer_params(path) -> LayerParams:
     every required entry it lacks and every entry the loader does not read
     (a misspelt ``w_G`` would otherwise be dropped silently), naming the
     archive key of any float or complex tensor that holds a NaN or an inf,
-    or naming ``ssm.input_width`` unless it is one integer-valued number."""
+    naming ``ssm.input_width`` unless it is one integer-valued number, or
+    naming ``fmap.omega`` where a map of another kind than rff has it."""
     with np.load(path, allow_pickle=False) as blob:
         arrays = {k: blob[k] for k in blob.files}
     missing = [k for k in _ARCHIVE_KEYS if k not in _ARCHIVE_OPTIONAL and k not in arrays]
@@ -843,13 +894,17 @@ def load_layer_params(path) -> LayerParams:
     if width.shape != () or width.dtype.kind not in "iuf" or width != int(width):
         raise ValueError(f"parameter archive {path}: entry 'ssm.input_width' must be one "
                          f"integer, got {width!r}")
+    fmap = FeatureMap(kind=str(arrays["fmap.kind"]), omega=arrays.get("fmap.omega"))
+    if fmap.kind != "rff" and fmap.omega is not None:
+        raise ValueError(f"parameter archive {path}: entry 'fmap.omega' is present, but a "
+                         f"{fmap.kind!r} feature map has no frequencies")
     return LayerParams(
         **{name: arrays.get(name) for name in _DENSE},
         k_norm=NormBias(gain=arrays["k_norm.gain"], bias=arrays["k_norm.bias"]),
         v_norm=NormBias(gain=arrays["v_norm.gain"], bias=arrays["v_norm.bias"]),
         ssm=make_ssm(arrays["ssm.delta"], arrays["ssm.a"], arrays["ssm.b"],
                      arrays["ssm.c_out"], int(width)),
-        feature_map=FeatureMap(kind=str(arrays["fmap.kind"]), omega=arrays.get("fmap.omega")),
+        feature_map=fmap,
     )
 
 

@@ -15,7 +15,8 @@ the state's float view (real and imaginary parts interleaved along M).
 Every scan returns the readouts and the final state, never the states in
 between, and none holds the N-long history of states; given an ``out``
 array, every backend writes the final state into it instead of a fresh
-array, and a one-step scan (a decode step) forms its one state there.  All
+array (``out`` may be x0 itself, a state updated in place), and a one-step
+scan (a decode step) forms its one state there.  All
 four compute the same map and are interchangeable; ``scan_sequential`` is
 the definitional one.  It and ``scan_prefix`` share one block loop
 (``_scan_blocks``): positions go in blocks of about ``_BLOCK_BYTES`` of
@@ -670,10 +671,14 @@ def run_scan(ssm: DiagonalSSM, z: np.ndarray, backend: str,
 
     Given ``out``, a writeable C-contiguous complex (W, M) array, every
     backend writes the final state into it and returns it as
-    ``final_state`` (x0 copied in when N = 0); ``x0``, in any memory
-    layout, is never written.  A one-step ``sequential`` or
-    ``parallel_prefix`` scan, as in decode, forms its state in ``out``
-    directly.  Any other ``out`` raises ValueError."""
+    ``final_state`` (x0 copied in when N = 0).  ``out`` may be ``x0``
+    itself, which then ends as the final state, with the outputs and final
+    state of a separate ``out`` bit for bit: every backend has read what
+    it needs of x0 before it writes ``out``, or writes it elementwise from
+    x0.  Otherwise ``x0``, in any memory layout, is never written.  A
+    one-step ``sequential`` or ``parallel_prefix`` scan, as in decode,
+    forms its state in ``out`` directly.  Any other ``out`` raises
+    ValueError."""
     if backend == "sequential":
         return scan_sequential(ssm, z, x0, f_q, out)
     if backend == "fft":

@@ -353,6 +353,20 @@ def test_rmsnorm_bias_shifts_exactly():
     assert np.allclose(with_bias - without, bias, atol=1e-14)
 
 
+def test_rmsnorm_writes_into_a_strided_out():
+    # the layer's k and v norms write into their columns of z: the same
+    # bits as a fresh output, a row that overflows included
+    rng = make_rng(21)
+    x = rng.standard_normal((3, 2, 4))
+    x[1, 0] *= 1e160
+    nb = NormBias(gain=1 + 0.2 * rng.standard_normal(4), bias=0.3 * rng.standard_normal(4))
+    z = np.full((3, 2, 9), np.nan)
+    got = rmsnorm_bias(x, nb, out=z[..., 5:])
+    assert np.shares_memory(got, z)
+    assert np.array_equal(z[..., 5:], rmsnorm_bias(x, nb))
+    assert np.isnan(z[..., :5]).all()
+
+
 def test_rmsnorm_backward_matches_finite_differences():
     rng = make_rng(19)
     x = rng.standard_normal((4, 5))

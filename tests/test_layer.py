@@ -33,7 +33,7 @@ from interdomain.layer import (
     prefill,
     save_layer_params,
 )
-from interdomain.ssm import random_ssm, run_scan, ssm_with, stack_ssms
+from interdomain.ssm import _BLOCK_BYTES, random_ssm, run_scan, ssm_with, stack_ssms
 
 from helpers import (
     central_diff,
@@ -392,6 +392,52 @@ def test_working_set_does_not_grow_with_the_sequence(call):
     assert long - short < 2 ** 20, (short, long)
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_prefill_over_many_blocks_peaks_as_one_block(backend):
+    # from a passed-in state the first block writes one new array and
+    # every later block updates it in place, so over 4 blocks the call
+    # holds no more than over one, besides 3 more blocks of output rows; a
+    # new array per block would add a whole state
+    config = validate(dataclasses.replace(
+        tiny_config(), backend=backend, heads=4, n_kv=4, head_dim=8, feature_dim=8,
+        model_dim=32, state_dim=64, chunk_size=16, prefill_chunk=16, context_len=64))
+    params = init_layer_params(config, make_rng(87))
+    block = config.prefill_chunk
+    x = make_rng(88).standard_normal((5 * block, config.model_dim))
+    _, state = prefill(params, x[:block], config)
+    one = traced_peak(lambda: prefill(params, x[block:2 * block], config, state=state)).peak
+    four = traced_peak(lambda: prefill(params, x[block:], config, state=state)).peak
+    slack = state.ssm_states.nbytes // 4
+    assert four <= one + 3 * block * config.model_dim * 8 + slack, (one, four)
+
+
+@pytest.mark.parametrize("gate", [False, True])
+@pytest.mark.parametrize("backend", ["chunkwise", "fft"])
+def test_one_block_forward_peaks_within_its_shapes(backend, gate):
+    # a forward block keeps only z and f_q of its streams, lets each stage
+    # go once the next is made and scans into the state it made, so it
+    # peaks below one state, z, f_q, the output and one stage array, plus
+    # the about _BLOCK_BYTES a dual-form scan's block takes; a second state
+    # or every stream's saved stages would exceed it
+    config = validate(dataclasses.replace(
+        tiny_config(), backend=backend, output_gate_enabled=gate, heads=16, n_kv=16,
+        head_dim=32, feature_dim=32, model_dim=512, state_dim=64, chunk_size=64,
+        prefill_chunk=64, context_len=64))
+    params = init_layer_params(config, make_rng(89))
+    x = make_rng(90).standard_normal((config.prefill_chunk, config.model_dim))
+    forward(params, x, config)
+    peak = traced_peak(lambda: forward(params, x, config)).peak
+    n, width = x.shape[0], config.feature_dim + config.head_dim
+    state = init_decode_state(config)
+    bound = (sum(a.nbytes for a in (state.ssm_states, state.conv_q_tail, state.conv_k_tail))
+             + n * config.n_kv * width * 8               # z
+             + n * config.heads * config.feature_dim * 8  # f_q
+             + x.nbytes                                   # the output
+             + n * config.heads * config.head_dim * 8     # one stage array
+             + _BLOCK_BYTES)
+    assert peak < bound, (peak, bound)
+
+
 def test_state_shapes_do_not_grow():
     config, params = variant_setup("full_interdomain", seed=14)
     rng = make_rng(15)
@@ -731,6 +777,30 @@ def test_complex_rff_frequencies_are_rejected(tmp_path):
         decode_step(loaded, init_decode_state(config), x[0], config)
     with pytest.raises(ValueError, match=match):
         backward(loaded, x, x, config)
+
+
+@pytest.mark.parametrize("kind", ["silu_l2", "identity"])
+def test_frequencies_on_a_map_without_them_are_rejected(tmp_path, kind):
+    # a silu_l2 archive with an added fmap.omega loaded, forward ignored
+    # the frequencies and save_layer_params wrote them back
+    config, params = variant_setup("full_interdomain", seed=97, feature_kind=kind)
+    omega = make_rng(98).standard_normal((config.n_kv, config.feature_dim // 2, config.head_dim))
+    path = tmp_path / "layer.npz"
+    save_layer_params(params, path)
+    with np.load(path) as blob:
+        arrays = {k: blob[k] for k in blob.files}
+    np.savez(path, **arrays, **{"fmap.omega": omega})
+    with pytest.raises(ValueError, match=r"entry 'fmap\.omega' is present"):
+        load_layer_params(path)
+    params.feature_map = dataclasses.replace(params.feature_map, omega=omega)
+    x = make_rng(99).standard_normal((4, config.model_dim))
+    match = rf"params\.feature_map\.omega must be None for a '{kind}' feature map"
+    with pytest.raises(ValueError, match=match):
+        forward(params, x, config)
+    with pytest.raises(ValueError, match=match):
+        decode_step(params, init_decode_state(config), x[0], config)
+    with pytest.raises(ValueError, match=match):
+        backward(params, x, x, config)
 
 
 def test_float32_and_integer_params_still_run():

@@ -396,6 +396,27 @@ def test_run_scan_writes_final_state_into_out(backend, n):
             assert np.array_equal(start, kept)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 17])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_out_may_be_x0_itself(backend, n):
+    # the layer updates the state it owns in place, handing a group's row
+    # to run_scan as both x0 and out: every backend then writes the same
+    # outputs and final state as with a separate out, with or without
+    # query features, at N = 0, one step and more than one chunk
+    ssm = small_ssm(m=3, w=5, seed=62)
+    rng = make_rng(63)
+    z = rng.standard_normal((n, 5))
+    f_q = rng.standard_normal((n, 3, 2))
+    x0 = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+    for query in (None, f_q):
+        want = run_scan(ssm, z, backend, chunk=4, x0=x0, f_q=query, out=np.empty_like(x0))
+        state = x0.copy()
+        got = run_scan(ssm, z, backend, chunk=4, x0=state, f_q=query, out=state)
+        assert got.final_state is state
+        assert np.array_equal(got.final_state, want.final_state)
+        assert np.array_equal(got.outputs, want.outputs)
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_fortran_ordered_x0_scans_like_a_c_ordered_one(backend):
     # the scans take float views of x0, so a Fortran-ordered one is copied
