@@ -216,17 +216,6 @@ def short_conv_backward(flat, tail, kernel, grad_out, grad_tail):
     return grad_flat, grad_k, grad_prev
 
 
-def _conv_tail(x_seq: np.ndarray, tail: np.ndarray | None) -> np.ndarray:
-    """The last CONV_TAPS - 1 rows of [tail; x_seq] (a None tail is zeros):
-    the tail the block after ``x_seq`` continues from."""
-    taps, n = CONV_TAPS - 1, x_seq.shape[0]
-    if n >= taps:
-        return x_seq[n - taps:].copy()
-    if tail is None:
-        tail = np.zeros((taps, x_seq.shape[-1]))
-    return np.concatenate([tail[n:], x_seq], axis=0)
-
-
 def rope_rotations(positions: int | np.ndarray, width: int) -> np.ndarray:
     """The rotations ``rope_apply`` multiplies by: pair j of a width-w vector
     at position i is turned by the angle i * ROPE_BASE^(-2j/w), the unit

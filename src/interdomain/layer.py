@@ -67,13 +67,12 @@ Which SSM path runs, one group at a time, within a block:
   group's scan outputs at a time;
 * ``backward`` shares only the streams (``_run_streams``) with the forward
   and calls no scan.  With more than one block, a first pass walks the
-  blocks forward and saves each one's entry state from the streams and
-  each group's closed-form final state (``ssm.final_state``), with no
-  readout: it reads only z and the conv tails, so the q stream runs no
-  stage past its projection, whose last rows are its tail.  The second
-  walks the blocks in reverse, recomputing each block's streams from its
-  entry state, and carries the gradient of that state (SSM states and
-  conv tails) into the block before it.  Per block and
+  blocks forward and saves each one's entry state from the streams, run
+  as the forward's blocks run them, and each group's closed-form final
+  state (``ssm.final_state``), with no readout.  The second walks the
+  blocks in reverse, recomputing each block's streams from its entry
+  state, and carries the gradient of that state (SSM states and conv
+  tails) into the block before it.  Per block and
   group it makes one SSM adjoint call in the dual form from the group's
   entry state, with the gradient of its final state carried in, whatever
   backend the config names, and that call returns the outputs it forms
@@ -120,7 +119,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import attrgetter
 from types import MappingProxyType
 
@@ -131,7 +130,6 @@ from .features import (
     CONV_TAPS,
     FeatureMap,
     NormBias,
-    _conv_tail,
     _silu_slope,
     apply_feature_map,
     feature_map_backward,
@@ -202,6 +200,11 @@ class LayerState:
     conv_q_tail: np.ndarray | None = None   # (CONV_TAPS - 1, model_dim)
     conv_k_tail: np.ndarray | None = None   # (CONV_TAPS - 1, n_kv * head_dim)
     conv_v_tail: np.ndarray | None = None
+
+
+# Every array field of ``LayerState``, in its order: what ``_check_state``
+# compares against ``state_layout``.
+_STATE_ARRAYS = tuple(f.name for f in fields(LayerState) if f.name != "position")
 
 
 def init_layer_params(
@@ -299,7 +302,7 @@ def _check_state(state: LayerState, config: ModelConfig, ssm_finite: bool = True
     if isinstance(position, bool) or not isinstance(position, (int, np.integer)) or position < 0:
         raise ValueError(f"state.position must be an integer >= 0, got {position!r}")
     layout = state_layout(config)
-    for name in ("ssm_states", "conv_q_tail", "conv_k_tail", "conv_v_tail"):
+    for name in _STATE_ARRAYS:
         got, want = getattr(state, name), layout.get(name)
         if got is None and want is None:
             continue
@@ -439,16 +442,15 @@ def _run_streams(params: LayerParams, x_seq: np.ndarray, config: ModelConfig,
     the one continued (a fresh one for None) and ``tails`` the convolved
     streams' new tails.
 
-    ``_keep`` names what the caller reads besides the tails:
+    Every pass runs the same stages; ``_keep`` names only what it keeps:
 
     * ``"all"`` (``_backward_block``, ``forward_trace``): the trace also
       holds one (projected, rotated, features) entry per stream, the
       features saved only where a norm follows, since only the norm's
       adjoint reads them (the q stream's are ``f_q`` itself);
-    * ``"readout"`` (``_forward_blocks``): z and f_q only, and each stage's
-      array is let go as soon as the next stage is made;
-    * ``"z"`` (``_exit_state``): z only, and the q stream stops at its
-      projection, from which its new conv tail is taken bit for bit.
+    * ``"readout"`` (``_forward_blocks``, ``_exit_state``): z and f_q
+      only, and each stage's array is let go as soon as the next stage is
+      made.
 
     The q stream runs first, so that its stages never meet z, which is made
     at the k stream's norm; the k and v norms write into its columns.
@@ -466,9 +468,6 @@ def _run_streams(params: LayerParams, x_seq: np.ndarray, config: ModelConfig,
     table = streams(config)
     for s in table[2:] + table[:2]:  # q, k, v
         stage = x_seq @ getattr(params, f"w_{s.name}")
-        if _keep == "z" and s.name == "q":
-            tails["conv_q_tail"] = _conv_tail(stage, state.conv_q_tail)
-            continue
         flat = stage if keep_all else None
         if s.conv:
             tail = f"conv_{s.name}_tail"
@@ -662,11 +661,12 @@ def decode_step(
 def _exit_state(params: LayerParams, x_seq: np.ndarray, config: ModelConfig,
                 state: LayerState | None) -> LayerState:
     """The state after the checked block ``x_seq`` from ``state`` (a fresh
-    one for None), from the streams and each group's closed-form final
-    state (``ssm.final_state``): no readout and no ``run_scan``.  Only z
-    and the conv tails are read, so the q stream runs only its projection,
-    for its tail (``_run_streams``' ``_keep="z"``)."""
-    trace, state, tails = _run_streams(params, x_seq, config, state, _keep="z")
+    one for None), from the streams, run as the forward's blocks run them
+    (``_keep="readout"``), and each group's closed-form final state
+    (``ssm.final_state``): no readout and no ``run_scan``.  Only z and the
+    conv tails are read, so f_q is let go before the groups' steps."""
+    trace, state, tails = _run_streams(params, x_seq, config, state, _keep="readout")
+    trace.pop("f_q", None)
     ssm_states = np.empty_like(state.ssm_states, order="C")
     for g in range(config.n_kv):
         final_state(params.ssm[g], trace["z"][:, g], config.chunk_size,

@@ -360,16 +360,27 @@ def _lam_powers(lam: np.ndarray, n: int) -> np.ndarray:
     return powers
 
 
+def _flat_rows(array: np.ndarray, width: int) -> np.ndarray:
+    """A (rows, W, M) array as a (rows, W M = ``width``) view, never a copy:
+    a copy of ``_recur``'s ``out`` would take the states instead of ``out``
+    itself.  A copy is a new allocation, so the bounds check of
+    ``np.may_share_memory`` tells it from a view."""
+    flat = array.reshape(-1, width)
+    assert not flat.size or np.may_share_memory(flat, array), "the rows must reshape as a view"
+    return flat
+
+
 def _recur(lam: np.ndarray, drive: np.ndarray, x0: np.ndarray, out: np.ndarray) -> None:
     """Step x_t = lam * x_{t-1} + drive[t] from x_{-1} = x0, storing x_t in
     out[t].  ``out`` may be ``drive`` itself, and reversed views of both run
     the same recurrence backwards in time.  The (M,) lam is broadcast once
-    to the (W, M) state, so each step is one contiguous multiply into a
-    reused buffer and one add, never a broadcast over the W rows."""
-    lam = np.broadcast_to(lam, x0.shape).copy()
+    to the (W, M) state, and the steps run on flat (rows, W M) views of
+    ``drive`` and ``out`` (``_flat_rows``) and x0, so each is one contiguous
+    multiply into a reused buffer and one add, over one axis."""
+    lam = np.broadcast_to(lam, x0.shape).copy().reshape(-1)
     step = np.empty_like(lam)
-    state = x0
-    for row, into in zip(drive, out):
+    state = x0.reshape(-1)  # only read, so a copy would do
+    for row, into in zip(_flat_rows(drive, lam.size), _flat_rows(out, lam.size)):
         # positional out: a keyword costs about as much as the arithmetic here
         np.multiply(lam, state, step)
         state = np.add(step, row, into)

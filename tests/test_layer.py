@@ -858,6 +858,22 @@ def test_decode_state_with_an_extra_group_is_rejected():
         decode_step(params, state, x[0], config)
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_every_state_array_field_is_checked(variant):
+    # every array field of LayerState is held to state_layout: one of another
+    # shape, or one present where the config has no such array, is named
+    config, params = variant_setup(variant)
+    fresh = init_decode_state(config)
+    x = make_rng(45).standard_normal(config.model_dim)
+    names = [f.name for f in dataclasses.fields(layer_module.LayerState) if f.name != "position"]
+    for name in names:
+        value = getattr(fresh, name)
+        bad = np.zeros((1, 1)) if value is None else value[..., :-1]
+        broken = dataclasses.replace(fresh, **{name: bad})
+        with pytest.raises(ValueError, match=rf"state\.{name} must be \(shape, dtype\)"):
+            decode_step(params, broken, x, config)
+
+
 def test_decode_state_with_a_negative_position_is_rejected():
     config, params = variant_setup("full_interdomain")
     state = init_decode_state(config)
@@ -1333,63 +1349,82 @@ def test_one_token_blocks_scan_sequential_and_each_block_rotates_once(monkeypatc
     assert tables == []
 
 
-def test_first_backward_pass_runs_no_query_stages(monkeypatch):
-    """With N = 3 L the first pass saves two blocks' exit states from z and
-    the conv tails alone: the q stream's RoPE and feature map run only in
-    the reverse pass, once per block, and the gradients are those of a
-    first pass that runs every stream, bit for bit."""
-    from interdomain.ssm import final_state
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_first_backward_pass_runs_the_forwards_stages(monkeypatch, variant):
+    """With N = 3 L the first pass saves two blocks' exit states from the
+    streams run as the forward's blocks run them: every stream's conv, RoPE,
+    feature map and norm, once per block, in ``_forward_core``'s order.
+    The gradients equal those of a first pass built from ``_forward_core``'s
+    states, bit for bit: under ``chunkwise`` ``ssm.final_state`` is the
+    scan's final state."""
+    config, params = variant_setup(variant, backend="chunkwise")
+    chunk = config.prefill_chunk
+    rng = make_rng(95)
+    x = rng.standard_normal((3 * chunk, config.model_dim))
+    up = rng.standard_normal(x.shape)
+    calls = []  # (stage, shape of its input) per call, until the reverse pass
+    reversing = False
 
-    def exit_state_all_streams(params, x_seq, config, state):
-        trace, state, tails = layer_module._run_streams(params, x_seq, config, state)
-        ssm_states = np.empty_like(state.ssm_states, order="C")
-        for g in range(config.n_kv):
-            final_state(params.ssm[g], trace["z"][:, g], config.chunk_size,
-                        x0=state.ssm_states[g], out=ssm_states[g])
-        return layer_module.LayerState(position=state.position + x_seq.shape[0],
-                                       ssm_states=ssm_states, **tails)
+    def recording(name):
+        fn = getattr(layer_module, name)
 
-    for variant in QUERY_VARIANTS:
-        config, params = variant_setup(variant, n_kv=1)  # k rows 1, q rows 2
-        rng = make_rng(95)
-        x = rng.standard_normal((3 * config.prefill_chunk, config.model_dim))
-        up = rng.standard_normal(x.shape)
-        calls = []  # (phase, stage, rows) per call
+        def wrapper(*args, **kwargs):
+            if not reversing:
+                arr = args[1] if name == "apply_feature_map" else args[0]
+                calls.append((name, arr.shape))
+            return fn(*args, **kwargs)
+        return wrapper
 
-        def recording(name):
-            fn = getattr(layer_module, name)
+    backward_block = layer_module._backward_block
 
-            def wrapper(*args, **kwargs):
-                arr = args[0] if name == "rope_apply" else args[1]
-                calls.append((phase[0], name, arr.shape[1]))
-                return fn(*args, **kwargs)
-            return wrapper
+    def reverse(*args, **kwargs):
+        nonlocal reversing
+        reversing = True
+        return backward_block(*args, **kwargs)
 
-        phase = ["first"]
-        backward_block = layer_module._backward_block
+    with monkeypatch.context() as m:
+        for name in ("short_conv_with_tail", "rope_apply", "apply_feature_map", "rmsnorm_bias"):
+            m.setattr(layer_module, name, recording(name))
+        m.setattr(layer_module, "_backward_block", reverse)
+        forward(params, x[:2 * chunk], config)  # two blocks of _forward_core
+        want_calls, calls[:] = calls[:], []
+        grads, grad_x = backward(params, x, up, config)
+    assert calls == want_calls and len(calls) > 0
 
-        def reverse(*args, **kwargs):
-            phase[0] = "reverse"
-            return backward_block(*args, **kwargs)
+    def exit_state_from_forward(params, x_seq, config, state):
+        return layer_module._forward_core(params, x_seq, config, state)[1]
 
-        with monkeypatch.context() as m:
-            for name in ("rope_apply", "apply_feature_map"):
-                m.setattr(layer_module, name, recording(name))
-            m.setattr(layer_module, "_backward_block", reverse)
-            grads, grad_x = backward(params, x, up, config)
-        first = [c for c in calls if c[0] == "first"]
-        query = [c for c in calls if c[2] == config.heads]
-        assert first and all(rows == config.n_kv for _, _, rows in first), variant
-        assert {(p, name) for p, name, _ in query} == \
-            {("reverse", "rope_apply"), ("reverse", "apply_feature_map")}, variant
-        # per block, q's features once and RoPE forward and inverse
-        assert Counter(name for _, name, _ in query) == \
-            {"apply_feature_map": 3, "rope_apply": 3 * 2}, variant
+    with monkeypatch.context() as m:
+        m.setattr(layer_module, "_exit_state", exit_state_from_forward)
+        want_grads, want_x = backward(params, x, up, config)
+    assert np.array_equal(grad_x, want_x)
+    assert grads.keys() == want_grads.keys()
+    for key in grads:
+        assert np.array_equal(grads[key], want_grads[key]), key
 
-        with monkeypatch.context() as m:
-            m.setattr(layer_module, "_exit_state", exit_state_all_streams)
-            want_grads, want_x = backward(params, x, up, config)
-        assert np.array_equal(grad_x, want_x), variant
-        assert grads.keys() == want_grads.keys()
-        for key in grads:
-            assert np.array_equal(grads[key], want_grads[key]), (variant, key)
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_backward_entry_states_are_prefills_states(monkeypatch, variant):
+    """On a 3-block input under ``chunkwise``, every state the backward's
+    first pass saves equals ``prefill``'s state at the same block boundary,
+    bit for bit, field by field: the reverse pass starts from the forward's
+    own states."""
+    config, params = variant_setup(variant, backend="chunkwise")
+    chunk = config.prefill_chunk
+    rng = make_rng(97)
+    x = rng.standard_normal((2 * chunk + 5, config.model_dim))
+    exits = []
+    exit_state = layer_module._exit_state
+
+    def recording(*args):
+        exits.append(exit_state(*args))
+        return exits[-1]
+
+    monkeypatch.setattr(layer_module, "_exit_state", recording)
+    backward(params, x, rng.standard_normal(x.shape), config)
+    assert len(exits) == 2
+    for blocks, got in enumerate(exits, start=1):
+        want = prefill(params, x[:blocks * chunk], config)[1]
+        for field in dataclasses.fields(want):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            assert (a is None and b is None) or np.array_equal(a, b), (blocks, field.name)

@@ -992,3 +992,21 @@ def test_recurrences_bit_identical_to_the_reference(w, m, n):
         ssm_module._prefix_sweep(lam, got)
         prefix_sweep_reference(lam, want)
         assert np.array_equal(got, want), length
+
+
+def test_recur_through_a_reversed_view_writes_its_rows_in_place():
+    # _adjoint_tail carries its adjoints backwards as _recur(lam,
+    # entries[:0:-1], zero, entries[:0:-1]): the flat views it steps must be
+    # those rows themselves, and an out that cannot be viewed flat is refused
+    rng = make_rng(121)
+    lam = random_ssm(16, 32, rng).lam
+    entries = rng.standard_normal((5, 32, 16)) + 1j * rng.standard_normal((5, 32, 16))
+    zero = np.zeros((32, 16), dtype=complex)
+    got, want = entries.copy(), entries.copy()
+    ssm_module._recur(lam, got[:0:-1], zero, got[:0:-1])
+    recur_reference(lam, want[:0:-1], zero, want[:0:-1])
+    assert np.array_equal(got, want)
+    assert np.array_equal(got[0], entries[0]) and not np.array_equal(got[1:], entries[1:])
+    out = np.empty((4, 16, 32), dtype=complex).transpose(0, 2, 1)
+    with pytest.raises(AssertionError, match="view"):
+        ssm_module._recur(lam, entries[1:], zero, out)
