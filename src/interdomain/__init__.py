@@ -3,7 +3,7 @@ basis and carried by a diagonal state-space recurrence.
 
 The package is organized bottom-up:
 
-``config``      validated model configuration and seeding
+``config``      self-checking model configuration and seeding
 ``features``    feature maps, short conv, RoPE, norms
 ``oracle``      brute-force attention references
 ``basis``       explicit basis projection and readouts

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .config import ModelConfig, validate
+from .config import ModelConfig
 from .layer import param_layout, real_scalars, state_layout
 
 VOCAB = 32000
@@ -60,7 +60,7 @@ def swiglu_hidden(model_dim: int) -> int:
 def scale_config(spec: BackboneSpec, variant: str = "full_interdomain") -> ModelConfig:
     """The mixer config used at a published scale: per-head KV, 64-wide
     heads/features/state, training context 4096."""
-    return validate(ModelConfig(
+    return ModelConfig(
         heads=spec.heads,
         model_dim=spec.model_dim,
         head_dim=64,
@@ -76,14 +76,14 @@ def scale_config(spec: BackboneSpec, variant: str = "full_interdomain") -> Model
         n_kv=spec.heads,
         readout="denominator_free",
         seed=0,
-    ))
+    )
 
 
 def mixer_params_per_layer(config: ModelConfig) -> int:
     """Trainable real scalars in one mixer layer; complex entries count
     twice.  The count over ``layer.param_layout``, the table the parameter
     container is made from and checked against."""
-    return real_scalars(param_layout(validate(config)).values())
+    return real_scalars(param_layout(config).values())
 
 
 def softmax_mixer_params(model_dim: int) -> int:
@@ -137,7 +137,7 @@ def state_dof(config: ModelConfig) -> StateBudget:
     ``layer.state_layout``.  Complex state entries count as two real degrees
     of freedom; grouped KV divides the cell count, not the cell.
     """
-    (cells, *cell), dtype = state_layout(validate(config))["ssm_states"]
+    (cells, *cell), dtype = state_layout(config)["ssm_states"]
     per_cell = real_scalars([(cell, dtype)])
     return StateBudget(
         cells=cells,

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import QUERY_VARIANTS, ModelConfig, make_rng, streams, validate
+from .config import QUERY_VARIANTS, ModelConfig, make_rng, streams
 from .features import CONV_TAPS, check_feature_kind
 from .layer import decode_step, forward, init_layer_params, prefill, real_scalars, state_layout
 
@@ -73,7 +73,6 @@ def decode_step_ops(config: ModelConfig, feature_kind: str = "silu_l2") -> dict[
     readout matrix at 4*M^2*(R+dh) per group, and contract each group's
     M*(R+dh) outputs as soon as they are formed, holding one group's.
     """
-    validate(config)
     check_feature_kind(feature_kind)
     d, dh, r, m = config.model_dim, config.head_dim, config.feature_dim, config.state_dim
     n_kv, heads = config.n_kv, config.heads
@@ -130,7 +129,6 @@ def simulate_decode(config: ModelConfig, b: int, l: int, steps: int) -> list[Ben
     step i.  ``per_step_ops`` is total decode work divided by steps, which
     is an integer; steps=0 books nothing.
     """
-    validate(config)
     if b < 1 or l < 0 or steps < 0:
         raise ValueError("need b >= 1, l >= 0, steps >= 0")
     d = config.model_dim

@@ -1,9 +1,11 @@
-"""Configuration records, validation, and seeded randomness.
+"""Configuration records and seeded randomness.
 
 Every numeric module in this package works in double precision and derives
 all of its randomness from a seed threaded through ``make_rng``.  The config
 is a flat record serialized as flat JSON; unknown keys are rejected so a
-typo in a config file cannot silently fall back to a default.
+typo in a config file cannot silently fall back to a default.  A config
+checks its invariants when it is made, ``dataclasses.replace`` included, so
+every ``ModelConfig`` a caller holds is valid.
 """
 from __future__ import annotations
 
@@ -17,8 +19,8 @@ import numpy as np
 
 BACKENDS = ("sequential", "fft", "chunkwise", "parallel_prefix")
 VARIANTS = ("full_interdomain", "dual_kv_linear", "single_input_qproj", "s4d_only")
-# The layer runs only the denominator-free readout, so ``validate`` rejects
-# any other value of ``readout`` rather than ignore it.
+# The layer runs only the denominator-free readout, so a config with any
+# other value of ``readout`` fails when it is made rather than run.
 READOUTS = ("denominator_free",)
 
 # Variants whose readout contracts query features against the key-side
@@ -32,6 +34,14 @@ GENERIC_INPUT_VARIANTS = ("single_input_qproj", "s4d_only")
 
 class ConfigError(ValueError):
     """A configuration field violates one of the documented invariants."""
+
+
+_COUNT_FIELDS = (
+    "heads", "model_dim", "head_dim", "feature_dim", "state_dim",
+    "context_len", "chunk_size", "prefill_chunk", "n_kv", "seed",
+)
+_FLAG_FIELDS = ("rope_enabled", "output_gate_enabled")
+_ENUM_FIELDS = {"backend": BACKENDS, "variant": VARIANTS, "readout": READOUTS}
 
 
 @dataclass(frozen=True)
@@ -67,63 +77,50 @@ class ModelConfig:
     readout: str = "denominator_free"
     seed: int = 0
 
-
-_COUNT_FIELDS = (
-    "heads", "model_dim", "head_dim", "feature_dim", "state_dim",
-    "context_len", "chunk_size", "prefill_chunk", "n_kv", "seed",
-)
-_FLAG_FIELDS = ("rope_enabled", "output_gate_enabled")
-_ENUM_FIELDS = {"backend": BACKENDS, "variant": VARIANTS, "readout": READOUTS}
-
-
-def validate(config: ModelConfig) -> ModelConfig:
-    """Check every invariant and return the config unchanged.
-
-    Raises ``ConfigError`` naming the violated invariant.  Never raises
-    anything else for a structurally well-formed record.
-    """
-    for name in _COUNT_FIELDS:
-        value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if name != "seed" and value < 1:
-            raise ConfigError(f"{name} must be a positive count, got {value}")
-    if config.seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {config.seed}")
-    for name in _FLAG_FIELDS:
-        value = getattr(config, name)
-        if not isinstance(value, bool):
-            raise ConfigError(f"{name} must be a boolean, got {value!r}")
-    for name, allowed in _ENUM_FIELDS.items():
-        value = getattr(config, name)
-        if value not in allowed:
-            raise ConfigError(f"{name} must be one of {allowed}, got {value!r}")
-    if config.heads * config.head_dim != config.model_dim:
-        raise ConfigError(
-            "heads*head_dim must equal model_dim "
-            f"({config.heads}*{config.head_dim} != {config.model_dim})"
-        )
-    if not 1 <= config.chunk_size <= config.context_len:
-        raise ConfigError(
-            "chunk_size must satisfy 1 <= chunk_size <= context_len, got "
-            f"{config.chunk_size} with context_len={config.context_len}"
-        )
-    if config.n_kv not in (1, config.heads):
-        raise ConfigError(
-            f"n_kv must be 1 (shared state) or heads={config.heads}, got {config.n_kv}"
-        )
-    if config.rope_enabled and config.head_dim % 2:
-        raise ConfigError(
-            "rope_enabled rotates head_dim in pairs, so head_dim must be even, "
-            f"got {config.head_dim}"
-        )
-    if config.variant in GENERIC_INPUT_VARIANTS and config.feature_dim != config.head_dim:
-        raise ConfigError(
-            "generic-input variants keep the coefficient width equal to the "
-            f"query feature width, so feature_dim must equal head_dim "
-            f"({config.feature_dim} != {config.head_dim})"
-        )
-    return config
+    def __post_init__(self):
+        """Raise ``ConfigError`` naming the first violated invariant, and
+        nothing else for a structurally well-formed record."""
+        for name in _COUNT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            if name != "seed" and value < 1:
+                raise ConfigError(f"{name} must be a positive count, got {value}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+        for name in _FLAG_FIELDS:
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ConfigError(f"{name} must be a boolean, got {value!r}")
+        for name, allowed in _ENUM_FIELDS.items():
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ConfigError(f"{name} must be one of {allowed}, got {value!r}")
+        if self.heads * self.head_dim != self.model_dim:
+            raise ConfigError(
+                "heads*head_dim must equal model_dim "
+                f"({self.heads}*{self.head_dim} != {self.model_dim})"
+            )
+        if not 1 <= self.chunk_size <= self.context_len:
+            raise ConfigError(
+                "chunk_size must satisfy 1 <= chunk_size <= context_len, got "
+                f"{self.chunk_size} with context_len={self.context_len}"
+            )
+        if self.n_kv not in (1, self.heads):
+            raise ConfigError(
+                f"n_kv must be 1 (shared state) or heads={self.heads}, got {self.n_kv}"
+            )
+        if self.rope_enabled and self.head_dim % 2:
+            raise ConfigError(
+                "rope_enabled rotates head_dim in pairs, so head_dim must be even, "
+                f"got {self.head_dim}"
+            )
+        if self.variant in GENERIC_INPUT_VARIANTS and self.feature_dim != self.head_dim:
+            raise ConfigError(
+                "generic-input variants keep the coefficient width equal to the "
+                f"query feature width, so feature_dim must equal head_dim "
+                f"({self.feature_dim} != {self.head_dim})"
+            )
 
 
 @dataclass(frozen=True)
@@ -163,12 +160,12 @@ def streams(config: ModelConfig) -> tuple[Stream, ...]:
 
 
 def config_from_dict(data: dict) -> ModelConfig:
-    """Build and validate a config from a flat dict, rejecting unknown keys."""
+    """Build a config from a flat dict, rejecting unknown keys."""
     known = {f.name for f in dataclasses.fields(ModelConfig)}
     unknown = sorted(set(data) - known)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    return validate(ModelConfig(**data))
+    return ModelConfig(**data)
 
 
 def load_config(path: str | Path, seed_override: int | None = None) -> ModelConfig:

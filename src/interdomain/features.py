@@ -140,24 +140,18 @@ def _l2(v: np.ndarray, scale) -> np.ndarray:
     return np.sqrt(out, out=out)
 
 
-def _l2_normalize(v: np.ndarray, in_place: bool) -> np.ndarray:
-    """``l2_normalize`` of the float array ``v``, written into ``v`` itself
-    when ``in_place``."""
-    scaled, norm, top = _scaled_rows(v, _l2)
-    # a scaled copy is the function's own, so it can take the result
-    out = scaled if in_place or top is not None else None
-    return np.divide(scaled, np.maximum(norm, L2_EPS), out=out)
-
-
-def l2_normalize(v: np.ndarray) -> np.ndarray:
-    """Normalize rows to unit length; vectors below L2_EPS are scaled by 1/L2_EPS.
+def _l2_normalize(v: np.ndarray) -> np.ndarray:
+    """Normalize the rows of the float array ``v`` to unit length, in place;
+    rows below L2_EPS are scaled by 1/L2_EPS.
 
     The max() guard keeps the output norm exactly 1 whenever the raw norm
     clears the floor, and maps the zero vector to the zero vector.  A row
     whose squared norm overflows is normalized from its scaled copy
-    (``_scaled_rows``), so any finite row gets its unit vector.
+    (``_scaled_rows``), which then holds the result, so any finite row gets
+    its unit vector.
     """
-    return _l2_normalize(np.asarray(v, dtype=float), in_place=False)
+    scaled, norm, _ = _scaled_rows(v, _l2)
+    return np.divide(scaled, np.maximum(norm, L2_EPS), out=scaled)
 
 
 def short_conv_with_tail(
@@ -328,10 +322,13 @@ def check_feature_kind(kind: str) -> None:
 class FeatureMap:
     """A query/key feature map.
 
-    ``omega`` is the (S, d) frequency matrix for ``rff``, or a (G, S, d)
-    stack of one matrix per KV group.  Every kind is positionwise; the mixer
-    applies its short conv to the full projected stream before the head
-    split.
+    ``omega`` is the real (S, d) frequency matrix for ``rff``, or a (G, S, d)
+    stack of one matrix per KV group; the other kinds have none.  A map
+    checks both when it is made, ``dataclasses.replace`` included, so an rff
+    map never runs without frequencies or on the real part of complex ones,
+    and no other kind carries frequencies it would ignore.  Every kind is
+    positionwise; the mixer applies its short conv to the full projected
+    stream before the head split.
     """
 
     kind: str  # one of FEATURE_KINDS
@@ -339,6 +336,12 @@ class FeatureMap:
 
     def __post_init__(self):
         check_feature_kind(self.kind)
+        if self.kind == "rff" and self.omega is None:
+            raise ValueError("an rff feature map needs its frequencies omega")
+        if self.kind != "rff" and self.omega is not None:
+            raise ValueError(f"a {self.kind!r} feature map has no frequencies omega")
+        if np.iscomplexobj(self.omega):
+            raise ValueError(f"frequencies omega must be real, got {np.result_type(self.omega)}")
 
 
 def make_feature_map(kind: str, input_dim: int, width: int, groups: int,
@@ -365,7 +368,7 @@ def apply_feature_map(fmap: FeatureMap, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=float)
     if fmap.kind == "rff":
         return rff_features(x, fmap.omega)
-    return _l2_normalize(silu(x), in_place=True)  # silu_l2
+    return _l2_normalize(silu(x))  # silu_l2
 
 
 def feature_map_backward(

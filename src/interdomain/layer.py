@@ -125,7 +125,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .config import QUERY_VARIANTS, ModelConfig, streams, validate
+from .config import QUERY_VARIANTS, ModelConfig, streams
 from .features import (
     CONV_TAPS,
     FeatureMap,
@@ -213,14 +213,13 @@ def init_layer_params(
     feature_kind: str = "silu_l2",
     contraction_scale: float = 0.0,
 ) -> LayerParams:
-    """Random parameters for a validated config: every dense slot that
+    """Random parameters for ``config``: every dense slot that
     ``param_layout`` lists, drawn in ``_DENSE`` order, the others None.
 
     The contraction matrices default to zero (the training init); pass a
     scale to make the no-query variants produce nonzero outputs, as the
     equivalence and gradient suites do.
     """
-    validate(config)
     layout = param_layout(config)
     n_kv, dh, r = config.n_kv, config.head_dim, config.feature_dim
     scale = 1.0 / np.sqrt(config.model_dim)
@@ -363,12 +362,13 @@ def _check_params(params: LayerParams, config: ModelConfig) -> None:
     gives (an SSM field of another group count or state size included), a
     complex tensor where the table says real or a real one where it says
     complex, a stacked SSM of another input width, an rff feature map
-    whose frequencies are not (n_kv, feature_dim / 2, head_dim) or are
-    complex (cos and sin would write only their real parts), or another
-    kind of map that carries frequencies it would ignore.  Parameters
-    made for another config would otherwise run on a wrong slice, return an
-    output of the wrong width, fail deep inside with a bare IndexError or
-    UFuncTypeError, or silently drop a slot or an imaginary part.  Only
+    whose frequencies are not (n_kv, feature_dim / 2, head_dim), or a
+    width-preserving map where feature_dim differs from head_dim; whether
+    a map has frequencies, and whether they are real, ``FeatureMap``
+    checks when it is made.  Parameters made for another config would
+    otherwise run on a wrong slice, return an output of the wrong width,
+    fail deep inside with a bare IndexError or UFuncTypeError, or silently
+    drop a slot or an imaginary part.  Only
     shapes and whether a dtype is complex are compared, so float32 or
     integer tensors still run and the check costs microseconds."""
     layout = param_layout(config)
@@ -400,13 +400,6 @@ def _check_params(params: LayerParams, config: ModelConfig) -> None:
             raise ValueError(f"params.feature_map.omega must be (n_kv, feature_dim / 2, "
                              f"head_dim) with n_kv={n_kv}, feature_dim={r}, head_dim={dh}, "
                              f"got {got}")
-        if fmap.omega.dtype.kind == "c":
-            raise ValueError(f"params.feature_map.omega must be real, got dtype "
-                             f"{fmap.omega.dtype}")
-    elif fmap.omega is not None:
-        raise ValueError(f"params.feature_map.omega must be None for a {fmap.kind!r} feature "
-                         f"map, which has no frequencies, got shape "
-                         f"{getattr(fmap.omega, 'shape', None)}")
     elif r != dh:
         raise ValueError(f"params.feature_map.kind {fmap.kind!r} preserves width, so it needs "
                          f"feature_dim == head_dim, got {r} != {dh}")
@@ -870,7 +863,8 @@ def save_layer_params(params: LayerParams, path) -> None:
               "fmap.kind": np.array(fmap.kind)}
     if fmap.omega is not None:
         arrays["fmap.omega"] = fmap.omega
-    np.savez(path, **arrays)
+    with open(path, "wb") as fh:  # np.savez would add .npz to a path without it
+        np.savez(fh, **arrays)
 
 
 def load_layer_params(path) -> LayerParams:
@@ -878,8 +872,8 @@ def load_layer_params(path) -> LayerParams:
     every required entry it lacks and every entry the loader does not read
     (a misspelt ``w_G`` would otherwise be dropped silently), naming the
     archive key of any float or complex tensor that holds a NaN or an inf,
-    naming ``ssm.input_width`` unless it is one integer-valued number, or
-    naming ``fmap.omega`` where a map of another kind than rff has it."""
+    or naming ``ssm.input_width`` unless it is one integer-valued number;
+    ``FeatureMap`` rejects missing, stray or complex ``fmap.omega``."""
     with np.load(path, allow_pickle=False) as blob:
         arrays = {k: blob[k] for k in blob.files}
     missing = [k for k in _ARCHIVE_KEYS if k not in _ARCHIVE_OPTIONAL and k not in arrays]
@@ -894,17 +888,13 @@ def load_layer_params(path) -> LayerParams:
     if width.shape != () or width.dtype.kind not in "iuf" or width != int(width):
         raise ValueError(f"parameter archive {path}: entry 'ssm.input_width' must be one "
                          f"integer, got {width!r}")
-    fmap = FeatureMap(kind=str(arrays["fmap.kind"]), omega=arrays.get("fmap.omega"))
-    if fmap.kind != "rff" and fmap.omega is not None:
-        raise ValueError(f"parameter archive {path}: entry 'fmap.omega' is present, but a "
-                         f"{fmap.kind!r} feature map has no frequencies")
     return LayerParams(
         **{name: arrays.get(name) for name in _DENSE},
         k_norm=NormBias(gain=arrays["k_norm.gain"], bias=arrays["k_norm.bias"]),
         v_norm=NormBias(gain=arrays["v_norm.gain"], bias=arrays["v_norm.bias"]),
         ssm=make_ssm(arrays["ssm.delta"], arrays["ssm.a"], arrays["ssm.b"],
                      arrays["ssm.c_out"], int(width)),
-        feature_map=fmap,
+        feature_map=FeatureMap(str(arrays["fmap.kind"]), arrays.get("fmap.omega")),
     )
 
 

@@ -16,7 +16,6 @@ from interdomain.config import (
     config_from_dict,
     load_config,
     make_rng,
-    validate,
 )
 
 from interdomain.layer import init_decode_state
@@ -27,11 +26,30 @@ REPO = Path(__file__).resolve().parent.parent
 SHIPPED_CONFIGS = sorted(REPO.glob("configs/*.json")) + [REPO / "perfbench" / "long_small.json"]
 
 
-def test_published_scale_validates():
+def test_published_scale_constructs():
     cfg = tiny_config(heads=32, model_dim=2048, head_dim=64, feature_dim=64,
                       state_dim=64, context_len=4096, chunk_size=64,
                       prefill_chunk=2048, n_kv=32)
-    assert validate(cfg) is cfg
+    assert config_from_dict(dataclasses.asdict(cfg)) == cfg
+
+
+@pytest.mark.parametrize("field,value", [("prefill_chunk", -4), ("readout", "nw")])
+def test_every_way_of_making_a_config_checks_it(tmp_path, field, value):
+    # dataclasses.replace skipped the checks: with prefill_chunk=-4 forward
+    # returned uninitialised memory that passed its output check, and
+    # readout="nw" ran the denominator-free readout
+    config = load_config(REPO / "configs" / "tiny.json")
+    data = {**dataclasses.asdict(config), field: value}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    messages = set()
+    for make in (lambda: dataclasses.replace(config, **{field: value}),
+                 lambda: ModelConfig(**data), lambda: config_from_dict(data),
+                 lambda: load_config(path)):
+        with pytest.raises(ConfigError, match=field) as err:
+            make()
+        messages.add(str(err.value))
+    assert len(messages) == 1
 
 
 def test_head_width_mismatch_names_invariant():
@@ -124,7 +142,7 @@ def test_rng_reproducible_at_bit_level():
     st.integers(min_value=-4, max_value=40),
 ))
 def test_validation_is_total(overrides):
-    """Every input either validates or raises ConfigError; nothing else."""
+    """Every input either makes a config or raises ConfigError; nothing else."""
     try:
         tiny_config(**overrides)
     except ConfigError:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,9 +13,9 @@ from interdomain.features import (
     L2_EPS,
     NormBias,
     ROPE_BASE,
+    _l2_normalize,
     apply_feature_map,
     feature_map_backward,
-    l2_normalize,
     rff_features,
     rmsnorm_bias,
     rmsnorm_bias_backward,
@@ -117,20 +119,25 @@ def test_rff_error_shrinks_with_more_frequencies():
 
 # --- l2 guard ---
 
+def l2_normalized(v):
+    """``_l2_normalize`` of a float copy of ``v``: the stage normalizes in place."""
+    return _l2_normalize(np.array(v, dtype=float))
+
+
 def test_l2_normalize_unit_norm_above_floor():
     rng = make_rng(5)
     v = rng.standard_normal((20, 6))
-    out = l2_normalize(v)
+    out = l2_normalized(v)
     assert np.allclose(np.linalg.norm(out, axis=-1), 1.0, atol=1e-12)
 
 
 def test_l2_normalize_zero_maps_to_zero():
-    assert np.all(l2_normalize(np.zeros(4)) == 0.0)
+    assert np.all(l2_normalized(np.zeros(4)) == 0.0)
 
 
 def test_l2_normalize_below_floor_scales_by_inverse_eps():
     v = np.array([1e-9, 0.0])
-    out = l2_normalize(v)
+    out = l2_normalized(v)
     assert np.allclose(out, v / L2_EPS)
     assert np.linalg.norm(out) < 1.0
 
@@ -139,7 +146,7 @@ def test_l2_normalize_below_floor_scales_by_inverse_eps():
 @given(arrays(np.float64, (5,), elements=st.floats(-50, 50)))
 def test_silu_l2_norm_bounded_and_tight(v):
     y = silu(v)
-    out = l2_normalize(y)
+    out = l2_normalized(y)
     norm = np.linalg.norm(out)
     assert norm <= 1.0 + 1e-12
     if np.linalg.norm(y) > 1e-3:
@@ -399,7 +406,7 @@ def test_norms_rescale_only_the_rows_that_overflow(scale):
         v = v.copy()
         v[1] *= s
         return [rmsnorm_bias(v, nb), rmsnorm_bias_backward(v, nb, g)[0] * [[1], [s], [1]],
-                l2_normalize(v), apply_feature_map(fmap, v),
+                l2_normalized(v), apply_feature_map(fmap, v),
                 feature_map_backward(fmap, v, g) * [[1], [s], [1]]]
 
     for got, want, plain in zip(norms(x, scale), norms(x, 1e100), norms(x, 1.0)):
@@ -414,6 +421,34 @@ def test_unknown_feature_kind_rejected_at_construction():
     # and its backward never see a kind outside FEATURE_KINDS
     with pytest.raises(ValueError, match=r"'rfff'.*\('rff', 'silu_l2', 'identity'\)"):
         FeatureMap(kind="rfff")
+
+
+def test_rff_map_without_frequencies_rejected_at_construction():
+    # it failed only when applied, with _project's message about a stacked
+    # omega's block shape
+    with pytest.raises(ValueError, match="an rff feature map needs its frequencies omega"):
+        FeatureMap("rff")
+
+
+def test_complex_frequencies_rejected_at_construction():
+    # cos and sin wrote only their real parts: the oracle's feature
+    # attention ran on the real part with only a ComplexWarning
+    omega = make_rng(23).standard_normal((3, 4)) + 0.5j
+    with pytest.raises(ValueError, match="omega must be real, got complex128"):
+        FeatureMap("rff", omega=omega)
+    with pytest.raises(ValueError, match="omega must be real"):
+        dataclasses.replace(FeatureMap("rff", omega=omega.real), omega=omega)
+
+
+@pytest.mark.parametrize("kind", ["silu_l2", "identity"])
+def test_frequencies_on_a_map_without_them_rejected_at_construction(kind):
+    # the map ignored them, and the parameter archive wrote them back
+    omega = make_rng(24).standard_normal((3, 4))
+    match = f"a '{kind}' feature map has no frequencies omega"
+    with pytest.raises(ValueError, match=match):
+        FeatureMap(kind, omega=omega)
+    with pytest.raises(ValueError, match=match):
+        dataclasses.replace(FeatureMap("rff", omega=omega), kind=kind)
 
 
 def test_identity_map_passes_through():
@@ -518,7 +553,7 @@ def test_stages_and_adjoints_match_the_reference_per_row(shape):
     pairs = {
         "rope": (rope_apply(x, rot), rope_apply_reference(x, pos)),
         "rope inverse": (rope_apply(g, rot.conj()), rope_apply_reference(g, pos, inverse=True)),
-        "l2": (l2_normalize(x), l2_normalize_reference(x)),
+        "l2": (l2_normalized(x), l2_normalize_reference(x)),
         "silu_l2": (apply_feature_map(fmap, x), l2_normalize_reference(silu_reference(x))),
         "silu_l2 adjoint": (feature_map_backward(fmap, x, g), silu_l2_backward_reference(x, g)),
         "rmsnorm": (rmsnorm_bias(x, nb), rmsnorm_bias_reference(x, nb)),

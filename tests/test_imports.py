@@ -162,8 +162,6 @@ CALLED_FROM_OUTSIDE = {
     "count_layer_params": "the acceptance gate checks it against accounting's closed form",
     "softmax_attention": "the token-level oracle the feature-attention oracles are tested "
                          "against",
-    "l2_normalize": "the l2 stage of silu_l2 on a fresh array; the feature tests pin the "
-                    "map's in-place form against it",
 }
 
 

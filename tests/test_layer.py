@@ -18,7 +18,6 @@ from interdomain.config import (
     VARIANTS,
     load_config,
     make_rng,
-    validate,
 )
 from interdomain.features import sigmoid
 from interdomain.layer import (
@@ -190,11 +189,11 @@ def _forward_peak_over_every_groups_scan_outputs(variant, backend):
     measured on the second of two identical calls, after any first-call
     allocation."""
     width = 8
-    config = validate(dataclasses.replace(
+    config = dataclasses.replace(
         load_config(Path(__file__).resolve().parents[1] / "configs" / "tiny.json"),
         variant=variant, backend=backend,
         heads=width, n_kv=width, head_dim=width, feature_dim=width, state_dim=width,
-        model_dim=width * width, context_len=512, prefill_chunk=512))
+        model_dim=width * width, context_len=512, prefill_chunk=512)
     params = init_layer_params(config, make_rng(47), contraction_scale=0.1)
     x = make_rng(48).standard_normal((512, config.model_dim))
     forward(params, x, config)
@@ -225,11 +224,11 @@ def _backward_peak(variant, gate=False):
     bytes of one (N, model_dim) float array); measured on the second of two
     identical calls, after any first-call allocation."""
     width = 8
-    config = validate(dataclasses.replace(
+    config = dataclasses.replace(
         load_config(Path(__file__).resolve().parents[1] / "configs" / "tiny.json"),
         variant=variant, output_gate_enabled=gate, heads=width, n_kv=width, head_dim=width,
         feature_dim=width, state_dim=width, model_dim=width * width, context_len=512,
-        prefill_chunk=512))
+        prefill_chunk=512)
     params = init_layer_params(config, make_rng(47), contraction_scale=0.1)
     rng = make_rng(48)
     x = rng.standard_normal((512, config.model_dim))
@@ -398,9 +397,9 @@ def test_prefill_over_many_blocks_peaks_as_one_block(backend):
     # every later block updates it in place, so over 4 blocks the call
     # holds no more than over one, besides 3 more blocks of output rows; a
     # new array per block would add a whole state
-    config = validate(dataclasses.replace(
+    config = dataclasses.replace(
         tiny_config(), backend=backend, heads=4, n_kv=4, head_dim=8, feature_dim=8,
-        model_dim=32, state_dim=64, chunk_size=16, prefill_chunk=16, context_len=64))
+        model_dim=32, state_dim=64, chunk_size=16, prefill_chunk=16, context_len=64)
     params = init_layer_params(config, make_rng(87))
     block = config.prefill_chunk
     x = make_rng(88).standard_normal((5 * block, config.model_dim))
@@ -419,10 +418,10 @@ def test_one_block_forward_peaks_within_its_shapes(backend, gate):
     # peaks below one state, z, f_q, the output and one stage array, plus
     # the about _BLOCK_BYTES a dual-form scan's block takes; a second state
     # or every stream's saved stages would exceed it
-    config = validate(dataclasses.replace(
+    config = dataclasses.replace(
         tiny_config(), backend=backend, output_gate_enabled=gate, heads=16, n_kv=16,
         head_dim=32, feature_dim=32, model_dim=512, state_dim=64, chunk_size=64,
-        prefill_chunk=64, context_len=64))
+        prefill_chunk=64, context_len=64)
     params = init_layer_params(config, make_rng(89))
     x = make_rng(90).standard_normal((config.prefill_chunk, config.model_dim))
     forward(params, x, config)
@@ -576,9 +575,9 @@ def test_huge_finite_inputs_give_the_scale_invariant_result(variant, scale):
     # no norm overflows.  Each stage's squared norms overflow from about
     # 1.3e154 and the RMS norm's backward from about 1e102, so these take
     # the rescaled rows; the pyproject turns any RuntimeWarning into an error
-    config = validate(dataclasses.replace(
+    config = dataclasses.replace(
         load_config(Path(__file__).resolve().parents[1] / "configs" / "tiny.json"),
-        variant=variant))
+        variant=variant)
     assert not config.output_gate_enabled
     rng = make_rng(76)
     params = randomize_norms(init_layer_params(config, rng, contraction_scale=0.5), rng)
@@ -611,9 +610,9 @@ def test_outputs_that_overflow_from_a_finite_input_are_named(variant, gate):
     # projections: forward and prefill name their output and backward its
     # input gradient, instead of returning NaN or inf.  The overflow's
     # RuntimeWarnings, errors under the pyproject, are ignored here
-    config = validate(dataclasses.replace(
+    config = dataclasses.replace(
         load_config(Path(__file__).resolve().parents[1] / "configs" / "tiny.json"),
-        variant=variant, output_gate_enabled=gate))
+        variant=variant, output_gate_enabled=gate)
     rng = make_rng(77)
     params = init_layer_params(config, rng, contraction_scale=0.5)
     x = 1.7e308 * np.sign(rng.standard_normal((12, config.model_dim)))
@@ -760,7 +759,8 @@ def test_real_ssm_field_where_the_layout_says_complex_is_rejected():
 
 def test_complex_rff_frequencies_are_rejected(tmp_path):
     # an archive with a complex fmap.omega loaded, and forward ran on its
-    # real part bit for bit with only a ComplexWarning
+    # real part bit for bit with only a ComplexWarning; the map now rejects
+    # its frequencies when the archive loads
     config, params = variant_setup("full_interdomain", seed=95, feature_kind="rff")
     path = tmp_path / "layer.npz"
     save_layer_params(params, path)
@@ -768,21 +768,15 @@ def test_complex_rff_frequencies_are_rejected(tmp_path):
         arrays = {k: blob[k] for k in blob.files}
     arrays["fmap.omega"] = arrays["fmap.omega"] + 0.5j
     np.savez(path, **arrays)
-    loaded = load_layer_params(path)
-    x = make_rng(96).standard_normal((4, config.model_dim))
-    match = r"params\.feature_map\.omega must be real, got dtype complex128"
-    with pytest.raises(ValueError, match=match):
-        forward(loaded, x, config)
-    with pytest.raises(ValueError, match=match):
-        decode_step(loaded, init_decode_state(config), x[0], config)
-    with pytest.raises(ValueError, match=match):
-        backward(loaded, x, x, config)
+    with pytest.raises(ValueError, match="omega must be real, got complex128"):
+        load_layer_params(path)
 
 
 @pytest.mark.parametrize("kind", ["silu_l2", "identity"])
 def test_frequencies_on_a_map_without_them_are_rejected(tmp_path, kind):
     # a silu_l2 archive with an added fmap.omega loaded, forward ignored
-    # the frequencies and save_layer_params wrote them back
+    # the frequencies and save_layer_params wrote them back; neither the
+    # archive nor a replaced map can now carry them
     config, params = variant_setup("full_interdomain", seed=97, feature_kind=kind)
     omega = make_rng(98).standard_normal((config.n_kv, config.feature_dim // 2, config.head_dim))
     path = tmp_path / "layer.npz"
@@ -790,17 +784,11 @@ def test_frequencies_on_a_map_without_them_are_rejected(tmp_path, kind):
     with np.load(path) as blob:
         arrays = {k: blob[k] for k in blob.files}
     np.savez(path, **arrays, **{"fmap.omega": omega})
-    with pytest.raises(ValueError, match=r"entry 'fmap\.omega' is present"):
+    match = rf"a '{kind}' feature map has no frequencies"
+    with pytest.raises(ValueError, match=match):
         load_layer_params(path)
-    params.feature_map = dataclasses.replace(params.feature_map, omega=omega)
-    x = make_rng(99).standard_normal((4, config.model_dim))
-    match = rf"params\.feature_map\.omega must be None for a '{kind}' feature map"
     with pytest.raises(ValueError, match=match):
-        forward(params, x, config)
-    with pytest.raises(ValueError, match=match):
-        decode_step(params, init_decode_state(config), x[0], config)
-    with pytest.raises(ValueError, match=match):
-        backward(params, x, x, config)
+        dataclasses.replace(params.feature_map, omega=omega)
 
 
 def test_float32_and_integer_params_still_run():
@@ -1136,6 +1124,17 @@ def test_save_load_round_trip(tmp_path, variant, feature_kind):
     assert a.kind == b.kind
     if feature_kind == "rff":
         assert np.array_equal(a.omega, b.omega)
+
+
+def test_save_load_round_trip_through_a_path_without_a_suffix(tmp_path):
+    # np.savez added .npz to the path, so the archive could not be loaded
+    # from the path it was saved to
+    config, params = variant_setup("full_interdomain", seed=27, feature_kind="rff")
+    path = tmp_path / "layer"
+    save_layer_params(params, path)
+    assert [p.name for p in tmp_path.iterdir()] == ["layer"]
+    x = make_rng(26).standard_normal((5, config.model_dim))
+    assert np.array_equal(forward(load_layer_params(path), x, config), forward(params, x, config))
 
 
 @pytest.mark.parametrize("key", ["w_k", "ssm.delta", "ssm.c_out", "fmap.omega"])

@@ -74,12 +74,12 @@ def test_traced_no_query_decode_probe_makes_one_scan_per_group(workloads, tracin
     # no workload runs the variants without a query path; their probe at
     # long_small's width, n_kv = heads, with a nonzero contraction so the
     # outputs it compares are not all zero
-    from interdomain.config import load_config, make_rng, validate
+    from interdomain.config import load_config, make_rng
     from interdomain.layer import init_layer_params
 
-    config = validate(dataclasses.replace(
+    config = dataclasses.replace(
         load_config(workloads.ROOT / "perfbench" / "long_small.json", seed_override=SEED),
-        variant=variant))
+        variant=variant)
     assert config.n_kv == config.heads
     rng = make_rng(SEED)
     params = init_layer_params(config, rng, contraction_scale=0.1)

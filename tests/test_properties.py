@@ -21,7 +21,6 @@ from interdomain.config import (
     VARIANTS,
     ModelConfig,
     make_rng,
-    validate,
 )
 from interdomain.layer import backward, decode_step, forward, init_layer_params, prefill
 
@@ -39,13 +38,13 @@ def cases(draw):
     head_dim = draw(st.sampled_from([2, 4]))
     feature_dim = draw(st.sampled_from([2, 4, 6])) if kind == "rff" else head_dim
     n = draw(st.integers(1, 24))
-    config = validate(ModelConfig(
+    config = ModelConfig(
         heads=heads, model_dim=heads * head_dim, head_dim=head_dim, feature_dim=feature_dim,
         state_dim=draw(st.integers(1, 5)), context_len=24,
         chunk_size=draw(st.integers(1, 24)), prefill_chunk=draw(st.integers(1, n)),
         backend=draw(st.sampled_from(BACKENDS)), variant=variant,
         rope_enabled=draw(st.booleans()), output_gate_enabled=draw(st.booleans()),
-        n_kv=draw(st.sampled_from([1, heads])), seed=0))
+        n_kv=draw(st.sampled_from([1, heads])), seed=0)
     return config, kind, n, draw(st.integers(1, n)), draw(st.integers(0, 2 ** 16))
 
 
