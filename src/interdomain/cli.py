@@ -33,7 +33,7 @@ from .config import BACKENDS, VARIANTS, ModelConfig, load_config, make_rng
 from .features import FeatureMap
 from .layer import backward, decode_step, forward, init_layer_params, prefill
 from .oracle import AttentionInputs, feature_attention
-from .ssm import random_ssm, run_scan, ssm_with
+from .ssm import random_ssm, run_scan
 
 
 @dataclass(frozen=True)
@@ -190,9 +190,9 @@ def gradcheck_suite(config: ModelConfig, seed: int) -> SuiteReport:
         for i in range(fd_b.size):
             for mul in (1.0, 1j):
                 b2 = ssm.b.copy(); b2[0].flat[i] += h * mul
-                params.ssm = ssm_with(ssm, b=b2); up = loss()
+                params.ssm = dataclasses.replace(ssm, b=b2); up = loss()
                 b2 = ssm.b.copy(); b2[0].flat[i] -= h * mul
-                params.ssm = ssm_with(ssm, b=b2); down = loss()
+                params.ssm = dataclasses.replace(ssm, b=b2); down = loss()
                 fd_b.flat[i] += (up - down) / (2 * h) * mul
             params.ssm = ssm
         an = grads["ssm.b"][0]

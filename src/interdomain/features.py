@@ -325,10 +325,11 @@ class FeatureMap:
     ``omega`` is the real (S, d) frequency matrix for ``rff``, or a (G, S, d)
     stack of one matrix per KV group; the other kinds have none.  A map
     checks both when it is made, ``dataclasses.replace`` included, so an rff
-    map never runs without frequencies or on the real part of complex ones,
-    and no other kind carries frequencies it would ignore.  Every kind is
-    positionwise; the mixer applies its short conv to the full projected
-    stream before the head split.
+    map never runs without frequencies, on the real part of complex ones,
+    on frequencies of another rank or on a NaN or an inf, and no other kind
+    carries frequencies it would ignore.  Every kind is positionwise; the
+    mixer applies its short conv to the full projected stream before the
+    head split.
     """
 
     kind: str  # one of FEATURE_KINDS
@@ -342,6 +343,11 @@ class FeatureMap:
             raise ValueError(f"a {self.kind!r} feature map has no frequencies omega")
         if np.iscomplexobj(self.omega):
             raise ValueError(f"frequencies omega must be real, got {np.result_type(self.omega)}")
+        if self.omega is not None and np.ndim(self.omega) not in (2, 3):
+            raise ValueError(f"frequencies omega must be (S, d) or (G, S, d), "
+                             f"got shape {np.shape(self.omega)}")
+        if self.omega is not None and not np.isfinite(self.omega).all():
+            raise ValueError("frequencies omega must be finite, got NaN or inf")
 
 
 def make_feature_map(kind: str, input_dim: int, width: int, groups: int,

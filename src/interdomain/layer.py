@@ -148,7 +148,6 @@ from .ssm import (
     _real,
     backward_checkpointed,
     final_state,
-    make_ssm,
     query_readout_backward,
     random_ssm,
     run_scan,
@@ -872,8 +871,10 @@ def load_layer_params(path) -> LayerParams:
     every required entry it lacks and every entry the loader does not read
     (a misspelt ``w_G`` would otherwise be dropped silently), naming the
     archive key of any float or complex tensor that holds a NaN or an inf,
-    or naming ``ssm.input_width`` unless it is one integer-valued number;
-    ``FeatureMap`` rejects missing, stray or complex ``fmap.omega``."""
+    or naming the archive and passing on the message of ``DiagonalSSM`` or
+    ``FeatureMap``, which reject fields they cannot hold: an
+    ``ssm.input_width`` that is not one integer, an unstable ``ssm.a``, or
+    a missing, stray or complex ``fmap.omega``."""
     with np.load(path, allow_pickle=False) as blob:
         arrays = {k: blob[k] for k in blob.files}
     missing = [k for k in _ARCHIVE_KEYS if k not in _ARCHIVE_OPTIONAL and k not in arrays]
@@ -884,18 +885,17 @@ def load_layer_params(path) -> LayerParams:
     for key, value in arrays.items():
         if np.issubdtype(value.dtype, np.inexact):
             _check_finite(f"archive entry {key!r}", value)
-    width = arrays["ssm.input_width"]
-    if width.shape != () or width.dtype.kind not in "iuf" or width != int(width):
-        raise ValueError(f"parameter archive {path}: entry 'ssm.input_width' must be one "
-                         f"integer, got {width!r}")
-    return LayerParams(
-        **{name: arrays.get(name) for name in _DENSE},
-        k_norm=NormBias(gain=arrays["k_norm.gain"], bias=arrays["k_norm.bias"]),
-        v_norm=NormBias(gain=arrays["v_norm.gain"], bias=arrays["v_norm.bias"]),
-        ssm=make_ssm(arrays["ssm.delta"], arrays["ssm.a"], arrays["ssm.b"],
-                     arrays["ssm.c_out"], int(width)),
-        feature_map=FeatureMap(str(arrays["fmap.kind"]), arrays.get("fmap.omega")),
-    )
+    try:
+        return LayerParams(
+            **{name: arrays.get(name) for name in _DENSE},
+            k_norm=NormBias(gain=arrays["k_norm.gain"], bias=arrays["k_norm.bias"]),
+            v_norm=NormBias(gain=arrays["v_norm.gain"], bias=arrays["v_norm.bias"]),
+            ssm=DiagonalSSM(arrays["ssm.delta"], arrays["ssm.a"], arrays["ssm.b"],
+                            arrays["ssm.c_out"], arrays["ssm.input_width"][()]),
+            feature_map=FeatureMap(str(arrays["fmap.kind"]), arrays.get("fmap.omega")),
+        )
+    except ValueError as err:
+        raise ValueError(f"parameter archive {path}: {err}") from err
 
 
 def count_layer_params(params: LayerParams) -> int:

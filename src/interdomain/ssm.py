@@ -74,7 +74,7 @@ sequential scan, over chunks everywhere else.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -85,8 +85,9 @@ DELTA_LOG10_RANGE = (-3.0, -1.0)
 
 @dataclass(frozen=True)
 class DiagonalSSM:
-    """Immutable parameter bundle; ``lam`` is derived, use ``make_ssm`` /
-    ``ssm_with`` so it can never go stale.
+    """Immutable parameter bundle that checks its fields when it is made,
+    ``dataclasses.replace`` included, and derives ``lam`` from them, so the
+    poles can never go stale.
 
     The fields may carry a leading group axis, (G, M) and (G, M, M), for G
     independent SSMs of one input width; ``ssm[g]`` is group g on its own.
@@ -98,7 +99,34 @@ class DiagonalSSM:
     b: np.ndarray            # (M,) complex input map, shared across channels
     c_out: np.ndarray        # (M, M) complex readout
     input_width: int
-    lam: np.ndarray          # (M,) complex, exp(delta * a)
+    lam: np.ndarray = field(init=False, repr=False, compare=False)  # (M,) exp(delta * a)
+
+    def __post_init__(self):
+        delta = np.asarray(self.delta, dtype=float)
+        a = np.asarray(self.a, dtype=complex)
+        # the scans and readouts take float views of b and C
+        b = np.ascontiguousarray(self.b, dtype=complex)
+        c_out = np.ascontiguousarray(self.c_out, dtype=complex)
+        if (delta.ndim not in (1, 2) or a.shape != delta.shape or b.shape != delta.shape
+                or c_out.shape != delta.shape + delta.shape[-1:]):
+            raise ValueError(
+                f"inconsistent shapes: delta {delta.shape}, a {a.shape}, "
+                f"b {b.shape}, c_out {c_out.shape}"
+            )
+        # before the sign checks, which a NaN passes, and before the poles
+        for name, value in (("delta", delta), ("a", a), ("b", b), ("c_out", c_out)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite, got NaN or inf")
+        if np.any(delta <= 0):
+            raise ValueError("step sizes must be positive")
+        if np.any(a.real >= 0):
+            raise ValueError("state matrix must be strictly stable (Re a < 0)")
+        width = self.input_width
+        if isinstance(width, bool) or not isinstance(width, (int, np.integer)) or width < 1:
+            raise ValueError(f"input_width must be an integer >= 1, got {width!r}")
+        for name, value in (("delta", delta), ("a", a), ("b", b), ("c_out", c_out),
+                            ("input_width", int(width)), ("lam", np.exp(delta * a))):
+            object.__setattr__(self, name, value)
 
     @property
     def state_dim(self) -> int:
@@ -107,52 +135,13 @@ class DiagonalSSM:
     def __getitem__(self, g: int) -> DiagonalSSM:
         if self.delta.ndim != 2:
             raise TypeError("only an SSM stacked on a group axis can be indexed")
-        return DiagonalSSM(delta=self.delta[g], a=self.a[g], b=self.b[g],
-                           c_out=self.c_out[g], input_width=self.input_width,
-                           lam=self.lam[g])
-
-
-def discretize(delta: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Elementwise pole map lam = exp(delta * a)."""
-    return np.exp(np.asarray(delta, dtype=float) * np.asarray(a, dtype=complex))
-
-
-def make_ssm(delta, a, b, c_out, input_width: int) -> DiagonalSSM:
-    delta = np.asarray(delta, dtype=float)
-    a = np.asarray(a, dtype=complex)
-    # the scans and readouts take float views of b and C
-    b = np.ascontiguousarray(b, dtype=complex)
-    c_out = np.ascontiguousarray(c_out, dtype=complex)
-    m = delta.shape[-1]
-    if (delta.ndim not in (1, 2) or a.shape != delta.shape or b.shape != delta.shape
-            or c_out.shape != delta.shape + (m,)):
-        raise ValueError(
-            f"inconsistent shapes: delta {delta.shape}, a {a.shape}, "
-            f"b {b.shape}, c_out {c_out.shape}"
-        )
-    # before the sign checks, which a NaN passes, and before discretize
-    for name, value in (("delta", delta), ("a", a), ("b", b), ("c_out", c_out)):
-        if not np.isfinite(value).all():
-            raise ValueError(f"{name} must be finite, got NaN or inf")
-    if np.any(delta <= 0):
-        raise ValueError("step sizes must be positive")
-    if np.any(a.real >= 0):
-        raise ValueError("state matrix must be strictly stable (Re a < 0)")
-    if input_width < 1:
-        raise ValueError("input width must be positive")
-    return DiagonalSSM(delta=delta, a=a, b=b, c_out=c_out,
-                       input_width=input_width, lam=discretize(delta, a))
-
-
-def ssm_with(ssm: DiagonalSSM, delta=None, a=None, b=None, c_out=None) -> DiagonalSSM:
-    """Rebuild with some fields replaced; recomputes the poles."""
-    return make_ssm(
-        ssm.delta if delta is None else delta,
-        ssm.a if a is None else a,
-        ssm.b if b is None else b,
-        ssm.c_out if c_out is None else c_out,
-        ssm.input_width,
-    )
+        # a row of a checked stack is checked already: views of its rows,
+        # with no checks rerun and no poles derived again (every call takes
+        # one row per group)
+        row = object.__new__(DiagonalSSM)
+        row.__dict__.update(delta=self.delta[g], a=self.a[g], b=self.b[g], c_out=self.c_out[g],
+                            input_width=self.input_width, lam=self.lam[g])
+        return row
 
 
 def s4d_inv_init(m: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -174,14 +163,14 @@ def random_ssm(m: int, input_width: int, rng: np.random.Generator) -> DiagonalSS
     delta, a = s4d_inv_init(m, rng)
     b = np.ones(m, dtype=complex)
     c_out = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / np.sqrt(m)
-    return make_ssm(delta, a, b, c_out, input_width)
+    return DiagonalSSM(delta, a, b, c_out, input_width)
 
 
 def stack_ssms(ssms: list[DiagonalSSM]) -> DiagonalSSM:
     """One SSM whose fields stack the given ones on a leading group axis."""
     fields = ("delta", "a", "b", "c_out")
-    return make_ssm(*(np.stack([getattr(s, f) for s in ssms]) for f in fields),
-                    ssms[0].input_width)
+    return DiagonalSSM(*(np.stack([getattr(s, f) for s in ssms]) for f in fields),
+                       ssms[0].input_width)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import numpy as np
 
 from interdomain.config import ModelConfig
 from interdomain.features import CONV_TAPS, L2_EPS, RMS_EPS, ROPE_BASE, NormBias
-from interdomain.ssm import backward_checkpointed, run_scan, ssm_with
+from interdomain.ssm import backward_checkpointed, run_scan
 
 
 def rel_err(got: np.ndarray, want: np.ndarray) -> float:
@@ -64,12 +64,12 @@ def randomize_norms(params, rng):
 
 def ssm_group_setter(params, field, g=0):
     """A put() for central_diff_complex that replaces group ``g`` of one
-    stacked SSM field through ssm_with, so the poles are rebuilt and the
-    constructor's checks run."""
+    stacked SSM field through ``dataclasses.replace``, so the record's
+    checks run and the poles are derived again."""
     def put(value):
         stacked = getattr(params.ssm, field).copy()
         stacked[g] = value
-        params.ssm = ssm_with(params.ssm, **{field: stacked})
+        params.ssm = dataclasses.replace(params.ssm, **{field: stacked})
     return put
 
 

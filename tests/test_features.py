@@ -440,6 +440,26 @@ def test_complex_frequencies_rejected_at_construction():
         dataclasses.replace(FeatureMap("rff", omega=omega.real), omega=omega)
 
 
+@pytest.mark.parametrize("shape", [(3,), (1, 2, 3, 4)])
+def test_frequencies_of_another_rank_rejected_at_construction(shape):
+    # a vector failed only when applied, with _project's message about a
+    # stacked omega's block shape
+    omega = make_rng(25).standard_normal(shape)
+    with pytest.raises(ValueError, match=r"omega must be \(S, d\) or \(G, S, d\), got shape"):
+        FeatureMap("rff", omega=omega)
+    with pytest.raises(ValueError, match=r"omega must be \(S, d\) or \(G, S, d\)"):
+        dataclasses.replace(FeatureMap("rff", omega=np.ones((2, 3))), omega=omega)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_frequencies_rejected_at_construction(bad):
+    # a NaN made every feature NaN with no error
+    omega = make_rng(26).standard_normal((2, 3, 4))
+    omega[1, 2, 3] = bad
+    with pytest.raises(ValueError, match="omega must be finite, got NaN or inf"):
+        FeatureMap("rff", omega=omega)
+
+
 @pytest.mark.parametrize("kind", ["silu_l2", "identity"])
 def test_frequencies_on_a_map_without_them_rejected_at_construction(kind):
     # the map ignored them, and the parameter archive wrote them back

@@ -6,7 +6,9 @@ read somewhere in the package outside its own definition or assignment,
 and so must every public module-level function that
 ``CALLED_FROM_OUTSIDE`` does not name with its reason.  It also pins the
 import graph: the package root loads no submodule, and the layer loads
-none of the modules it does not run on."""
+none of the modules it does not run on.  And it keeps the records checked:
+nothing in the package makes or changes one around its ``__post_init__``
+except ``DiagonalSSM.__getitem__``, whose rows view a checked stack."""
 import ast
 import subprocess
 import sys
@@ -177,3 +179,69 @@ def test_no_public_function_without_a_caller():
     assert [line for line in unread if line.split()[1] not in CALLED_FROM_OUTSIDE] == []
     # an allowlisted function that gained a caller leaves the list
     assert sorted(CALLED_FROM_OUTSIDE.keys() - {line.split()[1] for line in unread}) == []
+
+
+# The one construction that skips a record's checks, and where it may be.
+UNCHECKED_CONSTRUCTION = ("DiagonalSSM", "__getitem__")
+_DICT_WRITES = {"update", "setdefault", "pop", "popitem", "clear", "__setitem__", "__delitem__"}
+
+
+def unchecked_constructions(source: str) -> list[str]:
+    """Every ``object.__new__`` and every write through an instance's
+    ``__dict__`` outside ``DiagonalSSM.__getitem__``, and every
+    ``object.__setattr__`` outside a ``__post_init__``: the ways of making
+    or changing a record without running its checks."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, ast.ClassDef):
+            owner = (node.name, None)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = (owner[0], node.name)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id == "object":
+            if node.attr == "__new__" and owner != UNCHECKED_CONSTRUCTION:
+                found.append(f"object.__new__ (line {node.lineno})")
+            if node.attr == "__setattr__" and owner[1] != "__post_init__":
+                found.append(f"object.__setattr__ (line {node.lineno})")
+        elif owner != UNCHECKED_CONSTRUCTION:
+            target = None
+            if isinstance(node, ast.Attribute) and node.attr in _DICT_WRITES:
+                target = node.value
+            elif isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load):
+                target = node.value
+            elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Load):
+                target = node
+            if isinstance(target, ast.Attribute) and target.attr == "__dict__":
+                found.append(f"a write through __dict__ (line {node.lineno})")
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), (None, None))
+    return found
+
+
+def test_records_are_made_only_through_their_checks():
+    broken = ("class R:\n"
+              "    def __post_init__(self):\n"
+              "        object.__setattr__(self, 'x', 1)\n"
+              "    def renamed(self):\n"
+              "        object.__setattr__(self, 'x', 2)\n"
+              "def sneak(r):\n"
+              "    s = object.__new__(R)\n"
+              "    s.__dict__.update(x=3)\n"
+              "    s.__dict__['x'] = 4\n"
+              "    s.__dict__ = {}\n"
+              "    return s.__dict__.get('x')\n"
+              "class DiagonalSSM:\n"
+              "    def __getitem__(self, g):\n"
+              "        row = object.__new__(DiagonalSSM)\n"
+              "        row.__dict__.update(x=g)\n"
+              "        return row\n")
+    assert unchecked_constructions(broken) == [
+        "object.__setattr__ (line 5)", "object.__new__ (line 7)",
+        "a write through __dict__ (line 8)", "a write through __dict__ (line 9)",
+        "a write through __dict__ (line 10)"]
+    found = {path.name: unchecked_constructions(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}

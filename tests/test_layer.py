@@ -32,7 +32,7 @@ from interdomain.layer import (
     prefill,
     save_layer_params,
 )
-from interdomain.ssm import _BLOCK_BYTES, random_ssm, run_scan, ssm_with, stack_ssms
+from interdomain.ssm import _BLOCK_BYTES, DiagonalSSM, random_ssm, run_scan, stack_ssms
 
 from helpers import (
     central_diff,
@@ -749,12 +749,13 @@ def test_complex_param_where_the_layout_says_real_is_rejected(field):
         backward(params, x, x, config)
 
 
-def test_real_ssm_field_where_the_layout_says_complex_is_rejected():
-    # DiagonalSSM built directly, bypassing make_ssm, which casts to complex
-    config, params = variant_setup("full_interdomain")
-    params.ssm = dataclasses.replace(params.ssm, c_out=params.ssm.c_out.real.copy())
-    with pytest.raises(ValueError, match=r"params\.ssm\.c_out must be complex"):
-        forward(params, make_rng(92).standard_normal((4, config.model_dim)), config)
+def test_real_ssm_field_where_the_layout_says_complex_is_cast():
+    # every way of making the SSM casts c_out to complex, so a real one
+    # cannot reach the layer's complex check
+    _, params = variant_setup("full_interdomain")
+    real = params.ssm.c_out.real.copy()
+    ssm = dataclasses.replace(params.ssm, c_out=real)
+    assert ssm.c_out.dtype == complex and np.array_equal(ssm.c_out, real)
 
 
 def test_complex_rff_frequencies_are_rejected(tmp_path):
@@ -960,22 +961,19 @@ def test_params_missing_a_slot_the_config_needs_are_rejected(overrides, slot):
         backward(params, x, x, config)
 
 
-def _ssm_for_another_config(ssm, field):
-    """The tiny config's stacked SSM with one field made for another config:
-    a third group (runs on two of them without the check), an a, b or c_out
-    with a third group under a delta with two, or a wider input."""
-    if field == "delta":
-        return stack_ssms([ssm[0], ssm[1], ssm[0]])
-    if field == "input_width":
-        return dataclasses.replace(ssm, input_width=ssm.input_width + 1)
-    value = getattr(ssm, field)
-    return dataclasses.replace(ssm, **{field: np.concatenate([value, value[:1]])})
-
-
 @pytest.mark.parametrize("field", ["delta", "a", "b", "c_out", "input_width"])
 def test_ssm_made_for_another_config_is_rejected(field):
+    # a third group runs on two of them without the check; an a, b or c_out
+    # with a third group under a delta with two cannot be made at all
     config, params = variant_setup("full_interdomain", seed=51)
-    params.ssm = _ssm_for_another_config(params.ssm, field)
+    ssm = params.ssm
+    if field in ("a", "b", "c_out"):
+        value = getattr(ssm, field)
+        with pytest.raises(ValueError, match="inconsistent shapes"):
+            dataclasses.replace(ssm, **{field: np.concatenate([value, value[:1]])})
+        return
+    params.ssm = (stack_ssms([ssm[0], ssm[1], ssm[0]]) if field == "delta"
+                  else dataclasses.replace(ssm, input_width=ssm.input_width + 1))
     x = make_rng(52).standard_normal((4, config.model_dim))
     match = rf"params\.ssm\.{field} must be"
     with pytest.raises(ValueError, match=match):
@@ -988,6 +986,26 @@ def test_ssm_made_for_another_config_is_rejected(field):
         decode_step(params, init_decode_state(config), x[0], config)
     with pytest.raises(ValueError, match=match):
         backward(params, x, x, config)
+
+
+def test_replacing_the_step_sizes_moves_the_output():
+    # replace kept the old poles: forward returned the old output bit for
+    # bit, and backward the gradients of a delta the scans never used
+    config, params = variant_setup("full_interdomain", seed=56)
+    rng = make_rng(57)
+    x = rng.standard_normal((6, config.model_dim))
+    up = rng.standard_normal((6, config.model_dim))
+    old = forward(params, x, config)
+    params.ssm = dataclasses.replace(params.ssm, delta=10 * params.ssm.delta)
+    got, (got_grads, got_grad_x) = forward(params, x, config), backward(params, x, up, config)
+    ssm = params.ssm
+    params.ssm = DiagonalSSM(ssm.delta, ssm.a, ssm.b, ssm.c_out, ssm.input_width)
+    grads, grad_x = backward(params, x, up, config)
+    assert np.array_equal(got, forward(params, x, config))
+    assert np.array_equal(got_grad_x, grad_x) and got_grads.keys() == grads.keys()
+    for key, value in grads.items():
+        assert np.array_equal(got_grads[key], value), key
+    assert not np.allclose(got, old)
 
 
 def test_ssm_state_size_checked_against_config():
@@ -1081,7 +1099,7 @@ def test_backward_matches_finite_differences(variant, n_kv, feature_kind):
         fd = central_diff_complex(
             loss,
             lambda: getattr(params.ssm, field),
-            lambda v: setattr(params, "ssm", ssm_with(base, **{field: v})),
+            lambda v: setattr(params, "ssm", dataclasses.replace(base, **{field: v})),
         )
         assert rel_err(grads[f"ssm.{field}"], fd) < 1e-4, field
     params.ssm = base
@@ -1098,7 +1116,7 @@ def test_transition_gradients_in_training_parameterization():
     delta = base.delta.copy()
 
     def loss():
-        params.ssm = ssm_with(base, a=-np.exp(p) + 1j * q, delta=delta)
+        params.ssm = dataclasses.replace(base, a=-np.exp(p) + 1j * q, delta=delta)
         return float(np.sum(up * forward(params, x, config)))
 
     grads, _ = backward(params, x, up, config)
@@ -1180,7 +1198,7 @@ def test_load_rejects_an_input_width_that_is_not_one_integer(tmp_path, width):
         arrays = {k: blob[k] for k in blob.files}
     arrays["ssm.input_width"] = width
     np.savez(path, **arrays)
-    want = f"parameter archive {path}: entry 'ssm.input_width' must be one integer"
+    want = f"parameter archive {path}: input_width must be an integer >= 1, got {width[()]!r}"
     with pytest.raises(ValueError, match=re.escape(want)):
         load_layer_params(path)
 

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,9 +13,7 @@ from interdomain.ssm import (
     ScanResult,
     _drive,
     backward_checkpointed,
-    discretize,
     final_state,
-    make_ssm,
     query_readout,
     query_readout_backward,
     random_ssm,
@@ -24,7 +23,7 @@ from interdomain.ssm import (
     scan_fft,
     scan_prefix,
     scan_sequential,
-    ssm_with,
+    stack_ssms,
 )
 
 from helpers import (
@@ -77,11 +76,12 @@ def test_step_sizes_log_uniform_in_band():
     assert 0.45 < frac < 0.55
 
 
-def test_discretize_anchors():
-    lam = discretize(np.array([1.0]), np.array([-1.0 + 0j]))
-    assert abs(lam[0] - np.exp(-1.0)) < 1e-15
-    lam = discretize(np.array([1.0]), np.array([-0.5 + 1j * np.pi]))
-    assert abs(lam[0] - (-np.exp(-0.5))) < 1e-12
+def test_pole_anchors():
+    def lam(delta, a):
+        return DiagonalSSM(np.array([delta]), np.array([a]), np.ones(1), np.ones((1, 1)), 1).lam
+
+    assert abs(lam(1.0, -1.0 + 0j)[0] - np.exp(-1.0)) < 1e-15
+    assert abs(lam(1.0, -0.5 + 1j * np.pi)[0] - (-np.exp(-0.5))) < 1e-12
 
 
 def test_poles_inside_unit_circle():
@@ -90,21 +90,21 @@ def test_poles_inside_unit_circle():
     assert np.allclose(ssm.lam, np.exp(ssm.delta * ssm.a))
 
 
-def test_make_ssm_rejects_bad_parameters():
+def test_ssm_record_rejects_bad_parameters():
     ok = small_ssm()
     with pytest.raises(ValueError, match="shapes"):
-        make_ssm(ok.delta, ok.a[:2], ok.b, ok.c_out, 2)
+        DiagonalSSM(ok.delta, ok.a[:2], ok.b, ok.c_out, 2)
     with pytest.raises(ValueError, match="positive"):
-        make_ssm(-ok.delta, ok.a, ok.b, ok.c_out, 2)
+        DiagonalSSM(-ok.delta, ok.a, ok.b, ok.c_out, 2)
     with pytest.raises(ValueError, match="stable"):
-        make_ssm(ok.delta, -ok.a, ok.b, ok.c_out, 2)
+        DiagonalSSM(ok.delta, -ok.a, ok.b, ok.c_out, 2)
     with pytest.raises(ValueError, match="width"):
-        make_ssm(ok.delta, ok.a, ok.b, ok.c_out, 0)
+        DiagonalSSM(ok.delta, ok.a, ok.b, ok.c_out, 0)
 
 
 @pytest.mark.parametrize("field", ["delta", "a", "b", "c_out"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_make_ssm_rejects_non_finite_parameters(field, bad):
+def test_ssm_record_rejects_non_finite_parameters(field, bad):
     # a NaN passes the sign checks on delta and Re a, and b and c_out have
     # no other check, so without this the SSM would carry the NaN silently
     ok = small_ssm()
@@ -112,14 +112,74 @@ def test_make_ssm_rejects_non_finite_parameters(field, bad):
               "c_out": ok.c_out.copy()}
     fields[field].flat[0] = bad
     with pytest.raises(ValueError, match=f"{field} must be finite"):
-        make_ssm(**fields, input_width=2)
+        DiagonalSSM(**fields, input_width=2)
 
 
-def test_ssm_with_refreshes_poles():
+def _with_first(value, first):
+    value = value.copy()
+    value.flat[0] = first
+    return value
+
+
+# (field, its bad value given a valid SSM, the message)
+_BAD_SSM_FIELDS = {
+    "delta=nan": ("delta", lambda ok: _with_first(ok.delta, np.nan), "delta must be finite"),
+    "c_out=inf": ("c_out", lambda ok: _with_first(ok.c_out, np.inf), "c_out must be finite"),
+    "delta<0": ("delta", lambda ok: -ok.delta, "step sizes must be positive"),
+    "Re a>0": ("a", lambda ok: -ok.a, r"strictly stable \(Re a < 0\)"),
+    "input_width=8.7": ("input_width", lambda ok: 8.7, "input_width must be an integer >= 1"),
+    "input_width=True": ("input_width", lambda ok: True, "input_width must be an integer >= 1"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_SSM_FIELDS))
+def test_every_way_of_making_an_ssm_checks_it(case):
+    # replace kept the old poles and ran no check, and a float or bool
+    # input width passed
+    field, bad, match = _BAD_SSM_FIELDS[case]
+    ok = small_ssm()
+    fields = {f.name: getattr(ok, f.name) for f in dataclasses.fields(ok) if f.init}
+    fields[field] = bad(ok)
+    makers = (lambda: DiagonalSSM(**fields),
+              lambda: dataclasses.replace(ok, **{field: fields[field]}),
+              # the first record's width is the stack's
+              lambda: stack_ssms([SimpleNamespace(**fields), ok]))
+    messages = set()
+    for make in makers:
+        with pytest.raises(ValueError, match=match) as err:
+            make()
+        messages.add(str(err.value))
+    assert len(messages) == 1, messages
+
+
+def test_replace_refreshes_poles():
+    # replace kept the poles of the old step sizes
     ssm = small_ssm()
-    slower = ssm_with(ssm, delta=ssm.delta / 10)
-    assert rel_err(slower.lam, np.exp(ssm.delta / 10 * ssm.a)) < 1e-15
+    slower = dataclasses.replace(ssm, delta=ssm.delta / 10)
+    assert np.array_equal(slower.lam, np.exp(slower.delta * slower.a))
     assert not np.allclose(slower.lam, ssm.lam)
+
+
+def test_poles_cannot_be_passed():
+    ssm = small_ssm()
+    with pytest.raises(TypeError, match="lam"):
+        DiagonalSSM(ssm.delta, ssm.a, ssm.b, ssm.c_out, 2, lam=ssm.lam)
+    with pytest.raises(ValueError, match="lam is declared with init=False"):
+        dataclasses.replace(ssm, lam=ssm.lam)
+
+
+def test_a_row_is_its_group_made_fresh_and_views_the_stack():
+    # ssm[g] reruns no check and derives nothing: every field, the poles
+    # included, is the checked record's and a view of the stack's
+    stack = stack_ssms([random_ssm(4, 6, make_rng(seed)) for seed in range(3)])
+    for g in range(3):
+        row = stack[g]
+        fresh = DiagonalSSM(stack.delta[g], stack.a[g], stack.b[g], stack.c_out[g],
+                            stack.input_width)
+        assert row.input_width == fresh.input_width
+        for f in ("delta", "a", "b", "c_out", "lam"):
+            assert np.array_equal(getattr(row, f), getattr(fresh, f)), (g, f)
+            assert np.shares_memory(getattr(row, f), getattr(stack, f)), (g, f)
 
 
 # --- forward scans ---
@@ -189,7 +249,8 @@ def test_chunkwise_degenerate_chunk_sizes():
     z = rng.standard_normal((n, 12))
     x0 = rng.standard_normal((12, 4)) + 1j * rng.standard_normal((12, 4))
     for mag in (0.9, 0.3, 0.05, 0.01):
-        ssm = ssm_with(base, a=np.log(mag) / 0.1 + 1j * base.a.imag, delta=np.full(4, 0.1))
+        ssm = dataclasses.replace(base, a=np.log(mag) / 0.1 + 1j * base.a.imag,
+                                  delta=np.full(4, 0.1))
         want = states_of(ssm, z, x0=x0)
         want_outputs = scan_sequential(ssm, z, x0).outputs
         for chunk in (1, 3, n - 1, n, n + 5):
@@ -206,7 +267,8 @@ def readout_cases():
     rng = make_rng(35)
     for n, m, r, v, p in [(1, 2, 1, 1, 2), (7, 4, 3, 2, 1), (10, 3, 4, 4, 3), (33, 5, 4, 3, 2)]:
         base = random_ssm(m, r + v, rng)
-        tiny = ssm_with(base, a=np.log(0.01) / 0.1 + 1j * base.a.imag, delta=np.full(m, 0.1))
+        tiny = dataclasses.replace(base, a=np.log(0.01) / 0.1 + 1j * base.a.imag,
+                                   delta=np.full(m, 0.1))
         for ssm in (base, tiny):
             yield (ssm, rng.standard_normal((n, r + v)), rng.standard_normal((n, p, r)),
                    rng.standard_normal((n, p, v)),
@@ -561,8 +623,8 @@ def test_drive_is_the_broadcast_product():
     # the contiguous drive of the sequential and prefix scans equals the
     # broadcast z[:, :, None] * b bit for bit
     rng = make_rng(62)
-    ssm = ssm_with(small_ssm(m=16, w=32, seed=62),
-                   b=rng.standard_normal(16) + 1j * rng.standard_normal(16))
+    ssm = dataclasses.replace(small_ssm(m=16, w=32, seed=62),
+                              b=rng.standard_normal(16) + 1j * rng.standard_normal(16))
     z = rng.standard_normal((70, 32))
     for rows in (z, z[:1], z[:0], z[::3]):
         assert np.array_equal(_drive(ssm, rows), rows[:, :, None] * ssm.b)
@@ -736,7 +798,8 @@ def test_backward_interval_free(mag):
     # rebuilt its states by dividing by lam would amplify roundoff by mag^-K;
     # 7 and 63 leave a ragged last chunk, 64 and 69 make one chunk of N = 64
     base = small_ssm(m=4, w=64, seed=25)
-    ssm = ssm_with(base, a=np.log(mag) / 0.1 + 1j * base.a.imag, delta=np.full(4, 0.1))
+    ssm = dataclasses.replace(base, a=np.log(mag) / 0.1 + 1j * base.a.imag,
+                              delta=np.full(4, 0.1))
     assert np.allclose(np.abs(ssm.lam), mag)
     rng = make_rng(26)
     z = rng.standard_normal((64, 64))
@@ -757,7 +820,7 @@ def _entry_state_cases():
     for n, chunk in ((7, 3), (4, 9), (1, 2)):
         base = random_ssm(3, 5, rng)
         for mag in (None, 0.3, 0.01):
-            ssm = base if mag is None else ssm_with(
+            ssm = base if mag is None else dataclasses.replace(
                 base, a=np.log(mag) / 0.1 + 1j * base.a.imag, delta=np.full(3, 0.1))
             yield (ssm, rng.standard_normal((n, 5)),
                    rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3)),
@@ -810,13 +873,14 @@ def test_adjoints_from_an_entry_state_match_finite_differences(adjoint):
                 assert rel_err(got.x0, fd) < 1e-6, case
             assert rel_err(got.z, central_diff(loss, z)) < 1e-6, case
             for field in ("b", "c_out"):
-                fd = central_diff_complex(loss, lambda: getattr(box["ssm"], field),
-                                          lambda v: box.update(ssm=ssm_with(ssm, **{field: v})))
+                fd = central_diff_complex(
+                    loss, lambda: getattr(box["ssm"], field),
+                    lambda v: box.update(ssm=dataclasses.replace(ssm, **{field: v})))
                 assert rel_err(getattr(got, field), fd) < 1e-6, (case, field)
             p, q = np.log(-ssm.a.real), ssm.a.imag.copy()
 
             def loss_a():
-                box["ssm"] = ssm_with(ssm, a=-np.exp(p) + 1j * q)
+                box["ssm"] = dataclasses.replace(ssm, a=-np.exp(p) + 1j * q)
                 return loss()
             assert rel_err(got.a_log_neg_re, central_diff(loss_a, p)) < 1e-5, case
             assert rel_err(got.a_im, central_diff(loss_a, q)) < 1e-5, case
@@ -924,7 +988,7 @@ def finite_difference_case(ssm, n, seed, chunk):
     q = ssm.a.imag.copy()
 
     def set_a():
-        box["ssm"] = ssm_with(ssm, a=-np.exp(p) + 1j * q)
+        box["ssm"] = dataclasses.replace(ssm, a=-np.exp(p) + 1j * q)
 
     set_a()
     fd_p = central_diff(lambda: (set_a(), loss())[1], p)
@@ -936,20 +1000,20 @@ def finite_difference_case(ssm, n, seed, chunk):
     delta = ssm.delta.copy()
 
     def set_delta():
-        box["ssm"] = ssm_with(ssm, delta=delta)
+        box["ssm"] = dataclasses.replace(ssm, delta=delta)
 
     fd_delta = central_diff(lambda: (set_delta(), loss())[1], delta, h=1e-7)
     assert rel_err(got.delta, fd_delta) < 1e-5
     box["ssm"] = ssm
 
     fd_b = central_diff_complex(
-        loss, lambda: box["ssm"].b, lambda v: box.update(ssm=ssm_with(ssm, b=v))
+        loss, lambda: box["ssm"].b, lambda v: box.update(ssm=dataclasses.replace(ssm, b=v))
     )
     assert rel_err(got.b, fd_b) < 1e-6
     box["ssm"] = ssm
 
     fd_c = central_diff_complex(
-        loss, lambda: box["ssm"].c_out, lambda v: box.update(ssm=ssm_with(ssm, c_out=v))
+        loss, lambda: box["ssm"].c_out, lambda v: box.update(ssm=dataclasses.replace(ssm, c_out=v))
     )
     assert rel_err(got.c_out, fd_c) < 1e-6
 
@@ -960,7 +1024,7 @@ def test_backward_matches_finite_differences():
 
 def test_backward_matches_finite_differences_tiny_poles():
     base = small_ssm(m=3, w=2, seed=29)
-    fast = ssm_with(base, a=base.a.imag * 1j - 100.0, delta=np.full(3, 0.1))
+    fast = dataclasses.replace(base, a=base.a.imag * 1j - 100.0, delta=np.full(3, 0.1))
     assert np.abs(fast.lam).min() < 1e-3
     finite_difference_case(fast, n=6, seed=30, chunk=2)
 
