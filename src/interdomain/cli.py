@@ -113,7 +113,7 @@ def equiv_suite(config: ModelConfig, seed: int) -> SuiteReport:
     rng, x0_rng, q_rng = make_rng(seed), make_rng(seed + 1), make_rng(seed + 2)
     cases = []
     for n, m in ((1, 1), (2, 4), (16, 4), (257, 8)):
-        ssm = random_ssm(m, 3, rng)
+        ssm = random_ssm(m, rng)
         z = rng.standard_normal((n, 3))
         x0 = x0_rng.standard_normal((3, m)) + 1j * x0_rng.standard_normal((3, m))
         ref, ref_x0 = run_scan(ssm, z, "sequential"), run_scan(ssm, z, "sequential", x0=x0)
@@ -126,7 +126,7 @@ def equiv_suite(config: ModelConfig, seed: int) -> SuiteReport:
             cases.append(_case(f"scan_{backend}_n{n}_m{m}_x0",
                                max(_rel(got.outputs, ref_x0.outputs),
                                    _rel(got.final_state, ref_x0.final_state)), 1e-8))
-    ssm, r = random_ssm(4, 5, q_rng), 2
+    ssm, r = random_ssm(4, q_rng), 2
     z, f_q = q_rng.standard_normal((37, 5)), q_rng.standard_normal((37, 3, r))
     x0 = q_rng.standard_normal((5, 4)) + 1j * q_rng.standard_normal((5, 4))
     for start, suffix in ((None, ""), (x0, "_x0")):
@@ -253,7 +253,7 @@ def bench_suite(config: ModelConfig, seed: int, out_dir: Path, batches: tuple[in
     return SuiteReport("bench", seed, tuple(cases))
 
 
-def basis_suite(config: ModelConfig, seed: int) -> SuiteReport:
+def basis_suite(seed: int) -> SuiteReport:
     """Complete-basis equality demo: with as many basis functions as tokens,
     projecting and reading out reproduces exact feature attention."""
     rng = make_rng(seed)
@@ -391,7 +391,7 @@ def run(argv: list[str] | None = None) -> int:
         report = bench_suite(config, seed, out_dir, args.batch,
                              args.prefix_lens, args.steps)
     else:
-        report = basis_suite(config, seed)
+        report = basis_suite(seed)
 
     if args.command == "budget":
         _print_budget_table(config)

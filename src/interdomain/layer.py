@@ -244,7 +244,7 @@ def init_layer_params(
         **{name: draw(name) for name in _DENSE if name != "contraction"},
         k_norm=norm("k_norm"),
         v_norm=norm("v_norm"),
-        ssm=stack_ssms([random_ssm(config.state_dim, r + dh, rng) for _ in range(n_kv)]),
+        ssm=stack_ssms([random_ssm(config.state_dim, rng) for _ in range(n_kv)]),
         feature_map=make_feature_map(feature_kind, dh, r, n_kv, rng),
         contraction=draw("contraction"),
     )
@@ -358,18 +358,17 @@ def _check_params(params: LayerParams, config: ModelConfig) -> None:
     """Raise ValueError naming the first field of ``params`` that disagrees
     with ``config``: a tensor present where ``param_layout`` does not list
     it or missing where it does, a tensor of another shape than the table
-    gives (an SSM field of another group count or state size included), a
-    complex tensor where the table says real or a real one where it says
-    complex, a stacked SSM of another input width, an rff feature map
-    whose frequencies are not (n_kv, feature_dim / 2, head_dim), or a
-    width-preserving map where feature_dim differs from head_dim; whether
-    a map has frequencies, and whether they are real, ``FeatureMap``
-    checks when it is made.  Parameters made for another config would
-    otherwise run on a wrong slice, return an output of the wrong width,
-    fail deep inside with a bare IndexError or UFuncTypeError, or silently
-    drop a slot or an imaginary part.  Only
-    shapes and whether a dtype is complex are compared, so float32 or
-    integer tensors still run and the check costs microseconds."""
+    gives (an SSM field of another group count or state size, or of an
+    unstacked SSM, included), a complex tensor where the table says real or
+    a real one where it says complex, an rff feature map whose frequencies
+    are not (n_kv, feature_dim / 2, head_dim), or a width-preserving map
+    where feature_dim differs from head_dim; whether a map has frequencies,
+    and whether they are real, ``FeatureMap`` checks when it is made.
+    Parameters made for another config would otherwise run on a wrong
+    slice, return an output of the wrong width, fail deep inside with a bare
+    IndexError or UFuncTypeError, or silently drop a slot or an imaginary
+    part.  Only shapes and whether a dtype is complex are compared, so
+    float32 or integer tensors still run and the check costs microseconds."""
     layout = param_layout(config)
     tensors = _learnable(params)
     for name in _LEARNABLE:
@@ -380,9 +379,6 @@ def _check_params(params: LayerParams, config: ModelConfig) -> None:
                 f"(variant {config.variant!r}, output_gate_enabled="
                 f"{config.output_gate_enabled}) {'needs' if want else 'has no use for'} it")
     n_kv, dh, r = config.n_kv, config.head_dim, config.feature_dim
-    if params.ssm.input_width != r + dh:
-        raise ValueError(f"params.ssm.input_width must be feature_dim + head_dim = "
-                         f"{r + dh}, got {params.ssm.input_width}")
     for name, (want, dtype) in layout.items():
         tensor = tensors[name]
         got = getattr(tensor, "shape", None)
@@ -841,13 +837,17 @@ def _backward_block(params: LayerParams, x_seq: np.ndarray, upstream: np.ndarray
 #
 # Parameters serialize to a flat .npz archive: one entry per tensor, names
 # matching the gradient keys, per-group tensors stacked on their leading
-# group axis (``ssm.b`` is (n_kv, M)), plus the SSM input width and the
-# feature map's kind and frequencies, so the archive reloads standalone.
+# group axis (``ssm.b`` is (n_kv, M)), plus the feature map's kind and
+# frequencies, so the archive reloads standalone.
 
 # Every entry an archive may hold, and those a variant or feature map that
-# does not use them leaves out.
+# does not use them leaves out.  Archives written while the SSM record still
+# carried its input width hold ``ssm.input_width``; older archives must still
+# load, so it is accepted, and its value is never used: the scans take W from
+# their input.
 _ARCHIVE_KEYS = _LEARNABLE + ("ssm.input_width", "fmap.kind", "fmap.omega")
-_ARCHIVE_OPTIONAL = ("w_q", "w_g", "conv_q", "conv_v", "contraction", "fmap.omega")
+_ARCHIVE_OPTIONAL = ("w_q", "w_g", "conv_q", "conv_v", "contraction", "fmap.omega",
+                     "ssm.input_width")
 
 
 def _learnable(params: LayerParams) -> dict[str, np.ndarray]:
@@ -858,8 +858,7 @@ def _learnable(params: LayerParams) -> dict[str, np.ndarray]:
 
 def save_layer_params(params: LayerParams, path) -> None:
     fmap = params.feature_map
-    arrays = {**_learnable(params), "ssm.input_width": np.array(params.ssm.input_width),
-              "fmap.kind": np.array(fmap.kind)}
+    arrays = {**_learnable(params), "fmap.kind": np.array(fmap.kind)}
     if fmap.omega is not None:
         arrays["fmap.omega"] = fmap.omega
     with open(path, "wb") as fh:  # np.savez would add .npz to a path without it
@@ -872,9 +871,10 @@ def load_layer_params(path) -> LayerParams:
     (a misspelt ``w_G`` would otherwise be dropped silently), naming the
     archive key of any float or complex tensor that holds a NaN or an inf,
     or naming the archive and passing on the message of ``DiagonalSSM`` or
-    ``FeatureMap``, which reject fields they cannot hold: an
-    ``ssm.input_width`` that is not one integer, an unstable ``ssm.a``, or
-    a missing, stray or complex ``fmap.omega``."""
+    ``FeatureMap``, which reject fields they cannot hold: an unstable
+    ``ssm.a``, or a missing, stray or complex ``fmap.omega``.  The
+    ``ssm.input_width`` of an archive written before the SSM record lost
+    that field is accepted and not read."""
     with np.load(path, allow_pickle=False) as blob:
         arrays = {k: blob[k] for k in blob.files}
     missing = [k for k in _ARCHIVE_KEYS if k not in _ARCHIVE_OPTIONAL and k not in arrays]
@@ -891,7 +891,7 @@ def load_layer_params(path) -> LayerParams:
             k_norm=NormBias(gain=arrays["k_norm.gain"], bias=arrays["k_norm.bias"]),
             v_norm=NormBias(gain=arrays["v_norm.gain"], bias=arrays["v_norm.bias"]),
             ssm=DiagonalSSM(arrays["ssm.delta"], arrays["ssm.a"], arrays["ssm.b"],
-                            arrays["ssm.c_out"], arrays["ssm.input_width"][()]),
+                            arrays["ssm.c_out"]),
             feature_map=FeatureMap(str(arrays["fmap.kind"]), arrays.get("fmap.omega")),
         )
     except ValueError as err:

@@ -89,16 +89,17 @@ class DiagonalSSM:
     ``dataclasses.replace`` included, and derives ``lam`` from them, so the
     poles can never go stale.
 
-    The fields may carry a leading group axis, (G, M) and (G, M, M), for G
-    independent SSMs of one input width; ``ssm[g]`` is group g on its own.
-    The scans and the backward take one group.
+    No field depends on the input width W: ``b`` is shared by every channel,
+    so one record scans inputs of any width, and the scans take W from
+    ``z``.  The fields may carry a leading group axis, (G, M) and (G, M, M),
+    for G independent SSMs; ``ssm[g]`` is group g on its own.  The scans and
+    the backward take one group.
     """
 
     delta: np.ndarray        # (M,) positive step sizes
     a: np.ndarray            # (M,) complex, Re < 0
     b: np.ndarray            # (M,) complex input map, shared across channels
     c_out: np.ndarray        # (M, M) complex readout
-    input_width: int
     lam: np.ndarray = field(init=False, repr=False, compare=False)  # (M,) exp(delta * a)
 
     def __post_init__(self):
@@ -121,11 +122,8 @@ class DiagonalSSM:
             raise ValueError("step sizes must be positive")
         if np.any(a.real >= 0):
             raise ValueError("state matrix must be strictly stable (Re a < 0)")
-        width = self.input_width
-        if isinstance(width, bool) or not isinstance(width, (int, np.integer)) or width < 1:
-            raise ValueError(f"input_width must be an integer >= 1, got {width!r}")
         for name, value in (("delta", delta), ("a", a), ("b", b), ("c_out", c_out),
-                            ("input_width", int(width)), ("lam", np.exp(delta * a))):
+                            ("lam", np.exp(delta * a))):
             object.__setattr__(self, name, value)
 
     @property
@@ -140,7 +138,7 @@ class DiagonalSSM:
         # one row per group)
         row = object.__new__(DiagonalSSM)
         row.__dict__.update(delta=self.delta[g], a=self.a[g], b=self.b[g], c_out=self.c_out[g],
-                            input_width=self.input_width, lam=self.lam[g])
+                            lam=self.lam[g])
         return row
 
 
@@ -158,26 +156,26 @@ def s4d_inv_init(m: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarr
     return delta, a
 
 
-def random_ssm(m: int, input_width: int, rng: np.random.Generator) -> DiagonalSSM:
+def random_ssm(m: int, rng: np.random.Generator) -> DiagonalSSM:
     """An SSM with the standard init plus a random complex readout."""
     delta, a = s4d_inv_init(m, rng)
     b = np.ones(m, dtype=complex)
     c_out = (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))) / np.sqrt(m)
-    return DiagonalSSM(delta, a, b, c_out, input_width)
+    return DiagonalSSM(delta, a, b, c_out)
 
 
 def stack_ssms(ssms: list[DiagonalSSM]) -> DiagonalSSM:
     """One SSM whose fields stack the given ones on a leading group axis."""
     fields = ("delta", "a", "b", "c_out")
-    return DiagonalSSM(*(np.stack([getattr(s, f) for s in ssms]) for f in fields),
-                       ssms[0].input_width)
+    return DiagonalSSM(*(np.stack([getattr(s, f) for s in ssms]) for f in fields))
 
 
 @dataclass(frozen=True)
 class ScanResult:
-    outputs: np.ndarray      # (N, M, W) float, Re(c_out @ x_t[c]) per position and channel;
-                             # given query features f_q (run_scan on any backend, or
-                             # query_readout), the (N, P, W - R) head outputs f_q U^T Gamma
+    outputs: np.ndarray      # (N, M, W) float for (N, W) inputs z, Re(c_out @ x_t[c]) per
+                             # position and channel; given query features f_q (run_scan on
+                             # any backend, or query_readout), the (N, P, W - R) head
+                             # outputs f_q U^T Gamma
     final_state: np.ndarray  # (W, M) complex, x_{N-1}, an array of its own that is no
                              # view of a scan buffer; x0 itself when N = 0.  Given an
                              # ``out`` array (run_scan on any backend), ``out`` itself,
@@ -194,17 +192,18 @@ def _real(array, name: str) -> np.ndarray:
 
 def _check_scan_input(ssm: DiagonalSSM, z: np.ndarray, x0,
                       out=None) -> tuple[np.ndarray, np.ndarray]:
-    """``z`` as real (N, W) inputs and ``x0`` as a complex (W, M) state
-    (zeros for None); ``out``, the final state's array, must be None or a
-    writeable C-contiguous complex (W, M) array."""
+    """``z`` as real (N, W) inputs, W >= 1, and ``x0`` as a complex (W, M)
+    state (zeros for None); ``out``, the final state's array, must be None
+    or a writeable C-contiguous complex (W, M) array.  W = 0 is rejected:
+    the dual form's chunk length K = min(chunk, N, W) would be 0."""
     if ssm.delta.ndim != 1:
         raise ValueError("scan one group at a time: pass ssm[g]")
     z = _real(z, "z")
-    if z.ndim != 2 or z.shape[1] != ssm.input_width:
-        raise ValueError(f"z must be (N, {ssm.input_width}), got {z.shape}")
-    shape = (ssm.input_width, ssm.state_dim)
+    if z.ndim != 2 or z.shape[1] < 1:
+        raise ValueError(f"z must be (N, W) with W >= 1, got {z.shape}")
+    shape = (z.shape[1], ssm.state_dim)
     _check_out(out, shape, complex)
-    return z, np.zeros(shape, dtype=complex) if x0 is None else _check_state_arg(ssm, "x0", x0)
+    return z, np.zeros(shape, dtype=complex) if x0 is None else _check_state_arg(ssm, z, "x0", x0)
 
 
 def _check_out(out, shape: tuple[int, ...], dtype: type) -> None:
@@ -218,38 +217,39 @@ def _check_out(out, shape: tuple[int, ...], dtype: type) -> None:
                          f"array, got (shape, dtype) {got}")
 
 
-def _check_state_arg(ssm: DiagonalSSM, name: str, value):
+def _check_state_arg(ssm: DiagonalSSM, z: np.ndarray, name: str, value):
     """The state argument ``name`` (``x0``, or an adjoint's
-    ``final_upstream``) as a C-contiguous complex (W, M) array, copied only
-    from another layout, since the scans take float views of it; None stays
-    None."""
+    ``final_upstream``) as a C-contiguous complex (W, M) array for the
+    checked (N, W) inputs ``z``, copied only from another layout, since the
+    scans take float views of it; None stays None."""
     if value is None:
         return None
     value = np.ascontiguousarray(value, dtype=complex)
-    shape = (ssm.input_width, ssm.state_dim)
+    shape = (z.shape[1], ssm.state_dim)
     if value.shape != shape:
         raise ValueError(f"{name} must be (W, M) = {shape}, got {value.shape}")
     return value
 
 
-def _check_query(ssm: DiagonalSSM, z: np.ndarray, f_q):
+def _check_query(z: np.ndarray, f_q):
     """``f_q`` as real (N, P, R) query features with 1 <= R < W, for the
-    checked inputs ``z``; None stays None."""
+    checked (N, W) inputs ``z``; None stays None."""
     if f_q is None:
         return None
     f_q = _real(f_q, "f_q")
-    if f_q.ndim != 3 or f_q.shape[0] != z.shape[0] or not 1 <= f_q.shape[2] < ssm.input_width:
+    if f_q.ndim != 3 or f_q.shape[0] != z.shape[0] or not 1 <= f_q.shape[2] < z.shape[1]:
         raise ValueError(f"f_q must be (N, P, R) with N = {z.shape[0]} and "
-                         f"1 <= R < W = {ssm.input_width}, got {f_q.shape}")
+                         f"1 <= R < W = {z.shape[1]}, got {f_q.shape}")
     return f_q
 
 
-def _new_outputs(ssm: DiagonalSSM, n: int, f_q=None, fill=np.empty) -> np.ndarray:
-    """The scan outputs' array, made by ``fill`` (uninitialised by default):
-    (N, M, W), or (N, P, W - R) given ``f_q``."""
+def _new_outputs(ssm: DiagonalSSM, z: np.ndarray, f_q=None, fill=np.empty) -> np.ndarray:
+    """The scan outputs' array for the (N, W) inputs ``z``, made by
+    ``fill`` (uninitialised by default): (N, M, W), or (N, P, W - R) given
+    ``f_q``."""
     if f_q is None:
-        return fill((n, ssm.state_dim, ssm.input_width))
-    return fill(f_q.shape[:2] + (ssm.input_width - f_q.shape[2],))
+        return fill((z.shape[0], ssm.state_dim, z.shape[1]))
+    return fill(f_q.shape[:2] + (z.shape[1] - f_q.shape[2],))
 
 
 def _read_out(ssm: DiagonalSSM, states: np.ndarray, f_q, outputs: np.ndarray) -> None:
@@ -316,14 +316,14 @@ def _scan_blocks(ssm: DiagonalSSM, z: np.ndarray, x0: np.ndarray, f_q, out,
     written into ``out`` (or a fresh array) and the drive added in place,
     with no block buffer, no lam x0 temporary and no copy.
     """
-    n = z.shape[0]
-    outputs = _new_outputs(ssm, n, f_q)  # _read_out writes every row
+    n, w = z.shape
+    outputs = _new_outputs(ssm, z, f_q)  # _read_out writes every row
     if n == 1:
         final = np.multiply(ssm.lam, x0, out=out)
         final += _drive(ssm, z)[0]
         _read_out(ssm, final[None], f_q, outputs)
         return ScanResult(outputs=outputs, final_state=final)
-    rows = max(1, _BLOCK_BYTES // (16 * ssm.input_width * ssm.state_dim))
+    rows = max(1, _BLOCK_BYTES // (16 * w * ssm.state_dim))
     state = x0
     for lo in range(0, n, rows):
         block = _drive(ssm, z[lo:lo + rows])
@@ -383,7 +383,7 @@ def scan_sequential(ssm: DiagonalSSM, z: np.ndarray, x0=None, f_q=None,
     given, and a one-step scan, as in decode, forms its state there.
     """
     z, x0 = _check_scan_input(ssm, z, x0, out)
-    f_q = _check_query(ssm, z, f_q)
+    f_q = _check_query(z, f_q)
     return _scan_blocks(ssm, z, x0, f_q, out,
                         lambda lam, block: _recur(lam, block[1:], block[0], block[1:]))
 
@@ -409,7 +409,7 @@ def scan_fft(ssm: DiagonalSSM, z: np.ndarray, x0=None, f_q=None, out=None) -> Sc
     the (N, M, W) outputs.  The final state goes into ``out`` when given.
     """
     z, x0 = _check_scan_input(ssm, z, x0, out)
-    f_q = _check_query(ssm, z, f_q)
+    f_q = _check_query(z, f_q)
     n, m = z.shape[0], ssm.state_dim
     powers = _lam_powers(ssm.lam, n + 1)
     n_fft = 1 << (2 * n - 1).bit_length()
@@ -417,7 +417,7 @@ def scan_fft(ssm: DiagonalSSM, z: np.ndarray, x0=None, f_q=None, out=None) -> Sc
     z_hat = np.fft.rfft(z, n_fft, axis=0)                              # (F, W)
     entry = np.conj(x0).view(float).T if np.any(x0) else None
     # the modes fill the outputs' columns, or add up in the heads' outputs
-    outputs = _new_outputs(ssm, n, f_q, np.empty if f_q is None else np.zeros)
+    outputs = _new_outputs(ssm, z, f_q, np.empty if f_q is None else np.zeros)
     for i in range(m):
         y = np.fft.irfft(h_hat[:, i, None] * z_hat, n_fft, axis=0)[:n]
         if entry is not None:  # Re(A_i[t] x0[c]), A_i[t] = C[i] diag(lam^(t+1))
@@ -485,7 +485,7 @@ def _dual_setup(ssm: DiagonalSSM, z: np.ndarray, chunk: int, x0=None, out=None):
     if isinstance(chunk, bool) or not isinstance(chunk, (int, np.integer)) or chunk < 1:
         raise ValueError(f"chunk must be an integer >= 1, got {chunk!r}")
     z, x0 = _check_scan_input(ssm, z, x0, out)
-    k = _block_size(chunk, z.shape[0], ssm.input_width)
+    k = _block_size(chunk, *z.shape)
     powers = _lam_powers(ssm.lam, k + 1)
     return z, x0, k, powers, _segment_entries(ssm, powers, z, x0)
 
@@ -595,7 +595,7 @@ def scan_chunkwise(ssm: DiagonalSSM, z: np.ndarray, chunk: int, x0=None,
     z, x0, k, powers, entries = _dual_setup(ssm, z, chunk, x0, out)
     n, from_zero = z.shape[0], not np.any(x0)
     op = _dual_kernel(ssm, powers)
-    outputs = np.empty((n, ssm.state_dim, ssm.input_width))
+    outputs = _new_outputs(ssm, z)
     for lo in range(0, n, k):
         entry = None if lo == 0 and from_zero else entries[lo // k]
         _chunk_outputs(op, entry, z[lo:lo + k], outputs[lo:lo + k])
@@ -658,7 +658,7 @@ def scan_prefix(ssm: DiagonalSSM, z: np.ndarray, x0=None, f_q=None, out=None) ->
     outputs, and the final state goes into ``out`` when given.
     """
     z, x0 = _check_scan_input(ssm, z, x0, out)
-    f_q = _check_query(ssm, z, f_q)
+    f_q = _check_query(z, f_q)
     return _scan_blocks(ssm, z, x0, f_q, out, _prefix_sweep)
 
 
@@ -835,11 +835,11 @@ def backward_checkpointed(
     from_x0 = x0 is not None
     z, _, k, powers, entries = _dual_setup(ssm, z, chunk, x0)
     upstream = _real(upstream, "upstream")
-    n, m, w = z.shape[0], ssm.state_dim, ssm.input_width
+    (n, w), m = z.shape, ssm.state_dim
     if upstream.shape != (n, m, w):
         raise ValueError(f"upstream must be (N, M, W) = ({n}, {m}, {w}), got {upstream.shape}")
     _check_out(out, (n, m, w), float)
-    final_upstream = _check_state_arg(ssm, "final_upstream", final_upstream)
+    final_upstream = _check_state_arg(ssm, z, "final_upstream", final_upstream)
     outputs = np.empty((n, m, w)) if out is None else out
     op = _dual_kernel(ssm, powers)
     entry, toeplitz = op[:, :2 * m], op[:, 2 * m:]
@@ -915,7 +915,7 @@ def _readout_blocks(ssm: DiagonalSSM, z: np.ndarray, f_q: np.ndarray, powers: np
     n, p, r = f_q.shape
     k, m = powers.shape[0] - 1, ssm.state_dim
     c = ssm.c_out
-    for lo, hi, ell in _chunk_blocks(n, k, p, ssm.input_width, m):
+    for lo, hi, ell in _chunk_blocks(n, k, p, z.shape[1], m):
         nc = (hi - lo) // ell
         lam_t = powers[1:ell + 1, None, :]
         f = f_q[lo:hi].reshape(nc, ell * p, r)
@@ -959,11 +959,10 @@ def query_readout(ssm: DiagonalSSM, z: np.ndarray, f_q: np.ndarray, chunk: int,
     never an (N, P, K) or (N, P, M) array, nor the (N, M, W) of the scan.
     """
     z, x0, _, powers, entries = _dual_setup(ssm, z, chunk, x0, out)
-    f_q = _check_query(ssm, z, f_q)
-    n, p, r = f_q.shape
-    outputs = np.empty((n, p, ssm.input_width - r))
+    f_q = _check_query(z, f_q)
+    outputs = _new_outputs(ssm, z, f_q)
     for block in _readout_blocks(ssm, z, f_q, powers, entries, _lag_kernels(ssm, powers)):
-        outputs[block.rows] = block.o.reshape(-1, p, outputs.shape[2])
+        outputs[block.rows] = block.o.reshape(-1, *outputs.shape[1:])
     return ScanResult(outputs=outputs,
                       final_state=_final_state(ssm, powers, z, entries, x0, out))
 
@@ -992,14 +991,14 @@ def query_readout_backward(ssm: DiagonalSSM, z: np.ndarray, f_q: np.ndarray, ups
     ``_BLOCK_BYTES``, and the entry carry's temporaries the size of grad z.
     """
     z, _, k, powers, entries = _dual_setup(ssm, z, chunk, x0)
-    f_q = _check_query(ssm, z, f_q)
+    f_q = _check_query(z, f_q)
     upstream = _real(upstream, "upstream")
     n, p, r = f_q.shape
-    m, w = ssm.state_dim, ssm.input_width
+    m, w = ssm.state_dim, z.shape[1]
     if upstream.shape != (n, p, w - r):
         raise ValueError(f"upstream must be (N, P, W - R) = ({n}, {p}, {w - r}), "
                          f"got {upstream.shape}")
-    final_upstream = _check_state_arg(ssm, "final_upstream", final_upstream)
+    final_upstream = _check_state_arg(ssm, z, "final_upstream", final_upstream)
     c = ssm.c_out
     h = _lag_kernels(ssm, powers)
 

@@ -132,7 +132,7 @@ def naive_unroll(ssm, z, x0=None):
     """Scalar-by-scalar unroll of x_t = lam*x + b*z_t, y_t = Re(C x_t);
     states are (W, M) and outputs (M, W), as the scans hold them."""
     z = np.asarray(z, dtype=float)
-    m, w = ssm.state_dim, ssm.input_width
+    m, w = ssm.state_dim, z.shape[1]
     state = np.zeros((w, m), dtype=complex) if x0 is None else np.array(x0, dtype=complex)
     states, outs = [], []
     for t in range(z.shape[0]):

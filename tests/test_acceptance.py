@@ -86,7 +86,7 @@ def test_acceptance_2_scan_backend_agreement():
         for w, m, n in itertools.product((2, 24), (1, 4, 64), (1, 2, 16, 257, 1024)):
             for seed in range(20):
                 rng = make_rng(5_000 * w + 97 * seed + 7 * m + n)
-                ssm = random_ssm(m, w, rng)
+                ssm = random_ssm(m, rng)
                 z = rng.standard_normal((n, w))
                 outs = [
                     run_scan(ssm, z, "sequential").outputs,

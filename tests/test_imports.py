@@ -1,14 +1,16 @@
 """No linter ships with the project, so this is its unused-import,
 unused-local and dead-helper check: every name a package module imports
 must be read somewhere in it, every local a function assigns must be read
-in it, and every private module-level function, class or constant must be
-read somewhere in the package outside its own definition or assignment,
-and so must every public module-level function that
-``CALLED_FROM_OUTSIDE`` does not name with its reason.  It also pins the
-import graph: the package root loads no submodule, and the layer loads
-none of the modules it does not run on.  And it keeps the records checked:
-nothing in the package makes or changes one around its ``__post_init__``
-except ``DiagonalSSM.__getitem__``, whose rows view a checked stack."""
+in it, every parameter of a function or lambda must be read in its body
+unless ``UNREAD_PARAMETERS`` names it with its reason, and every private
+module-level function, class or constant must be read somewhere in the
+package outside its own definition or assignment, and so must every public
+module-level function that ``CALLED_FROM_OUTSIDE`` does not name with its
+reason.  It also pins the import graph: the package root loads no
+submodule, and the layer loads none of the modules it does not run on.
+And it keeps the records checked: nothing in the package makes or changes
+one around its ``__post_init__`` except ``DiagonalSSM.__getitem__``, whose
+rows view a checked stack."""
 import ast
 import subprocess
 import sys
@@ -93,6 +95,56 @@ def unused_locals(source: str) -> list[str]:
 def test_no_unused_locals():
     found = {path.name: unused_locals(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def unused_parameters(source: str) -> list[str]:
+    """Parameters a function or lambda never reads, itself or in a
+    closure, as ``function.parameter (line n)``.  An augmented assignment
+    reads its target, and ``self`` and ``cls`` are exempt."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        read = {node.id for node in ast.walk(func) if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        read.update(node.target.id for node in ast.walk(func)
+                    if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name))
+        args = func.args
+        params = [arg for arg in (*args.posonlyargs, *args.args, args.vararg,
+                                  *args.kwonlyargs, args.kwarg) if arg is not None]
+        name = getattr(func, "name", "<lambda>")
+        found += [f"{name}.{arg.arg} (line {arg.lineno})" for arg in params
+                  if arg.arg not in read and arg.arg not in ("self", "cls")]
+    return found
+
+
+# Parameters that no body reads, each kept for its reason, by module.function.parameter.
+UNREAD_PARAMETERS = {
+    "features._l2.scale": "_scaled_rows passes every norm callback the scale its rows were "
+                          "divided by, and the l2 norm is homogeneous, so it needs none",
+}
+
+
+def test_no_unused_parameters():
+    broken = ("def f(a, b, *args, c, d=1, **kw):\n"
+              "    d += 1\n"
+              "    return a\n"
+              "class R:\n"
+              "    def m(self, x):\n"
+              "        return lambda y, z: z\n"
+              "    @classmethod\n"
+              "    def k(cls, q):\n"
+              "        def inner():\n"
+              "            return q\n"
+              "        return inner\n")
+    assert unused_parameters(broken) == [
+        "f.b (line 1)", "f.args (line 1)", "f.c (line 1)", "f.kw (line 1)", "m.x (line 5)",
+        "<lambda>.y (line 6)"]
+    unread = [f"{path.stem}.{line.split()[0]}" for path in sorted(PACKAGE.glob("*.py"))
+              for line in unused_parameters(path.read_text())]
+    assert [name for name in unread if name not in UNREAD_PARAMETERS] == []
+    # an allowlisted parameter that is now read, or gone, leaves the list
+    assert sorted(UNREAD_PARAMETERS.keys() - set(unread)) == []
 
 
 def _defined_names(statement) -> list[str]:

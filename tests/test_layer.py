@@ -961,7 +961,7 @@ def test_params_missing_a_slot_the_config_needs_are_rejected(overrides, slot):
         backward(params, x, x, config)
 
 
-@pytest.mark.parametrize("field", ["delta", "a", "b", "c_out", "input_width"])
+@pytest.mark.parametrize("field", ["delta", "a", "b", "c_out"])
 def test_ssm_made_for_another_config_is_rejected(field):
     # a third group runs on two of them without the check; an a, b or c_out
     # with a third group under a delta with two cannot be made at all
@@ -972,8 +972,7 @@ def test_ssm_made_for_another_config_is_rejected(field):
         with pytest.raises(ValueError, match="inconsistent shapes"):
             dataclasses.replace(ssm, **{field: np.concatenate([value, value[:1]])})
         return
-    params.ssm = (stack_ssms([ssm[0], ssm[1], ssm[0]]) if field == "delta"
-                  else dataclasses.replace(ssm, input_width=ssm.input_width + 1))
+    params.ssm = stack_ssms([ssm[0], ssm[1], ssm[0]])
     x = make_rng(52).standard_normal((4, config.model_dim))
     match = rf"params\.ssm\.{field} must be"
     with pytest.raises(ValueError, match=match):
@@ -999,7 +998,7 @@ def test_replacing_the_step_sizes_moves_the_output():
     params.ssm = dataclasses.replace(params.ssm, delta=10 * params.ssm.delta)
     got, (got_grads, got_grad_x) = forward(params, x, config), backward(params, x, up, config)
     ssm = params.ssm
-    params.ssm = DiagonalSSM(ssm.delta, ssm.a, ssm.b, ssm.c_out, ssm.input_width)
+    params.ssm = DiagonalSSM(ssm.delta, ssm.a, ssm.b, ssm.c_out)
     grads, grad_x = backward(params, x, up, config)
     assert np.array_equal(got, forward(params, x, config))
     assert np.array_equal(got_grad_x, grad_x) and got_grads.keys() == grads.keys()
@@ -1011,8 +1010,8 @@ def test_replacing_the_step_sizes_moves_the_output():
 def test_ssm_state_size_checked_against_config():
     # an SSM of another state size names the field, not the decode state
     config, params = variant_setup("full_interdomain", seed=53)
-    params.ssm = stack_ssms([random_ssm(config.state_dim + 1, params.ssm.input_width,
-                                        make_rng(54)) for _ in range(config.n_kv)])
+    params.ssm = stack_ssms([random_ssm(config.state_dim + 1, make_rng(54))
+                             for _ in range(config.n_kv)])
     with pytest.raises(ValueError, match=r"params\.ssm\.delta must be \(2, 4\)"):
         forward(params, make_rng(55).standard_normal((4, config.model_dim)), config)
 
@@ -1171,7 +1170,7 @@ def test_load_rejects_a_non_finite_tensor(tmp_path, key):
 
 _REQUIRED_ARCHIVE_KEYS = ["w_k", "w_v", "w_o", "conv_k", "k_norm.gain", "k_norm.bias",
                           "v_norm.gain", "v_norm.bias", "ssm.delta", "ssm.a", "ssm.b",
-                          "ssm.c_out", "ssm.input_width", "fmap.kind"]
+                          "ssm.c_out", "fmap.kind"]
 
 
 @pytest.mark.parametrize("key", _REQUIRED_ARCHIVE_KEYS)
@@ -1188,19 +1187,26 @@ def test_load_names_missing_and_unknown_archive_entries(tmp_path, key):
         load_layer_params(path)
 
 
-@pytest.mark.parametrize("width", [np.array(8.7), np.array([8, 8])])
-def test_load_rejects_an_input_width_that_is_not_one_integer(tmp_path, width):
-    # int() truncated 8.7 to 8, and a (2,) entry raised a bare TypeError
-    _, params = variant_setup("full_interdomain", seed=30)
-    path = tmp_path / "layer.npz"
-    save_layer_params(params, path)
-    with np.load(path) as blob:
+@pytest.mark.parametrize("width", [np.array(8), np.array(8.7)])
+def test_archive_with_an_input_width_loads_and_it_is_not_read(tmp_path, width):
+    # archives written while the SSM record carried its input width hold
+    # ssm.input_width (an integer, 8 here); it loads, whatever it holds,
+    # to the parameters it was saved from, and no archive written now has it
+    config, params = variant_setup("full_interdomain", seed=30)
+    fresh, old, again = (tmp_path / f"{name}.npz" for name in ("fresh", "old", "again"))
+    save_layer_params(params, fresh)
+    with np.load(fresh) as blob:
         arrays = {k: blob[k] for k in blob.files}
-    arrays["ssm.input_width"] = width
-    np.savez(path, **arrays)
-    want = f"parameter archive {path}: input_width must be an integer >= 1, got {width[()]!r}"
-    with pytest.raises(ValueError, match=re.escape(want)):
-        load_layer_params(path)
+    assert "ssm.input_width" not in arrays
+    np.savez(old, **arrays, **{"ssm.input_width": width})
+    loaded = load_layer_params(old)
+    save_layer_params(loaded, again)
+    with np.load(again) as blob:
+        assert blob.files == list(arrays)
+        for key, value in arrays.items():
+            assert np.array_equal(blob[key], value), key
+    x = make_rng(31).standard_normal((5, config.model_dim))
+    assert np.array_equal(forward(loaded, x, config), forward(params, x, config))
 
 
 @pytest.mark.parametrize("overrides,feature_kind", [

@@ -40,8 +40,8 @@ from helpers import (
 BACKENDS = ("sequential", "fft", "chunkwise", "parallel_prefix")
 
 
-def small_ssm(m=4, w=2, seed=0):
-    return random_ssm(m, w, make_rng(seed))
+def small_ssm(m=4, seed=0):
+    return random_ssm(m, make_rng(seed))
 
 
 def states_of(ssm, z, backend="sequential", x0=None, chunk=5):
@@ -78,7 +78,7 @@ def test_step_sizes_log_uniform_in_band():
 
 def test_pole_anchors():
     def lam(delta, a):
-        return DiagonalSSM(np.array([delta]), np.array([a]), np.ones(1), np.ones((1, 1)), 1).lam
+        return DiagonalSSM(np.array([delta]), np.array([a]), np.ones(1), np.ones((1, 1))).lam
 
     assert abs(lam(1.0, -1.0 + 0j)[0] - np.exp(-1.0)) < 1e-15
     assert abs(lam(1.0, -0.5 + 1j * np.pi)[0] - (-np.exp(-0.5))) < 1e-12
@@ -93,13 +93,11 @@ def test_poles_inside_unit_circle():
 def test_ssm_record_rejects_bad_parameters():
     ok = small_ssm()
     with pytest.raises(ValueError, match="shapes"):
-        DiagonalSSM(ok.delta, ok.a[:2], ok.b, ok.c_out, 2)
+        DiagonalSSM(ok.delta, ok.a[:2], ok.b, ok.c_out)
     with pytest.raises(ValueError, match="positive"):
-        DiagonalSSM(-ok.delta, ok.a, ok.b, ok.c_out, 2)
+        DiagonalSSM(-ok.delta, ok.a, ok.b, ok.c_out)
     with pytest.raises(ValueError, match="stable"):
-        DiagonalSSM(ok.delta, -ok.a, ok.b, ok.c_out, 2)
-    with pytest.raises(ValueError, match="width"):
-        DiagonalSSM(ok.delta, ok.a, ok.b, ok.c_out, 0)
+        DiagonalSSM(ok.delta, -ok.a, ok.b, ok.c_out)
 
 
 @pytest.mark.parametrize("field", ["delta", "a", "b", "c_out"])
@@ -112,7 +110,7 @@ def test_ssm_record_rejects_non_finite_parameters(field, bad):
               "c_out": ok.c_out.copy()}
     fields[field].flat[0] = bad
     with pytest.raises(ValueError, match=f"{field} must be finite"):
-        DiagonalSSM(**fields, input_width=2)
+        DiagonalSSM(**fields)
 
 
 def _with_first(value, first):
@@ -127,22 +125,18 @@ _BAD_SSM_FIELDS = {
     "c_out=inf": ("c_out", lambda ok: _with_first(ok.c_out, np.inf), "c_out must be finite"),
     "delta<0": ("delta", lambda ok: -ok.delta, "step sizes must be positive"),
     "Re a>0": ("a", lambda ok: -ok.a, r"strictly stable \(Re a < 0\)"),
-    "input_width=8.7": ("input_width", lambda ok: 8.7, "input_width must be an integer >= 1"),
-    "input_width=True": ("input_width", lambda ok: True, "input_width must be an integer >= 1"),
 }
 
 
 @pytest.mark.parametrize("case", list(_BAD_SSM_FIELDS))
 def test_every_way_of_making_an_ssm_checks_it(case):
-    # replace kept the old poles and ran no check, and a float or bool
-    # input width passed
+    # replace kept the old poles and ran no check
     field, bad, match = _BAD_SSM_FIELDS[case]
     ok = small_ssm()
     fields = {f.name: getattr(ok, f.name) for f in dataclasses.fields(ok) if f.init}
     fields[field] = bad(ok)
     makers = (lambda: DiagonalSSM(**fields),
               lambda: dataclasses.replace(ok, **{field: fields[field]}),
-              # the first record's width is the stack's
               lambda: stack_ssms([SimpleNamespace(**fields), ok]))
     messages = set()
     for make in makers:
@@ -163,7 +157,7 @@ def test_replace_refreshes_poles():
 def test_poles_cannot_be_passed():
     ssm = small_ssm()
     with pytest.raises(TypeError, match="lam"):
-        DiagonalSSM(ssm.delta, ssm.a, ssm.b, ssm.c_out, 2, lam=ssm.lam)
+        DiagonalSSM(ssm.delta, ssm.a, ssm.b, ssm.c_out, lam=ssm.lam)
     with pytest.raises(ValueError, match="lam is declared with init=False"):
         dataclasses.replace(ssm, lam=ssm.lam)
 
@@ -171,15 +165,38 @@ def test_poles_cannot_be_passed():
 def test_a_row_is_its_group_made_fresh_and_views_the_stack():
     # ssm[g] reruns no check and derives nothing: every field, the poles
     # included, is the checked record's and a view of the stack's
-    stack = stack_ssms([random_ssm(4, 6, make_rng(seed)) for seed in range(3)])
+    stack = stack_ssms([random_ssm(4, make_rng(seed)) for seed in range(3)])
     for g in range(3):
         row = stack[g]
-        fresh = DiagonalSSM(stack.delta[g], stack.a[g], stack.b[g], stack.c_out[g],
-                            stack.input_width)
-        assert row.input_width == fresh.input_width
+        fresh = DiagonalSSM(stack.delta[g], stack.a[g], stack.b[g], stack.c_out[g])
         for f in ("delta", "a", "b", "c_out", "lam"):
             assert np.array_equal(getattr(row, f), getattr(fresh, f)), (g, f)
             assert np.shares_memory(getattr(row, f), getattr(stack, f)), (g, f)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_one_record_scans_any_width_channel_by_channel(backend):
+    # no field depends on W: one record scans inputs of any width, and as
+    # the channels share only the dynamics, scanning some of z's columns
+    # from those rows of x0 gives those columns and rows of the full scan
+    ssm = random_ssm(4, make_rng(80))
+    rng = make_rng(81)
+    for w in (1, 3, 8):
+        z = rng.standard_normal((13, w))
+        x0 = rng.standard_normal((w, 4)) + 1j * rng.standard_normal((w, 4))
+        subsets = [[c] for c in range(w)] + [list(range(0, w, 2)),
+                                             rng.permutation(w)[:max(1, w - 1)]]
+        for start in (None, x0):
+            full = run_scan(ssm, z, backend, chunk=5, x0=start)
+            full_final = final_state(ssm, z, 5, start)
+            assert full.outputs.shape == (13, 4, w) and full.final_state.shape == (w, 4)
+            for cols in subsets:
+                part_x0 = None if start is None else start[cols]
+                part = run_scan(ssm, z[:, cols], backend, chunk=5, x0=part_x0)
+                assert rel_err(part.outputs, full.outputs[..., cols]) < 1e-12, (w, cols)
+                assert rel_err(part.final_state, full.final_state[cols]) < 1e-12, (w, cols)
+                assert rel_err(final_state(ssm, z[:, cols], 5, part_x0),
+                               full_final[cols]) < 1e-12, (w, cols)
 
 
 # --- forward scans ---
@@ -202,7 +219,7 @@ def test_sequential_single_step_formula():
 
 
 def test_sequential_matches_scalar_unroll():
-    ssm = small_ssm(m=3, w=2, seed=4)
+    ssm = small_ssm(m=3, seed=4)
     rng = make_rng(5)
     z = rng.standard_normal((9, 2))
     x0 = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
@@ -223,7 +240,7 @@ def test_zero_input_decay_from_initial_state():
 
 
 def test_fft_impulse_response_is_pole_powers():
-    ssm = small_ssm(m=3, w=1, seed=6)
+    ssm = small_ssm(m=3, seed=6)
     z = np.zeros((8, 1))
     z[0, 0] = 1.0
     want = ssm.lam[None, :] ** np.arange(1, 9)[:, None] / ssm.lam[None, :] * ssm.b[None, :]
@@ -243,7 +260,7 @@ def test_chunkwise_degenerate_chunk_sizes():
     # W = 12 > N lets it reach N.  The outputs come from the Toeplitz and
     # entry matmuls, the states from the closed-form entry step, so both
     # are checked
-    base = small_ssm(w=12, seed=7)
+    base = small_ssm(seed=7)
     rng = make_rng(8)
     n = 10
     z = rng.standard_normal((n, 12))
@@ -266,7 +283,7 @@ def readout_cases():
     or the standard init."""
     rng = make_rng(35)
     for n, m, r, v, p in [(1, 2, 1, 1, 2), (7, 4, 3, 2, 1), (10, 3, 4, 4, 3), (33, 5, 4, 3, 2)]:
-        base = random_ssm(m, r + v, rng)
+        base = random_ssm(m, rng)
         tiny = dataclasses.replace(base, a=np.log(0.01) / 0.1 + 1j * base.a.imag,
                                    delta=np.full(m, 0.1))
         for ssm in (base, tiny):
@@ -311,7 +328,7 @@ def test_query_readout_backward_matches_reference():
 
 
 def test_query_readout_validates_input():
-    ssm = small_ssm(w=3)
+    ssm = small_ssm()
     z = np.zeros((4, 3))
     with pytest.raises(ValueError, match="f_q must be"):
         query_readout(ssm, z, np.zeros((4, 1, 3)), 2)  # R = W leaves no value channel
@@ -329,7 +346,7 @@ def test_query_readout_validates_input():
 def test_run_scan_with_query_features_returns_head_outputs(backend):
     # every backend returns f_q U^T Gamma of scan_sequential's outputs; N = 0
     # gives an empty result that keeps x0, and chunkwise is query_readout
-    ssm = small_ssm(m=4, w=5, seed=38)
+    ssm = small_ssm(m=4, seed=38)
     rng = make_rng(39)
     r = 2
     for n in (0, 1, 2, 17, 70):
@@ -353,7 +370,7 @@ def test_run_scan_with_query_features_returns_head_outputs(backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_run_scan_validates_query_features(backend):
-    ssm = small_ssm(w=3)
+    ssm = small_ssm()
     z = np.zeros((4, 3))
     with pytest.raises(ValueError, match="f_q must be real"):
         run_scan(ssm, z, backend, f_q=np.full((4, 1, 2), 1j))
@@ -390,7 +407,7 @@ def test_prefix_combine_identity_and_associativity():
 @pytest.mark.parametrize("backend", BACKENDS[1:])
 def test_backends_agree_with_sequential(backend):
     for n, m, w, seed in [(1, 2, 1, 10), (7, 4, 2, 11), (64, 8, 3, 12), (100, 4, 2, 13)]:
-        ssm = small_ssm(m=m, w=w, seed=seed)
+        ssm = small_ssm(m=m, seed=seed)
         rng = make_rng(seed + 100)
         z = rng.standard_normal((n, w))
         x0 = rng.standard_normal((w, m)) + 1j * rng.standard_normal((w, m))
@@ -406,7 +423,7 @@ def test_scan_matches_sequential_at_every_length(backend):
     # N from 0 to 70 passes each power of two up to 64 on both sides, where
     # the FFT length doubles and the up- and down-sweeps gain a level; the
     # entry term and the first pair's lam x0 run only from a nonzero x0
-    ssm = small_ssm(m=3, w=2, seed=36)
+    ssm = small_ssm(m=3, seed=36)
     rng = make_rng(37)
     for n in range(71):
         z = rng.standard_normal((n, 2))
@@ -441,7 +458,7 @@ def test_split_scan_equals_one_shot(backend):
 def test_run_scan_writes_final_state_into_out(backend, n):
     # every backend writes the final state into ``out`` and returns it,
     # bit for bit what it returns without ``out``, and never writes x0
-    ssm = small_ssm(m=3, w=5, seed=60)
+    ssm = small_ssm(m=3, seed=60)
     rng = make_rng(61)
     z = rng.standard_normal((n, 5))
     f_q = rng.standard_normal((n, 3, 2))
@@ -465,7 +482,7 @@ def test_out_may_be_x0_itself(backend, n):
     # to run_scan as both x0 and out: every backend then writes the same
     # outputs and final state as with a separate out, with or without
     # query features, at N = 0, one step and more than one chunk
-    ssm = small_ssm(m=3, w=5, seed=62)
+    ssm = small_ssm(m=3, seed=62)
     rng = make_rng(63)
     z = rng.standard_normal((n, 5))
     f_q = rng.standard_normal((n, 3, 2))
@@ -483,7 +500,7 @@ def test_out_may_be_x0_itself(backend, n):
 def test_fortran_ordered_x0_scans_like_a_c_ordered_one(backend):
     # the scans take float views of x0, so a Fortran-ordered one is copied
     # into C order first; it used to fail with numpy's float-view error
-    ssm = small_ssm(m=3, w=5, seed=72)
+    ssm = small_ssm(m=3, seed=72)
     rng = make_rng(73)
     x0 = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
     fortran = np.asfortranarray(x0)
@@ -504,8 +521,8 @@ def _stepwise(ssm, z, x0, f_q):
     state, outputs = x0, []
     for t in range(len(z)):
         state = ssm.lam * state + z[t][:, None] * ssm.b
-        out = np.empty((1, ssm.state_dim, ssm.input_width) if f_q is None
-                       else (1, f_q.shape[1], ssm.input_width - f_q.shape[2]))
+        out = np.empty((1, ssm.state_dim, z.shape[1]) if f_q is None
+                       else (1, f_q.shape[1], z.shape[1] - f_q.shape[2]))
         ssm_module._read_out(ssm, state[None], None if f_q is None else f_q[t:t + 1], out)
         outputs.append(out)
     return outputs, state
@@ -518,7 +535,7 @@ def test_block_boundaries(monkeypatch, rows):
     # agree with it, x0 is never written, and the final state is no view
     # of a block buffer (each block's buffer is the drive it starts from)
     m, w = 3, 5
-    ssm = small_ssm(m=m, w=w, seed=74)
+    ssm = small_ssm(m=m, seed=74)
     monkeypatch.setattr(ssm_module, "_BLOCK_BYTES", rows * 16 * w * m)
     buffers = []
 
@@ -605,7 +622,7 @@ def test_block_boundaries(monkeypatch, rows):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_run_scan_rejects_a_bad_out(backend):
-    ssm = small_ssm(m=3, w=5)
+    ssm = small_ssm(m=3)
     z = np.zeros((4, 5))
     for bad in (np.zeros((3, 5), dtype=complex), np.zeros((5, 3)),
                 np.zeros((5, 3), dtype=np.complex64), np.zeros((5, 6), dtype=complex)[:, ::2],
@@ -623,7 +640,7 @@ def test_drive_is_the_broadcast_product():
     # the contiguous drive of the sequential and prefix scans equals the
     # broadcast z[:, :, None] * b bit for bit
     rng = make_rng(62)
-    ssm = dataclasses.replace(small_ssm(m=16, w=32, seed=62),
+    ssm = dataclasses.replace(small_ssm(m=16, seed=62),
                               b=rng.standard_normal(16) + 1j * rng.standard_normal(16))
     z = rng.standard_normal((70, 32))
     for rows in (z, z[:1], z[:0], z[::3]):
@@ -636,13 +653,29 @@ def test_unknown_backend_rejected():
 
 
 def test_scan_validates_input_shape():
+    # W comes from z, so z must be 2-D with a channel: W = 0 would make the
+    # dual form's chunk length 0; a state must be (W, M) for that W
     ssm = small_ssm()
-    with pytest.raises(ValueError, match="z must be"):
-        scan_sequential(ssm, np.zeros((4, 3)))
-    with pytest.raises(ValueError, match="x0 must be"):
-        scan_sequential(ssm, np.zeros((4, 2)), x0=np.zeros((3, 2)))
-    with pytest.raises(ValueError, match=r"x0 must be \(W, M\) = \(2, 4\)"):  # (M, W) is not one
-        scan_sequential(ssm, np.zeros((4, 2)), x0=np.zeros((4, 2)))
+    for z in (np.zeros(4), np.zeros((4, 0))):
+        calls = [lambda b=b: run_scan(ssm, z, b) for b in BACKENDS] + [
+            lambda: final_state(ssm, z, 2),
+            lambda: backward_checkpointed(ssm, z, np.zeros((4, 4, 0)), 2),
+            lambda: query_readout_backward(ssm, z, np.zeros((4, 1, 1)), np.zeros((4, 1, 0)), 2)]
+        for call in calls:
+            with pytest.raises(ValueError, match=r"z must be \(N, W\) with W >= 1"):
+                call()
+    z = np.zeros((4, 3))
+    for x0 in (np.zeros((2, 4)), np.zeros((4, 3))):  # another W, and (M, W)
+        for backend in BACKENDS:
+            with pytest.raises(ValueError, match=r"x0 must be \(W, M\) = \(3, 4\)"):
+                run_scan(ssm, z, backend, x0=x0)
+        with pytest.raises(ValueError, match=r"x0 must be \(W, M\) = \(3, 4\)"):
+            final_state(ssm, z, 2, x0=x0)
+        with pytest.raises(ValueError, match=r"final_upstream must be \(W, M\) = \(3, 4\)"):
+            backward_checkpointed(ssm, z, np.zeros((4, 4, 3)), 2, final_upstream=x0)
+        with pytest.raises(ValueError, match=r"final_upstream must be \(W, M\) = \(3, 4\)"):
+            query_readout_backward(ssm, z, np.zeros((4, 1, 1)), np.zeros((4, 1, 2)), 2,
+                                   final_upstream=x0)
 
 
 def test_complex_drive_rejected():
@@ -665,7 +698,7 @@ def test_chunkwise_memory_bounded_by_outputs(chunk):
     # and no full-size product temporary; K = min(chunk, N, W) keeps the
     # K^2 M kernel small even when the chunk is as long as the input
     m, w, n = 16, 32, 2048
-    ssm = small_ssm(m=m, w=w, seed=31)
+    ssm = small_ssm(m=m, seed=31)
     z = make_rng(32).standard_normal((n, w))
     run = traced_peak(lambda: scan_chunkwise(ssm, z, chunk))
     k = min(chunk, n, w)
@@ -680,7 +713,7 @@ def test_fft_and_prefix_memory_bounded_by_outputs(scan, bound):
     # scan sweeps one block of about 1 MiB of complex states at a time, in
     # place, never the (N, W, M) states, twice the outputs
     m, w, n = 16, 32, 2048
-    ssm = small_ssm(m=m, w=w, seed=31)
+    ssm = small_ssm(m=m, seed=31)
     z = make_rng(32).standard_normal((n, w))
     run = traced_peak(lambda: scan(ssm, z))
     assert run.peak <= bound * run.result.outputs.nbytes
@@ -694,7 +727,7 @@ def test_query_scans_never_hold_the_state_history(w, m, n, bounds_mib):
     # with query features no backend holds the (N, W, M) states or the
     # (N, M, W) outputs, 64 MiB and 32 MiB at the first shape: sequential
     # and prefix hold one block of states, fft one mode's convolution
-    ssm = small_ssm(m=m, w=w, seed=70)
+    ssm = small_ssm(m=m, seed=70)
     rng = make_rng(71)
     z = rng.standard_normal((n, w))
     f_q = rng.standard_normal((n, 1, w // 2))
@@ -709,7 +742,7 @@ def test_backward_memory_bounded_by_upstream(chunk):
     # size of z, the backward holds one buffer of ceil(N/K) complex (W, M)
     # states, 2/K of the upstream's size, for the entry states and then
     # their adjoints; K = min(chunk, N, W).  The outputs go into ``out``
-    ssm = small_ssm(m=16, w=32, seed=33)
+    ssm = small_ssm(m=16, seed=33)
     rng = make_rng(34)
     z = rng.standard_normal((2048, 32))
     up = rng.standard_normal((2048, 16, 32))
@@ -731,7 +764,7 @@ def test_query_readout_backward_memory_below_scan_outputs(n, w, r, chunk):
     # chunk 1 the state buffers are every state, by design, so it is left
     # out
     m, p = 16, 1
-    ssm = small_ssm(m=m, w=w, seed=49)
+    ssm = small_ssm(m=m, seed=49)
     rng = make_rng(50)
     z = rng.standard_normal((n, w))
     f_q = rng.standard_normal((n, p, r))
@@ -765,7 +798,7 @@ def test_dual_form_chunk_must_be_an_integer():
     # the four dual-form entry points share one check: True would run
     # one-step chunks and 2.5 or "3" fail with a bare TypeError; a numpy
     # integer is a chunk like any other
-    ssm = small_ssm(w=3, seed=25)
+    ssm = small_ssm(seed=25)
     rng = make_rng(26)
     z = rng.standard_normal((5, 3))
     f_q = rng.standard_normal((5, 1, 2))
@@ -797,7 +830,7 @@ def test_backward_interval_free(mag):
     # every pole at |lam| = mag: small poles are where a segment that
     # rebuilt its states by dividing by lam would amplify roundoff by mag^-K;
     # 7 and 63 leave a ragged last chunk, 64 and 69 make one chunk of N = 64
-    base = small_ssm(m=4, w=64, seed=25)
+    base = small_ssm(m=4, seed=25)
     ssm = dataclasses.replace(base, a=np.log(mag) / 0.1 + 1j * base.a.imag,
                               delta=np.full(4, 0.1))
     assert np.allclose(np.abs(ssm.lam), mag)
@@ -818,7 +851,7 @@ def _entry_state_cases():
     at |lam| = 0.3 and 0.01."""
     rng = make_rng(64)
     for n, chunk in ((7, 3), (4, 9), (1, 2)):
-        base = random_ssm(3, 5, rng)
+        base = random_ssm(3, rng)
         for mag in (None, 0.3, 0.01):
             ssm = base if mag is None else dataclasses.replace(
                 base, a=np.log(mag) / 0.1 + 1j * base.a.imag, delta=np.full(3, 0.1))
@@ -835,7 +868,7 @@ def test_adjoints_from_an_entry_state_match_finite_differences(adjoint):
     # and imaginary parts; each term on its own (x0 alone, G alone) too
     rng = make_rng(65)
     for ssm, z, x0, g_final, chunk in _entry_state_cases():
-        n, w, m = z.shape[0], ssm.input_width, ssm.state_dim
+        (n, w), m = z.shape, ssm.state_dim
         if adjoint == "query_readout_backward":
             f_q = rng.standard_normal((n, 2, 2))
             up = rng.standard_normal((n, 2, w - 2))
@@ -890,7 +923,7 @@ def test_adjoints_from_an_entry_state_match_finite_differences(adjoint):
 def test_final_state_is_the_chunkwise_scans():
     # the closed-form steps alone give scan_chunkwise's final state bit
     # for bit, from zero and from x0, into ``out`` when given
-    ssm = small_ssm(m=4, w=6, seed=66)
+    ssm = small_ssm(m=4, seed=66)
     rng = make_rng(67)
     x0 = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
     for n in (0, 1, 5, 16, 17):
@@ -907,7 +940,7 @@ def test_final_state_is_the_chunkwise_scans():
 def test_entry_carry_blocks_are_bit_exact(monkeypatch):
     # the entry carry adds each chunk's product into grad z as its own
     # GEMM, so blocks of one chunk give the same bits as the default
-    ssm = small_ssm(m=4, w=6, seed=68)
+    ssm = small_ssm(m=4, seed=68)
     rng = make_rng(69)
     z = rng.standard_normal((41, 6))
     up = rng.standard_normal((41, 4, 6))
@@ -920,7 +953,7 @@ def test_entry_carry_blocks_are_bit_exact(monkeypatch):
 
 
 def test_final_upstream_is_checked():
-    ssm = small_ssm(m=3, w=5)
+    ssm = small_ssm(m=3)
     z, up = np.zeros((4, 5)), np.zeros((4, 3, 5))
     with pytest.raises(ValueError, match=r"final_upstream must be \(W, M\) = \(5, 3\)"):
         backward_checkpointed(ssm, z, up, 2, final_upstream=np.zeros((3, 5)))
@@ -941,7 +974,7 @@ def test_backward_returns_the_chunkwise_outputs(n, chunk):
     # the adjoint forms the scan outputs from the entry states and operator
     # it builds anyway: bit for bit scan_chunkwise's, into ``out`` when
     # given, with the same gradients either way
-    ssm = small_ssm(m=5, w=12, seed=62)
+    ssm = small_ssm(m=5, seed=62)
     rng = make_rng(63)
     z = rng.standard_normal((n, 12))
     up = rng.standard_normal((n, 5, 12))
@@ -957,7 +990,7 @@ def test_backward_returns_the_chunkwise_outputs(n, chunk):
 
 
 def test_backward_rejects_a_bad_out():
-    ssm = small_ssm(m=3, w=5)
+    ssm = small_ssm(m=3)
     z, up = np.zeros((4, 5)), np.zeros((4, 3, 5))
     frozen = np.zeros((4, 3, 5))
     frozen.flags.writeable = False
@@ -969,9 +1002,8 @@ def test_backward_rejects_a_bad_out():
             backward_checkpointed(ssm, z, up, 2, out=bad)
 
 
-def finite_difference_case(ssm, n, seed, chunk):
+def finite_difference_case(ssm, w, n, seed, chunk):
     rng = make_rng(seed)
-    w = ssm.input_width
     z = rng.standard_normal((n, w))
     up = rng.standard_normal((n, ssm.state_dim, w))
 
@@ -1019,14 +1051,14 @@ def finite_difference_case(ssm, n, seed, chunk):
 
 
 def test_backward_matches_finite_differences():
-    finite_difference_case(small_ssm(m=4, w=2, seed=27), n=8, seed=28, chunk=3)
+    finite_difference_case(small_ssm(m=4, seed=27), w=2, n=8, seed=28, chunk=3)
 
 
 def test_backward_matches_finite_differences_tiny_poles():
-    base = small_ssm(m=3, w=2, seed=29)
+    base = small_ssm(m=3, seed=29)
     fast = dataclasses.replace(base, a=base.a.imag * 1j - 100.0, delta=np.full(3, 0.1))
     assert np.abs(fast.lam).min() < 1e-3
-    finite_difference_case(fast, n=6, seed=30, chunk=2)
+    finite_difference_case(fast, w=2, n=6, seed=30, chunk=2)
 
 
 @pytest.mark.parametrize("w, m, n", [(1, 1, 5), (4, 2, 1), (32, 16, 128), (128, 64, 9),
@@ -1035,7 +1067,7 @@ def test_recurrences_bit_identical_to_the_reference(w, m, n):
     # lam is broadcast to the (W, M) state once instead of at every step,
     # which changes no product or sum
     rng = make_rng(120)
-    lam = random_ssm(m, w, rng).lam
+    lam = random_ssm(m, rng).lam
     drive = rng.standard_normal((n, w, m)) + 1j * rng.standard_normal((n, w, m))
     x0 = rng.standard_normal((w, m)) + 1j * rng.standard_normal((w, m))
     # into a separate array, in place, and backwards in time through reversed views
@@ -1063,7 +1095,7 @@ def test_recur_through_a_reversed_view_writes_its_rows_in_place():
     # entries[:0:-1], zero, entries[:0:-1]): the flat views it steps must be
     # those rows themselves, and an out that cannot be viewed flat is refused
     rng = make_rng(121)
-    lam = random_ssm(16, 32, rng).lam
+    lam = random_ssm(16, rng).lam
     entries = rng.standard_normal((5, 32, 16)) + 1j * rng.standard_normal((5, 32, 16))
     zero = np.zeros((32, 16), dtype=complex)
     got, want = entries.copy(), entries.copy()
