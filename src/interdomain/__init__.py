@@ -5,7 +5,7 @@ The package is organized bottom-up:
 
 ``config``      self-checking model configuration and seeding
 ``features``    feature maps, short conv, RoPE, norms
-``oracle``      brute-force attention references
+``oracle``      brute-force feature-attention reference
 ``basis``       explicit basis projection and readouts
 ``ssm``         diagonal recurrence, four scan backends, dual-form backward
 ``layer``       the assembled mixer: forward, backward, prefill, decode

@@ -1,35 +1,20 @@
 """Exact basis projections: the uncompressed form of the fixed-state readout.
 
 A sequence of key features and values is projected onto M basis functions
-sampled on the token grid.  With a complete orthonormal basis (M == N) the
-normalized readout reproduces feature attention exactly; truncating the
-basis is what the learned state-space path approximates online.
+sampled on the N-point token grid, held as the (M, N) array of their
+orthonormal rows.  With a complete basis (M == N) the normalized readout
+reproduces feature attention exactly; truncating the basis is what the
+learned state-space path approximates online.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .oracle import ZeroDenominatorError
 
 ORTHO_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class DiscreteBasis:
-    """M basis functions tabulated on an N-point grid, orthonormal rows."""
-
-    phi: np.ndarray  # (M, N)
-
-    @property
-    def m(self) -> int:
-        return self.phi.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.phi.shape[1]
 
 
 def _check_orthonormal(phi: np.ndarray) -> None:
@@ -39,15 +24,17 @@ def _check_orthonormal(phi: np.ndarray) -> None:
         raise ValueError(f"basis rows are not orthonormal (max Gram error {err:.3e})")
 
 
-def make_indicator_basis(n: int) -> DiscreteBasis:
-    """One indicator per grid point; complete by construction (M == N)."""
+def make_indicator_basis(n: int) -> np.ndarray:
+    """One indicator per grid point as the (N, N) identity; complete by
+    construction (M == N)."""
     if n < 1:
         raise ValueError("grid size must be positive")
-    return DiscreteBasis(phi=np.eye(n))
+    return np.eye(n)
 
 
-def make_legendre_basis(m: int, n: int) -> DiscreteBasis:
-    """First M discrete orthonormal polynomials on the uniform grid.
+def make_legendre_basis(m: int, n: int) -> np.ndarray:
+    """First M discrete orthonormal polynomials on the uniform N-point grid,
+    as the (M, N) array of their rows.
 
     Built by orthonormalizing the monomial ladder with the three-term
     recurrence (numerically equivalent to Gram-Schmidt on monomials but
@@ -76,9 +63,8 @@ def make_legendre_basis(m: int, n: int) -> DiscreteBasis:
         for j in range(k):
             rows[k] -= (rows[k] @ rows[j]) * rows[j]
         rows[k] /= np.linalg.norm(rows[k])
-    basis = DiscreteBasis(phi=rows)
-    _check_orthonormal(basis.phi)
-    return basis
+    _check_orthonormal(rows)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -95,20 +81,21 @@ class InterdomainState:
     eta: np.ndarray
 
 
-def project(keys_feat: np.ndarray, values: np.ndarray, basis: DiscreteBasis) -> InterdomainState:
-    """Project key features (N, R) and values (N, d) onto the basis."""
+def project(keys_feat: np.ndarray, values: np.ndarray, phi: np.ndarray) -> InterdomainState:
+    """Project key features (N, R) and values (N, d) onto the rows of the
+    (M, N) basis ``phi``."""
     keys_feat = np.asarray(keys_feat, dtype=float)
     values = np.asarray(values, dtype=float)
-    if keys_feat.shape[0] != basis.n or values.shape[0] != basis.n:
+    n = phi.shape[1]
+    if keys_feat.shape[0] != n or values.shape[0] != n:
         raise ValueError(
-            f"sequence length must match the basis grid ({basis.n}), got "
+            f"sequence length must match the basis grid ({n}), got "
             f"keys {keys_feat.shape[0]} / values {values.shape[0]}"
         )
-    phi = basis.phi
     return InterdomainState(
         u=phi @ keys_feat,
         gamma=phi @ values,
-        eta=phi @ np.ones(basis.n),
+        eta=phi @ np.ones(n),
     )
 
 
@@ -133,30 +120,17 @@ def readout_free(q_feat: np.ndarray, state: InterdomainState) -> np.ndarray:
     return (q_feat @ state.u.T) @ state.gamma
 
 
-def causal_project(
-    keys_feat: np.ndarray,
-    values: np.ndarray,
-    basis_family: Sequence[DiscreteBasis],
-) -> list[InterdomainState]:
-    """Per-prefix projection: entry i summarizes keys/values [0..i].
+def causal_project(keys_feat: np.ndarray, values: np.ndarray, m: int) -> list[InterdomainState]:
+    """Per-prefix projection: entry i summarizes keys/values [0..i] on the
+    first min(M, i + 1) Legendre rows of the (i + 1)-point grid.
 
-    ``basis_family[i]`` must be a basis on an (i+1)-point grid.  The result
-    at position i depends only on the prefix, which is the causality
-    statement the online path inherits.
+    The result at position i depends only on the prefix, which is the
+    causality statement the online path inherits.
     """
     keys_feat = np.asarray(keys_feat, dtype=float)
     values = np.asarray(values, dtype=float)
     n = keys_feat.shape[0]
-    if len(basis_family) != n:
-        raise ValueError(f"need one basis per prefix, got {len(basis_family)} for N={n}")
-    states = []
-    for i, basis in enumerate(basis_family):
-        if basis.n != i + 1:
-            raise ValueError(f"basis_family[{i}] covers {basis.n} points, expected {i + 1}")
-        states.append(project(keys_feat[: i + 1], values[: i + 1], basis))
-    return states
-
-
-def make_legendre_family(m: int, n: int) -> list[DiscreteBasis]:
-    """Per-prefix Legendre bases, truncated to the prefix length when shorter."""
-    return [make_legendre_basis(min(m, i + 1), i + 1) for i in range(n)]
+    if values.shape[0] != n:
+        raise ValueError(f"key count {n} != value count {values.shape[0]}")
+    return [project(keys_feat[: i + 1], values[: i + 1],
+                    make_legendre_basis(min(m, i + 1), i + 1)) for i in range(n)]

@@ -24,7 +24,6 @@ from .basis import (
     causal_project,
     make_indicator_basis,
     make_legendre_basis,
-    make_legendre_family,
     project,
     readout_free,
     readout_nw,
@@ -32,7 +31,7 @@ from .basis import (
 from .config import BACKENDS, VARIANTS, ModelConfig, load_config, make_rng
 from .features import FeatureMap
 from .layer import backward, decode_step, forward, init_layer_params, prefill
-from .oracle import AttentionInputs, feature_attention
+from .oracle import feature_attention
 from .ssm import random_ssm, run_scan
 
 
@@ -264,8 +263,7 @@ def basis_suite(seed: int) -> SuiteReport:
         q = rng.uniform(0.05, 1.0, size=(n, d))
         k = rng.uniform(0.05, 1.0, size=(n, d))
         v = rng.standard_normal((n, d_v))
-        inputs = AttentionInputs(q=q, k=k, v=v, causal=False)
-        want = feature_attention(inputs, fmap)
+        want = feature_attention(q, k, v, fmap)
         want_free = (q @ k.T) @ v
         for basis, label in ((make_indicator_basis(n), "indicator"),
                              (make_legendre_basis(n, n), "legendre")):
@@ -273,8 +271,8 @@ def basis_suite(seed: int) -> SuiteReport:
             cases.append(_case(f"{label}_nw_n{n}", _rel(readout_nw(q, state), want), 1e-10))
             cases.append(_case(f"{label}_free_n{n}",
                                _rel(readout_free(q, state), want_free), 1e-10))
-        causal_want = feature_attention(AttentionInputs(q=q, k=k, v=v, causal=True), fmap)
-        states = causal_project(k, v, make_legendre_family(n, n))
+        causal_want = feature_attention(q, k, v, fmap, causal=True)
+        states = causal_project(k, v, n)
         got = np.stack([readout_nw(q[i:i + 1], states[i])[0] for i in range(n)])
         cases.append(_case(f"legendre_causal_n{n}", _rel(got, causal_want), 1e-10))
     return SuiteReport("basis", seed, tuple(cases))

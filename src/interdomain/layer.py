@@ -367,8 +367,19 @@ def _check_params(params: LayerParams, config: ModelConfig) -> None:
     Parameters made for another config would otherwise run on a wrong
     slice, return an output of the wrong width, fail deep inside with a bare
     IndexError or UFuncTypeError, or silently drop a slot or an imaginary
-    part.  Only shapes and whether a dtype is complex are compared, so
-    float32 or integer tensors still run and the check costs microseconds."""
+    part.  A container that is not a ``LayerParams``, a norm, SSM or feature
+    map that is not its record, and a real slot of a dtype that is not
+    bool, integer or float are named too.  Only shapes and dtype kinds are
+    compared, so float32 or integer tensors still run and the check costs
+    microseconds."""
+    if not isinstance(params, LayerParams):
+        raise ValueError(f"params must be a LayerParams, got {type(params).__name__}")
+    for name, record in (("k_norm", NormBias), ("v_norm", NormBias), ("ssm", DiagonalSSM),
+                         ("feature_map", FeatureMap)):
+        slot = getattr(params, name)
+        if not isinstance(slot, record):
+            raise ValueError(f"params.{name} must be a {record.__name__}, "
+                             f"got {type(slot).__name__}")
     layout = param_layout(config)
     tensors = _learnable(params)
     for name in _LEARNABLE:
@@ -385,9 +396,15 @@ def _check_params(params: LayerParams, config: ModelConfig) -> None:
         if got != want:
             raise ValueError(f"params.{name} must be {want} for this config, got {got}")
         # the builtin dtypes are singletons, so the usual tensor costs one `is`
-        if tensor.dtype is not dtype and (tensor.dtype.kind == "c") != (dtype.kind == "c"):
-            raise ValueError(f"params.{name} must be {'complex' if dtype.kind == 'c' else 'real'}"
-                             f" for this config, got dtype {tensor.dtype}")
+        if tensor.dtype is not dtype:
+            kind = tensor.dtype.kind
+            if (kind == "c") != (dtype.kind == "c"):
+                raise ValueError(f"params.{name} must be "
+                                 f"{'complex' if dtype.kind == 'c' else 'real'} for this "
+                                 f"config, got dtype {tensor.dtype}")
+            if kind not in "biufc":
+                raise ValueError(f"params.{name} must be bool, integer or float, got dtype "
+                                 f"{tensor.dtype}")
     fmap = params.feature_map
     if fmap.kind == "rff":
         got = getattr(fmap.omega, "shape", None)

@@ -1,12 +1,10 @@
-"""Reference attention: exact softmax and feature-space kernel regression.
+"""Reference attention: feature-space kernel regression by explicit loops.
 
-These are the ground-truth implementations the compressed paths are checked
-against.  ``feature_attention`` is deliberately written as an explicit double
+The ground truth the basis projections are checked against.
+``feature_attention`` is deliberately written as an explicit double
 summation so it stays independent of the vectorized production code.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,70 +19,35 @@ class ZeroDenominatorError(ValueError):
         super().__init__(f"zero attention denominator at query index {index}")
 
 
-@dataclass(frozen=True)
-class AttentionInputs:
-    """Queries (N_q, d), keys (N, d), values (N, d_v), and a causal flag.
+def feature_attention(q, k, v, fmap: FeatureMap, causal: bool = False) -> np.ndarray:
+    """Kernel regression of values (N, d_v) at queries (N_q, d) over keys
+    (N, d), with K(q, k) replaced by features(q) @ features(k).
 
     Causal masking requires the query and key sequences to be aligned
-    (N_q == N); query i then attends to keys 0..i.
+    (N_q == N); query i then attends to keys 0..i.  Evaluated by explicit
+    double summation over queries and keys.  Raises ``ZeroDenominatorError``
+    naming the first query whose weight sum is exactly zero.
     """
-
-    q: np.ndarray
-    k: np.ndarray
-    v: np.ndarray
-    causal: bool = False
-
-    def __post_init__(self):
-        q = np.asarray(self.q, dtype=float)
-        k = np.asarray(self.k, dtype=float)
-        v = np.asarray(self.v, dtype=float)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "v", v)
-        if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
-            raise ValueError("q, k, v must be 2-D arrays")
-        if q.shape[1] != k.shape[1]:
-            raise ValueError(f"query width {q.shape[1]} != key width {k.shape[1]}")
-        if k.shape[0] != v.shape[0]:
-            raise ValueError(f"key count {k.shape[0]} != value count {v.shape[0]}")
-        if self.causal and q.shape[0] != k.shape[0]:
-            raise ValueError("causal masking needs aligned sequences (N_q == N)")
-
-
-def softmax_attention(inputs: AttentionInputs) -> np.ndarray:
-    """Exact attention with kernel exp(q@k / sqrt(d)).
-
-    Rows are shifted by their max before exponentiation, which leaves the
-    weights unchanged but keeps them finite for large logits.
-    """
-    q, k, v = inputs.q, inputs.k, inputs.v
-    scores = q @ k.T / np.sqrt(q.shape[1])
-    if inputs.causal:
-        n = q.shape[0]
-        scores = np.where(np.arange(n)[None, :] <= np.arange(n)[:, None], scores, -np.inf)
-    scores = scores - scores.max(axis=1, keepdims=True)
-    weights = np.exp(scores)
-    return (weights @ v) / weights.sum(axis=1, keepdims=True)
-
-
-def feature_attention(inputs: AttentionInputs, fmap: FeatureMap) -> np.ndarray:
-    """Kernel regression with K(q, k) replaced by features(q) @ features(k).
-
-    Evaluated by explicit double summation over queries and keys.  Raises
-    ``ZeroDenominatorError`` naming the first query whose weight sum is
-    exactly zero.
-    """
-    q_feat = np.atleast_2d(apply_feature_map(fmap, inputs.q))
-    k_feat = np.atleast_2d(apply_feature_map(fmap, inputs.k))
+    q, k, v = (np.asarray(a, dtype=float) for a in (q, k, v))
+    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
+        raise ValueError("q, k, v must be 2-D arrays")
+    if q.shape[1] != k.shape[1]:
+        raise ValueError(f"query width {q.shape[1]} != key width {k.shape[1]}")
+    if k.shape[0] != v.shape[0]:
+        raise ValueError(f"key count {k.shape[0]} != value count {v.shape[0]}")
+    if causal and q.shape[0] != k.shape[0]:
+        raise ValueError("causal masking needs aligned sequences (N_q == N)")
+    q_feat = np.atleast_2d(apply_feature_map(fmap, q))
+    k_feat = np.atleast_2d(apply_feature_map(fmap, k))
     n_q, n = q_feat.shape[0], k_feat.shape[0]
-    out = np.zeros((n_q, inputs.v.shape[1]))
+    out = np.zeros((n_q, v.shape[1]))
     for i in range(n_q):
-        limit = i + 1 if inputs.causal else n
-        num = np.zeros(inputs.v.shape[1])
+        limit = i + 1 if causal else n
+        num = np.zeros(v.shape[1])
         den = 0.0
         for j in range(limit):
             w = float(q_feat[i] @ k_feat[j])
-            num += w * inputs.v[j]
+            num += w * v[j]
             den += w
         if den == 0.0:
             raise ZeroDenominatorError(i)

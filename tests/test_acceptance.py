@@ -37,7 +37,7 @@ from interdomain.layer import (
     init_layer_params,
     prefill,
 )
-from interdomain.oracle import AttentionInputs, feature_attention
+from interdomain.oracle import feature_attention
 from interdomain.ssm import random_ssm, run_scan
 
 from helpers import (
@@ -71,7 +71,7 @@ def test_acceptance_1_complete_basis_equality():
             q = rng.uniform(0.05, 1.0, size=(int(rng.integers(1, 9)), r))
             k = rng.uniform(0.05, 1.0, size=(n, r))
             v = rng.standard_normal((n, d_v))
-            want = feature_attention(AttentionInputs(q=q, k=k, v=v), FeatureMap("identity"))
+            want = feature_attention(q, k, v, FeatureMap("identity"))
             for basis in (make_indicator_basis(n), make_legendre_basis(n, n)):
                 got = readout_nw(q, project(k, v, basis))
                 worst = max(worst, rel_err(got, want))

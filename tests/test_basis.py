@@ -2,19 +2,17 @@ import numpy as np
 import pytest
 
 from interdomain.basis import (
-    DiscreteBasis,
     InterdomainState,
     causal_project,
     make_indicator_basis,
     make_legendre_basis,
-    make_legendre_family,
     project,
     readout_free,
     readout_nw,
 )
 from interdomain.config import make_rng
 from interdomain.features import FeatureMap
-from interdomain.oracle import AttentionInputs, ZeroDenominatorError, feature_attention
+from interdomain.oracle import ZeroDenominatorError, feature_attention
 
 from helpers import rel_err
 
@@ -29,9 +27,9 @@ def positive_inputs(rng, n, r, d_v):
 # --- basis constructors ---
 
 def test_indicator_basis_is_identity_grid():
-    b = make_indicator_basis(5)
-    assert b.m == b.n == 5
-    assert np.array_equal(b.phi, np.eye(5))
+    phi = make_indicator_basis(5)
+    assert phi.shape == (5, 5)
+    assert np.array_equal(phi, np.eye(5))
 
 
 def test_indicator_rejects_empty_grid():
@@ -41,9 +39,9 @@ def test_indicator_rejects_empty_grid():
 
 @pytest.mark.parametrize("m,n", [(1, 1), (2, 5), (4, 8), (8, 8), (16, 64), (32, 257)])
 def test_legendre_rows_orthonormal(m, n):
-    b = make_legendre_basis(m, n)
-    assert b.phi.shape == (m, n)
-    gram = b.phi @ b.phi.T
+    phi = make_legendre_basis(m, n)
+    assert phi.shape == (m, n)
+    gram = phi @ phi.T
     assert np.max(np.abs(gram - np.eye(m))) < 1e-10
 
 
@@ -51,15 +49,15 @@ def test_legendre_spans_monomials():
     # row space must equal the span of {1, s, ..., s^(M-1)}; compare the
     # orthogonal projectors built two independent ways
     m, n = 5, 12
-    b = make_legendre_basis(m, n)
+    phi = make_legendre_basis(m, n)
     s = np.linspace(-1.0, 1.0, n)
     q, _ = np.linalg.qr(np.vander(s, m, increasing=True))
-    assert rel_err(b.phi.T @ b.phi, q @ q.T) < 1e-10
+    assert rel_err(phi.T @ phi, q @ q.T) < 1e-10
 
 
 def test_legendre_first_row_is_constant():
-    b = make_legendre_basis(3, 9)
-    assert np.allclose(b.phi[0], 1.0 / 3.0)
+    phi = make_legendre_basis(3, 9)
+    assert np.allclose(phi[0], 1.0 / 3.0)
 
 
 def test_legendre_bad_sizes_rejected():
@@ -91,12 +89,12 @@ def test_projection_zero_values_zero_gamma():
 def test_projection_matches_double_loop():
     rng = make_rng(2)
     keys, values = positive_inputs(rng, 8, 3, 2)
-    b = make_legendre_basis(4, 8)
-    st = project(keys, values, b)
+    phi = make_legendre_basis(4, 8)
+    st = project(keys, values, phi)
     u = np.zeros((4, 3))
     for mi in range(4):
         for t in range(8):
-            u[mi] += b.phi[mi, t] * keys[t]
+            u[mi] += phi[mi, t] * keys[t]
     assert rel_err(st.u, u) < 1e-14
 
 
@@ -109,9 +107,9 @@ def test_projection_linear_in_values():
     rng = make_rng(3)
     keys, va = positive_inputs(rng, 7, 3, 2)
     vb = rng.standard_normal((7, 2))
-    b = make_legendre_basis(3, 7)
+    phi = make_legendre_basis(3, 7)
     qf = rng.uniform(0.05, 1.0, size=(4, 3))
-    free = lambda v: readout_free(qf, project(keys, v, b))
+    free = lambda v: readout_free(qf, project(keys, v, phi))
     assert rel_err(free(2.0 * va - 3.0 * vb), 2.0 * free(va) - 3.0 * free(vb)) < 1e-12
 
 
@@ -120,8 +118,7 @@ def test_projection_linear_in_values():
 def test_readout_free_matches_triple_loop():
     rng = make_rng(4)
     keys, values = positive_inputs(rng, 6, 3, 2)
-    b = make_legendre_basis(4, 6)
-    st = project(keys, values, b)
+    st = project(keys, values, make_legendre_basis(4, 6))
     qf = rng.uniform(0.05, 1.0, size=(2, 3))
     want = np.zeros((2, 2))
     for i in range(2):
@@ -172,7 +169,7 @@ def test_complete_basis_reproduces_feature_attention(make):
     keys, values = positive_inputs(rng, n, 4, 3)
     qf = rng.uniform(0.05, 1.0, size=(6, 4))
     st = project(keys, values, make(n))
-    want = feature_attention(AttentionInputs(q=qf, k=keys, v=values), FeatureMap("identity"))
+    want = feature_attention(qf, keys, values, FeatureMap("identity"))
     assert rel_err(readout_nw(qf, st), want) < 1e-10
     assert rel_err(readout_free(qf, st), (qf @ keys.T) @ values) < 1e-10
 
@@ -185,7 +182,7 @@ def test_truncation_residual_monotone_in_basis_size():
     keys = np.stack([np.exp(-t), 0.5 + 0.5 * np.sin(2 * np.pi * t)], axis=1)
     residuals = []
     for m in range(1, n + 1):
-        phi = make_legendre_basis(m, n).phi
+        phi = make_legendre_basis(m, n)
         residuals.append(np.linalg.norm(keys - phi.T @ (phi @ keys)))
     diffs = np.diff(residuals)
     assert np.all(diffs <= 1e-12)
@@ -200,7 +197,7 @@ def test_smooth_inputs_need_few_basis_functions():
     keys = np.stack([1.5 + np.sin(2 * np.pi * t), np.exp(-2 * t) + 0.2], axis=1)
     values = np.stack([np.cos(np.pi * t), t], axis=1)
     qf = rng.uniform(0.05, 1.0, size=(4, 2))
-    want = feature_attention(AttentionInputs(q=qf, k=keys, v=values), FeatureMap("identity"))
+    want = feature_attention(qf, keys, values, FeatureMap("identity"))
     errs = {}
     for m in (2, 8, n):
         st = project(keys, values, make_legendre_basis(m, n))
@@ -215,10 +212,9 @@ def test_smooth_inputs_need_few_basis_functions():
 def test_causal_first_entry_sees_one_token():
     rng = make_rng(11)
     keys, values = positive_inputs(rng, 5, 3, 2)
-    family = make_legendre_family(3, 5)
-    states = causal_project(keys, values, family)
+    states = causal_project(keys, values, 3)
     assert len(states) == 5
-    first = project(keys[:1], values[:1], family[0])
+    first = project(keys[:1], values[:1], make_legendre_basis(1, 1))
     assert np.array_equal(states[0].u, first.u)
     assert np.array_equal(states[0].gamma, first.gamma)
 
@@ -226,12 +222,11 @@ def test_causal_first_entry_sees_one_token():
 def test_causal_states_ignore_suffix_edits():
     rng = make_rng(12)
     keys, values = positive_inputs(rng, 6, 3, 2)
-    family = make_legendre_family(4, 6)
-    states = causal_project(keys, values, family)
+    states = causal_project(keys, values, 4)
     keys2, values2 = keys.copy(), values.copy()
     keys2[4:] = rng.uniform(0.05, 1.0, size=(2, 3))
     values2[4:] = rng.standard_normal((2, 2))
-    states2 = causal_project(keys2, values2, family)
+    states2 = causal_project(keys2, values2, 4)
     for i in range(4):
         assert np.array_equal(states[i].u, states2[i].u)
         assert np.array_equal(states[i].gamma, states2[i].gamma)
@@ -241,25 +236,27 @@ def test_causal_states_ignore_suffix_edits():
 def test_causal_sweep_matches_prefix_calls():
     rng = make_rng(13)
     keys, values = positive_inputs(rng, 7, 3, 2)
-    family = make_legendre_family(3, 7)
-    states = causal_project(keys, values, family)
+    states = causal_project(keys, values, 3)
     for i in range(7):
-        direct = project(keys[: i + 1], values[: i + 1], family[i])
+        direct = project(keys[: i + 1], values[: i + 1], make_legendre_basis(min(3, i + 1), i + 1))
         assert rel_err(states[i].u, direct.u) < 1e-15
         assert rel_err(states[i].gamma, direct.gamma) < 1e-15
 
 
-def test_causal_family_size_checked():
-    keys = np.ones((4, 2))
-    with pytest.raises(ValueError, match="one basis per prefix"):
-        causal_project(keys, keys, make_legendre_family(2, 3))
-    bad = make_legendre_family(2, 4)
-    bad[2] = make_legendre_basis(2, 4)
-    with pytest.raises(ValueError, match="basis_family\\[2\\]"):
-        causal_project(keys, keys, bad)
+@pytest.mark.parametrize("n_keys,n_values", [(5, 7), (7, 5)])
+def test_causal_key_and_value_counts_must_agree(n_keys, n_values):
+    # five keys and seven values gave five states and never read the last
+    # two values
+    with pytest.raises(ValueError, match=f"key count {n_keys} != value count {n_values}"):
+        causal_project(np.ones((n_keys, 2)), np.ones((n_values, 2)), 3)
 
 
-def test_legendre_family_truncates_early_prefixes():
-    family = make_legendre_family(4, 6)
-    assert [b.m for b in family] == [1, 2, 3, 4, 4, 4]
-    assert [b.n for b in family] == [1, 2, 3, 4, 5, 6]
+def test_causal_states_truncate_early_prefixes():
+    # prefix i is projected on min(M, i + 1) rows: every row its grid holds
+    # until there are M
+    rng = make_rng(14)
+    keys, values = positive_inputs(rng, 6, 3, 2)
+    states = causal_project(keys, values, 4)
+    assert [st.u.shape for st in states] == [(m, 3) for m in (1, 2, 3, 4, 4, 4)]
+    assert [st.gamma.shape for st in states] == [(m, 2) for m in (1, 2, 3, 4, 4, 4)]
+    assert [st.eta.shape for st in states] == [(m,) for m in (1, 2, 3, 4, 4, 4)]

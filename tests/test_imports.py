@@ -33,6 +33,13 @@ def unused_imports(source: str) -> list[str]:
 
 
 def test_no_unused_imports():
+    broken = ("from __future__ import annotations\n"
+              "import os\n"
+              "import numpy as np\n"
+              "import xml.dom\n"
+              "from a.b import c, d as e\n"
+              "print(np.pi, e, xml)\n")
+    assert unused_imports(broken) == ["os (line 2)", "c (line 5)"]
     found = {path.name: unused_imports(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}
 
@@ -93,6 +100,23 @@ def unused_locals(source: str) -> list[str]:
 
 
 def test_no_unused_locals():
+    broken = ("def f(a):\n"
+              "    x = 1\n"
+              "    y = 2\n"
+              "    z = 0\n"
+              "    z += 1\n"
+              "    _tmp = 3\n"
+              "    for i in range(3):\n"
+              "        pass\n"
+              "    def g():\n"
+              "        unread = y\n"
+              "        return a\n"
+              "    global G\n"
+              "    G = 4\n"
+              "    w, v = 1, 2\n"
+              "    return g, v\n")
+    assert sorted(unused_locals(broken)) == [
+        "f: i (line 7)", "f: w (line 14)", "f: x (line 2)", "g: unread (line 10)"]
     found = {path.name: unused_locals(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}
 
@@ -214,8 +238,6 @@ CALLED_FROM_OUTSIDE = {
     "save_layer_params": "the parameter archive's writer, for callers of the package",
     "load_layer_params": "the parameter archive's reader, for callers of the package",
     "count_layer_params": "the acceptance gate checks it against accounting's closed form",
-    "softmax_attention": "the token-level oracle the feature-attention oracles are tested "
-                         "against",
 }
 
 

@@ -804,6 +804,56 @@ def test_float32_and_integer_params_still_run():
     assert rel_err(got, want) < 1e-6
 
 
+def _every_entry_raises(params, config, match):
+    x = make_rng(92).standard_normal((4, config.model_dim))
+    with pytest.raises(ValueError, match=match):
+        forward(params, x, config)
+    with pytest.raises(ValueError, match=match):
+        prefill(params, x, config)
+    with pytest.raises(ValueError, match=match):
+        decode_step(params, init_decode_state(config), x[0], config)
+    with pytest.raises(ValueError, match=match):
+        backward(params, x, x, config)
+
+
+@pytest.mark.parametrize("bad", [None, "s", {"w_q": None}])
+def test_params_that_are_not_layer_params_are_rejected(bad):
+    # forward(None, ...) raised a bare AttributeError on w_q
+    config = load_config(Path(__file__).resolve().parents[1] / "configs" / "tiny.json")
+    _every_entry_raises(bad, config, "params must be a LayerParams, got "
+                                     + type(bad).__name__)
+
+
+@pytest.mark.parametrize("field,record", [("k_norm", "NormBias"), ("v_norm", "NormBias"),
+                                          ("ssm", "DiagonalSSM"),
+                                          ("feature_map", "FeatureMap")])
+def test_a_record_slot_that_does_not_hold_its_record_is_rejected(field, record):
+    # None raised a bare AttributeError on gain, delta or kind
+    config = load_config(Path(__file__).resolve().parents[1] / "configs" / "tiny.json")
+    params = init_layer_params(config, make_rng(95))
+    setattr(params, field, None)
+    _every_entry_raises(params, config, rf"params\.{field} must be a {record}, got NoneType")
+
+
+@pytest.mark.parametrize("field", ["w_o", "w_k", "k_norm.gain"])
+@pytest.mark.parametrize("dtype", [object, str])
+def test_a_real_slot_of_a_dtype_that_is_not_numeric_is_rejected(field, dtype):
+    # an object-dtype w_o got through the dtype check and failed with a
+    # bare UFuncTypeError
+    config = load_config(Path(__file__).resolve().parents[1] / "configs" / "tiny.json")
+    params = init_layer_params(config, make_rng(96))
+    if "." in field:
+        norm, part = field.split(".")
+        bad = getattr(getattr(params, norm), part).astype(dtype)
+        setattr(params, norm, dataclasses.replace(getattr(params, norm), **{part: bad}))
+    else:
+        bad = getattr(params, field).astype(dtype)
+        setattr(params, field, bad)
+    _every_entry_raises(params, config,
+                        rf"params\.{field} must be bool, integer or float, got dtype "
+                        + re.escape(str(bad.dtype)))
+
+
 @pytest.mark.parametrize("entry", ["forward", "prefill", "decode_step", "backward"])
 def test_complex_input_is_rejected(entry):
     # a complex input must not be cut to its real part
