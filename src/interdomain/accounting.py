@@ -23,24 +23,20 @@ MIXERS = ("softmax", "interdomain", "s4d_only")
 
 @dataclass(frozen=True)
 class BackboneSpec:
-    """Width/depth of one decoder-only scale.
-
-    ``dims_inferred`` marks scales whose width and depth were reverse
-    engineered by matching the published softmax total; the flagged configs
-    do reproduce it exactly.
-    """
+    """Width/depth of one decoder-only scale."""
 
     name: str
     model_dim: int
     layers: int
     heads: int
-    dims_inferred: bool = False
 
 
 BACKBONES = (
     BackboneSpec("125m", model_dim=768, layers=12, heads=12),
-    BackboneSpec("350m", model_dim=1024, layers=24, heads=16, dims_inferred=True),
-    BackboneSpec("760m", model_dim=1536, layers=24, heads=24, dims_inferred=True),
+    # width and depth reverse engineered by matching the published softmax
+    # total, which they reproduce exactly
+    BackboneSpec("350m", model_dim=1024, layers=24, heads=16),
+    BackboneSpec("760m", model_dim=1536, layers=24, heads=24),
     BackboneSpec("1.3b", model_dim=2048, layers=24, heads=32),
 )
 
@@ -74,7 +70,6 @@ def scale_config(spec: BackboneSpec, variant: str = "full_interdomain") -> Model
         rope_enabled=True,
         output_gate_enabled=False,
         n_kv=spec.heads,
-        readout="denominator_free",
         seed=0,
     )
 

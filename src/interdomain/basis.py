@@ -1,10 +1,27 @@
 """Exact basis projections: the uncompressed form of the fixed-state readout.
 
-A sequence of key features and values is projected onto M basis functions
-sampled on the N-point token grid, held as the (M, N) array of their
-orthonormal rows.  With a complete basis (M == N) the normalized readout
-reproduces feature attention exactly; truncating the basis is what the
-learned state-space path approximates online.
+A sequence of key features K (N, R) and values V (N, d) is projected onto
+M basis functions sampled on the N-point token grid, held as the (M, N)
+array Phi of their rows: U = Phi K, Gamma = Phi V.  ``project`` takes any
+rows, and the denominator-free readout of query features f_q is then the
+Gram form
+
+    f_q U^T Gamma = f_q K^T (Phi^T Phi) V.
+
+With a complete orthonormal basis, Phi^T Phi = I (M == N), it is feature
+attention's numerator f_q K^T V, and the normalized readout reproduces
+feature attention exactly; orthonormality is needed only for that
+equality.  ``make_indicator_basis(n)`` and ``make_legendre_basis(n, n)``
+are such bases.
+
+The SSM keeps such a projection online.  From a zero state its outputs
+[U | Gamma] at position t are ``project`` of the first t + 1 inputs onto
+``ssm_basis(ssm, t + 1)``, the rows Phi_t[:, s] = Re(C (lam^(t-s) * b)),
+s <= t, which are the columns of the lower-triangular mixing matrix of
+Dao and Gu, *Transformers are SSMs* (2024); a state x0 adds
+Re(C diag(lam^(t+1)) x0^T).  So a query scan's head outputs are the Gram
+form on Phi_t, and a learned SSM relaxes the complete basis to M rows
+that every prefix shares.
 """
 from __future__ import annotations
 
@@ -13,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .oracle import ZeroDenominatorError
+from .ssm import DiagonalSSM
 
 ORTHO_TOL = 1e-10
 
@@ -67,6 +85,19 @@ def make_legendre_basis(m: int, n: int) -> np.ndarray:
     return rows
 
 
+def ssm_basis(ssm: DiagonalSSM, n: int) -> np.ndarray:
+    """The (M, n) rows Phi[:, s] = Re(C (lam^(n-1-s) * b)) onto which one
+    SSM group projects its first n inputs to form its output at position
+    n - 1.  Each pole is raised to each lag by a power, sharing no
+    arithmetic with the scans; a stacked SSM raises ``ValueError``."""
+    if ssm.delta.ndim != 1:
+        raise ValueError("ssm_basis takes one group at a time: pass ssm[g]")
+    if n < 1:
+        raise ValueError(f"grid size must be positive, got {n}")
+    lags = np.arange(n - 1, -1, -1)
+    return (ssm.c_out @ (ssm.lam[:, None] ** lags * ssm.b[:, None])).real
+
+
 @dataclass(frozen=True)
 class InterdomainState:
     """Basis-space summary of a key/value sequence.
@@ -83,9 +114,12 @@ class InterdomainState:
 
 def project(keys_feat: np.ndarray, values: np.ndarray, phi: np.ndarray) -> InterdomainState:
     """Project key features (N, R) and values (N, d) onto the rows of the
-    (M, N) basis ``phi``."""
+    (M, N) basis ``phi``, which need not be orthonormal."""
     keys_feat = np.asarray(keys_feat, dtype=float)
     values = np.asarray(values, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    if phi.ndim != 2:
+        raise ValueError(f"basis must be an (M, N) array, got shape {phi.shape}")
     n = phi.shape[1]
     if keys_feat.shape[0] != n or values.shape[0] != n:
         raise ValueError(
@@ -99,13 +133,23 @@ def project(keys_feat: np.ndarray, values: np.ndarray, phi: np.ndarray) -> Inter
     )
 
 
+def _query_rows(q_feat, state: InterdomainState) -> np.ndarray:
+    """Query features as (N_q, R) float rows, R the state's key feature
+    width; one row may come as a vector."""
+    q_feat = np.atleast_2d(np.asarray(q_feat, dtype=float))
+    if q_feat.ndim != 2 or q_feat.shape[1] != state.u.shape[1]:
+        raise ValueError(f"query features must be (N_q, {state.u.shape[1]}) rows, as wide as "
+                         f"the key features, got shape {q_feat.shape}")
+    return q_feat
+
+
 def readout_nw(q_feat: np.ndarray, state: InterdomainState) -> np.ndarray:
     """Normalized readout: (F U^T Gamma) / (F U^T eta) rowwise.
 
     Raises ``ZeroDenominatorError`` with the offending query row if any
     denominator is exactly zero.
     """
-    q_feat = np.atleast_2d(np.asarray(q_feat, dtype=float))
+    q_feat = _query_rows(q_feat, state)
     weights = q_feat @ state.u.T  # (N_q, M)
     den = weights @ state.eta
     bad = np.flatnonzero(den == 0.0)
@@ -116,21 +160,5 @@ def readout_nw(q_feat: np.ndarray, state: InterdomainState) -> np.ndarray:
 
 def readout_free(q_feat: np.ndarray, state: InterdomainState) -> np.ndarray:
     """Denominator-free readout F U^T Gamma; the form the learned layer uses."""
-    q_feat = np.atleast_2d(np.asarray(q_feat, dtype=float))
-    return (q_feat @ state.u.T) @ state.gamma
+    return (_query_rows(q_feat, state) @ state.u.T) @ state.gamma
 
-
-def causal_project(keys_feat: np.ndarray, values: np.ndarray, m: int) -> list[InterdomainState]:
-    """Per-prefix projection: entry i summarizes keys/values [0..i] on the
-    first min(M, i + 1) Legendre rows of the (i + 1)-point grid.
-
-    The result at position i depends only on the prefix, which is the
-    causality statement the online path inherits.
-    """
-    keys_feat = np.asarray(keys_feat, dtype=float)
-    values = np.asarray(values, dtype=float)
-    n = keys_feat.shape[0]
-    if values.shape[0] != n:
-        raise ValueError(f"key count {n} != value count {values.shape[0]}")
-    return [project(keys_feat[: i + 1], values[: i + 1],
-                    make_legendre_basis(min(m, i + 1), i + 1)) for i in range(n)]

@@ -21,12 +21,12 @@ import numpy as np
 
 from . import accounting, bench
 from .basis import (
-    causal_project,
     make_indicator_basis,
     make_legendre_basis,
     project,
     readout_free,
     readout_nw,
+    ssm_basis,
 )
 from .config import BACKENDS, VARIANTS, ModelConfig, load_config, make_rng
 from .features import FeatureMap
@@ -254,7 +254,10 @@ def bench_suite(config: ModelConfig, seed: int, out_dir: Path, batches: tuple[in
 
 def basis_suite(seed: int) -> SuiteReport:
     """Complete-basis equality demo: with as many basis functions as tokens,
-    projecting and reading out reproduces exact feature attention."""
+    projecting and reading out reproduces exact feature attention.  Then
+    every backend's query scan against its own basis: at each position t
+    the head outputs equal ``readout_free`` of the first t + 1 inputs
+    projected on ``ssm_basis(ssm, t + 1)``."""
     rng = make_rng(seed)
     fmap = FeatureMap("identity")
     cases = []
@@ -271,10 +274,14 @@ def basis_suite(seed: int) -> SuiteReport:
             cases.append(_case(f"{label}_nw_n{n}", _rel(readout_nw(q, state), want), 1e-10))
             cases.append(_case(f"{label}_free_n{n}",
                                _rel(readout_free(q, state), want_free), 1e-10))
-        causal_want = feature_attention(q, k, v, fmap, causal=True)
-        states = causal_project(k, v, n)
-        got = np.stack([readout_nw(q[i:i + 1], states[i])[0] for i in range(n)])
-        cases.append(_case(f"legendre_causal_n{n}", _rel(got, causal_want), 1e-10))
+    ssm, r, n = random_ssm(8, rng), 5, 40
+    z, f_q = rng.standard_normal((n, r + 3)), rng.standard_normal((n, 2, r))
+    want = np.stack([readout_free(f_q[t], project(z[:t + 1, :r], z[:t + 1, r:],
+                                                  ssm_basis(ssm, t + 1)))
+                     for t in range(n)])
+    for backend in BACKENDS:
+        got = run_scan(ssm, z, backend, f_q=f_q).outputs
+        cases.append(_case(f"ssm_basis_{backend}", _rel(got, want), 1e-10))
     return SuiteReport("basis", seed, tuple(cases))
 
 
@@ -361,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--steps", type=_int_at_least(1), default=64,
                          help="decode steps per cell (default 64)")
     sub.add_parser("basis", parents=[common],
-                   help="complete-basis equality demo")
+                   help="complete-basis equality demo and every scan against its SSM's basis")
     return parser
 
 

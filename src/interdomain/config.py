@@ -19,9 +19,6 @@ import numpy as np
 
 BACKENDS = ("sequential", "fft", "chunkwise", "parallel_prefix")
 VARIANTS = ("full_interdomain", "dual_kv_linear", "single_input_qproj", "s4d_only")
-# The layer runs only the denominator-free readout, so a config with any
-# other value of ``readout`` fails when it is made rather than run.
-READOUTS = ("denominator_free",)
 
 # Variants whose readout contracts query features against the key-side
 # coefficients.  The other two replace the query path with a learned
@@ -41,7 +38,7 @@ _COUNT_FIELDS = (
     "context_len", "chunk_size", "prefill_chunk", "n_kv", "seed",
 )
 _FLAG_FIELDS = ("rope_enabled", "output_gate_enabled")
-_ENUM_FIELDS = {"backend": BACKENDS, "variant": VARIANTS, "readout": READOUTS}
+_ENUM_FIELDS = {"backend": BACKENDS, "variant": VARIANTS}
 
 
 @dataclass(frozen=True)
@@ -74,7 +71,6 @@ class ModelConfig:
     rope_enabled: bool = True
     output_gate_enabled: bool = False
     n_kv: int = 2
-    readout: str = "denominator_free"
     seed: int = 0
 
     def __post_init__(self):
@@ -160,12 +156,20 @@ def streams(config: ModelConfig) -> tuple[Stream, ...]:
 
 
 def config_from_dict(data: dict) -> ModelConfig:
-    """Build a config from a flat dict, rejecting unknown keys."""
+    """Build a config from a flat dict, rejecting unknown keys.
+
+    Config files written while the record had a ``readout`` field carry
+    one.  The layer runs only the denominator-free readout, so the key is
+    accepted with that value, and never read, and any other value raises
+    ``ConfigError``.
+    """
     known = {f.name for f in dataclasses.fields(ModelConfig)}
-    unknown = sorted(set(data) - known)
+    unknown = sorted(set(data) - known - {"readout"})
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    return ModelConfig(**data)
+    if data.get("readout", "denominator_free") != "denominator_free":
+        raise ConfigError(f"readout must be 'denominator_free', got {data['readout']!r}")
+    return ModelConfig(**{k: v for k, v in data.items() if k != "readout"})
 
 
 def load_config(path: str | Path, seed_override: int | None = None) -> ModelConfig:

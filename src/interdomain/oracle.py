@@ -19,13 +19,12 @@ class ZeroDenominatorError(ValueError):
         super().__init__(f"zero attention denominator at query index {index}")
 
 
-def feature_attention(q, k, v, fmap: FeatureMap, causal: bool = False) -> np.ndarray:
+def feature_attention(q, k, v, fmap: FeatureMap) -> np.ndarray:
     """Kernel regression of values (N, d_v) at queries (N_q, d) over keys
     (N, d), with K(q, k) replaced by features(q) @ features(k).
 
-    Causal masking requires the query and key sequences to be aligned
-    (N_q == N); query i then attends to keys 0..i.  Evaluated by explicit
-    double summation over queries and keys.  Raises ``ZeroDenominatorError``
+    Every query attends to every key.  Evaluated by explicit double
+    summation over queries and keys.  Raises ``ZeroDenominatorError``
     naming the first query whose weight sum is exactly zero.
     """
     q, k, v = (np.asarray(a, dtype=float) for a in (q, k, v))
@@ -35,17 +34,14 @@ def feature_attention(q, k, v, fmap: FeatureMap, causal: bool = False) -> np.nda
         raise ValueError(f"query width {q.shape[1]} != key width {k.shape[1]}")
     if k.shape[0] != v.shape[0]:
         raise ValueError(f"key count {k.shape[0]} != value count {v.shape[0]}")
-    if causal and q.shape[0] != k.shape[0]:
-        raise ValueError("causal masking needs aligned sequences (N_q == N)")
     q_feat = np.atleast_2d(apply_feature_map(fmap, q))
     k_feat = np.atleast_2d(apply_feature_map(fmap, k))
     n_q, n = q_feat.shape[0], k_feat.shape[0]
     out = np.zeros((n_q, v.shape[1]))
     for i in range(n_q):
-        limit = i + 1 if causal else n
         num = np.zeros(v.shape[1])
         den = 0.0
-        for j in range(limit):
+        for j in range(n):
             w = float(q_feat[i] @ k_feat[j])
             num += w * v[j]
             den += w

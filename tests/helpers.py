@@ -44,7 +44,7 @@ def tiny_config(**overrides) -> ModelConfig:
         context_len=128, chunk_size=3, prefill_chunk=8,
         backend="sequential", variant="full_interdomain",
         rope_enabled=True, output_gate_enabled=False,
-        n_kv=2, readout="denominator_free", seed=0,
+        n_kv=2, seed=0,
     )
     return dataclasses.replace(base, **overrides)
 

@@ -1,20 +1,24 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from interdomain.basis import (
     InterdomainState,
-    causal_project,
     make_indicator_basis,
     make_legendre_basis,
     project,
     readout_free,
     readout_nw,
+    ssm_basis,
 )
-from interdomain.config import make_rng
+from interdomain.config import BACKENDS, QUERY_VARIANTS, make_rng
 from interdomain.features import FeatureMap
+from interdomain.layer import forward_trace, init_layer_params
 from interdomain.oracle import ZeroDenominatorError, feature_attention
+from interdomain.ssm import random_ssm, run_scan, stack_ssms
 
-from helpers import rel_err
+from helpers import rel_err, tiny_config
 
 
 def positive_inputs(rng, n, r, d_v):
@@ -103,6 +107,15 @@ def test_projection_length_mismatch_rejected():
         project(np.ones((5, 2)), np.ones((5, 2)), make_indicator_basis(6))
 
 
+def test_projection_takes_any_2d_basis_array():
+    # a list basis raised a bare AttributeError, and a 1-D one an IndexError
+    keys, values = np.ones((2, 3)), np.ones((2, 2))
+    st = project(keys, values, [[1.0, 2.0]])
+    assert np.array_equal(st.u, [[3.0, 3.0, 3.0]]) and st.u.dtype == float
+    with pytest.raises(ValueError, match=r"basis must be an \(M, N\) array, got shape \(2,\)"):
+        project(keys, values, np.ones(2))
+
+
 def test_projection_linear_in_values():
     rng = make_rng(3)
     keys, va = positive_inputs(rng, 7, 3, 2)
@@ -149,6 +162,17 @@ def test_readout_nw_zero_denominator_reports_row():
     with pytest.raises(ZeroDenominatorError) as exc:
         readout_nw(qf, st)
     assert exc.value.index == 1
+
+
+@pytest.mark.parametrize("readout", [readout_free, readout_nw])
+def test_readout_names_both_feature_widths(readout):
+    # numpy raised its bare matmul error on the width, and readout_nw
+    # divided a stack of query rows by the wrong denominators
+    st = project(np.ones((5, 4)), np.ones((5, 2)), make_indicator_basis(5))
+    with pytest.raises(ValueError, match=r"must be \(N_q, 4\) rows.*got shape \(2, 3\)"):
+        readout(np.ones((2, 3)), st)
+    with pytest.raises(ValueError, match=r"got shape \(2, 2, 4\)"):
+        readout(np.ones((2, 2, 4)), st)
 
 
 def test_readout_accepts_single_query_row():
@@ -207,56 +231,62 @@ def test_smooth_inputs_need_few_basis_functions():
     assert errs[8] < 1e-2
 
 
-# --- causal (per-prefix) projection ---
+# --- the SSM's basis: every scan is a causal projection ---
 
-def test_causal_first_entry_sees_one_token():
-    rng = make_rng(11)
-    keys, values = positive_inputs(rng, 5, 3, 2)
-    states = causal_project(keys, values, 3)
-    assert len(states) == 5
-    first = project(keys[:1], values[:1], make_legendre_basis(1, 1))
-    assert np.array_equal(states[0].u, first.u)
-    assert np.array_equal(states[0].gamma, first.gamma)
-
-
-def test_causal_states_ignore_suffix_edits():
-    rng = make_rng(12)
-    keys, values = positive_inputs(rng, 6, 3, 2)
-    states = causal_project(keys, values, 4)
-    keys2, values2 = keys.copy(), values.copy()
-    keys2[4:] = rng.uniform(0.05, 1.0, size=(2, 3))
-    values2[4:] = rng.standard_normal((2, 2))
-    states2 = causal_project(keys2, values2, 4)
-    for i in range(4):
-        assert np.array_equal(states[i].u, states2[i].u)
-        assert np.array_equal(states[i].gamma, states2[i].gamma)
-        assert np.array_equal(states[i].eta, states2[i].eta)
+def ssm_prefix_states(ssm, z, r, x0=None):
+    """[U | Gamma] at each position t, as ``project`` of the first t + 1
+    inputs onto ``ssm_basis(ssm, t + 1)``; a state x0 adds
+    Re(C diag(lam^(t+1)) x0^T)."""
+    states = []
+    for t in range(z.shape[0]):
+        st = project(z[: t + 1, :r], z[: t + 1, r:], ssm_basis(ssm, t + 1))
+        if x0 is not None:
+            carried = (ssm.c_out @ (ssm.lam[:, None] ** (t + 1) * x0.T)).real
+            st = InterdomainState(u=st.u + carried[:, :r], gamma=st.gamma + carried[:, r:],
+                                  eta=st.eta)
+        states.append(st)
+    return states
 
 
-def test_causal_sweep_matches_prefix_calls():
-    rng = make_rng(13)
-    keys, values = positive_inputs(rng, 7, 3, 2)
-    states = causal_project(keys, values, 3)
-    for i in range(7):
-        direct = project(keys[: i + 1], values[: i + 1], make_legendre_basis(min(3, i + 1), i + 1))
-        assert rel_err(states[i].u, direct.u) < 1e-15
-        assert rel_err(states[i].gamma, direct.gamma) < 1e-15
+@pytest.mark.parametrize("start", ["zero", "x0"])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_every_scan_projects_on_the_ssm_basis(backend, start):
+    # M = 8, R = 5, d = 3, N = 40, two heads; chunkwise takes chunks of 6,
+    # the last one ragged
+    rng = make_rng(16)
+    m, r, n = 8, 5, 40
+    ssm = random_ssm(m, rng)
+    z, f_q = rng.standard_normal((n, r + 3)), rng.standard_normal((n, 2, r))
+    x0 = rng.standard_normal((r + 3, m)) + 1j * rng.standard_normal((r + 3, m)) \
+        if start == "x0" else None
+    states = ssm_prefix_states(ssm, z, r, x0)
+    outputs = run_scan(ssm, z, backend, chunk=6, x0=x0).outputs
+    want = np.stack([np.concatenate([st.u, st.gamma], axis=1) for st in states])
+    assert rel_err(outputs, want) < 1e-12
+    heads = run_scan(ssm, z, backend, chunk=6, x0=x0, f_q=f_q).outputs
+    want = np.stack([readout_free(f_q[t], st) for t, st in enumerate(states)])
+    assert rel_err(heads, want) < 1e-12
 
 
-@pytest.mark.parametrize("n_keys,n_values", [(5, 7), (7, 5)])
-def test_causal_key_and_value_counts_must_agree(n_keys, n_values):
-    # five keys and seven values gave five states and never read the last
-    # two values
-    with pytest.raises(ValueError, match=f"key count {n_keys} != value count {n_values}"):
-        causal_project(np.ones((n_keys, 2)), np.ones((n_values, 2)), 3)
+@pytest.mark.parametrize("n_kv", [1, 2])
+@pytest.mark.parametrize("variant", QUERY_VARIANTS)
+def test_layer_heads_read_out_ssm_basis_projections(variant, n_kv):
+    config = tiny_config(variant=variant, n_kv=n_kv)
+    params = init_layer_params(config, make_rng(17))
+    n, r = 7, config.feature_dim
+    x = make_rng(18).standard_normal((n, config.model_dim))
+    for backend in BACKENDS:
+        _, trace = forward_trace(params, x, dataclasses.replace(config, backend=backend))
+        z, f_q = trace["z"], trace["f_q"].reshape(n, n_kv, -1, r)
+        states = [ssm_prefix_states(params.ssm[g], z[:, g], r) for g in range(n_kv)]
+        want = np.stack([[readout_free(f_q[t, g], states[g][t]) for g in range(n_kv)]
+                         for t in range(n)])
+        assert rel_err(trace["o_cat"], want.reshape(n, -1)) < 1e-12, backend
 
 
-def test_causal_states_truncate_early_prefixes():
-    # prefix i is projected on min(M, i + 1) rows: every row its grid holds
-    # until there are M
-    rng = make_rng(14)
-    keys, values = positive_inputs(rng, 6, 3, 2)
-    states = causal_project(keys, values, 4)
-    assert [st.u.shape for st in states] == [(m, 3) for m in (1, 2, 3, 4, 4, 4)]
-    assert [st.gamma.shape for st in states] == [(m, 2) for m in (1, 2, 3, 4, 4, 4)]
-    assert [st.eta.shape for st in states] == [(m,) for m in (1, 2, 3, 4, 4, 4)]
+def test_ssm_basis_takes_one_group():
+    ssm = random_ssm(3, make_rng(19))
+    with pytest.raises(ValueError, match="one group at a time"):
+        ssm_basis(stack_ssms([ssm, ssm]), 4)
+    with pytest.raises(ValueError, match="grid size must be positive"):
+        ssm_basis(ssm, 0)

@@ -116,6 +116,15 @@ def test_basis_passes(tmp_path):
     assert read_report(tmp_path, "basis")["passed"] is True
 
 
+def test_basis_checks_every_scan_against_its_ssm_basis(tmp_path):
+    assert run(["basis", "--out", str(tmp_path)]) == 0
+    cases = {c["name"]: c for c in read_report(tmp_path, "basis")["cases"]}
+    for backend in BACKENDS:
+        case = cases[f"ssm_basis_{backend}"]
+        assert case["passed"] and case["tolerance"] == 1e-10, backend
+    assert not [name for name in cases if name.startswith("legendre_causal")]
+
+
 def test_bench_writes_grid_and_report(tmp_path):
     code = run(["bench", "--out", str(tmp_path),
                 "--batch", "1,2", "--prefix-lens", "8,32", "--steps", "2"])

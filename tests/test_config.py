@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from interdomain.config import (
     BACKENDS,
-    READOUTS,
     VARIANTS,
     ConfigError,
     ModelConfig,
@@ -37,15 +36,24 @@ def test_published_scale_constructs():
 def test_every_way_of_making_a_config_checks_it(tmp_path, field, value):
     # dataclasses.replace skipped the checks: with prefill_chunk=-4 forward
     # returned uninitialised memory that passed its output check, and
-    # readout="nw" ran the denominator-free readout
+    # readout="nw" ran the denominator-free readout.  readout is no longer
+    # a field, so the constructor and replace refuse it as a keyword, and
+    # only a dict or a file can still carry it
     config = load_config(REPO / "configs" / "tiny.json")
     data = {**dataclasses.asdict(config), field: value}
     path = tmp_path / "config.json"
     path.write_text(json.dumps(data))
+    checked = [lambda: config_from_dict(data), lambda: load_config(path)]
+    keyword = [lambda: dataclasses.replace(config, **{field: value}),
+               lambda: ModelConfig(**data)]
+    if field == "readout":
+        for make in keyword:
+            with pytest.raises(TypeError, match=field):
+                make()
+    else:
+        checked += keyword
     messages = set()
-    for make in (lambda: dataclasses.replace(config, **{field: value}),
-                 lambda: ModelConfig(**data), lambda: config_from_dict(data),
-                 lambda: load_config(path)):
+    for make in checked:
         with pytest.raises(ConfigError, match=field) as err:
             make()
         messages.add(str(err.value))
@@ -82,9 +90,7 @@ def test_n_kv_is_one_or_heads():
         tiny_config(heads=4, model_dim=16, n_kv=3)
 
 
-@pytest.mark.parametrize("field,allowed", [("backend", BACKENDS),
-                                           ("variant", VARIANTS),
-                                           ("readout", READOUTS)])
+@pytest.mark.parametrize("field,allowed", [("backend", BACKENDS), ("variant", VARIANTS)])
 def test_enums_rejected(field, allowed):
     with pytest.raises(ConfigError, match=field):
         tiny_config(**{field: "bogus"})
@@ -92,9 +98,19 @@ def test_enums_rejected(field, allowed):
         tiny_config(**{field: value})
 
 
-def test_nw_readout_rejected():
-    # the layer has no normalized readout, so asking for one must fail
-    with pytest.raises(ConfigError, match="readout"):
+def test_nw_readout_rejected(tmp_path):
+    # the layer has no normalized readout, so asking for one must fail; a
+    # dict or file may carry the key only with the one readout the layer runs
+    data = dataclasses.asdict(tiny_config())
+    assert config_from_dict({**data, "readout": "denominator_free"}) == tiny_config()
+    path = tmp_path / "config.json"
+    for value in ("nw", "bogus", None):
+        path.write_text(json.dumps({**data, "readout": value}))
+        for make in (lambda: config_from_dict({**data, "readout": value}),
+                     lambda: load_config(path)):
+            with pytest.raises(ConfigError, match="readout must be 'denominator_free'"):
+                make()
+    with pytest.raises(TypeError, match="readout"):
         tiny_config(readout="nw")
 
 

@@ -27,12 +27,6 @@ def test_rejects_mismatched_key_value_counts():
                           FeatureMap("identity"))
 
 
-def test_causal_needs_square_alignment():
-    with pytest.raises(ValueError, match="aligned"):
-        feature_attention(np.zeros((2, 3)), np.zeros((4, 3)), np.zeros((4, 2)),
-                          FeatureMap("identity"), causal=True)
-
-
 # --- feature-map reference ---
 
 def test_feature_single_key_returns_that_value():
@@ -42,18 +36,6 @@ def test_feature_single_key_returns_that_value():
     v = rng.standard_normal((1, 2))
     out = feature_attention(q, k, v, FeatureMap("identity"))
     assert rel_err(out, np.broadcast_to(v[0], (3, 2))) < 1e-12
-
-
-def test_feature_causal_rows_match_prefix_calls():
-    rng = make_rng(7)
-    q = np.abs(rng.standard_normal((6, 3))) + 0.1
-    k = np.abs(rng.standard_normal((6, 3))) + 0.1
-    v = rng.standard_normal((6, 2))
-    fmap = FeatureMap("identity")
-    out = feature_attention(q, k, v, fmap, causal=True)
-    for t in range(6):
-        prefix = feature_attention(q[t : t + 1], k[: t + 1], v[: t + 1], fmap)
-        assert rel_err(out[t], prefix[0]) < 1e-12
 
 
 def test_feature_zero_denominator_reports_query_index():
