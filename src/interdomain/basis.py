@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .oracle import ZeroDenominatorError
-from .ssm import DiagonalSSM
+from .ssm import DiagonalSSM, _real
 
 ORTHO_TOL = 1e-10
 
@@ -55,8 +55,12 @@ def make_legendre_basis(m: int, n: int) -> np.ndarray:
     as the (M, N) array of their rows.
 
     Built by orthonormalizing the monomial ladder with the three-term
-    recurrence (numerically equivalent to Gram-Schmidt on monomials but
-    stable at high degree), then re-orthonormalized once.  Requires M <= N.
+    recurrence (numerically equivalent to Gram-Schmidt on monomials), then
+    re-orthonormalized by one Householder QR of those rows, which keeps
+    their order, so row k still spans the polynomials of degree <= k, and
+    the signs fixed by diag(R), so each row keeps its sign.  The rows are
+    orthonormal to roundoff, (257, 257) included, as the tests check, and
+    ``_check_orthonormal`` raises should they not be.  Requires M <= N.
     """
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= M <= N, got M={m}, N={n}")
@@ -76,11 +80,9 @@ def make_legendre_basis(m: int, n: int) -> np.ndarray:
             raise ValueError(f"monomial ladder degenerated at degree {k}")
         prev = rows[k - 1]
         rows[k] = w / nw
-    # one modified Gram-Schmidt sweep to scrub accumulated drift
-    for k in range(m):
-        for j in range(k):
-            rows[k] -= (rows[k] @ rows[j]) * rows[j]
-        rows[k] /= np.linalg.norm(rows[k])
+    # the recurrence drifts from orthogonality at high degree: scrub it
+    q, r = np.linalg.qr(rows.T)
+    rows = q.T * np.sign(np.diag(r))[:, None]
     _check_orthonormal(rows)
     return rows
 
@@ -114,10 +116,11 @@ class InterdomainState:
 
 def project(keys_feat: np.ndarray, values: np.ndarray, phi: np.ndarray) -> InterdomainState:
     """Project key features (N, R) and values (N, d) onto the rows of the
-    (M, N) basis ``phi``, which need not be orthonormal."""
-    keys_feat = np.asarray(keys_feat, dtype=float)
-    values = np.asarray(values, dtype=float)
-    phi = np.asarray(phi, dtype=float)
+    (M, N) basis ``phi``, which need not be orthonormal.  A complex
+    argument raises ``ValueError`` naming it instead of losing its
+    imaginary part."""
+    keys_feat, values, phi = (_real(a, name) for a, name in
+                              ((keys_feat, "keys_feat"), (values, "values"), (phi, "phi")))
     if phi.ndim != 2:
         raise ValueError(f"basis must be an (M, N) array, got shape {phi.shape}")
     n = phi.shape[1]
@@ -135,8 +138,8 @@ def project(keys_feat: np.ndarray, values: np.ndarray, phi: np.ndarray) -> Inter
 
 def _query_rows(q_feat, state: InterdomainState) -> np.ndarray:
     """Query features as (N_q, R) float rows, R the state's key feature
-    width; one row may come as a vector."""
-    q_feat = np.atleast_2d(np.asarray(q_feat, dtype=float))
+    width; one row may come as a vector, and a complex one raises."""
+    q_feat = np.atleast_2d(_real(q_feat, "q_feat"))
     if q_feat.ndim != 2 or q_feat.shape[1] != state.u.shape[1]:
         raise ValueError(f"query features must be (N_q, {state.u.shape[1]}) rows, as wide as "
                          f"the key features, got shape {q_feat.shape}")

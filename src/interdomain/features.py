@@ -185,29 +185,30 @@ def short_conv_backward(flat, tail, kernel, grad_out, grad_tail):
     """Backward of ``short_conv_with_tail(flat, kernel, tail)``: returns
     (grad flat, grad kernel, grad tail).  ``tail`` None is a stream's start,
     which has no tail gradient (None); ``grad_tail`` is the upstream on the
-    new tail, the last CONV_TAPS - 1 rows of [tail; flat], or None.  Only
-    the first CONV_TAPS - 1 rows of the output read the tail, so the tail's
-    gradient is formed apart, and one product buffer serves every tap."""
+    new tail, the last CONV_TAPS - 1 rows of [tail; flat], or None.
+
+    The gradient is one buffer over the rows [tail; flat] that the forward
+    reads: it starts from the new tail's upstream on its last CONV_TAPS - 1
+    rows, and tap tau adds kernel[tau] * grad_out to the rows it read, the
+    block's rows shifted back by tau, through one reused product buffer.
+    grad flat is a view of its last N rows, and the tail's gradient a copy
+    of its first CONV_TAPS - 1, so a carried tail gradient holds no
+    block-sized buffer."""
     taps, n = CONV_TAPS - 1, flat.shape[0]
-    grad_flat = kernel[0] * grad_out
-    grad_prev = None if tail is None else np.zeros_like(tail)
-    if grad_tail is not None:  # rows of [tail; flat] from n on are the new tail
-        grad_flat[max(n - taps, 0):] += grad_tail[max(taps - n, 0):]
-        if grad_prev is not None and n < taps:
-            grad_prev[n:] += grad_tail[:taps - n]
+    grad_ext = np.zeros((taps + n, flat.shape[1]))
+    if grad_tail is not None:
+        grad_ext[n:] = grad_tail
     prod = np.empty_like(grad_out)
     grad_k = np.empty_like(kernel)
-    np.sum(np.multiply(grad_out, flat, out=prod), axis=0, out=grad_k[0])
-    for tau in range(1, CONV_TAPS):
+    for tau in range(CONV_TAPS):
         # out[t] reads row t - tau of flat, or of the tail for t < tau
+        grad_ext[taps - tau:taps - tau + n] += np.multiply(kernel[tau], grad_out, out=prod)
         rows = max(n - tau, 0)
-        grad_flat[:rows] += np.multiply(kernel[tau], grad_out[tau:], out=prod[:rows])
         np.sum(np.multiply(grad_out[tau:], flat[:rows], out=prod[:rows]), axis=0, out=grad_k[tau])
-        if tail is not None:
+        if tail is not None and tau:
             seen = min(tau, n)
-            grad_prev[taps - tau:taps - tau + seen] += kernel[tau] * grad_out[:seen]
             grad_k[tau] += np.sum(grad_out[:seen] * tail[taps - tau:taps - tau + seen], axis=0)
-    return grad_flat, grad_k, grad_prev
+    return grad_ext[taps:], grad_k, None if tail is None else grad_ext[:taps].copy()
 
 
 def rope_rotations(positions: int | np.ndarray, width: int) -> np.ndarray:

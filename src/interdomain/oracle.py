@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .features import FeatureMap, apply_feature_map
+from .ssm import _real
 
 
 class ZeroDenominatorError(ValueError):
@@ -25,9 +26,10 @@ def feature_attention(q, k, v, fmap: FeatureMap) -> np.ndarray:
 
     Every query attends to every key.  Evaluated by explicit double
     summation over queries and keys.  Raises ``ZeroDenominatorError``
-    naming the first query whose weight sum is exactly zero.
+    naming the first query whose weight sum is exactly zero, and
+    ``ValueError`` naming a complex q, k or v.
     """
-    q, k, v = (np.asarray(a, dtype=float) for a in (q, k, v))
+    q, k, v = (_real(a, name) for a, name in ((q, "q"), (k, "k"), (v, "v")))
     if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
         raise ValueError("q, k, v must be 2-D arrays")
     if q.shape[1] != k.shape[1]:

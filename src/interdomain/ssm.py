@@ -40,12 +40,15 @@ entry states and operator it builds anyway.  Every pass in the dual form
 starts from the same setup (``_dual_setup``): the chunk length, the table
 of pole powers and the entry states; ``final_state`` is that setup and
 the closed-form last step alone, a scan's final state with no outputs.
-Both adjoints run from any entry state x0, take an upstream on the final
-state, and return the gradient of x0.  Both end in one shared tail
+Both adjoints run from an entry state x0, take an upstream on the final
+state, and return the gradient of x0.  None, for either state, is the zero
+state, resolved where the inputs are checked: a fresh sequence is the same
+recurrence from x0 = 0, so no adjoint has a boundary case, and x0's
+gradient is returned from a zero entry too.  Both end in one shared tail
 (``_adjoint_tail``), which carries the entry states' adjoints back across
-the chunks and assembles the gradients, so a sequence can be differentiated
-block by block, each block's state gradient carried into the block before
-it.
+the chunks, entry 0 included, and assembles the gradients, so a sequence
+can be differentiated block by block, each block's state gradient carried
+into the block before it.
 
 Given the query features f_q of the group's heads, ``run_scan`` returns
 each head's f_q U^T Gamma, where [U | Gamma] are the scan's outputs, on
@@ -193,17 +196,17 @@ def _real(array, name: str) -> np.ndarray:
 def _check_scan_input(ssm: DiagonalSSM, z: np.ndarray, x0,
                       out=None) -> tuple[np.ndarray, np.ndarray]:
     """``z`` as real (N, W) inputs, W >= 1, and ``x0`` as a complex (W, M)
-    state (zeros for None); ``out``, the final state's array, must be None
-    or a writeable C-contiguous complex (W, M) array.  W = 0 is rejected:
-    the dual form's chunk length K = min(chunk, N, W) would be 0."""
+    state (``_check_state_arg``: zeros for None); ``out``, the final state's
+    array, must be None or a writeable C-contiguous complex (W, M) array.
+    W = 0 is rejected: the dual form's chunk length K = min(chunk, N, W)
+    would be 0."""
     if ssm.delta.ndim != 1:
         raise ValueError("scan one group at a time: pass ssm[g]")
     z = _real(z, "z")
     if z.ndim != 2 or z.shape[1] < 1:
         raise ValueError(f"z must be (N, W) with W >= 1, got {z.shape}")
-    shape = (z.shape[1], ssm.state_dim)
-    _check_out(out, shape, complex)
-    return z, np.zeros(shape, dtype=complex) if x0 is None else _check_state_arg(ssm, z, "x0", x0)
+    _check_out(out, (z.shape[1], ssm.state_dim), complex)
+    return z, _check_state_arg(ssm, z, "x0", x0)
 
 
 def _check_out(out, shape: tuple[int, ...], dtype: type) -> None:
@@ -221,11 +224,12 @@ def _check_state_arg(ssm: DiagonalSSM, z: np.ndarray, name: str, value):
     """The state argument ``name`` (``x0``, or an adjoint's
     ``final_upstream``) as a C-contiguous complex (W, M) array for the
     checked (N, W) inputs ``z``, copied only from another layout, since the
-    scans take float views of it; None stays None."""
-    if value is None:
-        return None
-    value = np.ascontiguousarray(value, dtype=complex)
+    scans take float views of it.  None is the zero state: a fresh
+    sequence's entry, or a final state that no loss reads."""
     shape = (z.shape[1], ssm.state_dim)
+    if value is None:
+        return np.zeros(shape, dtype=complex)
+    value = np.ascontiguousarray(value, dtype=complex)
     if value.shape != shape:
         raise ValueError(f"{name} must be (W, M) = {shape}, got {value.shape}")
     return value
@@ -703,35 +707,36 @@ class SsmGrads:
     a_im: np.ndarray           # (M,) real, w.r.t. Im a
     b: np.ndarray              # (M,) complex
     c_out: np.ndarray          # (M, M) complex
-    x0: np.ndarray | None = None  # (W, M) complex, of the entry state; None from x_0 = 0
+    x0: np.ndarray             # (W, M) complex, of the entry state, the zero one included
 
 
 def _adjoint_tail(ssm: DiagonalSSM, powers: np.ndarray, z: np.ndarray, entries: np.ndarray,
                   drive, grad_z: np.ndarray, g_h: np.ndarray, g_c: np.ndarray,
-                  by_power: np.ndarray, from_x0: bool, final_upstream) -> SsmGrads:
+                  by_power: np.ndarray, final_upstream: np.ndarray) -> SsmGrads:
     """The end both dual-form adjoints share, for K-chunks and the (K + 1,
     M) table of lam**t: carry the adjoints of the chunks' entry states back
-    to z, b and lam through the closed-form entry step (and on to x_0 when
-    ``from_x0``), then assemble the ``SsmGrads``.
+    to z, b, lam and x_0 through the closed-form entry step, then assemble
+    the ``SsmGrads``.
 
     It takes what the caller's chunk loop accumulated, as holomorphic
     adjoints: ``g_h``, the (K, M) real adjoint of the lag kernel h[tau] =
     Re(C diag(b) lam^tau); ``g_c``, the rest of C's; ``by_power``, the
     (K, M) adjoint of lam^(t+1) in the entry maps; ``drive(j)``, d_j, the
-    (W, M) adjoint of entry j from its own chunk's outputs (entry 0, x_0,
-    only when ``from_x0``); and ``grad_z`` so far.  ``grad_z``, ``by_power``
-    and ``entries``, the states ``_segment_entries`` returned, are
-    overwritten.
+    (W, M) adjoint of entry j from its own chunk's outputs, entry 0 (x_0)
+    included; and ``grad_z`` so far.  ``grad_z``, ``by_power`` and
+    ``entries``, the states ``_segment_entries`` returned, are overwritten.
 
-    One reversed ``_recur`` with lam^K carries a_j = lam^K a_{j+1} + d_j.
-    Entry j + 1 is the closed-form step over full chunk j from entry j, so
-    a_{j+1} adds Re(b lam^(K-1-p) a_{j+1}) to ``grad_z[jK + p]``, one GEMM
-    per chunk in one batched matmul, and the lag sums of z against the a_j
-    to the adjoint of b lam^tau.  ``final_upstream``, the (W, M) gradient
-    of the final state in the ``SsmGrads`` convention, or None, enters
-    through ``_final_state``'s step over the last chunk's L steps from the
-    last entry: into grad z and the adjoints of b lam^tau and of lam^L, and
-    as lam^L times it into the last entry's adjoint.
+    ``final_upstream``, the (W, M) gradient of the final state in the
+    ``SsmGrads`` convention (zeros when no loss reads it), enters through
+    ``_final_state``'s step over the last chunk's L steps from the last
+    entry: into grad z and the adjoints of b lam^tau and of lam^L, and as
+    lam^L times it into the last entry's adjoint.  One reversed ``_recur``
+    with lam^K then carries a_j = lam^K a_{j+1} + d_j through every entry,
+    entry 0 included, so x_0's gradient is its last row, whether or not
+    x_0 was zero.  Entry j + 1 is the closed-form step over full chunk j
+    from entry j, so a_{j+1} adds Re(b lam^(K-1-p) a_{j+1}) to ``grad_z[jK
+    + p]``, one GEMM per chunk in one batched matmul, and the lag sums of z
+    against the a_j to the adjoint of b lam^tau.
 
     b lam^tau then gets by_lag = g_h C plus those lag sums, and C gets
     g_c + g_h^T (b lam^tau).  Nothing divides by lam: tau lam^(tau-1) is
@@ -742,27 +747,25 @@ def _adjoint_tail(ssm: DiagonalSSM, powers: np.ndarray, z: np.ndarray, entries: 
     n = z.shape[0]
     w, m = entries.shape[1:]
     last = n - (len(entries) - 1) * k  # steps in the last chunk
-    if final_upstream is not None:
-        g_final = np.conj(final_upstream)  # holomorphic
-        b_powers = ssm.b * powers[:last][::-1]  # row p is b lam^(last-1-p)
-        grad_z[n - last:] += np.conj(b_powers).view(float) @ g_final.view(float).T
-        final_lag = (z[n - last:] @ g_final.view(float)).view(complex)[::-1]  # row tau
-        if last:
-            by_power[last - 1] += np.einsum("wm,wm->m", g_final, entries[-1])
-        g_final *= powers[last]  # the last entry's share
+    g_final = np.conj(final_upstream)  # holomorphic
+    b_powers = ssm.b * powers[:last][::-1]  # row p is b lam^(last-1-p)
+    grad_z[n - last:] += np.conj(b_powers).view(float) @ g_final.view(float).T
+    final_lag = (z[n - last:] @ g_final.view(float)).view(complex)[::-1]  # row tau
+    # of lam^last; an empty row range when N = 0, where the final state is x_0
+    by_power[last - 1:last] += np.einsum("wm,wm->m", g_final, entries[-1])
+    g_final *= powers[last]  # the last entry's share
     # The lam^K of the entry step wants sum_j a_j e_{j-1} = sum_j d_j S_j,
     # S_j = sum_{i<j} lam^(K(j-1-i)) e_i, so one buffer serves all three:
     # S_{j+1} overwrites e_j, then d_j overwrites S_{j+1} (read at chunk
-    # j + 1 just before), then a_j does.
+    # j + 1 just before; no chunk reads the last row's), then a_j does.
     zero = np.zeros((w, m), dtype=complex)
     _recur(powers[k], entries, zero, entries)
+    entries[-1] = drive(len(entries) - 1) + g_final
     entry_sum = np.zeros(m, dtype=complex)  # sum_j d_j S_j, per mode
     for j in range(len(entries) - 1, 0, -1):
-        entries[j] = drive(j)
-        if final_upstream is not None and j == len(entries) - 1:
-            entries[j] += g_final
         entry_sum += np.einsum("wm,wm->m", entries[j], entries[j - 1])
-    _recur(powers[k], entries[:0:-1], zero, entries[:0:-1])
+        entries[j - 1] = drive(j - 1)
+    _recur(powers[k], entries[::-1], zero, entries[::-1])
 
     exits = entries[1:]  # the adjoints of entries 1, 2, ...
     full = len(exits) * k
@@ -772,15 +775,7 @@ def _adjoint_tail(ssm: DiagonalSSM, powers: np.ndarray, z: np.ndarray, entries: 
     # row p: sum over full chunks j and channels c of z[jk + p, c] exits[j, c]
     z_lag = (z[:full].reshape(-1, k, w).transpose(1, 0, 2).reshape(k, -1)
              @ exits.view(float).reshape(-1, 2 * m)).view(complex)[::-1]
-    if final_upstream is not None:
-        z_lag[:last] += final_lag
-    grad_x0 = None
-    if from_x0:  # a_0 = d_0 + lam^K a_1, or d_0 plus the final state's share
-        if len(entries) > 1:
-            a_0 = drive(0) + powers[k] * entries[1]
-        else:
-            a_0 = drive(0) if final_upstream is None else drive(0) + g_final
-        grad_x0 = np.conj(a_0)
+    z_lag[:last] += final_lag
 
     d_powers = np.zeros_like(powers)  # row tau is tau lam^(tau-1), d(lam^tau)/d(lam)
     d_powers[1:] = np.arange(1, k + 1)[:, None] * powers[:k]
@@ -795,7 +790,7 @@ def _adjoint_tail(ssm: DiagonalSSM, powers: np.ndarray, z: np.ndarray, entries: 
         a_im=-p.imag,
         b=np.conj(np.sum(by_lag * powers[:k], axis=0)),
         c_out=np.conj(g_c + g_h.T @ (ssm.b * powers[:k])),
-        x0=grad_x0,
+        x0=np.conj(entries[0]),
     )
 
 
@@ -804,26 +799,30 @@ def backward_checkpointed(
     x0=None, final_upstream=None,
 ) -> tuple[np.ndarray, SsmGrads]:
     """Reverse-mode gradients of loss = sum(upstream * outputs) +
-    <final_upstream, final state> from ``x0`` (x_0 = 0 for None): the
-    adjoint of ``scan_chunkwise``'s dual form with chunks of K = min(chunk,
-    N, W) steps.  Returns (outputs, ``SsmGrads``), where outputs are
-    ``scan_chunkwise(ssm, z, chunk, x0).outputs`` bit for bit,
-    formed chunk by chunk from the entry states and operator the adjoint
-    builds anyway (``_chunk_outputs``), so a training step scans each group
-    once.  They are written into ``out`` when given, which must be a
-    writeable C-contiguous float (N, M, W) array.  No state is checkpointed
-    or rebuilt any more; the name is kept because perfbench traces it.
+    <final_upstream, final state> from ``x0``: the adjoint of
+    ``scan_chunkwise``'s dual form with chunks of K = min(chunk, N, W)
+    steps.  None, for either state, is the zero state: a fresh sequence, or
+    a final state that no loss reads.  Returns (outputs, ``SsmGrads``),
+    where outputs are ``scan_chunkwise(ssm, z, chunk, x0).outputs`` bit for
+    bit, formed chunk by chunk from the entry states and operator the
+    adjoint builds anyway (``_chunk_outputs``), so a training step scans
+    each group once.  They are written into ``out`` when given, which must
+    be a writeable C-contiguous float (N, M, W) array.  No state is
+    checkpointed or rebuilt any more; the name is kept because perfbench
+    traces it.
 
     * grad z: the transposed Toeplitz kernel on each chunk's upstream;
     * the adjoint of the kernel's h[tau] = Re(C diag(b) lam^tau): the lag
       correlation R[tau, i] = sum_t sum_c g[t, i, c] z[t-tau, c];
-    * the entry term, on chunks >= 1 (and chunk 0 from a given ``x0``):
-      g @ e for C and lam, and g^T @ A for the adjoint of each entry state.
+    * the entry term: g^T @ A for the adjoint of every entry state, x_0's
+      included, and g @ e for C and lam.  As in ``scan_chunkwise``, chunk
+      0 skips its entry columns in the outputs, and its g @ e, when x_0 is
+      zero.
 
-    ``_adjoint_tail`` carries the entry states' adjoints on to z, b and lam
-    (and to ``SsmGrads.x0`` from a given ``x0``), adds ``final_upstream``,
-    the (W, M) complex gradient of the final state in the ``SsmGrads``
-    convention (None adds nothing), and assembles the gradients.
+    ``_adjoint_tail`` carries the entry states' adjoints on to z, b, lam
+    and ``SsmGrads.x0``, the gradient of x_0, which is always returned,
+    adds ``final_upstream``, the (W, M) complex gradient of the final state
+    in the ``SsmGrads`` convention, and assembles the gradients.
 
     Each chunk's upstream is read in place, never copied.  Besides the
     outputs (none with ``out``) and sums the size of the kernel, the one
@@ -832,8 +831,7 @@ def backward_checkpointed(
     ``upstream``, so within it for K >= 2 and twice it at K = 1, where
     every state is an entry state.
     """
-    from_x0 = x0 is not None
-    z, _, k, powers, entries = _dual_setup(ssm, z, chunk, x0)
+    z, x0, k, powers, entries = _dual_setup(ssm, z, chunk, x0)
     upstream = _real(upstream, "upstream")
     (n, w), m = z.shape, ssm.state_dim
     if upstream.shape != (n, m, w):
@@ -853,15 +851,15 @@ def backward_checkpointed(
     grad_z = np.empty_like(z)
     g_z = np.zeros((k * m, k))      # [(t, i), s]: sum over chunks, c of g[t, i, c] z[s, c]
     g_e = np.zeros((k * m, 2 * m))  # [(t, i), m]: sum over chunks, c of g[t, i, c] e[c, m]
+    from_zero = not np.any(x0)
     for j in range(-(-n // k)):
         lo, ell, g = chunk_upstream(j)
-        entered = j or from_x0  # chunk 0 enters from x_0 = 0 unless given
-        _chunk_outputs(op, entries[j] if entered else None, z[lo:lo + ell],
-                       outputs[lo:lo + ell])
+        e = None if j == 0 and from_zero else entries[j]
+        _chunk_outputs(op, e, z[lo:lo + ell], outputs[lo:lo + ell])
         np.matmul(toeplitz[:ell * m, :ell].T, g, out=grad_z[lo:lo + ell])
         g_z[:ell * m, :ell] += g @ z[lo:lo + ell].T
-        if entered:
-            g_e[:ell * m] += g @ entries[j].view(float)
+        if e is not None:  # a zero entry adds exact zeros: skip its GEMM
+            g_e[:ell * m] += g @ e.view(float)
 
     def drive(j):  # g_j^T @ A over chunk j
         _, ell, g = chunk_upstream(j)
@@ -871,8 +869,7 @@ def backward_checkpointed(
     return outputs, _adjoint_tail(
         ssm, powers, z, entries, drive, grad_z, g_h=_lag_sums(g_z),
         g_c=np.einsum("tim,tm->im", g_e, powers[1:]),
-        by_power=np.einsum("tim,im->tm", g_e, ssm.c_out), from_x0=from_x0,
-        final_upstream=final_upstream)
+        by_power=np.einsum("tim,im->tm", g_e, ssm.c_out), final_upstream=final_upstream)
 
 
 def _flip_lags(a: np.ndarray) -> np.ndarray:
@@ -971,11 +968,12 @@ def query_readout_backward(ssm: DiagonalSSM, z: np.ndarray, f_q: np.ndarray, ups
                            chunk: int, x0=None,
                            final_upstream=None) -> tuple[np.ndarray, SsmGrads, np.ndarray]:
     """Reverse-mode gradients of loss = sum(upstream * outputs) +
-    <final_upstream, final state> for ``query_readout`` from ``x0`` (x_0 =
-    0 for None): returns (outputs, ``SsmGrads``, grad f_q), where outputs
-    are ``query_readout(ssm, z, f_q, chunk, x0).outputs``, the (N, P, W - R)
-    head outputs the adjoint forms on its way anyway.  From a given ``x0``
-    ``SsmGrads.x0`` is its gradient; ``final_upstream`` is as in
+    <final_upstream, final state> for ``query_readout`` from ``x0``, where
+    None, for either state, is the zero state: returns (outputs,
+    ``SsmGrads``, grad f_q), where outputs are ``query_readout(ssm, z, f_q,
+    chunk, x0).outputs``, the (N, P, W - R) head outputs the adjoint forms
+    on its way anyway.  ``SsmGrads.x0`` is always the gradient of x_0, the
+    zero state's included; ``final_upstream`` is as in
     ``backward_checkpointed``.
 
     The adjoint is the transposes of the forward's GEMMs, block by block,
@@ -1007,7 +1005,7 @@ def query_readout_backward(ssm: DiagonalSSM, z: np.ndarray, f_q: np.ndarray, ups
     outputs = np.empty_like(upstream)
     grad_z = np.empty_like(z)
     grad_f = np.empty_like(f_q)
-    drives = np.empty_like(entries)            # row j: adjoint of entry j from chunk j
+    drives = np.zeros_like(entries)            # row j: adjoint of entry j from chunk j; 0 at N = 0
     g_h = np.zeros((k, m))                     # of h[tau]
     by_power = np.zeros((k, m), dtype=complex)  # of lam^(t+1)
     g_c = np.zeros((m, 2 * m))                 # of C
@@ -1044,5 +1042,4 @@ def query_readout_backward(ssm: DiagonalSSM, z: np.ndarray, f_q: np.ndarray, ups
         grad_f[fw.rows] = g_f.reshape(-1, p, r)
 
     return outputs, _adjoint_tail(ssm, powers, z, entries, drives.__getitem__, grad_z, g_h,
-                                  g_c.view(complex), by_power, x0 is not None,
-                                  final_upstream), grad_f
+                                  g_c.view(complex), by_power, final_upstream), grad_f

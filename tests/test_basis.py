@@ -49,6 +49,16 @@ def test_legendre_rows_orthonormal(m, n):
     assert np.max(np.abs(gram - np.eye(m))) < 1e-10
 
 
+@pytest.mark.parametrize("m,n", [(78, 78), (82, 83), (257, 257)])
+def test_legendre_rows_orthonormal_at_high_degree(m, n):
+    # sizes where the three-term recurrence's drift left rows a modified
+    # Gram-Schmidt sweep could not make orthonormal to 1e-10
+    phi = make_legendre_basis(m, n)
+    assert phi.shape == (m, n)
+    assert np.max(np.abs(phi @ phi.T - np.eye(m))) < 1e-13
+    assert np.all(phi[0] > 0)  # the constant row keeps its sign
+
+
 def test_legendre_spans_monomials():
     # row space must equal the span of {1, s, ..., s^(M-1)}; compare the
     # orthogonal projectors built two independent ways
@@ -105,6 +115,23 @@ def test_projection_matches_double_loop():
 def test_projection_length_mismatch_rejected():
     with pytest.raises(ValueError, match="grid"):
         project(np.ones((5, 2)), np.ones((5, 2)), make_indicator_basis(6))
+
+
+@pytest.mark.parametrize("name", ["keys_feat", "values", "phi"])
+def test_projection_rejects_complex_arguments(name):
+    # a complex argument names itself instead of losing its imaginary part
+    args = {"keys_feat": np.ones((3, 2)), "values": np.ones((3, 2)),
+            "phi": make_indicator_basis(3)}
+    args[name] = (1 + 1j) * args[name]
+    with pytest.raises(ValueError, match=f"{name} must be real"):
+        project(**args)
+
+
+@pytest.mark.parametrize("readout", [readout_free, readout_nw])
+def test_readout_rejects_complex_queries(readout):
+    st = project(np.ones((3, 2)), np.ones((3, 2)), make_indicator_basis(3))
+    with pytest.raises(ValueError, match="q_feat must be real"):
+        readout(np.ones(2) + 1j, st)
 
 
 def test_projection_takes_any_2d_basis_array():

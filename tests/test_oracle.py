@@ -27,6 +27,15 @@ def test_rejects_mismatched_key_value_counts():
                           FeatureMap("identity"))
 
 
+@pytest.mark.parametrize("name", ["q", "k", "v"])
+def test_rejects_complex_arguments(name):
+    # a complex argument names itself instead of losing its imaginary part
+    args = {"q": np.ones((2, 3)), "k": np.ones((4, 3)), "v": np.ones((4, 2))}
+    args[name] = (1 + 1j) * args[name]
+    with pytest.raises(ValueError, match=f"{name} must be real"):
+        feature_attention(args["q"], args["k"], args["v"], FeatureMap("identity"))
+
+
 # --- feature-map reference ---
 
 def test_feature_single_key_returns_that_value():

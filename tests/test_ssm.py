@@ -308,7 +308,8 @@ def test_query_readout_matches_sequential_scan():
 
 def test_query_readout_backward_matches_reference():
     # the two dual-form adjoints share one tail; from zero and from a given
-    # x0, with and without a final-state upstream, they agree on every field
+    # x0, with and without a final-state upstream, they agree on every
+    # field, x0's gradient from a zero entry included
     rng = make_rng(36)
     for ssm, z, f_q, up, x0 in readout_cases():
         final_up = rng.standard_normal(x0.shape) + 1j * rng.standard_normal(x0.shape)
@@ -322,9 +323,7 @@ def test_query_readout_backward_matches_reference():
             assert rel_err(got_f, want_f) < 1e-12, case
             for field in dataclasses.fields(want):
                 got_v, want_v = getattr(got, field.name), getattr(want, field.name)
-                assert (got_v is None) == (want_v is None) == (field.name == "x0" and start is None)
-                if want_v is not None:
-                    assert rel_err(got_v, want_v) < 1e-12, (case, field.name)
+                assert rel_err(got_v, want_v) < 1e-12, (case, field.name)
 
 
 def test_query_readout_validates_input():
@@ -865,7 +864,8 @@ def test_adjoints_from_an_entry_state_match_finite_differences(adjoint):
     # loss = sum(upstream * outputs) + <G, final state> from a nonzero x0:
     # the gradient of x0 and, through the final state's closed-form step,
     # of z, b, C and the poles, against central differences on the real
-    # and imaginary parts; each term on its own (x0 alone, G alone) too
+    # and imaginary parts; each term on its own (x0 alone, G alone) too,
+    # where x0 = None is the zero state and its gradient is taken there
     rng = make_rng(65)
     for ssm, z, x0, g_final, chunk in _entry_state_cases():
         (n, w), m = z.shape, ssm.state_dim
@@ -889,7 +889,8 @@ def test_adjoints_from_an_entry_state_match_finite_differences(adjoint):
                 return backward_checkpointed(ssm, z, up, chunk, x0=start,
                                              final_upstream=final)[1]
         for start, final in ((x0, g_final), (x0, None), (None, g_final)):
-            box = {"ssm": ssm, "x0": None if start is None else start.copy()}
+            box = {"ssm": ssm, "x0": np.zeros((w, m), dtype=complex) if start is None
+                   else start.copy()}
             weight = np.zeros((w, m), dtype=complex) if final is None else final
 
             def loss():
@@ -899,11 +900,8 @@ def test_adjoints_from_an_entry_state_match_finite_differences(adjoint):
 
             got = grads(start, final)
             case = (n, chunk, np.abs(ssm.lam).max(), start is None, final is None)
-            if start is None:
-                assert got.x0 is None
-            else:
-                fd = central_diff_complex(loss, lambda: box["x0"], lambda v: box.update(x0=v))
-                assert rel_err(got.x0, fd) < 1e-6, case
+            fd = central_diff_complex(loss, lambda: box["x0"], lambda v: box.update(x0=v))
+            assert rel_err(got.x0, fd) < 1e-6, case
             assert rel_err(got.z, central_diff(loss, z)) < 1e-6, case
             for field in ("b", "c_out"):
                 fd = central_diff_complex(
@@ -950,6 +948,62 @@ def test_entry_carry_blocks_are_bit_exact(monkeypatch):
     got = backward_checkpointed(ssm, z, up, 3, x0=x0, final_upstream=x0)[1]
     for field in dataclasses.fields(want):
         assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), field.name
+
+
+@pytest.mark.parametrize("adjoint", ["query_readout_backward", "backward_checkpointed"])
+def test_a_missing_state_is_the_zero_state(adjoint):
+    # None, for x0 or final_upstream, is the zero state itself: outputs,
+    # every SsmGrads field (x0's gradient included) and grad f_q are those
+    # of explicit zeros, bit for bit; over a ragged last chunk, full chunks,
+    # a single chunk, K = 1 and N = 1
+    ssm = small_ssm(m=3, seed=76)
+    rng = make_rng(77)
+    w = 5
+    zero = np.zeros((w, 3), dtype=complex)
+    for n, chunk in ((7, 3), (6, 3), (4, 4), (5, 1), (1, 3)):
+        z = rng.standard_normal((n, w))
+        x0, g_final = rng.standard_normal((2, w, 3)) + 1j * rng.standard_normal((2, w, 3))
+        if adjoint == "query_readout_backward":
+            f_q = rng.standard_normal((n, 2, 2))
+            up = rng.standard_normal((n, 2, w - 2))
+
+            def run(start, final):
+                return query_readout_backward(ssm, z, f_q, up, chunk, x0=start,
+                                              final_upstream=final)
+        else:
+            up = rng.standard_normal((n, 3, w))
+
+            def run(start, final):
+                return backward_checkpointed(ssm, z, up, chunk, x0=start,
+                                             final_upstream=final)
+        for start, final in ((None, g_final), (x0, None), (None, None)):
+            got = run(start, final)
+            want = run(zero if start is None else start, zero if final is None else final)
+            case = (n, chunk, start is None, final is None)
+            assert np.array_equal(got[0], want[0]), case
+            for field in dataclasses.fields(want[1]):
+                assert np.array_equal(getattr(got[1], field.name),
+                                      getattr(want[1], field.name)), (case, field.name)
+            for got_f, want_f in zip(got[2:], want[2:]):
+                assert np.array_equal(got_f, want_f), case
+
+
+@pytest.mark.parametrize("adjoint", ["query_readout_backward", "backward_checkpointed"])
+def test_x0_gradient_of_an_empty_sequence_is_the_final_upstream(adjoint):
+    # with N = 0 the final state is x0 itself, so x0's gradient is the
+    # final state's, and zero with no final upstream
+    ssm = small_ssm(m=4, seed=78)
+    z = np.zeros((0, 3))
+    x0 = np.ones((3, 4), dtype=complex)
+    g_final = make_rng(79).standard_normal((3, 4)) + 1j
+    for final, want in ((None, np.zeros((3, 4))), (g_final, g_final)):
+        if adjoint == "query_readout_backward":
+            grads = query_readout_backward(ssm, z, np.zeros((0, 1, 1)), np.zeros((0, 1, 2)), 2,
+                                           x0=x0, final_upstream=final)[1]
+        else:
+            grads = backward_checkpointed(ssm, z, np.zeros((0, 4, 3)), 2, x0=x0,
+                                          final_upstream=final)[1]
+        assert np.array_equal(grads.x0, want)
 
 
 def test_final_upstream_is_checked():
