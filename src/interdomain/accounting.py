@@ -68,7 +68,6 @@ def scale_config(spec: BackboneSpec, variant: str = "full_interdomain") -> Model
         backend="chunkwise",
         variant=variant,
         rope_enabled=True,
-        output_gate_enabled=False,
         n_kv=spec.heads,
         seed=0,
     )

@@ -91,11 +91,13 @@ def ssm_basis(ssm: DiagonalSSM, n: int) -> np.ndarray:
     """The (M, n) rows Phi[:, s] = Re(C (lam^(n-1-s) * b)) onto which one
     SSM group projects its first n inputs to form its output at position
     n - 1.  Each pole is raised to each lag by a power, sharing no
-    arithmetic with the scans; a stacked SSM raises ``ValueError``."""
+    arithmetic with the scans; a stacked SSM, and an ``n`` that is not an
+    integer >= 1 (a bool or 2.5 would give lags of another count or
+    fractional ones), raise ``ValueError``."""
     if ssm.delta.ndim != 1:
         raise ValueError("ssm_basis takes one group at a time: pass ssm[g]")
-    if n < 1:
-        raise ValueError(f"grid size must be positive, got {n}")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
     lags = np.arange(n - 1, -1, -1)
     return (ssm.c_out @ (ssm.lam[:, None] ** lags * ssm.b[:, None])).real
 

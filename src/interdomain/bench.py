@@ -97,8 +97,6 @@ def decode_step_ops(config: ModelConfig, feature_kind: str = "silu_l2") -> dict[
         work += n_kv * 4 * m * m * w              # complex readout of every channel
         work += heads * dh * m * w                # learned linear contraction
         readout_values = m * w
-    if config.output_gate_enabled:
-        work += d * d + 2 * d
 
     carried = state_units(config)
     transient = 2 * d + 2 * n_kv * dh + readout_values

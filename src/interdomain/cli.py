@@ -326,13 +326,17 @@ def _int_at_least(low: int):
 
 
 def _int_list(low: int):
-    """argparse type: a nonempty comma-separated list of integers >= low."""
+    """argparse type: a nonempty comma-separated list of distinct integers
+    >= low; a repeated value would run and report its cells twice."""
     one = _int_at_least(low)
 
     def parse(text: str) -> tuple[int, ...]:
         values = tuple(one(part) for part in text.split(",") if part)
         if not values:
             raise argparse.ArgumentTypeError("empty list")
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:
+            raise argparse.ArgumentTypeError(f"repeated value {repeated[0]}")
         return values
     return parse
 

@@ -37,7 +37,7 @@ _COUNT_FIELDS = (
     "heads", "model_dim", "head_dim", "feature_dim", "state_dim",
     "context_len", "chunk_size", "prefill_chunk", "n_kv", "seed",
 )
-_FLAG_FIELDS = ("rope_enabled", "output_gate_enabled")
+_FLAG_FIELDS = ("rope_enabled",)
 _ENUM_FIELDS = {"backend": BACKENDS, "variant": VARIANTS}
 
 
@@ -69,7 +69,6 @@ class ModelConfig:
     backend: str = "sequential"
     variant: str = "full_interdomain"
     rope_enabled: bool = True
-    output_gate_enabled: bool = False
     n_kv: int = 2
     seed: int = 0
 
@@ -155,21 +154,29 @@ def streams(config: ModelConfig) -> tuple[Stream, ...]:
     return table
 
 
+# Keys of fields the record no longer has, each with the one value the
+# layer still runs: config files written while the record had them load,
+# and the key is never read.
+_RETIRED = {"readout": "denominator_free", "output_gate_enabled": False}
+
+
 def config_from_dict(data: dict) -> ModelConfig:
     """Build a config from a flat dict, rejecting unknown keys.
 
-    Config files written while the record had a ``readout`` field carry
-    one.  The layer runs only the denominator-free readout, so the key is
-    accepted with that value, and never read, and any other value raises
-    ``ConfigError``.
+    Config files written while the record had a ``readout`` or an
+    ``output_gate_enabled`` field carry them.  The layer runs only the
+    denominator-free readout and no output gate, so each key is accepted
+    with exactly that value, a bool only as a bool, and any other value
+    raises ``ConfigError``.
     """
     known = {f.name for f in dataclasses.fields(ModelConfig)}
-    unknown = sorted(set(data) - known - {"readout"})
+    unknown = sorted(set(data) - known - set(_RETIRED))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    if data.get("readout", "denominator_free") != "denominator_free":
-        raise ConfigError(f"readout must be 'denominator_free', got {data['readout']!r}")
-    return ModelConfig(**{k: v for k, v in data.items() if k != "readout"})
+    for key, value in _RETIRED.items():
+        if key in data and (type(data[key]) is not type(value) or data[key] != value):
+            raise ConfigError(f"{key} must be {value!r}, got {data[key]!r}")
+    return ModelConfig(**{k: v for k, v in data.items() if k not in _RETIRED})
 
 
 def load_config(path: str | Path, seed_override: int | None = None) -> ModelConfig:

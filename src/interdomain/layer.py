@@ -41,7 +41,7 @@ the block before it left, so besides its input and output no call holds
 more than one block's working set (and ``backward`` each block's entry
 state), however long the sequence; a sequence of N <= L tokens is one block
 from a fresh state.  ``forward`` is ``prefill``'s block loop from a fresh
-state, capped at ``context_len``, and each block's ``gated @ w_o`` is
+state, capped at ``context_len``, and each block's ``o_cat @ w_o`` is
 written into its rows of one preallocated output; ``forward_trace`` is one
 block, so its trace covers every position.
 
@@ -81,12 +81,12 @@ Which SSM path runs, one group at a time, within a block:
   others call ``ssm.backward_checkpointed`` on the group's upstream into
   one reused (N, M, W) buffer, and contract it, so they hold one group's
   scan outputs and upstream at a time.  Then ``backward`` lets go of what
-  it has read: the SSM input z, f_q and the readout's upstream and
-  outputs before the gate's and streams' adjoints, and each stream's
-  saved (projected, rotated) values and upstream once that stream's
-  adjoint has run, its features (saved only where a norm follows) once
-  the norm's adjoint has; ``w_o``'s gradient is formed last, so it is not
-  held through the streams' adjoints.
+  it has read: the SSM input z, f_q and the readout's upstream before the
+  streams' adjoints, and each stream's saved (projected, rotated) values
+  and upstream once that stream's adjoint has run, its features (saved
+  only where a norm follows) once the norm's adjoint has.  It keeps the
+  readout ``o_cat`` for ``w_o``'s gradient, which is formed last, so that
+  the gradient is not held through the streams' adjoints.
 
 ``decode_step`` is that block loop over a one-token block.  A one-token
 block scans ``sequential`` on every backend, since a one-step scan is the
@@ -130,7 +130,6 @@ from .features import (
     CONV_TAPS,
     FeatureMap,
     NormBias,
-    _silu_slope,
     apply_feature_map,
     feature_map_backward,
     make_feature_map,
@@ -140,8 +139,6 @@ from .features import (
     rope_rotations,
     short_conv_backward,
     short_conv_with_tail,
-    sigmoid,
-    silu,
 )
 from .ssm import (
     DiagonalSSM,
@@ -173,7 +170,6 @@ class LayerParams:
     w_k: np.ndarray
     w_v: np.ndarray
     w_o: np.ndarray
-    w_g: np.ndarray | None
     conv_q: np.ndarray | None
     conv_k: np.ndarray
     conv_v: np.ndarray | None
@@ -316,7 +312,7 @@ def _check_state(state: LayerState, config: ModelConfig, ssm_finite: bool = True
 
 # The dense slots of ``LayerParams`` by their serialized names, in the order
 # ``init_layer_params`` draws them, then every other learnable tensor.
-_DENSE = ("w_q", "w_k", "w_v", "w_o", "w_g", "conv_q", "conv_k", "conv_v", "contraction")
+_DENSE = ("w_q", "w_k", "w_v", "w_o", "conv_q", "conv_k", "conv_v", "contraction")
 _LEARNABLE = _DENSE + ("k_norm.gain", "k_norm.bias", "v_norm.gain", "v_norm.bias",
                        "ssm.delta", "ssm.a", "ssm.b", "ssm.c_out")
 _get_learnable = attrgetter(*_LEARNABLE)
@@ -327,10 +323,10 @@ def param_layout(config: ModelConfig) -> Mapping[str, tuple[tuple[int, ...], np.
     """(shape, dtype) of every learnable tensor a ``LayerParams`` for
     ``config`` holds, by its serialized name: exactly the slots the config
     uses, read from ``config.streams``.  Each stream has a projection, and
-    a conv where it is convolved; then the output projection, the gate
-    where the output gate is on, the contraction where there is no q
-    stream, the input norms and the stacked SSM's fields.  The one table of
-    the parameters, as ``state_layout`` is of the decode state:
+    a conv where it is convolved; then the output projection, the
+    contraction where there is no q stream, the input norms and the
+    stacked SSM's fields.  The one table of the parameters, as
+    ``state_layout`` is of the decode state:
     ``_check_params`` checks presence, shapes and dtype kinds against it,
     ``init_layer_params`` draws from it and ``accounting`` counts it.
     Immutable and made once per config."""
@@ -343,8 +339,6 @@ def param_layout(config: ModelConfig) -> Mapping[str, tuple[tuple[int, ...], np.
         if s.conv:
             layout[f"conv_{s.name}"] = ((CONV_TAPS, s.rows * dh), real)
     layout["w_o"] = ((d, d), real)
-    if config.output_gate_enabled:
-        layout["w_g"] = ((d, d), real)
     if "w_q" not in layout:
         layout["contraction"] = ((config.heads, dh, m * (r + dh)), real)
     for norm, width in (("k_norm", r), ("v_norm", dh)):
@@ -387,8 +381,7 @@ def _check_params(params: LayerParams, config: ModelConfig) -> None:
         if (name in tensors) != want:
             raise ValueError(
                 f"params.{name} is {'missing' if want else 'present'}, but the config "
-                f"(variant {config.variant!r}, output_gate_enabled="
-                f"{config.output_gate_enabled}) {'needs' if want else 'has no use for'} it")
+                f"(variant {config.variant!r}) {'needs' if want else 'has no use for'} it")
     n_kv, dh, r = config.n_kv, config.head_dim, config.feature_dim
     for name, (want, dtype) in layout.items():
         tensor = tensors[name]
@@ -514,9 +507,9 @@ def _forward_core(
     it (``run_scan``'s ``out`` may be its ``x0``), and a new array for a
     state the caller still holds, which is never written.
 
-    Returns (gated, new_state, trace), where ``gated`` is the output before
-    the ``w_o`` projection, which the callers apply.  With ``_keep="all"``
-    (``forward_trace``) the trace is ``_run_streams``'s plus the readout
+    Returns (o_cat, new_state, trace), where ``o_cat`` is the readout, the
+    output before the ``w_o`` projection, which the callers apply.  With
+    ``_keep="all"`` (``forward_trace``) the trace is ``_run_streams``'s plus
     ``o_cat``, for the diagnostic tests; with ``"readout"`` it is None, and
     z and f_q are let go once every group is read out.  ``backward`` does
     not call this.
@@ -551,19 +544,16 @@ def _forward_core(
     o_cat = outputs.reshape(n, config.model_dim)
     if trace is not None:
         trace["o_cat"] = o_cat
-
-    # --- gate; the callers apply the output projection ---
-    gated = silu(x_seq @ params.w_g) * o_cat if config.output_gate_enabled else o_cat
     new_state = LayerState(position=state.position + n, ssm_states=ssm_states, **tails)
-    return gated, new_state, trace
+    return o_cat, new_state, trace
 
 
 def _forward_blocks(params: LayerParams, x_seq: np.ndarray, config: ModelConfig,
                     state: LayerState | None, chunk: int) -> tuple[np.ndarray, LayerState]:
     """Run the checked ``x_seq`` through ``_forward_core`` in blocks of
     ``chunk`` tokens, each continuing the last one's state (a fresh one for
-    None), and write each block's ``gated @ w_o`` into its rows of one
-    (N, model_dim) output.  No block's gated output outlives its block.
+    None), and write each block's ``o_cat @ w_o`` into its rows of one
+    (N, model_dim) output.  No block's readout outlives its block.
     Returns (outputs, the state after the last block).
 
     The call owns every state it makes: the fresh one and each block's new
@@ -585,10 +575,10 @@ def _forward_blocks(params: LayerParams, x_seq: np.ndarray, config: ModelConfig,
     entry = state
     with np.errstate(invalid="ignore", over="ignore"):
         for lo in range(0, x_seq.shape[0], chunk):
-            gated, state = _forward_core(params, x_seq[lo:lo + chunk], config, state,
+            o_cat, state = _forward_core(params, x_seq[lo:lo + chunk], config, state,
                                          owned=state is not entry)[:2]
-            np.matmul(gated, params.w_o, out=y[lo:lo + chunk])
-            del gated
+            np.matmul(o_cat, params.w_o, out=y[lo:lo + chunk])
+            del o_cat
     if not np.isfinite(y).all():
         if entry is not None:
             _check_state(entry, config)
@@ -611,8 +601,8 @@ def forward_trace(params: LayerParams, x_seq: np.ndarray, config: ModelConfig):
     block however long the input, so the trace covers every position."""
     _check_params(params, config)
     x_seq = _check_x(x_seq, config, fresh=True)
-    gated, _, trace = _forward_core(params, x_seq, config, None, _keep="all")
-    return gated @ params.w_o, trace
+    o_cat, _, trace = _forward_core(params, x_seq, config, None, _keep="all")
+    return o_cat @ params.w_o, trace
 
 
 def prefill(
@@ -754,15 +744,7 @@ def _backward_block(params: LayerParams, x_seq: np.ndarray, upstream: np.ndarray
     x0 = None if state is None else state.ssm_states
     final_up = None if grad_state is None else grad_state["ssm_states"]
 
-    # the gate's one sigmoid serves silu, silu' and the readout's upstream
-    grad_o_cat = grad_gated = upstream @ params.w_o.T
-    if config.output_gate_enabled:
-        gate = x_seq @ params.w_g  # the pre-activation, until silu is formed over it
-        sig = sigmoid(gate)
-        slope = _silu_slope(gate, sig, np.empty_like(sig))
-        gate *= sig
-        del sig
-        grad_o_cat = gate * grad_gated
+    grad_o_cat = upstream @ params.w_o.T
 
     # readout and SSM backward one group at a time, batched over the
     # group's heads: one SSM adjoint per group, which returns the outputs
@@ -797,19 +779,6 @@ def _backward_block(params: LayerParams, x_seq: np.ndarray, upstream: np.ndarray
         _accumulate(grads, "contraction", grad_contraction.reshape(params.contraction.shape))
         del scan_out, flat, grad_scan
     del z, grad_o, grad_o_cat
-    o_cat = outputs.reshape(n, config.model_dim)
-    del outputs
-
-    # the gate, now that the readout is known; w_o's gradient waits for
-    # the streams, so that it is not held through their adjoints
-    gated = o_cat
-    if config.output_gate_enabled:
-        gated = gate * o_cat
-        slope *= o_cat * grad_gated  # now the pre-activation's gradient
-        _accumulate(grads, "w_g", x_seq.T @ slope)
-        grad_x += slope @ params.w_g.T
-        del gate, slope
-    del o_cat, grad_gated
     for field in ("delta", "a_log_neg_re", "a_im", "b", "c_out"):
         _accumulate(grads, f"ssm.{field}", np.stack([getattr(sg, field) for sg in ssm_grads]))
     grad_entry = None if state is None else \
@@ -846,7 +815,9 @@ def _backward_block(params: LayerParams, x_seq: np.ndarray, upstream: np.ndarray
         _accumulate(grads, f"w_{s.name}", x_seq.T @ grad)
         grad_x += grad @ getattr(params, f"w_{s.name}").T
         del grad
-    _accumulate(grads, "w_o", gated.T @ upstream)
+    # w_o's gradient waits for the streams, so that it is not held through
+    # their adjoints
+    _accumulate(grads, "w_o", outputs.reshape(n, config.model_dim).T @ upstream)
     return grad_entry
 
 
@@ -863,7 +834,7 @@ def _backward_block(params: LayerParams, x_seq: np.ndarray, upstream: np.ndarray
 # load, so it is accepted, and its value is never used: the scans take W from
 # their input.
 _ARCHIVE_KEYS = _LEARNABLE + ("ssm.input_width", "fmap.kind", "fmap.omega")
-_ARCHIVE_OPTIONAL = ("w_q", "w_g", "conv_q", "conv_v", "contraction", "fmap.omega",
+_ARCHIVE_OPTIONAL = ("w_q", "conv_q", "conv_v", "contraction", "fmap.omega",
                      "ssm.input_width")
 
 

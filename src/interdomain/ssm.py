@@ -117,6 +117,8 @@ class DiagonalSSM:
                 f"inconsistent shapes: delta {delta.shape}, a {a.shape}, "
                 f"b {b.shape}, c_out {c_out.shape}"
             )
+        if delta.shape[-1] == 0:  # no scan has a mode to run
+            raise ValueError("state size M must be >= 1, got 0 modes")
         # before the sign checks, which a NaN passes, and before the poles
         for name, value in (("delta", delta), ("a", a), ("b", b), ("c_out", c_out)):
             if not np.isfinite(value).all():

@@ -43,10 +43,17 @@ def tiny_config(**overrides) -> ModelConfig:
         heads=2, model_dim=8, head_dim=4, feature_dim=4, state_dim=4,
         context_len=128, chunk_size=3, prefill_chunk=8,
         backend="sequential", variant="full_interdomain",
-        rope_enabled=True, output_gate_enabled=False,
-        n_kv=2, seed=0,
+        rope_enabled=True, n_kv=2, seed=0,
     )
     return dataclasses.replace(base, **overrides)
+
+
+# The tiny config's head, feature and state widths are all 4, so two of its
+# axes swapped leave every shape as it was.  "distinct" gives the state a
+# width of 5 and the heads one of 6 in a model of 12, so such a swap
+# breaks a shape or a result; tests that run the layer at both shapes are
+# parametrized over these keys.
+SHAPES = {"tiny": {}, "distinct": dict(model_dim=12, head_dim=6, feature_dim=6, state_dim=5)}
 
 
 def randomize_norms(params, rng):

@@ -4,7 +4,7 @@ An independent reference for ``interdomain.layer``: it reads the config,
 the parameter and state containers and the module constants, and calls no
 function of ``layer``, ``ssm`` or ``features``, so a fault that every path
 of the layer shares (RoPE's direction, the conv's tap order, a norm's gain
-or bias, the gate, the readout's group-to-head map) shows as a
+or bias, the readout's group-to-head map) shows as a
 disagreement with it.  Of the SSM it reads ``delta``, ``a``, ``b`` and
 ``c_out``, never the derived ``lam``, so a test may perturb the fields
 without rebuilding the poles.
@@ -34,8 +34,7 @@ and head h, of group g = h // (heads / n_kv), reads
     o_h = sum_i (f_q,h . Y[i, :R]) Y[i, R:]        query variants
     o_h[v] = sum_{i, c} contraction[h, v, i W + c] Y[i, c]   the others
 
-The heads' outputs, concatenated, are gated by silu(x_t W_g) = a / (1 +
-exp(-a)) when the gate is on, and the token's output is that times W_o.
+The token's output is the heads' outputs, concatenated, times W_o.
 """
 from __future__ import annotations
 
@@ -153,11 +152,7 @@ def reference_run(params: LayerParams, x: np.ndarray, config: ModelConfig,
             else:
                 o = params.contraction[h] @ y.reshape(m * w)
             head_out.append(o)
-        o_cat = np.concatenate(head_out)
-        if config.output_gate_enabled:
-            a = x_t @ params.w_g
-            o_cat = o_cat * (a / (1.0 + np.exp(-a)))
-        ys.append(o_cat @ params.w_o)
+        ys.append(np.concatenate(head_out) @ params.w_o)
         position += 1
     new_tails = {f"conv_{name}_tail": np.array(rows) for name, rows in tails.items()}
     return np.array(ys).reshape(len(x), config.model_dim), \

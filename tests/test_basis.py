@@ -315,5 +315,16 @@ def test_ssm_basis_takes_one_group():
     ssm = random_ssm(3, make_rng(19))
     with pytest.raises(ValueError, match="one group at a time"):
         ssm_basis(stack_ssms([ssm, ssm]), 4)
-    with pytest.raises(ValueError, match="grid size must be positive"):
+    with pytest.raises(ValueError, match="n must be an integer >= 1"):
         ssm_basis(ssm, 0)
+
+
+def test_ssm_basis_takes_an_integer_length():
+    # 2.5 gave an (M, 3) basis at the fractional lags 1.5, 0.5 and -0.5,
+    # and True an (M, 1) one; a numpy integer is a length like any other
+    ssm = random_ssm(3, make_rng(20))
+    for bad in (2.5, 3.0, True, False, "3", None):
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            ssm_basis(ssm, bad)
+    assert np.array_equal(ssm_basis(ssm, np.int64(4)), ssm_basis(ssm, 4))
+    assert ssm_basis(ssm, 4).shape == (3, 4)

@@ -56,9 +56,18 @@ def test_decode_step_ops_orders_variants_sensibly():
     full = decode_step_ops(tiny_config())["multiply_adds"]
     ident = decode_step_ops(tiny_config(), feature_kind="identity")["multiply_adds"]
     assert ident < full  # feature maps cost something
-    gated = decode_step_ops(tiny_config(output_gate_enabled=True))["multiply_adds"]
-    d = tiny_config().model_dim
-    assert gated == full + d * d + 2 * d
+    # term by term at the tiny config: model_dim 8, two heads and two KV
+    # groups of width 4, M = 4, so W = 8 channels per group
+    assert full == sum((
+        8 * 8,                        # output projection
+        3 * 8 * 8,                    # k, v and q projections
+        2 * CONV_TAPS * 8,            # k and q convs
+        2 * 2 * 8,                    # k and q RoPE
+        2 * 2 * 4 * 4,                # silu_l2 on the k and q rows
+        2 * 3 * 8,                    # input norms + bias
+        2 * 6 * 4 * 8,                # state update
+        2 * (2 * 4 * 4 + 4 * 4 * 4 + 2 * 4 * 4),  # query-first readout
+    ))
 
 
 def test_decode_step_ops_rejects_unknown_feature_kind():

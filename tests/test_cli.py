@@ -27,17 +27,24 @@ def test_unknown_command_is_a_usage_error():
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("argv", [
-    ["--batch", "1,zebra"],
-    ["--batch", "0"],
-    ["--prefix-lens", "-5"],
-    ["--steps", "0"],
-], ids=["non-int", "batch-0", "prefix-negative", "steps-0"])
-def test_malformed_batch_list_is_a_usage_error(tmp_path, capsys, argv):
+# A repeated prefix length ran a failing equivalence check whose error was
+# within its tolerance, and a repeated batch size reported its cells twice.
+@pytest.mark.parametrize("argv, message", [
+    (["--batch", "1,zebra"], "not an integer: 'zebra'"),
+    (["--batch", "0"], "must be >= 1, got 0"),
+    (["--prefix-lens", "-5"], "must be >= 0, got -5"),
+    (["--steps", "0"], "must be >= 1, got 0"),
+    (["--prefix-lens", "512,512"], "repeated value 512"),
+    (["--batch", "1,1"], "repeated value 1"),
+    (["--prefix-lens", "8,32,16,32,8"], "repeated value 32"),
+], ids=["non-int", "batch-0", "prefix-negative", "steps-0", "prefix-repeated",
+        "batch-repeated", "prefix-two-repeats"])
+def test_malformed_batch_list_is_a_usage_error(tmp_path, capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         run(["bench", *argv, "--out", str(tmp_path)])
     assert exc.value.code == 2
-    assert "usage:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "usage:" in err and message in err
 
 
 @pytest.mark.parametrize("case", ["seed-negative", "config-missing", "config-not-json",

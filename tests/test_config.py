@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from interdomain.config import (
+    _RETIRED,
     BACKENDS,
     VARIANTS,
     ConfigError,
@@ -98,20 +99,35 @@ def test_enums_rejected(field, allowed):
         tiny_config(**{field: value})
 
 
-def test_nw_readout_rejected(tmp_path):
-    # the layer has no normalized readout, so asking for one must fail; a
-    # dict or file may carry the key only with the one readout the layer runs
+# Per retired key, values that ask for something the layer does not run (a
+# normalized readout, an output gate) or only look like the one it does.
+_REFUSED = {
+    "readout": ("nw", "bogus", None, 0),
+    "output_gate_enabled": (True, 0, None, "false", 0.0),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_RETIRED))
+def test_retired_keys_load_only_at_their_value(tmp_path, key):
+    # the layer has no normalized readout and no output gate, so asking for
+    # either must fail; a dict or file may carry the key only with the one
+    # value the layer runs, a bool only as a bool
+    kept, bad_values = _RETIRED[key], _REFUSED[key]
     data = dataclasses.asdict(tiny_config())
-    assert config_from_dict({**data, "readout": "denominator_free"}) == tiny_config()
     path = tmp_path / "config.json"
-    for value in ("nw", "bogus", None):
-        path.write_text(json.dumps({**data, "readout": value}))
-        for make in (lambda: config_from_dict({**data, "readout": value}),
+    path.write_text(json.dumps({**data, key: kept}))
+    assert config_from_dict({**data, key: kept}) == load_config(path) == tiny_config()
+    for value in bad_values:
+        path.write_text(json.dumps({**data, key: value}))
+        for make in (lambda: config_from_dict({**data, key: value}),
                      lambda: load_config(path)):
-            with pytest.raises(ConfigError, match="readout must be 'denominator_free'"):
+            with pytest.raises(ConfigError, match=f"^{key} must be {kept!r}, got"):
                 make()
-    with pytest.raises(TypeError, match="readout"):
-        tiny_config(readout="nw")
+    for make in (lambda: tiny_config(**{key: kept}),
+                 lambda: ModelConfig(**{key: kept}),
+                 lambda: dataclasses.replace(tiny_config(), **{key: kept})):
+        with pytest.raises(TypeError, match=key):
+            make()
 
 
 def test_generic_variants_need_square_features():

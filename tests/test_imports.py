@@ -7,7 +7,9 @@ module-level function, class or constant must be read somewhere in the
 package outside its own definition or assignment, and so must every public
 module-level function that ``CALLED_FROM_OUTSIDE`` does not name with its
 reason.  It also pins the import graph: the package root loads no
-submodule, and the layer loads none of the modules it does not run on.
+submodule, the layer loads none of the modules it does not run on, and no
+module reads another module's private name unless ``PRIVATE_IMPORTS``
+names it with its reason.
 And it keeps the records checked: nothing in the package makes or changes
 one around its ``__post_init__`` except ``DiagonalSSM.__getitem__``, whose
 rows view a checked stack."""
@@ -63,6 +65,59 @@ def test_layer_loads_only_what_it_runs_on():
     assert "interdomain.layer" in loaded
     assert not loaded & {f"interdomain.{name}"
                          for name in ("accounting", "basis", "bench", "cli", "oracle")}
+
+
+def private_imports(source: str) -> list[str]:
+    """Every private name (one leading underscore) the module reads from
+    another package module, as ``module._name (line n)``: imported by name
+    from a relative or ``interdomain`` import, or read as an attribute of a
+    package module it imported."""
+    found, modules = [], {}
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0]
+                                                 == "interdomain"):
+            package = node.module is None or node.module == "interdomain"
+            for alias in node.names:
+                if package:  # from . import module
+                    modules[alias.asname or alias.name] = alias.name
+                elif alias.name.startswith("_") and not alias.name.startswith("__"):
+                    found.append((node.lineno, f"{node.module.split('.')[-1]}.{alias.name}"))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("interdomain.") and alias.asname:
+                    modules[alias.asname] = alias.name.split(".")[-1]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in modules and node.attr.startswith("_") \
+                and not node.attr.startswith("__"):
+            found.append((node.lineno, f"{modules[node.value.id]}.{node.attr}"))
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+# Private names that other package modules read, each kept for its reason.
+PRIVATE_IMPORTS = {
+    "ssm._real": "the one real-array input check, which layer, basis and oracle share so "
+                 "that a complex argument fails alike everywhere",
+}
+
+
+def test_private_names_stay_in_their_module():
+    broken = ("from . import bench, config as cfg\n"
+              "from .ssm import _real, run_scan\n"
+              "from interdomain.features import _silu_slope as slope\n"
+              "from numpy import _private\n"
+              "import interdomain.layer as lay\n"
+              "print(bench._feature_ops, cfg.__name__, lay._DENSE, _real, run_scan, slope)\n")
+    assert private_imports(broken) == [
+        "ssm._real (line 2)", "features._silu_slope (line 3)", "bench._feature_ops (line 6)",
+        "layer._DENSE (line 6)"]
+    found = {f"{path.stem}: {line}" for path in sorted(PACKAGE.glob("*.py"))
+             for line in private_imports(path.read_text())}
+    assert sorted(line for line in found
+                  if line.split()[1] not in PRIVATE_IMPORTS) == []
+    # an allowlisted name that no module reads from outside leaves the list
+    assert sorted(PRIVATE_IMPORTS.keys() - {line.split()[1] for line in found}) == []
 
 
 def _own_nodes(func):

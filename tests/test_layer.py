@@ -19,7 +19,6 @@ from interdomain.config import (
     load_config,
     make_rng,
 )
-from interdomain.features import sigmoid
 from interdomain.layer import (
     backward,
     count_layer_params,
@@ -35,6 +34,7 @@ from interdomain.layer import (
 from interdomain.ssm import _BLOCK_BYTES, DiagonalSSM, random_ssm, run_scan, stack_ssms
 
 from helpers import (
+    SHAPES,
     central_diff,
     central_diff_complex,
     contraction_readout_loop,
@@ -66,21 +66,22 @@ def test_forward_shapes(variant):
     assert np.max(np.abs(y)) > 0
 
 
+@pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_parameter_layout_per_variant(variant):
-    _, params = variant_setup(variant)
+def test_parameter_layout_per_variant(variant, shape):
+    _, params = variant_setup(variant, **SHAPES[shape])
     has_q = variant in QUERY_VARIANTS
     generic = variant in GENERIC_INPUT_VARIANTS
     assert (params.w_q is not None) == has_q
     assert (params.conv_q is not None) == has_q
     assert (params.contraction is None) == has_q
     assert (params.conv_v is not None) == generic
-    assert params.w_g is None  # gate off in the tiny config
 
 
+@pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_gradient_keys_match_layout(variant):
-    config, params = variant_setup(variant)
+def test_gradient_keys_match_layout(variant, shape):
+    config, params = variant_setup(variant, **SHAPES[shape])
     rng = make_rng(2)
     x = rng.standard_normal((4, config.model_dim))
     grads, _ = backward(params, x, rng.standard_normal((4, config.model_dim)), config)
@@ -89,7 +90,6 @@ def test_gradient_keys_match_layout(variant):
     assert ("w_q" in grads) == has_q and ("conv_q" in grads) == has_q
     assert ("contraction" in grads) == (not has_q)
     assert ("conv_v" in grads) == generic
-    assert "w_g" not in grads
     for key in ("w_o", "w_k", "w_v", "conv_k"):
         assert key in grads
     assert grads["ssm.b"].shape == params.ssm.b.shape == (config.n_kv, config.state_dim)
@@ -219,14 +219,14 @@ def test_no_query_forward_never_holds_every_groups_scan_outputs(variant, backend
     assert _forward_peak_over_every_groups_scan_outputs(variant, backend) < 1.25
 
 
-def _backward_peak(variant, gate=False):
+def _backward_peak(variant):
     """(tracemalloc peak of a backward at width 8 and N = 512, one block,
     bytes of one (N, model_dim) float array); measured on the second of two
     identical calls, after any first-call allocation."""
     width = 8
     config = dataclasses.replace(
         load_config(Path(__file__).resolve().parents[1] / "configs" / "tiny.json"),
-        variant=variant, output_gate_enabled=gate, heads=width, n_kv=width, head_dim=width,
+        variant=variant, heads=width, n_kv=width, head_dim=width,
         feature_dim=width, state_dim=width, model_dim=width * width, context_len=512,
         prefill_chunk=512)
     params = init_layer_params(config, make_rng(47), contraction_scale=0.1)
@@ -248,54 +248,15 @@ def test_no_query_backward_never_holds_every_groups_scan_outputs(variant):
     assert _backward_peak(variant)[0] < 2 * every_group
 
 
-@pytest.mark.parametrize("gate", [False, True])
 @pytest.mark.parametrize("variant", QUERY_VARIANTS)
-def test_query_backward_releases_what_it_has_read(variant, gate):
+def test_query_backward_releases_what_it_has_read(variant):
     # the readout's inputs, upstream and outputs go before the stream
     # adjoints, each stream's saved values and upstream once its adjoint
     # has run (its features once its norm's adjoint has), and the readout's
     # adjoint takes its chunks in blocks of about _BLOCK_BYTES, so the peak
-    # stays below 22 (N, model_dim) float arrays, and 25.5 with the gate's
-    # pre-activation, sigmoid and separate upstream
-    peak, unit = _backward_peak(variant, gate)
-    assert peak < (25.5 if gate else 22) * unit
-
-
-# --- gating ---
-
-def test_zero_gate_silences_everything():
-    config, params = variant_setup("full_interdomain", output_gate_enabled=True)
-    params.w_g = np.zeros_like(params.w_g)
-    x = make_rng(7).standard_normal((5, config.model_dim))
-    assert np.all(forward(params, x, config) == 0.0)
-
-
-def test_gate_gradient_matches_finite_differences():
-    config, params = variant_setup("full_interdomain", output_gate_enabled=True, seed=8)
-    rng = make_rng(9)
-    x = rng.standard_normal((4, config.model_dim))
-    up = rng.standard_normal((4, config.model_dim))
-
-    def loss():
-        return float(np.sum(up * forward(params, x, config)))
-
-    grads, _ = backward(params, x, up, config)
-    assert rel_err(grads["w_g"], central_diff(loss, params.w_g)) < 1e-6
-
-
-def test_gated_forward_and_backward_make_one_gate_sigmoid(monkeypatch):
-    # the backward runs no forward: it makes the one sigmoid(gate_pre)
-    # itself and builds silu and its derivative from it
-    config, params = variant_setup("full_interdomain", output_gate_enabled=True)
-    calls = []
-
-    def counting(arg):
-        calls.append(arg.shape)
-        return sigmoid(arg)
-    monkeypatch.setattr(layer_module, "sigmoid", counting)
-    x = make_rng(10).standard_normal((4, config.model_dim))
-    backward(params, x, make_rng(11).standard_normal((4, config.model_dim)), config)
-    assert calls == [(4, config.model_dim)]
+    # stays below 22 (N, model_dim) float arrays
+    peak, unit = _backward_peak(variant)
+    assert peak < 22 * unit
 
 
 # --- streaming equivalence ---
@@ -331,15 +292,15 @@ def test_prefill_chunking_invariant():
                 assert rel_err(a, b) < 1e-12
 
 
-@pytest.mark.parametrize("gate", [False, True])
+@pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_blocked_calls_match_one_block(variant, gate):
+def test_blocked_calls_match_one_block(variant, shape):
     # forward, prefill and backward walk the sequence in prefill_chunk
     # blocks; one block of L >= N is the unblocked call.  L = 1 and 2 are
     # shorter than the conv's tail, 5 leaves a ragged last block and N - 1
     # a one-token one
     n = 12
-    config, params = variant_setup(variant, seed=80, output_gate_enabled=gate, prefill_chunk=n)
+    config, params = variant_setup(variant, seed=80, prefill_chunk=n, **SHAPES[shape])
     randomize_norms(params, make_rng(81))
     rng = make_rng(82)
     x = rng.standard_normal((n, config.model_dim))
@@ -410,16 +371,15 @@ def test_prefill_over_many_blocks_peaks_as_one_block(backend):
     assert four <= one + 3 * block * config.model_dim * 8 + slack, (one, four)
 
 
-@pytest.mark.parametrize("gate", [False, True])
 @pytest.mark.parametrize("backend", ["chunkwise", "fft"])
-def test_one_block_forward_peaks_within_its_shapes(backend, gate):
+def test_one_block_forward_peaks_within_its_shapes(backend):
     # a forward block keeps only z and f_q of its streams, lets each stage
     # go once the next is made and scans into the state it made, so it
     # peaks below one state, z, f_q, the output and one stage array, plus
     # the about _BLOCK_BYTES a dual-form scan's block takes; a second state
     # or every stream's saved stages would exceed it
     config = dataclasses.replace(
-        tiny_config(), backend=backend, output_gate_enabled=gate, heads=16, n_kv=16,
+        tiny_config(), backend=backend, heads=16, n_kv=16,
         head_dim=32, feature_dim=32, model_dim=512, state_dim=64, chunk_size=64,
         prefill_chunk=64, context_len=64)
     params = init_layer_params(config, make_rng(89))
@@ -518,15 +478,16 @@ def test_non_finite_input_is_rejected():
             prefill(params, x, config, state=broken)
 
 
-@pytest.mark.parametrize("gate", [False, True])
+@pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("n_kv", [1, 2])
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_non_finite_ssm_state_is_found_from_the_decode_output(variant, n_kv, gate, monkeypatch):
+def test_non_finite_ssm_state_is_found_from_the_decode_output(variant, n_kv, shape,
+                                                               monkeypatch):
     # decode_step does not scan the SSM states up front: a NaN or an inf in
     # either part of any entry reaches every output, and the step then names
     # the field, with no RuntimeWarning on the way.  prefill still checks the
     # state before it runs a stream
-    config, params = variant_setup(variant, seed=70, n_kv=n_kv, output_gate_enabled=gate)
+    config, params = variant_setup(variant, seed=70, n_kv=n_kv, **SHAPES[shape])
     x = make_rng(71).standard_normal((5, config.model_dim))
     _, state = prefill(params, x[:4], config)
     streams_run = Counter()
@@ -570,15 +531,14 @@ def test_decode_overflow_from_a_finite_state_is_named(variant):
 @pytest.mark.parametrize("scale", [1e103, 1e160, 1e300])
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_huge_finite_inputs_give_the_scale_invariant_result(variant, scale):
-    # with no gate every variant is invariant to the scale of its input, as
-    # its streams end in norms: huge finite inputs match s = 1e100, where
+    # every variant is invariant to the scale of its input, as its
+    # streams end in norms: huge finite inputs match s = 1e100, where
     # no norm overflows.  Each stage's squared norms overflow from about
     # 1.3e154 and the RMS norm's backward from about 1e102, so these take
     # the rescaled rows; the pyproject turns any RuntimeWarning into an error
     config = dataclasses.replace(
         load_config(Path(__file__).resolve().parents[1] / "configs" / "tiny.json"),
         variant=variant)
-    assert not config.output_gate_enabled
     rng = make_rng(76)
     params = randomize_norms(init_layer_params(config, rng, contraction_scale=0.5), rng)
     x = rng.standard_normal((20, config.model_dim))
@@ -603,16 +563,16 @@ def test_huge_finite_inputs_give_the_scale_invariant_result(variant, scale):
         assert rel_err(grad, want_grads[name]) < 1e-12, name
 
 
-@pytest.mark.parametrize("gate", [False, True])
+@pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_outputs_that_overflow_from_a_finite_input_are_named(variant, gate):
+def test_outputs_that_overflow_from_a_finite_input_are_named(variant, shape):
     # entries of +-1.7e308 pass the input check, then overflow the input
     # projections: forward and prefill name their output and backward its
     # input gradient, instead of returning NaN or inf.  The overflow's
     # RuntimeWarnings, errors under the pyproject, are ignored here
     config = dataclasses.replace(
         load_config(Path(__file__).resolve().parents[1] / "configs" / "tiny.json"),
-        variant=variant, output_gate_enabled=gate)
+        variant=variant, **SHAPES[shape])
     rng = make_rng(77)
     params = init_layer_params(config, rng, contraction_scale=0.5)
     x = 1.7e308 * np.sign(rng.standard_normal((12, config.model_dim)))
@@ -627,10 +587,10 @@ def test_outputs_that_overflow_from_a_finite_input_are_named(variant, gate):
             backward(params, x, up, config)
 
 
-@pytest.mark.parametrize("gate", [False, True])
+@pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_decode_step_leaves_the_passed_in_state_unchanged(variant, gate):
-    config, params = variant_setup(variant, seed=74, output_gate_enabled=gate)
+def test_decode_step_leaves_the_passed_in_state_unchanged(variant, shape):
+    config, params = variant_setup(variant, seed=74, **SHAPES[shape])
     x = make_rng(75).standard_normal((6, config.model_dim))
     _, state = prefill(params, x[:3], config)
     for token in x[3:]:
@@ -684,7 +644,7 @@ def _one_column_short(params, field):
 
 _SHORT_FIELDS = {  # field: (config overrides, feature kind) of a layer that has it
     "w_q": ({}, "silu_l2"), "w_k": ({}, "silu_l2"), "w_v": ({}, "silu_l2"),
-    "w_o": ({}, "silu_l2"), "w_g": ({"output_gate_enabled": True}, "silu_l2"),
+    "w_o": ({}, "silu_l2"),
     "conv_q": ({}, "silu_l2"), "conv_k": ({}, "silu_l2"),
     "conv_v": ({"variant": "single_input_qproj"}, "silu_l2"),
     "k_norm.gain": ({}, "silu_l2"), "k_norm.bias": ({}, "silu_l2"),
@@ -964,7 +924,6 @@ def test_prefill_chunk_must_be_an_integer():
 @pytest.mark.parametrize("made_for, config_overrides, slot", [
     ({"variant": "single_input_qproj"}, {"variant": "full_interdomain"}, "conv_v"),
     ({"variant": "s4d_only"}, {"variant": "dual_kv_linear"}, "conv_v"),
-    ({"output_gate_enabled": True}, {"output_gate_enabled": False}, "w_g"),
 ])
 def test_params_made_for_another_config_are_rejected(made_for, config_overrides, slot):
     # without the check each pair runs and silently ignores the extra slot
@@ -987,7 +946,6 @@ def test_params_made_for_another_config_are_rejected(made_for, config_overrides,
 @pytest.mark.parametrize("overrides, slot", [
     ({}, "w_k"),
     ({}, "conv_q"),
-    ({"output_gate_enabled": True}, "w_g"),
     ({"variant": "single_input_qproj"}, "conv_v"),
     ({"variant": "dual_kv_linear"}, "contraction"),
 ])
@@ -1071,7 +1029,7 @@ def test_init_scales_each_tensor_in_place(variant):
     # every tensor is drawn and scaled in one buffer, so making the
     # parameters never holds a second copy of the largest one
     config = tiny_config(variant=variant, heads=8, n_kv=8, model_dim=256, head_dim=32,
-                         feature_dim=32, state_dim=16, output_gate_enabled=True)
+                         feature_dim=32, state_dim=16)
     run = traced_peak(lambda: init_layer_params(config, make_rng(82), contraction_scale=0.5))
     largest = max(value.nbytes for value in layer_module._learnable(run.result).values())
     assert run.peak - run.held < largest / 2
@@ -1237,6 +1195,19 @@ def test_load_names_missing_and_unknown_archive_entries(tmp_path, key):
         load_layer_params(path)
 
 
+def test_archive_of_a_gated_layer_is_refused(tmp_path):
+    # the layer has no output gate: an archive carrying one would otherwise
+    # load and run ungated, silently dropping w_g
+    _, params = variant_setup("full_interdomain", seed=29)
+    path = tmp_path / "layer.npz"
+    save_layer_params(params, path)
+    with np.load(path) as blob:
+        arrays = {k: blob[k] for k in blob.files}
+    np.savez(path, **arrays, w_g=np.zeros_like(params.w_o))
+    with pytest.raises(ValueError, match=re.escape("unknown entries ['w_g']")):
+        load_layer_params(path)
+
+
 @pytest.mark.parametrize("width", [np.array(8), np.array(8.7)])
 def test_archive_with_an_input_width_loads_and_it_is_not_read(tmp_path, width):
     # archives written while the SSM record carried its input width hold
@@ -1264,8 +1235,8 @@ def test_archive_with_an_input_width_loads_and_it_is_not_read(tmp_path, width):
     ({"n_kv": 1}, "silu_l2"),
     ({"variant": "s4d_only"}, "silu_l2"),
     ({"variant": "dual_kv_linear", "n_kv": 1}, "silu_l2"),
-    ({"output_gate_enabled": True}, "silu_l2"),
     ({"heads": 4, "model_dim": 16, "feature_dim": 8, "state_dim": 6, "n_kv": 4}, "rff"),
+    *(({"variant": variant, **SHAPES["distinct"]}, "silu_l2") for variant in VARIANTS),
 ])
 def test_parameter_count_matches_closed_form(overrides, feature_kind):
     config = tiny_config(**overrides)

@@ -1,6 +1,6 @@
 """The layer's contracts over random valid configs.
 
-One property sweep draws a config (variant, feature kind, n_kv, gate, RoPE,
+One property sweep draws a config (variant, feature kind, n_kv, RoPE,
 state size, the SSM chunk and the ``prefill_chunk`` block length), a
 sequence length and a prefill chunk, and checks the three contracts every
 config must meet: the scan backends agree, and each matches the layer's
@@ -43,8 +43,7 @@ def cases(draw):
         state_dim=draw(st.integers(1, 5)), context_len=24,
         chunk_size=draw(st.integers(1, 24)), prefill_chunk=draw(st.integers(1, n)),
         backend=draw(st.sampled_from(BACKENDS)), variant=variant,
-        rope_enabled=draw(st.booleans()), output_gate_enabled=draw(st.booleans()),
-        n_kv=draw(st.sampled_from([1, heads])), seed=0)
+        rope_enabled=draw(st.booleans()), n_kv=draw(st.sampled_from([1, heads])), seed=0)
     return config, kind, n, draw(st.integers(1, n)), draw(st.integers(0, 2 ** 16))
 
 

@@ -15,35 +15,35 @@ from interdomain.config import BACKENDS, VARIANTS, make_rng
 from interdomain.features import NormBias
 from interdomain.layer import backward, decode_step, forward, init_layer_params, prefill
 
-from helpers import randomize_norms, rel_err, tiny_config
+from helpers import SHAPES, randomize_norms, rel_err, tiny_config
 from reference_layer import reference_run
 
 N = 19  # blocks of 8, 8 and 3 at the tiny config's prefill_chunk
 
 
 def _cases():
-    for variant in VARIANTS:
-        # s4d_only runs no feature map, so its kind changes nothing
-        for kind in ("silu_l2",) if variant == "s4d_only" else ("silu_l2", "rff", "identity"):
-            for n_kv in (1, 2):
-                for gate in (False, True):
+    for shape in SHAPES:
+        for variant in VARIANTS:
+            # s4d_only runs no feature map, so its kind changes nothing
+            for kind in ("silu_l2",) if variant == "s4d_only" else ("silu_l2", "rff", "identity"):
+                for n_kv in (1, 2):
                     for rope in (False, True):
-                        yield pytest.param(variant, kind, n_kv, gate, rope, id=(
-                            f"{variant}-{kind}-n_kv{n_kv}-gate{int(gate)}-rope{int(rope)}"))
+                        name = f"{variant}-{kind}-n_kv{n_kv}-rope{int(rope)}"
+                        yield pytest.param(variant, kind, n_kv, rope, shape, id=(
+                            name if shape == "tiny" else f"{name}-{shape}"))
 
 
-def _setup(variant, kind, n_kv, gate, rope, seed):
-    config = tiny_config(variant=variant, n_kv=n_kv, output_gate_enabled=gate,
-                         rope_enabled=rope)
+def _setup(variant, kind, n_kv, rope, seed, shape="tiny"):
+    config = tiny_config(variant=variant, n_kv=n_kv, rope_enabled=rope, **SHAPES[shape])
     params = init_layer_params(config, make_rng(seed), feature_kind=kind,
                                contraction_scale=0.5)
     randomize_norms(params, make_rng(seed + 1))
     return config, params
 
 
-@pytest.mark.parametrize("variant, kind, n_kv, gate, rope", _cases())
-def test_forward_prefill_and_decode_match_the_reference(variant, kind, n_kv, gate, rope):
-    config, params = _setup(variant, kind, n_kv, gate, rope, seed=60)
+@pytest.mark.parametrize("variant, kind, n_kv, rope, shape", _cases())
+def test_forward_prefill_and_decode_match_the_reference(variant, kind, n_kv, rope, shape):
+    config, params = _setup(variant, kind, n_kv, rope, seed=60, shape=shape)
     x = make_rng(62).standard_normal((N, config.model_dim))
     want, want_state = reference_run(params, x, config)
     assert N > config.prefill_chunk
@@ -66,7 +66,7 @@ def test_forward_prefill_and_decode_match_the_reference(variant, kind, n_kv, gat
             assert rel_err(got, ref) <= 1e-12, name
 
 
-_DENSE = ("w_q", "w_k", "w_v", "w_o", "w_g", "conv_q", "conv_k", "conv_v", "contraction")
+_DENSE = ("w_q", "w_k", "w_v", "w_o", "conv_q", "conv_k", "conv_v", "contraction")
 
 
 def _training_values(params):
@@ -94,13 +94,14 @@ def _with_values(params, values):
                                 c_out=values["ssm.c_out"]))
 
 
+@pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("n_kv", [1, 2])
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_backward_matches_a_directional_derivative_of_the_reference(variant, n_kv):
+def test_backward_matches_a_directional_derivative_of_the_reference(variant, n_kv, shape):
     # every gradient and grad_x at once, along one random direction scaled
     # to each tensor, against a central difference of the reference
     kind = "rff" if n_kv == 1 and variant != "s4d_only" else "silu_l2"
-    config, params = _setup(variant, kind, n_kv, gate=True, rope=True, seed=64)
+    config, params = _setup(variant, kind, n_kv, rope=True, seed=64, shape=shape)
     rng = make_rng(66)
     n = 11  # blocks of 8 and 3
     x, up, dx = rng.standard_normal((3, n, config.model_dim))

@@ -7,6 +7,7 @@ import pytest
 
 from interdomain import ssm as ssm_module
 from interdomain.config import make_rng
+from interdomain.layer import init_layer_params, load_layer_params, save_layer_params
 from interdomain.ssm import (
     DELTA_LOG10_RANGE,
     DiagonalSSM,
@@ -34,6 +35,7 @@ from helpers import (
     query_readout_reference,
     recur_reference,
     rel_err,
+    tiny_config,
     traced_peak,
 )
 
@@ -144,6 +146,30 @@ def test_every_way_of_making_an_ssm_checks_it(case):
             make()
         messages.add(str(err.value))
     assert len(messages) == 1, messages
+
+
+def test_every_way_of_making_an_ssm_of_zero_modes_fails_alike(tmp_path):
+    # with M = 0 the sequential and parallel_prefix scans raised a bare
+    # ZeroDivisionError, chunkwise a reshape error, and fft returned empty
+    # (N, 0, W) outputs
+    empty = {"delta": np.ones(0), "a": -np.ones(0, complex), "b": np.ones(0, complex),
+             "c_out": np.ones((0, 0), complex)}
+    config = tiny_config()
+    params = init_layer_params(config, make_rng(1))
+    path = tmp_path / "layer.npz"
+    save_layer_params(params, path)
+    with np.load(path) as blob:
+        arrays = {k: blob[k] for k in blob.files}
+    np.savez(path, **{**arrays, **{f"ssm.{name}": np.stack([value] * config.n_kv)
+                                   for name, value in empty.items()}})
+    makers = (lambda: random_ssm(0, make_rng(0)),
+              lambda: DiagonalSSM(**empty),
+              lambda: dataclasses.replace(small_ssm(), **empty),
+              lambda: stack_ssms([SimpleNamespace(**empty)] * 2),
+              lambda: load_layer_params(path))
+    for make in makers:
+        with pytest.raises(ValueError, match="state size M must be >= 1, got 0 modes"):
+            make()
 
 
 def test_replace_refreshes_poles():

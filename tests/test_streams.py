@@ -27,7 +27,7 @@ from interdomain.layer import (
     save_layer_params,
 )
 
-from helpers import tiny_config
+from helpers import SHAPES, tiny_config
 
 RECORDED = json.loads((Path(__file__).parent / "data" / "closed_form_counts.json").read_text())
 
@@ -36,16 +36,14 @@ TAILS = ("conv_q_tail", "conv_k_tail", "conv_v_tail")
 
 
 def count_configs():
-    """(key, config) for every variant x n_kv in {1, heads} x gate off/on, at
-    the tiny config and at the 1.3b published scale."""
+    """(key, config) for every variant x n_kv in {1, heads}, at the tiny
+    config and at the 1.3b published scale."""
     for scale in ("tiny", "1.3b"):
         for variant in VARIANTS:
             base = (tiny_config(variant=variant) if scale == "tiny"
                     else scale_config(backbone("1.3b"), variant))
             for n_kv in (1, base.heads):
-                for gate in (False, True):
-                    config = dataclasses.replace(base, n_kv=n_kv, output_gate_enabled=gate)
-                    yield f"{scale}/{variant}/n_kv={n_kv}/gate={int(gate)}", config
+                yield f"{scale}/{variant}/n_kv={n_kv}", dataclasses.replace(base, n_kv=n_kv)
 
 
 COUNT_CONFIGS = dict(count_configs())
@@ -70,9 +68,9 @@ def test_closed_form_counts_match_the_recorded_values(key):
 
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("n_kv", [1, 2])
-@pytest.mark.parametrize("gate", [False, True])
-def test_layer_layout_follows_the_stream_table(variant, n_kv, gate):
-    config = tiny_config(variant=variant, n_kv=n_kv, output_gate_enabled=gate)
+@pytest.mark.parametrize("shape", SHAPES)
+def test_layer_layout_follows_the_stream_table(variant, n_kv, shape):
+    config = tiny_config(variant=variant, n_kv=n_kv, **SHAPES[shape])
     table = streams(config)
     d, dh = config.model_dim, config.head_dim
     assert [s.name for s in table] == ["k", "v", "q"][:len(table)]
@@ -91,7 +89,7 @@ def test_layer_layout_follows_the_stream_table(variant, n_kv, gate):
     rng = make_rng(1)
     grads, _ = backward(params, rng.standard_normal((5, d)), rng.standard_normal((5, d)), config)
     stream_grads = {key for key in grads
-                    if key.startswith(("w_", "conv_")) or "_norm." in key} - {"w_o", "w_g"}
+                    if key.startswith(("w_", "conv_")) or "_norm." in key} - {"w_o"}
     want_grads = set(want)
     want_grads.update(f"{s.norm}.{part}" for s in table if s.norm for part in ("gain", "bias"))
     assert stream_grads == want_grads
@@ -100,13 +98,13 @@ def test_layer_layout_follows_the_stream_table(variant, n_kv, gate):
 
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("n_kv", [1, 2])
-@pytest.mark.parametrize("gate", [False, True])
+@pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("feature_kind", ["silu_l2", "rff", "identity"])
-def test_layer_tables_match_the_containers(tmp_path, variant, n_kv, gate, feature_kind):
+def test_layer_tables_match_the_containers(tmp_path, variant, n_kv, shape, feature_kind):
     # the parameter table names every learnable tensor with its shape and
     # dtype, before and after a save/load round trip; the state count is
     # the one over the arrays of a state actually made, plus the position
-    config = tiny_config(variant=variant, n_kv=n_kv, output_gate_enabled=gate)
+    config = tiny_config(variant=variant, n_kv=n_kv, **SHAPES[shape])
     params = init_layer_params(config, make_rng(2), feature_kind, contraction_scale=0.5)
     save_layer_params(params, tmp_path / "layer.npz")
     for container in (params, load_layer_params(tmp_path / "layer.npz")):
