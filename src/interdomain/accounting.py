@@ -67,7 +67,6 @@ def scale_config(spec: BackboneSpec, variant: str = "full_interdomain") -> Model
         prefill_chunk=2048,
         backend="chunkwise",
         variant=variant,
-        rope_enabled=True,
         n_kv=spec.heads,
         seed=0,
     )

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .oracle import ZeroDenominatorError
-from .ssm import DiagonalSSM, _real
+from .ssm import DiagonalSSM, _check_count, _real
 
 ORTHO_TOL = 1e-10
 
@@ -96,8 +96,7 @@ def ssm_basis(ssm: DiagonalSSM, n: int) -> np.ndarray:
     fractional ones), raise ``ValueError``."""
     if ssm.delta.ndim != 1:
         raise ValueError("ssm_basis takes one group at a time: pass ssm[g]")
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    _check_count(n, "n")
     lags = np.arange(n - 1, -1, -1)
     return (ssm.c_out @ (ssm.lam[:, None] ** lags * ssm.b[:, None])).real
 

@@ -298,7 +298,6 @@ def _print_report(report: SuiteReport) -> None:
 
 
 def _write_json(report: SuiteReport, out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{report.suite}.json"
     with open(path, "w") as fh:
         json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
@@ -388,6 +387,10 @@ def run(argv: list[str] | None = None) -> int:
         config = ModelConfig() if args.seed is None else ModelConfig(seed=args.seed)
     seed = config.seed
     out_dir = Path(args.out)
+    try:  # before any suite runs, not when its report is written
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        parser.error(f"--out {args.out}: {exc}")
 
     if args.command == "equiv":
         report = equiv_suite(config, seed)
@@ -396,7 +399,6 @@ def run(argv: list[str] | None = None) -> int:
     elif args.command == "budget":
         report = budget_suite(config, seed)
     elif args.command == "bench":
-        out_dir.mkdir(parents=True, exist_ok=True)
         report = bench_suite(config, seed, out_dir, args.batch,
                              args.prefix_lens, args.steps)
     else:

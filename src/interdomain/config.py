@@ -37,7 +37,6 @@ _COUNT_FIELDS = (
     "heads", "model_dim", "head_dim", "feature_dim", "state_dim",
     "context_len", "chunk_size", "prefill_chunk", "n_kv", "seed",
 )
-_FLAG_FIELDS = ("rope_enabled",)
 _ENUM_FIELDS = {"backend": BACKENDS, "variant": VARIANTS}
 
 
@@ -68,7 +67,6 @@ class ModelConfig:
     prefill_chunk: int = 8
     backend: str = "sequential"
     variant: str = "full_interdomain"
-    rope_enabled: bool = True
     n_kv: int = 2
     seed: int = 0
 
@@ -83,10 +81,6 @@ class ModelConfig:
                 raise ConfigError(f"{name} must be a positive count, got {value}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
-        for name in _FLAG_FIELDS:
-            value = getattr(self, name)
-            if not isinstance(value, bool):
-                raise ConfigError(f"{name} must be a boolean, got {value!r}")
         for name, allowed in _ENUM_FIELDS.items():
             value = getattr(self, name)
             if value not in allowed:
@@ -105,10 +99,9 @@ class ModelConfig:
             raise ConfigError(
                 f"n_kv must be 1 (shared state) or heads={self.heads}, got {self.n_kv}"
             )
-        if self.rope_enabled and self.head_dim % 2:
+        if self.head_dim % 2:
             raise ConfigError(
-                "rope_enabled rotates head_dim in pairs, so head_dim must be even, "
-                f"got {self.head_dim}"
+                f"RoPE rotates head_dim in pairs, so head_dim must be even, got {self.head_dim}"
             )
         if self.variant in GENERIC_INPUT_VARIANTS and self.feature_dim != self.head_dim:
             raise ConfigError(
@@ -140,34 +133,33 @@ class Stream:
 def streams(config: ModelConfig) -> tuple[Stream, ...]:
     """The variant's input streams, in the order k, v, q.
 
-    The generic-input variants' k and v are the [a_t, b_t] streams: no
-    feature map on k, a conv on v.  Only the query variants have a q.
-    The table is immutable and made once per config (a decode step reads
-    it three times).
+    RoPE rotates k and q, never v.  The generic-input variants' k and v
+    are the [a_t, b_t] streams: no feature map on k, a conv on v.  Only
+    the query variants have a q.  The table is immutable and made once
+    per config (a decode step reads it three times).
     """
     generic = config.variant in GENERIC_INPUT_VARIANTS
-    rope = config.rope_enabled
-    table = (Stream("k", config.n_kv, conv=True, rope=rope, features=not generic, norm="k_norm"),
+    table = (Stream("k", config.n_kv, conv=True, rope=True, features=not generic, norm="k_norm"),
              Stream("v", config.n_kv, conv=generic, rope=False, features=False, norm="v_norm"))
     if config.variant in QUERY_VARIANTS:
-        table += (Stream("q", config.heads, conv=True, rope=rope, features=True, norm=None),)
+        table += (Stream("q", config.heads, conv=True, rope=True, features=True, norm=None),)
     return table
 
 
 # Keys of fields the record no longer has, each with the one value the
 # layer still runs: config files written while the record had them load,
 # and the key is never read.
-_RETIRED = {"readout": "denominator_free", "output_gate_enabled": False}
+_RETIRED = {"readout": "denominator_free", "output_gate_enabled": False, "rope_enabled": True}
 
 
 def config_from_dict(data: dict) -> ModelConfig:
     """Build a config from a flat dict, rejecting unknown keys.
 
-    Config files written while the record had a ``readout`` or an
-    ``output_gate_enabled`` field carry them.  The layer runs only the
-    denominator-free readout and no output gate, so each key is accepted
-    with exactly that value, a bool only as a bool, and any other value
-    raises ``ConfigError``.
+    Config files written while the record had the fields of ``_RETIRED``
+    carry their keys.  The layer runs only one value of each (the
+    denominator-free readout, no output gate, RoPE on k and q), so each
+    key is accepted with exactly that value, a bool only as a bool, and
+    any other value raises ``ConfigError``.
     """
     known = {f.name for f in dataclasses.fields(ModelConfig)}
     unknown = sorted(set(data) - known - set(_RETIRED))

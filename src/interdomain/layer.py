@@ -14,10 +14,9 @@ closed-form counts in ``bench`` and ``accounting`` all read:
     q       heads    yes       yes   yes               no      query
 
 The SSM input is z = [normed k | normed v]; the q stream's output is the
-query features f_q.  "RoPE" follows ``rope_enabled``; "generic" is
-``GENERIC_INPUT_VARIANTS``, whose k and v are the [a_t, b_t] streams, and
-"query" is ``QUERY_VARIANTS``.  ``backward`` runs the same stages' adjoints
-in reverse.  Per variant:
+query features f_q.  "generic" is ``GENERIC_INPUT_VARIANTS``, whose k
+and v are the [a_t, b_t] streams, and "query" is ``QUERY_VARIANTS``.
+``backward`` runs the same stages' adjoints in reverse.  Per variant:
 
 * ``full_interdomain``    k, v and q; readout features(q_t) @ U_t^T @ Gamma_t
                           per head.
@@ -142,6 +141,7 @@ from .features import (
 )
 from .ssm import (
     DiagonalSSM,
+    _check_count,
     _real,
     backward_checkpointed,
     final_state,
@@ -292,9 +292,7 @@ def _check_state(state: LayerState, config: ModelConfig, ssm_finite: bool = True
     """
     if not isinstance(state, LayerState):
         raise ValueError(f"state must be a LayerState, got {type(state).__name__}")
-    position = state.position
-    if isinstance(position, bool) or not isinstance(position, (int, np.integer)) or position < 0:
-        raise ValueError(f"state.position must be an integer >= 0, got {position!r}")
+    _check_count(state.position, "state.position", 0)
     layout = state_layout(config)
     for name in _STATE_ARRAYS:
         got, want = getattr(state, name), layout.get(name)
@@ -434,11 +432,10 @@ def _run_streams(params: LayerParams, x_seq: np.ndarray, config: ModelConfig,
     state: x W -> short conv -> heads -> RoPE -> features -> norm.
 
     Returns (trace, state, tails): the trace holds ``x``, the block's RoPE
-    table ``rope`` (None with RoPE off), made once and shared by the k and
-    q streams and by ``_backward_block``'s adjoints, the SSM input ``z``
-    and, in the query variants, the query features ``f_q``; ``state`` is
-    the one continued (a fresh one for None) and ``tails`` the convolved
-    streams' new tails.
+    table ``rope``, made once and shared by the k and q streams and by
+    ``_backward_block``'s adjoints, the SSM input ``z`` and, in the query
+    variants, the query features ``f_q``; ``state`` is the one continued
+    (a fresh one for None) and ``tails`` the convolved streams' new tails.
 
     Every pass runs the same stages; ``_keep`` names only what it keeps:
 
@@ -456,8 +453,7 @@ def _run_streams(params: LayerParams, x_seq: np.ndarray, config: ModelConfig,
     n = x_seq.shape[0]
     if state is None:
         state = init_decode_state(config)
-    rope = rope_rotations(state.position + np.arange(n), config.head_dim) \
-        if config.rope_enabled else None
+    rope = rope_rotations(state.position + np.arange(n), config.head_dim)
     trace: dict = {"x": x_seq, "rope": rope}
     keep_all = _keep == "all"
     r = config.feature_dim
@@ -623,8 +619,7 @@ def prefill(
         _check_state(state, config)
     if chunk is None:
         chunk = config.prefill_chunk
-    if isinstance(chunk, bool) or not isinstance(chunk, (int, np.integer)) or chunk < 1:
-        raise ValueError(f"prefill chunk must be an integer >= 1, got {chunk!r}")
+    _check_count(chunk, "prefill chunk")
     return _forward_blocks(params, x_seq, config, state, chunk)
 
 

@@ -119,6 +119,8 @@ class DiagonalSSM:
             )
         if delta.shape[-1] == 0:  # no scan has a mode to run
             raise ValueError("state size M must be >= 1, got 0 modes")
+        if delta.ndim == 2:  # a stack with no group to index
+            _check_count(delta.shape[0], "group count G")
         # before the sign checks, which a NaN passes, and before the poles
         for name, value in (("delta", delta), ("a", a), ("b", b), ("c_out", c_out)):
             if not np.isfinite(value).all():
@@ -138,6 +140,12 @@ class DiagonalSSM:
     def __getitem__(self, g: int) -> DiagonalSSM:
         if self.delta.ndim != 2:
             raise TypeError("only an SSM stacked on a group axis can be indexed")
+        groups = self.delta.shape[0]
+        # one group by an integer, never a bool, None, slice or array, whose
+        # rows would be records of another shape
+        if (isinstance(g, bool) or not isinstance(g, (int, np.integer))
+                or not -groups <= g < groups):
+            raise IndexError(f"index one of the {groups} groups by an integer, got {g!r}")
         # a row of a checked stack is checked already: views of its rows,
         # with no checks rerun and no poles derived again (every call takes
         # one row per group)
@@ -171,6 +179,7 @@ def random_ssm(m: int, rng: np.random.Generator) -> DiagonalSSM:
 
 def stack_ssms(ssms: list[DiagonalSSM]) -> DiagonalSSM:
     """One SSM whose fields stack the given ones on a leading group axis."""
+    _check_count(len(ssms), "group count G")
     fields = ("delta", "a", "b", "c_out")
     return DiagonalSSM(*(np.stack([getattr(s, f) for s in ssms]) for f in fields))
 
@@ -482,14 +491,21 @@ def _block_size(chunk: int, n: int, w: int) -> int:
     return min(chunk, max(n, 1), w)
 
 
+def _check_count(value, name: str, low: int = 1) -> None:
+    """``value``, a count such as a chunk length, must be an integer >=
+    ``low`` that is not a bool (True would count one, 2.5 a fraction);
+    otherwise ``ValueError`` names it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def _dual_setup(ssm: DiagonalSSM, z: np.ndarray, chunk: int, x0=None, out=None):
-    """The steps every dual-form pass starts with: check ``chunk``, an
-    integer >= 1 that is not a bool, and the scan input
-    (``_check_scan_input``), then take K = ``_block_size``, the (K + 1, M)
-    table of lam**t and the K-chunks' entry states (``_segment_entries``).
-    Returns (z, x0, K, powers, entries)."""
-    if isinstance(chunk, bool) or not isinstance(chunk, (int, np.integer)) or chunk < 1:
-        raise ValueError(f"chunk must be an integer >= 1, got {chunk!r}")
+    """The steps every dual-form pass starts with: check ``chunk``
+    (``_check_count``) and the scan input (``_check_scan_input``), then take
+    K = ``_block_size``, the (K + 1, M) table of lam**t and the K-chunks'
+    entry states (``_segment_entries``).  Returns (z, x0, K, powers,
+    entries)."""
+    _check_count(chunk, "chunk")
     z, x0 = _check_scan_input(ssm, z, x0, out)
     k = _block_size(chunk, *z.shape)
     powers = _lam_powers(ssm.lam, k + 1)
@@ -684,7 +700,9 @@ def run_scan(ssm: DiagonalSSM, z: np.ndarray, backend: str,
     x0.  Otherwise ``x0``, in any memory layout, is never written.  A
     one-step ``sequential`` or ``parallel_prefix`` scan, as in decode,
     forms its state in ``out`` directly.  Any other ``out`` raises
-    ValueError."""
+    ValueError, and so does a ``chunk`` that is not an integer >= 1, on
+    every backend, although only ``chunkwise`` reads it."""
+    _check_count(chunk, "chunk")
     if backend == "sequential":
         return scan_sequential(ssm, z, x0, f_q, out)
     if backend == "fft":

@@ -43,7 +43,7 @@ def tiny_config(**overrides) -> ModelConfig:
         heads=2, model_dim=8, head_dim=4, feature_dim=4, state_dim=4,
         context_len=128, chunk_size=3, prefill_chunk=8,
         backend="sequential", variant="full_interdomain",
-        rope_enabled=True, n_kv=2, seed=0,
+        n_kv=2, seed=0,
     )
     return dataclasses.replace(base, **overrides)
 

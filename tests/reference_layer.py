@@ -49,11 +49,10 @@ def _stages(config: ModelConfig) -> list[tuple[str, int, bool, bool, bool]]:
     """(stream, rows, conv, rope, features) per stream, from the layer's
     stream table as its docstring writes it."""
     generic = config.variant in GENERIC_INPUT_VARIANTS
-    rope = config.rope_enabled
-    table = [("k", config.n_kv, True, rope, not generic),
+    table = [("k", config.n_kv, True, True, not generic),
              ("v", config.n_kv, generic, False, False)]
     if config.variant in QUERY_VARIANTS:
-        table.append(("q", config.heads, True, rope, True))
+        table.append(("q", config.heads, True, True, True))
     return table
 
 

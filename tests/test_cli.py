@@ -65,6 +65,23 @@ def test_bad_seed_or_config_is_a_usage_error(tmp_path, capsys, case):
     assert "usage:" in capsys.readouterr().err
 
 
+# An --out naming a file ran the whole suite, printed its table and then
+# died with a FileExistsError traceback.
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+@pytest.mark.parametrize("suite", ["budget", "bench"])
+def test_out_that_is_not_a_directory_is_a_usage_error(tmp_path, capsys, suite, below):
+    blocker = tmp_path / "report.txt"
+    blocker.write_text("kept")
+    out = blocker / "sub" if below else blocker
+    with pytest.raises(SystemExit) as exc:
+        run([suite, "--out", str(out)])
+    assert exc.value.code == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert "usage:" in printed.err and f"--out {out}: " in printed.err
+    assert blocker.read_text() == "kept"
+
+
 def test_budget_passes_and_writes_report(tmp_path, capsys):
     assert run(["budget", "--out", str(tmp_path)]) == 0
     report = read_report(tmp_path, "budget")

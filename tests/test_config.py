@@ -100,18 +100,20 @@ def test_enums_rejected(field, allowed):
 
 
 # Per retired key, values that ask for something the layer does not run (a
-# normalized readout, an output gate) or only look like the one it does.
+# normalized readout, an output gate, no RoPE) or only look like the one it
+# does.
 _REFUSED = {
     "readout": ("nw", "bogus", None, 0),
     "output_gate_enabled": (True, 0, None, "false", 0.0),
+    "rope_enabled": (False, 0, None, "true", 1),
 }
 
 
 @pytest.mark.parametrize("key", sorted(_RETIRED))
 def test_retired_keys_load_only_at_their_value(tmp_path, key):
-    # the layer has no normalized readout and no output gate, so asking for
-    # either must fail; a dict or file may carry the key only with the one
-    # value the layer runs, a bool only as a bool
+    # the layer has no normalized readout, no output gate and always runs
+    # RoPE, so asking otherwise must fail; a dict or file may carry the key
+    # only with the one value the layer runs, a bool only as a bool
     kept, bad_values = _RETIRED[key], _REFUSED[key]
     data = dataclasses.asdict(tiny_config())
     path = tmp_path / "config.json"
@@ -136,11 +138,17 @@ def test_generic_variants_need_square_features():
     tiny_config(variant="s4d_only", feature_dim=4)
 
 
-def test_rope_needs_even_head_dim():
-    with pytest.raises(ConfigError, match="head_dim must be even"):
-        tiny_config(heads=2, model_dim=6, head_dim=3, feature_dim=3, state_dim=2, n_kv=2)
-    tiny_config(heads=2, model_dim=6, head_dim=3, feature_dim=3, state_dim=2, n_kv=2,
-                rope_enabled=False)
+def test_rope_needs_even_head_dim(tmp_path):
+    odd = dict(heads=2, model_dim=6, head_dim=3, feature_dim=3, state_dim=2, n_kv=2)
+    data = {**dataclasses.asdict(tiny_config()), **odd}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    for make in (lambda: tiny_config(**odd),
+                 lambda: dataclasses.replace(tiny_config(), **odd),
+                 lambda: load_config(path)):
+        with pytest.raises(ConfigError, match="^RoPE rotates head_dim in pairs, "
+                                              "so head_dim must be even, got 3$"):
+            make()
 
 
 def test_unknown_key_rejected():

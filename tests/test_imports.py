@@ -99,6 +99,9 @@ def private_imports(source: str) -> list[str]:
 PRIVATE_IMPORTS = {
     "ssm._real": "the one real-array input check, which layer, basis and oracle share so "
                  "that a complex argument fails alike everywhere",
+    "ssm._check_count": "the one count check, an integer at or above a floor and never a "
+                        "bool, which the scans' chunk, prefill's chunk, a state's position "
+                        "and ssm_basis's length share so that each fails alike",
 }
 
 

@@ -120,16 +120,23 @@ def test_causal_under_suffix_edits(variant):
                           forward(params, edited, config)[:7])
 
 
-def test_rope_rotates_keys_not_values():
-    config, params = variant_setup("full_interdomain")
-    off = dataclasses.replace(config, rope_enabled=False)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_rope_rotates_keys_and_queries_not_values(monkeypatch, variant):
+    # the same run with every rotation the identity: the values' columns of
+    # z stay bit for bit, and the keys' columns, the query features and the
+    # output all move
+    config, params = variant_setup(variant)
     x = make_rng(4).standard_normal((6, config.model_dim))
-    _, tr_on = forward_trace(params, x, config)
-    _, tr_off = forward_trace(params, x, off)
+    y_on, tr_on = forward_trace(params, x, config)
+    monkeypatch.setattr(layer_module, "rope_rotations",
+                        lambda positions, width: np.ones((len(positions), width // 2), complex))
+    y_off, tr_off = forward_trace(params, x, config)
     r = config.feature_dim
     assert np.array_equal(tr_on["z"][:, :, r:], tr_off["z"][:, :, r:])
     assert not np.allclose(tr_on["z"][:, :, :r], tr_off["z"][:, :, :r])
-    assert not np.allclose(forward(params, x, config), forward(params, x, off))
+    if config.variant in QUERY_VARIANTS:
+        assert not np.allclose(tr_on["f_q"], tr_off["f_q"])
+    assert not np.allclose(y_on, y_off)
 
 
 def test_heads_with_private_groups_are_isolated():
@@ -1349,7 +1356,7 @@ def test_one_token_blocks_scan_sequential_and_each_block_rotates_once(monkeypatc
     and still matches the forward; every longer block scans on the config's
     backend.  Each block makes its RoPE table once, for the k and q streams
     and the adjoints alike: one per forward or prefill block, per decode
-    step and per block of either backward pass, none with RoPE off."""
+    step and per block of either backward pass."""
     config, params = variant_setup("full_interdomain", backend=backend)
     scans, tables = [], []  # (backend, tokens) per run_scan; positions per table
     run_scan_, rope_rotations_ = layer_module.run_scan, layer_module.rope_rotations
@@ -1385,12 +1392,6 @@ def test_one_token_blocks_scan_sequential_and_each_block_rotates_once(monkeypatc
     backward(params, x, rng.standard_normal(x.shape), config)
     # the first pass's one exit state, then the blocks in reverse
     assert tables == [list(range(8)), list(range(8, 11)), list(range(8))]
-    tables.clear()
-    off = dataclasses.replace(config, rope_enabled=False)
-    forward(params, x, off)
-    backward(params, x, rng.standard_normal(x.shape), off)
-    decode_step(params, state, x[0], off)
-    assert tables == []
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

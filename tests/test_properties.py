@@ -43,7 +43,7 @@ def cases(draw):
         state_dim=draw(st.integers(1, 5)), context_len=24,
         chunk_size=draw(st.integers(1, 24)), prefill_chunk=draw(st.integers(1, n)),
         backend=draw(st.sampled_from(BACKENDS)), variant=variant,
-        rope_enabled=draw(st.booleans()), n_kv=draw(st.sampled_from([1, heads])), seed=0)
+        n_kv=draw(st.sampled_from([1, heads])), seed=0)
     return config, kind, n, draw(st.integers(1, n)), draw(st.integers(0, 2 ** 16))
 
 

@@ -4,8 +4,8 @@ steps one token at a time through every stage written out by hand.
 Every other layer test checks the layer against itself (the backends against
 each other, decode against the forward, finite differences of its own
 forward), so a fault that every path shares passes all of them; here the
-forward on every backend, chunked prefill plus decode, and the gradients
-are held to an independent forward."""
+forward on every backend, chunked prefill plus decode, decode alone from an
+empty prompt, and the gradients are held to an independent forward."""
 import dataclasses
 
 import numpy as np
@@ -27,23 +27,22 @@ def _cases():
             # s4d_only runs no feature map, so its kind changes nothing
             for kind in ("silu_l2",) if variant == "s4d_only" else ("silu_l2", "rff", "identity"):
                 for n_kv in (1, 2):
-                    for rope in (False, True):
-                        name = f"{variant}-{kind}-n_kv{n_kv}-rope{int(rope)}"
-                        yield pytest.param(variant, kind, n_kv, rope, shape, id=(
-                            name if shape == "tiny" else f"{name}-{shape}"))
+                    name = f"{variant}-{kind}-n_kv{n_kv}"
+                    yield pytest.param(variant, kind, n_kv, shape, id=(
+                        name if shape == "tiny" else f"{name}-{shape}"))
 
 
-def _setup(variant, kind, n_kv, rope, seed, shape="tiny"):
-    config = tiny_config(variant=variant, n_kv=n_kv, rope_enabled=rope, **SHAPES[shape])
+def _setup(variant, kind, n_kv, seed, shape="tiny"):
+    config = tiny_config(variant=variant, n_kv=n_kv, **SHAPES[shape])
     params = init_layer_params(config, make_rng(seed), feature_kind=kind,
                                contraction_scale=0.5)
     randomize_norms(params, make_rng(seed + 1))
     return config, params
 
 
-@pytest.mark.parametrize("variant, kind, n_kv, rope, shape", _cases())
-def test_forward_prefill_and_decode_match_the_reference(variant, kind, n_kv, rope, shape):
-    config, params = _setup(variant, kind, n_kv, rope, seed=60, shape=shape)
+@pytest.mark.parametrize("variant, kind, n_kv, shape", _cases())
+def test_forward_prefill_and_decode_match_the_reference(variant, kind, n_kv, shape):
+    config, params = _setup(variant, kind, n_kv, seed=60, shape=shape)
     x = make_rng(62).standard_normal((N, config.model_dim))
     want, want_state = reference_run(params, x, config)
     assert N > config.prefill_chunk
@@ -58,6 +57,26 @@ def test_forward_prefill_and_decode_match_the_reference(variant, kind, n_kv, rop
         y_t, state = decode_step(params, state, x[t], config)
         rows.append(y_t[None])
     assert rel_err(np.concatenate(rows), want) <= 1e-12
+    _assert_states_match(state, want_state)
+
+
+@pytest.mark.parametrize("variant, kind, n_kv, shape", _cases())
+def test_decode_from_an_empty_prompt_matches_the_reference(variant, kind, n_kv, shape):
+    # every token through decode_step alone: each rotation at its absolute
+    # position and each conv tail grown from zeros, one token at a time
+    config, params = _setup(variant, kind, n_kv, seed=60, shape=shape)
+    x = make_rng(62).standard_normal((N, config.model_dim))
+    want, want_state = reference_run(params, x, config)
+    _, state = prefill(params, x[:0], config)
+    rows = []
+    for t in range(N):
+        y_t, state = decode_step(params, state, x[t], config)
+        rows.append(y_t)
+    assert rel_err(np.stack(rows), want) <= 1e-12
+    _assert_states_match(state, want_state)
+
+
+def _assert_states_match(state, want_state):
     assert state.position == want_state.position == N
     for name in ("ssm_states", "conv_q_tail", "conv_k_tail", "conv_v_tail"):
         got, ref = getattr(state, name), getattr(want_state, name)
@@ -101,7 +120,7 @@ def test_backward_matches_a_directional_derivative_of_the_reference(variant, n_k
     # every gradient and grad_x at once, along one random direction scaled
     # to each tensor, against a central difference of the reference
     kind = "rff" if n_kv == 1 and variant != "s4d_only" else "silu_l2"
-    config, params = _setup(variant, kind, n_kv, rope=True, seed=64, shape=shape)
+    config, params = _setup(variant, kind, n_kv, seed=64, shape=shape)
     rng = make_rng(66)
     n = 11  # blocks of 8 and 3
     x, up, dx = rng.standard_normal((3, n, config.model_dim))

@@ -172,6 +172,34 @@ def test_every_way_of_making_an_ssm_of_zero_modes_fails_alike(tmp_path):
             make()
 
 
+def test_a_stack_is_indexed_by_one_group_number():
+    # ssm[True] and ssm[None] made a record of (1, G, M) fields that no scan
+    # takes, and an index past the stack a bare IndexError
+    ssm = stack_ssms([small_ssm(seed=1), small_ssm(seed=2), small_ssm(seed=3)])
+    for bad in (True, False, None, slice(0, 2), np.array([0]), 1.0, "1", 3, -4, np.int64(7)):
+        with pytest.raises(IndexError, match="index one of the 3 groups by an integer, got"):
+            ssm[bad]
+    for g in (0, 2, -1, np.int64(1)):
+        assert np.array_equal(ssm[g].c_out, ssm.c_out[g])
+        assert np.array_equal(ssm[g].lam, ssm.lam[g])
+
+
+def test_a_stack_of_zero_groups_is_refused():
+    # it was made, and its ssm[0] raised a bare IndexError
+    empty = {"delta": np.ones((0, 3)), "a": -np.ones((0, 3), complex),
+             "b": np.ones((0, 3), complex), "c_out": np.ones((0, 3, 3), complex)}
+    stacked = stack_ssms([small_ssm(m=3)])
+    for make in (lambda: DiagonalSSM(**empty), lambda: dataclasses.replace(stacked, **empty)):
+        with pytest.raises(ValueError, match="group count G must be an integer >= 1, got 0"):
+            make()
+
+
+def test_stacking_no_ssms_is_refused():
+    # numpy's "need at least one array to stack" named no group count
+    with pytest.raises(ValueError, match="group count G must be an integer >= 1, got 0"):
+        stack_ssms([])
+
+
 def test_replace_refreshes_poles():
     # replace kept the poles of the old step sizes
     ssm = small_ssm()
@@ -840,6 +868,22 @@ def test_dual_form_chunk_must_be_an_integer():
             with pytest.raises(ValueError, match=r"chunk must be an integer >= 1"):
                 entry(bad)
         assert np.array_equal(entry(np.int64(2)), entry(2)), name
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_every_backend_checks_the_chunk(backend):
+    # only chunkwise reads it, but sequential, fft and parallel_prefix took
+    # 0, -5, True and 2.5 where chunkwise refused them
+    ssm = small_ssm(seed=27)
+    rng = make_rng(28)
+    z = rng.standard_normal((5, 3))
+    f_q = rng.standard_normal((5, 1, 2))
+    for bad in (0, -5, True, 2.5):
+        for query in (None, f_q):
+            with pytest.raises(ValueError, match=r"chunk must be an integer >= 1"):
+                run_scan(ssm, z, backend, chunk=bad, f_q=query)
+    assert np.array_equal(run_scan(ssm, z, backend, chunk=np.int64(2)).outputs,
+                          run_scan(ssm, z, backend, chunk=2).outputs)
 
 
 def test_backward_zero_upstream_zero_grads():
